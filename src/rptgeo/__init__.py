@@ -11,15 +11,15 @@ from .connections import (ConnectionPack, NotW3Error, covariant_derivative,
                           exterior_derivative_torsion, natural_check,
                           rpt_connection, rpt_torsion, sigma_T,
                           torsion_inner_products)
-from .example import (EPSILON_CANDIDATES, ExampleSpec, build_example,
-                      bundled_spec_path, family_parameters, golden_tables)
+from .example import (EPSILON_CANDIDATES, build_example, bundled_spec_path,
+                      family_parameters, golden_tables)
 from .frames import (CheckReport, FrameAlgebra, SchemaError, Witness,
                      associated_metric, killing_check, load_spec, save_spec,
                      spec_digest, validate)
 from .geometry import (CLASS_OUTSIDE, CLASS_PARALLEL, CLASS_SKEW, ClassLabel,
                        Connection, classify, curvature, fundamental_F,
-                       levi_civita, nijenhuis, square_norm_nabla_P,
-                       torsion_projections)
+                       levi_civita, nijenhuis, square_norm,
+                       square_norm_nabla_P, torsion_projections)
 from .parser import ParseError, parse_expression
 from .scalars import Scalar
 from .tensors import (Tensor, alternate, arranged, cyclic_sum, mat_det,

@@ -1,7 +1,9 @@
 """Command-line front end: validate specs, print geometry reports, run checks.
 
 Exit codes are a stable contract: 0 when every applicable check passed,
-1 when a check failed, 2 for usage, schema or parse errors.
+1 when a check failed, 2 for usage, schema or parse errors.  A frame that
+fails structural validation gets a report of class ``invalid`` holding only
+the ``frame-structure`` entry, and exit 1, from every command.
 """
 
 from __future__ import annotations
@@ -10,7 +12,6 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 from .connections import NotW3Error, rpt_connection
 from .example import (build_example, compare_connection, compare_scalars,
@@ -19,12 +20,11 @@ from .example import (build_example, compare_connection, compare_scalars,
 from .frames import (CheckReport, FrameAlgebra, SchemaError, killing_check,
                      load_spec, spec_digest, validate)
 from .geometry import (classify, curvature, fundamental_F, levi_civita,
-                       square_norm_nabla_P, torsion_projections)
+                       square_norm, square_norm_nabla_P, torsion_projections)
 from .parser import ParseError
-from .scalars import Scalar
-from .tensors import Tensor, tensor_contract
-from .theorems import (TheoremResult, check_p_tensor, geometry_checks,
-                       rpt_checks, run_all, theorem_checks)
+from .tensors import Tensor, coefficient_tensor
+from .theorems import (check_p_tensor, geometry_checks, rpt_checks, run_all,
+                       theorem_checks)
 
 SCHEMA_VERSION = 1
 
@@ -39,26 +39,20 @@ class UsageError(Exception):
 
 def _check_entry(result) -> dict:
     if isinstance(result, CheckReport):
-        status = "pass" if result.passed else "fail"
-        witnesses = result.witnesses
-        reason = "; ".join(result.notes) if result.notes else None
-        check_id = result.name
+        check_id, status = result.name, "pass" if result.passed else "fail"
+        reason = "; ".join(result.notes) or None
     else:
+        check_id, reason = result.check_id, result.reason or None
         if result.skipped:
             status = "skip"
         elif not result.hypotheses_satisfied:
-            status = "skip"
+            status, reason = "skip", "hypotheses not satisfied"
         else:
             status = "pass" if result.conclusion_holds else "fail"
-        witnesses = result.witnesses
-        reason = result.reason or None
-        if status == "skip" and not result.skipped:
-            reason = "hypotheses not satisfied"
-        check_id = result.check_id
     return {
         "id": check_id,
         "status": status,
-        "witnesses": [w.as_dict() for w in witnesses],
+        "witnesses": [w.as_dict() for w in result.witnesses],
         "reason": reason,
         "details": dict(getattr(result, "details", {}) or {}),
     }
@@ -174,18 +168,6 @@ def _tensor_lines(t: Tensor, symbol: str) -> list:
             for idx, value in entries]
 
 
-def _connection_lines(coeffs, symbol: str) -> list:
-    lines = []
-    n = len(coeffs)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if not coeffs[i][j][k].is_zero:
-                    lines.append("%s[%d,%d,%d] = %s" % (symbol, i + 1, j + 1,
-                                                        k + 1, coeffs[i][j][k]))
-    return lines or ["(all components zero)"]
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -200,37 +182,52 @@ def cmd_validate(args) -> int:
     return _emit(report, args)
 
 
+def _emit_invalid(fa: FrameAlgebra, structure: CheckReport, args) -> int:
+    """The report of a frame that failed structural validation."""
+    report = Report(spec_digest(fa), "invalid")
+    report.add_checks([structure])
+    return _emit(report, args)
+
+
+def _add_scalars(report: Report, fa: FrameAlgebra) -> dict:
+    """tau and |nabla P|^2 of the Levi-Civita connection, then tau' of the
+    skew-torsion connection when it exists: added to the report, returned
+    as Scalars."""
+    lc = levi_civita(fa)
+    scalars = {"tau": curvature(fa, lc)[2],
+               "nabla_P_norm_sq": square_norm_nabla_P(fa, lc)}
+    try:
+        scalars["tau_prime"] = curvature(fa, rpt_connection(fa).rpt)[2]
+    except NotW3Error:
+        pass
+    report.scalars.update((name, str(value)) for name, value in scalars.items())
+    return scalars
+
+
 def cmd_report(args) -> int:
     fa = _load_frame(args)
     structure = validate(fa)
     if not structure.passed:
-        report = Report(spec_digest(fa), "invalid")
-        report.add_checks([structure])
-        return _emit(report, args)
-    label = classify(fa)
-    report = Report(spec_digest(fa), label.label)
+        return _emit_invalid(fa, structure, args)
+    report = Report(spec_digest(fa), classify(fa).label)
     lc = levi_civita(fa)
     f = fundamental_F(fa, lc)
-    _, _, tau = curvature(fa, lc)
-    report.scalars["tau"] = str(tau)
-    report.scalars["nabla_P_norm_sq"] = str(square_norm_nabla_P(fa, lc))
+    _add_scalars(report, fa)
     report.sections.append(("structure tensor F (nonzero components)",
                             _tensor_lines(f, "F")))
     report.sections.append(("Levi-Civita connection coefficients",
-                            _connection_lines(lc.coeffs, "nabla")))
+                            _tensor_lines(coefficient_tensor(lc.coeffs), "nabla")))
     try:
         pack = rpt_connection(fa)
-        rp, _, taup = curvature(fa, pack.rpt)
-        report.scalars["tau_prime"] = str(taup)
+        rp, _, _ = curvature(fa, pack.rpt)
         report.sections.append(("skew torsion T (nonzero components)",
                                 _tensor_lines(pack.T, "T")))
         report.sections.append(("skew-torsion connection coefficients",
-                                _connection_lines(pack.rpt.coeffs, "nabla'")))
+                                _tensor_lines(coefficient_tensor(pack.rpt.coeffs),
+                                              "nabla'")))
         proj = torsion_projections(pack.T, fa)
-        lines = []
-        for pos, p in enumerate(proj):
-            norm = _projection_norm(p, fa)
-            lines.append("|p%d|^2 = %s" % (pos + 1, norm))
+        lines = ["|p%d|^2 = %s" % (pos + 1, square_norm(p, fa))
+                 for pos, p in enumerate(proj)]
         report.sections.append(("torsion projection square norms", lines))
         ptensor = check_p_tensor(rp, fa).conclusion_holds
         report.sections.append(("curvature of the skew-torsion connection",
@@ -240,17 +237,6 @@ def cmd_report(args) -> int:
                                 ["skipped: %s" % exc]))
     report.add_checks([structure])
     return _emit(report, args)
-
-
-def _projection_norm(p: Tensor, fa: FrameAlgebra) -> Scalar:
-    ginv = fa.metric_inv
-    up = p.raise_slot(0, ginv).raise_slot(1, ginv).raise_slot(2, ginv)
-    acc = Scalar.zero(fa.params)
-    for idx, value in p.nonzero():
-        other = up[idx]
-        if not other.is_zero:
-            acc = acc + value * other
-    return acc
 
 
 _SUITES = {
@@ -263,25 +249,13 @@ _SUITES = {
 
 def cmd_check(args) -> int:
     fa = _load_frame(args)
-    label = classify(fa) if validate(fa).passed else None
-    report = Report(spec_digest(fa), label.label if label else "invalid")
-    results = _SUITES[args.suite](fa)
-    report.add_checks(results)
-    _fill_scalars(report, fa)
+    structure = validate(fa)
+    if not structure.passed:
+        return _emit_invalid(fa, structure, args)
+    report = Report(spec_digest(fa), classify(fa).label)
+    report.add_checks(_SUITES[args.suite](fa))
+    _add_scalars(report, fa)
     return _emit(report, args)
-
-
-def _fill_scalars(report: Report, fa: FrameAlgebra):
-    try:
-        lc = levi_civita(fa)
-        _, _, tau = curvature(fa, lc)
-        report.scalars["tau"] = str(tau)
-        report.scalars["nabla_P_norm_sq"] = str(square_norm_nabla_P(fa, lc))
-        pack = rpt_connection(fa)
-        _, _, taup = curvature(fa, pack.rpt)
-        report.scalars["tau_prime"] = str(taup)
-    except (NotW3Error, ValueError):
-        pass
 
 
 def cmd_example(args) -> int:
@@ -296,21 +270,15 @@ def cmd_example(args) -> int:
     pack = rpt_connection(fa)
     tables = golden_tables(args.golden)
     convert = _sub_map(fa, tables["torsion"].params, family_parameters(fa))
-    rp, _, taup = curvature(fa, pack.rpt)
+    rp, _, _ = curvature(fa, pack.rpt)
     d = pack.torsion_derivative()
-    _, _, tau = curvature(fa, pack.nabla)
-    norm = square_norm_nabla_P(fa, pack.nabla)
-    report.scalars["tau"] = str(tau)
-    report.scalars["tau_prime"] = str(taup)
-    report.scalars["nabla_P_norm_sq"] = str(norm)
-
+    scalars = _add_scalars(report, fa)
     comparisons = [
         compare_tensor("torsion", pack.T, tables["torsion"], convert),
         compare_connection("connection", pack.rpt.coeffs, tables["connection"], convert),
         compare_tensor("curvature", rp, tables["curvature"], convert),
         compare_tensor("torsion_derivative", d, tables["torsion_derivative"], convert),
-        compare_scalars({"tau": tau, "tau_prime": taup, "nabla_P_norm_sq": norm},
-                        tables["scalars"], convert),
+        compare_scalars(scalars, tables["scalars"], convert),
     ]
     report.add_checks(comparisons)
     report.add_checks(run_all(fa))
@@ -354,11 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("example", help="build the bundled family and compare "
                                        "against the golden tables")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--symbolic", action="store_true",
-                       help="keep the four parameters symbolic (default)")
-    group.add_argument("--lambda", dest="lam", metavar="a,b,c,d",
-                       help="four rational parameter values")
+    p.add_argument("--lambda", dest="lam", metavar="a,b,c,d",
+                   help="four rational parameter values (default: symbolic)")
     p.add_argument("--golden", metavar="DIR",
                    help="override the bundled golden-table directory")
     p.add_argument("--format", choices=("text", "json"), default="text")

@@ -11,12 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .frames import CheckReport, FrameAlgebra, Witness
+from .frames import CheckReport, FrameAlgebra, tensor_witnesses
 from .geometry import (CLASS_OUTSIDE, ClassLabel, Connection,
                        classify_from_structure_tensor, fundamental_F,
                        levi_civita, nabla_p_components)
 from .scalars import Scalar
-from .tensors import Tensor, alternate, arranged, cyclic_sum
+from .tensors import (Tensor, alternate, arranged, coefficient_tensor,
+                      cyclic_sum)
 
 
 class NotW3Error(RuntimeError):
@@ -69,11 +70,8 @@ def rpt_torsion(f: Tensor, fa: FrameAlgebra) -> Tensor:
 
 
 def _shifted_connection(fa: FrameAlgebra, base: Connection, q: Tensor) -> Connection:
-    q_up = q.raise_slot(2, fa.metric_inv)
-    n = fa.dim
-    coeffs = [[[base.coeffs[i][j][k] + q_up[i, j, k] for k in range(n)]
-               for j in range(n)] for i in range(n)]
-    return Connection(fa, coeffs)
+    return Connection.from_tensor(
+        fa, coefficient_tensor(base.coeffs) + q.raise_slot(2, fa.metric_inv))
 
 
 def rpt_connection(fa: FrameAlgebra) -> ConnectionPack:
@@ -110,26 +108,8 @@ def rpt_connection(fa: FrameAlgebra) -> ConnectionPack:
 
 def natural_check(fa: FrameAlgebra, conn: Connection) -> CheckReport:
     """Whether the connection leaves both the metric and the product parallel."""
-    n = fa.dim
-    a = conn.coeffs
-    zero = Scalar.zero(fa.params)
-    witnesses = []
-    np_ = nabla_p_components(fa, conn)
-    for i in range(n):
-        for j in range(n):
-            for s in range(n):
-                if not np_[i][j][s].is_zero:
-                    witnesses.append(Witness((i + 1, j + 1, s + 1), zero,
-                                             np_[i][j][s], "product-parallel"))
-    for i in range(n):
-        for j in range(n):
-            for k in range(j, n):
-                acc = zero
-                for s in range(n):
-                    acc = acc + a[i][j][s] * fa.g[s][k] + a[i][k][s] * fa.g[j][s]
-                if not acc.is_zero:
-                    witnesses.append(Witness((i + 1, j + 1, k + 1), zero, -acc,
-                                             "metric-parallel"))
+    witnesses = tensor_witnesses(nabla_p_components(fa, conn), "product-parallel")
+    witnesses += conn.metric_witnesses("metric-parallel")
     return CheckReport("natural-connection", not witnesses, witnesses)
 
 
@@ -194,17 +174,8 @@ def exterior_derivative_torsion(fa: FrameAlgebra, conn: Connection,
         raise ValueError("torsion must be totally skew-symmetric")
     if conn.torsion_tensor() != t:
         raise ValueError("connection torsion does not match the given 3-form")
-    n = fa.dim
-    a = conn.coeffs
-    zero = Scalar.zero(fa.params)
-    for i in range(n):
-        for j in range(n):
-            for k in range(j, n):
-                acc = zero
-                for s in range(n):
-                    acc = acc + a[i][j][s] * fa.g[s][k] + a[i][k][s] * fa.g[j][s]
-                if not acc.is_zero:
-                    raise ValueError("connection is not metric")
+    if conn.metric_witnesses("metric-parallel"):
+        raise ValueError("connection is not metric")
     d = covariant_derivative(fa, conn, t)
     sigma = sigma_T(t, fa)
     return cyclic_sum(d, (0, 1, 2)) - arranged(d, "w,x,y,z") + sigma.scale(2)

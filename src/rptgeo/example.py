@@ -14,24 +14,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
-from typing import Optional
 
-from .frames import CheckReport, FrameAlgebra, Witness
+from .frames import CheckReport, FrameAlgebra, Witness, capped_report
 from .parser import parse_expression
 from .scalars import Scalar
-from .tensors import Tensor, mat_identity
+from .tensors import Tensor, _perm_sign, coefficient_tensor, mat_identity
 
 PARAM_NAMES = ("l1", "l2", "l3", "l4")
 EPSILON_CANDIDATES = (1, -1)
-
-_WITNESS_CAP = 16
-
-
-@dataclass
-class ExampleSpec:
-    """Parameters of the bundled family: four rationals, or None for symbolic."""
-    lambdas: Optional[tuple] = None
-
 
 def swap_product_matrix(dim: int, params: tuple) -> list:
     """Block antidiagonal product structure exchanging the two halves."""
@@ -61,21 +51,14 @@ def family_structure_constants(lam, params: tuple) -> list:
     return c
 
 
-def build_example(spec=None) -> FrameAlgebra:
-    """Frame algebra of the family; symbolic parameters when none are given.
-
-    Accepts an ExampleSpec or a plain sequence of four rationals.
-    """
-    if isinstance(spec, ExampleSpec):
-        lambdas = spec.lambdas
-    elif spec is not None:
-        lambdas = tuple(spec)
-    else:
-        lambdas = None
+def build_example(lambdas=None) -> FrameAlgebra:
+    """Frame algebra of the family at a sequence of four rationals; symbolic
+    parameters when none are given."""
     if lambdas is None:
         params = PARAM_NAMES
         lam = [Scalar.parameter(params, name) for name in params]
     else:
+        lambdas = tuple(lambdas)
         if len(lambdas) != 4:
             raise ValueError("the family takes exactly four parameters")
         params = ()
@@ -161,19 +144,7 @@ def _sort_signed(idx):
     if len(set(idx)) != len(idx):
         return None, 1
     order = sorted(range(len(idx)), key=lambda p: idx[p])
-    sign = 1
-    seen = [False] * len(order)
-    for start in range(len(order)):
-        if seen[start]:
-            continue
-        length, k = 0, start
-        while not seen[k]:
-            seen[k] = True
-            k = order[k]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return tuple(sorted(idx)), sign
+    return tuple(sorted(idx)), _perm_sign(order)
 
 
 def _load_table(path: Path) -> GoldenTable:
@@ -221,32 +192,19 @@ def _sub_map(fa: FrameAlgebra, golden_params: tuple, lam):
 
 def compare_tensor(name: str, computed: Tensor, table: GoldenTable,
                    convert) -> CheckReport:
-    dense = table.dense(computed.dim)
     witnesses = []
-    suppressed = 0
-    for idx, expected in dense.items():
+    for idx, expected in table.dense(computed.dim).items():
         expected = convert(expected)
         actual = computed[tuple(k - 1 for k in idx)]
         if actual != expected:
-            if len(witnesses) < _WITNESS_CAP:
-                witnesses.append(Witness(idx, expected, actual, name))
-            else:
-                suppressed += 1
-    notes = ["%d further mismatches suppressed" % suppressed] if suppressed else []
-    return CheckReport("golden-%s" % name, not witnesses, witnesses, notes)
+            witnesses.append(Witness(idx, expected, actual, name))
+    return capped_report("golden-%s" % name, witnesses)
 
 
 def compare_connection(name: str, coeffs: list, table: GoldenTable,
-                       convert, dim: int = 4) -> CheckReport:
-    dense = table.dense(dim)
-    witnesses = []
-    for idx, expected in dense.items():
-        expected = convert(expected)
-        i, j, k = (v - 1 for v in idx)
-        actual = coeffs[i][j][k]
-        if actual != expected:
-            witnesses.append(Witness(idx, expected, actual, name))
-    return CheckReport("golden-%s" % name, not witnesses, witnesses)
+                       convert) -> CheckReport:
+    """compare_tensor on the coefficient tensor, A^k_ij at index (i, j, k)."""
+    return compare_tensor(name, coefficient_tensor(coeffs), table, convert)
 
 
 def compare_scalars(computed: dict, golden: dict, convert) -> CheckReport:
@@ -256,4 +214,4 @@ def compare_scalars(computed: dict, golden: dict, convert) -> CheckReport:
         actual = computed[key]
         if actual != expected:
             witnesses.append(Witness((), expected, actual, key))
-    return CheckReport("golden-scalars", not witnesses, witnesses)
+    return capped_report("golden-scalars", witnesses)

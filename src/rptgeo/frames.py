@@ -10,12 +10,12 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 
 from .parser import ParseError, parse_expression
 from .scalars import Scalar
-from .tensors import mat_det, mat_eq, mat_identity, mat_inv, mat_mul, mat_transpose
+from .tensors import (Tensor, mat_det, mat_eq, mat_identity, mat_inv, mat_mul,
+                      mat_transpose)
 
 
 class SchemaError(ValueError):
@@ -46,6 +46,26 @@ class CheckReport:
     notes: list = field(default_factory=list)
 
 
+_WITNESS_CAP = 16
+
+
+def tensor_witnesses(t: Tensor, label: str) -> list:
+    """One witness per nonzero component of a tensor that should vanish."""
+    zero = Scalar.zero(t.params)
+    return [Witness(tuple(k + 1 for k in idx), zero, value, label)
+            for idx, value in t.nonzero()]
+
+
+def capped_report(name: str, witnesses: list, notes=()) -> CheckReport:
+    """Pass/fail report keeping the first _WITNESS_CAP witnesses; a truncated
+    list is noted with the number of witnesses dropped."""
+    notes = list(notes)
+    dropped = len(witnesses) - _WITNESS_CAP
+    if dropped > 0:
+        notes.append("%d further mismatches suppressed" % dropped)
+    return CheckReport(name, not witnesses, witnesses[:_WITNESS_CAP], notes)
+
+
 class FrameAlgebra:
     """Structure constants c^k_ij, metric g and product structure P."""
 
@@ -73,9 +93,6 @@ class FrameAlgebra:
         if self.metric_det.is_zero:
             raise ValueError("metric is singular (zero determinant)")
         return mat_inv(self.g)
-
-    def bracket(self, i: int, j: int) -> list:
-        return self.c[i][j]
 
     def __eq__(self, other):
         if not isinstance(other, FrameAlgebra):

@@ -11,9 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .frames import FrameAlgebra
+from .frames import FrameAlgebra, Witness
 from .scalars import Scalar
-from .tensors import Tensor, arranged, cyclic_sum, mat_mul, tensor_contract
+from .tensors import (Tensor, arranged, coefficient_tensor, cyclic_sum, mat_mul,
+                      tensor_contract)
 
 CLASS_PARALLEL = "W0"
 CLASS_SKEW = "W3-strict"
@@ -25,22 +26,35 @@ class Connection:
     frame: FrameAlgebra
     coeffs: list  # coeffs[i][j][k] = A^k_ij
 
+    @classmethod
+    def from_tensor(cls, fa: FrameAlgebra, t: Tensor) -> "Connection":
+        """The connection with A^k_ij = t[i, j, k]."""
+        n = fa.dim
+        rows = [t.comps[k:k + n] for k in range(0, n ** 3, n)]
+        return cls(fa, [rows[i * n:(i + 1) * n] for i in range(n)])
+
     def torsion_tensor(self) -> Tensor:
         """Lowered torsion of the connection (antisymmetric in the first pair)."""
-        fa = self.frame
+        a = coefficient_tensor(self.coeffs)
+        t = a - arranged(a, "y,x,z") - coefficient_tensor(self.frame.c)
+        return t.lower_slot(2, self.frame.g)
+
+    def metric_witnesses(self, label: str) -> list:
+        """Nonzero g(nabla_i e_j, e_k) + g(e_j, nabla_i e_k) for j <= k, as
+        witnesses with expected zero and the negated sum; none when metric."""
+        fa, a = self.frame, self.coeffs
         n = fa.dim
-        a = self.coeffs
-
-        def comp(idx):
-            i, j, k = idx
-            acc = Scalar.zero(fa.params)
-            for s in range(n):
-                t = a[i][j][s] - a[j][i][s] - fa.c[i][j][s]
-                if not t.is_zero:
-                    acc = acc + t * fa.g[s][k]
-            return acc
-
-        return Tensor.build(n, "ddd", fa.params, comp)
+        zero = Scalar.zero(fa.params)
+        out = []
+        for i in range(n):
+            for j in range(n):
+                for k in range(j, n):
+                    acc = zero
+                    for s in range(n):
+                        acc = acc + a[i][j][s] * fa.g[s][k] + a[i][k][s] * fa.g[j][s]
+                    if not acc.is_zero:
+                        out.append(Witness((i + 1, j + 1, k + 1), zero, -acc, label))
+        return out
 
 
 @dataclass
@@ -55,54 +69,29 @@ def levi_civita(fa: FrameAlgebra) -> Connection:
     cached = getattr(fa, "_levi_civita", None)
     if cached is not None:
         return cached
-    n = fa.dim
-    ginv = fa.metric_inv
-    half = Fraction(1, 2)
-
-    def pair(i, j, k):
-        # metric pairing of [e_i, e_j] with e_k
-        acc = Scalar.zero(fa.params)
-        for s in range(n):
-            if not fa.c[i][j][s].is_zero:
-                acc = acc + fa.c[i][j][s] * fa.g[s][k]
-        return acc
-
-    coeffs = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            kos = [pair(i, j, k) + pair(k, i, j) + pair(k, j, i) for k in range(n)]
-            entry = []
-            for m in range(n):
-                acc = Scalar.zero(fa.params)
-                for k in range(n):
-                    if not kos[k].is_zero and not ginv[k][m].is_zero:
-                        acc = acc + ginv[k][m] * kos[k]
-                entry.append(acc * half)
-            row.append(entry)
-        coeffs.append(row)
-    conn = Connection(fa, coeffs)
+    # g([e_i, e_j], e_k), then the Koszul sum at (i, j, k)
+    pair = coefficient_tensor(fa.c).lower_slot(2, fa.g)
+    kos = pair + arranged(pair, "z,x,y") + arranged(pair, "z,y,x")
+    coeffs = kos.raise_slot(2, fa.metric_inv).scale(Fraction(1, 2))
+    conn = Connection.from_tensor(fa, coeffs)
     fa._levi_civita = conn
     return conn
 
 
-def nabla_p_components(fa: FrameAlgebra, conn: Connection) -> list:
-    """Mixed components of the covariant derivative of the product structure."""
+def nabla_p_components(fa: FrameAlgebra, conn: Connection) -> Tensor:
+    """Covariant derivative of the product structure: (nabla_i P) e_j has
+    component s at index (i, j, s)."""
     n = fa.dim
     a = conn.coeffs
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            entry = []
-            for s in range(n):
-                acc = Scalar.zero(fa.params)
-                for m in range(n):
-                    acc = acc + fa.p[m][j] * a[i][m][s] - a[i][j][m] * fa.p[s][m]
-                entry.append(acc)
-            row.append(entry)
-        out.append(row)
-    return out
+
+    def comp(idx):
+        i, j, s = idx
+        acc = Scalar.zero(fa.params)
+        for m in range(n):
+            acc = acc + fa.p[m][j] * a[i][m][s] - a[i][j][m] * fa.p[s][m]
+        return acc
+
+    return Tensor.build(n, "ddu", fa.params, comp)
 
 
 def fundamental_F(fa: FrameAlgebra, lc: Connection) -> Tensor:
@@ -111,18 +100,7 @@ def fundamental_F(fa: FrameAlgebra, lc: Connection) -> Tensor:
     cached = getattr(fa, "_fundamental", None)
     if cached is not None and lc is getattr(fa, "_levi_civita", None):
         return cached
-    n = fa.dim
-    np_ = nabla_p_components(fa, lc)
-
-    def comp(idx):
-        i, j, k = idx
-        acc = Scalar.zero(fa.params)
-        for s in range(n):
-            if not np_[i][j][s].is_zero:
-                acc = acc + np_[i][j][s] * fa.g[s][k]
-        return acc
-
-    f = Tensor.build(n, "ddd", fa.params, comp)
+    f = nabla_p_components(fa, lc).lower_slot(2, fa.g)
     _check_structure_identities(f, fa)
     if lc is getattr(fa, "_levi_civita", None):
         fa._fundamental = f
@@ -147,50 +125,30 @@ def nijenhuis(fa: FrameAlgebra, lc: Connection) -> Tensor:
         i, j, s = idx
         acc = Scalar.zero(fa.params)
         for m in range(n):
-            acc = acc + fa.p[m][j] * np_[i][m][s] - fa.p[m][i] * np_[j][m][s] \
-                + fa.p[m][i] * np_[m][j][s] - fa.p[m][j] * np_[m][i][s]
+            acc = acc + fa.p[m][j] * np_[i, m, s] - fa.p[m][i] * np_[j, m, s] \
+                + fa.p[m][i] * np_[m, j, s] - fa.p[m][j] * np_[m, i, s]
         return acc
 
     return Tensor.build(n, "ddu", fa.params, comp)
 
 
-def square_norm_nabla_P(fa: FrameAlgebra, lc: Connection) -> Scalar:
-    n = fa.dim
-    ginv = fa.metric_inv
-    np_ = nabla_p_components(fa, lc)
-    zero = Scalar.zero(fa.params)
-
-    def contract3(source, matrix, slot):
-        # contract the given slot of a cubic array against a symmetric matrix
-        out = [[[zero for _ in range(n)] for _ in range(n)] for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                for a in range(n):
-                    v = source[i][j][a]
-                    if v.is_zero:
-                        continue
-                    old = (i, j, a)[slot]
-                    row = matrix[old]
-                    for b in range(n):
-                        if row[b].is_zero:
-                            continue
-                        pos = [i, j, a]
-                        pos[slot] = b
-                        out[pos[0]][pos[1]][pos[2]] = \
-                            out[pos[0]][pos[1]][pos[2]] + v * row[b]
-        return out
-
-    t = contract3(np_, ginv, 0)
-    t = contract3(t, ginv, 1)
-    t = contract3(t, fa.g, 2)
-    acc = zero
-    for i in range(n):
-        for j in range(n):
-            for a in range(n):
-                u, v = t[i][j][a], np_[i][j][a]
-                if not u.is_zero and not v.is_zero:
-                    acc = acc + u * v
+def square_norm(t: Tensor, fa: FrameAlgebra) -> Scalar:
+    """Full contraction of a covariant tensor with itself through the inverse
+    metric in every slot."""
+    up = t
+    for slot in range(t.rank):
+        up = up.raise_slot(slot, fa.metric_inv)
+    acc = Scalar.zero(fa.params)
+    for idx, value in t.nonzero():
+        other = up[idx]
+        if not other.is_zero:
+            acc = acc + value * other
     return acc
+
+
+def square_norm_nabla_P(fa: FrameAlgebra, lc: Connection) -> Scalar:
+    """|nabla P|^2, the square norm of the structure tensor F."""
+    return square_norm(fundamental_F(fa, lc), fa)
 
 
 def curvature(fa: FrameAlgebra, conn: Connection):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as _int_gcd
-from typing import Iterable, Mapping, Union
+from typing import Mapping, Union
 
 Rat = Union[int, Fraction]
 
@@ -406,9 +406,3 @@ class Scalar:
     def __repr__(self):
         return "Scalar(%s)" % self
 
-
-def scalar_sum(values: Iterable[Scalar], params: tuple) -> Scalar:
-    out = Scalar.zero(params)
-    for v in values:
-        out = out + v
-    return out

@@ -154,25 +154,18 @@ class Tensor:
     def raise_slot(self, slot: int, metric_inv: list) -> "Tensor":
         if self.variance[slot] != "d":
             raise ValueError("slot is already contravariant")
-        n = self.dim
-        out = [None] * len(self.comps)
-        stride = n ** (self.rank - 1 - slot)
-        block = stride * n
-        for base in range(0, len(self.comps), block):
-            for rest in range(stride):
-                col = [self.comps[base + a * stride + rest] for a in range(n)]
-                for i in range(n):
-                    acc = None
-                    for a in range(n):
-                        m = metric_inv[i][a]
-                        if m.is_zero or col[a].is_zero:
-                            continue
-                        term = m * col[a]
-                        acc = term if acc is None else acc + term
-                    out[base + i * stride + rest] = \
-                        acc if acc is not None else Scalar.zero(self.params)
+        # map_slot reads matrix[a][i] on a covariant slot; the inverse metric
+        # is symmetric (validate enforces a symmetric metric), so that is g^ia
+        t = self.map_slot(metric_inv, slot)
         var = self.variance[:slot] + "u" + self.variance[slot + 1:]
-        return Tensor(self.dim, var, self.params, out)
+        return Tensor(self.dim, var, self.params, t.comps)
+
+
+def coefficient_tensor(nested: list) -> Tensor:
+    """Tensor holding nested[i][j][k] at (i, j, k), for a dim x dim x dim array
+    such as structure constants c^k_ij or connection coefficients A^k_ij."""
+    comps = [x for row in nested for cell in row for x in cell]
+    return Tensor(len(nested), "ddu", comps[0].params, comps)
 
 
 # ---------------------------------------------------------------------------

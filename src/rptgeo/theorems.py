@@ -15,14 +15,13 @@ from .connections import (ConnectionPack, NotW3Error, natural_check,
                           rpt_connection)
 from .example import (EPSILON_CANDIDATES, family_parameters,
                       family_structure_constants, swap_product_matrix)
-from .frames import CheckReport, FrameAlgebra, Witness, validate
+from .frames import (FrameAlgebra, Witness, capped_report, tensor_witnesses,
+                     validate)
 from .geometry import (CLASS_PARALLEL, CLASS_SKEW, curvature, fundamental_F,
                        levi_civita, square_norm_nabla_P, torsion_projections)
 from .scalars import Scalar
 from .tensors import (Tensor, arranged, cyclic_sum, mat_identity,
                       tensor_contract)
-
-_WITNESS_CAP = 16
 
 _NOT_W3_REASON = ("skipped: no natural connection with totally skew-symmetric "
                   "torsion exists outside the skew-cyclic class")
@@ -44,20 +43,18 @@ class TheoremResult:
                 and not self.conclusion_holds)
 
 
-def _tensor_witnesses(diff: Tensor, label: str, limit: int = _WITNESS_CAP) -> list:
-    zero = Scalar.zero(diff.params)
-    out = []
-    for idx, value in diff.nonzero():
-        out.append(Witness(tuple(k + 1 for k in idx), zero, value, label))
-        if len(out) >= limit:
-            break
-    return out
+def _result(check_id: str, witnesses: list, details=None, notes=()) -> TheoremResult:
+    """Pass/fail result; witnesses and notes go through the shared collector."""
+    report = capped_report(check_id, witnesses, notes)
+    details = dict(details or {})
+    if report.notes:
+        details["notes"] = "; ".join(report.notes)
+    return TheoremResult(check_id, True, report.passed, report.witnesses, details)
 
 
-def _from_report(report: CheckReport) -> TheoremResult:
-    return TheoremResult(report.name, True, report.passed,
-                         report.witnesses[:_WITNESS_CAP],
-                         details={"notes": "; ".join(report.notes)} if report.notes else {})
+def _skipped(check_ids) -> list:
+    return [TheoremResult(check_id, True, True, skipped=True, reason=_NOT_W3_REASON)
+            for check_id in check_ids]
 
 
 # ---------------------------------------------------------------------------
@@ -68,13 +65,12 @@ def check_p_tensor(r: Tensor, fa: FrameAlgebra) -> TheoremResult:
     """Whether a (0,4) tensor has curvature-type antisymmetries, satisfies the
     first cyclic identity, and is invariant under the product in its last pair."""
     witnesses = []
-    witnesses += _tensor_witnesses(r + arranged(r, "y,x,z,w"), "antisymmetry-first-pair")
-    witnesses += _tensor_witnesses(r + arranged(r, "x,y,w,z"), "antisymmetry-last-pair")
-    witnesses += _tensor_witnesses(cyclic_sum(r, (0, 1, 2)), "first-bianchi")
-    witnesses += _tensor_witnesses(arranged(r, "x,y,Pz,Pw", fa.p) - r,
+    witnesses += tensor_witnesses(r + arranged(r, "y,x,z,w"), "antisymmetry-first-pair")
+    witnesses += tensor_witnesses(r + arranged(r, "x,y,w,z"), "antisymmetry-last-pair")
+    witnesses += tensor_witnesses(cyclic_sum(r, (0, 1, 2)), "first-bianchi")
+    witnesses += tensor_witnesses(arranged(r, "x,y,Pz,Pw", fa.p) - r,
                                    "product-invariance")
-    return TheoremResult("p-tensor-axioms", True, not witnesses,
-                         witnesses[:_WITNESS_CAP])
+    return _result("p-tensor-axioms", witnesses)
 
 
 def verify_curvature_relation(fa: FrameAlgebra, pack: ConnectionPack) -> TheoremResult:
@@ -90,11 +86,11 @@ def verify_curvature_relation(fa: FrameAlgebra, pack: ConnectionPack) -> Theorem
     witnesses = []
     expected_r = rp - d.scale(Fraction(1, 2)) + arranged(d, "y,x,z,w").scale(Fraction(1, 2)) \
         - b.scale(Fraction(1, 4)) - sigma.scale(Fraction(1, 4))
-    witnesses += _tensor_witnesses(r - expected_r, "curvature-relation")
+    witnesses += tensor_witnesses(r - expected_r, "curvature-relation")
 
     expected_rho = rhop - tensor_contract(d, 0, 3, ginv).scale(Fraction(1, 2)) \
         - tensor_contract(b, 0, 3, ginv).scale(Fraction(1, 4))
-    witnesses += _tensor_witnesses(rho - expected_rho, "ricci-relation")
+    witnesses += tensor_witnesses(rho - expected_rho, "ricci-relation")
 
     b13 = tensor_contract(tensor_contract(b, 0, 3, ginv), 0, 1, ginv)[()]
     details = {"tau": str(tau), "tau_prime": str(taup)}
@@ -112,8 +108,7 @@ def verify_curvature_relation(fa: FrameAlgebra, pack: ConnectionPack) -> Theorem
     if scalars_equal != is_parallel_class:
         witnesses.append(Witness((), taup, tau, "scalar-equality-iff-parallel-class"))
 
-    return TheoremResult("curvature-comparison", True, not witnesses,
-                         witnesses[:_WITNESS_CAP], details)
+    return _result("curvature-comparison", witnesses, details)
 
 
 def verify_torsion_type(fa: FrameAlgebra, pack: ConnectionPack) -> TheoremResult:
@@ -126,8 +121,8 @@ def verify_torsion_type(fa: FrameAlgebra, pack: ConnectionPack) -> TheoremResult
     p1, p2, p3, p4 = torsion_projections(pack.T, fa)
     f = pack.fundamental
     witnesses = []
-    witnesses += _tensor_witnesses(p1, "projection-1-vanishes")
-    witnesses += _tensor_witnesses(p4, "projection-4-vanishes")
+    witnesses += tensor_witnesses(p1, "projection-1-vanishes")
+    witnesses += tensor_witnesses(p4, "projection-4-vanishes")
     if p2.is_zero:
         witnesses.append(Witness((), Scalar.one(fa.params), Scalar.zero(fa.params),
                                  "projection-2-nonzero"))
@@ -135,12 +130,11 @@ def verify_torsion_type(fa: FrameAlgebra, pack: ConnectionPack) -> TheoremResult
         witnesses.append(Witness((), Scalar.one(fa.params), Scalar.zero(fa.params),
                                  "projection-3-nonzero"))
     p2_closed = arranged(f, "z,x,Py", fa.p)
-    witnesses += _tensor_witnesses(p2 - p2_closed, "projection-2-closed-form")
+    witnesses += tensor_witnesses(p2 - p2_closed, "projection-2-closed-form")
     p3_closed = (arranged(f, "x,y,Pz", fa.p) + arranged(f, "y,z,Px", fa.p)
                  - arranged(f, "z,x,Py", fa.p)).scale(Fraction(1, 2))
-    witnesses += _tensor_witnesses(p3 - p3_closed, "projection-3-closed-form")
-    return TheoremResult("torsion-type", True, not witnesses,
-                         witnesses[:_WITNESS_CAP])
+    witnesses += tensor_witnesses(p3 - p3_closed, "projection-3-closed-form")
+    return _result("torsion-type", witnesses)
 
 
 def verify_p_tensor_criterion(fa: FrameAlgebra, pack: ConnectionPack) -> TheoremResult:
@@ -163,13 +157,12 @@ def verify_p_tensor_criterion(fa: FrameAlgebra, pack: ConnectionPack) -> Theorem
                                  "equivalence"))
     if side_a and side_b:
         d = pack.torsion_derivative()
-        witnesses += _tensor_witnesses(d + sigma.scale(Fraction(1, 3)),
+        witnesses += tensor_witnesses(d + sigma.scale(Fraction(1, 3)),
                                        "derivative-third-of-form")
         ginv = fa.metric_inv
         expected_rho = rhop - tensor_contract(b, 0, 3, ginv).scale(Fraction(1, 4))
-        witnesses += _tensor_witnesses(rho - expected_rho, "ricci-consequence")
-    return TheoremResult("p-tensor-criterion", True, not witnesses,
-                         witnesses[:_WITNESS_CAP], details)
+        witnesses += tensor_witnesses(rho - expected_rho, "ricci-consequence")
+    return _result("p-tensor-criterion", witnesses, details)
 
 
 def verify_parallel_torsion(fa: FrameAlgebra, pack: ConnectionPack) -> TheoremResult:
@@ -184,29 +177,27 @@ def verify_parallel_torsion(fa: FrameAlgebra, pack: ConnectionPack) -> TheoremRe
     sigma = pack.torsion_form_square()
 
     parallel = d.is_zero
-    relation = (r - rp + b.scale(Fraction(1, 4)) + sigma.scale(Fraction(1, 4))).is_zero
+    defect = r - rp + b.scale(Fraction(1, 4)) + sigma.scale(Fraction(1, 4))
+    relation = defect.is_zero
     witnesses = []
     details = {"parallel": str(parallel).lower(), "relation": str(relation).lower()}
     if parallel != relation:
         label = "equivalence"
-        source = d if parallel is False else (r - rp + b.scale(Fraction(1, 4))
-                                              + sigma.scale(Fraction(1, 4)))
-        witnesses += _tensor_witnesses(source, label) or \
+        witnesses += tensor_witnesses(defect if parallel else d, label) or \
             [Witness((), Scalar.zero(fa.params), Scalar.one(fa.params), label)]
     if parallel:
-        witnesses += _tensor_witnesses(rp - arranged(rp, "z,w,x,y"), "pair-symmetry")
-        witnesses += _tensor_witnesses(cyclic_sum(rp, (0, 1, 2)) - sigma,
+        witnesses += tensor_witnesses(rp - arranged(rp, "z,w,x,y"), "pair-symmetry")
+        witnesses += tensor_witnesses(cyclic_sum(rp, (0, 1, 2)) - sigma,
                                        "cyclic-identity")
-        witnesses += _tensor_witnesses(arranged(rp, "Px,Py,Pz,Pw", fa.p) - rp,
+        witnesses += tensor_witnesses(arranged(rp, "Px,Py,Pz,Pw", fa.p) - rp,
                                        "product-invariance")
         p_tensor = check_p_tensor(rp, fa).conclusion_holds
         details["p_tensor"] = str(p_tensor).lower()
         if p_tensor:
-            witnesses += _tensor_witnesses(sigma, "quadratic-form-vanishes")
-            witnesses += _tensor_witnesses(r - rp + b.scale(Fraction(1, 4)),
+            witnesses += tensor_witnesses(sigma, "quadratic-form-vanishes")
+            witnesses += tensor_witnesses(r - rp + b.scale(Fraction(1, 4)),
                                            "quarter-relation")
-    return TheoremResult("parallel-torsion", True, not witnesses,
-                         witnesses[:_WITNESS_CAP], details)
+    return _result("parallel-torsion", witnesses, details)
 
 
 def verify_family_equivalence(lam) -> TheoremResult:
@@ -246,40 +237,20 @@ def verify_family_equivalence(lam) -> TheoremResult:
 
 def geometry_checks(fa: FrameAlgebra) -> list:
     """Structural axioms plus the identities forced by the Koszul construction."""
-    results = [_from_report(validate(fa))]
+    structure = validate(fa)
+    results = [_result(structure.name, structure.witnesses, notes=structure.notes)]
     lc = levi_civita(fa)
-    n = fa.dim
-    zero = Scalar.zero(fa.params)
-    witnesses = []
-    t = lc.torsion_tensor()
-    witnesses += _tensor_witnesses(t, "torsion-free")
-    a = lc.coeffs
-    for i in range(n):
-        for j in range(n):
-            for k in range(j, n):
-                acc = zero
-                for s in range(n):
-                    acc = acc + a[i][j][s] * fa.g[s][k] + a[i][k][s] * fa.g[j][s]
-                if not acc.is_zero and len(witnesses) < _WITNESS_CAP:
-                    witnesses.append(Witness((i + 1, j + 1, k + 1), zero, -acc,
-                                             "metric-compatible"))
-    results.append(TheoremResult("levi-civita", True, not witnesses,
-                                 witnesses[:_WITNESS_CAP]))
+    witnesses = tensor_witnesses(lc.torsion_tensor(), "torsion-free")
+    witnesses += lc.metric_witnesses("metric-compatible")
+    results.append(_result("levi-civita", witnesses))
 
-    f = fundamental_F(fa, lc)  # raises on identity violation
-    witnesses = []
-    witnesses += _tensor_witnesses(f - arranged(f, "x,z,y"), "last-pair-symmetry")
-    witnesses += _tensor_witnesses(f + arranged(f, "x,Py,Pz", fa.p),
-                                   "product-antisymmetry")
-    witnesses += _tensor_witnesses(arranged(f, "x,y,Pz", fa.p)
-                                   + arranged(f, "x,Py,z", fa.p), "mixed-identity")
-    results.append(TheoremResult("structure-tensor-identities", True,
-                                 not witnesses, witnesses[:_WITNESS_CAP]))
+    # fundamental_F raises on any violation of the three structure identities
+    fundamental_F(fa, lc)
+    results.append(_result("structure-tensor-identities", []))
 
     r, _, _ = curvature(fa, lc)
-    witnesses = _tensor_witnesses(cyclic_sum(r, (0, 1, 2)), "first-bianchi")
-    results.append(TheoremResult("first-bianchi", True, not witnesses,
-                                 witnesses[:_WITNESS_CAP]))
+    witnesses = tensor_witnesses(cyclic_sum(r, (0, 1, 2)), "first-bianchi")
+    results.append(_result("first-bianchi", witnesses))
     return results
 
 
@@ -295,57 +266,48 @@ def rpt_checks(fa: FrameAlgebra) -> list:
     try:
         pack = rpt_connection(fa)
     except NotW3Error:
-        return [TheoremResult(check_id, True, True, skipped=True,
-                              reason=_NOT_W3_REASON) for check_id in _RPT_CHECK_IDS]
+        return _skipped(_RPT_CHECK_IDS)
     results = []
     t, f, q = pack.T, pack.fundamental, pack.Q
 
-    witnesses = _tensor_witnesses(t + arranged(t, "y,x,z"), "skew-12")
-    witnesses += _tensor_witnesses(t + arranged(t, "x,z,y"), "skew-23")
-    witnesses += _tensor_witnesses(t + arranged(t, "z,y,x"), "skew-13")
-    results.append(TheoremResult("torsion-3form", True, not witnesses,
-                                 witnesses[:_WITNESS_CAP]))
+    witnesses = tensor_witnesses(t + arranged(t, "y,x,z"), "skew-12")
+    witnesses += tensor_witnesses(t + arranged(t, "x,z,y"), "skew-23")
+    witnesses += tensor_witnesses(t + arranged(t, "z,y,x"), "skew-13")
+    results.append(_result("torsion-3form", witnesses))
 
     witnesses = []
     lhs = arranged(t, "Px,Py,z", fa.p) - arranged(f, "z,y,Px", fa.p).scale(2)
-    witnesses += _tensor_witnesses(t - lhs, "swap-first-pair")
+    witnesses += tensor_witnesses(t - lhs, "swap-first-pair")
     lhs = arranged(t, "Px,y,Pz", fa.p) - arranged(f, "y,x,Pz", fa.p).scale(2)
-    witnesses += _tensor_witnesses(t - lhs, "swap-outer-pair")
+    witnesses += tensor_witnesses(t - lhs, "swap-outer-pair")
     lhs = arranged(t, "x,Py,Pz", fa.p) - arranged(f, "x,Py,z", fa.p).scale(2)
-    witnesses += _tensor_witnesses(t - lhs, "swap-last-pair")
-    results.append(TheoremResult("torsion-transformation-identities", True,
-                                 not witnesses, witnesses[:_WITNESS_CAP]))
+    witnesses += tensor_witnesses(t - lhs, "swap-last-pair")
+    results.append(_result("torsion-transformation-identities", witnesses))
 
-    witnesses = _tensor_witnesses(
+    witnesses = tensor_witnesses(
         arranged(q, "x,y,Pz", fa.p) - arranged(arranged(q, "y,z,x"), "x,y,Pz", fa.p),
         "cyclic-invariance")
-    results.append(TheoremResult("transformation-cyclic-invariance", True,
-                                 not witnesses, witnesses[:_WITNESS_CAP]))
+    results.append(_result("transformation-cyclic-invariance", witnesses))
 
     for check_id, conn in (("naturality-rpt", pack.rpt),
                            ("naturality-canonical", pack.canonical),
                            ("naturality-p-connection", pack.p_conn)):
-        report = natural_check(fa, conn)
-        results.append(TheoremResult(check_id, True, report.passed,
-                                     report.witnesses[:_WITNESS_CAP]))
+        results.append(_result(check_id, natural_check(fa, conn).witnesses))
 
     averaged = (pack.Q_C + q).scale(Fraction(1, 2))
-    witnesses = _tensor_witnesses(pack.Q_P - averaged, "average-connection")
-    results.append(TheoremResult("connection-averaging", True, not witnesses,
-                                 witnesses[:_WITNESS_CAP]))
+    witnesses = tensor_witnesses(pack.Q_P - averaged, "average-connection")
+    results.append(_result("connection-averaging", witnesses))
 
-    witnesses = _tensor_witnesses(pack.rpt.torsion_tensor() - t, "recovered-torsion")
-    results.append(TheoremResult("torsion-recovery", True, not witnesses,
-                                 witnesses[:_WITNESS_CAP]))
+    witnesses = tensor_witnesses(pack.rpt.torsion_tensor() - t, "recovered-torsion")
+    results.append(_result("torsion-recovery", witnesses))
 
     rp, _, _ = curvature(fa, pack.rpt)
     d = pack.torsion_derivative()
     sigma = pack.torsion_form_square()
-    witnesses = _tensor_witnesses(
+    witnesses = tensor_witnesses(
         cyclic_sum(rp, (0, 1, 2)) - cyclic_sum(d, (0, 1, 2)) - sigma,
         "cyclic-curvature")
-    results.append(TheoremResult("curvature-cyclic-identity", True, not witnesses,
-                                 witnesses[:_WITNESS_CAP]))
+    results.append(_result("curvature-cyclic-identity", witnesses))
     return results
 
 
@@ -357,12 +319,7 @@ def theorem_checks(fa: FrameAlgebra) -> list:
     try:
         pack = rpt_connection(fa)
     except NotW3Error:
-        results = [TheoremResult(check_id, True, True, skipped=True,
-                                 reason=_NOT_W3_REASON)
-                   for check_id in _THEOREM_CHECK_IDS]
-        results.append(TheoremResult("family-parameter-equivalence", True, True,
-                                     skipped=True, reason=_NOT_W3_REASON))
-        return results
+        return _skipped(_THEOREM_CHECK_IDS + ("family-parameter-equivalence",))
     results = [
         verify_curvature_relation(fa, pack),
         verify_torsion_type(fa, pack),

@@ -1,12 +1,13 @@
 """Levi-Civita layer: connection, structure tensor, curvature, classification."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 
 from rptgeo import (CLASS_OUTSIDE, CLASS_PARALLEL, CLASS_SKEW, FrameAlgebra,
                     Scalar, Tensor, build_example, classify, curvature,
-                    cyclic_sum, fundamental_F, levi_civita, mat_identity,
+                    cyclic_sum, fundamental_F, levi_civita, mat_identity, mat_inv,
                     nijenhuis, parse_expression, rpt_connection,
                     square_norm_nabla_P, torsion_projections, validate)
 
@@ -107,12 +108,29 @@ def test_nijenhuis_nonzero_generic_zero_abelian():
             assert n_sym[i, i, s].is_zero
 
 
+def _norm_oracle(fa):
+    """Sum of g^ii' g^jj' g(N_ij, N_i'j') with N_ij = (nabla_i P) e_j taken
+    from the bracket shortcut, independent of the structure tensor."""
+    n = fa.dim
+    ginv = mat_inv(fa.g)
+    nab = [[nabla_p_killing_oracle(fa, i, j) for j in range(n)] for i in range(n)]
+    acc = Scalar.zero(fa.params)
+    for i, i2, j, j2 in itertools.product(range(n), repeat=4):
+        weight = ginv[i][i2] * ginv[j][j2]
+        if not weight.is_zero:
+            acc = acc + weight * inner(fa, nab[i][j], nab[i2][j2])
+    return acc
+
+
 def test_square_norm_values():
     assert square_norm_nabla_P(SYM, LC) == S("4*(l1^2 + l2^2 + l3^2 + l4^2)")
     fa = build_example((1, 2, 3, 4))
     assert square_norm_nabla_P(fa, levi_civita(fa)).constant_value() == 120
     fa0 = build_example((0, 0, 0, 0))
     assert square_norm_nabla_P(fa0, levi_civita(fa0)).is_zero
+    for fa in random_frames():
+        if fa.dim == 4:
+            assert square_norm_nabla_P(fa, levi_civita(fa)) == _norm_oracle(fa)
 
 
 def test_curvature_scalar_and_bianchi():
