@@ -8,8 +8,7 @@ suite of machine-checked identities.
 """
 
 from .connections import (ConnectionPack, NotW3Error, covariant_derivative,
-                          exterior_derivative_torsion, natural_check,
-                          rpt_connection, rpt_torsion, sigma_T,
+                          natural_check, rpt_connection, rpt_torsion, sigma_T,
                           torsion_inner_products)
 from .example import (EPSILON_CANDIDATES, build_example, bundled_spec_path,
                       family_parameters, golden_tables)
@@ -18,8 +17,8 @@ from .frames import (CheckReport, FrameAlgebra, SchemaError, Witness,
                      spec_digest, validate)
 from .geometry import (CLASS_OUTSIDE, CLASS_PARALLEL, CLASS_SKEW, ClassLabel,
                        Connection, classify, curvature, fundamental_F,
-                       levi_civita, nijenhuis, square_norm,
-                       square_norm_nabla_P, torsion_projections)
+                       levi_civita, square_norm, square_norm_nabla_P,
+                       torsion_projections)
 from .parser import ParseError, parse_expression
 from .scalars import Scalar
 from .tensors import (Tensor, alternate, arranged, cyclic_sum, mat_det,

@@ -1,9 +1,9 @@
 """Command-line front end: validate specs, print geometry reports, run checks.
 
 Exit codes are a stable contract: 0 when every applicable check passed,
-1 when a check failed, 2 for usage, schema or parse errors.  A frame that
-fails structural validation gets a report of class ``invalid`` holding only
-the ``frame-structure`` entry, and exit 1, from every command.
+1 when a check failed, 2 for usage, schema, parse or file errors.  A frame
+that fails structural validation gets a report of class ``invalid`` holding
+only the ``frame-structure`` entry, and exit 1, from every command.
 """
 
 from __future__ import annotations
@@ -193,11 +193,10 @@ def _add_scalars(report: Report, fa: FrameAlgebra) -> dict:
     """tau and |nabla P|^2 of the Levi-Civita connection, then tau' of the
     skew-torsion connection when it exists: added to the report, returned
     as Scalars."""
-    lc = levi_civita(fa)
-    scalars = {"tau": curvature(fa, lc)[2],
-               "nabla_P_norm_sq": square_norm_nabla_P(fa, lc)}
+    scalars = {"tau": curvature(levi_civita(fa))[2],
+               "nabla_P_norm_sq": square_norm_nabla_P(fa)}
     try:
-        scalars["tau_prime"] = curvature(fa, rpt_connection(fa).rpt)[2]
+        scalars["tau_prime"] = curvature(rpt_connection(fa).rpt)[2]
     except NotW3Error:
         pass
     report.scalars.update((name, str(value)) for name, value in scalars.items())
@@ -210,16 +209,15 @@ def cmd_report(args) -> int:
     if not structure.passed:
         return _emit_invalid(fa, structure, args)
     report = Report(spec_digest(fa), classify(fa).label)
-    lc = levi_civita(fa)
-    f = fundamental_F(fa, lc)
     _add_scalars(report, fa)
     report.sections.append(("structure tensor F (nonzero components)",
-                            _tensor_lines(f, "F")))
+                            _tensor_lines(fundamental_F(fa), "F")))
     report.sections.append(("Levi-Civita connection coefficients",
-                            _tensor_lines(coefficient_tensor(lc.coeffs), "nabla")))
+                            _tensor_lines(coefficient_tensor(levi_civita(fa).coeffs),
+                                          "nabla")))
     try:
         pack = rpt_connection(fa)
-        rp, _, _ = curvature(fa, pack.rpt)
+        rp, _, _ = curvature(pack.rpt)
         report.sections.append(("skew torsion T (nonzero components)",
                                 _tensor_lines(pack.T, "T")))
         report.sections.append(("skew-torsion connection coefficients",
@@ -270,7 +268,7 @@ def cmd_example(args) -> int:
     pack = rpt_connection(fa)
     tables = golden_tables(args.golden)
     convert = _sub_map(fa, tables["torsion"].params, family_parameters(fa))
-    rp, _, _ = curvature(fa, pack.rpt)
+    rp, _, _ = curvature(pack.rpt)
     d = pack.torsion_derivative()
     scalars = _add_scalars(report, fa)
     comparisons = [
@@ -289,11 +287,11 @@ def cmd_example(args) -> int:
 # argument parsing
 
 
-def _add_common(sub, spec: bool = True):
-    if spec:
-        sub.add_argument("spec", help="frame spec JSON file")
+def _add_common(sub):
+    sub.add_argument("spec", help="frame spec JSON file")
     sub.add_argument("--lambda", dest="lam", metavar="a,b,c,d",
-                     help="substitute rational parameter values at load time")
+                     help="substitute rational parameter values at load time; "
+                          "write a negative first value as --lambda=-1,2,3,4")
     sub.add_argument("--format", choices=("text", "json"), default="text",
                      help="stdout form (default text)")
     sub.add_argument("--json", metavar="PATH",
@@ -323,7 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("example", help="build the bundled family and compare "
                                        "against the golden tables")
     p.add_argument("--lambda", dest="lam", metavar="a,b,c,d",
-                   help="four rational parameter values (default: symbolic)")
+                   help="four rational parameter values (default: symbolic); "
+                        "write a negative first value as --lambda=-1,2,3,4")
     p.add_argument("--golden", metavar="DIR",
                    help="override the bundled golden-table directory")
     p.add_argument("--format", choices=("text", "json"), default="text")
@@ -340,10 +339,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (SchemaError, ParseError, UsageError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (SchemaError, ParseError, UsageError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except (NotW3Error, ValueError) as exc:

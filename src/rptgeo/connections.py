@@ -2,8 +2,8 @@
 
 Builds the unique skew-torsion natural connection on a frame in the
 skew-cyclic class, together with the canonical connection and the
-P-connection, the torsion 3-form, the quadratic torsion 4-form, covariant
-derivatives and the exterior derivative of the torsion.
+P-connection, the torsion 3-form, the quadratic torsion 4-form and
+covariant derivatives.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .frames import CheckReport, FrameAlgebra, tensor_witnesses
+from .frames import CheckReport, FrameAlgebra, memo, tensor_witnesses
 from .geometry import (CLASS_OUTSIDE, ClassLabel, Connection,
                        classify_from_structure_tensor, fundamental_F,
                        levi_civita, nabla_p_components)
@@ -38,28 +38,19 @@ class ConnectionPack:
     fundamental: Tensor
     label: ClassLabel
 
+    @memo
     def torsion_derivative(self) -> Tensor:
         """Covariant derivative of the torsion under the skew-torsion
-        connection, derivative direction first (cached)."""
-        cached = getattr(self, "_t_deriv", None)
-        if cached is None:
-            cached = covariant_derivative(self.frame, self.rpt, self.T)
-            self._t_deriv = cached
-        return cached
+        connection, derivative direction first."""
+        return covariant_derivative(self.frame, self.rpt, self.T)
 
+    @memo
     def torsion_products(self) -> Tensor:
-        cached = getattr(self, "_t_prod", None)
-        if cached is None:
-            cached = torsion_inner_products(self.T, self.frame)
-            self._t_prod = cached
-        return cached
+        return torsion_inner_products(self.T, self.frame)
 
+    @memo
     def torsion_form_square(self) -> Tensor:
-        cached = getattr(self, "_t_sigma", None)
-        if cached is None:
-            cached = sigma_T(self.T, self.frame)
-            self._t_sigma = cached
-        return cached
+        return sigma_T(self.T, self.frame)
 
 
 def rpt_torsion(f: Tensor, fa: FrameAlgebra) -> Tensor:
@@ -74,17 +65,15 @@ def _shifted_connection(fa: FrameAlgebra, base: Connection, q: Tensor) -> Connec
         fa, coefficient_tensor(base.coeffs) + q.raise_slot(2, fa.metric_inv))
 
 
+@memo
 def rpt_connection(fa: FrameAlgebra) -> ConnectionPack:
     """Build the skew-torsion natural connection plus its companions.
 
     Raises NotW3Error when the cyclic sum of the structure tensor is nonzero:
     outside that class no such connection exists.
     """
-    cached = getattr(fa, "_rpt_pack", None)
-    if cached is not None:
-        return cached
     lc = levi_civita(fa)
-    f = fundamental_F(fa, lc)
+    f = fundamental_F(fa)
     label = classify_from_structure_tensor(f)
     if label.label == CLASS_OUTSIDE:
         raise NotW3Error(
@@ -101,9 +90,7 @@ def rpt_connection(fa: FrameAlgebra) -> ConnectionPack:
     q_p = arranged(f, "x,Py,z", fa.p).scale(Fraction(-1, 2))
     p_conn = _shifted_connection(fa, lc, q_p)
 
-    pack = ConnectionPack(fa, lc, rpt, canonical, p_conn, t, q, q_c, q_p, f, label)
-    fa._rpt_pack = pack
-    return pack
+    return ConnectionPack(fa, lc, rpt, canonical, p_conn, t, q, q_c, q_p, f, label)
 
 
 def natural_check(fa: FrameAlgebra, conn: Connection) -> CheckReport:
@@ -165,17 +152,3 @@ def covariant_derivative(fa: FrameAlgebra, conn: Connection, t: Tensor) -> Tenso
         return acc
 
     return Tensor.build(n, "d" * (rank + 1), fa.params, comp)
-
-
-def exterior_derivative_torsion(fa: FrameAlgebra, conn: Connection,
-                                t: Tensor) -> Tensor:
-    """Exterior derivative of the torsion 3-form of a metric connection."""
-    if t != alternate(t, (0, 1, 2)):
-        raise ValueError("torsion must be totally skew-symmetric")
-    if conn.torsion_tensor() != t:
-        raise ValueError("connection torsion does not match the given 3-form")
-    if conn.metric_witnesses("metric-parallel"):
-        raise ValueError("connection is not metric")
-    d = covariant_derivative(fa, conn, t)
-    sigma = sigma_T(t, fa)
-    return cyclic_sum(d, (0, 1, 2)) - arranged(d, "w,x,y,z") + sigma.scale(2)

@@ -15,8 +15,8 @@ from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
-from .frames import CheckReport, FrameAlgebra, Witness, capped_report
-from .parser import parse_expression
+from .frames import (CheckReport, FrameAlgebra, SchemaError, Witness,
+                     _expect, _parse_entry, capped_report)
 from .scalars import Scalar
 from .tensors import Tensor, _perm_sign, coefficient_tensor, mat_identity
 
@@ -147,15 +147,34 @@ def _sort_signed(idx):
     return tuple(sorted(idx)), _perm_sign(order)
 
 
-def _load_table(path: Path) -> GoldenTable:
-    data = json.loads(path.read_text(encoding="utf-8"))
+def _read_table(path: Path):
+    """A golden JSON file and its entries parsed by key; SchemaError naming
+    the file and field when it is malformed."""
+    try:
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise SchemaError("%s: invalid JSON (%s)" % (path, exc)) from exc
+    _expect(isinstance(data, dict), str(path), "expected a JSON object")
+    for key, kind in (("parameters", list), ("entries", dict)):
+        _expect(isinstance(data.get(key), kind), "%s: %s" % (path, key),
+                "missing field" if key not in data else "expected a %s" % kind.__name__)
     params = tuple(data["parameters"])
+    entries = {key: _parse_entry(text, params, "%s: entries[%s]" % (path, key))
+               for key, text in data["entries"].items()}
+    return data, entries
+
+
+def _load_table(path: Path) -> GoldenTable:
+    data, raw = _read_table(path)
+    _expect(isinstance(data.get("name"), str), "%s: name" % path, "expected a string")
     entries = {}
-    for key, text in data["entries"].items():
-        idx = tuple(int(part) for part in key.split(","))
-        entries[idx] = parse_expression(text, params)
+    for key, value in raw.items():
+        parts = key.split(",")
+        _expect(all(part.isdigit() for part in parts), "%s: entries[%s]" % (path, key),
+                "expected comma-separated indices")
+        entries[tuple(int(part) for part in parts)] = value
     return GoldenTable(data["name"], data.get("rank", 0), data.get("symmetry", "none"),
-                       params, entries)
+                       tuple(data["parameters"]), entries)
 
 
 def golden_tables(directory=None) -> dict:
@@ -167,10 +186,7 @@ def golden_tables(directory=None) -> dict:
     tables = {}
     for name in ("torsion", "connection", "curvature", "torsion_derivative"):
         tables[name] = _load_table(Path(str(base / ("%s.json" % name))))
-    scalars_data = json.loads((base / "scalars.json").read_text(encoding="utf-8"))
-    params = tuple(scalars_data["parameters"])
-    tables["scalars"] = {key: parse_expression(text, params)
-                         for key, text in scalars_data["entries"].items()}
+    tables["scalars"] = _read_table(Path(str(base / "scalars.json")))[1]
     return tables
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, wraps
 
 from .parser import ParseError, parse_expression
 from .scalars import Scalar
@@ -66,8 +66,29 @@ def capped_report(name: str, witnesses: list, notes=()) -> CheckReport:
     return CheckReport(name, not witnesses, witnesses[:_WITNESS_CAP], notes)
 
 
+def memo(fn):
+    """Single-argument memo: fn(owner) is computed once and kept in
+    owner.__dict__.  Sound because frames, connections and connection packs
+    are never mutated after construction."""
+    key = "_memo_" + fn.__qualname__
+
+    @wraps(fn)
+    def cached(owner):
+        store = owner.__dict__
+        if key not in store:
+            store[key] = fn(owner)
+        return store[key]
+
+    return cached
+
+
 class FrameAlgebra:
-    """Structure constants c^k_ij, metric g and product structure P."""
+    """Structure constants c^k_ij, metric g and product structure P.
+
+    Frames, and the connections and connection packs built on them, are
+    never mutated after construction.  Derived geometry relies on that: it
+    is cached on its owner for the owner's lifetime (metric_det and
+    metric_inv here, everything else through ``memo``)."""
 
     def __init__(self, dim: int, params: tuple, c, g, p):
         if not isinstance(dim, int) or dim <= 0 or dim % 2:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .frames import FrameAlgebra, Witness
+from .frames import FrameAlgebra, Witness, memo
 from .scalars import Scalar
 from .tensors import (Tensor, arranged, coefficient_tensor, cyclic_sum, mat_mul,
                       tensor_contract)
@@ -64,18 +64,14 @@ class ClassLabel:
     cyclic_f_vanishes: bool
 
 
+@memo
 def levi_civita(fa: FrameAlgebra) -> Connection:
     """Koszul construction; exact, torsion-free and metric by construction."""
-    cached = getattr(fa, "_levi_civita", None)
-    if cached is not None:
-        return cached
     # g([e_i, e_j], e_k), then the Koszul sum at (i, j, k)
     pair = coefficient_tensor(fa.c).lower_slot(2, fa.g)
     kos = pair + arranged(pair, "z,x,y") + arranged(pair, "z,y,x")
     coeffs = kos.raise_slot(2, fa.metric_inv).scale(Fraction(1, 2))
-    conn = Connection.from_tensor(fa, coeffs)
-    fa._levi_civita = conn
-    return conn
+    return Connection.from_tensor(fa, coeffs)
 
 
 def nabla_p_components(fa: FrameAlgebra, conn: Connection) -> Tensor:
@@ -94,16 +90,12 @@ def nabla_p_components(fa: FrameAlgebra, conn: Connection) -> Tensor:
     return Tensor.build(n, "ddu", fa.params, comp)
 
 
-def fundamental_F(fa: FrameAlgebra, lc: Connection) -> Tensor:
-    """Lowered covariant derivative of the product structure, with its
-    defining identities verified on the result."""
-    cached = getattr(fa, "_fundamental", None)
-    if cached is not None and lc is getattr(fa, "_levi_civita", None):
-        return cached
-    f = nabla_p_components(fa, lc).lower_slot(2, fa.g)
+@memo
+def fundamental_F(fa: FrameAlgebra) -> Tensor:
+    """Lowered Levi-Civita covariant derivative of the product structure,
+    with its defining identities verified on the result."""
+    f = nabla_p_components(fa, levi_civita(fa)).lower_slot(2, fa.g)
     _check_structure_identities(f, fa)
-    if lc is getattr(fa, "_levi_civita", None):
-        fa._fundamental = f
     return f
 
 
@@ -114,22 +106,6 @@ def _check_structure_identities(f: Tensor, fa: FrameAlgebra):
         raise RuntimeError("structure tensor fails product antisymmetry")
     if not (arranged(f, "x,y,Pz", fa.p) + arranged(f, "x,Py,z", fa.p)).is_zero:
         raise RuntimeError("structure tensor fails mixed product identity")
-
-
-def nijenhuis(fa: FrameAlgebra, lc: Connection) -> Tensor:
-    """Integrability obstruction of the product structure, slots (x, y, out)."""
-    n = fa.dim
-    np_ = nabla_p_components(fa, lc)
-
-    def comp(idx):
-        i, j, s = idx
-        acc = Scalar.zero(fa.params)
-        for m in range(n):
-            acc = acc + fa.p[m][j] * np_[i, m, s] - fa.p[m][i] * np_[j, m, s] \
-                + fa.p[m][i] * np_[m, j, s] - fa.p[m][j] * np_[m, i, s]
-        return acc
-
-    return Tensor.build(n, "ddu", fa.params, comp)
 
 
 def square_norm(t: Tensor, fa: FrameAlgebra) -> Scalar:
@@ -146,16 +122,16 @@ def square_norm(t: Tensor, fa: FrameAlgebra) -> Scalar:
     return acc
 
 
-def square_norm_nabla_P(fa: FrameAlgebra, lc: Connection) -> Scalar:
+@memo
+def square_norm_nabla_P(fa: FrameAlgebra) -> Scalar:
     """|nabla P|^2, the square norm of the structure tensor F."""
-    return square_norm(fundamental_F(fa, lc), fa)
+    return square_norm(fundamental_F(fa), fa)
 
 
-def curvature(fa: FrameAlgebra, conn: Connection):
+@memo
+def curvature(conn: Connection):
     """Curvature (0,4) tensor, Ricci tensor and scalar curvature of conn."""
-    cached = getattr(conn, "_curvature", None)
-    if cached is not None:
-        return cached
+    fa = conn.frame
     n = fa.dim
     a = conn.coeffs
     zero = Scalar.zero(fa.params)
@@ -195,15 +171,12 @@ def curvature(fa: FrameAlgebra, conn: Connection):
     riemann = Tensor(n, "dddd", fa.params, comps)
     ricci = tensor_contract(riemann, 0, 3, fa.metric_inv)
     tau = tensor_contract(ricci, 0, 1, fa.metric_inv)[()]
-    conn._curvature = (riemann, ricci, tau)
-    return conn._curvature
+    return riemann, ricci, tau
 
 
 def classify(fa: FrameAlgebra) -> ClassLabel:
     """Class membership from the structure tensor (parallel, skew-cyclic, other)."""
-    lc = levi_civita(fa)
-    f = fundamental_F(fa, lc)
-    return classify_from_structure_tensor(f)
+    return classify_from_structure_tensor(fundamental_F(fa))
 
 
 def classify_from_structure_tensor(f: Tensor) -> ClassLabel:

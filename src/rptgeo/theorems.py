@@ -13,15 +13,13 @@ from fractions import Fraction
 
 from .connections import (ConnectionPack, NotW3Error, natural_check,
                           rpt_connection)
-from .example import (EPSILON_CANDIDATES, family_parameters,
-                      family_structure_constants, swap_product_matrix)
+from .example import EPSILON_CANDIDATES, family_parameters
 from .frames import (FrameAlgebra, Witness, capped_report, tensor_witnesses,
                      validate)
 from .geometry import (CLASS_PARALLEL, CLASS_SKEW, curvature, fundamental_F,
                        levi_civita, square_norm_nabla_P, torsion_projections)
 from .scalars import Scalar
-from .tensors import (Tensor, arranged, cyclic_sum, mat_identity,
-                      tensor_contract)
+from .tensors import Tensor, arranged, cyclic_sum, tensor_contract
 
 _NOT_W3_REASON = ("skipped: no natural connection with totally skew-symmetric "
                   "torsion exists outside the skew-cyclic class")
@@ -76,8 +74,8 @@ def check_p_tensor(r: Tensor, fa: FrameAlgebra) -> TheoremResult:
 def verify_curvature_relation(fa: FrameAlgebra, pack: ConnectionPack) -> TheoremResult:
     """Relations between the curvatures, Ricci tensors and scalar curvatures
     of the Levi-Civita and the skew-torsion connection."""
-    r, rho, tau = curvature(fa, pack.nabla)
-    rp, rhop, taup = curvature(fa, pack.rpt)
+    r, rho, tau = curvature(pack.nabla)
+    rp, rhop, taup = curvature(pack.rpt)
     d = pack.torsion_derivative()
     b = pack.torsion_products()
     sigma = pack.torsion_form_square()
@@ -98,7 +96,7 @@ def verify_curvature_relation(fa: FrameAlgebra, pack: ConnectionPack) -> Theorem
         witnesses.append(Witness((), taup - b13 * Fraction(1, 4), tau,
                                  "scalar-relation"))
 
-    norm = square_norm_nabla_P(fa, pack.nabla)
+    norm = square_norm_nabla_P(fa)
     if tau != taup + norm * Fraction(3, 8):
         witnesses.append(Witness((), taup + norm * Fraction(3, 8), tau,
                                  "scalar-norm-relation"))
@@ -141,8 +139,8 @@ def verify_p_tensor_criterion(fa: FrameAlgebra, pack: ConnectionPack) -> Theorem
     """The curvature of the skew-torsion connection is a P-tensor exactly when
     the quarter/twelfth curvature relation holds; both sides evaluated
     independently, with the consequences checked when they apply."""
-    r, rho, _ = curvature(fa, pack.nabla)
-    rp, rhop, _ = curvature(fa, pack.rpt)
+    r, rho, _ = curvature(pack.nabla)
+    rp, rhop, _ = curvature(pack.rpt)
     b = pack.torsion_products()
     sigma = pack.torsion_form_square()
 
@@ -170,8 +168,8 @@ def verify_parallel_torsion(fa: FrameAlgebra, pack: ConnectionPack) -> TheoremRe
     the torsion is parallel the pair symmetry, the cyclic identity and the
     product invariance of the curvature follow, and together with the
     P-tensor property the quadratic form vanishes."""
-    r, _, _ = curvature(fa, pack.nabla)
-    rp, _, _ = curvature(fa, pack.rpt)
+    r, _, _ = curvature(pack.nabla)
+    rp, _, _ = curvature(pack.rpt)
     d = pack.torsion_derivative()
     b = pack.torsion_products()
     sigma = pack.torsion_form_square()
@@ -200,20 +198,13 @@ def verify_parallel_torsion(fa: FrameAlgebra, pack: ConnectionPack) -> TheoremRe
     return _result("parallel-torsion", witnesses, details)
 
 
-def verify_family_equivalence(lam) -> TheoremResult:
-    """Three-way equivalence on the bundled family: the curvature of the
-    skew-torsion connection is a P-tensor, iff its torsion is parallel, iff
-    the second parameter pair is a common sign multiple of the first."""
-    lam = list(lam)
-    if all(isinstance(v, Scalar) for v in lam):
-        params = lam[0].params
-    else:
-        lam = [Scalar.constant((), Fraction(v)) for v in lam]
-        params = ()
-    fa = FrameAlgebra(4, params, family_structure_constants(lam, params),
-                      mat_identity(4, params), swap_product_matrix(4, params))
-    pack = rpt_connection(fa)
-    rp, _, _ = curvature(fa, pack.rpt)
+def verify_family_equivalence(fa: FrameAlgebra, pack: ConnectionPack,
+                              lam) -> TheoremResult:
+    """Three-way equivalence on the bundled family, for a frame of the family
+    with parameter Scalars lam: the curvature of the skew-torsion connection
+    is a P-tensor, iff its torsion is parallel, iff the second parameter pair
+    is a common sign multiple of the first."""
+    rp, _, _ = curvature(pack.rpt)
     cond_i = check_p_tensor(rp, fa).conclusion_holds
     cond_ii = pack.torsion_derivative().is_zero
     l1, l2, l3, l4 = lam
@@ -225,7 +216,7 @@ def verify_family_equivalence(lam) -> TheoremResult:
                "parameter_condition": str(cond_iii).lower()}
     witnesses = []
     if not agree:
-        witnesses.append(Witness((), Scalar.zero(params), Scalar.one(params),
+        witnesses.append(Witness((), Scalar.zero(fa.params), Scalar.one(fa.params),
                                  "three-way-equivalence"))
     return TheoremResult("family-parameter-equivalence", not degenerate, agree,
                          witnesses, details)
@@ -245,10 +236,10 @@ def geometry_checks(fa: FrameAlgebra) -> list:
     results.append(_result("levi-civita", witnesses))
 
     # fundamental_F raises on any violation of the three structure identities
-    fundamental_F(fa, lc)
+    fundamental_F(fa)
     results.append(_result("structure-tensor-identities", []))
 
-    r, _, _ = curvature(fa, lc)
+    r, _, _ = curvature(lc)
     witnesses = tensor_witnesses(cyclic_sum(r, (0, 1, 2)), "first-bianchi")
     results.append(_result("first-bianchi", witnesses))
     return results
@@ -301,7 +292,7 @@ def rpt_checks(fa: FrameAlgebra) -> list:
     witnesses = tensor_witnesses(pack.rpt.torsion_tensor() - t, "recovered-torsion")
     results.append(_result("torsion-recovery", witnesses))
 
-    rp, _, _ = curvature(fa, pack.rpt)
+    rp, _, _ = curvature(pack.rpt)
     d = pack.torsion_derivative()
     sigma = pack.torsion_form_square()
     witnesses = tensor_witnesses(
@@ -328,7 +319,7 @@ def theorem_checks(fa: FrameAlgebra) -> list:
     ]
     lam = family_parameters(fa)
     if lam is not None:
-        results.append(verify_family_equivalence(lam))
+        results.append(verify_family_equivalence(fa, pack, lam))
     return results
 
 

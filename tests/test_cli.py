@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from rptgeo import FrameAlgebra, Scalar, build_example, cli, save_spec
+from rptgeo import FrameAlgebra, Scalar, build_example, cli, geometry, save_spec
 from rptgeo.example import bundled_spec_path
 
 from helpers import single_bracket_frame
@@ -121,15 +121,40 @@ def test_usage_and_input_errors_exit_two(tmp_path, capsys):
         assert out == "" and err, argv
 
 
+def test_unwritable_json_path_exits_two(tmp_path, capsys):
+    code, _, err = run_cli(["validate", SPEC, "--json", str(tmp_path)], capsys)
+    assert code == 2
+    assert err.startswith("error: ")
+
+
+def test_check_computes_the_structure_norm_once(monkeypatch, capsys):
+    norms = []
+    square_norm = geometry.square_norm
+
+    def counting_norm(t, fa):
+        norms.append(t)
+        return square_norm(t, fa)
+
+    monkeypatch.setattr(geometry, "square_norm", counting_norm)
+    code, _, _ = run_cli(["check", SPEC, "--lambda=1,2,3,4"], capsys)
+    assert code == 0
+    assert len(norms) == 1
+
+
 # ---------------------------------------------------------------------------
 # golden comparison through the shared witness collector
+
+
+def _copied_golden(tmp_path):
+    golden = tmp_path / "golden"
+    shutil.copytree(bundled_spec_path().parent / "golden", golden)
+    return golden
 
 
 def _mutated_golden(tmp_path, name, count):
     """Copy of the golden tables with `count` entries of one table shifted
     by 1; returns the directory and the changed 1-based indices."""
-    golden = tmp_path / "golden"
-    shutil.copytree(bundled_spec_path().parent / "golden", golden)
+    golden = _copied_golden(tmp_path)
     table = golden / ("%s.json" % name)
     data = json.loads(table.read_text(encoding="utf-8"))
     keys = list(data["entries"])[:count]
@@ -137,6 +162,23 @@ def _mutated_golden(tmp_path, name, count):
         data["entries"][key] = "%s + 1" % data["entries"][key]
     table.write_text(json.dumps(data), encoding="utf-8")
     return golden, [[int(k) for k in key.split(",")] for key in keys]
+
+
+@pytest.mark.parametrize("name, field", [("curvature", "entries"),
+                                         ("scalars", "invalid JSON")])
+def test_malformed_golden_table_exits_two(name, field, tmp_path, capsys):
+    golden = _copied_golden(tmp_path)
+    table = golden / ("%s.json" % name)
+    if field == "entries":
+        data = json.loads(table.read_text(encoding="utf-8"))
+        del data["entries"]
+        table.write_text(json.dumps(data), encoding="utf-8")
+    else:
+        table.write_text("{", encoding="utf-8")
+    code, out, err = run_cli(["example", "--lambda=1,2,3,4", "--golden", str(golden)],
+                             capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: %s: " % table) and field in err
 
 
 def _golden_failures(golden, capsys):

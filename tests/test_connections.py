@@ -6,9 +6,8 @@ import pytest
 
 from rptgeo import (NotW3Error, Scalar, Tensor, alternate, arranged,
                     build_example, covariant_derivative, curvature, cyclic_sum,
-                    exterior_derivative_torsion, fundamental_F, levi_civita,
-                    natural_check, parse_expression, rpt_connection,
-                    rpt_torsion, sigma_T)
+                    fundamental_F, levi_civita, natural_check,
+                    parse_expression, rpt_connection, rpt_torsion, sigma_T)
 
 from helpers import (apply_p, basis_vec, bracket_vec, inner, random_frames,
                      single_bracket_frame, vec_add, vec_scale, vec_sub)
@@ -38,19 +37,14 @@ def test_torsion_vanishes_on_repeated_arguments():
 
 def test_torsion_totally_skew_on_random_frames():
     for fa in random_frames(6):
-        f = fundamental_F(fa, levi_civita(fa))
+        f = fundamental_F(fa)
         t = rpt_torsion(f, fa)
         assert t == alternate(t, (0, 1, 2))
 
 
 def test_connection_paper_values():
-    want = {
-        (0, 1): "l1*X1 - l3*X3",
-        (1, 1): "l2*X1 - l4*X3",
-    }
     assert [str(s) for s in PACK.rpt.coeffs[0][1]] == ["l1", "0", "-l3", "0"]
     assert [str(s) for s in PACK.rpt.coeffs[1][1]] == ["l2", "0", "-l4", "0"]
-    assert want  # documentation of the expected linear combinations
 
 
 def test_parallel_case_collapses_to_levi_civita():
@@ -68,7 +62,7 @@ def test_not_w3_refusal():
 def test_rpt_torsion_total_even_outside_class():
     # the torsion formula itself stays evaluable outside the class
     fa = single_bracket_frame()
-    f = fundamental_F(fa, levi_civita(fa))
+    f = fundamental_F(fa)
     t = rpt_torsion(f, fa)
     assert t.variance == "ddd"
 
@@ -201,9 +195,7 @@ def test_covariant_derivative_oracle_entry():
     # direct expansion of the derivative of T(X1, X4, X3) along X2
     fa = SYM
     d = PACK.torsion_derivative()
-    acc = Scalar.zero(fa.params)
-    for (m, args) in ((0, (3, 2)), (1, (0, 2)), (2, (0, 3))):
-        pass  # enumerated manually below
+
     def t_at(u, v, w):
         total = Scalar.zero(fa.params)
         for a in range(4):
@@ -226,30 +218,13 @@ def test_derivative_of_metric_and_product_vanish():
     assert covariant_derivative(SYM, PACK.rpt, p_lowered).is_zero
 
 
-def test_exterior_derivative_vanishes_symbolically():
-    dt = exterior_derivative_torsion(SYM, PACK.rpt, PACK.T)
-    assert dt.is_zero
-
-
-def test_exterior_derivative_numeric_and_zero_torsion():
-    fa = build_example((1, 2, 3, 4))
+def test_derived_geometry_is_computed_once():
+    fa = build_example((1, 2, 3, 5))
     pack = rpt_connection(fa)
-    dt = exterior_derivative_torsion(fa, pack.rpt, pack.T)
-    assert dt[0, 1, 2, 3].is_zero and dt.is_zero
-    fa0 = build_example((0, 0, 0, 0))
-    pack0 = rpt_connection(fa0)
-    assert exterior_derivative_torsion(fa0, pack0.rpt, pack0.T).is_zero
-
-
-def test_exterior_derivative_is_a_form():
-    # oracle: result must equal its own full antisymmetrization
-    for lams in ((1, 2, 3, 4), (1, 0, 2, 0)):
-        fa = build_example(lams)
-        pack = rpt_connection(fa)
-        dt = exterior_derivative_torsion(fa, pack.rpt, pack.T)
-        assert dt == alternate(dt, (0, 1, 2, 3))
-
-
-def test_exterior_derivative_rejects_wrong_connection():
-    with pytest.raises(ValueError):
-        exterior_derivative_torsion(SYM, PACK.nabla, PACK.T)
+    assert rpt_connection(fa) is pack
+    assert levi_civita(fa) is levi_civita(fa) is pack.nabla
+    assert fundamental_F(fa) is pack.fundamental
+    assert curvature(pack.rpt) is curvature(pack.rpt)
+    assert pack.torsion_derivative() is pack.torsion_derivative()
+    assert pack.torsion_products() is pack.torsion_products()
+    assert pack.torsion_form_square() is pack.torsion_form_square()

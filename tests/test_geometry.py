@@ -8,8 +8,8 @@ import pytest
 from rptgeo import (CLASS_OUTSIDE, CLASS_PARALLEL, CLASS_SKEW, FrameAlgebra,
                     Scalar, Tensor, build_example, classify, curvature,
                     cyclic_sum, fundamental_F, levi_civita, mat_identity, mat_inv,
-                    nijenhuis, parse_expression, rpt_connection,
-                    square_norm_nabla_P, torsion_projections, validate)
+                    parse_expression, rpt_connection, square_norm_nabla_P,
+                    torsion_projections, validate)
 
 from helpers import (basis_vec, inner, koszul_killing_oracle,
                      nabla_p_killing_oracle, projection_oracle, random_frames,
@@ -62,7 +62,7 @@ def test_singular_metric_raises():
 
 
 def test_structure_tensor_value_and_oracle():
-    f = fundamental_F(SYM, LC)
+    f = fundamental_F(SYM)
     assert f[0, 0, 1] == S("-1/2*l3")
     for i in range(4):
         for j in range(4):
@@ -73,8 +73,7 @@ def test_structure_tensor_value_and_oracle():
 
 def test_structure_tensor_identities_on_random_frames():
     for fa in random_frames(6):
-        lc = levi_civita(fa)
-        f = fundamental_F(fa, lc)  # raises internally if identities fail
+        f = fundamental_F(fa)  # raises internally if identities fail
         n = fa.dim
         p = fa.p
         for idx in f.indices():
@@ -83,7 +82,7 @@ def test_structure_tensor_identities_on_random_frames():
 
 
 def test_structure_tensor_product_antisymmetry_componentwise():
-    f = fundamental_F(SYM, LC)
+    f = fundamental_F(SYM)
     # F(x, y, z) + F(x, Py, Pz) = 0, using that the product swaps pairs
     swap = lambda a: (a + 2) % 4
     for idx in f.indices():
@@ -93,19 +92,7 @@ def test_structure_tensor_product_antisymmetry_componentwise():
 
 def test_abelian_structure_tensor_vanishes():
     fa = build_example((0, 0, 0, 0))
-    assert fundamental_F(fa, levi_civita(fa)).is_zero
-
-
-def test_nijenhuis_nonzero_generic_zero_abelian():
-    n_sym = nijenhuis(SYM, LC)
-    assert not n_sym.is_zero
-    fa0 = build_example((0, 0, 0, 0))
-    assert nijenhuis(fa0, levi_civita(fa0)).is_zero
-    # antisymmetry in the first two slots
-    assert (n_sym + n_sym.transpose((1, 0, 2))).is_zero
-    for i in range(4):
-        for s in range(4):
-            assert n_sym[i, i, s].is_zero
+    assert fundamental_F(fa).is_zero
 
 
 def _norm_oracle(fa):
@@ -123,34 +110,34 @@ def _norm_oracle(fa):
 
 
 def test_square_norm_values():
-    assert square_norm_nabla_P(SYM, LC) == S("4*(l1^2 + l2^2 + l3^2 + l4^2)")
+    assert square_norm_nabla_P(SYM) == S("4*(l1^2 + l2^2 + l3^2 + l4^2)")
     fa = build_example((1, 2, 3, 4))
-    assert square_norm_nabla_P(fa, levi_civita(fa)).constant_value() == 120
+    assert square_norm_nabla_P(fa).constant_value() == 120
     fa0 = build_example((0, 0, 0, 0))
-    assert square_norm_nabla_P(fa0, levi_civita(fa0)).is_zero
+    assert square_norm_nabla_P(fa0).is_zero
     for fa in random_frames():
         if fa.dim == 4:
-            assert square_norm_nabla_P(fa, levi_civita(fa)) == _norm_oracle(fa)
+            assert square_norm_nabla_P(fa) == _norm_oracle(fa)
 
 
 def test_curvature_scalar_and_bianchi():
-    riem, ricci, tau = curvature(SYM, LC)
+    riem, ricci, tau = curvature(LC)
     assert tau == S("-5/2*(l1^2 + l2^2 + l3^2 + l4^2)")
     assert cyclic_sum(riem, (0, 1, 2)).is_zero
     fa0 = build_example((0, 0, 0, 0))
-    r0, _, tau0 = curvature(fa0, levi_civita(fa0))
+    r0, _, tau0 = curvature(levi_civita(fa0))
     assert r0.is_zero and tau0.is_zero
 
 
 def test_curvature_antisymmetries_metric_connection():
-    riem, _, _ = curvature(SYM, LC)
+    riem, _, _ = curvature(LC)
     assert (riem + riem.transpose((1, 0, 2, 3))).is_zero
     assert (riem + riem.transpose((0, 1, 3, 2))).is_zero
 
 
 def test_first_bianchi_on_random_frames():
     for fa in random_frames(6):
-        riem, _, _ = curvature(fa, levi_civita(fa))
+        riem, _, _ = curvature(levi_civita(fa))
         assert cyclic_sum(riem, (0, 1, 2)).is_zero
 
 
@@ -165,7 +152,7 @@ def test_classify_single_bracket_against_oracle():
     assert validate(fa).passed
     label = classify(fa)
     # oracle: direct cyclic-sum evaluation of the structure tensor
-    f = fundamental_F(fa, levi_civita(fa))
+    f = fundamental_F(fa)
     cyc_zero = all(
         (f[i, j, k] + f[j, k, i] + f[k, i, j]).is_zero
         for i in range(4) for j in range(4) for k in range(4))
