@@ -23,8 +23,8 @@ from .geometry import (classify, curvature, fundamental_F, levi_civita,
                        square_norm, square_norm_nabla_P, torsion_projections)
 from .parser import ParseError
 from .tensors import Tensor, coefficient_tensor
-from .theorems import (check_p_tensor, geometry_checks, rpt_checks, run_all,
-                       theorem_checks)
+from .theorems import (geometry_checks, rpt_checks, rpt_curvature_p_tensor,
+                       run_all, theorem_checks)
 
 SCHEMA_VERSION = 1
 
@@ -217,7 +217,6 @@ def cmd_report(args) -> int:
                                           "nabla")))
     try:
         pack = rpt_connection(fa)
-        rp, _, _ = curvature(pack.rpt)
         report.sections.append(("skew torsion T (nonzero components)",
                                 _tensor_lines(pack.T, "T")))
         report.sections.append(("skew-torsion connection coefficients",
@@ -227,7 +226,7 @@ def cmd_report(args) -> int:
         lines = ["|p%d|^2 = %s" % (pos + 1, square_norm(p, fa))
                  for pos, p in enumerate(proj)]
         report.sections.append(("torsion projection square norms", lines))
-        ptensor = check_p_tensor(rp, fa).conclusion_holds
+        ptensor = rpt_curvature_p_tensor(pack).conclusion_holds
         report.sections.append(("curvature of the skew-torsion connection",
                                 ["is a P-tensor: %s" % str(ptensor).lower()]))
     except NotW3Error as exc:

@@ -22,6 +22,8 @@ from .tensors import Tensor, _perm_sign, coefficient_tensor, mat_identity
 
 PARAM_NAMES = ("l1", "l2", "l3", "l4")
 EPSILON_CANDIDATES = (1, -1)
+SYMMETRIES = ("none", "skew", "skew-last-three", "pair-skew")
+GOLDEN_SCALARS = ("nabla_P_norm_sq", "tau", "tau_prime")
 
 def swap_product_matrix(dim: int, params: tuple) -> list:
     """Block antidiagonal product structure exchanging the two halves."""
@@ -167,13 +169,16 @@ def _read_table(path: Path):
 def _load_table(path: Path) -> GoldenTable:
     data, raw = _read_table(path)
     _expect(isinstance(data.get("name"), str), "%s: name" % path, "expected a string")
+    symmetry = data.get("symmetry", "none")
+    _expect(symmetry in SYMMETRIES, "%s: symmetry" % path,
+            "expected one of %s" % ", ".join(SYMMETRIES))
     entries = {}
     for key, value in raw.items():
         parts = key.split(",")
         _expect(all(part.isdigit() for part in parts), "%s: entries[%s]" % (path, key),
                 "expected comma-separated indices")
         entries[tuple(int(part) for part in parts)] = value
-    return GoldenTable(data["name"], data.get("rank", 0), data.get("symmetry", "none"),
+    return GoldenTable(data["name"], data.get("rank", 0), symmetry,
                        tuple(data["parameters"]), entries)
 
 
@@ -186,7 +191,11 @@ def golden_tables(directory=None) -> dict:
     tables = {}
     for name in ("torsion", "connection", "curvature", "torsion_derivative"):
         tables[name] = _load_table(Path(str(base / ("%s.json" % name))))
-    tables["scalars"] = _read_table(Path(str(base / "scalars.json")))[1]
+    path = Path(str(base / "scalars.json"))
+    tables["scalars"] = _read_table(path)[1]
+    for key in tables["scalars"]:
+        _expect(key in GOLDEN_SCALARS, "%s: entries[%s]" % (path, key),
+                "unknown scalar, expected one of %s" % ", ".join(GOLDEN_SCALARS))
     return tables
 
 

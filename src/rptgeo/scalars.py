@@ -4,6 +4,14 @@ A polynomial is a dict mapping exponent tuples (aligned with the parameter
 tuple) to nonzero Fraction coefficients.  A Scalar is a reduced quotient of
 two polynomials; the denominator is monic under graded-lex order, so every
 rational function has exactly one representation and equality is literal.
+
+Three fields are set once, when a Scalar is built: ``cden`` (the denominator
+is constant), ``is_zero`` (the numerator is empty) and ``value`` (the
+Fraction when the Scalar is constant, else None).  A constant denominator is
+always the unit ``{(0, ..., 0): 1}``.  Constant operands are added,
+multiplied and divided on ``value`` directly, and the result shares the
+operand's unit denominator dict; a zero operand skips the arithmetic.
+Everything else goes through the polynomial and gcd path.
 """
 
 from __future__ import annotations
@@ -197,22 +205,37 @@ def _poly_gcd(f: dict, g: dict) -> dict:
 class Scalar:
     """Exact rational function in the parameters of its context."""
 
-    __slots__ = ("params", "num", "den", "cden")
+    __slots__ = ("params", "num", "den", "cden", "value", "is_zero")
 
     def __init__(self, params: tuple, num: dict, den: dict):
         self.params = params
         self.num = num
         self.den = den
         self.cden = _is_const(den)
+        self.is_zero = not num
+        self.value = _const_value(num) if self.cden and _is_const(num) else None
 
     # construction ---------------------------------------------------------
 
     @classmethod
     def constant(cls, params: tuple, value: Rat) -> "Scalar":
-        value = Fraction(value)
-        zero = (0,) * len(params)
-        num = {zero: value} if value else {}
-        return cls(params, num, {zero: Fraction(1)})
+        return cls._of_value(params, Fraction(value), {(0,) * len(params): Fraction(1)})
+
+    @classmethod
+    def _of_value(cls, params: tuple, value: Fraction, unit: dict) -> "Scalar":
+        """The constant value, reusing the unit denominator of an operand."""
+        s = object.__new__(cls)
+        s.params = params
+        s.den = unit
+        s.cden = True
+        s.value = value
+        if value:
+            s.num = dict.fromkeys(unit, value)
+            s.is_zero = False
+        else:
+            s.num = {}
+            s.is_zero = True
+        return s
 
     @classmethod
     def zero(cls, params: tuple) -> "Scalar":
@@ -257,23 +280,19 @@ class Scalar:
     # predicates -----------------------------------------------------------
 
     @property
-    def is_zero(self) -> bool:
-        return not self.num
-
-    @property
     def is_constant(self) -> bool:
-        return self.cden and _is_const(self.num)
+        return self.value is not None
 
     def constant_value(self) -> Fraction:
-        if not self.is_constant:
+        if self.value is None:
             raise ValueError("scalar is not constant: %s" % self)
-        return _const_value(self.num)
+        return self.value
 
     # arithmetic -----------------------------------------------------------
 
     def _coerce(self, other) -> "Scalar":
         if isinstance(other, Scalar):
-            if other.params != self.params:
+            if other.params is not self.params and other.params != self.params:
                 raise ValueError("scalars come from different parameter contexts")
             return other
         if isinstance(other, (int, Fraction)):
@@ -284,6 +303,12 @@ class Scalar:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
+        if o.is_zero:
+            return self
+        if self.is_zero:
+            return o
+        if self.value is not None and o.value is not None:
+            return Scalar._of_value(self.params, self.value + o.value, self.den)
         if self.cden and o.cden:
             return Scalar(self.params, _dict_add(self.num, o.num), self.den)
         num = _dict_add(_dict_mul(self.num, o.den), _dict_mul(o.num, self.den))
@@ -292,6 +317,10 @@ class Scalar:
     __radd__ = __add__
 
     def __neg__(self):
+        if self.is_zero:
+            return self
+        if self.value is not None:
+            return Scalar._of_value(self.params, -self.value, self.den)
         return Scalar(self.params, _dict_neg(self.num), self.den)
 
     def __sub__(self, other):
@@ -301,12 +330,21 @@ class Scalar:
         return self + (-o)
 
     def __rsub__(self, other):
-        return (-self) + other
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
+        return o + (-self)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
+        if self.is_zero:
+            return self
+        if o.is_zero:
+            return o
+        if self.value is not None and o.value is not None:
+            return Scalar._of_value(self.params, self.value * o.value, self.den)
         if self.cden and o.cden:
             return Scalar(self.params, _dict_mul(self.num, o.num), self.den)
         return Scalar._make(self.params, _dict_mul(self.num, o.num),
@@ -320,11 +358,17 @@ class Scalar:
             return NotImplemented
         if o.is_zero:
             raise ZeroDivisionError("division by zero scalar")
+        if self.is_zero:
+            return self
+        if self.value is not None and o.value is not None:
+            return Scalar._of_value(self.params, self.value / o.value, self.den)
         return Scalar._make(self.params, _dict_mul(self.num, o.den),
                             _dict_mul(self.den, o.num))
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
         return o / self
 
     def __pow__(self, k: int):
@@ -343,7 +387,7 @@ class Scalar:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = Scalar.constant(self.params, other)
+            return self.value == other
         if not isinstance(other, Scalar):
             return NotImplemented
         return (self.params == other.params and self.num == other.num

@@ -129,6 +129,7 @@ class Tensor:
         stride = n ** (self.rank - 1 - slot)
         block = stride * n
         up = self.variance[slot] == "u"
+        zero = Scalar.zero(self.params)
         for base in range(0, len(self.comps), block):
             for rest in range(stride):
                 col = [self.comps[base + a * stride + rest] for a in range(n)]
@@ -140,8 +141,7 @@ class Tensor:
                             continue
                         term = m * col[a]
                         acc = term if acc is None else acc + term
-                    out[base + i * stride + rest] = \
-                        acc if acc is not None else Scalar.zero(self.params)
+                    out[base + i * stride + rest] = acc if acc is not None else zero
         return Tensor(self.dim, self.variance, self.params, out)
 
     def lower_slot(self, slot: int, metric: list) -> "Tensor":

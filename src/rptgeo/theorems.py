@@ -14,8 +14,8 @@ from fractions import Fraction
 from .connections import (ConnectionPack, NotW3Error, natural_check,
                           rpt_connection)
 from .example import EPSILON_CANDIDATES, family_parameters
-from .frames import (FrameAlgebra, Witness, capped_report, tensor_witnesses,
-                     validate)
+from .frames import (FrameAlgebra, Witness, capped_report, memo,
+                     tensor_witnesses, validate)
 from .geometry import (CLASS_PARALLEL, CLASS_SKEW, curvature, fundamental_F,
                        levi_civita, square_norm_nabla_P, torsion_projections)
 from .scalars import Scalar
@@ -69,6 +69,13 @@ def check_p_tensor(r: Tensor, fa: FrameAlgebra) -> TheoremResult:
     witnesses += tensor_witnesses(arranged(r, "x,y,Pz,Pw", fa.p) - r,
                                    "product-invariance")
     return _result("p-tensor-axioms", witnesses)
+
+
+@memo
+def rpt_curvature_p_tensor(pack: ConnectionPack) -> TheoremResult:
+    """check_p_tensor on the curvature of the skew-torsion connection, run
+    once per pack."""
+    return check_p_tensor(curvature(pack.rpt)[0], pack.frame)
 
 
 def verify_curvature_relation(fa: FrameAlgebra, pack: ConnectionPack) -> TheoremResult:
@@ -144,7 +151,7 @@ def verify_p_tensor_criterion(fa: FrameAlgebra, pack: ConnectionPack) -> Theorem
     b = pack.torsion_products()
     sigma = pack.torsion_form_square()
 
-    side_a = check_p_tensor(rp, fa).conclusion_holds
+    side_a = rpt_curvature_p_tensor(pack).conclusion_holds
     relation = rp - b.scale(Fraction(1, 4)) + sigma.scale(Fraction(1, 12))
     side_b = (r - relation).is_zero
 
@@ -189,7 +196,7 @@ def verify_parallel_torsion(fa: FrameAlgebra, pack: ConnectionPack) -> TheoremRe
                                        "cyclic-identity")
         witnesses += tensor_witnesses(arranged(rp, "Px,Py,Pz,Pw", fa.p) - rp,
                                        "product-invariance")
-        p_tensor = check_p_tensor(rp, fa).conclusion_holds
+        p_tensor = rpt_curvature_p_tensor(pack).conclusion_holds
         details["p_tensor"] = str(p_tensor).lower()
         if p_tensor:
             witnesses += tensor_witnesses(sigma, "quadratic-form-vanishes")
@@ -204,8 +211,7 @@ def verify_family_equivalence(fa: FrameAlgebra, pack: ConnectionPack,
     with parameter Scalars lam: the curvature of the skew-torsion connection
     is a P-tensor, iff its torsion is parallel, iff the second parameter pair
     is a common sign multiple of the first."""
-    rp, _, _ = curvature(pack.rpt)
-    cond_i = check_p_tensor(rp, fa).conclusion_holds
+    cond_i = rpt_curvature_p_tensor(pack).conclusion_holds
     cond_ii = pack.torsion_derivative().is_zero
     l1, l2, l3, l4 = lam
     cond_iii = any((l3 - l1 * eps).is_zero and (l4 - l2 * eps).is_zero

@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from rptgeo import FrameAlgebra, Scalar, build_example, cli, geometry, save_spec
+from rptgeo import (FrameAlgebra, Scalar, build_example, cli, geometry, save_spec,
+                    theorems)
 from rptgeo.example import bundled_spec_path
 
 from helpers import single_bracket_frame
@@ -141,6 +142,26 @@ def test_check_computes_the_structure_norm_once(monkeypatch, capsys):
     assert len(norms) == 1
 
 
+def test_check_runs_the_p_tensor_test_once(monkeypatch, capsys):
+    # λ3 = λ1 and λ4 = λ2: parallel torsion, so three checks ask whether R' is
+    # a P-tensor
+    calls = []
+    check_p_tensor = theorems.check_p_tensor
+
+    def counting_check(r, fa):
+        calls.append(r)
+        return check_p_tensor(r, fa)
+
+    monkeypatch.setattr(theorems, "check_p_tensor", counting_check)
+    code, out, _ = run_cli(["check", SPEC, "--lambda=1,2,1,2", "--format", "json"],
+                           capsys)
+    assert code == 0
+    details = {c["id"]: c["details"] for c in json.loads(out)["checks"]}
+    assert details["parallel-torsion"]["p_tensor"] == "true"
+    assert details["family-parameter-equivalence"]["p_tensor"] == "true"
+    assert len(calls) == 1
+
+
 # ---------------------------------------------------------------------------
 # golden comparison through the shared witness collector
 
@@ -165,20 +186,24 @@ def _mutated_golden(tmp_path, name, count):
 
 
 @pytest.mark.parametrize("name, field", [("curvature", "entries"),
-                                         ("scalars", "invalid JSON")])
+                                         ("scalars", "invalid JSON"),
+                                         ("scalars", "entries[foo]"),
+                                         ("curvature", "symmetry")])
 def test_malformed_golden_table_exits_two(name, field, tmp_path, capsys):
     golden = _copied_golden(tmp_path)
     table = golden / ("%s.json" % name)
+    data = json.loads(table.read_text(encoding="utf-8"))
     if field == "entries":
-        data = json.loads(table.read_text(encoding="utf-8"))
         del data["entries"]
-        table.write_text(json.dumps(data), encoding="utf-8")
-    else:
-        table.write_text("{", encoding="utf-8")
+    elif field == "entries[foo]":  # a scalar name the report does not compute
+        data["entries"]["foo"] = "1"
+    elif field == "symmetry":
+        data["symmetry"] = "bogus"
+    table.write_text("{" if field == "invalid JSON" else json.dumps(data), encoding="utf-8")
     code, out, err = run_cli(["example", "--lambda=1,2,3,4", "--golden", str(golden)],
                              capsys)
     assert (code, out) == (2, "")
-    assert err.startswith("error: %s: " % table) and field in err
+    assert err.startswith("error: %s: %s" % (table, field))
 
 
 def _golden_failures(golden, capsys):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rptgeo import Scalar, parse_expression
+from rptgeo.scalars import _is_const
 
 PARAMS = ("l1", "l2", "l3", "l4")
 
@@ -68,6 +69,16 @@ def test_mixed_context_rejected():
     other = Scalar.parameter(("mu",), "mu")
     with pytest.raises(ValueError):
         Scalar.parameter(PARAMS, "l1") + other
+
+
+@pytest.mark.parametrize("op, symbol", [(lambda x, s: x / s, "/"),
+                                        (lambda x, s: x - s, "-"),
+                                        (lambda x, s: s / x, "/"),
+                                        (lambda x, s: s - x, "-")])
+def test_unsupported_operand_raises_type_error(op, symbol):
+    s = Scalar.constant((), 3)
+    with pytest.raises(TypeError, match="for %s:" % symbol):
+        op(1.5, s)
 
 
 def test_substitution_pole_raises():
@@ -142,3 +153,53 @@ def test_print_parse_roundtrip(a):
     # every scalar built from +,-,* keeps a constant denominator, so its
     # canonical printing lies inside the parser grammar
     assert parse_expression(str(a), PARAMS) == a
+
+
+_fractions = st.fractions(max_denominator=50).filter(lambda q: abs(q) < 100)
+
+
+def _assert_kernel_invariants(s):
+    zero = (0,) * len(s.params)
+    assert s.is_zero == (not s.num)
+    assert s.cden == _is_const(s.den)
+    if s.cden:
+        assert s.den == {zero: Fraction(1)}
+    assert (s.value is not None) == (s.cden and _is_const(s.num))
+    if s.value is not None:
+        assert s.num == ({zero: s.value} if s.value else {})
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([(), PARAMS]), _fractions, _fractions)
+def test_constant_arithmetic_matches_fractions(params, x, y):
+    a, b = Scalar.constant(params, x), Scalar.constant(params, y)
+    results = [(a + b, x + y), (a - b, x - y), (a * b, x * y), (-a, -x),
+               (x + b, x + y), (x - b, x - y), (x * b, x * y), (a - y, x - y)]
+    if y:
+        results += [(a / b, x / y), (x / b, x / y)]
+    for s, expected in results:
+        assert s == Scalar.constant(params, expected)
+        assert s.value == expected
+        _assert_kernel_invariants(s)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_fractions, st.sampled_from(PARAMS))
+def test_constant_with_parameter_matches_parsed_expression(x, name):
+    c, p = Scalar.constant(PARAMS, x), Scalar.parameter(PARAMS, name)
+    for s, text in ((c * p, "(%s)*%s" % (x, name)), (c + p, "(%s) + %s" % (x, name)),
+                    (p - c, "%s - (%s)" % (name, x)), (p / (c + p), None)):
+        _assert_kernel_invariants(s)
+        if text is not None:
+            assert s == S(text)
+    assert (c + p).value is None
+    assert (c * p).is_zero == (x == 0) == ((c * p).value is not None)
+
+
+@settings(max_examples=40, deadline=None)
+@given(scalars, scalars)
+def test_kernel_invariants_hold_on_every_result(a, b):
+    for s in (a, b, a + b, a - b, a * b, -a):
+        _assert_kernel_invariants(s)
+    if not b.is_zero:
+        _assert_kernel_invariants(a / b)
