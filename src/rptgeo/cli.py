@@ -22,7 +22,7 @@ from .frames import (CheckReport, FrameAlgebra, SchemaError, killing_check,
 from .geometry import (classify, curvature, fundamental_F, levi_civita,
                        square_norm, square_norm_nabla_P, torsion_projections)
 from .parser import ParseError
-from .tensors import Tensor, coefficient_tensor
+from .tensors import Tensor
 from .theorems import (geometry_checks, rpt_checks, rpt_curvature_p_tensor,
                        run_all, theorem_checks)
 
@@ -213,15 +213,13 @@ def cmd_report(args) -> int:
     report.sections.append(("structure tensor F (nonzero components)",
                             _tensor_lines(fundamental_F(fa), "F")))
     report.sections.append(("Levi-Civita connection coefficients",
-                            _tensor_lines(coefficient_tensor(levi_civita(fa).coeffs),
-                                          "nabla")))
+                            _tensor_lines(levi_civita(fa).coeffs, "nabla")))
     try:
         pack = rpt_connection(fa)
         report.sections.append(("skew torsion T (nonzero components)",
                                 _tensor_lines(pack.T, "T")))
         report.sections.append(("skew-torsion connection coefficients",
-                                _tensor_lines(coefficient_tensor(pack.rpt.coeffs),
-                                              "nabla'")))
+                                _tensor_lines(pack.rpt.coeffs, "nabla'")))
         proj = torsion_projections(pack.T, fa)
         lines = ["|p%d|^2 = %s" % (pos + 1, square_norm(p, fa))
                  for pos, p in enumerate(proj)]

@@ -15,9 +15,7 @@ from .frames import CheckReport, FrameAlgebra, memo, tensor_witnesses
 from .geometry import (CLASS_OUTSIDE, ClassLabel, Connection,
                        classify_from_structure_tensor, fundamental_F,
                        levi_civita, nabla_p_components)
-from .scalars import Scalar
-from .tensors import (Tensor, alternate, arranged, coefficient_tensor,
-                      cyclic_sum)
+from .tensors import Tensor, alternate, arranged, cyclic_sum, mat_mul, mat_transpose
 
 
 class NotW3Error(RuntimeError):
@@ -61,8 +59,7 @@ def rpt_torsion(f: Tensor, fa: FrameAlgebra) -> Tensor:
 
 
 def _shifted_connection(fa: FrameAlgebra, base: Connection, q: Tensor) -> Connection:
-    return Connection.from_tensor(
-        fa, coefficient_tensor(base.coeffs) + q.raise_slot(2, fa.metric_inv))
+    return Connection(fa, base.coeffs + q.raise_slot(2, fa.metric_inv))
 
 
 @memo
@@ -102,19 +99,14 @@ def natural_check(fa: FrameAlgebra, conn: Connection) -> CheckReport:
 
 def torsion_inner_products(t: Tensor, fa: FrameAlgebra) -> Tensor:
     """(0,4) tensor pairing the torsion of (x,y) with the torsion of (z,w)."""
+    # b at ((i,j),(k,l)) = sum_a T^a_ij T_kla: an n^2 x n by n x n^2 product
     n = fa.dim
-    t_up = t.raise_slot(2, fa.metric_inv)
 
-    def comp(idx):
-        i, j, k, l = idx
-        acc = Scalar.zero(fa.params)
-        for a in range(n):
-            x, y = t_up[i, j, a], t[k, l, a]
-            if not x.is_zero and not y.is_zero:
-                acc = acc + x * y
-        return acc
+    def rows(u: Tensor) -> list:
+        return [u.comps[r:r + n] for r in range(0, n ** 3, n)]
 
-    return Tensor.build(n, "dddd", fa.params, comp)
+    prod = mat_mul(rows(t.raise_slot(2, fa.metric_inv)), mat_transpose(rows(t)))
+    return Tensor(n, "dddd", fa.params, [x for row in prod for x in row])
 
 
 def sigma_T(t: Tensor, fa: FrameAlgebra) -> Tensor:
@@ -128,27 +120,12 @@ def covariant_derivative(fa: FrameAlgebra, conn: Connection, t: Tensor) -> Tenso
     """Covariant derivative of a fully covariant tensor; the derivative
     direction is slot 0 of the result.  Frame components are constant, so
     only the connection terms contribute."""
-    if any(v != "d" for v in t.variance):
-        raise ValueError("expected a fully covariant tensor")
-    n = fa.dim
-    a = conn.coeffs
-    rank = t.rank
-
-    def comp(idx):
-        i = idx[0]
-        rest = list(idx[1:])
-        acc = Scalar.zero(fa.params)
-        for m in range(rank):
-            jm = rest[m]
-            for s in range(n):
-                coef = a[i][jm][s]
-                if coef.is_zero:
-                    continue
-                rest[m] = s
-                val = t[tuple(rest)]
-                rest[m] = jm
-                if not val.is_zero:
-                    acc = acc - coef * val
-        return acc
-
-    return Tensor.build(n, "d" * (rank + 1), fa.params, comp)
+    if not t.rank or any(v != "d" for v in t.variance):
+        raise ValueError("expected a fully covariant tensor of positive rank")
+    comps = []
+    for k_i in conn.direction_matrices():
+        # M_i[s][j] = A^s_ij, composed into each slot of t in turn
+        m_i = mat_transpose(k_i)
+        maps = [t.map_slot(m_i, slot) for slot in range(t.rank)]
+        comps += (-sum(maps[1:], maps[0])).comps
+    return Tensor(fa.dim, "d" * (t.rank + 1), fa.params, comps)

@@ -18,12 +18,13 @@ from pathlib import Path
 from .frames import (CheckReport, FrameAlgebra, SchemaError, Witness,
                      _expect, _parse_entry, capped_report)
 from .scalars import Scalar
-from .tensors import Tensor, _perm_sign, coefficient_tensor, mat_identity
+from .tensors import Tensor, _perm_sign, mat_identity
 
 PARAM_NAMES = ("l1", "l2", "l3", "l4")
 EPSILON_CANDIDATES = (1, -1)
 SYMMETRIES = ("none", "skew", "skew-last-three", "pair-skew")
 GOLDEN_SCALARS = ("nabla_P_norm_sq", "tau", "tau_prime")
+GOLDEN_RANKS = {"torsion": 3, "connection": 3, "curvature": 4, "torsion_derivative": 4}
 
 def swap_product_matrix(dim: int, params: tuple) -> list:
     """Block antidiagonal product structure exchanging the two halves."""
@@ -166,20 +167,23 @@ def _read_table(path: Path):
     return data, entries
 
 
-def _load_table(path: Path) -> GoldenTable:
+def _load_table(path: Path, rank: int) -> GoldenTable:
     data, raw = _read_table(path)
     _expect(isinstance(data.get("name"), str), "%s: name" % path, "expected a string")
+    _expect(type(data.get("rank")) is int and data["rank"] == rank, "%s: rank" % path,
+            "expected the integer %d" % rank)
     symmetry = data.get("symmetry", "none")
     _expect(symmetry in SYMMETRIES, "%s: symmetry" % path,
             "expected one of %s" % ", ".join(SYMMETRIES))
     entries = {}
     for key, value in raw.items():
         parts = key.split(",")
-        _expect(all(part.isdigit() for part in parts), "%s: entries[%s]" % (path, key),
-                "expected comma-separated indices")
+        _expect(len(parts) == rank and
+                all(part.isdecimal() and 1 <= int(part) <= 4 for part in parts),
+                "%s: entries[%s]" % (path, key),
+                "expected %d comma-separated indices in 1..4" % rank)
         entries[tuple(int(part) for part in parts)] = value
-    return GoldenTable(data["name"], data.get("rank", 0), symmetry,
-                       tuple(data["parameters"]), entries)
+    return GoldenTable(data["name"], rank, symmetry, tuple(data["parameters"]), entries)
 
 
 def golden_tables(directory=None) -> dict:
@@ -189,8 +193,8 @@ def golden_tables(directory=None) -> dict:
     else:
         base = Path(directory)
     tables = {}
-    for name in ("torsion", "connection", "curvature", "torsion_derivative"):
-        tables[name] = _load_table(Path(str(base / ("%s.json" % name))))
+    for name, rank in GOLDEN_RANKS.items():
+        tables[name] = _load_table(Path(str(base / ("%s.json" % name))), rank)
     path = Path(str(base / "scalars.json"))
     tables["scalars"] = _read_table(path)[1]
     for key in tables["scalars"]:
@@ -226,10 +230,10 @@ def compare_tensor(name: str, computed: Tensor, table: GoldenTable,
     return capped_report("golden-%s" % name, witnesses)
 
 
-def compare_connection(name: str, coeffs: list, table: GoldenTable,
+def compare_connection(name: str, coeffs: Tensor, table: GoldenTable,
                        convert) -> CheckReport:
     """compare_tensor on the coefficient tensor, A^k_ij at index (i, j, k)."""
-    return compare_tensor(name, coefficient_tensor(coeffs), table, convert)
+    return compare_tensor(name, coeffs, table, convert)
 
 
 def compare_scalars(computed: dict, golden: dict, convert) -> CheckReport:

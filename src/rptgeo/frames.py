@@ -14,8 +14,8 @@ from functools import cached_property, wraps
 
 from .parser import ParseError, parse_expression
 from .scalars import Scalar
-from .tensors import (Tensor, mat_det, mat_eq, mat_identity, mat_inv, mat_mul,
-                      mat_transpose)
+from .tensors import (Tensor, arranged, coefficient_tensor, mat_det, mat_eq,
+                      mat_identity, mat_inv, mat_mul, mat_transpose)
 
 
 class SchemaError(ValueError):
@@ -218,19 +218,9 @@ def associated_metric(fa: FrameAlgebra) -> list:
 
 def killing_check(fa: FrameAlgebra) -> CheckReport:
     """Whether the associated metric is a Killing metric on the algebra."""
-    n = fa.dim
-    gp = associated_metric(fa)
-    zero = Scalar.zero(fa.params)
-    witnesses = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                acc = zero
-                for s in range(n):
-                    acc = acc + fa.c[i][j][s] * gp[s][k] + fa.c[i][k][s] * gp[s][j]
-                if not acc.is_zero:
-                    witnesses.append(Witness((i + 1, j + 1, k + 1), zero, acc,
-                                             "killing-metric"))
+    # lower_slot pairs c^s_ij with matrix[k][s]; the pairing wanted is (gP)[s][k]
+    low = coefficient_tensor(fa.c).lower_slot(2, mat_transpose(associated_metric(fa)))
+    witnesses = tensor_witnesses(low + arranged(low, "x,z,y"), "killing-metric")
     return CheckReport("killing-metric", not witnesses, witnesses)
 
 
@@ -287,17 +277,16 @@ def frame_from_dict(data: dict) -> FrameAlgebra:
         path = "brackets[%d]" % b
         _expect(isinstance(entry, dict), path, "expected an object")
         left, right = entry.get("left"), entry.get("right")
-        _expect(isinstance(left, int) and 1 <= left <= dim, path + ".left",
-                "expected an index in 1..%d" % dim)
-        _expect(isinstance(right, int) and 1 <= right <= dim, path + ".right",
-                "expected an index in 1..%d" % dim)
+        for side, index in (("left", left), ("right", right)):
+            _expect(type(index) is int and 1 <= index <= dim, "%s.%s" % (path, side),
+                    "expected an index in 1..%d" % dim)
         _expect(left < right, path, "brackets are listed only for left < right")
         _expect((left, right) not in seen, path, "duplicate bracket")
         seen.add((left, right))
         result = entry.get("result", {})
         _expect(isinstance(result, dict), path + ".result", "expected an object")
         for key, text in result.items():
-            _expect(key.isdigit() and 1 <= int(key) <= dim,
+            _expect(key.isdecimal() and 1 <= int(key) <= dim,
                     "%s.result[%s]" % (path, key), "component key out of range")
             k = int(key) - 1
             value = _parse_entry(text, params, "%s.result[%s]" % (path, key))

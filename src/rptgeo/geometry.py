@@ -1,9 +1,11 @@
 """Levi-Civita geometry of a frame algebra.
 
 Connection coefficients A^k_ij mean: the derivative of e_j along e_i has
-component A^k_ij on e_k.  Component functions of tensors are constant on the
-frame (left invariance), so all directional-derivative terms vanish and the
-Koszul formula reduces to bracket/metric pairings.
+component A^k_ij on e_k.  A connection stores them as one ``ddu`` Tensor
+with A^k_ij at index (i, j, k), and computations on them go through the
+slot and matrix routines of ``tensors``.  Component functions of tensors are
+constant on the frame (left invariance), so all directional-derivative terms
+vanish and the Koszul formula reduces to bracket/metric pairings.
 """
 
 from __future__ import annotations
@@ -24,37 +26,28 @@ CLASS_OUTSIDE = "outside-implemented-classes"
 @dataclass
 class Connection:
     frame: FrameAlgebra
-    coeffs: list  # coeffs[i][j][k] = A^k_ij
-
-    @classmethod
-    def from_tensor(cls, fa: FrameAlgebra, t: Tensor) -> "Connection":
-        """The connection with A^k_ij = t[i, j, k]."""
-        n = fa.dim
-        rows = [t.comps[k:k + n] for k in range(0, n ** 3, n)]
-        return cls(fa, [rows[i * n:(i + 1) * n] for i in range(n)])
+    coeffs: Tensor  # ddu coefficient Tensor, A^k_ij at (i, j, k)
 
     def torsion_tensor(self) -> Tensor:
         """Lowered torsion of the connection (antisymmetric in the first pair)."""
-        a = coefficient_tensor(self.coeffs)
+        a = self.coeffs
         t = a - arranged(a, "y,x,z") - coefficient_tensor(self.frame.c)
         return t.lower_slot(2, self.frame.g)
+
+    def direction_matrices(self) -> list:
+        """K_i = (A^s_ij)_{j,s} for each direction i, as row slices of coeffs."""
+        n, a = self.frame.dim, self.coeffs.comps
+        return [[a[(i * n + j) * n:(i * n + j + 1) * n] for j in range(n)]
+                for i in range(n)]
 
     def metric_witnesses(self, label: str) -> list:
         """Nonzero g(nabla_i e_j, e_k) + g(e_j, nabla_i e_k) for j <= k, as
         witnesses with expected zero and the negated sum; none when metric."""
-        fa, a = self.frame, self.coeffs
-        n = fa.dim
-        zero = Scalar.zero(fa.params)
-        out = []
-        for i in range(n):
-            for j in range(n):
-                for k in range(j, n):
-                    acc = zero
-                    for s in range(n):
-                        acc = acc + a[i][j][s] * fa.g[s][k] + a[i][k][s] * fa.g[j][s]
-                    if not acc.is_zero:
-                        out.append(Witness((i + 1, j + 1, k + 1), zero, -acc, label))
-        return out
+        low = self.coeffs.lower_slot(2, self.frame.g)
+        zero = Scalar.zero(self.frame.params)
+        return [Witness(tuple(k + 1 for k in idx), zero, -value, label)
+                for idx, value in (low + arranged(low, "x,z,y")).nonzero()
+                if idx[1] <= idx[2]]
 
 
 @dataclass
@@ -70,24 +63,14 @@ def levi_civita(fa: FrameAlgebra) -> Connection:
     # g([e_i, e_j], e_k), then the Koszul sum at (i, j, k)
     pair = coefficient_tensor(fa.c).lower_slot(2, fa.g)
     kos = pair + arranged(pair, "z,x,y") + arranged(pair, "z,y,x")
-    coeffs = kos.raise_slot(2, fa.metric_inv).scale(Fraction(1, 2))
-    return Connection.from_tensor(fa, coeffs)
+    return Connection(fa, kos.raise_slot(2, fa.metric_inv).scale(Fraction(1, 2)))
 
 
 def nabla_p_components(fa: FrameAlgebra, conn: Connection) -> Tensor:
     """Covariant derivative of the product structure: (nabla_i P) e_j has
     component s at index (i, j, s)."""
-    n = fa.dim
     a = conn.coeffs
-
-    def comp(idx):
-        i, j, s = idx
-        acc = Scalar.zero(fa.params)
-        for m in range(n):
-            acc = acc + fa.p[m][j] * a[i][m][s] - a[i][j][m] * fa.p[s][m]
-        return acc
-
-    return Tensor.build(n, "ddu", fa.params, comp)
+    return a.map_slot(fa.p, 1) - a.map_slot(fa.p, 2)
 
 
 @memo
@@ -133,26 +116,9 @@ def curvature(conn: Connection):
     """Curvature (0,4) tensor, Ricci tensor and scalar curvature of conn."""
     fa = conn.frame
     n = fa.dim
-    a = conn.coeffs
-    zero = Scalar.zero(fa.params)
-    # K[i] is the matrix (A^s_ij)_{j,s}
-    k_mats = [[[a[i][j][s] for s in range(n)] for j in range(n)] for i in range(n)]
+    k_mats = conn.direction_matrices()
 
-    comps = [zero] * n ** 4
-
-    def store(i, j, mat):
-        # lower the output slot and write both (i,j) and (j,i) blocks
-        for k in range(n):
-            for l in range(n):
-                acc = zero
-                for s in range(n):
-                    if not mat[k][s].is_zero:
-                        acc = acc + mat[k][s] * fa.g[s][l]
-                off = ((i * n + j) * n + k) * n + l
-                off_swap = ((j * n + i) * n + k) * n + l
-                comps[off] = acc
-                comps[off_swap] = -acc
-
+    comps = [Scalar.zero(fa.params)] * n ** 4
     for i in range(n):
         for j in range(i + 1, n):
             term = mat_mul(k_mats[j], k_mats[i])
@@ -166,7 +132,12 @@ def curvature(conn: Connection):
                     for col in range(n):
                         if not k_mats[m][r][col].is_zero:
                             mat[r][col] = mat[r][col] - cm * k_mats[m][r][col]
-            store(i, j, mat)
+            # lower the output slot and write both (i,j) and (j,i) blocks
+            low = mat_mul(mat, fa.g)
+            for k in range(n):
+                for l in range(n):
+                    comps[((i * n + j) * n + k) * n + l] = low[k][l]
+                    comps[((j * n + i) * n + k) * n + l] = -low[k][l]
 
     riemann = Tensor(n, "dddd", fa.params, comps)
     ricci = tensor_contract(riemann, 0, 3, fa.metric_inv)

@@ -57,6 +57,9 @@ class Tensor:
     def __getitem__(self, idx) -> Scalar:
         if isinstance(idx, int):
             idx = (idx,)
+        if len(idx) != self.rank or not all(0 <= k < self.dim for k in idx):
+            raise IndexError("index %s does not address a component of a rank-%d "
+                             "tensor of dimension %d" % (idx, self.rank, self.dim))
         return self.comps[self._offset(idx)]
 
     def indices(self):
@@ -163,7 +166,7 @@ class Tensor:
 
 def coefficient_tensor(nested: list) -> Tensor:
     """Tensor holding nested[i][j][k] at (i, j, k), for a dim x dim x dim array
-    such as structure constants c^k_ij or connection coefficients A^k_ij."""
+    such as the structure constants c^k_ij."""
     comps = [x for row in nested for cell in row for x in cell]
     return Tensor(len(nested), "ddu", comps[0].params, comps)
 

@@ -78,20 +78,30 @@ def rpt_curvature_p_tensor(pack: ConnectionPack) -> TheoremResult:
     return check_p_tensor(curvature(pack.rpt)[0], pack.frame)
 
 
+@memo
+def curvature_defect(pack: ConnectionPack) -> Tensor:
+    """R - R' + b/4 + sigma/4 for the Levi-Civita curvature R and the
+    skew-torsion curvature R'; it vanishes exactly when the torsion is
+    parallel.  Computed once per pack."""
+    r, rp = curvature(pack.nabla)[0], curvature(pack.rpt)[0]
+    quarter = Fraction(1, 4)
+    return r - rp + pack.torsion_products().scale(quarter) \
+        + pack.torsion_form_square().scale(quarter)
+
+
 def verify_curvature_relation(fa: FrameAlgebra, pack: ConnectionPack) -> TheoremResult:
     """Relations between the curvatures, Ricci tensors and scalar curvatures
     of the Levi-Civita and the skew-torsion connection."""
-    r, rho, tau = curvature(pack.nabla)
-    rp, rhop, taup = curvature(pack.rpt)
+    _, rho, tau = curvature(pack.nabla)
+    _, rhop, taup = curvature(pack.rpt)
     d = pack.torsion_derivative()
     b = pack.torsion_products()
-    sigma = pack.torsion_form_square()
     ginv = fa.metric_inv
 
     witnesses = []
-    expected_r = rp - d.scale(Fraction(1, 2)) + arranged(d, "y,x,z,w").scale(Fraction(1, 2)) \
-        - b.scale(Fraction(1, 4)) - sigma.scale(Fraction(1, 4))
-    witnesses += tensor_witnesses(r - expected_r, "curvature-relation")
+    # R - (R' - d/2 + d(y,x,z,w)/2 - b/4 - sigma/4)
+    diff = curvature_defect(pack) + (d - arranged(d, "y,x,z,w")).scale(Fraction(1, 2))
+    witnesses += tensor_witnesses(diff, "curvature-relation")
 
     expected_rho = rhop - tensor_contract(d, 0, 3, ginv).scale(Fraction(1, 2)) \
         - tensor_contract(b, 0, 3, ginv).scale(Fraction(1, 4))
@@ -182,7 +192,7 @@ def verify_parallel_torsion(fa: FrameAlgebra, pack: ConnectionPack) -> TheoremRe
     sigma = pack.torsion_form_square()
 
     parallel = d.is_zero
-    defect = r - rp + b.scale(Fraction(1, 4)) + sigma.scale(Fraction(1, 4))
+    defect = curvature_defect(pack)
     relation = defect.is_zero
     witnesses = []
     details = {"parallel": str(parallel).lower(), "relation": str(relation).lower()}

@@ -6,6 +6,7 @@ they stay independent of the geometry code paths they are used to check.
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -113,6 +114,61 @@ def nabla_p_killing_oracle(fa, i, j):
     total = vec_sub(bracket_vec(fa, pei, ej),
                     apply_p(fa, bracket_vec(fa, pei, apply_p(fa, ej))))
     return vec_scale(total, Scalar.constant(fa.params, Fraction(1, 2)))
+
+
+def metric_witness_oracle(conn):
+    """(1-based index, value) for every i, j <= k where
+    g(nabla_i e_j, e_k) + g(e_j, nabla_i e_k) is nonzero."""
+    fa = conn.frame
+    n = fa.dim
+
+    def nabla(i, j):
+        return [conn.coeffs[i, j, s] for s in range(n)]
+
+    out = []
+    for i in range(n):
+        for j in range(n):
+            for k in range(j, n):
+                val = inner(fa, nabla(i, j), basis_vec(fa, k)) \
+                    + inner(fa, basis_vec(fa, j), nabla(i, k))
+                if not val.is_zero:
+                    out.append(((i + 1, j + 1, k + 1), val))
+    return out
+
+
+def covariant_derivative_oracle(conn, t: Tensor) -> Tensor:
+    """Entry by entry: (nabla_i t)(e_j1, ..) is minus the sum over slots m
+    and s of A^s_{i j_m} t(.., e_s in slot m, ..)."""
+    fa = conn.frame
+    n = fa.dim
+    comps = []
+    for idx in itertools.product(range(n), repeat=t.rank + 1):
+        i, rest = idx[0], idx[1:]
+        acc = Scalar.zero(fa.params)
+        for m in range(t.rank):
+            for s in range(n):
+                coef = conn.coeffs[i, rest[m], s]
+                if not coef.is_zero:
+                    acc = acc - coef * t[rest[:m] + (s,) + rest[m + 1:]]
+        comps.append(acc)
+    return Tensor(n, "d" * (t.rank + 1), fa.params, comps)
+
+
+def torsion_products_oracle(t: Tensor, fa) -> Tensor:
+    """Entry by entry: b(e_i, e_j, e_k, e_l) = g(T(e_i, e_j), T(e_k, e_l)),
+    pairing the raised torsion vector of (e_i, e_j) with the lowered
+    torsion of (e_k, e_l)."""
+    n = fa.dim
+    ginv = mat_inv(fa.g)
+    zero = Scalar.zero(fa.params)
+    # the vector T(e_i, e_j) has component a equal to sum_c t[i, j, c] g^ca
+    vecs = {}
+    for i, j in itertools.product(range(n), repeat=2):
+        vecs[i, j] = [sum((t[i, j, c] * ginv[c][a] for c in range(n)), zero)
+                      for a in range(n)]
+    comps = [sum((vecs[i, j][a] * t[k, l, a] for a in range(n)), zero)
+             for i, j, k, l in itertools.product(range(n), repeat=4)]
+    return Tensor(n, "dddd", fa.params, comps)
 
 
 def cyclic_sum_oracle(t: Tensor, slots):

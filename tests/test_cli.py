@@ -47,6 +47,16 @@ def test_output_matches_frozen_fixture(name, tmp_path, capsys):
     assert out == (FIXTURES / name).read_text(encoding="utf-8")
 
 
+def test_validate_matches_frozen_fixture(tmp_path, capsys):
+    # the single-bracket frame is valid but its associated metric is not a
+    # Killing metric, so validate reports the Killing witnesses and exits 1
+    path = tmp_path / "single_bracket.json"
+    save_spec(single_bracket_frame(), path)
+    code, out, _ = run_cli(["validate", str(path), "--format", "json"], capsys)
+    assert code == 1
+    assert out == (FIXTURES / "validate_single_bracket.json").read_text(encoding="utf-8")
+
+
 # ---------------------------------------------------------------------------
 # invalid frames stop at the structural report
 
@@ -122,6 +132,24 @@ def test_usage_and_input_errors_exit_two(tmp_path, capsys):
         assert out == "" and err, argv
 
 
+@pytest.mark.parametrize("field", ["brackets[0].result[\u00b2]", "brackets[0].left",
+                                   "brackets[0].right"])
+def test_malformed_bracket_exits_two(field, tmp_path, capsys):
+    # a superscript digit passes str.isdigit but not int(); a JSON true is a
+    # Python int but not an index
+    data = json.loads(Path(SPEC).read_text(encoding="utf-8"))
+    bracket = data["brackets"][0]
+    if field.endswith("]"):
+        bracket["result"]["\u00b2"] = "1"
+    else:
+        bracket[field.split(".")[1]] = True
+    path = tmp_path / "frame.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    code, out, err = run_cli(["validate", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: %s: " % field)
+
+
 def test_unwritable_json_path_exits_two(tmp_path, capsys):
     code, _, err = run_cli(["validate", SPEC, "--json", str(tmp_path)], capsys)
     assert code == 2
@@ -185,20 +213,31 @@ def _mutated_golden(tmp_path, name, count):
     return golden, [[int(k) for k in key.split(",")] for key in keys]
 
 
+# a wrong rank per table: not an int, a bool, an int other than the tensor rank
+_BAD_RANKS = {"torsion": "x", "connection": True, "curvature": 3}
+
+
 @pytest.mark.parametrize("name, field", [("curvature", "entries"),
                                          ("scalars", "invalid JSON"),
                                          ("scalars", "entries[foo]"),
-                                         ("curvature", "symmetry")])
+                                         ("curvature", "symmetry"),
+                                         ("torsion", "entries[1,2,9]"),
+                                         ("torsion", "entries[1,2]"),
+                                         ("torsion", "rank"),
+                                         ("connection", "rank"),
+                                         ("curvature", "rank")])
 def test_malformed_golden_table_exits_two(name, field, tmp_path, capsys):
     golden = _copied_golden(tmp_path)
     table = golden / ("%s.json" % name)
     data = json.loads(table.read_text(encoding="utf-8"))
     if field == "entries":
         del data["entries"]
-    elif field == "entries[foo]":  # a scalar name the report does not compute
-        data["entries"]["foo"] = "1"
+    elif field.startswith("entries["):  # a name or index the report never computes
+        data["entries"][field[len("entries["):-1]] = "1"
     elif field == "symmetry":
         data["symmetry"] = "bogus"
+    elif field == "rank":
+        data["rank"] = _BAD_RANKS[name]
     table.write_text("{" if field == "invalid JSON" else json.dumps(data), encoding="utf-8")
     code, out, err = run_cli(["example", "--lambda=1,2,3,4", "--golden", str(golden)],
                              capsys)

@@ -4,16 +4,21 @@ from fractions import Fraction
 
 import pytest
 
-from rptgeo import (NotW3Error, Scalar, Tensor, alternate, arranged,
+from rptgeo import (Connection, NotW3Error, Scalar, Tensor, alternate, arranged,
                     build_example, covariant_derivative, curvature, cyclic_sum,
                     fundamental_F, levi_civita, natural_check,
-                    parse_expression, rpt_connection, rpt_torsion, sigma_T)
+                    parse_expression, rpt_connection, rpt_torsion, sigma_T,
+                    torsion_inner_products)
 
-from helpers import (apply_p, basis_vec, bracket_vec, inner, random_frames,
-                     single_bracket_frame, vec_add, vec_scale, vec_sub)
+from helpers import (apply_p, basis_vec, bracket_vec, covariant_derivative_oracle,
+                     inner, metric_witness_oracle, random_frames,
+                     single_bracket_frame, torsion_products_oracle, vec_add,
+                     vec_scale, vec_sub)
 
 SYM = build_example()
 PACK = rpt_connection(SYM)
+# the full battery: 4-dim conjugates, 8-dim block sums and dense-P conjugates
+RANDOM = random_frames()
 
 
 def S(text):
@@ -43,8 +48,8 @@ def test_torsion_totally_skew_on_random_frames():
 
 
 def test_connection_paper_values():
-    assert [str(s) for s in PACK.rpt.coeffs[0][1]] == ["l1", "0", "-l3", "0"]
-    assert [str(s) for s in PACK.rpt.coeffs[1][1]] == ["l2", "0", "-l4", "0"]
+    assert [str(PACK.rpt.coeffs[0, 1, k]) for k in range(4)] == ["l1", "0", "-l3", "0"]
+    assert [str(PACK.rpt.coeffs[1, 1, k]) for k in range(4)] == ["l2", "0", "-l4", "0"]
 
 
 def test_parallel_case_collapses_to_levi_civita():
@@ -80,7 +85,7 @@ def test_shortcut_identities_from_brackets():
                 assert PACK.T[i, j, k] == inner(fa, t_vec, basis_vec(fa, k))
             conn_vec = vec_add(bracket_vec(fa, ei, ej),
                                apply_p(fa, bracket_vec(fa, ei, apply_p(fa, ej))))
-            assert PACK.rpt.coeffs[i][j] == conn_vec
+            assert [PACK.rpt.coeffs[i, j, k] for k in range(4)] == conn_vec
 
 
 def test_bracket_product_four_term_identity():
@@ -205,7 +210,7 @@ def test_covariant_derivative_oracle_entry():
                         total = total + u[a] * v[b] * w[c] * PACK.T[a, b, c]
         return total
     x1, x4, x3 = basis_vec(fa, 0), basis_vec(fa, 3), basis_vec(fa, 2)
-    n2 = PACK.rpt.coeffs[1]
+    n2 = [[PACK.rpt.coeffs[1, j, k] for k in range(4)] for j in range(4)]
     val = -(t_at(n2[0], x4, x3) + t_at(x1, n2[3], x3) + t_at(x1, x4, n2[2]))
     assert d[1, 0, 3, 2] == val
 
@@ -228,3 +233,29 @@ def test_derived_geometry_is_computed_once():
     assert pack.torsion_derivative() is pack.torsion_derivative()
     assert pack.torsion_products() is pack.torsion_products()
     assert pack.torsion_form_square() is pack.torsion_form_square()
+
+
+def test_covariant_derivative_matches_oracle_on_random_frames():
+    for fa in RANDOM:
+        pack = rpt_connection(fa)
+        assert covariant_derivative(fa, pack.rpt, pack.T) == \
+            covariant_derivative_oracle(pack.rpt, pack.T)
+
+
+def test_torsion_inner_products_match_oracle_on_random_frames():
+    for fa in RANDOM:
+        t = rpt_connection(fa).T
+        assert torsion_inner_products(t, fa) == torsion_products_oracle(t, fa)
+
+
+def test_metric_witnesses_of_a_non_metric_connection_match_oracle():
+    # Levi-Civita with A^3_12 raised by one: nonzero sums on both sides of j = k
+    for fa in RANDOM:
+        lc = levi_civita(fa).coeffs
+        bumped = Connection(fa, Tensor.build(
+            fa.dim, "ddu", fa.params, lambda idx: lc[idx] + (1 if idx == (0, 1, 2) else 0)))
+        witnesses = bumped.metric_witnesses("metric")
+        assert witnesses
+        assert all(w.expected.is_zero and w.label == "metric" for w in witnesses)
+        assert [(w.index, w.actual) for w in witnesses] == \
+            [(idx, -value) for idx, value in metric_witness_oracle(bumped)]

@@ -1,6 +1,7 @@
 """Frame validation, the Killing condition, and spec-file round trips."""
 
 import json
+import random
 
 import pytest
 
@@ -98,6 +99,18 @@ def test_killing_failure_witness():
     assert not report.passed
     assert any(w.index == (1, 2, 1) for w in report.witnesses)
     assert (0, 1, 0) in killing_oracle(fa)
+
+
+def test_killing_witnesses_match_oracle():
+    base = single_bracket_frame()
+    conj = conjugate(base, random_unimodular(random.Random(3), 4, ()))
+    assert validate(conj).passed
+    assert conj.p != swap_product_matrix(4, ())
+    for fa in (base, conj):
+        witnesses = killing_check(fa).witnesses
+        assert witnesses
+        assert [w.index for w in witnesses] == \
+            [tuple(k + 1 for k in idx) for idx in killing_oracle(fa)]
 
 
 def test_killing_preserved_by_conjugation():

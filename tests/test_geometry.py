@@ -26,15 +26,15 @@ def S(text):
 def test_abelian_connection_vanishes():
     fa = build_example((0, 0, 0, 0))
     lc = levi_civita(fa)
-    assert all(s.is_zero for row in lc.coeffs for cell in row for s in cell)
+    assert all(s.is_zero for s in lc.coeffs.comps)
 
 
 def test_connection_value_from_shortcut_oracle():
     # the bracket shortcut is valid under the Killing condition
-    assert [str(s) for s in LC.coeffs[0][0]] == ["0", "-l1", "0", "l3"]
+    assert [str(LC.coeffs[0, 0, k]) for k in range(4)] == ["0", "-l1", "0", "l3"]
     for i in range(4):
         for j in range(4):
-            assert LC.coeffs[i][j] == koszul_killing_oracle(SYM, i, j)
+            assert [LC.coeffs[i, j, k] for k in range(4)] == koszul_killing_oracle(SYM, i, j)
 
 
 def test_koszul_invariants_on_random_frames():
@@ -45,8 +45,8 @@ def test_koszul_invariants_on_random_frames():
         for i in range(n):
             for j in range(n):
                 for k in range(n):
-                    lhs = inner(fa, lc.coeffs[i][j], basis_vec(fa, k)) \
-                        + inner(fa, basis_vec(fa, j), lc.coeffs[i][k])
+                    lhs = inner(fa, [lc.coeffs[i, j, s] for s in range(n)], basis_vec(fa, k)) \
+                        + inner(fa, basis_vec(fa, j), [lc.coeffs[i, k, s] for s in range(n)])
                     assert lhs.is_zero
 
 

@@ -58,6 +58,14 @@ def test_contract_with_metric_matches_manual_sum():
     assert out[()] == manual
 
 
+def test_indexing_takes_one_in_range_index_per_slot():
+    t = tensor_from_ints("ddu", range(64))
+    assert t[0, 1, 2] == C(6)
+    for idx in ((0, 1), 1, (0, 0, 4), (0, -1, 0), (0, 0, 0, 0)):
+        with pytest.raises(IndexError):
+            t[idx]
+
+
 def test_transpose_semantics():
     t = tensor_from_ints("ddd", range(64))
     swapped = t.transpose((1, 0, 2))
