@@ -4,6 +4,12 @@ Exit codes are a stable contract: 0 when every applicable check passed,
 1 when a check failed, 2 for usage, schema, parse or file errors.  A frame
 that fails structural validation gets a report of class ``invalid`` holding
 only the ``frame-structure`` entry, and exit 1, from every command.
+
+Every command validates the frame in the user's basis and then runs every
+geometry stage and check suite on its adapted frame (``adapted_frame``,
+P = diag(I, -I)).  Checks decide whether tensors vanish and the scalars are
+invariants, so neither depends on the basis; the report sections, the golden
+comparisons and the witnesses are pulled back to the user's basis.
 """
 
 from __future__ import annotations
@@ -17,8 +23,8 @@ from .connections import NotW3Error, rpt_connection
 from .example import (build_example, compare_connection, compare_scalars,
                       compare_tensor, family_parameters, golden_tables,
                       _sub_map)
-from .frames import (CheckReport, FrameAlgebra, SchemaError, killing_check,
-                     load_spec, spec_digest, validate)
+from .frames import (CheckReport, FrameAlgebra, SchemaError, adapted_frame,
+                     killing_check, load_spec, spec_digest, validate)
 from .geometry import (classify, curvature, fundamental_F, levi_civita,
                        square_norm, square_norm_nabla_P, torsion_projections)
 from .parser import ParseError
@@ -160,8 +166,9 @@ def _load_frame(args) -> FrameAlgebra:
     return fa
 
 
-def _tensor_lines(t: Tensor, symbol: str) -> list:
-    entries = t.nonzero()
+def _tensor_lines(fa: FrameAlgebra, t: Tensor, symbol: str) -> list:
+    """Nonzero components of a tensor on fa, in the user's basis."""
+    entries = fa.to_user(t).nonzero()
     if not entries:
         return ["(all components zero)"]
     return ["%s[%s] = %s" % (symbol, ",".join(str(k + 1) for k in idx), value)
@@ -203,33 +210,40 @@ def _add_scalars(report: Report, fa: FrameAlgebra) -> dict:
     return scalars
 
 
+def _add_sections(report: Report, af: FrameAlgebra):
+    """The sections only the text rendering prints."""
+    report.sections.append(("structure tensor F (nonzero components)",
+                            _tensor_lines(af, fundamental_F(af), "F")))
+    report.sections.append(("Levi-Civita connection coefficients",
+                            _tensor_lines(af, levi_civita(af).coeffs, "nabla")))
+    try:
+        pack = rpt_connection(af)
+    except NotW3Error as exc:
+        report.sections.append(("skew-torsion connection", ["skipped: %s" % exc]))
+        return
+    report.sections.append(("skew torsion T (nonzero components)",
+                            _tensor_lines(af, pack.T, "T")))
+    report.sections.append(("skew-torsion connection coefficients",
+                            _tensor_lines(af, pack.rpt.coeffs, "nabla'")))
+    proj = torsion_projections(pack.T, af)
+    lines = ["|p%d|^2 = %s" % (pos + 1, square_norm(p, af))
+             for pos, p in enumerate(proj)]
+    report.sections.append(("torsion projection square norms", lines))
+    ptensor = rpt_curvature_p_tensor(pack).conclusion_holds
+    report.sections.append(("curvature of the skew-torsion connection",
+                            ["is a P-tensor: %s" % str(ptensor).lower()]))
+
+
 def cmd_report(args) -> int:
     fa = _load_frame(args)
     structure = validate(fa)
     if not structure.passed:
         return _emit_invalid(fa, structure, args)
-    report = Report(spec_digest(fa), classify(fa).label)
-    _add_scalars(report, fa)
-    report.sections.append(("structure tensor F (nonzero components)",
-                            _tensor_lines(fundamental_F(fa), "F")))
-    report.sections.append(("Levi-Civita connection coefficients",
-                            _tensor_lines(levi_civita(fa).coeffs, "nabla")))
-    try:
-        pack = rpt_connection(fa)
-        report.sections.append(("skew torsion T (nonzero components)",
-                                _tensor_lines(pack.T, "T")))
-        report.sections.append(("skew-torsion connection coefficients",
-                                _tensor_lines(pack.rpt.coeffs, "nabla'")))
-        proj = torsion_projections(pack.T, fa)
-        lines = ["|p%d|^2 = %s" % (pos + 1, square_norm(p, fa))
-                 for pos, p in enumerate(proj)]
-        report.sections.append(("torsion projection square norms", lines))
-        ptensor = rpt_curvature_p_tensor(pack).conclusion_holds
-        report.sections.append(("curvature of the skew-torsion connection",
-                                ["is a P-tensor: %s" % str(ptensor).lower()]))
-    except NotW3Error as exc:
-        report.sections.append(("skew-torsion connection",
-                                ["skipped: %s" % exc]))
+    af = adapted_frame(fa)
+    report = Report(spec_digest(fa), classify(af).label)
+    _add_scalars(report, af)
+    if args.format == "text":
+        _add_sections(report, af)
     report.add_checks([structure])
     return _emit(report, args)
 
@@ -247,9 +261,10 @@ def cmd_check(args) -> int:
     structure = validate(fa)
     if not structure.passed:
         return _emit_invalid(fa, structure, args)
-    report = Report(spec_digest(fa), classify(fa).label)
-    report.add_checks(_SUITES[args.suite](fa))
-    _add_scalars(report, fa)
+    af = adapted_frame(fa)
+    report = Report(spec_digest(fa), classify(af).label)
+    report.add_checks(_SUITES[args.suite](af))
+    _add_scalars(report, af)
     return _emit(report, args)
 
 
@@ -261,22 +276,28 @@ def cmd_example(args) -> int:
         fa = build_example(values)
     else:
         fa = build_example()
-    report = Report(spec_digest(fa), classify(fa).label)
-    pack = rpt_connection(fa)
+    structure = validate(fa)
+    if not structure.passed:
+        return _emit_invalid(fa, structure, args)
+    af = adapted_frame(fa)
+    report = Report(spec_digest(fa), classify(af).label)
+    pack = rpt_connection(af)
     tables = golden_tables(args.golden)
     convert = _sub_map(fa, tables["torsion"].params, family_parameters(fa))
-    rp, _, _ = curvature(pack.rpt)
-    d = pack.torsion_derivative()
-    scalars = _add_scalars(report, fa)
+    user = af.to_user
+    scalars = _add_scalars(report, af)
     comparisons = [
-        compare_tensor("torsion", pack.T, tables["torsion"], convert),
-        compare_connection("connection", pack.rpt.coeffs, tables["connection"], convert),
-        compare_tensor("curvature", rp, tables["curvature"], convert),
-        compare_tensor("torsion_derivative", d, tables["torsion_derivative"], convert),
+        compare_tensor("torsion", user(pack.T), tables["torsion"], convert),
+        compare_connection("connection", user(pack.rpt.coeffs), tables["connection"],
+                           convert),
+        compare_tensor("curvature", user(curvature(pack.rpt)[0]), tables["curvature"],
+                       convert),
+        compare_tensor("torsion_derivative", user(pack.torsion_derivative()),
+                       tables["torsion_derivative"], convert),
         compare_scalars(scalars, tables["scalars"], convert),
     ]
     report.add_checks(comparisons)
-    report.add_checks(run_all(fa))
+    report.add_checks(run_all(af))
     return _emit(report, args)
 
 

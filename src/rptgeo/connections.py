@@ -1,9 +1,12 @@
 """Natural connections with totally skew-symmetric torsion.
 
-Builds the unique skew-torsion natural connection on a frame in the
-skew-cyclic class, together with the canonical connection and the
-P-connection, the torsion 3-form, the quadratic torsion 4-form and
-covariant derivatives.
+Builds the skew-torsion natural connection on a frame in the skew-cyclic
+class, together with the canonical connection and the P-connection, the
+torsion 3-form, the quadratic torsion 4-form and covariant derivatives.
+The connection is unique in dimension 4.  From dimension 6 on, adding a
+3-form that lives on one eigenspace of P (in Lambda^3 V+ + Lambda^3 V-) to
+its torsion gives another natural connection with skew torsion;
+``rpt_connection`` builds the one whose torsion has no such part.
 """
 
 from __future__ import annotations
@@ -92,7 +95,7 @@ def rpt_connection(fa: FrameAlgebra) -> ConnectionPack:
 
 def natural_check(fa: FrameAlgebra, conn: Connection) -> CheckReport:
     """Whether the connection leaves both the metric and the product parallel."""
-    witnesses = tensor_witnesses(nabla_p_components(fa, conn), "product-parallel")
+    witnesses = tensor_witnesses(fa, nabla_p_components(fa, conn), "product-parallel")
     witnesses += conn.metric_witnesses("metric-parallel")
     return CheckReport("natural-connection", not witnesses, witnesses)
 

@@ -98,49 +98,42 @@ class GoldenTable:
     rank: int
     symmetry: str
     params: tuple
-    entries: dict  # 1-based index tuple -> Scalar, independent components
+    entries: dict  # canonical 1-based index tuple -> Scalar, one per orbit
 
     def dense(self, dim: int = 4) -> dict:
         """All index tuples, expanded by the stated symmetry; unlisted zero."""
-        canon = {}
-        for idx, value in self.entries.items():
-            key, sign = self._canonical(idx)
-            value = value if sign > 0 else -value
-            if key in canon and canon[key] != value:
-                raise ValueError("golden table %s: conflicting entries at %s"
-                                 % (self.name, (idx,)))
-            canon[key] = value
         zero = Scalar.zero(self.params)
         out = {}
         for idx in itertools.product(range(1, dim + 1), repeat=self.rank):
-            key, sign = self._canonical(idx)
-            if key is None or key not in canon:
+            key, sign = _canonical(self.symmetry, idx)
+            if key is None or key not in self.entries:
                 out[idx] = zero
             else:
-                out[idx] = canon[key] if sign > 0 else -canon[key]
+                out[idx] = self.entries[key] if sign > 0 else -self.entries[key]
         return out
 
-    def _canonical(self, idx):
-        if self.symmetry == "none":
-            return idx, 1
-        if self.symmetry == "skew":
-            return _sort_signed(idx)
-        if self.symmetry == "skew-last-three":
-            key, sign = _sort_signed(idx[1:])
-            if key is None:
-                return None, 1
-            return (idx[0],) + key, sign
-        if self.symmetry == "pair-skew":
-            i, j, k, l = idx
-            if i == j or k == l:
-                return None, 1
-            sign = 1
-            if i > j:
-                i, j, sign = j, i, -sign
-            if k > l:
-                k, l, sign = l, k, -sign
-            return (i, j, k, l), sign
-        raise ValueError("unknown symmetry '%s'" % self.symmetry)
+
+def _canonical(symmetry: str, idx: tuple):
+    """The representative of idx under the symmetry and the sign relating
+    them; None for a component the symmetry makes zero."""
+    if symmetry == "none":
+        return idx, 1
+    if symmetry == "skew":
+        return _sort_signed(idx)
+    if symmetry == "skew-last-three":
+        key, sign = _sort_signed(idx[1:])
+        if key is None:
+            return None, 1
+        return (idx[0],) + key, sign
+    i, j, k, l = idx  # pair-skew
+    if i == j or k == l:
+        return None, 1
+    sign = 1
+    if i > j:
+        i, j, sign = j, i, -sign
+    if k > l:
+        k, l, sign = l, k, -sign
+    return (i, j, k, l), sign
 
 
 def _sort_signed(idx):
@@ -175,14 +168,24 @@ def _load_table(path: Path, rank: int) -> GoldenTable:
     symmetry = data.get("symmetry", "none")
     _expect(symmetry in SYMMETRIES, "%s: symmetry" % path,
             "expected one of %s" % ", ".join(SYMMETRIES))
-    entries = {}
+    _expect(symmetry != "pair-skew" or rank == 4, "%s: symmetry" % path,
+            "pair-skew needs a rank-4 table")
+    entries, first = {}, {}
     for key, value in raw.items():
+        field = "%s: entries[%s]" % (path, key)
         parts = key.split(",")
         _expect(len(parts) == rank and
                 all(part.isdecimal() and 1 <= int(part) <= 4 for part in parts),
-                "%s: entries[%s]" % (path, key),
-                "expected %d comma-separated indices in 1..4" % rank)
-        entries[tuple(int(part) for part in parts)] = value
+                field, "expected %d comma-separated indices in 1..4" % rank)
+        idx, sign = _canonical(symmetry, tuple(int(part) for part in parts))
+        _expect(idx is not None or value.is_zero, field,
+                "the %s symmetry makes this component zero" % symmetry)
+        if idx is None:
+            continue
+        value = value if sign > 0 else -value
+        _expect(entries.setdefault(idx, value) == value, field,
+                "conflicts with entries[%s]" % first.get(idx))
+        first.setdefault(idx, key)
     return GoldenTable(data["name"], rank, symmetry, tuple(data["parameters"]), entries)
 
 

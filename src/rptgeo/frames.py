@@ -10,12 +10,13 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property, wraps
 
 from .parser import ParseError, parse_expression
 from .scalars import Scalar
 from .tensors import (Tensor, arranged, coefficient_tensor, mat_det, mat_eq,
-                      mat_identity, mat_inv, mat_mul, mat_transpose)
+                      mat_identity, mat_inv, mat_mul, mat_transpose, row_reduce)
 
 
 class SchemaError(ValueError):
@@ -49,11 +50,14 @@ class CheckReport:
 _WITNESS_CAP = 16
 
 
-def tensor_witnesses(t: Tensor, label: str) -> list:
-    """One witness per nonzero component of a tensor that should vanish."""
+def tensor_witnesses(fa: FrameAlgebra, t: Tensor, label: str) -> list:
+    """One witness per nonzero component of a tensor on fa that should
+    vanish, indexed in the user's basis.  A zero tensor is never pulled back."""
+    if t.is_zero:
+        return []
     zero = Scalar.zero(t.params)
     return [Witness(tuple(k + 1 for k in idx), zero, value, label)
-            for idx, value in t.nonzero()]
+            for idx, value in fa.to_user(t).nonzero()]
 
 
 def capped_report(name: str, witnesses: list, notes=()) -> CheckReport:
@@ -122,6 +126,15 @@ class FrameAlgebra:
                 and self.c == other.c and mat_eq(self.g, other.g)
                 and mat_eq(self.p, other.p))
 
+    @property
+    def user(self) -> "FrameAlgebra":
+        """This frame in the basis the user gave it."""
+        return self
+
+    def to_user(self, t: Tensor) -> Tensor:
+        """A tensor on this frame in the user's basis."""
+        return t
+
     def substitute(self, values) -> "FrameAlgebra":
         """Evaluate every entry at the given parameter values (empty context)."""
 
@@ -132,6 +145,82 @@ class FrameAlgebra:
         g = [[sub(s) for s in row] for row in self.g]
         p = [[sub(s) for s in row] for row in self.p]
         return FrameAlgebra(self.dim, (), c, g, p)
+
+
+class RebasedFrame(FrameAlgebra):
+    """A frame rewritten in another basis by ``change_basis``; it keeps the
+    frame it came from, the matrix s whose columns are the new basis vectors
+    in the old basis, and s_inv."""
+
+    def __init__(self, source: FrameAlgebra, s: list, s_inv: list, c, g, p):
+        super().__init__(source.dim, source.params, c, g, p)
+        self.source = source
+        self.s = s
+        self.s_inv = s_inv
+
+    @property
+    def user(self) -> FrameAlgebra:
+        return self.source.user
+
+    def to_user(self, t: Tensor) -> Tensor:
+        # covariant components pull back through s^-1, contravariant ones
+        # through s
+        for slot, v in enumerate(t.variance):
+            t = t.map_slot(self.s_inv if v == "d" else self.s, slot)
+        return self.source.to_user(t)
+
+
+def change_basis(fa: FrameAlgebra, s: list) -> RebasedFrame:
+    """fa in the basis given by the columns of the invertible matrix s.
+
+    Frames are left-invariant and s is constant, so the structure constants
+    transform as a tensor, c' = c(s., s.) read through s^-1, and so do the
+    connection coefficients built on the result: every tensor on it pulls
+    back exactly through ``to_user``."""
+    n = fa.dim
+    s_inv = mat_inv(s)
+    c = coefficient_tensor(fa.c).map_slot(s, 0).map_slot(s, 1).map_slot(s_inv, 2).comps
+    c = [[c[(i * n + j) * n:(i * n + j + 1) * n] for j in range(n)] for i in range(n)]
+    g = mat_mul(mat_transpose(s), mat_mul(fa.g, s))
+    p = mat_mul(s_inv, mat_mul(fa.p, s))
+    return RebasedFrame(fa, s, s_inv, c, g, p)
+
+
+def _eigenbasis(fa: FrameAlgebra) -> list:
+    """Matrix whose columns are the pivot columns of (I+P)/2, then those of
+    (I-P)/2: eigenvectors of P for +1, then for -1."""
+    n = fa.dim
+    ident = mat_identity(n, fa.params)
+    half = Scalar.constant(fa.params, Fraction(1, 2))
+    columns = []
+    for sign in (1, -1):
+        proj = [[(ident[i][j] + fa.p[i][j] * sign) * half for j in range(n)]
+                for i in range(n)]
+        pivots = row_reduce(proj)[1]
+        if len(pivots) != n // 2:
+            raise ValueError("product structure has an eigenspace of dimension "
+                             "%d, expected %d" % (len(pivots), n // 2))
+        columns += [[proj[i][col] for i in range(n)] for col in pivots]
+    return mat_transpose(columns)
+
+
+@memo
+def adapted_frame(fa: FrameAlgebra) -> RebasedFrame:
+    """fa in a basis of eigenvectors of P, those for +1 first, so that
+    P = diag(I, -I) there.
+
+    Needs a frame that passes ``validate`` (P^2 = I, trace P = 0, P
+    g-orthogonal); the metric comes out block-diagonal.  For a parametric P
+    the basis comes from exact elimination over rational functions, like
+    ``metric_inv``, so it holds at the generic point of the parameters."""
+    n = fa.dim
+    af = change_basis(fa, _eigenbasis(fa))
+    one, zero = Scalar.one(fa.params), Scalar.zero(fa.params)
+    signs = [[(one if i < n // 2 else -one) if i == j else zero for j in range(n)]
+             for i in range(n)]
+    if not mat_eq(af.p, signs):
+        raise ValueError("the product structure is not diagonal in its eigenbasis")
+    return af
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +309,7 @@ def killing_check(fa: FrameAlgebra) -> CheckReport:
     """Whether the associated metric is a Killing metric on the algebra."""
     # lower_slot pairs c^s_ij with matrix[k][s]; the pairing wanted is (gP)[s][k]
     low = coefficient_tensor(fa.c).lower_slot(2, mat_transpose(associated_metric(fa)))
-    witnesses = tensor_witnesses(low + arranged(low, "x,z,y"), "killing-metric")
+    witnesses = tensor_witnesses(fa, low + arranged(low, "x,z,y"), "killing-metric")
     return CheckReport("killing-metric", not witnesses, witnesses)
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .frames import FrameAlgebra, Witness, memo
+from .frames import FrameAlgebra, memo, tensor_witnesses
 from .scalars import Scalar
 from .tensors import (Tensor, arranged, coefficient_tensor, cyclic_sum, mat_mul,
                       tensor_contract)
@@ -41,13 +41,13 @@ class Connection:
                 for i in range(n)]
 
     def metric_witnesses(self, label: str) -> list:
-        """Nonzero g(nabla_i e_j, e_k) + g(e_j, nabla_i e_k) for j <= k, as
-        witnesses with expected zero and the negated sum; none when metric."""
+        """Nonzero g(nabla_i e_j, e_k) + g(e_j, nabla_i e_k) for j <= k in the
+        user's basis, as witnesses with expected zero and the negated sum;
+        none when metric."""
         low = self.coeffs.lower_slot(2, self.frame.g)
-        zero = Scalar.zero(self.frame.params)
-        return [Witness(tuple(k + 1 for k in idx), zero, -value, label)
-                for idx, value in (low + arranged(low, "x,z,y")).nonzero()
-                if idx[1] <= idx[2]]
+        defect = -(low + arranged(low, "x,z,y"))
+        return [w for w in tensor_witnesses(self.frame, defect, label)
+                if w.index[1] <= w.index[2]]
 
 
 @dataclass

@@ -327,44 +327,57 @@ def mat_eq(a: list, b: list) -> bool:
     return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
-def mat_det(m: list) -> Scalar:
-    n = len(m)
+def row_reduce(m: list):
+    """Gauss-Jordan elimination of a (possibly rectangular) matrix.
+
+    Returns (rref, pivots, values, sign): the reduced row echelon form, the
+    pivot column of each nonzero row, the value each pivot had before its
+    row was normalised, and (-1) to the number of row swaps.  A square matrix
+    has determinant sign times the product of the values when every column
+    is a pivot column, and zero otherwise."""
     work = [list(row) for row in m]
-    params = m[0][0].params
-    det = Scalar.one(params)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if not work[r][col].is_zero), None)
+    rows, cols = len(work), len(work[0])
+    one = Scalar.one(work[0][0].params)
+    pivots, values, sign = [], [], 1
+    for col in range(cols):
+        r = len(pivots)
+        pivot = next((k for k in range(r, rows) if not work[k][col].is_zero), None)
         if pivot is None:
-            return Scalar.zero(params)
-        if pivot != col:
-            work[col], work[pivot] = work[pivot], work[col]
-            det = -det
-        det = det * work[col][col]
-        inv = Scalar.one(params) / work[col][col]
-        for r in range(col + 1, n):
-            if work[r][col].is_zero:
+            continue
+        if pivot != r:
+            work[r], work[pivot] = work[pivot], work[r]
+            sign = -sign
+        value = work[r][col]
+        inv = one / value
+        work[r] = [x * inv for x in work[r]]
+        for k in range(rows):
+            if k == r or work[k][col].is_zero:
                 continue
-            factor = work[r][col] * inv
-            for c in range(col, n):
-                work[r][c] = work[r][c] - factor * work[col][c]
+            factor = work[k][col]
+            work[k] = [x - factor * y for x, y in zip(work[k], work[r])]
+        pivots.append(col)
+        values.append(value)
+        if len(pivots) == rows:
+            break
+    return work, pivots, values, sign
+
+
+def mat_det(m: list) -> Scalar:
+    _, pivots, values, sign = row_reduce(m)
+    params = m[0][0].params
+    if len(pivots) < len(m):
+        return Scalar.zero(params)
+    det = Scalar.constant(params, sign)
+    for value in values:
+        det = det * value
     return det
 
 
 def mat_inv(m: list) -> list:
     n = len(m)
-    params = m[0][0].params
-    work = [list(row) + list(idrow) for row, idrow in zip(m, mat_identity(n, params))]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if not work[r][col].is_zero), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        if pivot != col:
-            work[col], work[pivot] = work[pivot], work[col]
-        inv = Scalar.one(params) / work[col][col]
-        work[col] = [x * inv for x in work[col]]
-        for r in range(n):
-            if r == col or work[r][col].is_zero:
-                continue
-            factor = work[r][col]
-            work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
-    return [row[n:] for row in work]
+    augmented = [list(row) + idrow
+                 for row, idrow in zip(m, mat_identity(n, m[0][0].params))]
+    rref, pivots, _, _ = row_reduce(augmented)
+    if pivots[:n] != list(range(n)):
+        raise ValueError("matrix is singular")
+    return [row[n:] for row in rref]

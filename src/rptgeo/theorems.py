@@ -63,10 +63,12 @@ def check_p_tensor(r: Tensor, fa: FrameAlgebra) -> TheoremResult:
     """Whether a (0,4) tensor has curvature-type antisymmetries, satisfies the
     first cyclic identity, and is invariant under the product in its last pair."""
     witnesses = []
-    witnesses += tensor_witnesses(r + arranged(r, "y,x,z,w"), "antisymmetry-first-pair")
-    witnesses += tensor_witnesses(r + arranged(r, "x,y,w,z"), "antisymmetry-last-pair")
-    witnesses += tensor_witnesses(cyclic_sum(r, (0, 1, 2)), "first-bianchi")
-    witnesses += tensor_witnesses(arranged(r, "x,y,Pz,Pw", fa.p) - r,
+    witnesses += tensor_witnesses(fa, r + arranged(r, "y,x,z,w"),
+                                   "antisymmetry-first-pair")
+    witnesses += tensor_witnesses(fa, r + arranged(r, "x,y,w,z"),
+                                   "antisymmetry-last-pair")
+    witnesses += tensor_witnesses(fa, cyclic_sum(r, (0, 1, 2)), "first-bianchi")
+    witnesses += tensor_witnesses(fa, arranged(r, "x,y,Pz,Pw", fa.p) - r,
                                    "product-invariance")
     return _result("p-tensor-axioms", witnesses)
 
@@ -101,11 +103,11 @@ def verify_curvature_relation(fa: FrameAlgebra, pack: ConnectionPack) -> Theorem
     witnesses = []
     # R - (R' - d/2 + d(y,x,z,w)/2 - b/4 - sigma/4)
     diff = curvature_defect(pack) + (d - arranged(d, "y,x,z,w")).scale(Fraction(1, 2))
-    witnesses += tensor_witnesses(diff, "curvature-relation")
+    witnesses += tensor_witnesses(fa, diff, "curvature-relation")
 
     expected_rho = rhop - tensor_contract(d, 0, 3, ginv).scale(Fraction(1, 2)) \
         - tensor_contract(b, 0, 3, ginv).scale(Fraction(1, 4))
-    witnesses += tensor_witnesses(rho - expected_rho, "ricci-relation")
+    witnesses += tensor_witnesses(fa, rho - expected_rho, "ricci-relation")
 
     b13 = tensor_contract(tensor_contract(b, 0, 3, ginv), 0, 1, ginv)[()]
     details = {"tau": str(tau), "tau_prime": str(taup)}
@@ -136,8 +138,8 @@ def verify_torsion_type(fa: FrameAlgebra, pack: ConnectionPack) -> TheoremResult
     p1, p2, p3, p4 = torsion_projections(pack.T, fa)
     f = pack.fundamental
     witnesses = []
-    witnesses += tensor_witnesses(p1, "projection-1-vanishes")
-    witnesses += tensor_witnesses(p4, "projection-4-vanishes")
+    witnesses += tensor_witnesses(fa, p1, "projection-1-vanishes")
+    witnesses += tensor_witnesses(fa, p4, "projection-4-vanishes")
     if p2.is_zero:
         witnesses.append(Witness((), Scalar.one(fa.params), Scalar.zero(fa.params),
                                  "projection-2-nonzero"))
@@ -145,10 +147,10 @@ def verify_torsion_type(fa: FrameAlgebra, pack: ConnectionPack) -> TheoremResult
         witnesses.append(Witness((), Scalar.one(fa.params), Scalar.zero(fa.params),
                                  "projection-3-nonzero"))
     p2_closed = arranged(f, "z,x,Py", fa.p)
-    witnesses += tensor_witnesses(p2 - p2_closed, "projection-2-closed-form")
+    witnesses += tensor_witnesses(fa, p2 - p2_closed, "projection-2-closed-form")
     p3_closed = (arranged(f, "x,y,Pz", fa.p) + arranged(f, "y,z,Px", fa.p)
                  - arranged(f, "z,x,Py", fa.p)).scale(Fraction(1, 2))
-    witnesses += tensor_witnesses(p3 - p3_closed, "projection-3-closed-form")
+    witnesses += tensor_witnesses(fa, p3 - p3_closed, "projection-3-closed-form")
     return _result("torsion-type", witnesses)
 
 
@@ -172,11 +174,11 @@ def verify_p_tensor_criterion(fa: FrameAlgebra, pack: ConnectionPack) -> Theorem
                                  "equivalence"))
     if side_a and side_b:
         d = pack.torsion_derivative()
-        witnesses += tensor_witnesses(d + sigma.scale(Fraction(1, 3)),
+        witnesses += tensor_witnesses(fa, d + sigma.scale(Fraction(1, 3)),
                                        "derivative-third-of-form")
         ginv = fa.metric_inv
         expected_rho = rhop - tensor_contract(b, 0, 3, ginv).scale(Fraction(1, 4))
-        witnesses += tensor_witnesses(rho - expected_rho, "ricci-consequence")
+        witnesses += tensor_witnesses(fa, rho - expected_rho, "ricci-consequence")
     return _result("p-tensor-criterion", witnesses, details)
 
 
@@ -198,19 +200,19 @@ def verify_parallel_torsion(fa: FrameAlgebra, pack: ConnectionPack) -> TheoremRe
     details = {"parallel": str(parallel).lower(), "relation": str(relation).lower()}
     if parallel != relation:
         label = "equivalence"
-        witnesses += tensor_witnesses(defect if parallel else d, label) or \
+        witnesses += tensor_witnesses(fa, defect if parallel else d, label) or \
             [Witness((), Scalar.zero(fa.params), Scalar.one(fa.params), label)]
     if parallel:
-        witnesses += tensor_witnesses(rp - arranged(rp, "z,w,x,y"), "pair-symmetry")
-        witnesses += tensor_witnesses(cyclic_sum(rp, (0, 1, 2)) - sigma,
+        witnesses += tensor_witnesses(fa, rp - arranged(rp, "z,w,x,y"), "pair-symmetry")
+        witnesses += tensor_witnesses(fa, cyclic_sum(rp, (0, 1, 2)) - sigma,
                                        "cyclic-identity")
-        witnesses += tensor_witnesses(arranged(rp, "Px,Py,Pz,Pw", fa.p) - rp,
+        witnesses += tensor_witnesses(fa, arranged(rp, "Px,Py,Pz,Pw", fa.p) - rp,
                                        "product-invariance")
         p_tensor = rpt_curvature_p_tensor(pack).conclusion_holds
         details["p_tensor"] = str(p_tensor).lower()
         if p_tensor:
-            witnesses += tensor_witnesses(sigma, "quadratic-form-vanishes")
-            witnesses += tensor_witnesses(r - rp + b.scale(Fraction(1, 4)),
+            witnesses += tensor_witnesses(fa, sigma, "quadratic-form-vanishes")
+            witnesses += tensor_witnesses(fa, r - rp + b.scale(Fraction(1, 4)),
                                            "quarter-relation")
     return _result("parallel-torsion", witnesses, details)
 
@@ -243,11 +245,12 @@ def verify_family_equivalence(fa: FrameAlgebra, pack: ConnectionPack,
 
 
 def geometry_checks(fa: FrameAlgebra) -> list:
-    """Structural axioms plus the identities forced by the Koszul construction."""
-    structure = validate(fa)
+    """Structural axioms of the frame in the user's basis, plus the identities
+    forced by the Koszul construction."""
+    structure = validate(fa.user)
     results = [_result(structure.name, structure.witnesses, notes=structure.notes)]
     lc = levi_civita(fa)
-    witnesses = tensor_witnesses(lc.torsion_tensor(), "torsion-free")
+    witnesses = tensor_witnesses(fa, lc.torsion_tensor(), "torsion-free")
     witnesses += lc.metric_witnesses("metric-compatible")
     results.append(_result("levi-civita", witnesses))
 
@@ -256,7 +259,7 @@ def geometry_checks(fa: FrameAlgebra) -> list:
     results.append(_result("structure-tensor-identities", []))
 
     r, _, _ = curvature(lc)
-    witnesses = tensor_witnesses(cyclic_sum(r, (0, 1, 2)), "first-bianchi")
+    witnesses = tensor_witnesses(fa, cyclic_sum(r, (0, 1, 2)), "first-bianchi")
     results.append(_result("first-bianchi", witnesses))
     return results
 
@@ -277,22 +280,22 @@ def rpt_checks(fa: FrameAlgebra) -> list:
     results = []
     t, f, q = pack.T, pack.fundamental, pack.Q
 
-    witnesses = tensor_witnesses(t + arranged(t, "y,x,z"), "skew-12")
-    witnesses += tensor_witnesses(t + arranged(t, "x,z,y"), "skew-23")
-    witnesses += tensor_witnesses(t + arranged(t, "z,y,x"), "skew-13")
+    witnesses = tensor_witnesses(fa, t + arranged(t, "y,x,z"), "skew-12")
+    witnesses += tensor_witnesses(fa, t + arranged(t, "x,z,y"), "skew-23")
+    witnesses += tensor_witnesses(fa, t + arranged(t, "z,y,x"), "skew-13")
     results.append(_result("torsion-3form", witnesses))
 
     witnesses = []
     lhs = arranged(t, "Px,Py,z", fa.p) - arranged(f, "z,y,Px", fa.p).scale(2)
-    witnesses += tensor_witnesses(t - lhs, "swap-first-pair")
+    witnesses += tensor_witnesses(fa, t - lhs, "swap-first-pair")
     lhs = arranged(t, "Px,y,Pz", fa.p) - arranged(f, "y,x,Pz", fa.p).scale(2)
-    witnesses += tensor_witnesses(t - lhs, "swap-outer-pair")
+    witnesses += tensor_witnesses(fa, t - lhs, "swap-outer-pair")
     lhs = arranged(t, "x,Py,Pz", fa.p) - arranged(f, "x,Py,z", fa.p).scale(2)
-    witnesses += tensor_witnesses(t - lhs, "swap-last-pair")
+    witnesses += tensor_witnesses(fa, t - lhs, "swap-last-pair")
     results.append(_result("torsion-transformation-identities", witnesses))
 
     witnesses = tensor_witnesses(
-        arranged(q, "x,y,Pz", fa.p) - arranged(arranged(q, "y,z,x"), "x,y,Pz", fa.p),
+        fa, arranged(q, "x,y,Pz", fa.p) - arranged(arranged(q, "y,z,x"), "x,y,Pz", fa.p),
         "cyclic-invariance")
     results.append(_result("transformation-cyclic-invariance", witnesses))
 
@@ -302,17 +305,18 @@ def rpt_checks(fa: FrameAlgebra) -> list:
         results.append(_result(check_id, natural_check(fa, conn).witnesses))
 
     averaged = (pack.Q_C + q).scale(Fraction(1, 2))
-    witnesses = tensor_witnesses(pack.Q_P - averaged, "average-connection")
+    witnesses = tensor_witnesses(fa, pack.Q_P - averaged, "average-connection")
     results.append(_result("connection-averaging", witnesses))
 
-    witnesses = tensor_witnesses(pack.rpt.torsion_tensor() - t, "recovered-torsion")
+    witnesses = tensor_witnesses(fa, pack.rpt.torsion_tensor() - t,
+                                 "recovered-torsion")
     results.append(_result("torsion-recovery", witnesses))
 
     rp, _, _ = curvature(pack.rpt)
     d = pack.torsion_derivative()
     sigma = pack.torsion_form_square()
     witnesses = tensor_witnesses(
-        cyclic_sum(rp, (0, 1, 2)) - cyclic_sum(d, (0, 1, 2)) - sigma,
+        fa, cyclic_sum(rp, (0, 1, 2)) - cyclic_sum(d, (0, 1, 2)) - sigma,
         "cyclic-curvature")
     results.append(_result("curvature-cyclic-identity", witnesses))
     return results
@@ -333,7 +337,8 @@ def theorem_checks(fa: FrameAlgebra) -> list:
         verify_p_tensor_criterion(fa, pack),
         verify_parallel_torsion(fa, pack),
     ]
-    lam = family_parameters(fa)
+    # an adapted frame is never literally the family; its user frame may be
+    lam = family_parameters(fa.user)
     if lam is not None:
         results.append(verify_family_equivalence(fa, pack, lam))
     return results

@@ -340,6 +340,21 @@ def random_frames(count: int = 20, seed: int = 1404):
     return frames
 
 
+def abelian_plane(params: tuple = ()) -> FrameAlgebra:
+    """Abelian 2-dim frame with identity metric and swap product (class W0)."""
+    from rptgeo.example import swap_product_matrix
+    zero = Scalar.zero(params)
+    c = [[[zero] * 2 for _ in range(2)] for _ in range(2)]
+    return FrameAlgebra(2, params, c, mat_identity(2, params),
+                        swap_product_matrix(2, params))
+
+
+def six_dim_frame() -> FrameAlgebra:
+    """The family at (1, 2, 3, 5) plus the abelian plane, in a dense basis."""
+    base = direct_sum(build_example((1, 2, 3, 5)), abelian_plane())
+    return conjugate(base, random_unimodular(random.Random(6), 6, ()))
+
+
 def single_bracket_frame() -> FrameAlgebra:
     """Valid frame outside the skew-cyclic class: one bracket, identity
     metric, block-swap product."""

@@ -190,6 +190,23 @@ def test_check_runs_the_p_tensor_test_once(monkeypatch, capsys):
     assert len(calls) == 1
 
 
+def test_json_report_builds_no_text_sections(monkeypatch, capsys):
+    # the projection norms are printed only in the text rendering
+    calls = []
+    torsion_projections = cli.torsion_projections
+
+    def counting_projections(t, fa):
+        calls.append(t)
+        return torsion_projections(t, fa)
+
+    monkeypatch.setattr(cli, "torsion_projections", counting_projections)
+    code, out, _ = run_cli(["report", SPEC, "--format", "json"], capsys)
+    assert code == 0 and "scalars" in json.loads(out)
+    assert calls == []
+    assert run_cli(["report", SPEC], capsys)[0] == 0
+    assert len(calls) == 1
+
+
 # ---------------------------------------------------------------------------
 # golden comparison through the shared witness collector
 
@@ -223,6 +240,7 @@ _BAD_RANKS = {"torsion": "x", "connection": True, "curvature": 3}
                                          ("curvature", "symmetry"),
                                          ("torsion", "entries[1,2,9]"),
                                          ("torsion", "entries[1,2]"),
+                                         ("torsion", "entries[4,1,3]"),
                                          ("torsion", "rank"),
                                          ("connection", "rank"),
                                          ("curvature", "rank")])
@@ -232,7 +250,8 @@ def test_malformed_golden_table_exits_two(name, field, tmp_path, capsys):
     data = json.loads(table.read_text(encoding="utf-8"))
     if field == "entries":
         del data["entries"]
-    elif field.startswith("entries["):  # a name or index the report never computes
+    elif field.startswith("entries["):  # a name or index the report never computes,
+        # or (4,1,3), which the skew symmetry ties to the listed (1,3,4)
         data["entries"][field[len("entries["):-1]] = "1"
     elif field == "symmetry":
         data["symmetry"] = "bogus"
