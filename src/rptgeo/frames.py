@@ -148,9 +148,9 @@ class FrameAlgebra:
 
 
 class RebasedFrame(FrameAlgebra):
-    """A frame rewritten in another basis by ``change_basis``; it keeps the
-    frame it came from, the matrix s whose columns are the new basis vectors
-    in the old basis, and s_inv."""
+    """A user frame rewritten in another basis by ``change_basis``; it keeps
+    the frame it came from, the matrix s whose columns are the new basis
+    vectors in the old basis, and s_inv."""
 
     def __init__(self, source: FrameAlgebra, s: list, s_inv: list, c, g, p):
         super().__init__(source.dim, source.params, c, g, p)
@@ -160,14 +160,14 @@ class RebasedFrame(FrameAlgebra):
 
     @property
     def user(self) -> FrameAlgebra:
-        return self.source.user
+        return self.source
 
     def to_user(self, t: Tensor) -> Tensor:
         # covariant components pull back through s^-1, contravariant ones
         # through s
         for slot, v in enumerate(t.variance):
             t = t.map_slot(self.s_inv if v == "d" else self.s, slot)
-        return self.source.to_user(t)
+        return t
 
 
 def change_basis(fa: FrameAlgebra, s: list) -> RebasedFrame:
@@ -187,20 +187,39 @@ def change_basis(fa: FrameAlgebra, s: list) -> RebasedFrame:
 
 
 def _eigenbasis(fa: FrameAlgebra) -> list:
-    """Matrix whose columns are the pivot columns of (I+P)/2, then those of
-    (I-P)/2: eigenvectors of P for +1, then for -1."""
+    """Matrix whose columns are eigenvectors of P for +1, then for -1.
+
+    For a constant P they are the pivot columns of the projectors (I+P)/2
+    and (I-P)/2.  For a parametric P those columns carry P's parameters
+    into the metric and brackets of the adapted frame, so they are the
+    null-space basis of I-P and I+P read from the reduced echelon form,
+    with a unit entry at each free column."""
     n = fa.dim
     ident = mat_identity(n, fa.params)
+    one, zero = Scalar.one(fa.params), Scalar.zero(fa.params)
     half = Scalar.constant(fa.params, Fraction(1, 2))
+    constant = all(x.is_constant for row in fa.p for x in row)
     columns = []
     for sign in (1, -1):
-        proj = [[(ident[i][j] + fa.p[i][j] * sign) * half for j in range(n)]
-                for i in range(n)]
-        pivots = row_reduce(proj)[1]
-        if len(pivots) != n // 2:
+        if constant:
+            proj = [[(ident[i][j] + fa.p[i][j] * sign) * half for j in range(n)]
+                    for i in range(n)]
+            pivots = row_reduce(proj)[1]
+            found = [[proj[i][col] for i in range(n)] for col in pivots]
+        else:
+            rref, pivots, _, _ = row_reduce(
+                [[ident[i][j] - fa.p[i][j] * sign for j in range(n)] for i in range(n)])
+            found = []
+            for free in (col for col in range(n) if col not in pivots):
+                v = [zero] * n
+                v[free] = one
+                for row, col in enumerate(pivots):
+                    v[col] = -rref[row][free]
+                found.append(v)
+        if len(found) != n // 2:
             raise ValueError("product structure has an eigenspace of dimension "
-                             "%d, expected %d" % (len(pivots), n // 2))
-        columns += [[proj[i][col] for i in range(n)] for col in pivots]
+                             "%d, expected %d" % (len(found), n // 2))
+        columns += found
     return mat_transpose(columns)
 
 
@@ -227,8 +246,10 @@ def adapted_frame(fa: FrameAlgebra) -> RebasedFrame:
 # validation
 
 
+@memo
 def validate(fa: FrameAlgebra) -> CheckReport:
-    """Check every structural axiom; failures are witnessed, not raised."""
+    """Check every structural axiom; failures are witnessed, not raised.
+    The report is kept on the frame, so a command validates once."""
     n = fa.dim
     zero = Scalar.zero(fa.params)
     witnesses = []

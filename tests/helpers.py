@@ -317,6 +317,22 @@ def symbolic_metric_frame() -> FrameAlgebra:
     return conjugate(fa_sym, shear)
 
 
+def sheared_family_frame() -> FrameAlgebra:
+    """The symbolic family conjugated by the unimodular shear e2 -> e2 + a e1:
+    brackets, metric and product are polynomial in (l1..l4, a), so a spec
+    file can hold it, and P depends on the parameter a."""
+    from rptgeo.example import family_structure_constants, swap_product_matrix
+    params5 = ("l1", "l2", "l3", "l4", "a")
+    lam = [Scalar.parameter(params5, n) for n in ("l1", "l2", "l3", "l4")]
+    fa_sym = FrameAlgebra(4, params5,
+                          family_structure_constants(lam, params5),
+                          mat_identity(4, params5),
+                          swap_product_matrix(4, params5))
+    shear = mat_identity(4, params5)
+    shear[0][1] = Scalar.parameter(params5, "a")
+    return conjugate(fa_sym, shear)
+
+
 def random_frames(count: int = 20, seed: int = 1404):
     """Deterministic battery of valid frames: conjugated family instances,
     direct sums, one parametric-metric conjugate and one parallel (W0) frame."""

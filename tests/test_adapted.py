@@ -14,10 +14,11 @@ from rptgeo import (Connection, Scalar, Tensor, adapted_frame, change_basis,
                     mat_identity, natural_check, rpt_connection, row_reduce,
                     run_all)
 from rptgeo.cli import _check_entry
+from rptgeo.frames import frame_from_dict, frame_to_dict
 from rptgeo.tensors import _perm_sign
 
-from helpers import (conjugate, random_frames, random_unimodular, single_bracket_frame,
-                     six_dim_frame, symbolic_metric_frame)
+from helpers import (conjugate, random_frames, random_unimodular, sheared_family_frame,
+                     single_bracket_frame, six_dim_frame, symbolic_metric_frame)
 
 RANDOM = random_frames()
 
@@ -69,13 +70,32 @@ def test_adapted_frame_splits_the_product_structure(pos):
         assert af.to_user(_forward(af, t)) == t
 
 
+@pytest.mark.parametrize("make", [sheared_family_frame, symbolic_metric_frame])
+def test_a_parametric_product_keeps_its_parameter_out_of_the_adapted_metric(make):
+    # both frames have identity metric and swap product before a conjugation
+    # by a matrix in a; the null-space eigenbasis undoes the conjugation,
+    # where the projector columns would leave a in the metric and brackets
+    fa = make()
+    assert any(not x.is_constant for row in fa.p for x in row)
+    af = adapted_frame(fa)
+    two = Scalar.constant(fa.params, 2)
+    assert af.g == [[two if i == j else Scalar.zero(fa.params) for j in range(4)]
+                    for i in range(4)]
+
+
+def test_the_sheared_family_is_a_spec():
+    fa = sheared_family_frame()
+    assert frame_from_dict(frame_to_dict(fa)) == fa
+
+
 # ---------------------------------------------------------------------------
 # the same verdicts and witnesses in either basis
 
 
 def _agreement_frames():
     four = [fa for fa in RANDOM if fa.dim == 4 and not fa.params]
-    return four + [six_dim_frame(), single_bracket_frame(), symbolic_metric_frame()]
+    return four + [six_dim_frame(), single_bracket_frame(), symbolic_metric_frame(),
+                   sheared_family_frame()]
 
 
 @pytest.mark.parametrize("pos", range(len(_agreement_frames())))

@@ -241,6 +241,7 @@ _BAD_RANKS = {"torsion": "x", "connection": True, "curvature": 3}
                                          ("torsion", "entries[1,2,9]"),
                                          ("torsion", "entries[1,2]"),
                                          ("torsion", "entries[4,1,3]"),
+                                         ("torsion", "entries[1,1,3]"),
                                          ("torsion", "rank"),
                                          ("connection", "rank"),
                                          ("curvature", "rank")])
@@ -251,7 +252,8 @@ def test_malformed_golden_table_exits_two(name, field, tmp_path, capsys):
     if field == "entries":
         del data["entries"]
     elif field.startswith("entries["):  # a name or index the report never computes,
-        # or (4,1,3), which the skew symmetry ties to the listed (1,3,4)
+        # (4,1,3), which the skew symmetry ties to the listed (1,3,4), or
+        # (1,1,3), which the skew symmetry makes zero
         data["entries"][field[len("entries["):-1]] = "1"
     elif field == "symmetry":
         data["symmetry"] = "bogus"
