@@ -229,7 +229,7 @@ def _add_sections(report: Report, af: FrameAlgebra):
     lines = ["|p%d|^2 = %s" % (pos + 1, square_norm(p, af))
              for pos, p in enumerate(proj)]
     report.sections.append(("torsion projection square norms", lines))
-    ptensor = rpt_curvature_p_tensor(pack).conclusion_holds
+    ptensor = rpt_curvature_p_tensor(pack)
     report.sections.append(("curvature of the skew-torsion connection",
                             ["is a P-tensor: %s" % str(ptensor).lower()]))
 

@@ -15,8 +15,9 @@ from functools import cached_property, wraps
 
 from .parser import ParseError, parse_expression
 from .scalars import Scalar
-from .tensors import (Tensor, arranged, coefficient_tensor, mat_det, mat_eq,
-                      mat_identity, mat_inv, mat_mul, mat_transpose, row_reduce)
+from .tensors import (Tensor, arranged, coefficient_tensor, leading_minors,
+                      mat_det, mat_eq, mat_identity, mat_inv, mat_mul,
+                      mat_transpose, row_reduce)
 
 
 class SchemaError(ValueError):
@@ -91,7 +92,7 @@ class FrameAlgebra:
 
     Frames, and the connections and connection packs built on them, are
     never mutated after construction.  Derived geometry relies on that: it
-    is cached on its owner for the owner's lifetime (metric_det and
+    is cached on its owner for the owner's lifetime (metric_minors and
     metric_inv here, everything else through ``memo``)."""
 
     def __init__(self, dim: int, params: tuple, c, g, p):
@@ -110,8 +111,13 @@ class FrameAlgebra:
         self.p = p
 
     @cached_property
+    def metric_minors(self) -> list:
+        """``leading_minors`` of g; the last is det g."""
+        return leading_minors(self.g)
+
+    @property
     def metric_det(self) -> Scalar:
-        return mat_det(self.g)
+        return self.metric_minors[-1]
 
     @cached_property
     def metric_inv(self) -> list:
@@ -290,9 +296,9 @@ def validate(fa: FrameAlgebra) -> CheckReport:
         notes.append("positivity unverified (parametric)")
     else:
         # Sylvester: every leading principal minor positive
-        for k in range(1, n + 1):
-            sub = [[fa.g[i][j] for j in range(k)] for i in range(k)]
-            d = mat_det(sub)
+        for k, d in enumerate(fa.metric_minors, 1):
+            if d is None:
+                d = mat_det([row[:k] for row in fa.g[:k]])
             if d.constant_value() <= 0:
                 witnesses.append(Witness((k,), Scalar.one(()), d,
                                          "metric-positive-definite"))

@@ -1,23 +1,25 @@
 """Exact rational-function arithmetic over a declared tuple of parameters.
 
 A polynomial is a dict mapping exponent tuples (aligned with the parameter
-tuple) to nonzero Fraction coefficients.  A Scalar is a reduced quotient of
-two polynomials; the denominator is monic under graded-lex order, so every
-rational function has exactly one representation and equality is literal.
+tuple) to nonzero coefficients: an int when integral, else a Fraction, never
+a float.  A Scalar is a reduced quotient of two polynomials; the denominator
+is monic under graded-lex order, so every rational function has exactly one
+representation and equality is literal.
 
 Three fields are set once, when a Scalar is built: ``cden`` (the denominator
-is constant), ``is_zero`` (the numerator is empty) and ``value`` (the
+is constant), ``is_zero`` (the numerator is empty) and ``value`` (the int or
 Fraction when the Scalar is constant, else None).  A constant denominator is
 always the unit ``{(0, ..., 0): 1}``.  Constant operands are added,
 multiplied and divided on ``value`` directly, and the result shares the
-operand's unit denominator dict; a zero operand skips the arithmetic.
-Everything else goes through the polynomial and gcd path.
+operand's unit denominator dict; a zero operand skips the arithmetic.  Sums
+over equal denominators add numerators only, and a quotient is first tried
+as an exact polynomial division: gcd runs only on a true fraction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as _int_gcd
+from math import gcd as _int_gcd, lcm as _int_lcm
 from typing import Mapping, Union
 
 Rat = Union[int, Fraction]
@@ -30,12 +32,22 @@ def _grlex(expo: tuple) -> tuple:
     return (sum(expo), expo)
 
 
+def _rat(q: Rat) -> Rat:
+    """q as an int when it is integral."""
+    return q if type(q) is int or q.denominator != 1 else q.numerator
+
+
+def _quotient(a: Rat, b: Rat) -> Rat:
+    """a / b exactly, as an int when it is integral."""
+    return _rat(Fraction(a, b))
+
+
 def _dict_add(a: dict, b: dict) -> dict:
     out = dict(a)
     for e, c in b.items():
         s = out.get(e, 0) + c
         if s:
-            out[e] = s
+            out[e] = _rat(s)
         elif e in out:
             del out[e]
     return out
@@ -56,7 +68,7 @@ def _dict_mul(a: dict, b: dict) -> dict:
         v = ca * cb
         if not v:
             return {}
-        return {tuple(x + y for x, y in zip(ea, eb)): v}
+        return {tuple(x + y for x, y in zip(ea, eb)): _rat(v)}
     out: dict = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
@@ -66,13 +78,18 @@ def _dict_mul(a: dict, b: dict) -> dict:
                 out[e] = s
             elif e in out:
                 del out[e]
+    for e, c in out.items():
+        if type(c) is not int and c.denominator == 1:
+            out[e] = c.numerator
     return out
 
 
-def _dict_scale(a: dict, c: Fraction) -> dict:
+def _dict_scale(a: dict, c: Rat) -> dict:
     if not c:
         return {}
-    return {e: v * c for e, v in a.items()}
+    if c == 1:
+        return a
+    return {e: _rat(v * c) for e, v in a.items()}
 
 
 def _leading(a: dict) -> tuple:
@@ -83,10 +100,8 @@ def _is_const(a: dict) -> bool:
     return not a or (len(a) == 1 and not any(next(iter(a))))
 
 
-def _const_value(a: dict) -> Fraction:
-    if not a:
-        return Fraction(0)
-    return next(iter(a.values()))
+def _const_value(a: dict) -> Rat:
+    return next(iter(a.values()), 0)
 
 
 # --- multivariate gcd (primitive PRS), used only to cancel true fractions ---
@@ -109,7 +124,9 @@ def _shift(a: dict, v: int, k: int) -> dict:
 
 
 def _divexact(f: dict, d: dict) -> dict:
-    # division known to be exact; peels leading terms under graded-lex
+    # peels leading terms under graded-lex; raises ArithmeticError as soon as
+    # a leading term is not a multiple of lead(d), which happens exactly
+    # when d does not divide f
     if not f:
         return {}
     lead_d = _leading(d)
@@ -121,7 +138,7 @@ def _divexact(f: dict, d: dict) -> dict:
         qe = tuple(r - s for r, s in zip(lead_r, lead_d))
         if any(x < 0 for x in qe):
             raise ArithmeticError("inexact polynomial division")
-        qc = rem[lead_r] / cd
+        qc = _quotient(rem[lead_r], cd)
         quo[qe] = qc
         rem = _dict_sub(rem, _dict_mul({qe: qc}, d))
     return quo
@@ -161,13 +178,9 @@ def _canonical_assoc(a: dict) -> dict:
     # integer-primitive with positive leading coefficient
     if not a:
         return {}
-    den_lcm = 1
-    for c in a.values():
-        den_lcm = den_lcm * c.denominator // _int_gcd(den_lcm, c.denominator)
-    num_gcd = 0
-    for c in a.values():
-        num_gcd = _int_gcd(num_gcd, abs(c.numerator * (den_lcm // c.denominator)))
-    scale = Fraction(den_lcm, num_gcd)
+    den_lcm = _int_lcm(*(c.denominator for c in a.values()))
+    num_gcd = _int_gcd(*(c.numerator * (den_lcm // c.denominator) for c in a.values()))
+    scale = _quotient(den_lcm, num_gcd)
     if a[_leading(a)] < 0:
         scale = -scale
     return _dict_scale(a, scale)
@@ -179,7 +192,7 @@ def _poly_gcd(f: dict, g: dict) -> dict:
     if not g:
         return _canonical_assoc(f)
     if _is_const(f) or _is_const(g):
-        return {(0,) * len(_leading(f or g)): Fraction(1)}
+        return {(0,) * len(_leading(f or g)): 1}
     nvars = len(_leading(f))
     v = next(i for i in range(nvars) if _deg_in(f, i) > 0 or _deg_in(g, i) > 0)
     if _deg_in(f, v) == 0:
@@ -219,11 +232,14 @@ class Scalar:
 
     @classmethod
     def constant(cls, params: tuple, value: Rat) -> "Scalar":
-        return cls._of_value(params, Fraction(value), {(0,) * len(params): Fraction(1)})
+        if type(value) is not int:
+            value = Fraction(value)
+        return cls._of_value(params, value, {(0,) * len(params): 1})
 
     @classmethod
-    def _of_value(cls, params: tuple, value: Fraction, unit: dict) -> "Scalar":
+    def _of_value(cls, params: tuple, value: Rat, unit: dict) -> "Scalar":
         """The constant value, reusing the unit denominator of an operand."""
+        value = _rat(value)
         s = object.__new__(cls)
         s.params = params
         s.den = unit
@@ -249,33 +265,29 @@ class Scalar:
     def parameter(cls, params: tuple, name: str) -> "Scalar":
         idx = params.index(name)
         expo = tuple(1 if i == idx else 0 for i in range(len(params)))
-        zero = (0,) * len(params)
-        return cls(params, {expo: Fraction(1)}, {zero: Fraction(1)})
+        return cls(params, {expo: 1}, {(0,) * len(params): 1})
 
     @classmethod
     def _make(cls, params: tuple, num: dict, den: dict) -> "Scalar":
+        unit = {(0,) * len(params): 1}
         if not num:
-            zero = (0,) * len(params)
-            return cls(params, {}, {zero: Fraction(1)})
+            return cls(params, {}, unit)
         if _is_const(den):
             c = _const_value(den)
             if not c:
                 raise ZeroDivisionError("zero denominator")
-            if c != 1:
-                num = _dict_scale(num, 1 / c)
-            zero = (0,) * len(params)
-            return cls(params, num, {zero: Fraction(1)})
+            return cls(params, _dict_scale(num, _quotient(1, c)), unit)
+        try:
+            return cls(params, _divexact(num, den), unit)
+        except ArithmeticError:
+            pass
         g = _poly_gcd(num, den)
         if not _is_const(g):
-            num = _divexact(num, g)
-            den = _divexact(den, g)
+            num, den = _divexact(num, g), _divexact(den, g)
             if _is_const(den):
                 return cls._make(params, num, den)
-        lc = den[_leading(den)]
-        if lc != 1:
-            num = _dict_scale(num, 1 / lc)
-            den = _dict_scale(den, 1 / lc)
-        return cls(params, num, den)
+        inv = _quotient(1, den[_leading(den)])
+        return cls(params, _dict_scale(num, inv), _dict_scale(den, inv))
 
     # predicates -----------------------------------------------------------
 
@@ -283,7 +295,7 @@ class Scalar:
     def is_constant(self) -> bool:
         return self.value is not None
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> Rat:
         if self.value is None:
             raise ValueError("scalar is not constant: %s" % self)
         return self.value
@@ -311,6 +323,8 @@ class Scalar:
             return Scalar._of_value(self.params, self.value + o.value, self.den)
         if self.cden and o.cden:
             return Scalar(self.params, _dict_add(self.num, o.num), self.den)
+        if self.den == o.den:
+            return Scalar._make(self.params, _dict_add(self.num, o.num), self.den)
         num = _dict_add(_dict_mul(self.num, o.den), _dict_mul(o.num, self.den))
         return Scalar._make(self.params, num, _dict_mul(self.den, o.den))
 
@@ -361,7 +375,8 @@ class Scalar:
         if self.is_zero:
             return self
         if self.value is not None and o.value is not None:
-            return Scalar._of_value(self.params, self.value / o.value, self.den)
+            return Scalar._of_value(self.params, Fraction(self.value, o.value),
+                                    self.den)
         return Scalar._make(self.params, _dict_mul(self.num, o.den),
                             _dict_mul(self.den, o.num))
 

@@ -330,15 +330,15 @@ def mat_eq(a: list, b: list) -> bool:
 def row_reduce(m: list):
     """Gauss-Jordan elimination of a (possibly rectangular) matrix.
 
-    Returns (rref, pivots, values, sign): the reduced row echelon form, the
+    Returns (rref, pivots, values, swaps): the reduced row echelon form, the
     pivot column of each nonzero row, the value each pivot had before its
-    row was normalised, and (-1) to the number of row swaps.  A square matrix
-    has determinant sign times the product of the values when every column
-    is a pivot column, and zero otherwise."""
+    row was normalised, and the number of row swaps.  A square matrix has
+    determinant (-1)**swaps times the product of the values when every
+    column is a pivot column, and zero otherwise."""
     work = [list(row) for row in m]
     rows, cols = len(work), len(work[0])
     one = Scalar.one(work[0][0].params)
-    pivots, values, sign = [], [], 1
+    pivots, values, swaps = [], [], 0
     for col in range(cols):
         r = len(pivots)
         pivot = next((k for k in range(r, rows) if not work[k][col].is_zero), None)
@@ -346,7 +346,7 @@ def row_reduce(m: list):
             continue
         if pivot != r:
             work[r], work[pivot] = work[pivot], work[r]
-            sign = -sign
+            swaps += 1
         value = work[r][col]
         inv = one / value
         work[r] = [x * inv for x in work[r]]
@@ -359,18 +359,24 @@ def row_reduce(m: list):
         values.append(value)
         if len(pivots) == rows:
             break
-    return work, pivots, values, sign
+    return work, pivots, values, swaps
+
+
+def leading_minors(m: list) -> list:
+    """Leading principal minors of a square matrix, the last its determinant:
+    the running products of the pivot values of one elimination.  Rows are
+    swapped only where a leading minor vanishes; then all but det are None."""
+    _, pivots, values, swaps = row_reduce(m)
+    n, params = len(m), m[0][0].params
+    if len(pivots) < n:
+        return [None] * (n - 1) + [Scalar.zero(params)]
+    minors = list(itertools.accumulate(
+        values, lambda a, b: a * b, initial=Scalar.constant(params, (-1) ** swaps)))[1:]
+    return [None] * (n - 1) + minors[-1:] if swaps else minors
 
 
 def mat_det(m: list) -> Scalar:
-    _, pivots, values, sign = row_reduce(m)
-    params = m[0][0].params
-    if len(pivots) < len(m):
-        return Scalar.zero(params)
-    det = Scalar.constant(params, sign)
-    for value in values:
-        det = det * value
-    return det
+    return leading_minors(m)[-1]
 
 
 def mat_inv(m: list) -> list:

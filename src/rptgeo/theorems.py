@@ -59,25 +59,27 @@ def _skipped(check_ids) -> list:
 # curvature-type predicates and theorem checkers
 
 
+def p_tensor_defects(r: Tensor, fa: FrameAlgebra) -> list:
+    """Labelled tensors that all vanish exactly when the (0,4) tensor r is a
+    P-tensor: curvature-type antisymmetries, first cyclic identity, and
+    invariance under the product in its last pair."""
+    return [(r + arranged(r, "y,x,z,w"), "antisymmetry-first-pair"),
+            (r + arranged(r, "x,y,w,z"), "antisymmetry-last-pair"),
+            (cyclic_sum(r, (0, 1, 2)), "first-bianchi"),
+            (arranged(r, "x,y,Pz,Pw", fa.p) - r, "product-invariance")]
+
+
 def check_p_tensor(r: Tensor, fa: FrameAlgebra) -> TheoremResult:
-    """Whether a (0,4) tensor has curvature-type antisymmetries, satisfies the
-    first cyclic identity, and is invariant under the product in its last pair."""
-    witnesses = []
-    witnesses += tensor_witnesses(fa, r + arranged(r, "y,x,z,w"),
-                                   "antisymmetry-first-pair")
-    witnesses += tensor_witnesses(fa, r + arranged(r, "x,y,w,z"),
-                                   "antisymmetry-last-pair")
-    witnesses += tensor_witnesses(fa, cyclic_sum(r, (0, 1, 2)), "first-bianchi")
-    witnesses += tensor_witnesses(fa, arranged(r, "x,y,Pz,Pw", fa.p) - r,
-                                   "product-invariance")
-    return _result("p-tensor-axioms", witnesses)
+    """Whether a (0,4) tensor is a P-tensor, witnessed in the user's basis."""
+    return _result("p-tensor-axioms", [w for t, label in p_tensor_defects(r, fa)
+                                       for w in tensor_witnesses(fa, t, label)])
 
 
 @memo
-def rpt_curvature_p_tensor(pack: ConnectionPack) -> TheoremResult:
-    """check_p_tensor on the curvature of the skew-torsion connection, run
-    once per pack."""
-    return check_p_tensor(curvature(pack.rpt)[0], pack.frame)
+def rpt_curvature_p_tensor(pack: ConnectionPack) -> bool:
+    """Whether the curvature of the skew-torsion connection is a P-tensor,
+    decided once per pack with no pull-back to the user's basis."""
+    return all(t.is_zero for t, _ in p_tensor_defects(curvature(pack.rpt)[0], pack.frame))
 
 
 @memo
@@ -163,7 +165,7 @@ def verify_p_tensor_criterion(fa: FrameAlgebra, pack: ConnectionPack) -> Theorem
     b = pack.torsion_products()
     sigma = pack.torsion_form_square()
 
-    side_a = rpt_curvature_p_tensor(pack).conclusion_holds
+    side_a = rpt_curvature_p_tensor(pack)
     relation = rp - b.scale(Fraction(1, 4)) + sigma.scale(Fraction(1, 12))
     side_b = (r - relation).is_zero
 
@@ -208,7 +210,7 @@ def verify_parallel_torsion(fa: FrameAlgebra, pack: ConnectionPack) -> TheoremRe
                                        "cyclic-identity")
         witnesses += tensor_witnesses(fa, arranged(rp, "Px,Py,Pz,Pw", fa.p) - rp,
                                        "product-invariance")
-        p_tensor = rpt_curvature_p_tensor(pack).conclusion_holds
+        p_tensor = rpt_curvature_p_tensor(pack)
         details["p_tensor"] = str(p_tensor).lower()
         if p_tensor:
             witnesses += tensor_witnesses(fa, sigma, "quadratic-form-vanishes")
@@ -223,7 +225,7 @@ def verify_family_equivalence(fa: FrameAlgebra, pack: ConnectionPack,
     with parameter Scalars lam: the curvature of the skew-torsion connection
     is a P-tensor, iff its torsion is parallel, iff the second parameter pair
     is a common sign multiple of the first."""
-    cond_i = rpt_curvature_p_tensor(pack).conclusion_holds
+    cond_i = rpt_curvature_p_tensor(pack)
     cond_ii = pack.torsion_derivative().is_zero
     l1, l2, l3, l4 = lam
     cond_iii = any((l3 - l1 * eps).is_zero and (l4 - l2 * eps).is_zero

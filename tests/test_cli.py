@@ -8,11 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from rptgeo import (FrameAlgebra, Scalar, build_example, cli, geometry, save_spec,
-                    theorems)
+from rptgeo import (FrameAlgebra, Scalar, build_example, cli, frames, geometry,
+                    save_spec, theorems)
 from rptgeo.example import bundled_spec_path
 
-from helpers import single_bracket_frame
+from helpers import single_bracket_frame, six_dim_frame
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SPEC = str(bundled_spec_path())
@@ -174,13 +174,13 @@ def test_check_runs_the_p_tensor_test_once(monkeypatch, capsys):
     # λ3 = λ1 and λ4 = λ2: parallel torsion, so three checks ask whether R' is
     # a P-tensor
     calls = []
-    check_p_tensor = theorems.check_p_tensor
+    p_tensor_defects = theorems.p_tensor_defects
 
-    def counting_check(r, fa):
+    def counting_defects(r, fa):
         calls.append(r)
-        return check_p_tensor(r, fa)
+        return p_tensor_defects(r, fa)
 
-    monkeypatch.setattr(theorems, "check_p_tensor", counting_check)
+    monkeypatch.setattr(theorems, "p_tensor_defects", counting_defects)
     code, out, _ = run_cli(["check", SPEC, "--lambda=1,2,1,2", "--format", "json"],
                            capsys)
     assert code == 0
@@ -188,6 +188,25 @@ def test_check_runs_the_p_tensor_test_once(monkeypatch, capsys):
     assert details["parallel-torsion"]["p_tensor"] == "true"
     assert details["family-parameter-equivalence"]["p_tensor"] == "true"
     assert len(calls) == 1
+
+
+def test_passing_check_pulls_nothing_back_to_the_user_basis(monkeypatch, capsys,
+                                                           tmp_path):
+    # witnesses of a nonzero tensor are the only pull-back a check needs
+    path = tmp_path / "six.json"
+    save_spec(six_dim_frame(), path)
+    calls = []
+    to_user = frames.RebasedFrame.to_user
+
+    def counting_to_user(self, t):
+        calls.append(t)
+        return to_user(self, t)
+
+    monkeypatch.setattr(frames.RebasedFrame, "to_user", counting_to_user)
+    code, out, _ = run_cli(["check", str(path), "--format", "json"], capsys)
+    assert code == 0
+    assert all(c["status"] == "pass" for c in json.loads(out)["checks"])
+    assert calls == []
 
 
 def test_json_report_builds_no_text_sections(monkeypatch, capsys):

@@ -7,7 +7,7 @@ import pytest
 
 from rptgeo import (FrameAlgebra, Scalar, SchemaError, associated_metric,
                     build_example, bundled_spec_path, killing_check, load_spec,
-                    mat_identity, mat_transpose, save_spec, spec_digest,
+                    mat_det, mat_identity, mat_transpose, save_spec, spec_digest,
                     validate)
 from rptgeo.example import swap_product_matrix
 from rptgeo.frames import frame_from_dict, frame_to_dict
@@ -62,6 +62,36 @@ def test_indefinite_metric_flagged():
     g_bad[1][1] = Scalar.constant((), -1)
     report = validate(FrameAlgebra(4, (), fa.c, g_bad, fa.p))
     assert any(w.label == "metric-positive-definite" for w in report.witnesses)
+
+
+def _leading_block(m, k):
+    return [row[:k] for row in m[:k]]
+
+
+def test_metric_minors_are_the_leading_block_determinants():
+    for fa in random_frames():
+        minors = fa.metric_minors
+        assert minors == [mat_det(_leading_block(fa.g, k))
+                          for k in range(1, fa.dim + 1)]
+        assert fa.metric_det == minors[-1]
+
+
+@pytest.mark.parametrize("rows, bad", [
+    # one swap: minors 0, -1, -1, -1
+    ([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], [1, 2, 3, 4]),
+    # two swaps leave det g = 1 and every pivot value 1; minors 0, -1, 0, 1
+    ([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], [1, 2, 3]),
+    # no swap, a singular metric: minors 1, 0, 0, 0
+    ([[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], [2, 3, 4]),
+])
+def test_metric_with_a_zero_leading_minor_is_witnessed(rows, bad):
+    g = [[Scalar.constant((), x) for x in row] for row in rows]
+    fa = FrameAlgebra(4, (), single_bracket_frame().c, g, mat_identity(4, ()))
+    witnesses = [w for w in validate(fa).witnesses
+                 if w.label == "metric-positive-definite"]
+    assert [w.index for w in witnesses] == [(k,) for k in bad]
+    assert [w.actual for w in witnesses] == [mat_det(_leading_block(g, k))
+                                            for k in bad]
 
 
 def test_malformed_shapes_raise():

@@ -3,9 +3,9 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from rptgeo import Scalar, parse_expression
+from rptgeo import Scalar, parse_expression, scalars as kernel
 from rptgeo.scalars import _is_const
 
 PARAMS = ("l1", "l2", "l3", "l4")
@@ -79,6 +79,19 @@ def test_unsupported_operand_raises_type_error(op, symbol):
     s = Scalar.constant((), 3)
     with pytest.raises(TypeError, match="for %s:" % symbol):
         op(1.5, s)
+
+
+def test_fraction_that_cancels_to_a_polynomial_needs_no_gcd(monkeypatch):
+    q = S("(1 + l1*l2)^2")
+    x = S("l3") / q
+    assert not x.cden
+
+    def no_gcd(f, g):
+        raise AssertionError("gcd on an exact quotient")
+
+    monkeypatch.setattr(kernel, "_poly_gcd", no_gcd)
+    assert (q * S("l4")) * x == S("l3*l4")
+    assert ((q * S("l1")) / q) == S("l1")
 
 
 def test_substitution_pole_raises():
@@ -158,7 +171,16 @@ def test_print_parse_roundtrip(a):
 _fractions = st.fractions(max_denominator=50).filter(lambda q: abs(q) < 100)
 
 
+def _assert_rational(c):
+    # an integral coefficient is an int; no float ever reaches the kernel
+    assert type(c) is int or (type(c) is Fraction and c.denominator != 1), repr(c)
+
+
 def _assert_kernel_invariants(s):
+    for c in list(s.num.values()) + list(s.den.values()):
+        _assert_rational(c)
+    if s.value is not None:
+        _assert_rational(s.value)
     zero = (0,) * len(s.params)
     assert s.is_zero == (not s.num)
     assert s.cden == _is_const(s.den)
@@ -196,10 +218,59 @@ def test_constant_with_parameter_matches_parsed_expression(x, name):
     assert (c * p).is_zero == (x == 0) == ((c * p).value is not None)
 
 
-@settings(max_examples=40, deadline=None)
-@given(scalars, scalars)
-def test_kernel_invariants_hold_on_every_result(a, b):
+def _quotients(children):
+    return st.one_of(_combine(children), st.tuples(children, children).map(
+        lambda ab: ab[0] if ab[1].is_zero else ab[0] / ab[1]))
+
+
+# rational constants and quotients, so coefficients pass through Fraction
+rational_scalars = st.recursive(
+    st.one_of(_fractions.map(lambda q: Scalar.constant(PARAMS, q)), _atoms),
+    _quotients, max_leaves=6)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(st.tuples(scalars, scalars),
+                 st.tuples(rational_scalars, rational_scalars)))
+def test_kernel_invariants_hold_on_every_result(ab):
+    a, b = ab
     for s in (a, b, a + b, a - b, a * b, -a):
         _assert_kernel_invariants(s)
     if not b.is_zero:
         _assert_kernel_invariants(a / b)
+
+
+_nonconstant = scalars.filter(lambda q: not q.is_constant)
+_points = st.fixed_dictionaries(
+    {name: st.fractions(min_value=-20, max_value=20, max_denominator=20)
+     for name in PARAMS})
+
+
+@settings(max_examples=40, deadline=None)
+@given(scalars, _nonconstant, scalars)
+def test_common_factor_cancels(p, q, r):
+    assume(not r.is_zero)
+    assert (p * q) / (q * r) == p / r
+    assert (p * q) / q == p
+
+
+_denominators = st.sampled_from(["1 + l1*l2", "(1 + l1*l2)^2",
+                                 "l1^2 + l2^2 + 1", "2*l3 - l4"]).map(S)
+
+
+@settings(max_examples=40, deadline=None)
+@given(scalars, scalars, _denominators, st.sampled_from([-1, 1, 2, Fraction(1, 2)]),
+       st.lists(_points, min_size=3, max_size=3))
+def test_sum_over_equal_denominators_matches_evaluation(a, b, q, c, points):
+    # a*q + 1 and b*q + c are prime to q, so x and y keep q's denominator
+    x, y = (a * q + 1) / q, (b * q + c) / q
+    assert x.den == y.den and not x.cden
+    total = x + y
+    _assert_kernel_invariants(total)
+    assert total == (a + b) + (1 + c) / q
+    # Schwartz-Zippel: a wrong numerator shows at random points off the poles
+    for pt in points:
+        qv = q.substitute(pt)
+        if qv:
+            expected = (a.substitute(pt) + b.substitute(pt)) + (1 + c) / qv
+            assert total.substitute(pt) == expected

@@ -1,6 +1,13 @@
 """Theorem suites run on the frame they are given."""
 
-from rptgeo import FrameAlgebra, all_passed, build_example, theorem_checks
+import pytest
+
+from rptgeo import (FrameAlgebra, NotW3Error, adapted_frame, all_passed,
+                    build_example, check_p_tensor, curvature, levi_civita, rpt_connection,
+                    theorem_checks)
+from rptgeo.theorems import rpt_curvature_p_tensor
+
+from helpers import random_frames, six_dim_frame
 
 
 def test_family_check_builds_no_second_frame(monkeypatch):
@@ -17,3 +24,39 @@ def test_family_check_builds_no_second_frame(monkeypatch):
     assert built == []
     assert results[-1].check_id == "family-parameter-equivalence"
     assert all_passed(results)
+
+
+def test_levi_civita_curvature_is_not_product_invariant():
+    fa = six_dim_frame()
+    result = check_p_tensor(curvature(levi_civita(fa))[0], fa)
+    assert not result.conclusion_holds
+    assert result.witnesses
+    # a Riemannian curvature tensor has every other P-tensor symmetry
+    assert {w.label for w in result.witnesses} == {"product-invariance"}
+
+
+def test_skew_torsion_curvature_with_parallel_torsion_is_a_p_tensor():
+    fa = build_example((1, 2, 1, 2))
+    result = check_p_tensor(curvature(rpt_connection(fa).rpt)[0], fa)
+    assert result.conclusion_holds and not result.witnesses
+
+
+def _parameter_free_packs():
+    # on the adapted frame, where every command decides it
+    for fa in random_frames() + [build_example((1, 2, 1, 2))]:
+        if fa.params:
+            continue
+        af = adapted_frame(fa)
+        try:
+            yield af, rpt_connection(af)
+        except NotW3Error:
+            continue
+
+
+def test_memoised_p_tensor_predicate_agrees_with_the_check():
+    decided = set()
+    for fa, pack in _parameter_free_packs():
+        expected = check_p_tensor(curvature(pack.rpt)[0], fa).conclusion_holds
+        assert rpt_curvature_p_tensor(pack) is expected
+        decided.add(expected)
+    assert decided == {True, False}
