@@ -51,7 +51,9 @@ class ConnectionPack:
 
     @memo
     def torsion_form_square(self) -> Tensor:
-        return sigma_T(self.T, self.frame)
+        """sigma_T, the cyclic sum of the memoised torsion products; the
+        torsion-3form check, not a guard here, tests that T is skew."""
+        return cyclic_sum(self.torsion_products(), (0, 1, 2))
 
 
 def rpt_torsion(f: Tensor, fa: FrameAlgebra) -> Tensor:

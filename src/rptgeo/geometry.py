@@ -166,19 +166,15 @@ def torsion_projections(t: Tensor, fa: FrameAlgebra):
         raise ValueError("expected a (0,3) tensor")
     if not (t + arranged(t, "y,x,z")).is_zero:
         raise ValueError("tensor is not antisymmetric in its first two slots")
-    p = fa.p
-    e8 = Fraction(1, 8)
-    e4 = Fraction(1, 4)
-
-    def A(pattern):
-        return arranged(t, pattern, p)
-
-    p1 = (t.scale(2) - A("y,z,x") - A("z,x,y") - A("Pz,x,Py") + A("Py,z,Px")
-          + A("z,Px,Py") - A("Px,Py,z").scale(2) + A("Py,Pz,x") + A("Pz,Px,y")
-          - A("y,Pz,Px")).scale(e8)
-    p2 = (t.scale(2) + A("y,z,x") + A("z,x,y") + A("Pz,x,Py") - A("Py,z,Px")
-          - A("z,Px,Py") - A("Px,Py,z").scale(2) - A("Py,Pz,x") - A("Pz,Px,y")
-          + A("y,Pz,Px")).scale(e8)
-    p3 = (t + A("Px,Py,z") - A("Px,y,Pz") - A("x,Py,Pz")).scale(e4)
-    p4 = (t + A("Px,Py,z") + A("Px,y,Pz") + A("x,Py,Pz")).scale(e4)
-    return p1, p2, p3, p4
+    # each pattern once; p1 and p2 differ only in the sign of s, p3 and p4
+    # in the sign of u
+    a = {pattern: arranged(t, pattern, fa.p) for pattern in (
+        "y,z,x", "z,x,y", "Pz,x,Py", "Py,z,Px", "z,Px,Py", "Px,Py,z", "Py,Pz,x",
+        "Pz,Px,y", "y,Pz,Px", "Px,y,Pz", "x,Py,Pz")}
+    s = (a["Py,z,Px"] + a["z,Px,Py"] + a["Py,Pz,x"] + a["Pz,Px,y"] - a["y,z,x"]
+         - a["z,x,y"] - a["Pz,x,Py"] - a["y,Pz,Px"])
+    u = a["Px,y,Pz"] + a["x,Py,Pz"]
+    d = (t - a["Px,Py,z"]).scale(2)
+    e = t + a["Px,Py,z"]
+    e8, e4 = Fraction(1, 8), Fraction(1, 4)
+    return (d + s).scale(e8), (d - s).scale(e8), (e - u).scale(e4), (e + u).scale(e4)

@@ -2,6 +2,12 @@
 
 Slots are 0-based in this API; variance is a string over ``u`` (vector
 slot) and ``d`` (covector slot).  Components live in a flat row-major list.
+
+The two slot operations work on that list directly.  ``transpose`` reads
+its output through a table of input offsets.  ``map_slot`` with a diagonal
+matrix, such as P = diag(I, -I) in a P-eigenbasis, maps each slice of the
+slot by its diagonal entry: 1 copies, -1 negates, 0 zeroes, and only any
+other entry multiplies; every other matrix takes the dense loop.
 """
 
 from __future__ import annotations
@@ -115,24 +121,50 @@ class Tensor:
     def transpose(self, perm: Sequence[int]) -> "Tensor":
         """Tensor N with N(x_0,..) = T(x_{perm[0]},..)."""
         perm = tuple(perm)
-        if sorted(perm) != list(range(self.rank)):
+        r, n = self.rank, self.dim
+        if sorted(perm) != list(range(r)):
             raise ValueError("perm must be a permutation of the slots")
-        inv = [0] * self.rank
+        inv = [0] * r
         for pos, p in enumerate(perm):
             inv[p] = pos
-        variance = "".join(self.variance[inv[k]] for k in range(self.rank))
-        comps = [self.comps[self._offset(tuple(idx[p] for p in perm))]
-                 for idx in self.indices()]
-        return Tensor(self.dim, variance, self.params, comps)
+        variance = "".join(self.variance[inv[k]] for k in range(r))
+        # output slot k walks input slot inv[k], whose stride is n**(r-1-inv[k])
+        table = [0]
+        for k in range(r):
+            stride = n ** (r - 1 - inv[k])
+            table = [off + step for off in table for step in range(0, n * stride, stride)]
+        comps = self.comps
+        return Tensor(n, variance, self.params, [comps[off] for off in table])
 
     def map_slot(self, matrix: list, slot: int) -> "Tensor":
-        """Compose a (1,1) map into one slot (covariant: M^a_i feeds slot)."""
+        """Compose a (1,1) map into one slot (covariant: M^a_i feeds slot).
+
+        A diagonal matrix scales each slice of the slot by its entry: 1
+        copies the slice, -1 negates it and 0 zeroes it, with no Scalar
+        multiplication; any other entry multiplies.  A matrix with a nonzero
+        off-diagonal entry takes the dense loop."""
         n = self.dim
-        out = [None] * len(self.comps)
         stride = n ** (self.rank - 1 - slot)
         block = stride * n
-        up = self.variance[slot] == "u"
         zero = Scalar.zero(self.params)
+        if all(x.is_zero for i, row in enumerate(matrix) for j, x in enumerate(row)
+               if i != j):
+            diag = [row[i] for i, row in enumerate(matrix)]
+            out = []
+            for base in range(0, len(self.comps), block):
+                for i, d in enumerate(diag):
+                    part = self.comps[base + i * stride:base + (i + 1) * stride]
+                    if d.value == 1:
+                        out += part
+                    elif d.value == -1:
+                        out += [-c for c in part]
+                    elif d.is_zero:
+                        out += [zero] * stride
+                    else:
+                        out += [d * c for c in part]
+            return Tensor(n, self.variance, self.params, out)
+        out = [None] * len(self.comps)
+        up = self.variance[slot] == "u"
         for base in range(0, len(self.comps), block):
             for rest in range(stride):
                 col = [self.comps[base + a * stride + rest] for a in range(n)]

@@ -184,6 +184,22 @@ def cyclic_sum_oracle(t: Tensor, slots):
     return Tensor(t.dim, t.variance, t.params, out)
 
 
+def map_slot_oracle(t: Tensor, matrix: list, slot: int) -> Tensor:
+    """Dense loop, entry by entry: the component at idx is the sum over a of
+    M^i_a t(.., e_a in slot, ..) with i = idx[slot], reading matrix[i][a]
+    on a vector slot and matrix[a][i] on a covector slot."""
+    up = t.variance[slot] == "u"
+    out = []
+    for idx in t.indices():
+        i = idx[slot]
+        acc = Scalar.zero(t.params)
+        for a in range(t.dim):
+            m = matrix[i][a] if up else matrix[a][i]
+            acc = acc + m * t[idx[:slot] + (a,) + idx[slot + 1:]]
+        out.append(acc)
+    return Tensor(t.dim, t.variance, t.params, out)
+
+
 _PERMS3 = [((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
            ((1, 0, 2), -1), ((0, 2, 1), -1), ((2, 1, 0), -1)]
 

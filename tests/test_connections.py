@@ -181,6 +181,23 @@ def test_sigma_pair_symmetry_and_form():
         assert cyclic_sum(sigma, (0, 1, 2)) == sigma.scale(3)
 
 
+def test_pack_forms_the_torsion_products_once(monkeypatch):
+    import rptgeo.connections as connections
+    calls = []
+
+    def counted(t, fa):
+        calls.append(t)
+        return torsion_inner_products(t, fa)
+
+    monkeypatch.setattr(connections, "torsion_inner_products", counted)
+    fa = build_example((1, 2, 3, 5))
+    pack = rpt_connection(fa)
+    sigma = pack.torsion_form_square()
+    assert pack.torsion_products() is pack.torsion_products()
+    assert calls == [pack.T]
+    assert sigma == sigma_T(pack.T, fa)
+
+
 def test_sigma_rejects_nonskew():
     t = Tensor.build(4, "ddd", SYM.params,
                      lambda idx: Scalar.constant(SYM.params, idx[0]))

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from rptgeo import (CLASS_OUTSIDE, CLASS_PARALLEL, CLASS_SKEW, FrameAlgebra,
-                    Scalar, Tensor, build_example, classify, curvature,
+                    Scalar, Tensor, arranged, build_example, classify, curvature,
                     cyclic_sum, fundamental_F, levi_civita, mat_identity, mat_inv,
                     parse_expression, rpt_connection, square_norm_nabla_P,
                     torsion_projections, validate)
@@ -198,6 +198,20 @@ def test_projection_completeness_on_general_antisymmetric_input():
     t = raw - raw.transpose((1, 0, 2))  # antisymmetric in first two slots only
     p1, p2, p3, p4 = torsion_projections(t, SYM)
     assert (p1 + p2 + p3 + p4) == t
+    assert [p1, p2, p3, p4] == list(projection_oracle(t, SYM))
+
+
+def test_projections_evaluate_each_pattern_once(monkeypatch):
+    import rptgeo.geometry as geometry
+    patterns = []
+
+    def spy(t, pattern, product=None):
+        patterns.append(pattern)
+        return arranged(t, pattern, product)
+
+    monkeypatch.setattr(geometry, "arranged", spy)
+    torsion_projections(rpt_connection(SYM).T, SYM)
+    assert len(patterns) == len(set(patterns)) == 12  # 11 and the skew guard
 
 
 def test_projections_zero_torsion():

@@ -1,9 +1,13 @@
-"""Every module-level import in the package sources is used.
+"""Every module-level import in the package sources is used, and no module
+caches through ``functools``.
 
 No linter ships with the project, so this parses each module with ``ast``:
 a name bound by a top-level ``import`` must be read somewhere else in that
 module, in code or in a quoted annotation.  ``__init__.py`` is left out
-because its imports are the public re-exports.
+because its imports are the public re-exports.  The package has one explicit
+cache, ``frames.memo`` (plus ``FrameAlgebra``'s two ``cached_property``
+values), so ``functools.lru_cache`` and ``functools.cache`` are refused
+everywhere.
 """
 
 import ast
@@ -11,8 +15,9 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted(p for p in (Path(__file__).parent.parent / "src" / "rptgeo").glob("*.py")
-                 if p.name != "__init__.py")
+PACKAGE = Path(__file__).parent.parent / "src" / "rptgeo"
+SOURCES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+FUNCTOOLS_CACHES = {"lru_cache", "cache"}
 
 
 def _imported_names(tree: ast.Module) -> dict:
@@ -49,3 +54,40 @@ def test_no_unused_module_imports(path):
     unused = ["%s (line %d)" % (name, line)
               for name, line in sorted(_imported_names(tree).items()) if name not in used]
     assert not unused, "%s imports unused names: %s" % (path.name, ", ".join(unused))
+
+
+def _functools_caches(tree: ast.Module) -> list:
+    """Uses of ``functools.lru_cache``/``cache``, imported by name or read
+    as an attribute of the module (under any alias), with their lines."""
+    modules = {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.Import) for alias in node.names
+               if alias.name == "functools"}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            found += ["%s (line %d)" % (alias.name, node.lineno)
+                      for alias in node.names if alias.name in FUNCTOOLS_CACHES]
+        elif (isinstance(node, ast.Attribute) and node.attr in FUNCTOOLS_CACHES
+              and isinstance(node.value, ast.Name) and node.value.id in modules):
+            found.append("functools.%s (line %d)" % (node.attr, node.lineno))
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_functools_cache(path):
+    found = _functools_caches(ast.parse(path.read_text(encoding="utf-8")))
+    assert not found, "%s caches outside frames.memo: %s" % (path.name, ", ".join(found))
+
+
+@pytest.mark.parametrize("source", [
+    "from functools import lru_cache\n",
+    "from functools import cache, wraps\n",
+    "import functools\n@functools.lru_cache(None)\ndef f(): pass\n",
+    "import functools as ft\nf = ft.cache(len)\n",
+])
+def test_functools_cache_is_detected(source):
+    assert _functools_caches(ast.parse(source))
+
+
+def test_other_functools_names_are_allowed():
+    assert not _functools_caches(ast.parse("from functools import cached_property, wraps\n"))

@@ -10,7 +10,7 @@ from rptgeo import (Scalar, Tensor, alternate, arranged, cyclic_sum, mat_det,
                     mat_identity, mat_inv, mat_mul, parse_expression,
                     tensor_contract)
 
-from helpers import cyclic_sum_oracle
+from helpers import cyclic_sum_oracle, map_slot_oracle
 
 PARAMS = ("l1", "l2", "l3", "l4")
 DIM = 4
@@ -74,18 +74,92 @@ def test_transpose_semantics():
         assert swapped[i, j, k] == t[j, i, k]
 
 
-def test_arranged_matches_manual_loops():
+@pytest.mark.parametrize("variance", ["udd", "duud"])
+def test_transpose_matches_explicit_indices(variance):
+    n = 3
+    t = Tensor(n, variance, PARAMS, [C(v) for v in range(n ** len(variance))])
+    for perm in itertools.permutations(range(t.rank)):
+        out = t.transpose(perm)
+        # input slot k receives output argument perm[k]
+        assert all(out.variance[perm[k]] == variance[k] for k in range(t.rank))
+        for idx in out.indices():
+            assert out[idx] == t[tuple(idx[p] for p in perm)]
+
+
+A = Scalar.parameter(PARAMS, "l1")
+# the diagonal entries the sign branch of map_slot reads: copy, negate,
+# zero, and multiply by a constant or a parameter
+DIAGONALS = [(C(1), C(-1), C(0)), (C(2), C(Fraction(1, 3)), A)]
+
+
+def _mixed_tensor(n, variance):
+    return Tensor(n, variance, PARAMS, [C(k % 5 - 2) if k % 3 else A + C(k)
+                                        for k in range(n ** len(variance))])
+
+
+def _diagonal(entries):
+    zero = Scalar.zero(PARAMS)
+    return [[d if i == j else zero for j in range(len(entries))]
+            for i, d in enumerate(entries)]
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+@pytest.mark.parametrize("entries", DIAGONALS, ids=["signs", "scales"])
+def test_map_slot_with_a_diagonal_matches_the_dense_oracle(rank, entries):
+    m = _diagonal(entries)
+    for variance in ("d" * rank, "u" + "d" * (rank - 1)):
+        t = _mixed_tensor(3, variance)
+        for slot in range(rank):
+            assert t.map_slot(m, slot) == map_slot_oracle(t, m, slot)
+
+
+def test_map_slot_with_a_dense_matrix_matches_the_oracle():
+    zero, one = Scalar.zero(PARAMS), Scalar.one(PARAMS)
+    m = [[zero, one, A], [one, zero, zero], [C(2), zero, -one]]
+    for variance in ("udd", "dud"):
+        t = _mixed_tensor(3, variance)
+        for slot in range(3):
+            assert t.map_slot(m, slot) == map_slot_oracle(t, m, slot)
+
+
+def test_signs_on_the_diagonal_make_no_multiplication(monkeypatch):
+    p = _diagonal((C(1), C(-1), C(-1)))
+    t = _mixed_tensor(3, "ddu")
+    expected = [map_slot_oracle(t, p, slot) for slot in range(3)]
+    arranged_expected = arranged(t, "Pz,x,Py", p)
+
+    def refuse(self, other):
+        raise AssertionError("Scalar multiplication on a +-1 diagonal")
+
+    monkeypatch.setattr(Scalar, "__mul__", refuse)
+    monkeypatch.setattr(Scalar, "__rmul__", refuse)
+    assert [t.map_slot(p, slot) for slot in range(3)] == expected
+    assert arranged(t, "Pz,x,Py", p) == arranged_expected
+
+
+def _swap(i):
+    return (i + 2) % 4, 1  # block swap in dimension four
+
+
+def _signs(i):
+    return i, (1 if i < 2 else -1)  # diag(1, 1, -1, -1)
+
+
+@pytest.mark.parametrize("apply_p", [_swap, _signs], ids=["swap", "diag"])
+def test_arranged_matches_manual_loops(apply_p):
     t = tensor_from_ints("ddd", [((2 * i - j + 3 * k) % 5) for i in range(DIM)
                                  for j in range(DIM) for k in range(DIM)])
-    p = [[C(1 if abs(i - j) == 2 else 0) for j in range(DIM)] for i in range(DIM)]
+    # P e_i = sign * e_image, so row image, column i of P holds the sign
+    p = [[C(0)] * DIM for _ in range(DIM)]
+    for i in range(DIM):
+        image, sign = apply_p(i)
+        p[image][i] = C(sign)
     got = arranged(t, "Pz,x,Py", p)
-
-    def apply_p(i):
-        return (i + 2) % 4  # block swap in dimension four
 
     for idx in t.indices():
         x, y, z = idx
-        assert got[x, y, z] == t[apply_p(z), x, apply_p(y)]
+        (pz, sz), (py, sy) = apply_p(z), apply_p(y)
+        assert got[x, y, z] == t[pz, x, py] * C(sz * sy)
 
 
 def test_cyclic_sum_of_zero():
