@@ -6,8 +6,8 @@ slot) and ``d`` (covector slot).  Components live in a flat row-major list.
 The two slot operations work on that list directly.  ``transpose`` reads
 its output through a table of input offsets.  ``map_slot`` with a diagonal
 matrix, such as P = diag(I, -I) in a P-eigenbasis, maps each slice of the
-slot by its diagonal entry: 1 copies, -1 negates, 0 zeroes, and only any
-other entry multiplies; every other matrix takes the dense loop.
+slot by its diagonal entry: 1 copies, -1 negates and any other entry
+multiplies; every other matrix takes the dense loop.
 """
 
 from __future__ import annotations
@@ -140,13 +140,12 @@ class Tensor:
         """Compose a (1,1) map into one slot (covariant: M^a_i feeds slot).
 
         A diagonal matrix scales each slice of the slot by its entry: 1
-        copies the slice, -1 negates it and 0 zeroes it, with no Scalar
-        multiplication; any other entry multiplies.  A matrix with a nonzero
-        off-diagonal entry takes the dense loop."""
+        copies the slice and -1 negates it, with no Scalar multiplication;
+        any other entry multiplies.  A matrix with a nonzero off-diagonal
+        entry takes the dense loop."""
         n = self.dim
         stride = n ** (self.rank - 1 - slot)
         block = stride * n
-        zero = Scalar.zero(self.params)
         if all(x.is_zero for i, row in enumerate(matrix) for j, x in enumerate(row)
                if i != j):
             diag = [row[i] for i, row in enumerate(matrix)]
@@ -158,13 +157,12 @@ class Tensor:
                         out += part
                     elif d.value == -1:
                         out += [-c for c in part]
-                    elif d.is_zero:
-                        out += [zero] * stride
                     else:
                         out += [d * c for c in part]
             return Tensor(n, self.variance, self.params, out)
         out = [None] * len(self.comps)
         up = self.variance[slot] == "u"
+        zero = Scalar.zero(self.params)
         for base in range(0, len(self.comps), block):
             for rest in range(stride):
                 col = [self.comps[base + a * stride + rest] for a in range(n)]

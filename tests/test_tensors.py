@@ -87,8 +87,8 @@ def test_transpose_matches_explicit_indices(variance):
 
 
 A = Scalar.parameter(PARAMS, "l1")
-# the diagonal entries the sign branch of map_slot reads: copy, negate,
-# zero, and multiply by a constant or a parameter
+# diagonal entries for map_slot: 1 copies, -1 negates, and zero, a constant
+# or a parameter multiplies
 DIAGONALS = [(C(1), C(-1), C(0)), (C(2), C(Fraction(1, 3)), A)]
 
 
