@@ -104,7 +104,7 @@ def _diagonal(entries):
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3, 4])
-@pytest.mark.parametrize("entries", DIAGONALS, ids=["signs", "scales"])
+@pytest.mark.parametrize("entries", DIAGONALS, ids=["units-and-zero", "scales"])
 def test_map_slot_with_a_diagonal_matches_the_dense_oracle(rank, entries):
     m = _diagonal(entries)
     for variance in ("d" * rank, "u" + "d" * (rank - 1)):
