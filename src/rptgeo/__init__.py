@@ -22,7 +22,7 @@ from .geometry import (CLASS_OUTSIDE, CLASS_PARALLEL, CLASS_SKEW, ClassLabel,
                        torsion_projections)
 from .parser import ParseError, parse_expression
 from .scalars import Scalar
-from .tensors import (Tensor, alternate, arranged, cyclic_sum, mat_det,
+from .tensors import (Tensor, alternate, arranged, compose, cyclic_sum, mat_det,
                       mat_identity, mat_inv, mat_mul, mat_transpose,
                       row_reduce, tensor_contract)
 from .theorems import (TheoremResult, all_passed, check_p_tensor,

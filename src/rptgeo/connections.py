@@ -18,7 +18,7 @@ from .frames import CheckReport, FrameAlgebra, memo, tensor_witnesses
 from .geometry import (CLASS_OUTSIDE, ClassLabel, Connection,
                        classify_from_structure_tensor, fundamental_F,
                        levi_civita, nabla_p_components)
-from .tensors import Tensor, alternate, arranged, cyclic_sum, mat_mul, mat_transpose
+from .tensors import Tensor, alternate, arranged, compose, cyclic_sum
 
 
 class NotW3Error(RuntimeError):
@@ -104,14 +104,8 @@ def natural_check(fa: FrameAlgebra, conn: Connection) -> CheckReport:
 
 def torsion_inner_products(t: Tensor, fa: FrameAlgebra) -> Tensor:
     """(0,4) tensor pairing the torsion of (x,y) with the torsion of (z,w)."""
-    # b at ((i,j),(k,l)) = sum_a T^a_ij T_kla: an n^2 x n by n x n^2 product
-    n = fa.dim
-
-    def rows(u: Tensor) -> list:
-        return [u.comps[r:r + n] for r in range(0, n ** 3, n)]
-
-    prod = mat_mul(rows(t.raise_slot(2, fa.metric_inv)), mat_transpose(rows(t)))
-    return Tensor(n, "dddd", fa.params, [x for row in prod for x in row])
+    # b(i,j,k,l) = sum_a T^a_ij T_kla, with T_kla moved to (a,k,l)
+    return compose(t.raise_slot(2, fa.metric_inv), t.transpose((1, 2, 0)))
 
 
 def sigma_T(t: Tensor, fa: FrameAlgebra) -> Tensor:
@@ -127,10 +121,11 @@ def covariant_derivative(fa: FrameAlgebra, conn: Connection, t: Tensor) -> Tenso
     only the connection terms contribute."""
     if not t.rank or any(v != "d" for v in t.variance):
         raise ValueError("expected a fully covariant tensor of positive rank")
-    comps = []
-    for k_i in conn.direction_matrices():
-        # M_i[s][j] = A^s_ij, composed into each slot of t in turn
-        m_i = mat_transpose(k_i)
-        maps = [t.map_slot(m_i, slot) for slot in range(t.rank)]
-        comps += (-sum(maps[1:], maps[0])).comps
-    return Tensor(fa.dim, "d" * (t.rank + 1), fa.params, comps)
+    # A^s_ij composed into each slot of t in turn: the slot moves to the
+    # front (slot j of the move is slot order[j]) and j back to its place
+    terms = []
+    for slot in range(t.rank):
+        order = [slot] + [k for k in range(t.rank) if k != slot]
+        moved = t.transpose([order.index(k) for k in range(t.rank)])
+        terms.append(compose(conn.coeffs, moved).transpose([0] + [k + 1 for k in order]))
+    return -sum(terms[1:], terms[0])

@@ -16,7 +16,7 @@ from importlib import resources
 from pathlib import Path
 
 from .frames import (CheckReport, FrameAlgebra, SchemaError, Witness,
-                     _expect, _parse_entry, capped_report)
+                     _expect, _is_index, _parse_entry, capped_report)
 from .scalars import Scalar
 from .tensors import Tensor, _perm_sign, mat_identity
 
@@ -175,7 +175,7 @@ def _load_table(path: Path, rank: int) -> GoldenTable:
         field = "%s: entries[%s]" % (path, key)
         parts = key.split(",")
         _expect(len(parts) == rank and
-                all(part.isdecimal() and 1 <= int(part) <= 4 for part in parts),
+                all(_is_index(part, 4) for part in parts),
                 field, "expected %d comma-separated indices in 1..4" % rank)
         idx, sign = _canonical(symmetry, tuple(int(part) for part in parts))
         _expect(idx is not None or value.is_zero, field,

@@ -10,7 +10,6 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property, wraps
 
 from .parser import ParseError, parse_expression
@@ -195,20 +194,19 @@ def change_basis(fa: FrameAlgebra, s: list) -> RebasedFrame:
 def _eigenbasis(fa: FrameAlgebra) -> list:
     """Matrix whose columns are eigenvectors of P for +1, then for -1.
 
-    For a constant P they are the pivot columns of the projectors (I+P)/2
-    and (I-P)/2.  For a parametric P those columns carry P's parameters
-    into the metric and brackets of the adapted frame, so they are the
-    null-space basis of I-P and I+P read from the reduced echelon form,
-    with a unit entry at each free column."""
+    For a constant P they are the pivot columns of I+P and I-P, twice the
+    projectors, so an integral P gives an integral basis.  For a parametric
+    P those columns carry P's parameters into the metric and brackets of
+    the adapted frame, so they are the null-space basis of I-P and I+P read
+    from the reduced echelon form, with a unit entry at each free column."""
     n = fa.dim
     ident = mat_identity(n, fa.params)
     one, zero = Scalar.one(fa.params), Scalar.zero(fa.params)
-    half = Scalar.constant(fa.params, Fraction(1, 2))
     constant = all(x.is_constant for row in fa.p for x in row)
     columns = []
     for sign in (1, -1):
         if constant:
-            proj = [[(ident[i][j] + fa.p[i][j] * sign) * half for j in range(n)]
+            proj = [[ident[i][j] + fa.p[i][j] * sign for j in range(n)]
                     for i in range(n)]
             pivots = row_reduce(proj)[1]
             found = [[proj[i][col] for i in range(n)] for col in pivots]
@@ -252,22 +250,26 @@ def adapted_frame(fa: FrameAlgebra) -> RebasedFrame:
 # validation
 
 
+def _mismatches(actual: list, expected: list, label: str,
+                keep=lambda i, j: True) -> list:
+    """A witness at each kept (i, j) where two matrices differ."""
+    return [Witness((i + 1, j + 1), expected[i][j], x, label)
+            for i, row in enumerate(actual) for j, x in enumerate(row)
+            if keep(i, j) and x != expected[i][j]]
+
+
 @memo
 def validate(fa: FrameAlgebra) -> CheckReport:
     """Check every structural axiom; failures are witnessed, not raised.
     The report is kept on the frame, so a command validates once."""
     n = fa.dim
     zero = Scalar.zero(fa.params)
-    witnesses = []
     notes = []
 
-    for i in range(n):
-        for j in range(i, n):
-            for k in range(n):
-                s = fa.c[i][j][k] + fa.c[j][i][k]
-                if not s.is_zero:
-                    witnesses.append(Witness((i + 1, j + 1, k + 1), zero, s,
-                                             "bracket-antisymmetry"))
+    c = coefficient_tensor(fa.c)
+    witnesses = [w for w in tensor_witnesses(fa, c + c.transpose((1, 0, 2)),
+                                             "bracket-antisymmetry")
+                 if w.index[0] <= w.index[1]]
 
     for i in range(n):
         for j in range(i + 1, n):
@@ -282,11 +284,8 @@ def validate(fa: FrameAlgebra) -> CheckReport:
                         witnesses.append(Witness((i + 1, j + 1, m + 1, r + 1),
                                                  zero, acc, "jacobi"))
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            if fa.g[i][j] != fa.g[j][i]:
-                witnesses.append(Witness((i + 1, j + 1), fa.g[j][i], fa.g[i][j],
-                                         "metric-symmetry"))
+    witnesses += _mismatches(fa.g, mat_transpose(fa.g), "metric-symmetry",
+                             lambda i, j: i < j)
 
     det = fa.metric_det
     if det.is_zero:
@@ -303,24 +302,12 @@ def validate(fa: FrameAlgebra) -> CheckReport:
                 witnesses.append(Witness((k,), Scalar.one(()), d,
                                          "metric-positive-definite"))
 
-    psq = mat_mul(fa.p, fa.p)
-    ident = mat_identity(n, fa.params)
-    for i in range(n):
-        for j in range(n):
-            if psq[i][j] != ident[i][j]:
-                witnesses.append(Witness((i + 1, j + 1), ident[i][j], psq[i][j],
-                                         "product-square-identity"))
+    witnesses += _mismatches(mat_mul(fa.p, fa.p), mat_identity(n, fa.params),
+                             "product-square-identity")
+    witnesses += _mismatches(mat_mul(mat_transpose(fa.p), mat_mul(fa.g, fa.p)), fa.g,
+                             "metric-product-compatibility")
 
-    ptgp = mat_mul(mat_transpose(fa.p), mat_mul(fa.g, fa.p))
-    for i in range(n):
-        for j in range(n):
-            if ptgp[i][j] != fa.g[i][j]:
-                witnesses.append(Witness((i + 1, j + 1), fa.g[i][j], ptgp[i][j],
-                                         "metric-product-compatibility"))
-
-    trace = zero
-    for i in range(n):
-        trace = trace + fa.p[i][i]
+    trace = sum((fa.p[i][i] for i in range(n)), zero)
     if not trace.is_zero:
         witnesses.append(Witness((), zero, trace, "product-traceless"))
 
@@ -347,6 +334,11 @@ def killing_check(fa: FrameAlgebra) -> CheckReport:
 def _expect(cond: bool, path: str, message: str):
     if not cond:
         raise SchemaError("%s: %s" % (path, message))
+
+
+def _is_index(text: str, top: int) -> bool:
+    """Whether text is the canonical ASCII decimal of an index in 1..top."""
+    return text in [str(k) for k in range(1, top + 1)]
 
 
 def _parse_entry(text, params: tuple, path: str) -> Scalar:
@@ -402,8 +394,8 @@ def frame_from_dict(data: dict) -> FrameAlgebra:
         result = entry.get("result", {})
         _expect(isinstance(result, dict), path + ".result", "expected an object")
         for key, text in result.items():
-            _expect(key.isdecimal() and 1 <= int(key) <= dim,
-                    "%s.result[%s]" % (path, key), "component key out of range")
+            _expect(_is_index(key, dim), "%s.result[%s]" % (path, key),
+                    "expected a component index in 1..%d" % dim)
             k = int(key) - 1
             value = _parse_entry(text, params, "%s.result[%s]" % (path, key))
             c[left - 1][right - 1][k] = value

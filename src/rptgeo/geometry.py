@@ -97,12 +97,7 @@ def square_norm(t: Tensor, fa: FrameAlgebra) -> Scalar:
     up = t
     for slot in range(t.rank):
         up = up.raise_slot(slot, fa.metric_inv)
-    acc = Scalar.zero(fa.params)
-    for idx, value in t.nonzero():
-        other = up[idx]
-        if not other.is_zero:
-            acc = acc + value * other
-    return acc
+    return mat_mul([t.comps], [[x] for x in up.comps])[0][0]
 
 
 @memo

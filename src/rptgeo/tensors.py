@@ -3,11 +3,12 @@
 Slots are 0-based in this API; variance is a string over ``u`` (vector
 slot) and ``d`` (covector slot).  Components live in a flat row-major list.
 
-The two slot operations work on that list directly.  ``transpose`` reads
-its output through a table of input offsets.  ``map_slot`` with a diagonal
-matrix, such as P = diag(I, -I) in a P-eigenbasis, maps each slice of the
-slot by its diagonal entry: 1 copies, -1 negates and any other entry
-multiplies; every other matrix takes the dense loop.
+``mat_mul`` is the one dense product.  ``transpose`` reads its output
+through a table of input offsets.  ``map_slot`` with a diagonal matrix, such
+as P = diag(I, -I) in a P-eigenbasis, maps each slice of the slot by its
+entry (1 copies, -1 negates, any other entry multiplies); any other matrix,
+and the contractions ``compose`` and ``tensor_contract``, is one ``mat_mul``
+on rows of components.
 """
 
 from __future__ import annotations
@@ -141,8 +142,9 @@ class Tensor:
 
         A diagonal matrix scales each slice of the slot by its entry: 1
         copies the slice and -1 negates it, with no Scalar multiplication;
-        any other entry multiplies.  A matrix with a nonzero off-diagonal
-        entry takes the dense loop."""
+        any other entry multiplies.  Any other matrix is one ``mat_mul``:
+        the slot moves to last place, each row of components is multiplied
+        by M, or by M^T on a vector slot, and the slot moves back."""
         n = self.dim
         stride = n ** (self.rank - 1 - slot)
         block = stride * n
@@ -160,22 +162,15 @@ class Tensor:
                     else:
                         out += [d * c for c in part]
             return Tensor(n, self.variance, self.params, out)
-        out = [None] * len(self.comps)
-        up = self.variance[slot] == "u"
-        zero = Scalar.zero(self.params)
-        for base in range(0, len(self.comps), block):
-            for rest in range(stride):
-                col = [self.comps[base + a * stride + rest] for a in range(n)]
-                for i in range(n):
-                    acc = None
-                    for a in range(n):
-                        m = matrix[i][a] if up else matrix[a][i]
-                        if m.is_zero or col[a].is_zero:
-                            continue
-                        term = m * col[a]
-                        acc = term if acc is None else acc + term
-                    out[base + i * stride + rest] = acc if acc is not None else zero
-        return Tensor(self.dim, self.variance, self.params, out)
+        # the slot moves to last place: slot j of the move is slot order[j]
+        order = [k for k in range(self.rank) if k != slot] + [slot]
+        to_last = [order.index(k) for k in range(self.rank)]
+        last = self.transpose(to_last) if stride > 1 else self
+        if self.variance[slot] == "u":
+            matrix = mat_transpose(matrix)
+        prod = mat_mul(_rows(last, n), matrix)
+        out = Tensor(n, last.variance, self.params, [x for row in prod for x in row])
+        return out.transpose(order) if stride > 1 else out
 
     def lower_slot(self, slot: int, metric: list) -> "Tensor":
         if self.variance[slot] != "u":
@@ -201,6 +196,25 @@ def coefficient_tensor(nested: list) -> Tensor:
     return Tensor(len(nested), "ddu", comps[0].params, comps)
 
 
+def _rows(t: Tensor, width: int) -> list:
+    """The components of t as a matrix with rows of the given width."""
+    return [t.comps[k:k + width] for k in range(0, len(t.comps), width)]
+
+
+def compose(a: Tensor, b: Tensor) -> Tensor:
+    """Contract the last slot of a, a vector slot, with the first slot of b,
+    a covector slot: C(.., x, y, ..) = sum_s a(.., x, e^s) b(e_s, y, ..)."""
+    if a.dim != b.dim or a.params != b.params:
+        raise ValueError("tensors have different dimension or context")
+    if a.variance[-1:] != "u" or b.variance[:1] != "d":
+        raise ValueError("compose needs a vector slot last in a and a covector "
+                         "slot first in b")
+    n = a.dim
+    prod = mat_mul(_rows(a, n), _rows(b, len(b.comps) // n))
+    return Tensor(n, a.variance[:-1] + b.variance[1:], a.params,
+                  [x for row in prod for x in row])
+
+
 # ---------------------------------------------------------------------------
 # the operations of the exact core
 
@@ -217,30 +231,15 @@ def tensor_contract(t: Tensor, slot_a: int, slot_b: int, metric=None) -> Tensor:
         raise ValueError("metric only applies when slot variances match")
     a, b = sorted((slot_a, slot_b))
     keep = [k for k in range(r) if k not in (a, b)]
-    variance = "".join(t.variance[k] for k in keep)
+    # slots a, b move to the front: row p * n + q holds t at a = p, b = q
+    order = [a, b] + keep
     n = t.dim
-    comps = []
-    for out_idx in itertools.product(range(n), repeat=r - 2):
-        idx = [0] * r
-        for pos, k in enumerate(keep):
-            idx[k] = out_idx[pos]
-        acc = Scalar.zero(t.params)
-        if metric is None:
-            for p in range(n):
-                idx[a] = idx[b] = p
-                acc = acc + t.comps[t._offset(tuple(idx))]
-        else:
-            for p in range(n):
-                for q in range(n):
-                    m = metric[p][q]
-                    if m.is_zero:
-                        continue
-                    idx[a], idx[b] = p, q
-                    c = t.comps[t._offset(tuple(idx))]
-                    if not c.is_zero:
-                        acc = acc + m * c
-        comps.append(acc)
-    return Tensor(n, variance, t.params, comps)
+    rows = _rows(t.transpose([order.index(k) for k in range(r)]), n ** (r - 2))
+    if metric is None:
+        comps = [sum(col, Scalar.zero(t.params)) for col in zip(*rows[::n + 1])]
+    else:
+        comps = mat_mul([[m for row in metric for m in row]], rows)[0]
+    return Tensor(n, "".join(t.variance[k] for k in keep), t.params, comps)
 
 
 def cyclic_sum(t: Tensor, slots) -> Tensor:
@@ -337,19 +336,24 @@ def mat_transpose(m: list) -> list:
 
 
 def mat_mul(a: list, b: list) -> list:
-    n, k, m = len(a), len(b), len(b[0])
+    """Matrix product, the one dense multiply-accumulate of the package.
+
+    Row i of the product adds up the rows of b scaled by the nonzero entries
+    of row i of a, in ascending column order; a zero entry of b makes no
+    term.  The width of the product is that of b's first row."""
+    width = len(b[0]) if b else 0
+    terms = [[(j, y) for j, y in enumerate(row) if not y.is_zero] for row in b]
+    zero = Scalar.zero(a[0][0].params) if a and a[0] else None
     out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = None
-            for s in range(k):
-                if a[i][s].is_zero or b[s][j].is_zero:
-                    continue
-                term = a[i][s] * b[s][j]
-                acc = term if acc is None else acc + term
-            row.append(acc if acc is not None else Scalar.zero(a[i][0].params))
-        out.append(row)
+    for row in a:
+        acc = [None] * width
+        for x, b_row in zip(row, terms):
+            if x.is_zero:
+                continue
+            for j, y in b_row:
+                term = x * y
+                acc[j] = term if acc[j] is None else acc[j] + term
+        out.append([zero if s is None else s for s in acc])
     return out
 
 

@@ -154,6 +154,32 @@ def covariant_derivative_oracle(conn, t: Tensor) -> Tensor:
     return Tensor(n, "d" * (t.rank + 1), fa.params, comps)
 
 
+def curvature_oracle(conn) -> Tensor:
+    """Entry by entry: R(e_i, e_j, e_k, e_l) is g(nabla_i nabla_j e_k -
+    nabla_j nabla_i e_k - nabla_[e_i,e_j] e_k, e_l), from the connection
+    coefficients and the structure constants."""
+    fa = conn.frame
+    n = fa.dim
+
+    def nabla(u, v):
+        # frame components are constant, so nabla_u v = u_m v_j A^s_mj e_s
+        out = vec_zero(fa)
+        for m, j in itertools.product(range(n), repeat=2):
+            if u[m].is_zero or v[j].is_zero:
+                continue
+            out = vec_add(out, vec_scale([conn.coeffs[m, j, s] for s in range(n)],
+                                         u[m] * v[j]))
+        return out
+
+    comps = []
+    for i, j, k in itertools.product(range(n), repeat=3):
+        ei, ej, ek = basis_vec(fa, i), basis_vec(fa, j), basis_vec(fa, k)
+        r = vec_sub(vec_sub(nabla(ei, nabla(ej, ek)), nabla(ej, nabla(ei, ek))),
+                    nabla(fa.c[i][j], ek))
+        comps += [inner(fa, r, basis_vec(fa, l)) for l in range(n)]
+    return Tensor(n, "dddd", fa.params, comps)
+
+
 def torsion_products_oracle(t: Tensor, fa) -> Tensor:
     """Entry by entry: b(e_i, e_j, e_k, e_l) = g(T(e_i, e_j), T(e_k, e_l)),
     pairing the raised torsion vector of (e_i, e_j) with the lowered
@@ -198,6 +224,25 @@ def map_slot_oracle(t: Tensor, matrix: list, slot: int) -> Tensor:
             acc = acc + m * t[idx[:slot] + (a,) + idx[slot + 1:]]
         out.append(acc)
     return Tensor(t.dim, t.variance, t.params, out)
+
+
+def mat_mul_oracle(a: list, b: list, params: tuple) -> list:
+    """Index loop: entry (i, j) is the sum over s of a[i][s] b[s][j]."""
+    width = len(b[0]) if b else 0
+    return [[sum((a[i][s] * b[s][j] for s in range(len(b))), Scalar.zero(params))
+             for j in range(width)] for i in range(len(a))]
+
+
+def compose_oracle(a: Tensor, b: Tensor) -> Tensor:
+    """Index loop: the component at (idx_a, idx_b) is the sum over s of
+    a(idx_a, s) b(s, idx_b)."""
+    n = a.dim
+    comps = []
+    for left in itertools.product(range(n), repeat=a.rank - 1):
+        for right in itertools.product(range(n), repeat=b.rank - 1):
+            comps.append(sum((a[left + (s,)] * b[(s,) + right] for s in range(n)),
+                             Scalar.zero(a.params)))
+    return Tensor(n, a.variance[:-1] + b.variance[1:], a.params, comps)
 
 
 _PERMS3 = [((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),

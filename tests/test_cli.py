@@ -93,6 +93,17 @@ INVALID = {"p-incompatible": _p_incompatible_frame,
            "jacobi-violating": _jacobi_violating_frame}
 
 
+@pytest.mark.parametrize("kind", ["jacobi-violating", "p-incompatible"])
+def test_validate_on_invalid_frame_matches_frozen_fixture(kind, tmp_path, capsys):
+    # freezes the witness values and their order, not only the status
+    path = tmp_path / "frame.json"
+    save_spec(INVALID[kind](), path)
+    code, out, _ = run_cli(["validate", str(path), "--format", "json"], capsys)
+    assert code == 1
+    name = "validate_%s.json" % kind.replace("-", "_")
+    assert out == (FIXTURES / name).read_text(encoding="utf-8")
+
+
 @pytest.mark.parametrize("kind", sorted(INVALID))
 def test_check_on_invalid_frame_gives_the_structural_report(kind, tmp_path, capsys):
     path = tmp_path / "frame.json"
@@ -148,6 +159,19 @@ def test_malformed_bracket_exits_two(field, tmp_path, capsys):
     code, out, err = run_cli(["validate", str(path)], capsys)
     assert (code, out) == (2, "")
     assert err.startswith("error: %s: " % field)
+
+
+@pytest.mark.parametrize("key", ["01", "١", "+1", " 1"])
+def test_bracket_key_must_be_a_canonical_decimal(key, tmp_path, capsys):
+    # "01" beside "1" would overwrite its coefficient, and the Arabic-Indic
+    # one passes str.isdecimal and int(); both name e_1 in other spelling
+    data = json.loads(Path(SPEC).read_text(encoding="utf-8"))
+    data["brackets"][0]["result"] = {"1": "2", key: "3"}
+    path = tmp_path / "frame.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    code, out, err = run_cli(["validate", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: brackets[0].result[%s]: " % key)
 
 
 def test_unwritable_json_path_exits_two(tmp_path, capsys):
@@ -283,6 +307,20 @@ def test_malformed_golden_table_exits_two(name, field, tmp_path, capsys):
                              capsys)
     assert (code, out) == (2, "")
     assert err.startswith("error: %s: %s" % (table, field))
+
+
+@pytest.mark.parametrize("key", ["01,3,4", "١,3,4"])
+def test_golden_index_must_be_a_canonical_decimal(key, tmp_path, capsys):
+    # the same value as the listed 1,3,4, so only the spelling is wrong
+    golden = _copied_golden(tmp_path)
+    table = golden / "torsion.json"
+    data = json.loads(table.read_text(encoding="utf-8"))
+    data["entries"][key] = data["entries"]["1,3,4"]
+    table.write_text(json.dumps(data), encoding="utf-8")
+    code, out, err = run_cli(["example", "--lambda=1,2,3,4", "--golden", str(golden)],
+                             capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: %s: entries[%s]: " % (table, key))
 
 
 def _golden_failures(golden, capsys):

@@ -259,6 +259,15 @@ def test_covariant_derivative_matches_oracle_on_random_frames():
             covariant_derivative_oracle(pack.rpt, pack.T)
 
 
+@pytest.mark.parametrize("rank", [1, 2, 4])
+def test_covariant_derivative_matches_oracle_on_other_ranks(rank):
+    fa = RANDOM[5]
+    conn = rpt_connection(fa).rpt
+    t = Tensor(fa.dim, "d" * rank, fa.params,
+               [Scalar.constant(fa.params, k % 7 - 3) for k in range(fa.dim ** rank)])
+    assert covariant_derivative(fa, conn, t) == covariant_derivative_oracle(conn, t)
+
+
 def test_torsion_inner_products_match_oracle_on_random_frames():
     for fa in RANDOM:
         t = rpt_connection(fa).T

@@ -11,9 +11,9 @@ from rptgeo import (CLASS_OUTSIDE, CLASS_PARALLEL, CLASS_SKEW, FrameAlgebra,
                     parse_expression, rpt_connection, square_norm_nabla_P,
                     torsion_projections, validate)
 
-from helpers import (basis_vec, inner, koszul_killing_oracle,
+from helpers import (basis_vec, curvature_oracle, inner, koszul_killing_oracle,
                      nabla_p_killing_oracle, projection_oracle, random_frames,
-                     single_bracket_frame)
+                     single_bracket_frame, six_dim_frame)
 
 SYM = build_example()
 LC = levi_civita(SYM)
@@ -139,6 +139,14 @@ def test_first_bianchi_on_random_frames():
     for fa in random_frames(6):
         riem, _, _ = curvature(levi_civita(fa))
         assert cyclic_sum(riem, (0, 1, 2)).is_zero
+
+
+def test_curvature_matches_the_oracle_on_random_frames():
+    # Levi-Civita and the skew-torsion connection, whose curvature is not
+    # pair-symmetric, on every 4-dim frame of the battery and a 6-dim one
+    for fa in [fa for fa in random_frames() if fa.dim == 4] + [six_dim_frame()]:
+        for conn in (levi_civita(fa), rpt_connection(fa).rpt):
+            assert curvature(conn)[0] == curvature_oracle(conn)
 
 
 def test_classify_example_and_degenerations():

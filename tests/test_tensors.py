@@ -6,11 +6,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rptgeo import (Scalar, Tensor, alternate, arranged, cyclic_sum, mat_det,
-                    mat_identity, mat_inv, mat_mul, parse_expression,
+from rptgeo import (Scalar, Tensor, alternate, arranged, compose, cyclic_sum,
+                    mat_det, mat_identity, mat_inv, mat_mul, parse_expression,
                     tensor_contract)
 
-from helpers import cyclic_sum_oracle, map_slot_oracle
+from helpers import compose_oracle, cyclic_sum_oracle, map_slot_oracle, mat_mul_oracle
 
 PARAMS = ("l1", "l2", "l3", "l4")
 DIM = 4
@@ -116,10 +116,47 @@ def test_map_slot_with_a_diagonal_matches_the_dense_oracle(rank, entries):
 def test_map_slot_with_a_dense_matrix_matches_the_oracle():
     zero, one = Scalar.zero(PARAMS), Scalar.one(PARAMS)
     m = [[zero, one, A], [one, zero, zero], [C(2), zero, -one]]
-    for variance in ("udd", "dud"):
+    for variance in ("udd", "dud", "u", "d", "du", "uddu"):
         t = _mixed_tensor(3, variance)
-        for slot in range(3):
+        for slot in range(len(variance)):
             assert t.map_slot(m, slot) == map_slot_oracle(t, m, slot)
+
+
+def _matrix(rows, cols, seed):
+    """rows x cols entries: zeros, constants and a parameter, with the second
+    row and the second column all zero where they exist."""
+    return [[C(0) if 1 in (i, j) or (i + j + seed) % 4 == 0 else
+             A + C(i - j) if (i * cols + j + seed) % 5 == 0 else C(i * cols + j - seed)
+             for j in range(cols)] for i in range(rows)]
+
+
+@pytest.mark.parametrize("n, k, m", [(1, 1, 1), (3, 3, 3), (2, 4, 3), (4, 2, 5),
+                                     (0, 3, 2), (3, 2, 0), (1, 5, 1)])
+def test_mat_mul_matches_the_index_loop(n, k, m):
+    a, b = _matrix(n, k, 1), _matrix(k, m, 2)
+    product = mat_mul(a, b)
+    assert len(product) == n and all(len(row) == m for row in product)
+    assert product == mat_mul_oracle(a, b, PARAMS)
+
+
+@pytest.mark.parametrize("left, right", [("u", "d"), ("du", "d"), ("u", "dd"),
+                                         ("ddu", "ddd"), ("udu", "dud"), ("du", "du")])
+def test_compose_matches_the_index_loop(left, right):
+    a, b = _mixed_tensor(3, left), _mixed_tensor(3, right).scale(2)
+    out = compose(a, b)
+    assert out.variance == left[:-1] + right[1:]
+    assert out == compose_oracle(a, b)
+
+
+@pytest.mark.parametrize("left, right", [("dd", "dd"), ("uu", "uu"), ("ud", "du")])
+def test_compose_needs_a_vector_slot_then_a_covector_slot(left, right):
+    with pytest.raises(ValueError, match="vector slot"):
+        compose(_mixed_tensor(3, left), _mixed_tensor(3, right))
+
+
+def test_compose_needs_one_dimension():
+    with pytest.raises(ValueError, match="dimension"):
+        compose(_mixed_tensor(3, "u"), _mixed_tensor(2, "d"))
 
 
 def test_signs_on_the_diagonal_make_no_multiplication(monkeypatch):
