@@ -34,13 +34,18 @@ def _fixture_argv(name, tmp_path):
         "example_lambda_1234.json": ["example", "--lambda=1,2,3,4", "--format", "json"],
         "check_bundled.json": ["check", SPEC, "--format", "json"],
         "check_family_w0.json": ["check", SPEC, "--lambda=0,0,0,0", "--format", "json"],
+        "check_family_w0.txt": ["check", SPEC, "--lambda=0,0,0,0"],
         "report_bundled.txt": ["report", SPEC],
+        "report_bundled.json": ["report", SPEC, "--format", "json"],
     }[name]
 
 
+# report carries validate's notes in "reason", check carries the same notes
+# in "details"; the text fixtures freeze the skip reasons and details lines
 @pytest.mark.parametrize("name", ["example_lambda_1234.json", "check_bundled.json",
                                   "check_single_bracket.json", "check_family_w0.json",
-                                  "report_bundled.txt"])
+                                  "check_family_w0.txt", "report_bundled.txt",
+                                  "report_bundled.json"])
 def test_output_matches_frozen_fixture(name, tmp_path, capsys):
     code, out, _ = run_cli(_fixture_argv(name, tmp_path), capsys)
     assert code == 0
