@@ -12,7 +12,7 @@ from .connections import (ConnectionPack, NotW3Error, covariant_derivative,
                           torsion_inner_products)
 from .example import (EPSILON_CANDIDATES, build_example, bundled_spec_path,
                       family_parameters, golden_tables)
-from .frames import (CheckReport, FrameAlgebra, RebasedFrame, SchemaError,
+from .frames import (CheckResult, FrameAlgebra, RebasedFrame, SchemaError,
                      Witness, adapted_frame, associated_metric, change_basis,
                      killing_check, load_spec, save_spec, spec_digest,
                      validate)
@@ -25,11 +25,10 @@ from .scalars import Scalar
 from .tensors import (Tensor, alternate, arranged, compose, cyclic_sum, mat_det,
                       mat_identity, mat_inv, mat_mul, mat_transpose,
                       row_reduce, tensor_contract)
-from .theorems import (TheoremResult, all_passed, check_p_tensor,
-                       geometry_checks, rpt_checks, run_all, theorem_checks,
-                       verify_curvature_relation, verify_family_equivalence,
-                       verify_p_tensor_criterion, verify_parallel_torsion,
-                       verify_torsion_type)
+from .theorems import (all_passed, check_p_tensor, geometry_checks, rpt_checks,
+                       run_all, theorem_checks, verify_curvature_relation,
+                       verify_family_equivalence, verify_p_tensor_criterion,
+                       verify_parallel_torsion, verify_torsion_type)
 
 __version__ = "0.1.0"
 

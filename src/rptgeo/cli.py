@@ -10,6 +10,9 @@ geometry stage and check suite on its adapted frame (``adapted_frame``,
 P = diag(I, -I)).  Checks decide whether tensors vanish and the scalars are
 invariants, so neither depends on the basis; the report sections, the golden
 comparisons and the witnesses are pulled back to the user's basis.
+
+Every check, structural, golden or from a suite, returns one ``CheckResult``
+whose ``as_dict()`` is its report entry {id, status, witnesses, reason, details}.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from .connections import NotW3Error, rpt_connection
 from .example import (build_example, compare_connection, compare_scalars,
                       compare_tensor, family_parameters, golden_tables,
                       _sub_map)
-from .frames import (CheckReport, FrameAlgebra, SchemaError, adapted_frame,
+from .frames import (CheckResult, FrameAlgebra, SchemaError, adapted_frame,
                      killing_check, load_spec, spec_digest, validate)
 from .geometry import (classify, curvature, fundamental_F, levi_civita,
                        square_norm, square_norm_nabla_P, torsion_projections)
@@ -43,27 +46,6 @@ class UsageError(Exception):
 # report assembly
 
 
-def _check_entry(result) -> dict:
-    if isinstance(result, CheckReport):
-        check_id, status = result.name, "pass" if result.passed else "fail"
-        reason = "; ".join(result.notes) or None
-    else:
-        check_id, reason = result.check_id, result.reason or None
-        if result.skipped:
-            status = "skip"
-        elif not result.hypotheses_satisfied:
-            status, reason = "skip", "hypotheses not satisfied"
-        else:
-            status = "pass" if result.conclusion_holds else "fail"
-    return {
-        "id": check_id,
-        "status": status,
-        "witnesses": [w.as_dict() for w in result.witnesses],
-        "reason": reason,
-        "details": dict(getattr(result, "details", {}) or {}),
-    }
-
-
 class Report:
     def __init__(self, digest: str, class_label: str):
         self.digest = digest
@@ -73,7 +55,7 @@ class Report:
         self.sections: list = []  # (title, lines) for the text rendering
 
     def add_checks(self, results):
-        self.checks.extend(_check_entry(r) for r in results)
+        self.checks.extend(r.as_dict() for r in results)
 
     @property
     def exit_status(self) -> int:
@@ -189,7 +171,7 @@ def cmd_validate(args) -> int:
     return _emit(report, args)
 
 
-def _emit_invalid(fa: FrameAlgebra, structure: CheckReport, args) -> int:
+def _emit_invalid(fa: FrameAlgebra, structure: CheckResult, args) -> int:
     """The report of a frame that failed structural validation."""
     report = Report(spec_digest(fa), "invalid")
     report.add_checks([structure])

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .frames import CheckReport, FrameAlgebra, memo, tensor_witnesses
+from .frames import CheckResult, FrameAlgebra, memo, tensor_witnesses
 from .geometry import (CLASS_OUTSIDE, ClassLabel, Connection,
                        classify_from_structure_tensor, fundamental_F,
                        levi_civita, nabla_p_components)
@@ -95,11 +95,11 @@ def rpt_connection(fa: FrameAlgebra) -> ConnectionPack:
     return ConnectionPack(fa, lc, rpt, canonical, p_conn, t, q, q_c, q_p, f, label)
 
 
-def natural_check(fa: FrameAlgebra, conn: Connection) -> CheckReport:
+def natural_check(fa: FrameAlgebra, conn: Connection) -> CheckResult:
     """Whether the connection leaves both the metric and the product parallel."""
     witnesses = tensor_witnesses(fa, nabla_p_components(fa, conn), "product-parallel")
     witnesses += conn.metric_witnesses("metric-parallel")
-    return CheckReport("natural-connection", not witnesses, witnesses)
+    return CheckResult("natural-connection", "fail" if witnesses else "pass", witnesses)
 
 
 def torsion_inner_products(t: Tensor, fa: FrameAlgebra) -> Tensor:

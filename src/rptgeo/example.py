@@ -15,7 +15,7 @@ from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
-from .frames import (CheckReport, FrameAlgebra, SchemaError, Witness,
+from .frames import (CheckResult, FrameAlgebra, SchemaError, Witness,
                      _expect, _is_index, _parse_entry, capped_report)
 from .scalars import Scalar
 from .tensors import Tensor, _perm_sign, mat_identity
@@ -223,7 +223,7 @@ def _sub_map(fa: FrameAlgebra, golden_params: tuple, lam):
 
 
 def compare_tensor(name: str, computed: Tensor, table: GoldenTable,
-                   convert) -> CheckReport:
+                   convert) -> CheckResult:
     witnesses = []
     for idx, expected in table.dense(computed.dim).items():
         expected = convert(expected)
@@ -234,12 +234,12 @@ def compare_tensor(name: str, computed: Tensor, table: GoldenTable,
 
 
 def compare_connection(name: str, coeffs: Tensor, table: GoldenTable,
-                       convert) -> CheckReport:
+                       convert) -> CheckResult:
     """compare_tensor on the coefficient tensor, A^k_ij at index (i, j, k)."""
     return compare_tensor(name, coeffs, table, convert)
 
 
-def compare_scalars(computed: dict, golden: dict, convert) -> CheckReport:
+def compare_scalars(computed: dict, golden: dict, convert) -> CheckResult:
     witnesses = []
     for key in sorted(golden):
         expected = convert(golden[key])

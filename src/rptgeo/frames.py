@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from functools import cached_property, wraps
+from functools import wraps
 
 from .parser import ParseError, parse_expression
 from .scalars import Scalar
@@ -40,11 +40,24 @@ class Witness:
 
 
 @dataclass
-class CheckReport:
-    name: str
-    passed: bool
+class CheckResult:
+    """One check's outcome, exactly as its report entry: status "pass",
+    "fail" or "skip", the witnesses, a reason (why it was skipped, or the
+    notes of a check that ran) and named details."""
+    id: str
+    status: str
     witnesses: list = field(default_factory=list)
-    notes: list = field(default_factory=list)
+    reason: str | None = None
+    details: dict = field(default_factory=dict)
+
+    @property
+    def passed(self) -> bool:
+        return self.status == "pass"
+
+    def as_dict(self) -> dict:
+        return {"id": self.id, "status": self.status,
+                "witnesses": [w.as_dict() for w in self.witnesses],
+                "reason": self.reason, "details": dict(self.details)}
 
 
 _WITNESS_CAP = 16
@@ -60,14 +73,16 @@ def tensor_witnesses(fa: FrameAlgebra, t: Tensor, label: str) -> list:
             for idx, value in fa.to_user(t).nonzero()]
 
 
-def capped_report(name: str, witnesses: list, notes=()) -> CheckReport:
-    """Pass/fail report keeping the first _WITNESS_CAP witnesses; a truncated
-    list is noted with the number of witnesses dropped."""
+def capped_report(check_id: str, witnesses: list, notes=()) -> CheckResult:
+    """Pass/fail result keeping the first _WITNESS_CAP witnesses; a truncated
+    list is noted with the number of witnesses dropped.  The notes, joined,
+    are the reason."""
     notes = list(notes)
     dropped = len(witnesses) - _WITNESS_CAP
     if dropped > 0:
         notes.append("%d further mismatches suppressed" % dropped)
-    return CheckReport(name, not witnesses, witnesses[:_WITNESS_CAP], notes)
+    return CheckResult(check_id, "fail" if witnesses else "pass",
+                       witnesses[:_WITNESS_CAP], "; ".join(notes) or None)
 
 
 def memo(fn):
@@ -91,8 +106,7 @@ class FrameAlgebra:
 
     Frames, and the connections and connection packs built on them, are
     never mutated after construction.  Derived geometry relies on that: it
-    is cached on its owner for the owner's lifetime (metric_minors and
-    metric_inv here, everything else through ``memo``)."""
+    is cached on its owner for the owner's lifetime through ``memo``."""
 
     def __init__(self, dim: int, params: tuple, c, g, p):
         if not isinstance(dim, int) or dim <= 0 or dim % 2:
@@ -109,7 +123,8 @@ class FrameAlgebra:
         self.g = g
         self.p = p
 
-    @cached_property
+    @property
+    @memo
     def metric_minors(self) -> list:
         """``leading_minors`` of g; the last is det g."""
         return leading_minors(self.g)
@@ -118,10 +133,10 @@ class FrameAlgebra:
     def metric_det(self) -> Scalar:
         return self.metric_minors[-1]
 
-    @cached_property
+    @property
+    @memo
     def metric_inv(self) -> list:
-        if self.metric_det.is_zero:
-            raise ValueError("metric is singular (zero determinant)")
+        """g^-1 from one elimination of [g | I]; ValueError when g is singular."""
         return mat_inv(self.g)
 
     def __eq__(self, other):
@@ -259,13 +274,11 @@ def _mismatches(actual: list, expected: list, label: str,
 
 
 @memo
-def validate(fa: FrameAlgebra) -> CheckReport:
+def validate(fa: FrameAlgebra) -> CheckResult:
     """Check every structural axiom; failures are witnessed, not raised.
     The report is kept on the frame, so a command validates once."""
     n = fa.dim
     zero = Scalar.zero(fa.params)
-    notes = []
-
     c = coefficient_tensor(fa.c)
     witnesses = [w for w in tensor_witnesses(fa, c + c.transpose((1, 0, 2)),
                                              "bracket-antisymmetry")
@@ -292,8 +305,9 @@ def validate(fa: FrameAlgebra) -> CheckReport:
         witnesses.append(Witness((), Scalar.one(fa.params), det,
                                  "metric-nondegenerate"))
     if fa.params:
-        notes.append("positivity unverified (parametric)")
+        reason = "positivity unverified (parametric)"
     else:
+        reason = None
         # Sylvester: every leading principal minor positive
         for k, d in enumerate(fa.metric_minors, 1):
             if d is None:
@@ -311,7 +325,8 @@ def validate(fa: FrameAlgebra) -> CheckReport:
     if not trace.is_zero:
         witnesses.append(Witness((), zero, trace, "product-traceless"))
 
-    return CheckReport("frame-structure", not witnesses, witnesses, notes)
+    return CheckResult("frame-structure", "fail" if witnesses else "pass",
+                       witnesses, reason)
 
 
 def associated_metric(fa: FrameAlgebra) -> list:
@@ -319,12 +334,12 @@ def associated_metric(fa: FrameAlgebra) -> list:
     return mat_mul(fa.g, fa.p)
 
 
-def killing_check(fa: FrameAlgebra) -> CheckReport:
+def killing_check(fa: FrameAlgebra) -> CheckResult:
     """Whether the associated metric is a Killing metric on the algebra."""
     # lower_slot pairs c^s_ij with matrix[k][s]; the pairing wanted is (gP)[s][k]
     low = coefficient_tensor(fa.c).lower_slot(2, mat_transpose(associated_metric(fa)))
     witnesses = tensor_witnesses(fa, low + arranged(low, "x,z,y"), "killing-metric")
-    return CheckReport("killing-metric", not witnesses, witnesses)
+    return CheckResult("killing-metric", "fail" if witnesses else "pass", witnesses)
 
 
 # ---------------------------------------------------------------------------

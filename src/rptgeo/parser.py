@@ -1,6 +1,8 @@
 """Recursive-descent parser for the expression grammar of spec files.
 
 Grammar: integer literals, parameter names, ``+ - * / ^`` and parentheses.
+Literals are ASCII decimal digits within the interpreter's int-string limit,
+and parentheses nest at most ``MAX_DEPTH`` deep.
 ``^`` takes a nonnegative integer exponent; ``/`` is only legal with a
 nonzero constant divisor (rational literals like ``-3/2`` fall out of that
 rule).  Canonical printing of any parsed value reparses to the same value.
@@ -20,6 +22,8 @@ class ParseError(ValueError):
 
 
 _OPS = set("+-*/^()")
+_DIGITS = set("0123456789")
+MAX_DEPTH = 100
 
 
 def _tokenize(text: str):
@@ -34,11 +38,16 @@ def _tokenize(text: str):
             tokens.append((ch, ch, i))
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
-            tokens.append(("int", text[i:j], i))
+            try:
+                value = int(text[i:j])
+            except ValueError:  # longer than the int-string limit
+                raise ParseError("integer literal of %d digits is too long" % (j - i),
+                                 i) from None
+            tokens.append(("int", value, i))
             i = j
             continue
         if ch.isalpha() or ch == "_":
@@ -58,6 +67,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.params = params
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -119,19 +129,23 @@ class _Parser:
             if tok[0] != "int":
                 raise ParseError("exponent must be a nonnegative integer", tok[2])
             self.advance()
-            value = value ** int(tok[1])
+            value = value ** tok[1]
         return value
 
     def atom(self) -> Scalar:
-        kind, text, at = self.advance()
+        kind, value, at = self.advance()
         if kind == "int":
-            return Scalar.constant(self.params, int(text))
+            return Scalar.constant(self.params, value)
         if kind == "name":
-            if text not in self.params:
-                raise ParseError("unknown parameter '%s'" % text, at)
-            return Scalar.parameter(self.params, text)
+            if value not in self.params:
+                raise ParseError("unknown parameter '%s'" % value, at)
+            return Scalar.parameter(self.params, value)
         if kind == "(":
+            if self.depth == MAX_DEPTH:
+                raise ParseError("parentheses nested deeper than %d" % MAX_DEPTH, at)
+            self.depth += 1
             value = self.expr()
+            self.depth -= 1
             tok = self.peek()
             if tok[0] != ")":
                 raise ParseError("expected ')'", tok[2])

@@ -1,20 +1,21 @@
 """Machine verification of the curvature and torsion identities.
 
 Every equivalence is decided by evaluating both sides independently, never
-by assuming the implication.  Results distinguish unsatisfied hypotheses
-from falsified conclusions; checks that need the skew-torsion connection are
-skipped (with the reason) on frames outside its existence class.
+by assuming the implication.  Each check returns one ``CheckResult``: a
+falsified conclusion fails, while a check whose hypotheses do not hold, or
+one that needs the skew-torsion connection on a frame outside its existence
+class, is skipped with the reason.  A suite check keeps its notes in
+``details["notes"]``, not in the reason.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .connections import (ConnectionPack, NotW3Error, natural_check,
                           rpt_connection)
 from .example import EPSILON_CANDIDATES, family_parameters
-from .frames import (FrameAlgebra, Witness, capped_report, memo,
+from .frames import (CheckResult, FrameAlgebra, Witness, capped_report, memo,
                      tensor_witnesses, validate)
 from .geometry import (CLASS_PARALLEL, CLASS_SKEW, curvature, fundamental_F,
                        levi_civita, square_norm_nabla_P, torsion_projections)
@@ -23,36 +24,21 @@ from .tensors import Tensor, arranged, cyclic_sum, tensor_contract
 
 _NOT_W3_REASON = ("skipped: no natural connection with totally skew-symmetric "
                   "torsion exists outside the skew-cyclic class")
+_UNMET_REASON = "hypotheses not satisfied"
 
 
-@dataclass
-class TheoremResult:
-    check_id: str
-    hypotheses_satisfied: bool
-    conclusion_holds: bool
-    witnesses: list = field(default_factory=list)
-    details: dict = field(default_factory=dict)
-    skipped: bool = False
-    reason: str = ""
-
-    @property
-    def counts_as_failure(self) -> bool:
-        return (not self.skipped and self.hypotheses_satisfied
-                and not self.conclusion_holds)
-
-
-def _result(check_id: str, witnesses: list, details=None, notes=()) -> TheoremResult:
-    """Pass/fail result; witnesses and notes go through the shared collector."""
-    report = capped_report(check_id, witnesses, notes)
-    details = dict(details or {})
-    if report.notes:
-        details["notes"] = "; ".join(report.notes)
-    return TheoremResult(check_id, True, report.passed, report.witnesses, details)
+def _result(check_id: str, witnesses: list, details=None, notes=()) -> CheckResult:
+    """Pass/fail result through the shared collector, its notes moved from
+    the reason into the details."""
+    result = capped_report(check_id, witnesses, notes)
+    result.details = dict(details or {})
+    if result.reason:
+        result.details["notes"], result.reason = result.reason, None
+    return result
 
 
 def _skipped(check_ids) -> list:
-    return [TheoremResult(check_id, True, True, skipped=True, reason=_NOT_W3_REASON)
-            for check_id in check_ids]
+    return [CheckResult(check_id, "skip", reason=_NOT_W3_REASON) for check_id in check_ids]
 
 
 # ---------------------------------------------------------------------------
@@ -69,7 +55,7 @@ def p_tensor_defects(r: Tensor, fa: FrameAlgebra) -> list:
             (arranged(r, "x,y,Pz,Pw", fa.p) - r, "product-invariance")]
 
 
-def check_p_tensor(r: Tensor, fa: FrameAlgebra) -> TheoremResult:
+def check_p_tensor(r: Tensor, fa: FrameAlgebra) -> CheckResult:
     """Whether a (0,4) tensor is a P-tensor, witnessed in the user's basis."""
     return _result("p-tensor-axioms", [w for t, label in p_tensor_defects(r, fa)
                                        for w in tensor_witnesses(fa, t, label)])
@@ -93,7 +79,7 @@ def curvature_defect(pack: ConnectionPack) -> Tensor:
         + pack.torsion_form_square().scale(quarter)
 
 
-def verify_curvature_relation(fa: FrameAlgebra, pack: ConnectionPack) -> TheoremResult:
+def verify_curvature_relation(fa: FrameAlgebra, pack: ConnectionPack) -> CheckResult:
     """Relations between the curvatures, Ricci tensors and scalar curvatures
     of the Levi-Civita and the skew-torsion connection."""
     _, rho, tau = curvature(pack.nabla)
@@ -130,13 +116,13 @@ def verify_curvature_relation(fa: FrameAlgebra, pack: ConnectionPack) -> Theorem
     return _result("curvature-comparison", witnesses, details)
 
 
-def verify_torsion_type(fa: FrameAlgebra, pack: ConnectionPack) -> TheoremResult:
+def verify_torsion_type(fa: FrameAlgebra, pack: ConnectionPack) -> CheckResult:
     """Projection content of the skew torsion on a strictly skew-cyclic frame:
     components one and four vanish, two and three do not, and the closed
     forms of the nonvanishing projections hold."""
     if pack.label.label != CLASS_SKEW:
-        return TheoremResult("torsion-type", False, True,
-                             details={"class": pack.label.label})
+        return CheckResult("torsion-type", "skip", reason=_UNMET_REASON,
+                           details={"class": pack.label.label})
     p1, p2, p3, p4 = torsion_projections(pack.T, fa)
     f = pack.fundamental
     witnesses = []
@@ -156,7 +142,7 @@ def verify_torsion_type(fa: FrameAlgebra, pack: ConnectionPack) -> TheoremResult
     return _result("torsion-type", witnesses)
 
 
-def verify_p_tensor_criterion(fa: FrameAlgebra, pack: ConnectionPack) -> TheoremResult:
+def verify_p_tensor_criterion(fa: FrameAlgebra, pack: ConnectionPack) -> CheckResult:
     """The curvature of the skew-torsion connection is a P-tensor exactly when
     the quarter/twelfth curvature relation holds; both sides evaluated
     independently, with the consequences checked when they apply."""
@@ -184,7 +170,7 @@ def verify_p_tensor_criterion(fa: FrameAlgebra, pack: ConnectionPack) -> Theorem
     return _result("p-tensor-criterion", witnesses, details)
 
 
-def verify_parallel_torsion(fa: FrameAlgebra, pack: ConnectionPack) -> TheoremResult:
+def verify_parallel_torsion(fa: FrameAlgebra, pack: ConnectionPack) -> CheckResult:
     """Parallel torsion is equivalent to the quarter curvature relation; when
     the torsion is parallel the pair symmetry, the cyclic identity and the
     product invariance of the curvature follow, and together with the
@@ -220,7 +206,7 @@ def verify_parallel_torsion(fa: FrameAlgebra, pack: ConnectionPack) -> TheoremRe
 
 
 def verify_family_equivalence(fa: FrameAlgebra, pack: ConnectionPack,
-                              lam) -> TheoremResult:
+                              lam) -> CheckResult:
     """Three-way equivalence on the bundled family, for a frame of the family
     with parameter Scalars lam: the curvature of the skew-torsion connection
     is a P-tensor, iff its torsion is parallel, iff the second parameter pair
@@ -238,8 +224,9 @@ def verify_family_equivalence(fa: FrameAlgebra, pack: ConnectionPack,
     if not agree:
         witnesses.append(Witness((), Scalar.zero(fa.params), Scalar.one(fa.params),
                                  "three-way-equivalence"))
-    return TheoremResult("family-parameter-equivalence", not degenerate, agree,
-                         witnesses, details)
+    status = "skip" if degenerate else "pass" if agree else "fail"
+    return CheckResult("family-parameter-equivalence", status, witnesses,
+                       _UNMET_REASON if degenerate else None, details)
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +237,8 @@ def geometry_checks(fa: FrameAlgebra) -> list:
     """Structural axioms of the frame in the user's basis, plus the identities
     forced by the Koszul construction."""
     structure = validate(fa.user)
-    results = [_result(structure.name, structure.witnesses, notes=structure.notes)]
+    results = [_result(structure.id, structure.witnesses,
+                       notes=[structure.reason] if structure.reason else ())]
     lc = levi_civita(fa)
     witnesses = tensor_witnesses(fa, lc.torsion_tensor(), "torsion-free")
     witnesses += lc.metric_witnesses("metric-compatible")
@@ -352,4 +340,4 @@ def run_all(fa: FrameAlgebra) -> list:
 
 
 def all_passed(results) -> bool:
-    return not any(r.counts_as_failure for r in results)
+    return not any(r.status == "fail" for r in results)

@@ -13,7 +13,6 @@ from rptgeo import (Connection, Scalar, Tensor, adapted_frame, change_basis,
                     check_p_tensor, curvature, levi_civita, mat_det,
                     mat_identity, natural_check, rpt_connection, row_reduce,
                     run_all)
-from rptgeo.cli import _check_entry
 from rptgeo.frames import frame_from_dict, frame_to_dict
 from rptgeo.tensors import _perm_sign
 
@@ -38,7 +37,7 @@ def _random_tensor(rng, fa, variance) -> Tensor:
 
 
 def _entries(results) -> list:
-    return [_check_entry(r) for r in results]
+    return [r.as_dict() for r in results]
 
 
 # ---------------------------------------------------------------------------
@@ -112,8 +111,8 @@ def test_failing_tensor_checks_report_user_basis_witnesses():
     # the Levi-Civita curvature here is not invariant under P in its last pair
     r = curvature(levi_civita(fa))[0]
     user = check_p_tensor(r, fa)
-    assert not user.conclusion_holds
-    assert _check_entry(check_p_tensor(_forward(af, r), af)) == _check_entry(user)
+    assert not user.passed
+    assert check_p_tensor(_forward(af, r), af).as_dict() == user.as_dict()
 
     bump = [0] * fa.dim ** 3
     bump[(0 * fa.dim + 1) * fa.dim + 2] = 1

@@ -179,6 +179,23 @@ def test_bracket_key_must_be_a_canonical_decimal(key, tmp_path, capsys):
     assert err.startswith("error: brackets[0].result[%s]: " % key)
 
 
+@pytest.mark.parametrize("text", ["\u00b2", "\u0661", "1" * 5000,
+                                  "(" * 3000 + "1" + ")" * 3000],
+                         ids=["superscript-two", "arabic-indic-one", "5000-digits",
+                              "3000-parentheses"])
+def test_malformed_expression_exits_two_naming_the_field(text, tmp_path, capsys):
+    # non-ASCII digits, a literal past the int-string limit and nesting past
+    # the parser's depth bound are parse errors, never a ValueError or a
+    # RecursionError
+    data = json.loads(Path(SPEC).read_text(encoding="utf-8"))
+    data["metric"][0][0] = text
+    path = tmp_path / "frame.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    code, out, err = run_cli(["validate", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: metric[0][0]: ") and err.count("\n") == 1
+
+
 def test_unwritable_json_path_exits_two(tmp_path, capsys):
     code, _, err = run_cli(["validate", SPEC, "--json", str(tmp_path)], capsys)
     assert code == 2

@@ -19,7 +19,7 @@ from helpers import (conjugate, jacobi_oracle, killing_oracle, random_frames,
 def test_example_validates_symbolically():
     report = validate(build_example())
     assert report.passed and not report.witnesses
-    assert "positivity unverified (parametric)" in report.notes
+    assert report.reason == "positivity unverified (parametric)"
 
 
 def test_abelian_block_swap_validates():
@@ -28,7 +28,7 @@ def test_abelian_block_swap_validates():
     fa = FrameAlgebra(4, (), c, mat_identity(4, ()), swap_product_matrix(4, ()))
     report = validate(fa)
     assert report.passed
-    assert not report.notes  # numeric metric, positivity actually checked
+    assert report.reason is None  # numeric metric, positivity actually checked
 
 
 def test_jacobi_violation_witnessed():

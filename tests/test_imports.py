@@ -5,9 +5,8 @@ No linter ships with the project, so this parses each module with ``ast``:
 a name bound by a top-level ``import`` must be read somewhere else in that
 module, in code or in a quoted annotation.  ``__init__.py`` is left out
 because its imports are the public re-exports.  The package has one explicit
-cache, ``frames.memo`` (plus ``FrameAlgebra``'s two ``cached_property``
-values), so ``functools.lru_cache`` and ``functools.cache`` are refused
-everywhere.
+cache, ``frames.memo``, so ``functools.lru_cache``, ``functools.cache`` and
+``functools.cached_property`` are refused everywhere.
 """
 
 import ast
@@ -17,7 +16,7 @@ import pytest
 
 PACKAGE = Path(__file__).parent.parent / "src" / "rptgeo"
 SOURCES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
-FUNCTOOLS_CACHES = {"lru_cache", "cache"}
+FUNCTOOLS_CACHES = {"lru_cache", "cache", "cached_property"}
 
 
 def _imported_names(tree: ast.Module) -> dict:
@@ -57,7 +56,7 @@ def test_no_unused_module_imports(path):
 
 
 def _functools_caches(tree: ast.Module) -> list:
-    """Uses of ``functools.lru_cache``/``cache``, imported by name or read
+    """Uses of a ``functools`` cache in FUNCTOOLS_CACHES, imported by name or read
     as an attribute of the module (under any alias), with their lines."""
     modules = {alias.asname or alias.name for node in ast.walk(tree)
                if isinstance(node, ast.Import) for alias in node.names
@@ -84,10 +83,12 @@ def test_no_functools_cache(path):
     "from functools import cache, wraps\n",
     "import functools\n@functools.lru_cache(None)\ndef f(): pass\n",
     "import functools as ft\nf = ft.cache(len)\n",
+    "from functools import cached_property\n",
+    "import functools\nclass A:\n    @functools.cached_property\n    def f(self): pass\n",
 ])
 def test_functools_cache_is_detected(source):
     assert _functools_caches(ast.parse(source))
 
 
 def test_other_functools_names_are_allowed():
-    assert not _functools_caches(ast.parse("from functools import cached_property, wraps\n"))
+    assert not _functools_caches(ast.parse("from functools import partial, wraps\n"))

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from rptgeo import ParseError, Scalar, parse_expression
+from rptgeo.parser import MAX_DEPTH
 
 PARAMS = ("l1", "l2", "l3", "l4")
 
@@ -88,6 +89,26 @@ def test_unexpected_character():
     with pytest.raises(ParseError) as err:
         parse_expression("l1 @ l2", PARAMS)
     assert err.value.position == 3
+
+
+@pytest.mark.parametrize("text", ["\u00b2", "1\u0661", "l1^\u0662"])
+def test_only_ascii_digits_are_literals(text):
+    with pytest.raises(ParseError, match="unexpected character"):
+        parse_expression(text, PARAMS)
+
+
+def test_literal_past_the_int_string_limit():
+    with pytest.raises(ParseError, match="5000 digits") as err:
+        parse_expression("l1 + " + "7" * 5000, PARAMS)
+    assert err.value.position == 5
+
+
+def test_nesting_depth_is_bounded():
+    deepest = "(" * MAX_DEPTH + "l1" + ")" * MAX_DEPTH
+    assert parse_expression(deepest, PARAMS) == Scalar.parameter(PARAMS, "l1")
+    with pytest.raises(ParseError, match="nested deeper") as err:
+        parse_expression("(" + deepest + ")", PARAMS)
+    assert err.value.position == MAX_DEPTH
 
 
 def test_print_then_reparse_canonical():

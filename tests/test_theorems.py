@@ -22,14 +22,14 @@ def test_family_check_builds_no_second_frame(monkeypatch):
     monkeypatch.setattr(FrameAlgebra, "__init__", counting_init)
     results = theorem_checks(fa)
     assert built == []
-    assert results[-1].check_id == "family-parameter-equivalence"
+    assert results[-1].id == "family-parameter-equivalence"
     assert all_passed(results)
 
 
 def test_levi_civita_curvature_is_not_product_invariant():
     fa = six_dim_frame()
     result = check_p_tensor(curvature(levi_civita(fa))[0], fa)
-    assert not result.conclusion_holds
+    assert not result.passed
     assert result.witnesses
     # a Riemannian curvature tensor has every other P-tensor symmetry
     assert {w.label for w in result.witnesses} == {"product-invariance"}
@@ -38,7 +38,7 @@ def test_levi_civita_curvature_is_not_product_invariant():
 def test_skew_torsion_curvature_with_parallel_torsion_is_a_p_tensor():
     fa = build_example((1, 2, 1, 2))
     result = check_p_tensor(curvature(rpt_connection(fa).rpt)[0], fa)
-    assert result.conclusion_holds and not result.witnesses
+    assert result.passed and not result.witnesses
 
 
 def _parameter_free_packs():
@@ -56,7 +56,7 @@ def _parameter_free_packs():
 def test_memoised_p_tensor_predicate_agrees_with_the_check():
     decided = set()
     for fa, pack in _parameter_free_packs():
-        expected = check_p_tensor(curvature(pack.rpt)[0], fa).conclusion_holds
+        expected = check_p_tensor(curvature(pack.rpt)[0], fa).passed
         assert rpt_curvature_p_tensor(pack) is expected
         decided.add(expected)
     assert decided == {True, False}
