@@ -5,11 +5,13 @@ Exit codes are a stable contract: 0 when every applicable check passed,
 that fails structural validation gets a report of class ``invalid`` holding
 only the ``frame-structure`` entry, and exit 1, from every command.
 
-Every command validates the frame in the user's basis and then runs every
-geometry stage and check suite on its adapted frame (``adapted_frame``,
-P = diag(I, -I)).  Checks decide whether tensors vanish and the scalars are
-invariants, so neither depends on the basis; the report sections, the golden
-comparisons and the witnesses are pulled back to the user's basis.
+``example`` is ``check`` on the bundled spec, loaded like any other, plus
+the golden comparisons.  Every command validates the frame in the user's
+basis and then runs every geometry stage and check suite on its adapted
+frame (``adapted_frame``, P = diag(I, -I)).  Checks decide whether tensors
+vanish and the scalars are invariants, so neither depends on the basis; the
+report sections, the golden comparisons and the witnesses are pulled back
+to the user's basis.
 
 Every check, structural, golden or from a suite, returns one ``CheckResult``
 whose ``as_dict()`` is its report entry {id, status, witnesses, reason, details}.
@@ -23,7 +25,7 @@ import sys
 from fractions import Fraction
 
 from .connections import NotW3Error, rpt_connection
-from .example import (build_example, compare_connection, compare_scalars,
+from .example import (bundled_spec_path, compare_connection, compare_scalars,
                       compare_tensor, family_parameters, golden_tables,
                       _sub_map)
 from .frames import (CheckResult, FrameAlgebra, SchemaError, adapted_frame,
@@ -138,9 +140,8 @@ def _parse_lambda(text: str) -> list:
 
 def _load_frame(args) -> FrameAlgebra:
     fa = load_spec(args.spec)
-    lam = getattr(args, "lam", None)
-    if lam:
-        values = _parse_lambda(lam)
+    if args.lam is not None:
+        values = _parse_lambda(args.lam)
         if len(values) != len(fa.params):
             raise UsageError("--lambda needs %d values for parameters %s"
                              % (len(fa.params), ", ".join(fa.params)))
@@ -251,13 +252,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_example(args) -> int:
-    if args.lam:
-        values = _parse_lambda(args.lam)
-        if len(values) != 4:
-            raise UsageError("the example takes exactly four --lambda values")
-        fa = build_example(values)
-    else:
-        fa = build_example()
+    fa = _load_frame(args)
     structure = validate(fa)
     if not structure.passed:
         return _emit_invalid(fa, structure, args)
@@ -287,15 +282,20 @@ def cmd_example(args) -> int:
 # argument parsing
 
 
-def _add_common(sub):
-    sub.add_argument("spec", help="frame spec JSON file")
-    sub.add_argument("--lambda", dest="lam", metavar="a,b,c,d",
-                     help="substitute rational parameter values at load time; "
-                          "write a negative first value as --lambda=-1,2,3,4")
-    sub.add_argument("--format", choices=("text", "json"), default="text",
-                     help="stdout form (default text)")
-    sub.add_argument("--json", metavar="PATH",
-                     help="also write the JSON report to a file")
+def _add_command(sub, name: str, help_text: str, func, **defaults):
+    """A subcommand with the common options; spec is positional unless defaulted."""
+    p = sub.add_parser(name, help=help_text)
+    if "spec" not in defaults:
+        p.add_argument("spec", help="frame spec JSON file")
+    p.add_argument("--lambda", dest="lam", metavar="a,b,c,d",
+                   help="substitute rational parameter values at load time; "
+                        "write a negative first value as --lambda=-1,2,3,4")
+    p.add_argument("--format", choices=("text", "json"), default="text",
+                   help="stdout form (default text)")
+    p.add_argument("--json", metavar="PATH",
+                   help="also write the JSON report to a file")
+    p.set_defaults(func=func, **defaults)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -304,30 +304,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact geometry of frame algebras with almost product "
                     "structure and their skew-torsion natural connections.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="structural validation plus the Killing check")
-    _add_common(p)
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("report", help="class, tensors, connections and scalar summary")
-    _add_common(p)
-    p.set_defaults(func=cmd_report)
-
-    p = sub.add_parser("check", help="run a checker suite")
-    _add_common(p)
+    _add_command(sub, "validate", "structural validation plus the Killing check",
+                 cmd_validate)
+    _add_command(sub, "report", "class, tensors, connections and scalar summary",
+                 cmd_report)
+    p = _add_command(sub, "check", "run a checker suite", cmd_check)
     p.add_argument("--suite", choices=sorted(_SUITES), default="all")
-    p.set_defaults(func=cmd_check)
-
-    p = sub.add_parser("example", help="build the bundled family and compare "
-                                       "against the golden tables")
-    p.add_argument("--lambda", dest="lam", metavar="a,b,c,d",
-                   help="four rational parameter values (default: symbolic); "
-                        "write a negative first value as --lambda=-1,2,3,4")
+    p = _add_command(sub, "example", "check the bundled family against the "
+                                     "golden tables", cmd_example,
+                     spec=str(bundled_spec_path()))
     p.add_argument("--golden", metavar="DIR",
                    help="override the bundled golden-table directory")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--json", metavar="PATH")
-    p.set_defaults(func=cmd_example)
     return parser
 
 

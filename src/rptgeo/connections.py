@@ -1,22 +1,22 @@
 """Natural connections with totally skew-symmetric torsion.
 
-Builds the skew-torsion natural connection on a frame in the skew-cyclic
-class, together with the canonical connection and the P-connection, the
-torsion 3-form, the quadratic torsion 4-form and covariant derivatives.
-The connection is unique in dimension 4.  From dimension 6 on, adding a
-3-form that lives on one eigenspace of P (in Lambda^3 V+ + Lambda^3 V-) to
-its torsion gives another natural connection with skew torsion;
-``rpt_connection`` builds the one whose torsion has no such part.
+``ConnectionPack(frame, T)`` is the connection Levi-Civita + T/2 raised,
+for any torsion 3-form T.  ``rpt_connection`` is the pack of the natural
+connection, with T read off the structure tensor, on the skew-cyclic class.
+It is unique in dimension 4.  From dimension 6 on, adding a 3-form that
+lives on one eigenspace of P (in Lambda^3 V+ + Lambda^3 V-) to its torsion
+gives another natural connection with skew torsion; ``rpt_connection``
+builds the one whose torsion has no such part.  The canonical connection
+and the P-connection depend on F alone, through ``companion_shifts``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .frames import CheckResult, FrameAlgebra, memo, tensor_witnesses
-from .geometry import (CLASS_OUTSIDE, ClassLabel, Connection,
-                       classify_from_structure_tensor, fundamental_F,
+from .geometry import (CLASS_OUTSIDE, Connection, classify, fundamental_F,
                        levi_civita, nabla_p_components)
 from .tensors import Tensor, alternate, arranged, compose, cyclic_sum
 
@@ -28,16 +28,11 @@ class NotW3Error(RuntimeError):
 @dataclass
 class ConnectionPack:
     frame: FrameAlgebra
-    nabla: Connection
-    rpt: Connection
-    canonical: Connection
-    p_conn: Connection
     T: Tensor
-    Q: Tensor
-    Q_C: Tensor
-    Q_P: Tensor
-    fundamental: Tensor
-    label: ClassLabel
+    rpt: Connection = field(init=False)
+
+    def __post_init__(self):
+        self.rpt = _shifted_connection(self.frame, self.T.scale(Fraction(1, 2)))
 
     @memo
     def torsion_derivative(self) -> Tensor:
@@ -63,36 +58,29 @@ def rpt_torsion(f: Tensor, fa: FrameAlgebra) -> Tensor:
     return cyclic_sum(g, (0, 1, 2)).scale(Fraction(1, 2))
 
 
-def _shifted_connection(fa: FrameAlgebra, base: Connection, q: Tensor) -> Connection:
-    return Connection(fa, base.coeffs + q.raise_slot(2, fa.metric_inv))
+def _shifted_connection(fa: FrameAlgebra, q: Tensor) -> Connection:
+    return Connection(fa, levi_civita(fa).coeffs + q.raise_slot(2, fa.metric_inv))
+
+
+def companion_shifts(fa: FrameAlgebra) -> tuple:
+    """(Q_C, Q_P): the lowered differences from Levi-Civita of the canonical
+    connection and of the P-connection, both read off the structure tensor."""
+    f = fundamental_F(fa)
+    f_py = arranged(f, "x,Py,z", fa.p)
+    q_c = (arranged(f, "y,Px,z", fa.p) - arranged(f, "Py,x,z", fa.p)
+           + f_py.scale(2)).scale(Fraction(-1, 4))
+    return q_c, f_py.scale(Fraction(-1, 2))
 
 
 @memo
 def rpt_connection(fa: FrameAlgebra) -> ConnectionPack:
-    """Build the skew-torsion natural connection plus its companions.
-
-    Raises NotW3Error when the cyclic sum of the structure tensor is nonzero:
-    outside that class no such connection exists.
-    """
-    lc = levi_civita(fa)
-    f = fundamental_F(fa)
-    label = classify_from_structure_tensor(f)
-    if label.label == CLASS_OUTSIDE:
+    """The skew-torsion natural connection; NotW3Error outside the
+    skew-cyclic class, where no such connection exists."""
+    if classify(fa).label == CLASS_OUTSIDE:
         raise NotW3Error(
             "no natural connection with totally skew-symmetric torsion exists: "
             "the cyclic sum of the structure tensor is nonzero")
-    t = rpt_torsion(f, fa)
-    q = t.scale(Fraction(1, 2))
-    rpt = _shifted_connection(fa, lc, q)
-
-    quarter = Fraction(-1, 4)
-    q_c = (arranged(f, "y,Px,z", fa.p) - arranged(f, "Py,x,z", fa.p)
-           + arranged(f, "x,Py,z", fa.p).scale(2)).scale(quarter)
-    canonical = _shifted_connection(fa, lc, q_c)
-    q_p = arranged(f, "x,Py,z", fa.p).scale(Fraction(-1, 2))
-    p_conn = _shifted_connection(fa, lc, q_p)
-
-    return ConnectionPack(fa, lc, rpt, canonical, p_conn, t, q, q_c, q_p, f, label)
+    return ConnectionPack(fa, rpt_torsion(fundamental_F(fa), fa))
 
 
 def natural_check(fa: FrameAlgebra, conn: Connection) -> CheckResult:

@@ -53,8 +53,6 @@ class Connection:
 @dataclass
 class ClassLabel:
     label: str
-    f_vanishes: bool
-    cyclic_f_vanishes: bool
 
 
 @memo
@@ -75,20 +73,9 @@ def nabla_p_components(fa: FrameAlgebra, conn: Connection) -> Tensor:
 
 @memo
 def fundamental_F(fa: FrameAlgebra) -> Tensor:
-    """Lowered Levi-Civita covariant derivative of the product structure,
-    with its defining identities verified on the result."""
-    f = nabla_p_components(fa, levi_civita(fa)).lower_slot(2, fa.g)
-    _check_structure_identities(f, fa)
-    return f
-
-
-def _check_structure_identities(f: Tensor, fa: FrameAlgebra):
-    if f != arranged(f, "x,z,y", fa.p):
-        raise RuntimeError("structure tensor is not symmetric in its last slots")
-    if not (f + arranged(f, "x,Py,Pz", fa.p)).is_zero:
-        raise RuntimeError("structure tensor fails product antisymmetry")
-    if not (arranged(f, "x,y,Pz", fa.p) + arranged(f, "x,Py,z", fa.p)).is_zero:
-        raise RuntimeError("structure tensor fails mixed product identity")
+    """Structure tensor F: the lowered Levi-Civita covariant derivative of
+    the product structure.  The ``geometry`` suite checks its identities."""
+    return nabla_p_components(fa, levi_civita(fa)).lower_slot(2, fa.g)
 
 
 def square_norm(t: Tensor, fa: FrameAlgebra) -> Scalar:
@@ -140,19 +127,15 @@ def curvature(conn: Connection):
     return riemann, ricci, tau
 
 
+@memo
 def classify(fa: FrameAlgebra) -> ClassLabel:
     """Class membership from the structure tensor (parallel, skew-cyclic, other)."""
-    return classify_from_structure_tensor(fundamental_F(fa))
-
-
-def classify_from_structure_tensor(f: Tensor) -> ClassLabel:
-    f_zero = f.is_zero
-    cyclic_zero = cyclic_sum(f, (0, 1, 2)).is_zero
-    if f_zero:
-        return ClassLabel(CLASS_PARALLEL, True, True)
-    if cyclic_zero:
-        return ClassLabel(CLASS_SKEW, False, True)
-    return ClassLabel(CLASS_OUTSIDE, False, False)
+    f = fundamental_F(fa)
+    if f.is_zero:
+        return ClassLabel(CLASS_PARALLEL)
+    if cyclic_sum(f, (0, 1, 2)).is_zero:
+        return ClassLabel(CLASS_SKEW)
+    return ClassLabel(CLASS_OUTSIDE)
 
 
 def torsion_projections(t: Tensor, fa: FrameAlgebra):

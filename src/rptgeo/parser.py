@@ -3,12 +3,16 @@
 Grammar: integer literals, parameter names, ``+ - * / ^`` and parentheses.
 Literals are ASCII decimal digits within the interpreter's int-string limit,
 and parentheses nest at most ``MAX_DEPTH`` deep.
-``^`` takes a nonnegative integer exponent; ``/`` is only legal with a
-nonzero constant divisor (rational literals like ``-3/2`` fall out of that
-rule).  Canonical printing of any parsed value reparses to the same value.
+``^`` takes a nonnegative integer exponent, and a power of a sum has degree
+at most ``MAX_POWER_DEGREE``; ``/`` is only legal with a nonzero constant
+divisor (rational literals like ``-3/2`` fall out of that rule).  A parsed
+value prints within the int-string limit, and canonical printing, which
+puts exponents on single parameters only, reparses to the same value.
 """
 
 from __future__ import annotations
+
+import sys
 
 from .scalars import Scalar
 
@@ -24,6 +28,7 @@ class ParseError(ValueError):
 _OPS = set("+-*/^()")
 _DIGITS = set("0123456789")
 MAX_DEPTH = 100
+MAX_POWER_DEGREE = 16
 
 
 def _tokenize(text: str):
@@ -88,6 +93,10 @@ class _Parser:
         tok = self.peek()
         if tok[0] != "end":
             raise ParseError("unexpected trailing input", tok[2])
+        try:
+            str(value)
+        except ValueError:  # a coefficient or exponent past the int-string limit
+            raise ParseError("value past the int-string limit", 0) from None
         return value
 
     def expr(self) -> Scalar:
@@ -129,7 +138,16 @@ class _Parser:
             if tok[0] != "int":
                 raise ParseError("exponent must be a nonnegative integer", tok[2])
             self.advance()
-            value = value ** tok[1]
+            k = tok[1]
+            if len(value.num) > 1 and k * max(map(sum, value.num)) > MAX_POWER_DEGREE:
+                raise ParseError("power of a sum above degree %d" % MAX_POWER_DEGREE,
+                                 tok[2])
+            # |c|^k has over k*(bits - 1) bits, and 4 bits per digit exceed log2(10)
+            bound = 4 * (sys.get_int_max_str_digits() or float("inf"))
+            if any(k * (max(abs(c.numerator), c.denominator).bit_length() - 1) > bound
+                   for c in value.num.values()):
+                raise ParseError("power past the int-string limit", tok[2])
+            value = value ** k
         return value
 
     def atom(self) -> Scalar:

@@ -12,13 +12,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .connections import (ConnectionPack, NotW3Error, natural_check,
-                          rpt_connection)
+from .connections import (ConnectionPack, NotW3Error, _shifted_connection,
+                          companion_shifts, natural_check, rpt_connection)
 from .example import EPSILON_CANDIDATES, family_parameters
 from .frames import (CheckResult, FrameAlgebra, Witness, capped_report, memo,
                      tensor_witnesses, validate)
-from .geometry import (CLASS_PARALLEL, CLASS_SKEW, curvature, fundamental_F,
-                       levi_civita, square_norm_nabla_P, torsion_projections)
+from .geometry import (CLASS_PARALLEL, CLASS_SKEW, classify, curvature,
+                       fundamental_F, levi_civita, square_norm_nabla_P,
+                       torsion_projections)
 from .scalars import Scalar
 from .tensors import Tensor, arranged, cyclic_sum, tensor_contract
 
@@ -55,6 +56,16 @@ def p_tensor_defects(r: Tensor, fa: FrameAlgebra) -> list:
             (arranged(r, "x,y,Pz,Pw", fa.p) - r, "product-invariance")]
 
 
+def structure_defects(f: Tensor, fa: FrameAlgebra) -> list:
+    """Labelled tensors that all vanish when the (0,3) tensor f has the
+    identities of the structure tensor: symmetry in its last pair, product
+    antisymmetry, and the mixed product identity."""
+    return [(f - arranged(f, "x,z,y"), "symmetric-last-pair"),
+            (f + arranged(f, "x,Py,Pz", fa.p), "product-antisymmetry"),
+            (arranged(f, "x,y,Pz", fa.p) + arranged(f, "x,Py,z", fa.p),
+             "mixed-product-identity")]
+
+
 def check_p_tensor(r: Tensor, fa: FrameAlgebra) -> CheckResult:
     """Whether a (0,4) tensor is a P-tensor, witnessed in the user's basis."""
     return _result("p-tensor-axioms", [w for t, label in p_tensor_defects(r, fa)
@@ -73,7 +84,7 @@ def curvature_defect(pack: ConnectionPack) -> Tensor:
     """R - R' + b/4 + sigma/4 for the Levi-Civita curvature R and the
     skew-torsion curvature R'; it vanishes exactly when the torsion is
     parallel.  Computed once per pack."""
-    r, rp = curvature(pack.nabla)[0], curvature(pack.rpt)[0]
+    r, rp = curvature(levi_civita(pack.frame))[0], curvature(pack.rpt)[0]
     quarter = Fraction(1, 4)
     return r - rp + pack.torsion_products().scale(quarter) \
         + pack.torsion_form_square().scale(quarter)
@@ -82,7 +93,7 @@ def curvature_defect(pack: ConnectionPack) -> Tensor:
 def verify_curvature_relation(fa: FrameAlgebra, pack: ConnectionPack) -> CheckResult:
     """Relations between the curvatures, Ricci tensors and scalar curvatures
     of the Levi-Civita and the skew-torsion connection."""
-    _, rho, tau = curvature(pack.nabla)
+    _, rho, tau = curvature(levi_civita(fa))
     _, rhop, taup = curvature(pack.rpt)
     d = pack.torsion_derivative()
     b = pack.torsion_products()
@@ -109,7 +120,7 @@ def verify_curvature_relation(fa: FrameAlgebra, pack: ConnectionPack) -> CheckRe
                                  "scalar-norm-relation"))
 
     scalars_equal = tau == taup
-    is_parallel_class = pack.label.label == CLASS_PARALLEL
+    is_parallel_class = classify(fa).label == CLASS_PARALLEL
     if scalars_equal != is_parallel_class:
         witnesses.append(Witness((), taup, tau, "scalar-equality-iff-parallel-class"))
 
@@ -120,11 +131,11 @@ def verify_torsion_type(fa: FrameAlgebra, pack: ConnectionPack) -> CheckResult:
     """Projection content of the skew torsion on a strictly skew-cyclic frame:
     components one and four vanish, two and three do not, and the closed
     forms of the nonvanishing projections hold."""
-    if pack.label.label != CLASS_SKEW:
+    if classify(fa).label != CLASS_SKEW:
         return CheckResult("torsion-type", "skip", reason=_UNMET_REASON,
-                           details={"class": pack.label.label})
+                           details={"class": classify(fa).label})
     p1, p2, p3, p4 = torsion_projections(pack.T, fa)
-    f = pack.fundamental
+    f = fundamental_F(fa)
     witnesses = []
     witnesses += tensor_witnesses(fa, p1, "projection-1-vanishes")
     witnesses += tensor_witnesses(fa, p4, "projection-4-vanishes")
@@ -146,7 +157,7 @@ def verify_p_tensor_criterion(fa: FrameAlgebra, pack: ConnectionPack) -> CheckRe
     """The curvature of the skew-torsion connection is a P-tensor exactly when
     the quarter/twelfth curvature relation holds; both sides evaluated
     independently, with the consequences checked when they apply."""
-    r, rho, _ = curvature(pack.nabla)
+    r, rho, _ = curvature(levi_civita(fa))
     rp, rhop, _ = curvature(pack.rpt)
     b = pack.torsion_products()
     sigma = pack.torsion_form_square()
@@ -175,7 +186,7 @@ def verify_parallel_torsion(fa: FrameAlgebra, pack: ConnectionPack) -> CheckResu
     the torsion is parallel the pair symmetry, the cyclic identity and the
     product invariance of the curvature follow, and together with the
     P-tensor property the quadratic form vanishes."""
-    r, _, _ = curvature(pack.nabla)
+    r, _, _ = curvature(levi_civita(fa))
     rp, _, _ = curvature(pack.rpt)
     d = pack.torsion_derivative()
     b = pack.torsion_products()
@@ -244,9 +255,9 @@ def geometry_checks(fa: FrameAlgebra) -> list:
     witnesses += lc.metric_witnesses("metric-compatible")
     results.append(_result("levi-civita", witnesses))
 
-    # fundamental_F raises on any violation of the three structure identities
-    fundamental_F(fa)
-    results.append(_result("structure-tensor-identities", []))
+    witnesses = [w for t, label in structure_defects(fundamental_F(fa), fa)
+                 for w in tensor_witnesses(fa, t, label)]
+    results.append(_result("structure-tensor-identities", witnesses))
 
     r, _, _ = curvature(lc)
     witnesses = tensor_witnesses(fa, cyclic_sum(r, (0, 1, 2)), "first-bianchi")
@@ -268,7 +279,8 @@ def rpt_checks(fa: FrameAlgebra) -> list:
     except NotW3Error:
         return _skipped(_RPT_CHECK_IDS)
     results = []
-    t, f, q = pack.T, pack.fundamental, pack.Q
+    t, f, q = pack.T, fundamental_F(fa), pack.T.scale(Fraction(1, 2))
+    q_c, q_p = companion_shifts(fa)
 
     witnesses = tensor_witnesses(fa, t + arranged(t, "y,x,z"), "skew-12")
     witnesses += tensor_witnesses(fa, t + arranged(t, "x,z,y"), "skew-23")
@@ -290,12 +302,12 @@ def rpt_checks(fa: FrameAlgebra) -> list:
     results.append(_result("transformation-cyclic-invariance", witnesses))
 
     for check_id, conn in (("naturality-rpt", pack.rpt),
-                           ("naturality-canonical", pack.canonical),
-                           ("naturality-p-connection", pack.p_conn)):
+                           ("naturality-canonical", _shifted_connection(fa, q_c)),
+                           ("naturality-p-connection", _shifted_connection(fa, q_p))):
         results.append(_result(check_id, natural_check(fa, conn).witnesses))
 
-    averaged = (pack.Q_C + q).scale(Fraction(1, 2))
-    witnesses = tensor_witnesses(fa, pack.Q_P - averaged, "average-connection")
+    averaged = (q_c + q).scale(Fraction(1, 2))
+    witnesses = tensor_witnesses(fa, q_p - averaged, "average-connection")
     results.append(_result("connection-averaging", witnesses))
 
     witnesses = tensor_witnesses(fa, pack.rpt.torsion_tensor() - t,

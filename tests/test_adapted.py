@@ -9,8 +9,8 @@ from fractions import Fraction
 
 import pytest
 
-from rptgeo import (Connection, Scalar, Tensor, adapted_frame, change_basis,
-                    check_p_tensor, curvature, levi_civita, mat_det,
+from rptgeo import (Connection, ConnectionPack, Scalar, Tensor, adapted_frame,
+                    change_basis, check_p_tensor, curvature, levi_civita, mat_det,
                     mat_identity, natural_check, rpt_connection, row_reduce,
                     run_all)
 from rptgeo.frames import frame_from_dict, frame_to_dict
@@ -170,8 +170,7 @@ def test_a_three_form_on_one_eigenspace_keeps_the_connection_natural():
     for perm in itertools.permutations(range(3)):
         comps[(perm[0] * 6 + perm[1]) * 6 + perm[2]] = Scalar.constant((), _perm_sign(perm))
     torsion = pack.T + Tensor(6, "ddd", (), comps)
-    conn = Connection(af, pack.nabla.coeffs
-                      + torsion.scale(Fraction(1, 2)).raise_slot(2, af.metric_inv))
+    conn = ConnectionPack(af, torsion).rpt
     assert natural_check(af, conn).passed
     assert conn.torsion_tensor() == torsion
     assert conn.coeffs != pack.rpt.coeffs

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import re
 import shutil
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from rptgeo import (FrameAlgebra, Scalar, build_example, cli, frames, geometry,
                     save_spec, theorems)
@@ -26,9 +31,11 @@ def run_cli(argv, capsys):
 
 def _fixture_argv(name, tmp_path):
     """Command line whose stdout is frozen in tests/fixtures/<name>."""
-    if name == "check_single_bracket.json":
-        path = tmp_path / "single_bracket.json"
-        save_spec(single_bracket_frame(), path)
+    saved = {"check_single_bracket.json": single_bracket_frame,
+             "check_six_dim.json": six_dim_frame}
+    if name in saved:
+        path = tmp_path / "frame.json"
+        save_spec(saved[name](), path)
         return ["check", str(path), "--format", "json"]
     return {
         "example_lambda_1234.json": ["example", "--lambda=1,2,3,4", "--format", "json"],
@@ -43,7 +50,8 @@ def _fixture_argv(name, tmp_path):
 # report carries validate's notes in "reason", check carries the same notes
 # in "details"; the text fixtures freeze the skip reasons and details lines
 @pytest.mark.parametrize("name", ["example_lambda_1234.json", "check_bundled.json",
-                                  "check_single_bracket.json", "check_family_w0.json",
+                                  "check_single_bracket.json", "check_six_dim.json",
+                                  "check_family_w0.json",
                                   "check_family_w0.txt", "report_bundled.txt",
                                   "report_bundled.json"])
 def test_output_matches_frozen_fixture(name, tmp_path, capsys):
@@ -140,6 +148,8 @@ def test_usage_and_input_errors_exit_two(tmp_path, capsys):
     for argv in (["check", SPEC, "--lambda=1,x,3,4"],
                  ["check", SPEC, "--lambda=1,2"],
                  ["example", "--lambda=1,2,3"],
+                 ["check", SPEC, "--lambda="],
+                 ["example", "--lambda="],
                  ["report", str(tmp_path / "missing.json")],
                  ["check", str(bad_schema)],
                  ["example", "--symbolic"]):
@@ -179,21 +189,87 @@ def test_bracket_key_must_be_a_canonical_decimal(key, tmp_path, capsys):
     assert err.startswith("error: brackets[0].result[%s]: " % key)
 
 
-@pytest.mark.parametrize("text", ["\u00b2", "\u0661", "1" * 5000,
-                                  "(" * 3000 + "1" + ")" * 3000],
-                         ids=["superscript-two", "arabic-indic-one", "5000-digits",
-                              "3000-parentheses"])
-def test_malformed_expression_exits_two_naming_the_field(text, tmp_path, capsys):
-    # non-ASCII digits, a literal past the int-string limit and nesting past
-    # the parser's depth bound are parse errors, never a ValueError or a
-    # RecursionError
+def _bundled_with_metric_entry(text):
     data = json.loads(Path(SPEC).read_text(encoding="utf-8"))
     data["metric"][0][0] = text
+    return data
+
+
+@pytest.mark.parametrize("text", ["\u00b2", "\u0661", "1" * 5000,
+                                  "(" * 3000 + "1" + ")" * 3000, "2^20000",
+                                  "(l1+l2+l3)^60"],
+                         ids=["superscript-two", "arabic-indic-one", "5000-digits",
+                              "3000-parentheses", "20000-bit-power", "power-of-a-sum"])
+def test_malformed_expression_exits_two_naming_the_field(text, tmp_path, capsys):
+    # non-ASCII digits, a literal or a power past the int-string limit,
+    # nesting past the parser's depth bound and a power of a sum past its
+    # degree bound are parse errors, never a ValueError, a RecursionError or
+    # a long expansion
     path = tmp_path / "frame.json"
-    path.write_text(json.dumps(data), encoding="utf-8")
+    path.write_text(json.dumps(_bundled_with_metric_entry(text)), encoding="utf-8")
     code, out, err = run_cli(["validate", str(path)], capsys)
     assert (code, out) == (2, "")
     assert err.startswith("error: metric[0][0]: ") and err.count("\n") == 1
+
+
+# random 4-dim specs over one parameter: random brackets, which mostly fail
+# validation, or the bundled family's brackets with random entries
+_ENTRY = st.sampled_from(["0", "1", "-1", "2", "-2", "a", "-a", "2*a", "a + 1", "a^2"])
+_PAIRS = [(i, j) for i in range(1, 5) for j in range(i + 1, 5)]
+_FAMILY = json.loads(Path(SPEC).read_text(encoding="utf-8"))["brackets"]
+_PRODUCTS = [[[str(int(abs(i - j) == 2)) for j in range(4)] for i in range(4)]] + [
+    [[str(signs[i]) if i == j else "0" for j in range(4)] for i in range(4)]
+    for signs in ((1, 1, -1, -1), (1, -1, 1, -1), (1, 1, 1, -1))]
+
+
+@st.composite
+def _random_specs(draw):
+    if draw(st.booleans()):
+        lam = dict(zip(("l1", "l2", "l3", "l4"), draw(st.lists(_ENTRY, min_size=4,
+                                                              max_size=4))))
+        brackets = [dict(b, result={k: re.sub(r"l\d", lambda m: "(%s)" % lam[m[0]], v)
+                                    for k, v in b["result"].items()})
+                    for b in _FAMILY]
+    else:
+        brackets = [{"left": i, "right": j,
+                     "result": draw(st.dictionaries(st.sampled_from("1234"), _ENTRY,
+                                                    max_size=2))}
+                    for i, j in draw(st.lists(st.sampled_from(_PAIRS), unique=True,
+                                              max_size=3))]
+    diagonal = st.sampled_from(["1", "2", "a^2 + 1"])
+    if draw(st.booleans()):  # diag(x, y, x, y) suits every product below
+        x, y = draw(diagonal), draw(diagonal)
+        upper = {(i, j): (x, y)[i % 2] if i == j else "0"
+                 for i in range(4) for j in range(i, 4)}
+    else:
+        upper = {(i, j): draw(diagonal if i == j else st.sampled_from(["0", "1", "a"]))
+                 for i in range(4) for j in range(i, 4)}
+    metric = [[upper[min(i, j), max(i, j)] for j in range(4)] for i in range(4)]
+    product = draw(st.sampled_from(_PRODUCTS) | st.lists(st.lists(_ENTRY, min_size=4,
+                                                                  max_size=4),
+                                                         min_size=4, max_size=4))
+    return {"dimension": 4, "parameters": ["a"], "brackets": brackets,
+            "metric": metric, "product": product}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["validate", "report", "check"]), _random_specs())
+@example("check", _bundled_with_metric_entry("2^20000"))
+@example("report", _bundled_with_metric_entry("(l1+l2+l3)^60"))
+def test_random_spec_gets_a_report_or_one_error_line(command, spec):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "frame.json"
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([command, str(path), "--format", "json"])
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out == "" and err.count("\n") == 1
+        assert re.match(r"error: \S+: ", err), err
+    else:
+        assert json.loads(out)["exit_status"] == code and err == ""
 
 
 def test_unwritable_json_path_exits_two(tmp_path, capsys):
@@ -270,6 +346,22 @@ def test_json_report_builds_no_text_sections(monkeypatch, capsys):
     assert calls == []
     assert run_cli(["report", SPEC], capsys)[0] == 0
     assert len(calls) == 1
+
+
+def test_json_report_builds_no_companion_connection_nor_structure_identities(
+        monkeypatch, capsys):
+    # both belong to the check suites only
+    calls = []
+    for name in ("companion_shifts", "structure_defects"):
+        def counting(*args, _name=name, _original=getattr(theorems, name)):
+            calls.append(_name)
+            return _original(*args)
+        monkeypatch.setattr(theorems, name, counting)
+    code, out, _ = run_cli(["report", SPEC, "--format", "json"], capsys)
+    assert code == 0 and "scalars" in json.loads(out)
+    assert calls == []
+    assert run_cli(["check", SPEC, "--format", "json"], capsys)[0] == 0
+    assert sorted(calls) == ["companion_shifts", "structure_defects"]
 
 
 # ---------------------------------------------------------------------------

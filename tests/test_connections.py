@@ -5,10 +5,11 @@ from fractions import Fraction
 import pytest
 
 from rptgeo import (Connection, NotW3Error, Scalar, Tensor, alternate, arranged,
-                    build_example, covariant_derivative, curvature, cyclic_sum,
-                    fundamental_F, levi_civita, natural_check,
+                    build_example, classify, covariant_derivative, curvature,
+                    cyclic_sum, fundamental_F, levi_civita, natural_check,
                     parse_expression, rpt_connection, rpt_torsion, sigma_T,
                     torsion_inner_products)
+from rptgeo.connections import _shifted_connection, companion_shifts
 
 from helpers import (apply_p, basis_vec, bracket_vec, covariant_derivative_oracle,
                      inner, metric_witness_oracle, random_frames,
@@ -56,7 +57,7 @@ def test_parallel_case_collapses_to_levi_civita():
     fa = build_example((0, 0, 0, 0))
     pack = rpt_connection(fa)
     assert pack.T.is_zero
-    assert pack.rpt.coeffs == pack.nabla.coeffs
+    assert pack.rpt.coeffs == levi_civita(fa).coeffs
 
 
 def test_not_w3_refusal():
@@ -107,14 +108,14 @@ def test_torsion_transformation_identities_on_random_frames():
             pack = rpt_connection(fa)
         except NotW3Error:
             continue
-        t, f, p = pack.T, pack.fundamental, fa.p
+        t, f, p = pack.T, fundamental_F(fa), fa.p
         assert t == arranged(t, "Px,Py,z", p) - arranged(f, "z,y,Px", p).scale(2)
         assert t == arranged(t, "Px,y,Pz", p) - arranged(f, "y,x,Pz", p).scale(2)
         assert t == arranged(t, "x,Py,Pz", p) - arranged(f, "x,Py,z", p).scale(2)
 
 
 def test_transformation_cyclic_invariance():
-    q, p = PACK.Q, SYM.p
+    q, p = PACK.T.scale(Fraction(1, 2)), SYM.p
     lhs = arranged(q, "x,y,Pz", p)
     rhs = arranged(arranged(q, "y,z,x"), "x,y,Pz", p)
     assert lhs == rhs
@@ -126,7 +127,8 @@ def test_averaging_identity_on_random_frames():
             pack = rpt_connection(fa)
         except NotW3Error:
             continue
-        assert pack.Q_P == (pack.Q_C + pack.Q).scale(Fraction(1, 2))
+        q_c, q_p = companion_shifts(fa)
+        assert q_p == (q_c + pack.T.scale(Fraction(1, 2))).scale(Fraction(1, 2))
 
 
 def test_torsion_recovery():
@@ -138,9 +140,9 @@ def test_torsion_recovery():
 
 def test_naturality():
     assert natural_check(SYM, PACK.rpt).passed
-    assert natural_check(SYM, PACK.canonical).passed
-    assert natural_check(SYM, PACK.p_conn).passed
-    report = natural_check(SYM, PACK.nabla)
+    for q in companion_shifts(SYM):
+        assert natural_check(SYM, _shifted_connection(SYM, q)).passed
+    report = natural_check(SYM, levi_civita(SYM))
     assert not report.passed  # generic parameters: the product is not parallel
     fa0 = build_example((0, 0, 0, 0))
     assert natural_check(fa0, levi_civita(fa0)).passed
@@ -244,8 +246,9 @@ def test_derived_geometry_is_computed_once():
     fa = build_example((1, 2, 3, 5))
     pack = rpt_connection(fa)
     assert rpt_connection(fa) is pack
-    assert levi_civita(fa) is levi_civita(fa) is pack.nabla
-    assert fundamental_F(fa) is pack.fundamental
+    assert levi_civita(fa) is levi_civita(fa)
+    assert fundamental_F(fa) is fundamental_F(fa)
+    assert classify(fa) is classify(fa)
     assert curvature(pack.rpt) is curvature(pack.rpt)
     assert pack.torsion_derivative() is pack.torsion_derivative()
     assert pack.torsion_products() is pack.torsion_products()

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from rptgeo import ParseError, Scalar, parse_expression
-from rptgeo.parser import MAX_DEPTH
+from rptgeo.parser import MAX_DEPTH, MAX_POWER_DEGREE
 
 PARAMS = ("l1", "l2", "l3", "l4")
 
@@ -109,6 +109,33 @@ def test_nesting_depth_is_bounded():
     with pytest.raises(ParseError, match="nested deeper") as err:
         parse_expression("(" + deepest + ")", PARAMS)
     assert err.value.position == MAX_DEPTH
+
+
+def test_power_of_a_sum_is_bounded_by_its_degree():
+    # the exponent times the base degree is bounded, so nesting cannot escape
+    assert parse_expression("(l1 + l2)^%d" % MAX_POWER_DEGREE, PARAMS) == \
+        (Scalar.parameter(PARAMS, "l1") + Scalar.parameter(PARAMS, "l2")) ** MAX_POWER_DEGREE
+    for text, position in (("(l1+l2+l3)^60", 11), ("((l1 + l2)^4)^5", 14),
+                           ("(l1*l2 + 1)^9", 12)):
+        with pytest.raises(ParseError, match="power of a sum") as err:
+            parse_expression(text, PARAMS)
+        assert err.value.position == position
+
+
+@pytest.mark.parametrize("text", ["2^20000", "(2^1000)^1000", "2^14000*2^14000",
+                                  "(3*l1)^20000", "(l1^%s)^%s" % ("9" * 4000, "9" * 4000)])
+def test_values_that_print_past_the_int_string_limit_are_parse_errors(text):
+    with pytest.raises(ParseError, match="past the int-string limit"):
+        parse_expression(text, PARAMS)
+
+
+def test_single_term_powers_stay_exact():
+    # canonical printing puts exponents on single parameters only
+    value = parse_expression("-3*l1^200*l2 + 2^1000", PARAMS)
+    assert value == Scalar.parameter(PARAMS, "l1") ** 200 \
+        * Scalar.parameter(PARAMS, "l2") * -3 + 2 ** 1000
+    assert parse_expression(str(value), PARAMS) == value
+    assert parse_expression("(-1)^" + "9" * 4000, PARAMS) == Scalar.constant(PARAMS, -1)
 
 
 def test_print_then_reparse_canonical():

@@ -2,9 +2,10 @@
 
 import pytest
 
-from rptgeo import (FrameAlgebra, NotW3Error, adapted_frame, all_passed,
-                    build_example, check_p_tensor, curvature, levi_civita, rpt_connection,
-                    theorem_checks)
+from rptgeo import (FrameAlgebra, NotW3Error, Scalar, Tensor, adapted_frame,
+                    all_passed, build_example, check_p_tensor, curvature,
+                    fundamental_F, geometry_checks, levi_civita, rpt_connection,
+                    theorem_checks, theorems)
 from rptgeo.theorems import rpt_curvature_p_tensor
 
 from helpers import random_frames, six_dim_frame
@@ -60,3 +61,22 @@ def test_memoised_p_tensor_predicate_agrees_with_the_check():
         assert rpt_curvature_p_tensor(pack) is expected
         decided.add(expected)
     assert decided == {True, False}
+
+
+def test_structure_identities_report_a_perturbed_f(monkeypatch):
+    # F(e1, e2, e3) raised by one breaks all three identities; witness
+    # indices are 1-based
+    fa = build_example((1, 2, 3, 4))
+    f = fundamental_F(fa)
+    bump = Tensor(4, "ddd", (), [Scalar.constant((), int(k == 6)) for k in range(64)])
+    checks = {r.id: r for r in geometry_checks(fa)}
+    assert checks["structure-tensor-identities"].status == "pass"
+    assert checks["structure-tensor-identities"].witnesses == []
+
+    monkeypatch.setattr(theorems, "fundamental_F", lambda frame: f + bump)
+    result = {r.id: r for r in geometry_checks(fa)}["structure-tensor-identities"]
+    assert result.status == "fail"
+    assert {w.label for w in result.witnesses} == {
+        "symmetric-last-pair", "product-antisymmetry", "mixed-product-identity"}
+    assert ((1, 2, 3), "symmetric-last-pair") in \
+        {(w.index, w.label) for w in result.witnesses}
