@@ -1,17 +1,20 @@
 """Command-line front end: validate specs, print geometry reports, run checks.
 
 Exit codes are a stable contract: 0 when every applicable check passed,
-1 when a check failed, 2 for usage, schema, parse or file errors.  A frame
-that fails structural validation gets a report of class ``invalid`` holding
-only the ``frame-structure`` entry, and exit 1, from every command.
+1 when a check failed, 2 for usage, schema, parse or file errors and for a
+value past the int-string limit.  A frame that fails structural validation
+gets a report of class ``invalid`` holding only the ``frame-structure``
+entry, and exit 1, from every command.  ``--lambda`` values are parameter-free
+expressions of the spec grammar, so ``2^3`` and ``(1)`` are values.
 
 ``example`` is ``check`` on the bundled spec, loaded like any other, plus
 the golden comparisons.  Every command validates the frame in the user's
 basis and then runs every geometry stage and check suite on its adapted
 frame (``adapted_frame``, P = diag(I, -I)).  Checks decide whether tensors
 vanish and the scalars are invariants, so neither depends on the basis; the
-report sections, the golden comparisons and the witnesses are pulled back
-to the user's basis.
+report sections and the witnesses are pulled back to the user's basis.  The
+golden tables are Tensors in that basis, evaluated at ``--lambda``, and each
+comparison is ``tensor_witnesses`` of a computed tensor against its table.
 
 Every check, structural, golden or from a suite, returns one ``CheckResult``
 whose ``as_dict()`` is its report entry {id, status, witnesses, reason, details}.
@@ -22,17 +25,18 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .connections import NotW3Error, rpt_connection
-from .example import (bundled_spec_path, compare_connection, compare_scalars,
-                      compare_tensor, family_parameters, golden_tables,
-                      _sub_map)
-from .frames import (CheckResult, FrameAlgebra, SchemaError, adapted_frame,
-                     killing_check, load_spec, spec_digest, validate)
+from .example import (PARAM_NAMES, bundled_spec_path, compare_connection,
+                      compare_scalars, compare_tensor, family_parameters,
+                      golden_tables)
+from .frames import (CheckResult, FrameAlgebra, SchemaError, _parse_entry,
+                     adapted_frame, killing_check, load_spec, spec_digest,
+                     validate)
 from .geometry import (classify, curvature, fundamental_F, levi_civita,
                        square_norm, square_norm_nabla_P, torsion_projections)
 from .parser import ParseError
+from .scalars import PrintLimitError, Scalar
 from .tensors import Tensor
 from .theorems import (geometry_checks, rpt_checks, rpt_curvature_p_tensor,
                        run_all, theorem_checks)
@@ -123,25 +127,11 @@ def _emit(report: Report, args) -> int:
 # input loading
 
 
-def _parse_lambda(text: str) -> list:
-    values = []
-    for part in text.split(","):
-        part = part.strip()
-        try:
-            if "/" in part:
-                num, den = part.split("/", 1)
-                values.append(Fraction(int(num), int(den)))
-            else:
-                values.append(Fraction(int(part)))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise UsageError("bad --lambda value '%s': %s" % (part, exc)) from exc
-    return values
-
-
 def _load_frame(args) -> FrameAlgebra:
     fa = load_spec(args.spec)
     if args.lam is not None:
-        values = _parse_lambda(args.lam)
+        values = [_parse_entry(part, (), "--lambda[%d]" % k).value
+                  for k, part in enumerate(args.lam.split(","))]
         if len(values) != len(fa.params):
             raise UsageError("--lambda needs %d values for parameters %s"
                              % (len(fa.params), ", ".join(fa.params)))
@@ -259,21 +249,21 @@ def cmd_example(args) -> int:
     af = adapted_frame(fa)
     report = Report(spec_digest(fa), classify(af).label)
     pack = rpt_connection(af)
-    tables = golden_tables(args.golden)
-    convert = _sub_map(fa, tables["torsion"].params, family_parameters(fa))
-    user = af.to_user
-    scalars = _add_scalars(report, af)
-    comparisons = [
-        compare_tensor("torsion", user(pack.T), tables["torsion"], convert),
-        compare_connection("connection", user(pack.rpt.coeffs), tables["connection"],
-                           convert),
-        compare_tensor("curvature", user(curvature(pack.rpt)[0]), tables["curvature"],
-                       convert),
-        compare_tensor("torsion_derivative", user(pack.torsion_derivative()),
-                       tables["torsion_derivative"], convert),
-        compare_scalars(scalars, tables["scalars"], convert),
-    ]
-    report.add_checks(comparisons)
+    golden = golden_tables(args.golden)
+    scalars = golden.pop("scalars")
+    if not fa.params:  # the tables hold the family symbolically
+        at = dict(zip(PARAM_NAMES, (v.value for v in family_parameters(fa))))
+        golden = {name: t.substitute(at) for name, t in golden.items()}
+        scalars = {key: Scalar.constant((), s.substitute(at))
+                   for key, s in scalars.items()}
+    report.add_checks([
+        compare_tensor(af, "torsion", pack.T, golden["torsion"]),
+        compare_connection(af, "connection", pack.rpt.coeffs, golden["connection"]),
+        compare_tensor(af, "curvature", curvature(pack.rpt)[0], golden["curvature"]),
+        compare_tensor(af, "torsion_derivative", pack.torsion_derivative(),
+                       golden["torsion_derivative"]),
+        compare_scalars(_add_scalars(report, af), scalars),
+    ])
     report.add_checks(run_all(af))
     return _emit(report, args)
 
@@ -288,7 +278,7 @@ def _add_command(sub, name: str, help_text: str, func, **defaults):
     if "spec" not in defaults:
         p.add_argument("spec", help="frame spec JSON file")
     p.add_argument("--lambda", dest="lam", metavar="a,b,c,d",
-                   help="substitute rational parameter values at load time; "
+                   help="substitute parameter values (such as 1/2) at load time; "
                         "write a negative first value as --lambda=-1,2,3,4")
     p.add_argument("--format", choices=("text", "json"), default="text",
                    help="stdout form (default text)")
@@ -328,6 +318,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (SchemaError, ParseError, UsageError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return 2
+    except PrintLimitError as exc:  # a computed value, such as tau, too long to print
+        print("error: %s: %s" % (args.spec, exc), file=sys.stderr)
         return 2
     except (NotW3Error, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -2,21 +2,24 @@
 
 The family is parametrized by four reals; with the block-swap product
 structure and the identity metric it is the canonical instance of the
-skew-cyclic class.  Golden component tables ship as data files and are
-expanded here by their stated symmetries (never hand-entered).
+skew-cyclic class.  Golden component tables ship as data files over the
+parameters l1..l4 and load as Tensors on the family, each orbit expanded by
+the table's stated symmetry (never hand-entered).  A golden comparison is
+the one tensor witness collector, ``tensor_witnesses``, with the table as
+its expected tensor in the user's basis.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
 from .frames import (CheckResult, FrameAlgebra, SchemaError, Witness,
-                     _expect, _is_index, _parse_entry, capped_report)
+                     _expect, _is_index, _parse_entry, capped_report,
+                     tensor_witnesses)
 from .scalars import Scalar
 from .tensors import Tensor, _perm_sign, mat_identity
 
@@ -24,7 +27,8 @@ PARAM_NAMES = ("l1", "l2", "l3", "l4")
 EPSILON_CANDIDATES = (1, -1)
 SYMMETRIES = ("none", "skew", "skew-last-three", "pair-skew")
 GOLDEN_SCALARS = ("nabla_P_norm_sq", "tau", "tau_prime")
-GOLDEN_RANKS = {"torsion": 3, "connection": 3, "curvature": 4, "torsion_derivative": 4}
+GOLDEN_VARIANCES = {"torsion": "ddd", "connection": "ddu", "curvature": "dddd",
+                    "torsion_derivative": "dddd"}
 
 def swap_product_matrix(dim: int, params: tuple) -> list:
     """Block antidiagonal product structure exchanging the two halves."""
@@ -92,27 +96,6 @@ def bundled_spec_path() -> Path:
 # golden component tables
 
 
-@dataclass
-class GoldenTable:
-    name: str
-    rank: int
-    symmetry: str
-    params: tuple
-    entries: dict  # canonical 1-based index tuple -> Scalar, one per orbit
-
-    def dense(self, dim: int = 4) -> dict:
-        """All index tuples, expanded by the stated symmetry; unlisted zero."""
-        zero = Scalar.zero(self.params)
-        out = {}
-        for idx in itertools.product(range(1, dim + 1), repeat=self.rank):
-            key, sign = _canonical(self.symmetry, idx)
-            if key is None or key not in self.entries:
-                out[idx] = zero
-            else:
-                out[idx] = self.entries[key] if sign > 0 else -self.entries[key]
-        return out
-
-
 def _canonical(symmetry: str, idx: tuple):
     """The representative of idx under the symmetry and the sign relating
     them; None for a component the symmetry makes zero."""
@@ -144,24 +127,27 @@ def _sort_signed(idx):
 
 
 def _read_table(path: Path):
-    """A golden JSON file and its entries parsed by key; SchemaError naming
-    the file and field when it is malformed."""
+    """A golden JSON file and its entries parsed by key over the family's
+    parameters; SchemaError naming the file and field when it is malformed."""
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise SchemaError("%s: invalid JSON (%s)" % (path, exc)) from exc
     _expect(isinstance(data, dict), str(path), "expected a JSON object")
-    for key, kind in (("parameters", list), ("entries", dict)):
-        _expect(isinstance(data.get(key), kind), "%s: %s" % (path, key),
-                "missing field" if key not in data else "expected a %s" % kind.__name__)
-    params = tuple(data["parameters"])
-    entries = {key: _parse_entry(text, params, "%s: entries[%s]" % (path, key))
+    _expect(data.get("parameters") == list(PARAM_NAMES), "%s: parameters" % path,
+            "expected %s" % json.dumps(PARAM_NAMES))
+    _expect(isinstance(data.get("entries"), dict), "%s: entries" % path,
+            "missing field" if "entries" not in data else "expected a dict")
+    entries = {key: _parse_entry(text, PARAM_NAMES, "%s: entries[%s]" % (path, key))
                for key, text in data["entries"].items()}
     return data, entries
 
 
-def _load_table(path: Path, rank: int) -> GoldenTable:
+def _load_table(path: Path, variance: str) -> Tensor:
+    """A golden table as a Tensor on the family: each listed orbit expanded
+    by the table's stated symmetry, every other component zero."""
     data, raw = _read_table(path)
+    rank = len(variance)
     _expect(isinstance(data.get("name"), str), "%s: name" % path, "expected a string")
     _expect(type(data.get("rank")) is int and data["rank"] == rank, "%s: rank" % path,
             "expected the integer %d" % rank)
@@ -186,18 +172,24 @@ def _load_table(path: Path, rank: int) -> GoldenTable:
         _expect(entries.setdefault(idx, value) == value, field,
                 "conflicts with entries[%s]" % first.get(idx))
         first.setdefault(idx, key)
-    return GoldenTable(data["name"], rank, symmetry, tuple(data["parameters"]), entries)
+    zero, comps = Scalar.zero(PARAM_NAMES), []
+    for idx in itertools.product(range(1, 5), repeat=rank):
+        key, sign = _canonical(symmetry, idx)
+        value = entries.get(key, zero)
+        comps.append(value if sign > 0 else -value)
+    return Tensor(4, variance, PARAM_NAMES, comps)
 
 
 def golden_tables(directory=None) -> dict:
-    """Load the component tables (and expected scalars) for the family."""
+    """Load the component tables, as Tensors on the family, and the expected
+    scalars, as a dict of Scalars."""
     if directory is None:
         base = resources.files("rptgeo").joinpath("data/golden")
     else:
         base = Path(directory)
     tables = {}
-    for name, rank in GOLDEN_RANKS.items():
-        tables[name] = _load_table(Path(str(base / ("%s.json" % name))), rank)
+    for name, variance in GOLDEN_VARIANCES.items():
+        tables[name] = _load_table(Path(str(base / ("%s.json" % name))), variance)
     path = Path(str(base / "scalars.json"))
     tables["scalars"] = _read_table(path)[1]
     for key in tables["scalars"]:
@@ -210,40 +202,20 @@ def golden_tables(directory=None) -> dict:
 # comparison of computed values against the tables
 
 
-def _sub_map(fa: FrameAlgebra, golden_params: tuple, lam):
-    """Scalars of a golden table rewritten into fa's parameter context."""
-    if fa.params == golden_params:
-        return lambda s: s
-    values = dict(zip(golden_params, [v.constant_value() for v in lam]))
-
-    def convert(s: Scalar) -> Scalar:
-        return Scalar.constant(fa.params, s.substitute(values))
-
-    return convert
+def compare_tensor(fa: FrameAlgebra, name: str, computed: Tensor,
+                   expected: Tensor) -> CheckResult:
+    """A tensor computed on fa against its table, in the user's basis."""
+    return capped_report("golden-%s" % name,
+                         tensor_witnesses(fa, computed, name, expected))
 
 
-def compare_tensor(name: str, computed: Tensor, table: GoldenTable,
-                   convert) -> CheckResult:
-    witnesses = []
-    for idx, expected in table.dense(computed.dim).items():
-        expected = convert(expected)
-        actual = computed[tuple(k - 1 for k in idx)]
-        if actual != expected:
-            witnesses.append(Witness(idx, expected, actual, name))
-    return capped_report("golden-%s" % name, witnesses)
-
-
-def compare_connection(name: str, coeffs: Tensor, table: GoldenTable,
-                       convert) -> CheckResult:
+def compare_connection(fa: FrameAlgebra, name: str, coeffs: Tensor,
+                       expected: Tensor) -> CheckResult:
     """compare_tensor on the coefficient tensor, A^k_ij at index (i, j, k)."""
-    return compare_tensor(name, coeffs, table, convert)
+    return compare_tensor(fa, name, coeffs, expected)
 
 
-def compare_scalars(computed: dict, golden: dict, convert) -> CheckResult:
-    witnesses = []
-    for key in sorted(golden):
-        expected = convert(golden[key])
-        actual = computed[key]
-        if actual != expected:
-            witnesses.append(Witness((), expected, actual, key))
-    return capped_report("golden-scalars", witnesses)
+def compare_scalars(computed: dict, golden: dict) -> CheckResult:
+    return capped_report("golden-scalars", [
+        Witness((), golden[key], computed[key], key) for key in sorted(golden)
+        if computed[key] != golden[key]])

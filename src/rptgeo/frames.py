@@ -63,14 +63,19 @@ class CheckResult:
 _WITNESS_CAP = 16
 
 
-def tensor_witnesses(fa: FrameAlgebra, t: Tensor, label: str) -> list:
-    """One witness per nonzero component of a tensor on fa that should
-    vanish, indexed in the user's basis.  A zero tensor is never pulled back."""
-    if t.is_zero:
-        return []
-    zero = Scalar.zero(t.params)
-    return [Witness(tuple(k + 1 for k in idx), zero, value, label)
-            for idx, value in fa.to_user(t).nonzero()]
+def tensor_witnesses(fa: FrameAlgebra, t: Tensor, label: str,
+                     expected: Tensor | None = None) -> list:
+    """One witness per component, indexed in the user's basis, where a tensor
+    on fa pulled back there differs from the expected tensor in that basis
+    (zero when omitted).  A zero tensor is never pulled back."""
+    if expected is None:
+        if t.is_zero:
+            return []
+        expected = Tensor.zeros(t.dim, t.variance, t.params)
+    actual = t if t.is_zero else fa.to_user(t)
+    return [Witness(tuple(k + 1 for k in idx), e, a, label)
+            for idx, a, e in zip(actual.indices(), actual.comps, expected.comps)
+            if a != e]
 
 
 def capped_report(check_id: str, witnesses: list, notes=()) -> CheckResult:

@@ -4,7 +4,10 @@ Grammar: integer literals, parameter names, ``+ - * / ^`` and parentheses.
 Literals are ASCII decimal digits within the interpreter's int-string limit,
 and parentheses nest at most ``MAX_DEPTH`` deep.
 ``^`` takes a nonnegative integer exponent, and a power of a sum has degree
-at most ``MAX_POWER_DEGREE``; ``/`` is only legal with a nonzero constant
+at most ``MAX_POWER_DEGREE``.  A product of sums, or a power of a sum, may
+have at most ``MAX_TERMS`` terms before cancellation: len(a)*len(b) for a
+product, C(k+t-1, t-1) for a t-term sum to the k, checked before the
+product or power expands.  ``/`` is only legal with a nonzero constant
 divisor (rational literals like ``-3/2`` fall out of that rule).  A parsed
 value prints within the int-string limit, and canonical printing, which
 puts exponents on single parameters only, reparses to the same value.
@@ -13,8 +16,9 @@ puts exponents on single parameters only, reparses to the same value.
 from __future__ import annotations
 
 import sys
+from math import comb
 
-from .scalars import Scalar
+from .scalars import PrintLimitError, Scalar
 
 
 class ParseError(ValueError):
@@ -29,6 +33,7 @@ _OPS = set("+-*/^()")
 _DIGITS = set("0123456789")
 MAX_DEPTH = 100
 MAX_POWER_DEGREE = 16
+MAX_TERMS = 1000
 
 
 def _tokenize(text: str):
@@ -88,6 +93,14 @@ class _Parser:
             raise ParseError("expected '%s'" % kind, tok[2])
         return self.advance()
 
+    def bound_terms(self, left: int, right: int, at: int):
+        """Refuse a left-term sum times up to right terms (a power of a sum
+        when left = 1) that may expand past MAX_TERMS terms."""
+        if left * right > MAX_TERMS:
+            raise ParseError("%s of up to %d terms, above %d" % (
+                "product of sums" if left > 1 else "power of a sum", left * right,
+                MAX_TERMS), at)
+
     def parse(self) -> Scalar:
         value = self.expr()
         tok = self.peek()
@@ -95,7 +108,7 @@ class _Parser:
             raise ParseError("unexpected trailing input", tok[2])
         try:
             str(value)
-        except ValueError:  # a coefficient or exponent past the int-string limit
+        except PrintLimitError:
             raise ParseError("value past the int-string limit", 0) from None
         return value
 
@@ -111,8 +124,12 @@ class _Parser:
         value = self.unary()
         while self.peek()[0] in "*/":
             op, _, at = self.advance()
-            rhs = self.unary()
+            # a sum on the left bounds a power on the right before it expands
+            left = len(value.num) if op == "*" else 1
+            rhs = self.unary(left)
             if op == "*":
+                if left > 1 and len(rhs.num) > 1:
+                    self.bound_terms(left, len(rhs.num), at)
                 value = value * rhs
             else:
                 if not rhs.is_constant:
@@ -122,15 +139,15 @@ class _Parser:
                 value = value / rhs
         return value
 
-    def unary(self) -> Scalar:
+    def unary(self, left: int = 1) -> Scalar:
         signs = 0
         while self.peek()[0] in "+-":
             if self.advance()[0] == "-":
                 signs ^= 1
-        value = self.power()
+        value = self.power(left)
         return -value if signs else value
 
-    def power(self) -> Scalar:
+    def power(self, left: int = 1) -> Scalar:
         value = self.atom()
         if self.peek()[0] == "^":
             self.advance()
@@ -138,10 +155,13 @@ class _Parser:
             if tok[0] != "int":
                 raise ParseError("exponent must be a nonnegative integer", tok[2])
             self.advance()
-            k = tok[1]
-            if len(value.num) > 1 and k * max(map(sum, value.num)) > MAX_POWER_DEGREE:
-                raise ParseError("power of a sum above degree %d" % MAX_POWER_DEGREE,
-                                 tok[2])
+            k, t = tok[1], len(value.num)
+            if t > 1:
+                if k * max(map(sum, value.num)) > MAX_POWER_DEGREE:
+                    raise ParseError("power of a sum above degree %d" % MAX_POWER_DEGREE,
+                                     tok[2])
+                # a t-term sum to the k has at most C(k+t-1, t-1) terms
+                self.bound_terms(left, comb(k + t - 1, t - 1), tok[2])
             # |c|^k has over k*(bits - 1) bits, and 4 bits per digit exceed log2(10)
             bound = 4 * (sys.get_int_max_str_digits() or float("inf"))
             if any(k * (max(abs(c.numerator), c.denominator).bit_length() - 1) > bound

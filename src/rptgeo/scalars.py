@@ -18,6 +18,7 @@ as an exact polynomial division: gcd runs only on a true fraction.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import gcd as _int_gcd, lcm as _int_lcm
 from typing import Mapping, Union
@@ -213,6 +214,10 @@ def _poly_gcd(f: dict, g: dict) -> dict:
 
 # ---------------------------------------------------------------------------
 # Scalar
+
+
+class PrintLimitError(ValueError):
+    """A Scalar cannot print: it holds an integer past the int-string limit."""
 
 
 class Scalar:
@@ -458,9 +463,13 @@ class Scalar:
         return out
 
     def __str__(self):
-        if self.cden:
-            return self._poly_str(self.num)
-        return "(%s)/(%s)" % (self._poly_str(self.num), self._poly_str(self.den))
+        try:
+            if self.cden:
+                return self._poly_str(self.num)
+            return "(%s)/(%s)" % (self._poly_str(self.num), self._poly_str(self.den))
+        except ValueError:  # int.__str__ refuses an integer past the limit
+            raise PrintLimitError("a value has an integer past the int-string limit "
+                                  "of %d digits" % sys.get_int_max_str_digits()) from None
 
     def __repr__(self):
         return "Scalar(%s)" % self

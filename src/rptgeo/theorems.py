@@ -79,11 +79,10 @@ def rpt_curvature_p_tensor(pack: ConnectionPack) -> bool:
     return all(t.is_zero for t, _ in p_tensor_defects(curvature(pack.rpt)[0], pack.frame))
 
 
-@memo
 def curvature_defect(pack: ConnectionPack) -> Tensor:
     """R - R' + b/4 + sigma/4 for the Levi-Civita curvature R and the
     skew-torsion curvature R'; it vanishes exactly when the torsion is
-    parallel.  Computed once per pack."""
+    parallel."""
     r, rp = curvature(levi_civita(pack.frame))[0], curvature(pack.rpt)[0]
     quarter = Fraction(1, 4)
     return r - rp + pack.torsion_products().scale(quarter) \

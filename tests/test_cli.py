@@ -147,6 +147,9 @@ def test_usage_and_input_errors_exit_two(tmp_path, capsys):
     bad_schema.write_text('{"dimension": 3}', encoding="utf-8")
     for argv in (["check", SPEC, "--lambda=1,x,3,4"],
                  ["check", SPEC, "--lambda=1,2"],
+                 # the spec grammar: ASCII digits only, no digit separators
+                 ["check", SPEC, "--lambda=\u0661,2,3,4"],
+                 ["check", SPEC, "--lambda=1_0,2,3,4"],
                  ["example", "--lambda=1,2,3"],
                  ["check", SPEC, "--lambda="],
                  ["example", "--lambda="],
@@ -256,6 +259,7 @@ def _random_specs(draw):
 @given(st.sampled_from(["validate", "report", "check"]), _random_specs())
 @example("check", _bundled_with_metric_entry("2^20000"))
 @example("report", _bundled_with_metric_entry("(l1+l2+l3)^60"))
+@example("validate", _bundled_with_metric_entry("(l1+l2+l3+l4)^16*(l1+l2+l3+l4)^16"))
 def test_random_spec_gets_a_report_or_one_error_line(command, spec):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "frame.json"
@@ -270,6 +274,37 @@ def test_random_spec_gets_a_report_or_one_error_line(command, spec):
         assert re.match(r"error: \S+: ", err), err
     else:
         assert json.loads(out)["exit_status"] == code and err == ""
+
+
+def _family_literals(l1):
+    """The bundled brackets at (l1, 1, 2, 3), written as literals in a
+    parameter-free spec."""
+    data = json.loads(Path(SPEC).read_text(encoding="utf-8"))
+    lam = {"l1": l1, "l2": "1", "l3": "2", "l4": "3"}
+    for bracket in data["brackets"]:
+        bracket["result"] = {k: re.sub(r"l\d", lambda m: "(%s)" % lam[m[0]], v)
+                             for k, v in bracket["result"].items()}
+    data["parameters"] = []
+    return data
+
+
+@pytest.mark.parametrize("command", ["check", "report"])
+@pytest.mark.parametrize("source", ["--lambda", "literals"])
+def test_value_past_the_int_string_limit_exits_two(command, source, tmp_path, capsys):
+    # tau holds l1^2, so 3000 digits in l1 print as about 6000 in tau; no bound
+    # on the inputs covers that
+    nines = "9" * 3000
+    if source == "literals":
+        spec = tmp_path / "frame.json"
+        spec.write_text(json.dumps(_family_literals(nines)), encoding="utf-8")
+        argv = [command, str(spec)]
+        assert run_cli(["validate", str(spec)], capsys)[0] == 0
+    else:
+        spec, argv = SPEC, [command, SPEC, "--lambda=%s,1,2,3" % nines]
+    code, out, err = run_cli(argv + ["--format", "json"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: %s: " % spec) and err.count("\n") == 1
+    assert "int-string limit" in err
 
 
 def test_unwritable_json_path_exits_two(tmp_path, capsys):
@@ -435,6 +470,22 @@ def test_golden_index_must_be_a_canonical_decimal(key, tmp_path, capsys):
                              capsys)
     assert (code, out) == (2, "")
     assert err.startswith("error: %s: entries[%s]: " % (table, key))
+
+
+@pytest.mark.parametrize("lam", [["--lambda=1,2,3,4"], []], ids=["lambda", "symbolic"])
+def test_golden_table_over_other_parameter_names_exits_two(lam, tmp_path, capsys):
+    # the same table over a, b, c, d: the tables must use the family's names
+    golden = _copied_golden(tmp_path)
+    table = golden / "curvature.json"
+    data = json.loads(table.read_text(encoding="utf-8"))
+    names = dict(zip(("l1", "l2", "l3", "l4"), "abcd"))
+    data["parameters"] = [names[p] for p in data["parameters"]]
+    data["entries"] = {k: re.sub(r"l\d", lambda m: names[m[0]], v)
+                       for k, v in data["entries"].items()}
+    table.write_text(json.dumps(data), encoding="utf-8")
+    code, out, err = run_cli(["example", "--golden", str(golden)] + lam, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: %s: parameters: " % table)
 
 
 def _golden_failures(golden, capsys):

@@ -1,11 +1,12 @@
 """Grammar coverage and error reporting of the expression parser."""
 
+import time
 from fractions import Fraction
 
 import pytest
 
 from rptgeo import ParseError, Scalar, parse_expression
-from rptgeo.parser import MAX_DEPTH, MAX_POWER_DEGREE
+from rptgeo.parser import MAX_DEPTH, MAX_POWER_DEGREE, MAX_TERMS
 
 PARAMS = ("l1", "l2", "l3", "l4")
 
@@ -120,6 +121,27 @@ def test_power_of_a_sum_is_bounded_by_its_degree():
         with pytest.raises(ParseError, match="power of a sum") as err:
             parse_expression(text, PARAMS)
         assert err.value.position == position
+
+
+def test_largest_power_of_a_four_term_sum_parses():
+    assert len(parse_expression("(l1+l2+l3+l4)^16", PARAMS).num) == 969
+
+
+@pytest.mark.parametrize("text, params, message, position", [
+    ("(l1+l2+l3+l4)^16*(l1+l2+l3+l4)^16", PARAMS, "product of sums", 31),
+    ("(l1+l2+l3+l4)^16*(l1+l2+l3+l4)^16*(l1+l2+l3+l4)^16", PARAMS, "product of sums", 31),
+    ("(p0+p1+p2+p3+p4+p5)^16", tuple("p%d" % k for k in range(6)), "power of a sum", 20)],
+    ids=["two-factors", "three-factors", "six-parameters"])
+def test_products_and_powers_of_sums_are_bounded_by_their_terms(text, params, message,
+                                                                position):
+    # a t-term sum to the k may have C(k+t-1, t-1) terms, within the degree
+    # bound; a sum on the left of a product multiplies that before expansion
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match="%s of up to \\d+ terms, above %d"
+                       % (message, MAX_TERMS)) as err:
+        parse_expression(text, params)
+    assert time.perf_counter() - start < 0.5
+    assert err.value.position == position
 
 
 @pytest.mark.parametrize("text", ["2^20000", "(2^1000)^1000", "2^14000*2^14000",

@@ -1,14 +1,19 @@
 """Theorem suites run on the frame they are given."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from rptgeo import (FrameAlgebra, NotW3Error, Scalar, Tensor, adapted_frame,
                     all_passed, build_example, check_p_tensor, curvature,
-                    fundamental_F, geometry_checks, levi_civita, rpt_connection,
-                    theorem_checks, theorems)
+                    fundamental_F, geometry_checks, levi_civita, rpt_checks,
+                    rpt_connection, theorem_checks, theorems)
 from rptgeo.theorems import rpt_curvature_p_tensor
 
 from helpers import random_frames, six_dim_frame
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def test_family_check_builds_no_second_frame(monkeypatch):
@@ -80,3 +85,24 @@ def test_structure_identities_report_a_perturbed_f(monkeypatch):
         "symmetric-last-pair", "product-antisymmetry", "mixed-product-identity"}
     assert ((1, 2, 3), "symmetric-last-pair") in \
         {(w.index, w.label) for w in result.witnesses}
+
+
+# the non-W3 skip path names its checks by hand; these tie the names to
+# what the suites produce on frames where they run
+@pytest.mark.parametrize("frame, on_family", [(lambda: build_example(), True),
+                                              (lambda: build_example((1, 2, 3, 5)), True),
+                                              (six_dim_frame, False)],
+                         ids=["family-symbolic", "family-1235", "six-dim"])
+def test_skip_lists_name_the_checks_the_suites_produce(frame, on_family):
+    af = adapted_frame(frame())
+    family = ("family-parameter-equivalence",) if on_family else ()
+    assert tuple(r.id for r in rpt_checks(af)) == theorems._RPT_CHECK_IDS
+    assert tuple(r.id for r in theorem_checks(af)) == theorems._THEOREM_CHECK_IDS + family
+
+
+def test_frozen_non_w3_report_skips_exactly_the_listed_checks():
+    data = json.loads((FIXTURES / "check_single_bracket.json").read_text(encoding="utf-8"))
+    skipped = tuple(c["id"] for c in data["checks"] if c["status"] == "skip")
+    assert skipped == theorems._RPT_CHECK_IDS + theorems._THEOREM_CHECK_IDS + (
+        "family-parameter-equivalence",)
+    assert len(skipped) == 14
