@@ -15,8 +15,8 @@ from fractions import Fraction
 
 from .frames import FrameAlgebra, memo, tensor_witnesses
 from .scalars import Scalar
-from .tensors import (Tensor, arranged, coefficient_tensor, cyclic_sum, mat_mul,
-                      tensor_contract)
+from .tensors import (Tensor, arranged, coefficient_tensor, compose, cyclic_sum,
+                      mat_mul, tensor_contract)
 
 CLASS_PARALLEL = "W0"
 CLASS_SKEW = "W3-strict"
@@ -33,12 +33,6 @@ class Connection:
         a = self.coeffs
         t = a - arranged(a, "y,x,z") - coefficient_tensor(self.frame.c)
         return t.lower_slot(2, self.frame.g)
-
-    def direction_matrices(self) -> list:
-        """K_i = (A^s_ij)_{j,s} for each direction i, as row slices of coeffs."""
-        n, a = self.frame.dim, self.coeffs.comps
-        return [[a[(i * n + j) * n:(i * n + j + 1) * n] for j in range(n)]
-                for i in range(n)]
 
     def metric_witnesses(self, label: str) -> list:
         """Nonzero g(nabla_i e_j, e_k) + g(e_j, nabla_i e_k) for j <= k in the
@@ -95,33 +89,17 @@ def square_norm_nabla_P(fa: FrameAlgebra) -> Scalar:
 
 @memo
 def curvature(conn: Connection):
-    """Curvature (0,4) tensor, Ricci tensor and scalar curvature of conn."""
+    """Curvature (0,4) tensor, Ricci tensor and scalar curvature of conn.
+
+    R(x,y,z,w) = g(nabla_x nabla_y z - nabla_y nabla_x z - nabla_[x,y] z, w).
+    With L(i,s,l) = g(nabla_i e_s, e_l) and constant frame components,
+    R(i,j,k,l) = sum_s A^s_jk L(i,s,l) - A^s_ik L(j,s,l) - c^s_ij L(s,k,l)."""
     fa = conn.frame
-    n = fa.dim
-    k_mats = conn.direction_matrices()
-
-    comps = [Scalar.zero(fa.params)] * n ** 4
-    for i in range(n):
-        for j in range(i + 1, n):
-            term = mat_mul(k_mats[j], k_mats[i])
-            term2 = mat_mul(k_mats[i], k_mats[j])
-            mat = [[term[r][c] - term2[r][c] for c in range(n)] for r in range(n)]
-            for m in range(n):
-                cm = fa.c[i][j][m]
-                if cm.is_zero:
-                    continue
-                for r in range(n):
-                    for col in range(n):
-                        if not k_mats[m][r][col].is_zero:
-                            mat[r][col] = mat[r][col] - cm * k_mats[m][r][col]
-            # lower the output slot and write both (i,j) and (j,i) blocks
-            low = mat_mul(mat, fa.g)
-            for k in range(n):
-                for l in range(n):
-                    comps[((i * n + j) * n + k) * n + l] = low[k][l]
-                    comps[((j * n + i) * n + k) * n + l] = -low[k][l]
-
-    riemann = Tensor(n, "dddd", fa.params, comps)
+    low = conn.coeffs.lower_slot(2, fa.g)
+    # sum_s A^s_jk L(i,s,l) lands at (j,k,i,l) and moves to (i,j,k,l)
+    first = compose(conn.coeffs, low.transpose((1, 0, 2))).transpose((1, 2, 0, 3))
+    riemann = first - first.transpose((1, 0, 2, 3)) \
+        - compose(coefficient_tensor(fa.c), low)
     ricci = tensor_contract(riemann, 0, 3, fa.metric_inv)
     tau = tensor_contract(ricci, 0, 1, fa.metric_inv)[()]
     return riemann, ricci, tau

@@ -346,6 +346,10 @@ class Scalar:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
+        if o.is_zero:
+            return self
+        if self.value is not None and o.value is not None:
+            return Scalar._of_value(self.params, self.value - o.value, self.den)
         return self + (-o)
 
     def __rsub__(self, other):

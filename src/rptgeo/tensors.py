@@ -8,7 +8,8 @@ through a table of input offsets.  ``map_slot`` with a diagonal matrix, such
 as P = diag(I, -I) in a P-eigenbasis, maps each slice of the slot by its
 entry (1 copies, -1 negates, any other entry multiplies); any other matrix,
 and the contractions ``compose`` and ``tensor_contract``, is one ``mat_mul``
-on rows of components.
+on rows of components.  ``compose`` builds the torsion inner products, and
+covariant derivatives and curvature from connection coefficients.
 """
 
 from __future__ import annotations

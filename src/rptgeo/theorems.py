@@ -89,9 +89,11 @@ def curvature_defect(pack: ConnectionPack) -> Tensor:
         + pack.torsion_form_square().scale(quarter)
 
 
-def verify_curvature_relation(fa: FrameAlgebra, pack: ConnectionPack) -> CheckResult:
+def verify_curvature_relation(fa: FrameAlgebra, pack: ConnectionPack,
+                              defect: Tensor) -> CheckResult:
     """Relations between the curvatures, Ricci tensors and scalar curvatures
-    of the Levi-Civita and the skew-torsion connection."""
+    of the Levi-Civita and the skew-torsion connection; defect is
+    ``curvature_defect(pack)``."""
     _, rho, tau = curvature(levi_civita(fa))
     _, rhop, taup = curvature(pack.rpt)
     d = pack.torsion_derivative()
@@ -100,7 +102,7 @@ def verify_curvature_relation(fa: FrameAlgebra, pack: ConnectionPack) -> CheckRe
 
     witnesses = []
     # R - (R' - d/2 + d(y,x,z,w)/2 - b/4 - sigma/4)
-    diff = curvature_defect(pack) + (d - arranged(d, "y,x,z,w")).scale(Fraction(1, 2))
+    diff = defect + (d - arranged(d, "y,x,z,w")).scale(Fraction(1, 2))
     witnesses += tensor_witnesses(fa, diff, "curvature-relation")
 
     expected_rho = rhop - tensor_contract(d, 0, 3, ginv).scale(Fraction(1, 2)) \
@@ -180,11 +182,13 @@ def verify_p_tensor_criterion(fa: FrameAlgebra, pack: ConnectionPack) -> CheckRe
     return _result("p-tensor-criterion", witnesses, details)
 
 
-def verify_parallel_torsion(fa: FrameAlgebra, pack: ConnectionPack) -> CheckResult:
-    """Parallel torsion is equivalent to the quarter curvature relation; when
-    the torsion is parallel the pair symmetry, the cyclic identity and the
-    product invariance of the curvature follow, and together with the
-    P-tensor property the quadratic form vanishes."""
+def verify_parallel_torsion(fa: FrameAlgebra, pack: ConnectionPack,
+                            defect: Tensor) -> CheckResult:
+    """Parallel torsion is equivalent to the quarter curvature relation, the
+    vanishing of defect = ``curvature_defect(pack)``; when the torsion is
+    parallel the pair symmetry, the cyclic identity and the product
+    invariance of the curvature follow, and together with the P-tensor
+    property the quadratic form vanishes."""
     r, _, _ = curvature(levi_civita(fa))
     rp, _, _ = curvature(pack.rpt)
     d = pack.torsion_derivative()
@@ -192,7 +196,6 @@ def verify_parallel_torsion(fa: FrameAlgebra, pack: ConnectionPack) -> CheckResu
     sigma = pack.torsion_form_square()
 
     parallel = d.is_zero
-    defect = curvature_defect(pack)
     relation = defect.is_zero
     witnesses = []
     details = {"parallel": str(parallel).lower(), "relation": str(relation).lower()}
@@ -332,11 +335,12 @@ def theorem_checks(fa: FrameAlgebra) -> list:
         pack = rpt_connection(fa)
     except NotW3Error:
         return _skipped(_THEOREM_CHECK_IDS + ("family-parameter-equivalence",))
+    defect = curvature_defect(pack)
     results = [
-        verify_curvature_relation(fa, pack),
+        verify_curvature_relation(fa, pack, defect),
         verify_torsion_type(fa, pack),
         verify_p_tensor_criterion(fa, pack),
-        verify_parallel_torsion(fa, pack),
+        verify_parallel_torsion(fa, pack, defect),
     ]
     # an adapted frame is never literally the family; its user frame may be
     lam = family_parameters(fa.user)

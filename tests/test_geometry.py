@@ -6,15 +6,15 @@ from fractions import Fraction
 import pytest
 
 from rptgeo import (CLASS_OUTSIDE, CLASS_PARALLEL, CLASS_SKEW, FrameAlgebra,
-                    Scalar, Tensor, arranged, build_example, classify, curvature,
-                    cyclic_sum, fundamental_F, levi_civita, mat_identity, mat_inv,
-                    parse_expression, rpt_connection, square_norm_nabla_P,
+                    Scalar, Tensor, adapted_frame, arranged, build_example, classify,
+                    curvature, cyclic_sum, fundamental_F, levi_civita, mat_identity,
+                    mat_inv, parse_expression, rpt_connection, square_norm_nabla_P,
                     torsion_projections, validate)
 from rptgeo.theorems import structure_defects
 
 from helpers import (basis_vec, curvature_oracle, inner, koszul_killing_oracle,
                      nabla_p_killing_oracle, projection_oracle, random_frames,
-                     single_bracket_frame, six_dim_frame)
+                     sheared_family_frame, single_bracket_frame, six_dim_frame)
 
 SYM = build_example()
 LC = levi_civita(SYM)
@@ -145,10 +145,20 @@ def test_first_bianchi_on_random_frames():
 
 def test_curvature_matches_the_oracle_on_random_frames():
     # Levi-Civita and the skew-torsion connection, whose curvature is not
-    # pair-symmetric, on every 4-dim frame of the battery and a 6-dim one
-    for fa in [fa for fa in random_frames() if fa.dim == 4] + [six_dim_frame()]:
-        for conn in (levi_civita(fa), rpt_connection(fa).rpt):
-            assert curvature(conn)[0] == curvature_oracle(conn)
+    # pair-symmetric, on every 4-dim frame of the battery (the first is
+    # symbolic_metric_frame), a 6-dim one, the sheared family, whose P is
+    # parametric, and a block sum (random_frames(15) ends with the first
+    # sum8 frame); each also on its adapted frame, where commands compute
+    # it, and pulled back to the user's basis
+    frames = [fa for fa in random_frames() if fa.dim == 4]
+    for fa in frames + [six_dim_frame(), sheared_family_frame(), random_frames(15)[-1]]:
+        af = adapted_frame(fa)
+        for conn, adapted in ((levi_civita(fa), levi_civita(af)),
+                              (rpt_connection(fa).rpt, rpt_connection(af).rpt)):
+            r, r_adapted = curvature(conn)[0], curvature(adapted)[0]
+            assert r == curvature_oracle(conn)
+            assert r_adapted == curvature_oracle(adapted)
+            assert af.to_user(r_adapted) == r
 
 
 def test_classify_example_and_degenerations():

@@ -215,6 +215,8 @@ def test_constant_with_parameter_matches_parsed_expression(x, name):
         if text is not None:
             assert s == S(text)
     assert (c + p).value is None
+    zero = Scalar.zero(PARAMS)
+    assert c - 0 is c and c - zero is c and p - 0 is p and p - zero is p
     assert (c * p).is_zero == (x == 0) == ((c * p).value is not None)
 
 

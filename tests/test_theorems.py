@@ -32,6 +32,20 @@ def test_family_check_builds_no_second_frame(monkeypatch):
     assert all_passed(results)
 
 
+def test_theorem_suite_builds_the_curvature_defect_once(monkeypatch):
+    calls = []
+
+    def counting(pack):
+        calls.append(pack)
+        return defect(pack)
+
+    defect = theorems.curvature_defect
+    monkeypatch.setattr(theorems, "curvature_defect", counting)
+    results = theorem_checks(adapted_frame(build_example()))
+    assert len(calls) == 1
+    assert {r.id for r in results} >= {"curvature-comparison", "parallel-torsion"}
+
+
 def test_levi_civita_curvature_is_not_product_invariant():
     fa = six_dim_frame()
     result = check_p_tensor(curvature(levi_civita(fa))[0], fa)
