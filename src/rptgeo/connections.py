@@ -6,7 +6,9 @@ connection, with T read off the structure tensor, on the skew-cyclic class.
 It is unique in dimension 4.  From dimension 6 on, adding a 3-form that
 lives on one eigenspace of P (in Lambda^3 V+ + Lambda^3 V-) to its torsion
 gives another natural connection with skew torsion; ``rpt_connection``
-builds the one whose torsion has no such part.  The canonical connection
+builds the one whose torsion has no such part.  Of the theorem checks only
+the scalar norm relation and the torsion type tell the two apart
+(``tests/test_theorems.py``, on a 6-dim frame).  The canonical connection
 and the P-connection depend on F alone, through ``companion_shifts``.
 """
 

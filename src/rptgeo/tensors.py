@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import factorial
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .scalars import Scalar
 
@@ -43,12 +43,6 @@ class Tensor:
     def zeros(cls, dim: int, variance: str, params: tuple) -> "Tensor":
         zero = Scalar.zero(params)
         return cls(dim, variance, params, [zero] * dim ** len(variance))
-
-    @classmethod
-    def build(cls, dim: int, variance: str, params: tuple,
-              fn: Callable[[tuple], Scalar]) -> "Tensor":
-        comps = [fn(idx) for idx in itertools.product(range(dim), repeat=len(variance))]
-        return cls(dim, variance, params, comps)
 
     # indexing ----------------------------------------------------------------
 

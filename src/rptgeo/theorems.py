@@ -1,11 +1,19 @@
 """Machine verification of the curvature and torsion identities.
 
 Every equivalence is decided by evaluating both sides independently, never
-by assuming the implication.  Each check returns one ``CheckResult``: a
-falsified conclusion fails, while a check whose hypotheses do not hold, or
-one that needs the skew-torsion connection on a frame outside its existence
-class, is skipped with the reason.  A suite check keeps its notes in
-``details["notes"]``, not in the reason.
+by assuming the implication.  A check is a labelled list of tensors that
+must vanish, each nonzero component of which is a witness in the user's
+basis, plus a ``_flag`` for each statement decided false, and it returns
+one ``CheckResult``: a falsified conclusion fails, and a check whose
+hypotheses do not hold is skipped with the reason.  A suite check keeps its
+notes in ``details["notes"]``, not in the reason.
+
+The suites that need the skew-torsion connection share one skip path,
+``_on_pack``: outside the skew-cyclic class, where no such connection
+exists, each of their check ids is skipped with the same reason.  The
+family check is among them, so its id is skipped on every non-W3 frame,
+whether or not the frame is of the bundled family; on a W3 frame it runs
+only on the family.
 """
 
 from __future__ import annotations
@@ -26,20 +34,29 @@ from .tensors import Tensor, arranged, cyclic_sum, tensor_contract
 _NOT_W3_REASON = ("skipped: no natural connection with totally skew-symmetric "
                   "torsion exists outside the skew-cyclic class")
 _UNMET_REASON = "hypotheses not satisfied"
+_HALF, _QUARTER = Fraction(1, 2), Fraction(1, 4)
 
 
-def _result(check_id: str, witnesses: list, details=None, notes=()) -> CheckResult:
-    """Pass/fail result through the shared collector, its notes moved from
-    the reason into the details."""
-    result = capped_report(check_id, witnesses, notes)
+def _witnesses(fa: FrameAlgebra, defects) -> list:
+    """The witnesses of labelled tensors that must vanish, in list order."""
+    return [w for t, label in defects for w in tensor_witnesses(fa, t, label)]
+
+
+def _result(check_id: str, fa: FrameAlgebra, defects=(), witnesses=(),
+            details=None, notes=()) -> CheckResult:
+    """Pass/fail result on the witnesses of the defects followed by the
+    given witnesses, its notes moved from the reason into the details."""
+    result = capped_report(check_id, _witnesses(fa, defects) + list(witnesses), notes)
     result.details = dict(details or {})
     if result.reason:
         result.details["notes"], result.reason = result.reason, None
     return result
 
 
-def _skipped(check_ids) -> list:
-    return [CheckResult(check_id, "skip", reason=_NOT_W3_REASON) for check_id in check_ids]
+def _flag(fa: FrameAlgebra, label: str, expected=0, actual=1) -> Witness:
+    """Witness of a statement decided false: the truth values as Scalars."""
+    return Witness((), Scalar.constant(fa.params, expected),
+                   Scalar.constant(fa.params, actual), label)
 
 
 # ---------------------------------------------------------------------------
@@ -68,8 +85,7 @@ def structure_defects(f: Tensor, fa: FrameAlgebra) -> list:
 
 def check_p_tensor(r: Tensor, fa: FrameAlgebra) -> CheckResult:
     """Whether a (0,4) tensor is a P-tensor, witnessed in the user's basis."""
-    return _result("p-tensor-axioms", [w for t, label in p_tensor_defects(r, fa)
-                                       for w in tensor_witnesses(fa, t, label)])
+    return _result("p-tensor-axioms", fa, p_tensor_defects(r, fa))
 
 
 @memo
@@ -84,142 +100,104 @@ def curvature_defect(pack: ConnectionPack) -> Tensor:
     skew-torsion curvature R'; it vanishes exactly when the torsion is
     parallel."""
     r, rp = curvature(levi_civita(pack.frame))[0], curvature(pack.rpt)[0]
-    quarter = Fraction(1, 4)
-    return r - rp + pack.torsion_products().scale(quarter) \
-        + pack.torsion_form_square().scale(quarter)
+    return r - rp + pack.torsion_products().scale(_QUARTER) \
+        + pack.torsion_form_square().scale(_QUARTER)
 
 
-def verify_curvature_relation(fa: FrameAlgebra, pack: ConnectionPack,
-                              defect: Tensor) -> CheckResult:
+def verify_curvature_relation(pack: ConnectionPack, defect: Tensor) -> CheckResult:
     """Relations between the curvatures, Ricci tensors and scalar curvatures
     of the Levi-Civita and the skew-torsion connection; defect is
     ``curvature_defect(pack)``."""
+    fa = pack.frame
     _, rho, tau = curvature(levi_civita(fa))
     _, rhop, taup = curvature(pack.rpt)
-    d = pack.torsion_derivative()
-    b = pack.torsion_products()
-    ginv = fa.metric_inv
-
-    witnesses = []
+    d, ginv = pack.torsion_derivative(), fa.metric_inv
+    b03 = tensor_contract(pack.torsion_products(), 0, 3, ginv)
     # R - (R' - d/2 + d(y,x,z,w)/2 - b/4 - sigma/4)
-    diff = defect + (d - arranged(d, "y,x,z,w")).scale(Fraction(1, 2))
-    witnesses += tensor_witnesses(fa, diff, "curvature-relation")
-
-    expected_rho = rhop - tensor_contract(d, 0, 3, ginv).scale(Fraction(1, 2)) \
-        - tensor_contract(b, 0, 3, ginv).scale(Fraction(1, 4))
-    witnesses += tensor_witnesses(fa, rho - expected_rho, "ricci-relation")
-
-    b13 = tensor_contract(tensor_contract(b, 0, 3, ginv), 0, 1, ginv)[()]
-    details = {"tau": str(tau), "tau_prime": str(taup)}
-    if tau != taup - b13 * Fraction(1, 4):
-        witnesses.append(Witness((), taup - b13 * Fraction(1, 4), tau,
-                                 "scalar-relation"))
-
-    norm = square_norm_nabla_P(fa)
-    if tau != taup + norm * Fraction(3, 8):
-        witnesses.append(Witness((), taup + norm * Fraction(3, 8), tau,
-                                 "scalar-norm-relation"))
-
-    scalars_equal = tau == taup
-    is_parallel_class = classify(fa).label == CLASS_PARALLEL
-    if scalars_equal != is_parallel_class:
-        witnesses.append(Witness((), taup, tau, "scalar-equality-iff-parallel-class"))
-
-    return _result("curvature-comparison", witnesses, details)
+    defects = [(defect + (d - arranged(d, "y,x,z,w")).scale(_HALF), "curvature-relation"),
+               (rho - (rhop - tensor_contract(d, 0, 3, ginv).scale(_HALF)
+                       - b03.scale(_QUARTER)), "ricci-relation")]
+    b13 = tensor_contract(b03, 0, 1, ginv)[()]
+    expected = (("scalar-relation", taup - b13 * _QUARTER),
+                ("scalar-norm-relation", taup + square_norm_nabla_P(fa) * Fraction(3, 8)))
+    scalars = [Witness((), e, tau, label) for label, e in expected if tau != e]
+    if (tau == taup) != (classify(fa).label == CLASS_PARALLEL):
+        scalars.append(Witness((), taup, tau, "scalar-equality-iff-parallel-class"))
+    return _result("curvature-comparison", fa, defects, scalars,
+                   {"tau": str(tau), "tau_prime": str(taup)})
 
 
-def verify_torsion_type(fa: FrameAlgebra, pack: ConnectionPack) -> CheckResult:
+def verify_torsion_type(pack: ConnectionPack) -> CheckResult:
     """Projection content of the skew torsion on a strictly skew-cyclic frame:
     components one and four vanish, two and three do not, and the closed
     forms of the nonvanishing projections hold."""
+    fa = pack.frame
     if classify(fa).label != CLASS_SKEW:
         return CheckResult("torsion-type", "skip", reason=_UNMET_REASON,
                            details={"class": classify(fa).label})
     p1, p2, p3, p4 = torsion_projections(pack.T, fa)
     f = fundamental_F(fa)
-    witnesses = []
-    witnesses += tensor_witnesses(fa, p1, "projection-1-vanishes")
-    witnesses += tensor_witnesses(fa, p4, "projection-4-vanishes")
-    if p2.is_zero:
-        witnesses.append(Witness((), Scalar.one(fa.params), Scalar.zero(fa.params),
-                                 "projection-2-nonzero"))
-    if p3.is_zero:
-        witnesses.append(Witness((), Scalar.one(fa.params), Scalar.zero(fa.params),
-                                 "projection-3-nonzero"))
     p2_closed = arranged(f, "z,x,Py", fa.p)
-    witnesses += tensor_witnesses(fa, p2 - p2_closed, "projection-2-closed-form")
     p3_closed = (arranged(f, "x,y,Pz", fa.p) + arranged(f, "y,z,Px", fa.p)
-                 - arranged(f, "z,x,Py", fa.p)).scale(Fraction(1, 2))
-    witnesses += tensor_witnesses(fa, p3 - p3_closed, "projection-3-closed-form")
-    return _result("torsion-type", witnesses)
+                 - p2_closed).scale(_HALF)
+    vanishing = _witnesses(fa, [(p1, "projection-1-vanishes"), (p4, "projection-4-vanishes")])
+    nonzero = [_flag(fa, "projection-%d-nonzero" % k, expected=1, actual=0)
+               for k, p in ((2, p2), (3, p3)) if p.is_zero]
+    closed = _witnesses(fa, [(p2 - p2_closed, "projection-2-closed-form"),
+                             (p3 - p3_closed, "projection-3-closed-form")])
+    return _result("torsion-type", fa, (), vanishing + nonzero + closed)
 
 
-def verify_p_tensor_criterion(fa: FrameAlgebra, pack: ConnectionPack) -> CheckResult:
+def verify_p_tensor_criterion(pack: ConnectionPack) -> CheckResult:
     """The curvature of the skew-torsion connection is a P-tensor exactly when
     the quarter/twelfth curvature relation holds; both sides evaluated
     independently, with the consequences checked when they apply."""
+    fa = pack.frame
     r, rho, _ = curvature(levi_civita(fa))
     rp, rhop, _ = curvature(pack.rpt)
-    b = pack.torsion_products()
-    sigma = pack.torsion_form_square()
-
+    b, sigma = pack.torsion_products(), pack.torsion_form_square()
     side_a = rpt_curvature_p_tensor(pack)
-    relation = rp - b.scale(Fraction(1, 4)) + sigma.scale(Fraction(1, 12))
-    side_b = (r - relation).is_zero
-
-    witnesses = []
-    details = {"p_tensor": str(side_a).lower(), "relation": str(side_b).lower()}
-    if side_a != side_b:
-        witnesses.append(Witness((), Scalar.zero(fa.params), Scalar.one(fa.params),
-                                 "equivalence"))
-    if side_a and side_b:
-        d = pack.torsion_derivative()
-        witnesses += tensor_witnesses(fa, d + sigma.scale(Fraction(1, 3)),
-                                       "derivative-third-of-form")
-        ginv = fa.metric_inv
-        expected_rho = rhop - tensor_contract(b, 0, 3, ginv).scale(Fraction(1, 4))
-        witnesses += tensor_witnesses(fa, rho - expected_rho, "ricci-consequence")
-    return _result("p-tensor-criterion", witnesses, details)
+    side_b = (r - (rp - b.scale(_QUARTER) + sigma.scale(Fraction(1, 12)))).is_zero
+    defects = [(pack.torsion_derivative() + sigma.scale(Fraction(1, 3)),
+                "derivative-third-of-form"),
+               (rho - (rhop - tensor_contract(b, 0, 3, fa.metric_inv).scale(_QUARTER)),
+                "ricci-consequence")] if side_a and side_b else []
+    return _result("p-tensor-criterion", fa, defects,
+                   [_flag(fa, "equivalence")] if side_a != side_b else [],
+                   {"p_tensor": str(side_a).lower(), "relation": str(side_b).lower()})
 
 
-def verify_parallel_torsion(fa: FrameAlgebra, pack: ConnectionPack,
-                            defect: Tensor) -> CheckResult:
+def verify_parallel_torsion(pack: ConnectionPack, defect: Tensor) -> CheckResult:
     """Parallel torsion is equivalent to the quarter curvature relation, the
     vanishing of defect = ``curvature_defect(pack)``; when the torsion is
     parallel the pair symmetry, the cyclic identity and the product
     invariance of the curvature follow, and together with the P-tensor
     property the quadratic form vanishes."""
-    r, _, _ = curvature(levi_civita(fa))
-    rp, _, _ = curvature(pack.rpt)
+    fa = pack.frame
     d = pack.torsion_derivative()
-    b = pack.torsion_products()
-    sigma = pack.torsion_form_square()
-
-    parallel = d.is_zero
-    relation = defect.is_zero
-    witnesses = []
+    parallel, relation = d.is_zero, defect.is_zero
     details = {"parallel": str(parallel).lower(), "relation": str(relation).lower()}
-    if parallel != relation:
-        label = "equivalence"
-        witnesses += tensor_witnesses(fa, defect if parallel else d, label) or \
-            [Witness((), Scalar.zero(fa.params), Scalar.one(fa.params), label)]
+    # when the two sides disagree, the one that should vanish does not
+    defects = [(defect if parallel else d, "equivalence")] if parallel != relation else []
     if parallel:
-        witnesses += tensor_witnesses(fa, rp - arranged(rp, "z,w,x,y"), "pair-symmetry")
-        witnesses += tensor_witnesses(fa, cyclic_sum(rp, (0, 1, 2)) - sigma,
-                                       "cyclic-identity")
-        witnesses += tensor_witnesses(fa, arranged(rp, "Px,Py,Pz,Pw", fa.p) - rp,
-                                       "product-invariance")
+        rp, sigma = curvature(pack.rpt)[0], pack.torsion_form_square()
+        defects += [(rp - arranged(rp, "z,w,x,y"), "pair-symmetry"),
+                    (cyclic_sum(rp, (0, 1, 2)) - sigma, "cyclic-identity"),
+                    (arranged(rp, "Px,Py,Pz,Pw", fa.p) - rp, "product-invariance")]
         p_tensor = rpt_curvature_p_tensor(pack)
         details["p_tensor"] = str(p_tensor).lower()
         if p_tensor:
-            witnesses += tensor_witnesses(fa, sigma, "quadratic-form-vanishes")
-            witnesses += tensor_witnesses(fa, r - rp + b.scale(Fraction(1, 4)),
-                                           "quarter-relation")
-    return _result("parallel-torsion", witnesses, details)
+            r = curvature(levi_civita(fa))[0]
+            defects += [(sigma, "quadratic-form-vanishes"),
+                        (r - rp + pack.torsion_products().scale(_QUARTER),
+                         "quarter-relation")]
+    return _result("parallel-torsion", fa, defects, details=details)
 
 
-def verify_family_equivalence(fa: FrameAlgebra, pack: ConnectionPack,
-                              lam) -> CheckResult:
+_FAMILY_CHECK_ID = "family-parameter-equivalence"
+
+
+def verify_family_equivalence(pack: ConnectionPack, lam) -> CheckResult:
     """Three-way equivalence on the bundled family, for a frame of the family
     with parameter Scalars lam: the curvature of the skew-torsion connection
     is a P-tensor, iff its torsion is parallel, iff the second parameter pair
@@ -233,12 +211,9 @@ def verify_family_equivalence(fa: FrameAlgebra, pack: ConnectionPack,
     agree = cond_i == cond_ii == cond_iii
     details = {"p_tensor": str(cond_i).lower(), "parallel": str(cond_ii).lower(),
                "parameter_condition": str(cond_iii).lower()}
-    witnesses = []
-    if not agree:
-        witnesses.append(Witness((), Scalar.zero(fa.params), Scalar.one(fa.params),
-                                 "three-way-equivalence"))
+    witnesses = [] if agree else [_flag(pack.frame, "three-way-equivalence")]
     status = "skip" if degenerate else "pass" if agree else "fail"
-    return CheckResult("family-parameter-equivalence", status, witnesses,
+    return CheckResult(_FAMILY_CHECK_ID, status, witnesses,
                        _UNMET_REASON if degenerate else None, details)
 
 
@@ -250,21 +225,26 @@ def geometry_checks(fa: FrameAlgebra) -> list:
     """Structural axioms of the frame in the user's basis, plus the identities
     forced by the Koszul construction."""
     structure = validate(fa.user)
-    results = [_result(structure.id, structure.witnesses,
-                       notes=[structure.reason] if structure.reason else ())]
     lc = levi_civita(fa)
-    witnesses = tensor_witnesses(fa, lc.torsion_tensor(), "torsion-free")
-    witnesses += lc.metric_witnesses("metric-compatible")
-    results.append(_result("levi-civita", witnesses))
+    return [_result(structure.id, fa, (), structure.witnesses,
+                    notes=[structure.reason] if structure.reason else ()),
+            _result("levi-civita", fa, [(lc.torsion_tensor(), "torsion-free")],
+                    lc.metric_witnesses("metric-compatible")),
+            _result("structure-tensor-identities", fa,
+                    structure_defects(fundamental_F(fa), fa)),
+            _result("first-bianchi", fa,
+                    [(cyclic_sum(curvature(lc)[0], (0, 1, 2)), "first-bianchi")])]
 
-    witnesses = [w for t, label in structure_defects(fundamental_F(fa), fa)
-                 for w in tensor_witnesses(fa, t, label)]
-    results.append(_result("structure-tensor-identities", witnesses))
 
-    r, _, _ = curvature(lc)
-    witnesses = tensor_witnesses(fa, cyclic_sum(r, (0, 1, 2)), "first-bianchi")
-    results.append(_result("first-bianchi", witnesses))
-    return results
+def _on_pack(fa: FrameAlgebra, check_ids: tuple, suite) -> list:
+    """suite(pack) on the skew-torsion connection of fa; each of check_ids
+    skipped where that connection does not exist."""
+    try:
+        pack = rpt_connection(fa)
+    except NotW3Error:
+        return [CheckResult(check_id, "skip", reason=_NOT_W3_REASON)
+                for check_id in check_ids]
+    return suite(pack)
 
 
 _RPT_CHECK_IDS = ("torsion-3form", "torsion-transformation-identities",
@@ -274,79 +254,60 @@ _RPT_CHECK_IDS = ("torsion-3form", "torsion-transformation-identities",
                   "curvature-cyclic-identity")
 
 
+def _rpt_suite(pack: ConnectionPack) -> list:
+    fa, t = pack.frame, pack.T
+    f, q = fundamental_F(fa), t.scale(_HALF)
+    q_c, q_p = companion_shifts(fa)
+    swaps = (("Px,Py,z", "z,y,Px", "swap-first-pair"),
+             ("Px,y,Pz", "y,x,Pz", "swap-outer-pair"),
+             ("x,Py,Pz", "x,Py,z", "swap-last-pair"))
+    results = [
+        _result("torsion-3form", fa, [(t + arranged(t, order), "skew-" + slots)
+                                      for order, slots in (("y,x,z", "12"), ("x,z,y", "23"),
+                                                           ("z,y,x", "13"))]),
+        _result("torsion-transformation-identities", fa,
+                [(t - (arranged(t, moved, fa.p) - arranged(f, shift, fa.p).scale(2)), label)
+                 for moved, shift, label in swaps]),
+        _result("transformation-cyclic-invariance", fa,
+                [(arranged(q, "x,y,Pz", fa.p)
+                  - arranged(arranged(q, "y,z,x"), "x,y,Pz", fa.p), "cyclic-invariance")])]
+    results += [_result(check_id, fa, (), natural_check(fa, conn).witnesses)
+                for check_id, conn in (("naturality-rpt", pack.rpt),
+                                       ("naturality-canonical", _shifted_connection(fa, q_c)),
+                                       ("naturality-p-connection", _shifted_connection(fa, q_p)))]
+    cyclic = cyclic_sum(curvature(pack.rpt)[0], (0, 1, 2)) \
+        - cyclic_sum(pack.torsion_derivative(), (0, 1, 2)) - pack.torsion_form_square()
+    return results + [
+        _result("connection-averaging", fa,
+                [(q_p - (q_c + q).scale(_HALF), "average-connection")]),
+        _result("torsion-recovery", fa, [(pack.rpt.torsion_tensor() - t, "recovered-torsion")]),
+        _result("curvature-cyclic-identity", fa, [(cyclic, "cyclic-curvature")])]
+
+
 def rpt_checks(fa: FrameAlgebra) -> list:
     """Identities of the skew-torsion layer; skipped outside its class."""
-    try:
-        pack = rpt_connection(fa)
-    except NotW3Error:
-        return _skipped(_RPT_CHECK_IDS)
-    results = []
-    t, f, q = pack.T, fundamental_F(fa), pack.T.scale(Fraction(1, 2))
-    q_c, q_p = companion_shifts(fa)
-
-    witnesses = tensor_witnesses(fa, t + arranged(t, "y,x,z"), "skew-12")
-    witnesses += tensor_witnesses(fa, t + arranged(t, "x,z,y"), "skew-23")
-    witnesses += tensor_witnesses(fa, t + arranged(t, "z,y,x"), "skew-13")
-    results.append(_result("torsion-3form", witnesses))
-
-    witnesses = []
-    lhs = arranged(t, "Px,Py,z", fa.p) - arranged(f, "z,y,Px", fa.p).scale(2)
-    witnesses += tensor_witnesses(fa, t - lhs, "swap-first-pair")
-    lhs = arranged(t, "Px,y,Pz", fa.p) - arranged(f, "y,x,Pz", fa.p).scale(2)
-    witnesses += tensor_witnesses(fa, t - lhs, "swap-outer-pair")
-    lhs = arranged(t, "x,Py,Pz", fa.p) - arranged(f, "x,Py,z", fa.p).scale(2)
-    witnesses += tensor_witnesses(fa, t - lhs, "swap-last-pair")
-    results.append(_result("torsion-transformation-identities", witnesses))
-
-    witnesses = tensor_witnesses(
-        fa, arranged(q, "x,y,Pz", fa.p) - arranged(arranged(q, "y,z,x"), "x,y,Pz", fa.p),
-        "cyclic-invariance")
-    results.append(_result("transformation-cyclic-invariance", witnesses))
-
-    for check_id, conn in (("naturality-rpt", pack.rpt),
-                           ("naturality-canonical", _shifted_connection(fa, q_c)),
-                           ("naturality-p-connection", _shifted_connection(fa, q_p))):
-        results.append(_result(check_id, natural_check(fa, conn).witnesses))
-
-    averaged = (q_c + q).scale(Fraction(1, 2))
-    witnesses = tensor_witnesses(fa, q_p - averaged, "average-connection")
-    results.append(_result("connection-averaging", witnesses))
-
-    witnesses = tensor_witnesses(fa, pack.rpt.torsion_tensor() - t,
-                                 "recovered-torsion")
-    results.append(_result("torsion-recovery", witnesses))
-
-    rp, _, _ = curvature(pack.rpt)
-    d = pack.torsion_derivative()
-    sigma = pack.torsion_form_square()
-    witnesses = tensor_witnesses(
-        fa, cyclic_sum(rp, (0, 1, 2)) - cyclic_sum(d, (0, 1, 2)) - sigma,
-        "cyclic-curvature")
-    results.append(_result("curvature-cyclic-identity", witnesses))
-    return results
+    return _on_pack(fa, _RPT_CHECK_IDS, _rpt_suite)
 
 
 _THEOREM_CHECK_IDS = ("curvature-comparison", "torsion-type", "p-tensor-criterion",
                       "parallel-torsion")
 
 
-def theorem_checks(fa: FrameAlgebra) -> list:
-    try:
-        pack = rpt_connection(fa)
-    except NotW3Error:
-        return _skipped(_THEOREM_CHECK_IDS + ("family-parameter-equivalence",))
+def _theorem_suite(pack: ConnectionPack) -> list:
     defect = curvature_defect(pack)
-    results = [
-        verify_curvature_relation(fa, pack, defect),
-        verify_torsion_type(fa, pack),
-        verify_p_tensor_criterion(fa, pack),
-        verify_parallel_torsion(fa, pack, defect),
-    ]
+    results = [verify_curvature_relation(pack, defect), verify_torsion_type(pack),
+               verify_p_tensor_criterion(pack), verify_parallel_torsion(pack, defect)]
     # an adapted frame is never literally the family; its user frame may be
-    lam = family_parameters(fa.user)
+    lam = family_parameters(pack.frame.user)
     if lam is not None:
-        results.append(verify_family_equivalence(fa, pack, lam))
+        results.append(verify_family_equivalence(pack, lam))
     return results
+
+
+def theorem_checks(fa: FrameAlgebra) -> list:
+    """The paper's theorems on the skew-torsion connection; skipped outside
+    its class, the family check included."""
+    return _on_pack(fa, _THEOREM_CHECK_IDS + (_FAMILY_CHECK_ID,), _theorem_suite)
 
 
 def run_all(fa: FrameAlgebra) -> list:

@@ -13,6 +13,12 @@ from fractions import Fraction
 from rptgeo import (FrameAlgebra, Scalar, Tensor, build_example, mat_identity,
                     mat_inv, mat_mul, mat_transpose)
 
+def build_tensor(dim: int, variance: str, params: tuple, fn) -> Tensor:
+    """The tensor whose component at each index tuple is fn(index)."""
+    return Tensor(dim, variance, params,
+                  [fn(idx) for idx in itertools.product(range(dim), repeat=len(variance))])
+
+
 # ---------------------------------------------------------------------------
 # vector/bracket arithmetic on component lists
 

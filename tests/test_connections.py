@@ -11,10 +11,10 @@ from rptgeo import (Connection, NotW3Error, Scalar, Tensor, alternate, arranged,
                     torsion_inner_products)
 from rptgeo.connections import _shifted_connection, companion_shifts
 
-from helpers import (apply_p, basis_vec, bracket_vec, covariant_derivative_oracle,
-                     inner, metric_witness_oracle, random_frames,
-                     single_bracket_frame, torsion_products_oracle, vec_add,
-                     vec_scale, vec_sub)
+from helpers import (apply_p, basis_vec, bracket_vec, build_tensor,
+                     covariant_derivative_oracle, inner, metric_witness_oracle,
+                     random_frames, single_bracket_frame,
+                     torsion_products_oracle, vec_add, vec_scale, vec_sub)
 
 SYM = build_example()
 PACK = rpt_connection(SYM)
@@ -201,7 +201,7 @@ def test_pack_forms_the_torsion_products_once(monkeypatch):
 
 
 def test_sigma_rejects_nonskew():
-    t = Tensor.build(4, "ddd", SYM.params,
+    t = build_tensor(4, "ddd", SYM.params,
                      lambda idx: Scalar.constant(SYM.params, idx[0]))
     with pytest.raises(ValueError, match="skew"):
         sigma_T(t, SYM)
@@ -235,9 +235,9 @@ def test_covariant_derivative_oracle_entry():
 
 
 def test_derivative_of_metric_and_product_vanish():
-    g_tensor = Tensor.build(4, "dd", SYM.params, lambda idx: SYM.g[idx[0]][idx[1]])
+    g_tensor = build_tensor(4, "dd", SYM.params, lambda idx: SYM.g[idx[0]][idx[1]])
     assert covariant_derivative(SYM, PACK.rpt, g_tensor).is_zero
-    p_lowered = Tensor.build(4, "dd", SYM.params,
+    p_lowered = build_tensor(4, "dd", SYM.params,
                              lambda idx: SYM.p[idx[0]][idx[1]])
     assert covariant_derivative(SYM, PACK.rpt, p_lowered).is_zero
 
@@ -281,7 +281,7 @@ def test_metric_witnesses_of_a_non_metric_connection_match_oracle():
     # Levi-Civita with A^3_12 raised by one: nonzero sums on both sides of j = k
     for fa in RANDOM:
         lc = levi_civita(fa).coeffs
-        bumped = Connection(fa, Tensor.build(
+        bumped = Connection(fa, build_tensor(
             fa.dim, "ddu", fa.params, lambda idx: lc[idx] + (1 if idx == (0, 1, 2) else 0)))
         witnesses = bumped.metric_witnesses("metric")
         assert witnesses

@@ -12,9 +12,10 @@ from rptgeo import (CLASS_OUTSIDE, CLASS_PARALLEL, CLASS_SKEW, FrameAlgebra,
                     torsion_projections, validate)
 from rptgeo.theorems import structure_defects
 
-from helpers import (basis_vec, curvature_oracle, inner, koszul_killing_oracle,
-                     nabla_p_killing_oracle, projection_oracle, random_frames,
-                     sheared_family_frame, single_bracket_frame, six_dim_frame)
+from helpers import (basis_vec, build_tensor, curvature_oracle, inner,
+                     koszul_killing_oracle, nabla_p_killing_oracle,
+                     projection_oracle, random_frames, sheared_family_frame,
+                     single_bracket_frame, six_dim_frame)
 
 SYM = build_example()
 LC = levi_civita(SYM)
@@ -240,7 +241,7 @@ def test_projections_zero_torsion():
 
 
 def test_projections_reject_nonantisymmetric():
-    t = Tensor.build(4, "ddd", SYM.params,
+    t = build_tensor(4, "ddd", SYM.params,
                      lambda idx: Scalar.constant(SYM.params, 1))
     with pytest.raises(ValueError, match="antisymmetric"):
         torsion_projections(t, SYM)

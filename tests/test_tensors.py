@@ -10,7 +10,8 @@ from rptgeo import (Scalar, Tensor, alternate, arranged, compose, cyclic_sum,
                     mat_det, mat_identity, mat_inv, mat_mul, parse_expression,
                     tensor_contract)
 
-from helpers import compose_oracle, cyclic_sum_oracle, map_slot_oracle, mat_mul_oracle
+from helpers import (build_tensor, compose_oracle, cyclic_sum_oracle,
+                     map_slot_oracle, mat_mul_oracle)
 
 PARAMS = ("l1", "l2", "l3", "l4")
 DIM = 4
@@ -29,7 +30,7 @@ small_tensors3 = st.lists(st.integers(-3, 3), min_size=DIM ** 3, max_size=DIM **
 
 
 def test_trace_of_identity_is_dim():
-    ident = Tensor.build(DIM, "ud", PARAMS,
+    ident = build_tensor(DIM, "ud", PARAMS,
                          lambda idx: C(1 if idx[0] == idx[1] else 0))
     out = tensor_contract(ident, 0, 1)
     assert out.rank == 0
@@ -43,7 +44,7 @@ def test_contract_requires_metric_for_equal_variance():
 
 
 def test_contract_rejects_metric_for_mixed_variance():
-    ident = Tensor.build(DIM, "ud", PARAMS,
+    ident = build_tensor(DIM, "ud", PARAMS,
                          lambda idx: C(1 if idx[0] == idx[1] else 0))
     with pytest.raises(ValueError):
         tensor_contract(ident, 0, 1, mat_identity(DIM, PARAMS))
@@ -246,7 +247,7 @@ def test_contraction_linear(t1, t2, k):
 
 
 def test_contraction_commutes_with_substitution():
-    t = Tensor.build(DIM, "dd", PARAMS,
+    t = build_tensor(DIM, "dd", PARAMS,
                      lambda idx: parse_expression("l%d + l%d" % (idx[0] + 1, idx[1] + 1),
                                                   PARAMS))
     g = mat_identity(DIM, PARAMS)

@@ -5,13 +5,18 @@ from pathlib import Path
 
 import pytest
 
-from rptgeo import (FrameAlgebra, NotW3Error, Scalar, Tensor, adapted_frame,
-                    all_passed, build_example, check_p_tensor, curvature,
-                    fundamental_F, geometry_checks, levi_civita, rpt_checks,
-                    rpt_connection, theorem_checks, theorems)
+from perfbench import corpus
+from rptgeo import (ConnectionPack, FrameAlgebra, NotW3Error, Scalar, Tensor,
+                    adapted_frame, all_passed, alternate, build_example,
+                    check_p_tensor, curvature, fundamental_F, geometry_checks,
+                    levi_civita, natural_check, rpt_checks, rpt_connection,
+                    theorem_checks, theorems, verify_curvature_relation,
+                    verify_p_tensor_criterion, verify_parallel_torsion,
+                    verify_torsion_type)
+from rptgeo.example import GOLDEN_VARIANCES
 from rptgeo.theorems import rpt_curvature_p_tensor
 
-from helpers import random_frames, six_dim_frame
+from helpers import build_tensor, random_frames, single_bracket_frame, six_dim_frame
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -120,3 +125,64 @@ def test_frozen_non_w3_report_skips_exactly_the_listed_checks():
     assert skipped == theorems._RPT_CHECK_IDS + theorems._THEOREM_CHECK_IDS + (
         "family-parameter-equivalence",)
     assert len(skipped) == 14
+
+
+def test_suite_ids_are_the_benchmark_output_contract():
+    # perfbench/corpus.py hard-codes the ids `check --suite all` returns; a
+    # new id in `all` must go through the ROADMAP "output contract"
+    message = "check ids differ from perfbench/corpus.py: see the ROADMAP output contract"
+    family = build_example((1, 2, 3, 5))
+    assert tuple(r.id for r in geometry_checks(family)) == corpus.GEOMETRY_IDS, message
+    assert theorems._RPT_CHECK_IDS == corpus.RPT_IDS, message
+    assert theorems._THEOREM_CHECK_IDS == corpus.THEOREM_IDS, message
+    assert theorem_checks(adapted_frame(family))[-1].id == corpus.FAMILY_ID, message
+    assert theorem_checks(single_bracket_frame())[-1].id == corpus.FAMILY_ID, message
+    golden = tuple("golden-%s" % name for name in GOLDEN_VARIANCES) + ("golden-scalars",)
+    assert golden == corpus.GOLDEN_IDS, message
+
+
+# From dimension 6 on, a 3-form on one eigenspace of P added to the torsion
+# gives another natural connection with skew torsion.  Of the theorem
+# checks, only the scalar norm relation and the torsion type single out the
+# paper's T: the statements unique "in terms of nabla P".
+
+def _eigenspace_form(fa, slots):
+    """The unit 3-form on three adapted basis vectors."""
+    unit = build_tensor(fa.dim, "ddd", fa.params,
+                        lambda idx: Scalar.constant(fa.params, int(idx == slots)))
+    return alternate(unit, (0, 1, 2)).scale(6)
+
+
+def _theorem_results(pack):
+    defect = theorems.curvature_defect(pack)
+    return {r.id: r for r in (verify_curvature_relation(pack, defect),
+                              verify_torsion_type(pack), verify_p_tensor_criterion(pack),
+                              verify_parallel_torsion(pack, defect))}
+
+
+@pytest.mark.parametrize("slots, sign", [((0, 1, 2), 1), ((3, 4, 5), -1)],
+                         ids=["V+", "V-"])
+def test_eigenspace_form_in_the_torsion_fails_only_the_norm_relation_and_type(slots, sign):
+    af = adapted_frame(six_dim_frame())
+    assert all(af.p[i][i] == Scalar.constant((), sign) for i in slots)
+    tau = _eigenspace_form(af, slots)
+    assert tau == alternate(tau, (0, 1, 2)) and not tau.is_zero
+    pack = ConnectionPack(af, rpt_connection(af).T + tau)
+    assert natural_check(af, pack.rpt).passed
+
+    results = _theorem_results(pack)
+    comparison = results["curvature-comparison"]
+    assert comparison.status == "fail"
+    assert {w.label for w in comparison.witnesses} == {"scalar-norm-relation"}
+    assert comparison.details == {"tau": "-195/2", "tau_prime": "-9987/64"}
+    assert results["torsion-type"].status == "fail"
+    assert {w.label for w in results["torsion-type"].witnesses} == {"projection-4-vanishes"}
+    assert results["p-tensor-criterion"].passed
+    assert results["parallel-torsion"].passed
+
+
+def test_paper_torsion_passes_every_theorem_check_in_dimension_six():
+    af = adapted_frame(six_dim_frame())
+    pack = rpt_connection(af)
+    assert natural_check(af, pack.rpt).passed
+    assert all(r.passed for r in _theorem_results(pack).values())
