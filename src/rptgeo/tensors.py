@@ -3,20 +3,23 @@
 Slots are 0-based in this API; variance is a string over ``u`` (vector
 slot) and ``d`` (covector slot).  Components live in a flat row-major list.
 
-``mat_mul`` is the one dense product.  ``transpose`` reads its output
-through a table of input offsets.  ``map_slot`` with a diagonal matrix, such
-as P = diag(I, -I) in a P-eigenbasis, maps each slice of the slot by its
-entry (1 copies, -1 negates, any other entry multiplies); any other matrix,
-and the contractions ``compose`` and ``tensor_contract``, is one ``mat_mul``
-on rows of components.  ``compose`` builds the torsion inner products, and
-covariant derivatives and curvature from connection coefficients.
+``mat_mul`` is the one dense product.  When every entry of both operands
+is a constant of one context it runs on ints over one common denominator
+and makes each entry of the product once; otherwise it runs on Scalars.
+``transpose`` reads its output through a table of input offsets.
+``map_slot`` with a diagonal matrix, such as P = diag(I, -I) in a
+P-eigenbasis, maps each slice of the slot by its entry (1 copies, -1
+negates, any other entry multiplies); any other matrix, and the
+contractions ``compose`` and ``tensor_contract``, is one ``mat_mul`` on rows
+of components.  ``compose`` builds the torsion inner products, and covariant
+derivatives and curvature from connection coefficients.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm as _int_lcm
 from typing import Sequence
 
 from .scalars import Scalar
@@ -330,15 +333,49 @@ def mat_transpose(m: list) -> list:
     return [list(row) for row in zip(*m)]
 
 
+def _cleared(m: list, params: tuple):
+    """(rows of ints, d) with m = rows / d and d the positive lcm of the entry
+    denominators, or None when an entry is not a constant of the context."""
+    den = 1
+    for row in m:
+        for x in row:
+            v = x.value
+            if v is None or x.params is not params and x.params != params:
+                return None
+            if type(v) is not int:
+                den = _int_lcm(den, v.denominator)
+    return [[x.value.numerator * (den // x.value.denominator) for x in row]
+            for row in m], den
+
+
 def mat_mul(a: list, b: list) -> list:
     """Matrix product, the one dense multiply-accumulate of the package.
 
     Row i of the product adds up the rows of b scaled by the nonzero entries
     of row i of a, in ascending column order; a zero entry of b makes no
-    term.  The width of the product is that of b's first row."""
+    term.  The width of the product is that of b's first row.  When every
+    entry of both is a constant of one context, the rows run on ints over
+    one common denominator and each entry of the product is made once;
+    otherwise they run on Scalars."""
     width = len(b[0]) if b else 0
-    terms = [[(j, y) for j, y in enumerate(row) if not y.is_zero] for row in b]
     zero = Scalar.zero(a[0][0].params) if a and a[0] else None
+    cleared_a = _cleared(a, zero.params) if zero is not None else None
+    cleared_b = _cleared(b, zero.params) if cleared_a is not None else None
+    if cleared_b is not None:
+        (a_int, da), (b_int, db) = cleared_a, cleared_b
+        params, unit, den = zero.params, a[0][0].den, da * db
+        terms = [[(j, y) for j, y in enumerate(row) if y] for row in b_int]
+        out = []
+        for row in a_int:
+            acc = [0] * width
+            for x, b_row in zip(row, terms):
+                if x:
+                    for j, y in b_row:
+                        acc[j] += x * y
+            out.append([Scalar._of_value(params, Fraction(s, den) if den > 1 else s, unit)
+                        if s else zero for s in acc])
+        return out
+    terms = [[(j, y) for j, y in enumerate(row) if not y.is_zero] for row in b]
     out = []
     for row in a:
         acc = [None] * width

@@ -140,6 +140,60 @@ def test_mat_mul_matches_the_index_loop(n, k, m):
     assert product == mat_mul_oracle(a, b, PARAMS)
 
 
+# constants: ints with zeros and negatives, and Fractions over distinct primes
+constants = st.one_of(st.integers(-6, 6), st.sampled_from([0, 0, 1, -1]),
+                      st.builds(Fraction, st.integers(-9, 9),
+                                st.sampled_from([2, 3, 5, 7, 11, 13])))
+shapes = st.one_of(
+    st.tuples(st.just(1), st.integers(1, 5), st.just(1)),   # 1 x k . k x 1
+    st.tuples(st.integers(1, 5), st.just(1), st.integers(1, 5)),  # k x 1 . 1 x m
+    st.sampled_from([(0, 3, 2), (3, 2, 0)]),
+    st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4)))
+
+
+def _constant_matrix(data, params, rows, cols):
+    return [[Scalar.constant(params, data.draw(constants)) for _ in range(cols)]
+            for _ in range(rows)]
+
+
+@pytest.mark.parametrize("params", [(), PARAMS], ids=["empty-context", "PARAMS"])
+@settings(max_examples=60, deadline=None)
+@given(shape=shapes, data=st.data())
+def test_mat_mul_of_constants_matches_the_index_loop(params, shape, data):
+    n, k, m = shape
+    a = _constant_matrix(data, params, n, k)
+    b = _constant_matrix(data, params, k, m)
+    product = mat_mul(a, b)
+    assert len(product) == n and all(len(row) == m for row in product)
+    assert product == mat_mul_oracle(a, b, params)
+    assert all(x.params == params for row in product for x in row)
+
+
+def test_mat_mul_of_constants_makes_no_scalar_multiplication(monkeypatch):
+    a = [[C(Fraction(1, 2)), C(0), C(-3)], [C(Fraction(-2, 7)), C(5), C(Fraction(1, 3))]]
+    b = [[C(1), C(Fraction(3, 11))], [C(0), C(-1)], [C(Fraction(5, 2)), C(0)]]
+    expected = mat_mul_oracle(a, b, PARAMS)
+    t = tensor_from_ints("du", [k % 7 - 3 for k in range(DIM ** 2)]).scale(Fraction(1, 6))
+    s = tensor_from_ints("dd", [k % 5 - 2 for k in range(DIM ** 2)])
+    composed = compose_oracle(t, s)
+
+    def refuse(self, other):
+        raise AssertionError("Scalar multiplication in a product of constants")
+
+    monkeypatch.setattr(Scalar, "__mul__", refuse)
+    monkeypatch.setattr(Scalar, "__rmul__", refuse)
+    assert mat_mul(a, b) == expected
+    assert compose(t, s) == composed
+
+
+@pytest.mark.parametrize("left, right", [(PARAMS, ()), ((), PARAMS)])
+def test_mat_mul_of_constants_from_two_contexts_is_refused(left, right):
+    a = [[Scalar.constant(left, 2), Scalar.constant(left, Fraction(1, 3))]]
+    b = [[Scalar.constant(right, 5)], [Scalar.constant(right, -1)]]
+    with pytest.raises(ValueError, match="different parameter contexts"):
+        mat_mul(a, b)
+
+
 @pytest.mark.parametrize("left, right", [("u", "d"), ("du", "d"), ("u", "dd"),
                                          ("ddu", "ddd"), ("udu", "dud"), ("du", "du")])
 def test_compose_matches_the_index_loop(left, right):
