@@ -17,7 +17,11 @@ golden tables are Tensors in that basis, evaluated at ``--lambda``, and each
 comparison is ``tensor_witnesses`` of a computed tensor against its table.
 
 Every check, structural, golden or from a suite, returns one ``CheckResult``
-whose ``as_dict()`` is its report entry {id, status, witnesses, reason, details}.
+whose ``as_dict()`` is its report entry {id, status, witnesses, reason, details}
+(schema 2).  Every pass/fail entry comes from ``frames.check_result``: it
+fails exactly when it has a witness, it lists at most 16 witnesses, and its
+notes, such as the parametric positivity note and the count of witnesses
+dropped, are its reason.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from .tensors import Tensor
 from .theorems import (geometry_checks, rpt_checks, rpt_curvature_p_tensor,
                        run_all, theorem_checks)
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 class UsageError(Exception):

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .frames import CheckResult, FrameAlgebra, memo, tensor_witnesses
+from .frames import CheckResult, FrameAlgebra, check_result, memo
 from .geometry import (CLASS_OUTSIDE, Connection, classify, fundamental_F,
                        levi_civita, nabla_p_components)
 from .tensors import Tensor, alternate, arranged, compose, cyclic_sum
@@ -85,11 +85,11 @@ def rpt_connection(fa: FrameAlgebra) -> ConnectionPack:
     return ConnectionPack(fa, rpt_torsion(fundamental_F(fa), fa))
 
 
-def natural_check(fa: FrameAlgebra, conn: Connection) -> CheckResult:
-    """Whether the connection leaves both the metric and the product parallel."""
-    witnesses = tensor_witnesses(fa, nabla_p_components(fa, conn), "product-parallel")
-    witnesses += conn.metric_witnesses("metric-parallel")
-    return CheckResult("natural-connection", "fail" if witnesses else "pass", witnesses)
+def natural_check(check_id: str, fa: FrameAlgebra, conn: Connection) -> CheckResult:
+    """Whether the connection leaves both the metric and the product
+    parallel, as the report entry check_id."""
+    return check_result(check_id, fa, [(nabla_p_components(fa, conn), "product-parallel")],
+                        conn.metric_witnesses("metric-parallel"))
 
 
 def torsion_inner_products(t: Tensor, fa: FrameAlgebra) -> Tensor:

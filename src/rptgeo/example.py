@@ -18,7 +18,7 @@ from importlib import resources
 from pathlib import Path
 
 from .frames import (CheckResult, FrameAlgebra, SchemaError, Witness,
-                     _expect, _is_index, _parse_entry, capped_report,
+                     _expect, _is_index, _parse_entry, check_result,
                      tensor_witnesses)
 from .scalars import Scalar
 from .tensors import Tensor, _perm_sign, mat_identity
@@ -205,8 +205,8 @@ def golden_tables(directory=None) -> dict:
 def compare_tensor(fa: FrameAlgebra, name: str, computed: Tensor,
                    expected: Tensor) -> CheckResult:
     """A tensor computed on fa against its table, in the user's basis."""
-    return capped_report("golden-%s" % name,
-                         tensor_witnesses(fa, computed, name, expected))
+    return check_result("golden-%s" % name, fa,
+                        witnesses=tensor_witnesses(fa, computed, name, expected))
 
 
 def compare_connection(fa: FrameAlgebra, name: str, coeffs: Tensor,
@@ -216,6 +216,6 @@ def compare_connection(fa: FrameAlgebra, name: str, coeffs: Tensor,
 
 
 def compare_scalars(computed: dict, golden: dict) -> CheckResult:
-    return capped_report("golden-scalars", [
+    return check_result("golden-scalars", None, witnesses=[
         Witness((), golden[key], computed[key], key) for key in sorted(golden)
         if computed[key] != golden[key]])

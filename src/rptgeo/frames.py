@@ -15,7 +15,7 @@ from functools import wraps
 from .parser import ParseError, parse_expression
 from .scalars import Scalar
 from .tensors import (Tensor, arranged, coefficient_tensor, leading_minors,
-                      mat_det, mat_eq, mat_identity, mat_inv, mat_mul,
+                      mat_det, mat_identity, mat_inv, mat_mul,
                       mat_transpose, row_reduce)
 
 
@@ -43,7 +43,8 @@ class Witness:
 class CheckResult:
     """One check's outcome, exactly as its report entry: status "pass",
     "fail" or "skip", the witnesses, a reason (why it was skipped, or the
-    notes of a check that ran) and named details."""
+    notes of a check that ran) and named details.  A pass/fail result is
+    built only by ``check_result``."""
     id: str
     status: str
     witnesses: list = field(default_factory=list)
@@ -78,16 +79,22 @@ def tensor_witnesses(fa: FrameAlgebra, t: Tensor, label: str,
             if a != e]
 
 
-def capped_report(check_id: str, witnesses: list, notes=()) -> CheckResult:
-    """Pass/fail result keeping the first _WITNESS_CAP witnesses; a truncated
-    list is noted with the number of witnesses dropped.  The notes, joined,
-    are the reason."""
+def check_result(check_id: str, fa: FrameAlgebra | None, defects=(), witnesses=(),
+                 details=None, notes=()) -> CheckResult:
+    """The one pass/fail report entry: the witnesses of the labelled tensors
+    on fa that must vanish, then the given witnesses; it fails exactly when
+    there is one.  The first _WITNESS_CAP witnesses are kept, and the notes,
+    with the number of witnesses dropped, are joined into the reason.  fa is
+    read only for the defects."""
+    witnesses = [w for t, label in defects
+                 for w in tensor_witnesses(fa, t, label)] + list(witnesses)
     notes = list(notes)
     dropped = len(witnesses) - _WITNESS_CAP
     if dropped > 0:
         notes.append("%d further mismatches suppressed" % dropped)
     return CheckResult(check_id, "fail" if witnesses else "pass",
-                       witnesses[:_WITNESS_CAP], "; ".join(notes) or None)
+                       witnesses[:_WITNESS_CAP], "; ".join(notes) or None,
+                       dict(details or {}))
 
 
 def memo(fn):
@@ -148,8 +155,7 @@ class FrameAlgebra:
         if not isinstance(other, FrameAlgebra):
             return NotImplemented
         return (self.dim == other.dim and self.params == other.params
-                and self.c == other.c and mat_eq(self.g, other.g)
-                and mat_eq(self.p, other.p))
+                and self.c == other.c and self.g == other.g and self.p == other.p)
 
     @property
     def user(self) -> "FrameAlgebra":
@@ -261,7 +267,7 @@ def adapted_frame(fa: FrameAlgebra) -> RebasedFrame:
     one, zero = Scalar.one(fa.params), Scalar.zero(fa.params)
     signs = [[(one if i < n // 2 else -one) if i == j else zero for j in range(n)]
              for i in range(n)]
-    if not mat_eq(af.p, signs):
+    if af.p != signs:
         raise ValueError("the product structure is not diagonal in its eigenbasis")
     return af
 
@@ -310,9 +316,9 @@ def validate(fa: FrameAlgebra) -> CheckResult:
         witnesses.append(Witness((), Scalar.one(fa.params), det,
                                  "metric-nondegenerate"))
     if fa.params:
-        reason = "positivity unverified (parametric)"
+        notes = ["positivity unverified (parametric)"]
     else:
-        reason = None
+        notes = []
         # Sylvester: every leading principal minor positive
         for k, d in enumerate(fa.metric_minors, 1):
             if d is None:
@@ -330,8 +336,7 @@ def validate(fa: FrameAlgebra) -> CheckResult:
     if not trace.is_zero:
         witnesses.append(Witness((), zero, trace, "product-traceless"))
 
-    return CheckResult("frame-structure", "fail" if witnesses else "pass",
-                       witnesses, reason)
+    return check_result("frame-structure", fa, (), witnesses, notes=notes)
 
 
 def associated_metric(fa: FrameAlgebra) -> list:
@@ -343,8 +348,8 @@ def killing_check(fa: FrameAlgebra) -> CheckResult:
     """Whether the associated metric is a Killing metric on the algebra."""
     # lower_slot pairs c^s_ij with matrix[k][s]; the pairing wanted is (gP)[s][k]
     low = coefficient_tensor(fa.c).lower_slot(2, mat_transpose(associated_metric(fa)))
-    witnesses = tensor_witnesses(fa, low + arranged(low, "x,z,y"), "killing-metric")
-    return CheckResult("killing-metric", "fail" if witnesses else "pass", witnesses)
+    return check_result("killing-metric", fa,
+                        [(low + arranged(low, "x,z,y"), "killing-metric")])
 
 
 # ---------------------------------------------------------------------------

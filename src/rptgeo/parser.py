@@ -184,10 +184,7 @@ class _Parser:
             self.depth += 1
             value = self.expr()
             self.depth -= 1
-            tok = self.peek()
-            if tok[0] != ")":
-                raise ParseError("expected ')'", tok[2])
-            self.advance()
+            self.expect(")")
             return value
         raise ParseError("expected a literal, parameter or '('", at)
 

@@ -389,10 +389,6 @@ def mat_mul(a: list, b: list) -> list:
     return out
 
 
-def mat_eq(a: list, b: list) -> bool:
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
-
-
 def row_reduce(m: list):
     """Gauss-Jordan elimination of a (possibly rectangular) matrix.
 

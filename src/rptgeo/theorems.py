@@ -5,8 +5,7 @@ by assuming the implication.  A check is a labelled list of tensors that
 must vanish, each nonzero component of which is a witness in the user's
 basis, plus a ``_flag`` for each statement decided false, and it returns
 one ``CheckResult``: a falsified conclusion fails, and a check whose
-hypotheses do not hold is skipped with the reason.  A suite check keeps its
-notes in ``details["notes"]``, not in the reason.
+hypotheses do not hold is skipped with the reason.
 
 The suites that need the skew-torsion connection share one skip path,
 ``_on_pack``: outside the skew-cyclic class, where no such connection
@@ -23,7 +22,7 @@ from fractions import Fraction
 from .connections import (ConnectionPack, NotW3Error, _shifted_connection,
                           companion_shifts, natural_check, rpt_connection)
 from .example import EPSILON_CANDIDATES, family_parameters
-from .frames import (CheckResult, FrameAlgebra, Witness, capped_report, memo,
+from .frames import (CheckResult, FrameAlgebra, Witness, check_result, memo,
                      tensor_witnesses, validate)
 from .geometry import (CLASS_PARALLEL, CLASS_SKEW, classify, curvature,
                        fundamental_F, levi_civita, square_norm_nabla_P,
@@ -35,22 +34,6 @@ _NOT_W3_REASON = ("skipped: no natural connection with totally skew-symmetric "
                   "torsion exists outside the skew-cyclic class")
 _UNMET_REASON = "hypotheses not satisfied"
 _HALF, _QUARTER = Fraction(1, 2), Fraction(1, 4)
-
-
-def _witnesses(fa: FrameAlgebra, defects) -> list:
-    """The witnesses of labelled tensors that must vanish, in list order."""
-    return [w for t, label in defects for w in tensor_witnesses(fa, t, label)]
-
-
-def _result(check_id: str, fa: FrameAlgebra, defects=(), witnesses=(),
-            details=None, notes=()) -> CheckResult:
-    """Pass/fail result on the witnesses of the defects followed by the
-    given witnesses, its notes moved from the reason into the details."""
-    result = capped_report(check_id, _witnesses(fa, defects) + list(witnesses), notes)
-    result.details = dict(details or {})
-    if result.reason:
-        result.details["notes"], result.reason = result.reason, None
-    return result
 
 
 def _flag(fa: FrameAlgebra, label: str, expected=0, actual=1) -> Witness:
@@ -85,7 +68,7 @@ def structure_defects(f: Tensor, fa: FrameAlgebra) -> list:
 
 def check_p_tensor(r: Tensor, fa: FrameAlgebra) -> CheckResult:
     """Whether a (0,4) tensor is a P-tensor, witnessed in the user's basis."""
-    return _result("p-tensor-axioms", fa, p_tensor_defects(r, fa))
+    return check_result("p-tensor-axioms", fa, p_tensor_defects(r, fa))
 
 
 @memo
@@ -123,8 +106,8 @@ def verify_curvature_relation(pack: ConnectionPack, defect: Tensor) -> CheckResu
     scalars = [Witness((), e, tau, label) for label, e in expected if tau != e]
     if (tau == taup) != (classify(fa).label == CLASS_PARALLEL):
         scalars.append(Witness((), taup, tau, "scalar-equality-iff-parallel-class"))
-    return _result("curvature-comparison", fa, defects, scalars,
-                   {"tau": str(tau), "tau_prime": str(taup)})
+    return check_result("curvature-comparison", fa, defects, scalars,
+                        {"tau": str(tau), "tau_prime": str(taup)})
 
 
 def verify_torsion_type(pack: ConnectionPack) -> CheckResult:
@@ -140,12 +123,14 @@ def verify_torsion_type(pack: ConnectionPack) -> CheckResult:
     p2_closed = arranged(f, "z,x,Py", fa.p)
     p3_closed = (arranged(f, "x,y,Pz", fa.p) + arranged(f, "y,z,Px", fa.p)
                  - p2_closed).scale(_HALF)
-    vanishing = _witnesses(fa, [(p1, "projection-1-vanishes"), (p4, "projection-4-vanishes")])
     nonzero = [_flag(fa, "projection-%d-nonzero" % k, expected=1, actual=0)
                for k, p in ((2, p2), (3, p3)) if p.is_zero]
-    closed = _witnesses(fa, [(p2 - p2_closed, "projection-2-closed-form"),
-                             (p3 - p3_closed, "projection-3-closed-form")])
-    return _result("torsion-type", fa, (), vanishing + nonzero + closed)
+    closed = [w for t, label in ((p2 - p2_closed, "projection-2-closed-form"),
+                                 (p3 - p3_closed, "projection-3-closed-form"))
+              for w in tensor_witnesses(fa, t, label)]
+    return check_result("torsion-type", fa, [(p1, "projection-1-vanishes"),
+                                             (p4, "projection-4-vanishes")],
+                        nonzero + closed)
 
 
 def verify_p_tensor_criterion(pack: ConnectionPack) -> CheckResult:
@@ -162,9 +147,9 @@ def verify_p_tensor_criterion(pack: ConnectionPack) -> CheckResult:
                 "derivative-third-of-form"),
                (rho - (rhop - tensor_contract(b, 0, 3, fa.metric_inv).scale(_QUARTER)),
                 "ricci-consequence")] if side_a and side_b else []
-    return _result("p-tensor-criterion", fa, defects,
-                   [_flag(fa, "equivalence")] if side_a != side_b else [],
-                   {"p_tensor": str(side_a).lower(), "relation": str(side_b).lower()})
+    return check_result("p-tensor-criterion", fa, defects,
+                        [_flag(fa, "equivalence")] if side_a != side_b else [],
+                        {"p_tensor": str(side_a).lower(), "relation": str(side_b).lower()})
 
 
 def verify_parallel_torsion(pack: ConnectionPack, defect: Tensor) -> CheckResult:
@@ -191,7 +176,7 @@ def verify_parallel_torsion(pack: ConnectionPack, defect: Tensor) -> CheckResult
             defects += [(sigma, "quadratic-form-vanishes"),
                         (r - rp + pack.torsion_products().scale(_QUARTER),
                          "quarter-relation")]
-    return _result("parallel-torsion", fa, defects, details=details)
+    return check_result("parallel-torsion", fa, defects, details=details)
 
 
 _FAMILY_CHECK_ID = "family-parameter-equivalence"
@@ -211,10 +196,11 @@ def verify_family_equivalence(pack: ConnectionPack, lam) -> CheckResult:
     agree = cond_i == cond_ii == cond_iii
     details = {"p_tensor": str(cond_i).lower(), "parallel": str(cond_ii).lower(),
                "parameter_condition": str(cond_iii).lower()}
-    witnesses = [] if agree else [_flag(pack.frame, "three-way-equivalence")]
-    status = "skip" if degenerate else "pass" if agree else "fail"
-    return CheckResult(_FAMILY_CHECK_ID, status, witnesses,
-                       _UNMET_REASON if degenerate else None, details)
+    if degenerate:
+        return CheckResult(_FAMILY_CHECK_ID, "skip", reason=_UNMET_REASON,
+                           details=details)
+    return check_result(_FAMILY_CHECK_ID, pack.frame, witnesses=[] if agree else
+                        [_flag(pack.frame, "three-way-equivalence")], details=details)
 
 
 # ---------------------------------------------------------------------------
@@ -224,16 +210,14 @@ def verify_family_equivalence(pack: ConnectionPack, lam) -> CheckResult:
 def geometry_checks(fa: FrameAlgebra) -> list:
     """Structural axioms of the frame in the user's basis, plus the identities
     forced by the Koszul construction."""
-    structure = validate(fa.user)
     lc = levi_civita(fa)
-    return [_result(structure.id, fa, (), structure.witnesses,
-                    notes=[structure.reason] if structure.reason else ()),
-            _result("levi-civita", fa, [(lc.torsion_tensor(), "torsion-free")],
-                    lc.metric_witnesses("metric-compatible")),
-            _result("structure-tensor-identities", fa,
-                    structure_defects(fundamental_F(fa), fa)),
-            _result("first-bianchi", fa,
-                    [(cyclic_sum(curvature(lc)[0], (0, 1, 2)), "first-bianchi")])]
+    return [validate(fa.user),
+            check_result("levi-civita", fa, [(lc.torsion_tensor(), "torsion-free")],
+                         lc.metric_witnesses("metric-compatible")),
+            check_result("structure-tensor-identities", fa,
+                         structure_defects(fundamental_F(fa), fa)),
+            check_result("first-bianchi", fa,
+                         [(cyclic_sum(curvature(lc)[0], (0, 1, 2)), "first-bianchi")])]
 
 
 def _on_pack(fa: FrameAlgebra, check_ids: tuple, suite) -> list:
@@ -262,26 +246,25 @@ def _rpt_suite(pack: ConnectionPack) -> list:
              ("Px,y,Pz", "y,x,Pz", "swap-outer-pair"),
              ("x,Py,Pz", "x,Py,z", "swap-last-pair"))
     results = [
-        _result("torsion-3form", fa, [(t + arranged(t, order), "skew-" + slots)
-                                      for order, slots in (("y,x,z", "12"), ("x,z,y", "23"),
-                                                           ("z,y,x", "13"))]),
-        _result("torsion-transformation-identities", fa,
-                [(t - (arranged(t, moved, fa.p) - arranged(f, shift, fa.p).scale(2)), label)
-                 for moved, shift, label in swaps]),
-        _result("transformation-cyclic-invariance", fa,
-                [(arranged(q, "x,y,Pz", fa.p)
-                  - arranged(arranged(q, "y,z,x"), "x,y,Pz", fa.p), "cyclic-invariance")])]
-    results += [_result(check_id, fa, (), natural_check(fa, conn).witnesses)
-                for check_id, conn in (("naturality-rpt", pack.rpt),
-                                       ("naturality-canonical", _shifted_connection(fa, q_c)),
-                                       ("naturality-p-connection", _shifted_connection(fa, q_p)))]
+        check_result("torsion-3form", fa, [(t + arranged(t, order), "skew-" + slots)
+                                           for order, slots in (("y,x,z", "12"), ("x,z,y", "23"),
+                                                                ("z,y,x", "13"))]),
+        check_result("torsion-transformation-identities", fa,
+                     [(t - (arranged(t, moved, fa.p) - arranged(f, shift, fa.p).scale(2)), label)
+                      for moved, shift, label in swaps]),
+        check_result("transformation-cyclic-invariance", fa,
+                     [(arranged(q, "x,y,Pz", fa.p)
+                       - arranged(arranged(q, "y,z,x"), "x,y,Pz", fa.p), "cyclic-invariance")]),
+        natural_check("naturality-rpt", fa, pack.rpt),
+        natural_check("naturality-canonical", fa, _shifted_connection(fa, q_c)),
+        natural_check("naturality-p-connection", fa, _shifted_connection(fa, q_p))]
     cyclic = cyclic_sum(curvature(pack.rpt)[0], (0, 1, 2)) \
         - cyclic_sum(pack.torsion_derivative(), (0, 1, 2)) - pack.torsion_form_square()
     return results + [
-        _result("connection-averaging", fa,
-                [(q_p - (q_c + q).scale(_HALF), "average-connection")]),
-        _result("torsion-recovery", fa, [(pack.rpt.torsion_tensor() - t, "recovered-torsion")]),
-        _result("curvature-cyclic-identity", fa, [(cyclic, "cyclic-curvature")])]
+        check_result("connection-averaging", fa,
+                     [(q_p - (q_c + q).scale(_HALF), "average-connection")]),
+        check_result("torsion-recovery", fa, [(pack.rpt.torsion_tensor() - t, "recovered-torsion")]),
+        check_result("curvature-cyclic-identity", fa, [(cyclic, "cyclic-curvature")])]
 
 
 def rpt_checks(fa: FrameAlgebra) -> list:

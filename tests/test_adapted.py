@@ -171,6 +171,6 @@ def test_a_three_form_on_one_eigenspace_keeps_the_connection_natural():
         comps[(perm[0] * 6 + perm[1]) * 6 + perm[2]] = Scalar.constant((), _perm_sign(perm))
     torsion = pack.T + Tensor(6, "ddd", (), comps)
     conn = ConnectionPack(af, torsion).rpt
-    assert natural_check(af, conn).passed
+    assert natural_check("natural-connection", af, conn).passed
     assert conn.torsion_tensor() == torsion
     assert conn.coeffs != pack.rpt.coeffs

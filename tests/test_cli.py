@@ -47,8 +47,8 @@ def _fixture_argv(name, tmp_path):
     }[name]
 
 
-# report carries validate's notes in "reason", check carries the same notes
-# in "details"; the text fixtures freeze the skip reasons and details lines
+# every command carries validate's notes in "reason"; the text fixtures
+# freeze the skip reasons and details lines
 @pytest.mark.parametrize("name", ["example_lambda_1234.json", "check_bundled.json",
                                   "check_single_bracket.json", "check_six_dim.json",
                                   "check_family_w0.json",
@@ -132,6 +132,45 @@ def test_check_on_invalid_frame_gives_the_structural_report(kind, tmp_path, caps
 
 # ---------------------------------------------------------------------------
 # exit codes and JSON shape
+
+
+def _dense_six_dim_spec():
+    """A 6-dim spec whose 15 brackets have every component 1: 120 Jacobi
+    witnesses, far past the cap."""
+    n = 6
+    return {"dimension": n, "parameters": [],
+            "brackets": [{"left": i, "right": j,
+                          "result": {str(k): "1" for k in range(1, n + 1)}}
+                         for i in range(1, n + 1) for j in range(i + 1, n + 1)],
+            "metric": [["1" if i == j else "0" for j in range(n)] for i in range(n)],
+            "product": [["1" if abs(i - j) == n // 2 else "0" for j in range(n)]
+                        for i in range(n)]}
+
+
+@pytest.mark.parametrize("command", ["validate", "report", "check"])
+def test_frame_structure_witnesses_are_capped(command, tmp_path, capsys):
+    path = tmp_path / "dense.json"
+    path.write_text(json.dumps(_dense_six_dim_spec()), encoding="utf-8")
+    code, out, _ = run_cli([command, str(path), "--format", "json"], capsys)
+    assert code == 1
+    [entry] = json.loads(out)["checks"]
+    assert (entry["id"], entry["status"]) == ("frame-structure", "fail")
+    assert len(entry["witnesses"]) == 16
+    assert entry["reason"] == "104 further mismatches suppressed"
+
+
+def test_every_command_emits_one_frame_structure_entry(capsys):
+    # the structural entry is validate's own, notes in the reason, whichever
+    # command reports it
+    entries = []
+    for argv in (["validate", SPEC], ["report", SPEC], ["check", SPEC],
+                 ["check", SPEC, "--suite", "geometry"], ["example"]):
+        code, out, _ = run_cli(argv + ["--format", "json"], capsys)
+        assert code == 0, argv
+        entries += [c for c in json.loads(out)["checks"] if c["id"] == "frame-structure"]
+    assert entries == [{"id": "frame-structure", "status": "pass", "witnesses": [],
+                        "reason": "positivity unverified (parametric)",
+                        "details": {}}] * 5
 
 
 @pytest.mark.parametrize("command", ["validate", "report", "check"])
@@ -220,6 +259,9 @@ def test_malformed_expression_exits_two_naming_the_field(text, tmp_path, capsys)
 _ENTRY = st.sampled_from(["0", "1", "-1", "2", "-2", "a", "-a", "2*a", "a + 1", "a^2"])
 _PAIRS = [(i, j) for i in range(1, 5) for j in range(i + 1, 5)]
 _FAMILY = json.loads(Path(SPEC).read_text(encoding="utf-8"))["brackets"]
+# the bundled spec with every product entry 2: 33 structural witnesses
+_ALL_TWO_PRODUCT = dict(json.loads(Path(SPEC).read_text(encoding="utf-8")),
+                        product=[["2"] * 4 for _ in range(4)])
 _PRODUCTS = [[[str(int(abs(i - j) == 2)) for j in range(4)] for i in range(4)]] + [
     [[str(signs[i]) if i == j else "0" for j in range(4)] for i in range(4)]
     for signs in ((1, 1, -1, -1), (1, -1, 1, -1), (1, 1, 1, -1))]
@@ -260,6 +302,7 @@ def _random_specs(draw):
 @example("check", _bundled_with_metric_entry("2^20000"))
 @example("report", _bundled_with_metric_entry("(l1+l2+l3)^60"))
 @example("validate", _bundled_with_metric_entry("(l1+l2+l3+l4)^16*(l1+l2+l3+l4)^16"))
+@example("validate", _ALL_TWO_PRODUCT)
 def test_random_spec_gets_a_report_or_one_error_line(command, spec):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "frame.json"
@@ -273,7 +316,13 @@ def test_random_spec_gets_a_report_or_one_error_line(command, spec):
         assert out == "" and err.count("\n") == 1
         assert re.match(r"error: \S+: ", err), err
     else:
-        assert json.loads(out)["exit_status"] == code and err == ""
+        report = json.loads(out)
+        assert report["exit_status"] == code and err == ""
+        assert report["schema"] == cli.SCHEMA_VERSION
+        for entry in report["checks"]:
+            assert len(entry["witnesses"]) <= 16, entry["id"]
+            if entry["status"] != "skip":
+                assert (entry["status"] == "fail") == bool(entry["witnesses"]), entry["id"]
 
 
 def _family_literals(l1):

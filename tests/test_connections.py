@@ -139,13 +139,13 @@ def test_torsion_recovery():
 
 
 def test_naturality():
-    assert natural_check(SYM, PACK.rpt).passed
+    assert natural_check("natural-connection", SYM, PACK.rpt).passed
     for q in companion_shifts(SYM):
-        assert natural_check(SYM, _shifted_connection(SYM, q)).passed
-    report = natural_check(SYM, levi_civita(SYM))
+        assert natural_check("natural-connection", SYM, _shifted_connection(SYM, q)).passed
+    report = natural_check("natural-connection", SYM, levi_civita(SYM))
     assert not report.passed  # generic parameters: the product is not parallel
     fa0 = build_example((0, 0, 0, 0))
-    assert natural_check(fa0, levi_civita(fa0)).passed
+    assert natural_check("natural-connection", fa0, levi_civita(fa0)).passed
 
 
 def test_sigma_vanishes_on_example():

@@ -10,7 +10,9 @@ from rptgeo import (FrameAlgebra, Scalar, SchemaError, associated_metric,
                     mat_det, mat_identity, mat_transpose, save_spec, spec_digest,
                     validate)
 from rptgeo.example import swap_product_matrix
-from rptgeo.frames import frame_from_dict, frame_to_dict
+from rptgeo.frames import (Witness, check_result, frame_from_dict, frame_to_dict,
+                           tensor_witnesses)
+from rptgeo.tensors import Tensor, coefficient_tensor
 
 from helpers import (conjugate, jacobi_oracle, killing_oracle, random_frames,
                      random_unimodular, single_bracket_frame)
@@ -115,6 +117,26 @@ def test_associated_metric_symmetric_on_random_frames():
         assert mat_transpose(gp) == gp
 
 
+def test_check_result_decides_caps_and_notes():
+    fa = build_example((1, 2, 3, 4))
+    c = coefficient_tensor(fa.c)
+    flags = [Witness((k,), Scalar.zero(()), Scalar.one(()), "flag") for k in range(10)]
+    result = check_result("x", fa, [(c, "bracket")], flags, {"k": "v"}, ["note"])
+    # the defects' witnesses come first, then the given ones
+    expected = tensor_witnesses(fa, c, "bracket") + flags
+    assert len(expected) > 16
+    assert result.status == "fail" and result.witnesses == expected[:16]
+    assert result.reason == "note; %d further mismatches suppressed" % (len(expected) - 16)
+    assert result.details == {"k": "v"}
+    zero = Tensor.zeros(4, "ddd", ())
+    passing = check_result("y", fa, [(zero, "zero")], notes=["note"])
+    assert (passing.status, passing.witnesses, passing.reason, passing.details) == \
+        ("pass", [], "note", {})
+    assert check_result("z", None, witnesses=flags[:1]).as_dict() == {
+        "id": "z", "status": "fail", "witnesses": [flags[0].as_dict()],
+        "reason": None, "details": {}}
+
+
 def test_killing_example_and_abelian():
     assert killing_check(build_example()).passed
     zero = Scalar.zero(())
@@ -137,10 +159,15 @@ def test_killing_witnesses_match_oracle():
     assert validate(conj).passed
     assert conj.p != swap_product_matrix(4, ())
     for fa in (base, conj):
-        witnesses = killing_check(fa).witnesses
-        assert witnesses
-        assert [w.index for w in witnesses] == \
-            [tuple(k + 1 for k in idx) for idx in killing_oracle(fa)]
+        report = killing_check(fa)
+        oracle = [tuple(k + 1 for k in idx) for idx in killing_oracle(fa)]
+        assert report.witnesses
+        # the entry keeps the first 16 and counts the rest
+        assert [w.index for w in report.witnesses] == oracle[:16]
+        dropped = len(oracle) - 16
+        assert report.reason == ("%d further mismatches suppressed" % dropped
+                                 if dropped > 0 else None)
+    assert len(killing_oracle(conj)) > 16
 
 
 def test_killing_preserved_by_conjugation():

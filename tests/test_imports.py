@@ -6,7 +6,9 @@ a name bound by a top-level ``import`` must be read somewhere else in that
 module, in code or in a quoted annotation.  ``__init__.py`` is left out
 because its imports are the public re-exports.  The package has one explicit
 cache, ``frames.memo``, so ``functools.lru_cache``, ``functools.cache`` and
-``functools.cached_property`` are refused everywhere.
+``functools.cached_property`` are refused everywhere.  It has one pass/fail
+result path, ``frames.check_result``, so every other ``CheckResult(...)`` call
+builds a skip entry.
 """
 
 import ast
@@ -92,3 +94,50 @@ def test_functools_cache_is_detected(source):
 
 def test_other_functools_names_are_allowed():
     assert not _functools_caches(ast.parse("from functools import partial, wraps\n"))
+
+
+def _forked_results(tree: ast.Module, constructor=None) -> list:
+    """``CheckResult(...)`` calls outside the function named constructor whose
+    status is not the literal "skip", with their lines."""
+    found = []
+
+    def visit(node, inside):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and not inside and (
+                    getattr(child.func, "id", None) == "CheckResult"
+                    or getattr(child.func, "attr", None) == "CheckResult"):
+                status = child.args[1] if len(child.args) > 1 else next(
+                    (k.value for k in child.keywords if k.arg == "status"), None)
+                if not (isinstance(status, ast.Constant) and status.value == "skip"):
+                    found.append("line %d" % child.lineno)
+            visit(child, inside or (isinstance(child, ast.FunctionDef)
+                                    and child.name == constructor))
+
+    visit(tree, False)
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_only_the_constructor_decides_pass_or_fail(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = _forked_results(tree, "check_result" if path.name == "frames.py" else None)
+    assert not found, "%s builds a pass/fail CheckResult outside frames.check_result: %s" % (
+        path.name, ", ".join(found))
+
+
+@pytest.mark.parametrize("source", [
+    'r = CheckResult("x", "pass")\n',
+    'def f(w):\n    return CheckResult("x", "fail" if w else "pass", w)\n',
+    'r = frames.CheckResult("x", status="fail")\n',
+    'r = CheckResult(*args)\n',
+    'def check_result():\n    pass\ndef g():\n    return CheckResult("x", "pass")\n',
+])
+def test_forked_result_is_detected(source):
+    assert _forked_results(ast.parse(source), "check_result")
+
+
+def test_skip_entries_and_the_constructor_are_allowed():
+    source = ('def check_result(i, w):\n    return CheckResult(i, "fail" if w else "pass")\n'
+              'def skip(i):\n    return CheckResult(i, "skip", reason="r")\n'
+              'def other(i):\n    return CheckResult(i, status="skip")\n')
+    assert not _forked_results(ast.parse(source), "check_result")

@@ -168,7 +168,7 @@ def test_eigenspace_form_in_the_torsion_fails_only_the_norm_relation_and_type(sl
     tau = _eigenspace_form(af, slots)
     assert tau == alternate(tau, (0, 1, 2)) and not tau.is_zero
     pack = ConnectionPack(af, rpt_connection(af).T + tau)
-    assert natural_check(af, pack.rpt).passed
+    assert natural_check("natural-connection", af, pack.rpt).passed
 
     results = _theorem_results(pack)
     comparison = results["curvature-comparison"]
@@ -184,5 +184,5 @@ def test_eigenspace_form_in_the_torsion_fails_only_the_norm_relation_and_type(sl
 def test_paper_torsion_passes_every_theorem_check_in_dimension_six():
     af = adapted_frame(six_dim_frame())
     pack = rpt_connection(af)
-    assert natural_check(af, pack.rpt).passed
+    assert natural_check("natural-connection", af, pack.rpt).passed
     assert all(r.passed for r in _theorem_results(pack).values())
