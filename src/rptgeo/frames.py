@@ -8,8 +8,10 @@ File format and all reported indices are 1-based; the Python API is 0-based.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import wraps
 
 from .parser import ParseError, parse_expression
@@ -295,18 +297,24 @@ def validate(fa: FrameAlgebra) -> CheckResult:
                                              "bracket-antisymmetry")
                  if w.index[0] <= w.index[1]]
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            for m in range(j + 1, n):
-                for r in range(n):
-                    acc = zero
-                    for s in range(n):
-                        acc = acc + fa.c[i][j][s] * fa.c[s][m][r] \
-                            + fa.c[j][m][s] * fa.c[s][i][r] \
-                            + fa.c[m][i][s] * fa.c[s][j][r]
-                    if not acc.is_zero:
-                        witnesses.append(Witness((i + 1, j + 1, m + 1, r + 1),
-                                                 zero, acc, "jacobi"))
+    # Jacobi, on the cleared ints of a constant c, else on Scalars
+    ints = c.ints
+    if ints:
+        nums, den = ints
+        cc = [[nums[(i * n + j) * n:(i * n + j + 1) * n] for j in range(n)] for i in range(n)]
+        start = 0
+    else:
+        cc, start = fa.c, zero
+    for i, j, m in itertools.combinations(range(n), 3):
+        for r in range(n):
+            acc = start
+            for s in range(n):
+                acc = acc + cc[i][j][s] * cc[s][m][r] + cc[j][m][s] * cc[s][i][r] \
+                    + cc[m][i][s] * cc[s][j][r]
+            if acc != 0:
+                witnesses.append(Witness((i + 1, j + 1, m + 1, r + 1), zero,
+                                         Scalar.constant(fa.params, Fraction(acc, den * den))
+                                         if ints else acc, "jacobi"))
 
     witnesses += _mismatches(fa.g, mat_transpose(fa.g), "metric-symmetry",
                              lambda i, j: i < j)

@@ -1,25 +1,35 @@
-"""Dense tensors of exact Scalars over a small frame, plus matrix helpers.
+"""Dense tensors over a small frame, plus matrix helpers.
 
 Slots are 0-based in this API; variance is a string over ``u`` (vector
 slot) and ``d`` (covector slot).  Components live in a flat row-major list.
 
-``mat_mul`` is the one dense product.  When every entry of both operands
-is a constant of one context it runs on ints over one common denominator
-and makes each entry of the product once; otherwise it runs on Scalars.
-``transpose`` reads its output through a table of input offsets.
-``map_slot`` with a diagonal matrix, such as P = diag(I, -I) in a
-P-eigenbasis, maps each slice of the slot by its entry (1 copies, -1
-negates, any other entry multiplies); any other matrix, and the
-contractions ``compose`` and ``tensor_contract``, is one ``mat_mul`` on rows
-of components.  ``compose`` builds the torsion inner products, and covariant
-derivatives and curvature from connection coefficients.
+Storage is chosen only from the entries.  A tensor whose entries are all
+constants of its context holds int numerators ``nums`` over one positive
+int ``den``, kept canonical: gcd(den, *nums) = 1, so ``==`` compares the
+two lists.  Any other tensor holds exact Scalars.  ``comps`` always reads
+Scalars: on the int form it is a view built once, where Scalars are read
+(witnesses, printing, report scalars, golden comparisons).  A tensor given
+to the constructor is scanned for the int form once, on first use; one that
+an op built on Scalars is never scanned.
+
+Every op reads the int form when each of its operands (tensors and
+matrices) has it, and Scalars otherwise.  ``_int_mul`` is the one int
+multiply-accumulate: ``mat_mul`` clears constant Scalar matrices onto it,
+and the tensor products (``compose``, ``tensor_contract`` with a metric,
+``map_slot`` with a dense matrix) run on it directly.  ``transpose`` reads
+its output through a table of input offsets.  ``map_slot`` with a diagonal
+matrix, such as P = diag(I, -I) in a P-eigenbasis, scales each slice of the
+slot by its entry (on Scalars 1 copies and -1 negates); any other matrix is
+one product on rows of components.  ``compose`` builds the torsion inner
+products, and covariant derivatives and curvature from connection
+coefficients.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import factorial, lcm as _int_lcm
+from math import factorial, gcd as _int_gcd, lcm as _int_lcm
 from typing import Sequence
 
 from .scalars import Scalar
@@ -28,7 +38,7 @@ Matrix = "list[list[Scalar]]"
 
 
 class Tensor:
-    __slots__ = ("dim", "variance", "params", "comps")
+    __slots__ = ("dim", "variance", "params", "_comps", "_ints")
 
     def __init__(self, dim: int, variance: str, params: tuple, comps: list):
         if len(comps) != dim ** len(variance):
@@ -38,14 +48,52 @@ class Tensor:
         self.dim = dim
         self.variance = variance
         self.params = params
-        self.comps = comps
+        self._comps = comps
+        self._ints = None  # not scanned yet
 
     # construction ----------------------------------------------------------
 
     @classmethod
+    def _new(cls, dim: int, variance: str, params: tuple, values: list, den=None):
+        """A tensor an op made: on Scalars when den is None, marked so it is
+        never scanned; else on the int numerators values over den > 0."""
+        t = object.__new__(cls)
+        t.dim, t.variance, t.params = dim, variance, params
+        if den is None:
+            t._comps, t._ints = values, False
+        else:
+            if den > 1:
+                g = _int_gcd(den, *values)
+                if g > 1:
+                    values, den = [x // g for x in values], den // g
+            t._comps, t._ints = None, (values, den)
+        return t
+
+    @classmethod
     def zeros(cls, dim: int, variance: str, params: tuple) -> "Tensor":
-        zero = Scalar.zero(params)
-        return cls(dim, variance, params, [zero] * dim ** len(variance))
+        return cls._new(dim, variance, params, [0] * dim ** len(variance), 1)
+
+    # storage -----------------------------------------------------------------
+
+    @property
+    def comps(self) -> list:
+        """The components as Scalars; on the int form a view built once."""
+        if self._comps is None:
+            self._comps = _scalars(*self._ints, self.params)
+        return self._comps
+
+    @property
+    def ints(self):
+        """(nums, den) on the int form, else None; a tensor given Scalars is
+        scanned on the first read."""
+        if self._ints is None:
+            cleared = _cleared([self._comps], self.params)
+            self._ints = (cleared[0][0], cleared[1]) if cleared else False
+        return self._ints or None
+
+    def _values(self):
+        """(nums, den) on the int form, else (Scalars, None)."""
+        return self.ints or (self.comps, None)
 
     # indexing ----------------------------------------------------------------
 
@@ -77,41 +125,67 @@ class Tensor:
 
     # algebra -----------------------------------------------------------------
 
-    def _like(self, comps: list) -> "Tensor":
-        return Tensor(self.dim, self.variance, self.params, comps)
+    def _like(self, values: list, den=None) -> "Tensor":
+        return Tensor._new(self.dim, self.variance, self.params, values, den)
 
     def _check_compatible(self, other: "Tensor"):
         if (self.dim, self.variance, self.params) != (other.dim, other.variance, other.params):
             raise ValueError("tensors have different shape or context")
 
     def __add__(self, other: "Tensor") -> "Tensor":
-        self._check_compatible(other)
-        return self._like([a + b for a, b in zip(self.comps, other.comps)])
+        return self._combine(other, 1)
 
     def __sub__(self, other: "Tensor") -> "Tensor":
+        return self._combine(other, -1)
+
+    def _combine(self, other: "Tensor", sign: int) -> "Tensor":
+        """self + sign * other."""
         self._check_compatible(other)
-        return self._like([a - b for a, b in zip(self.comps, other.comps)])
+        a = self.ints
+        b = a and other.ints
+        if b and a[1] != b[1]:
+            den = _int_lcm(a[1], b[1])
+            fa, fb = den // a[1], sign * (den // b[1])
+            return self._like([x * fa + y * fb for x, y in zip(a[0], b[0])], den)
+        (xs, den), ys = (a, b[0]) if b else ((self.comps, None), other.comps)
+        return self._like([x + y for x, y in zip(xs, ys)] if sign > 0 else
+                          [x - y for x, y in zip(xs, ys)], den)
 
     def __neg__(self) -> "Tensor":
+        ints = self.ints
+        if ints:
+            return self._like([-x for x in ints[0]], ints[1])
         return self._like([-a for a in self.comps])
 
     def scale(self, factor) -> "Tensor":
+        """The tensor times an int, a Fraction or a Scalar of its context."""
         if isinstance(factor, (int, Fraction)):
             factor = Scalar.constant(self.params, factor)
+        q = factor.value if factor.params == self.params else None
+        ints = self.ints if q is not None else None
+        if ints:
+            return self._like([x * q.numerator for x in ints[0]], ints[1] * q.denominator)
         return self._like([factor * a for a in self.comps])
 
     def __eq__(self, other):
         if not isinstance(other, Tensor):
             return NotImplemented
-        return (self.dim, self.variance, self.params) == \
-            (other.dim, other.variance, other.params) and self.comps == other.comps
+        if (self.dim, self.variance, self.params) != (other.dim, other.variance, other.params):
+            return False
+        a = self.ints
+        b = a and other.ints
+        return a == b if b else self.comps == other.comps
 
     @property
     def is_zero(self) -> bool:
-        return all(c.is_zero for c in self.comps)
+        ints = self.ints
+        return not any(ints[0]) if ints else all(c.is_zero for c in self.comps)
 
     def substitute(self, values) -> "Tensor":
         """Evaluate every component; result lives in an empty parameter context."""
+        ints = self.ints
+        if ints:
+            return Tensor._new(self.dim, self.variance, (), *ints)
         comps = [Scalar.constant((), c.substitute(values)) for c in self.comps]
         return Tensor(self.dim, self.variance, (), comps)
 
@@ -131,51 +205,59 @@ class Tensor:
         table = [0]
         for k in range(r):
             stride = n ** (r - 1 - inv[k])
-            table = [off + step for off in table for step in range(0, n * stride, stride)]
-        comps = self.comps
-        return Tensor(n, variance, self.params, [comps[off] for off in table])
+            steps = range(0, n * stride, stride)
+            table = [off + step for off in table for step in steps]
+        values, den = self._values()
+        return Tensor._new(n, variance, self.params, [values[off] for off in table], den)
 
     def map_slot(self, matrix: list, slot: int) -> "Tensor":
         """Compose a (1,1) map into one slot (covariant: M^a_i feeds slot).
 
-        A diagonal matrix scales each slice of the slot by its entry: 1
-        copies the slice and -1 negates it, with no Scalar multiplication;
-        any other entry multiplies.  Any other matrix is one ``mat_mul``:
-        the slot moves to last place, each row of components is multiplied
-        by M, or by M^T on a vector slot, and the slot moves back."""
+        A diagonal matrix scales each slice of the slot by its entry; on
+        Scalars 1 copies the slice and -1 negates it, with no
+        multiplication.  Any other matrix is one product: the slot moves to
+        last place, each row of components is multiplied by M, or by M^T on
+        a vector slot, and the slot moves back."""
         n = self.dim
         stride = n ** (self.rank - 1 - slot)
-        block = stride * n
         if all(x.is_zero for i, row in enumerate(matrix) for j, x in enumerate(row)
                if i != j):
-            diag = [row[i] for i, row in enumerate(matrix)]
+            values, matrix, den = self._with_matrix(matrix)
+            if den is not None:
+                diag = [row[i] for i, row in enumerate(matrix) for _ in range(stride)]
+                return self._like([x * d for x, d in zip(values, itertools.cycle(diag))], den)
             out = []
-            for base in range(0, len(self.comps), block):
-                for i, d in enumerate(diag):
-                    part = self.comps[base + i * stride:base + (i + 1) * stride]
-                    if d.value == 1:
-                        out += part
-                    elif d.value == -1:
-                        out += [-c for c in part]
-                    else:
-                        out += [d * c for c in part]
-            return Tensor(n, self.variance, self.params, out)
+            for base in range(0, len(values), stride * n):
+                for i, row in enumerate(matrix):
+                    d, part = row[i], values[base + i * stride:base + (i + 1) * stride]
+                    out += part if d.value == 1 else [-x for x in part] \
+                        if d.value == -1 else [d * x for x in part]
+            return self._like(out)
         # the slot moves to last place: slot j of the move is slot order[j]
         order = [k for k in range(self.rank) if k != slot] + [slot]
-        to_last = [order.index(k) for k in range(self.rank)]
-        last = self.transpose(to_last) if stride > 1 else self
-        if self.variance[slot] == "u":
-            matrix = mat_transpose(matrix)
-        prod = mat_mul(_rows(last, n), matrix)
-        out = Tensor(n, last.variance, self.params, [x for row in prod for x in row])
+        last = self.transpose([order.index(k) for k in range(self.rank)]) \
+            if stride > 1 else self
+        values, matrix, den = last._with_matrix(
+            mat_transpose(matrix) if self.variance[slot] == "u" else matrix)
+        out = last._like(_product(_rows(values, n), matrix, den), den)
         return out.transpose(order) if stride > 1 else out
+
+    def _with_matrix(self, matrix: list):
+        """(values, matrix, den): the int numerators and the cleared matrix,
+        with den the product of their denominators, when both are int; else
+        the Scalars, the matrix and None."""
+        ints = self.ints
+        cleared = _cleared(matrix, self.params) if ints else None
+        if cleared is None:
+            return self.comps, matrix, None
+        return ints[0], cleared[0], ints[1] * cleared[1]
 
     def lower_slot(self, slot: int, metric: list) -> "Tensor":
         if self.variance[slot] != "u":
             raise ValueError("slot is already covariant")
         t = self.map_slot(metric, slot)
         var = self.variance[:slot] + "d" + self.variance[slot + 1:]
-        return Tensor(self.dim, var, self.params, t.comps)
+        return Tensor._new(self.dim, var, self.params, *t._values())
 
     def raise_slot(self, slot: int, metric_inv: list) -> "Tensor":
         if self.variance[slot] != "d":
@@ -184,7 +266,7 @@ class Tensor:
         # is symmetric (validate enforces a symmetric metric), so that is g^ia
         t = self.map_slot(metric_inv, slot)
         var = self.variance[:slot] + "u" + self.variance[slot + 1:]
-        return Tensor(self.dim, var, self.params, t.comps)
+        return Tensor._new(self.dim, var, self.params, *t._values())
 
 
 def coefficient_tensor(nested: list) -> Tensor:
@@ -194,9 +276,16 @@ def coefficient_tensor(nested: list) -> Tensor:
     return Tensor(len(nested), "ddu", comps[0].params, comps)
 
 
-def _rows(t: Tensor, width: int) -> list:
-    """The components of t as a matrix with rows of the given width."""
-    return [t.comps[k:k + width] for k in range(0, len(t.comps), width)]
+def _rows(values: list, width: int) -> list:
+    """A flat list as a matrix with rows of the given width."""
+    return [values[k:k + width] for k in range(0, len(values), width)]
+
+
+def _product(a: list, b: list, den) -> list:
+    """The flat entries of the matrix product a.b: on ints when den is not
+    None, else on Scalars through ``mat_mul``."""
+    rows = _int_mul(a, b) if den is not None else mat_mul(a, b)
+    return [x for row in rows for x in row]
 
 
 def compose(a: Tensor, b: Tensor) -> Tensor:
@@ -207,10 +296,16 @@ def compose(a: Tensor, b: Tensor) -> Tensor:
     if a.variance[-1:] != "u" or b.variance[:1] != "d":
         raise ValueError("compose needs a vector slot last in a and a covector "
                          "slot first in b")
+    ai = a.ints
+    bi = ai and b.ints
+    if bi:
+        (av, ad), (bv, bd) = ai, bi
+        den = ad * bd
+    else:
+        av, bv, den = a.comps, b.comps, None
     n = a.dim
-    prod = mat_mul(_rows(a, n), _rows(b, len(b.comps) // n))
-    return Tensor(n, a.variance[:-1] + b.variance[1:], a.params,
-                  [x for row in prod for x in row])
+    return Tensor._new(n, a.variance[:-1] + b.variance[1:], a.params,
+                       _product(_rows(av, n), _rows(bv, len(bv) // n), den), den)
 
 
 # ---------------------------------------------------------------------------
@@ -232,12 +327,16 @@ def tensor_contract(t: Tensor, slot_a: int, slot_b: int, metric=None) -> Tensor:
     # slots a, b move to the front: row p * n + q holds t at a = p, b = q
     order = [a, b] + keep
     n = t.dim
-    rows = _rows(t.transpose([order.index(k) for k in range(r)]), n ** (r - 2))
+    moved = t.transpose([order.index(k) for k in range(r)])
     if metric is None:
-        comps = [sum(col, Scalar.zero(t.params)) for col in zip(*rows[::n + 1])]
+        values, den = moved._values()
+        start = 0 if den is not None else Scalar.zero(t.params)
+        comps = [sum(col, start) for col in zip(*_rows(values, n ** (r - 2))[::n + 1])]
     else:
-        comps = mat_mul([[m for row in metric for m in row]], rows)[0]
-    return Tensor(n, "".join(t.variance[k] for k in keep), t.params, comps)
+        values, metric, den = moved._with_matrix(metric)
+        comps = _product([[m for row in metric for m in row]],
+                         _rows(values, n ** (r - 2)), den)
+    return Tensor._new(n, "".join(t.variance[k] for k in keep), t.params, comps, den)
 
 
 def cyclic_sum(t: Tensor, slots) -> Tensor:
@@ -335,7 +434,8 @@ def mat_transpose(m: list) -> list:
 
 def _cleared(m: list, params: tuple):
     """(rows of ints, d) with m = rows / d and d the positive lcm of the entry
-    denominators, or None when an entry is not a constant of the context."""
+    denominators, or None when an entry is not a constant of the context.
+    For a flat list of reduced entries gcd(d, *ints) = 1."""
     den = 1
     for row in m:
         for x in row:
@@ -348,33 +448,47 @@ def _cleared(m: list, params: tuple):
             for row in m], den
 
 
-def mat_mul(a: list, b: list) -> list:
-    """Matrix product, the one dense multiply-accumulate of the package.
+def _scalars(nums: list, den: int, params: tuple) -> list:
+    """The Scalars nums[k] / den of the context, sharing one zero and one
+    unit denominator."""
+    zero = Scalar.zero(params)
+    unit = zero.den
+    return [Scalar._of_value(params, Fraction(x, den) if den > 1 else x, unit)
+            if x else zero for x in nums]
 
-    Row i of the product adds up the rows of b scaled by the nonzero entries
-    of row i of a, in ascending column order; a zero entry of b makes no
-    term.  The width of the product is that of b's first row.  When every
-    entry of both is a constant of one context, the rows run on ints over
-    one common denominator and each entry of the product is made once;
-    otherwise they run on Scalars."""
+
+def _int_mul(a: list, b: list) -> list:
+    """The one int multiply-accumulate: row i of the product adds up the rows
+    of b scaled by the nonzero entries of row i of a, in ascending column
+    order; a zero entry of b makes no term."""
+    width = len(b[0]) if b else 0
+    terms = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    out = []
+    for row in a:
+        acc = [0] * width
+        for x, b_row in zip(row, terms):
+            if x:
+                for j, y in b_row:
+                    acc[j] += x * y
+        out.append(acc)
+    return out
+
+
+def mat_mul(a: list, b: list) -> list:
+    """Matrix product of Scalar matrices.
+
+    When every entry of both is a constant of one context, they are cleared
+    to ints over one common denominator, multiplied by ``_int_mul`` and each
+    entry of the product is made once; otherwise row i of the product adds
+    up the rows of b scaled by the nonzero entries of row i of a, on
+    Scalars.  The width of the product is that of b's first row."""
     width = len(b[0]) if b else 0
     zero = Scalar.zero(a[0][0].params) if a and a[0] else None
     cleared_a = _cleared(a, zero.params) if zero is not None else None
     cleared_b = _cleared(b, zero.params) if cleared_a is not None else None
     if cleared_b is not None:
         (a_int, da), (b_int, db) = cleared_a, cleared_b
-        params, unit, den = zero.params, a[0][0].den, da * db
-        terms = [[(j, y) for j, y in enumerate(row) if y] for row in b_int]
-        out = []
-        for row in a_int:
-            acc = [0] * width
-            for x, b_row in zip(row, terms):
-                if x:
-                    for j, y in b_row:
-                        acc[j] += x * y
-            out.append([Scalar._of_value(params, Fraction(s, den) if den > 1 else s, unit)
-                        if s else zero for s in acc])
-        return out
+        return [_scalars(row, da * db, zero.params) for row in _int_mul(a_int, b_int)]
     terms = [[(j, y) for j, y in enumerate(row) if not y.is_zero] for row in b]
     out = []
     for row in a:

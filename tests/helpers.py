@@ -251,7 +251,85 @@ def compose_oracle(a: Tensor, b: Tensor) -> Tensor:
     return Tensor(n, a.variance[:-1] + b.variance[1:], a.params, comps)
 
 
-_PERMS3 = [((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
+def elementwise_oracle(fn, *tensors) -> Tensor:
+    """Index loop: the component at idx is fn of the operands' components
+    there, in Scalar arithmetic."""
+    t = tensors[0]
+    return build_tensor(t.dim, t.variance, t.params,
+                        lambda idx: fn(*(s[idx] for s in tensors)))
+
+
+def transpose_oracle(t: Tensor, perm) -> Tensor:
+    """Index loop: N(idx) = t(idx[perm[0]], ..); input slot k becomes output
+    slot perm[k]."""
+    variance = [""] * t.rank
+    for k, p in enumerate(perm):
+        variance[p] = t.variance[k]
+    return build_tensor(t.dim, "".join(variance), t.params,
+                        lambda idx: t[tuple(idx[p] for p in perm)])
+
+
+def slot_change_oracle(t: Tensor, matrix: list, slot: int) -> Tensor:
+    """lower_slot / raise_slot by index loop: map_slot_oracle with the slot's
+    variance flipped."""
+    out = map_slot_oracle(t, matrix, slot)
+    flipped = "d" if t.variance[slot] == "u" else "u"
+    return Tensor(t.dim, t.variance[:slot] + flipped + t.variance[slot + 1:],
+                  t.params, out.comps)
+
+
+def contract_oracle(t: Tensor, slot_a: int, slot_b: int, metric=None) -> Tensor:
+    """Index loop: at each index of the kept slots, the sum over p, q of
+    metric[p][q] t(.., p at slot_a, .., q at slot_b, ..), or over p = q when
+    no metric is given."""
+    n, keep = t.dim, [k for k in range(t.rank) if k not in (slot_a, slot_b)]
+
+    def entry(rest):
+        acc = Scalar.zero(t.params)
+        for p, q in itertools.product(range(n), repeat=2):
+            if metric is None and p != q:
+                continue
+            idx = [0] * t.rank
+            for k, v in zip(keep, rest):
+                idx[k] = v
+            idx[slot_a], idx[slot_b] = p, q
+            term = t[tuple(idx)]
+            acc = acc + (term if metric is None else metric[p][q] * term)
+        return acc
+
+    return build_tensor(n, "".join(t.variance[k] for k in keep), t.params, entry)
+
+
+def arranged_oracle(t: Tensor, pattern: str, p: list) -> Tensor:
+    """Index loop for a covariant t: S(x, y, ..) = t(pattern), where an
+    argument Pv is sum over a of P[a][v] e_a."""
+    specs = [s.strip() for s in pattern.split(",")]
+    one = Scalar.one(t.params)
+
+    def entry(idx):
+        choices = []
+        for spec in specs:
+            v = idx["xyzw".index(spec[-1])]
+            choices.append([(p[a][v], a) for a in range(t.dim)]
+                           if spec.startswith("P") else [(one, v)])
+        acc = Scalar.zero(t.params)
+        for combo in itertools.product(*choices):
+            weight = one
+            for factor, _ in combo:
+                weight = weight * factor
+            acc = acc + weight * t[tuple(a for _, a in combo)]
+        return acc
+
+    return build_tensor(t.dim, t.variance, t.params, entry)
+
+
+def substitute_oracle(t: Tensor, values) -> Tensor:
+    """Index loop: each component evaluated, in the empty context."""
+    return build_tensor(t.dim, t.variance, (),
+                        lambda idx: Scalar.constant((), t[idx].substitute(values)))
+
+
+_PERMS3 =[((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
            ((1, 0, 2), -1), ((0, 2, 1), -1), ((2, 1, 0), -1)]
 
 

@@ -2,6 +2,7 @@
 
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -47,6 +48,38 @@ def test_jacobi_violation_witnessed():
     # oracle: direct triple-loop evaluation flags the same violation
     assert jacobi_oracle(bad)
     assert not jacobi_oracle(fa)
+
+
+def _broken_half_integral_family(params: tuple) -> FrameAlgebra:
+    """The family at a half-integral lambda with [X3,X4] given the third
+    component 1/2, which breaks Jacobi; every entry a constant of params."""
+    fa = build_example((Fraction(1, 2), Fraction(3, 2), 1, Fraction(5, 2)))
+
+    def lift(v):
+        return Scalar.constant(params, v)
+
+    c = [[[lift(s.value) for s in cell] for cell in row] for row in fa.c]
+    c[2][3][2], c[3][2][2] = lift(Fraction(1, 2)), lift(Fraction(-1, 2))
+    return FrameAlgebra(4, params, c, [[lift(s.value) for s in row] for row in fa.g],
+                        [[lift(s.value) for s in row] for row in fa.p])
+
+
+def _jacobi_witnesses(fa: FrameAlgebra) -> list:
+    return [(w.index, str(w.expected), str(w.actual))
+            for w in validate(fa).witnesses if w.label == "jacobi"]
+
+
+def test_jacobi_on_cleared_ints_matches_the_scalar_loop(monkeypatch):
+    on_ints = _jacobi_witnesses(_broken_half_integral_family(()))
+    assert on_ints and any("/" in actual for _, _, actual in on_ints)
+    lifted = _broken_half_integral_family(("t",))
+    # constant entries take the int loop in any context
+    assert coefficient_tensor(lifted.c).ints is not None
+    assert _jacobi_witnesses(lifted) == on_ints
+    # with the int form hidden, the lifted frame takes the Scalar loop
+    monkeypatch.setattr(Tensor, "ints", property(lambda self: None))
+    on_scalars = _jacobi_witnesses(_broken_half_integral_family(("t",)))
+    assert on_scalars == on_ints
 
 
 def test_structural_axiom_witnesses():

@@ -1,7 +1,9 @@
 """Tensor algebra: contraction, cyclic sums, alternation, matrices."""
 
 import itertools
+import operator
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,8 +12,10 @@ from rptgeo import (Scalar, Tensor, alternate, arranged, compose, cyclic_sum,
                     mat_det, mat_identity, mat_inv, mat_mul, parse_expression,
                     tensor_contract)
 
-from helpers import (build_tensor, compose_oracle, cyclic_sum_oracle,
-                     map_slot_oracle, mat_mul_oracle)
+from helpers import (arranged_oracle, build_tensor, compose_oracle, contract_oracle,
+                     cyclic_sum_oracle, elementwise_oracle, map_slot_oracle,
+                     mat_mul_oracle, slot_change_oracle, substitute_oracle,
+                     transpose_oracle)
 
 PARAMS = ("l1", "l2", "l3", "l4")
 DIM = 4
@@ -339,3 +343,157 @@ def test_raise_lower_roundtrip():
     t = tensor_from_ints("ddd", [(i * j + k) % 5 for i in range(DIM)
                                  for j in range(DIM) for k in range(DIM)])
     assert t.raise_slot(1, ginv).lower_slot(1, g) == t
+
+
+# ---------------------------------------------------------------------------
+# the int form: constant tensors on int numerators over one denominator
+
+N3 = 3
+fractions_ = st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 2, 3, 4, 6, 10]))
+
+
+def _constant_tensor(data, variance, params=PARAMS):
+    values = data.draw(st.lists(fractions_, min_size=N3 ** len(variance),
+                                max_size=N3 ** len(variance)))
+    return Tensor(N3, variance, params, [Scalar.constant(params, v) for v in values])
+
+
+def _constant_square(data, diagonal=False, symmetric=False):
+    m = [[data.draw(fractions_) if i == j or not diagonal else 0 for j in range(N3)]
+         for i in range(N3)]
+    if symmetric:
+        m = [[m[min(i, j)][max(i, j)] for j in range(N3)] for i in range(N3)]
+    return [[C(x) for x in row] for row in m]
+
+
+def _scalar_built(t):
+    """t's values in a tensor that an op built on Scalars."""
+    p = _mixed_tensor(t.dim, t.variance)
+    out = (t + p) - p
+    assert out.ints is None
+    return out
+
+
+def _assert_int_form(t):
+    """t holds the int form, canonical: den > 0 and gcd(den, *nums) = 1."""
+    assert t.ints is not None
+    nums, den = t.ints
+    assert den > 0 and gcd(den, *nums) == 1
+    assert len(nums) == t.dim ** t.rank
+
+
+def _assert_matches(got, expected):
+    assert (got.dim, got.variance, got.params) == \
+        (expected.dim, expected.variance, expected.params)
+    assert got.comps == expected.comps
+    assert got == expected
+
+
+variances = st.sampled_from(["d", "u", "dd", "ud", "du", "ddu", "udd", "dud"])
+factors = st.one_of(st.integers(-4, 4), fractions_)
+
+
+@settings(max_examples=40, deadline=None)
+@given(variance=variances, factor=factors, data=st.data())
+def test_int_form_elementwise_ops_match_the_scalar_oracle(variance, factor, data):
+    a, b = _constant_tensor(data, variance), _constant_tensor(data, variance)
+    cases = [(a + b, elementwise_oracle(operator.add, a, b)),
+             (a - b, elementwise_oracle(operator.sub, a, b)),
+             (a - a, elementwise_oracle(operator.sub, a, a)),
+             (-a, elementwise_oracle(operator.neg, a)),
+             (a.scale(factor), elementwise_oracle(lambda x: x * factor, a)),
+             (a.scale(C(factor)), elementwise_oracle(lambda x: x * factor, a))]
+    for got, expected in cases:
+        _assert_int_form(got)
+        _assert_matches(got, expected)
+        assert got.is_zero == all(x.is_zero for x in expected.comps)
+    assert (a - a).is_zero
+
+
+@settings(max_examples=40, deadline=None)
+@given(variance=variances, data=st.data())
+def test_int_form_slot_ops_match_the_scalar_oracle(variance, data):
+    a = _constant_tensor(data, variance)
+    perm = data.draw(st.permutations(range(len(variance))))
+    dense, diagonal = _constant_square(data), _constant_square(data, diagonal=True)
+    slot = data.draw(st.integers(0, len(variance) - 1))
+    metric = _constant_square(data, symmetric=True)
+    change = a.lower_slot if variance[slot] == "u" else a.raise_slot
+    cases = [(a.transpose(perm), transpose_oracle(a, perm)),
+             (a.map_slot(dense, slot), map_slot_oracle(a, dense, slot)),
+             (a.map_slot(diagonal, slot), map_slot_oracle(a, diagonal, slot)),
+             (change(slot, metric), slot_change_oracle(a, metric, slot))]
+    for got, expected in cases:
+        _assert_int_form(got)
+        _assert_matches(got, expected)
+
+
+@settings(max_examples=30, deadline=None)
+@given(left=st.sampled_from(["u", "du", "ddu"]), right=st.sampled_from(["d", "dd", "dud"]),
+       data=st.data())
+def test_int_form_compose_and_contractions_match_the_scalar_oracle(left, right, data):
+    a, b = _constant_tensor(data, left), _constant_tensor(data, right)
+    t = _constant_tensor(data, "ddud")
+    metric = _constant_square(data, symmetric=True)
+    cases = [(compose(a, b), compose_oracle(a, b)),
+             (tensor_contract(t, 0, 3, metric), contract_oracle(t, 0, 3, metric)),
+             (tensor_contract(t, 1, 0, metric), contract_oracle(t, 1, 0, metric)),
+             (tensor_contract(t, 2, 1), contract_oracle(t, 2, 1)),
+             (tensor_contract(t, 3, 2), contract_oracle(t, 3, 2))]
+    for got, expected in cases:
+        _assert_int_form(got)
+        _assert_matches(got, expected)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_int_form_cyclic_sum_arranged_and_substitute_match_the_scalar_oracle(data):
+    t = _constant_tensor(data, "ddd")
+    p = _constant_square(data)
+    values = {"l1": 2, "l2": Fraction(-1, 3), "l3": 0, "l4": 5}
+    cases = [(cyclic_sum(t, (0, 1, 2)), cyclic_sum_oracle(t, (0, 1, 2))),
+             (arranged(t, "Pz,x,Py", p), arranged_oracle(t, "Pz,x,Py", p)),
+             (arranged(t, "y,Px,z", p), arranged_oracle(t, "y,Px,z", p)),
+             (t.substitute(values), substitute_oracle(t, values))]
+    for got, expected in cases:
+        _assert_int_form(got)
+        _assert_matches(got, expected)
+
+
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(["parametric", "scalar-built"]), factor=factors,
+       data=st.data())
+def test_ops_mixing_the_int_form_with_scalar_tensors_match_the_oracle(kind, factor, data):
+    a = _constant_tensor(data, "dud")
+    b = _mixed_tensor(N3, "dud") if kind == "parametric" else \
+        _scalar_built(_constant_tensor(data, "dud"))
+    slot = data.draw(st.integers(0, 2))
+    matrix = _constant_square(data)
+    param_matrix = [[A if i == j == 1 else x for j, x in enumerate(row)]
+                    for i, row in enumerate(matrix)]
+    cases = [(a + b, elementwise_oracle(operator.add, a, b)),
+             (b - a, elementwise_oracle(operator.sub, b, a)),
+             (b.scale(factor), elementwise_oracle(lambda x: x * factor, b)),
+             (a.scale(A), elementwise_oracle(lambda x: x * A, a)),
+             (compose(b.transpose((0, 2, 1)), a), compose_oracle(b.transpose((0, 2, 1)), a)),
+             (a.map_slot(param_matrix, slot), map_slot_oracle(a, param_matrix, slot)),
+             (b.map_slot(matrix, slot), map_slot_oracle(b, matrix, slot)),
+             (tensor_contract(b, 0, 1), contract_oracle(b, 0, 1))]
+    for got, expected in cases:
+        assert got.ints is None  # built on Scalars, never scanned
+        _assert_matches(got, expected)
+
+
+@settings(max_examples=30, deadline=None)
+@given(variance=variances, data=st.data())
+def test_int_form_equals_a_scalar_built_tensor_of_the_same_values(variance, data):
+    a = _constant_tensor(data, variance)
+    twin = _scalar_built(a)
+    _assert_int_form(a)
+    assert a == twin and twin == a
+    assert a.comps == twin.comps
+    assert a.is_zero == twin.is_zero
+    assert a.scale(0) == _scalar_built(a.scale(0)) and a.scale(0).is_zero
+    other = a + Tensor.zeros(N3, variance, PARAMS).map_slot(
+        _constant_square(data, diagonal=True), 0)
+    assert other == a
