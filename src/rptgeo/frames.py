@@ -1,7 +1,8 @@
 """Frame algebras: a Lie algebra with left-invariant metric and product structure.
 
 The FrameAlgebra is the single source of geometric truth; everything else is
-derived from its structure constants, metric matrix and product matrix.
+derived from its brackets, metric matrix and product matrix.  ``brackets``,
+a ``ddu`` Tensor, is its one form of c; the nested ``c`` is a boundary view.
 File format and all reported indices are 1-based; the Python API is 0-based.
 """
 
@@ -16,9 +17,9 @@ from functools import wraps
 
 from .parser import ParseError, parse_expression
 from .scalars import Scalar
-from .tensors import (Tensor, arranged, coefficient_tensor, leading_minors,
-                      mat_det, mat_identity, mat_inv, mat_mul,
-                      mat_transpose, row_reduce)
+from .tensors import (Tensor, _rows, arranged, coefficient_tensor, leading_minors,
+                      mat_det, mat_identity, mat_inv, mat_mul, mat_transpose,
+                      row_reduce)
 
 
 class SchemaError(ValueError):
@@ -116,11 +117,13 @@ def memo(fn):
 
 
 class FrameAlgebra:
-    """Structure constants c^k_ij, metric g and product structure P.
+    """Brackets c^k_ij, metric g and product structure P.
 
-    Frames, and the connections and connection packs built on them, are
-    never mutated after construction.  Derived geometry relies on that: it
-    is cached on its owner for the owner's lifetime through ``memo``."""
+    c is given nested, c[i][j][k] = c^k_ij, and kept in one form, the
+    Tensor ``brackets`` with c^k_ij at (i, j, k).  Frames, and the
+    connections and connection packs built on them, are never mutated after
+    construction.  Derived geometry relies on that: it is cached on its
+    owner for the owner's lifetime through ``memo``."""
 
     def __init__(self, dim: int, params: tuple, c, g, p):
         if not isinstance(dim, int) or dim <= 0 or dim % 2:
@@ -133,9 +136,16 @@ class FrameAlgebra:
                 raise ValueError("%s must be a dim x dim matrix" % name)
         self.dim = dim
         self.params = tuple(params)
-        self.c = c
+        self.brackets = coefficient_tensor(c)
         self.g = g
         self.p = p
+
+    @property
+    @memo
+    def c(self) -> list:
+        """c[i][j][k] = c^k_ij: a read-only view of ``brackets`` at the
+        boundary, built once, for code that reads frames as nested lists."""
+        return _rows(_rows(self.brackets.comps, self.dim), self.dim)
 
     @property
     @memo
@@ -157,7 +167,8 @@ class FrameAlgebra:
         if not isinstance(other, FrameAlgebra):
             return NotImplemented
         return (self.dim == other.dim and self.params == other.params
-                and self.c == other.c and self.g == other.g and self.p == other.p)
+                and self.brackets == other.brackets and self.g == other.g
+                and self.p == other.p)
 
     @property
     def user(self) -> "FrameAlgebra":
@@ -181,12 +192,14 @@ class FrameAlgebra:
 
 
 class RebasedFrame(FrameAlgebra):
-    """A user frame rewritten in another basis by ``change_basis``; it keeps
-    the frame it came from, the matrix s whose columns are the new basis
-    vectors in the old basis, and s_inv."""
+    """A user frame rewritten in another basis by ``change_basis``, from its
+    brackets Tensor there; it keeps the frame it came from, the matrix s
+    whose columns are the new basis vectors in the old basis, and s_inv."""
 
-    def __init__(self, source: FrameAlgebra, s: list, s_inv: list, c, g, p):
-        super().__init__(source.dim, source.params, c, g, p)
+    def __init__(self, source: FrameAlgebra, s: list, s_inv: list,
+                 brackets: Tensor, g, p):
+        self.dim, self.params = source.dim, source.params
+        self.brackets, self.g, self.p = brackets, g, p
         self.source = source
         self.s = s
         self.s_inv = s_inv
@@ -210,13 +223,11 @@ def change_basis(fa: FrameAlgebra, s: list) -> RebasedFrame:
     transform as a tensor, c' = c(s., s.) read through s^-1, and so do the
     connection coefficients built on the result: every tensor on it pulls
     back exactly through ``to_user``."""
-    n = fa.dim
     s_inv = mat_inv(s)
-    c = coefficient_tensor(fa.c).map_slot(s, 0).map_slot(s, 1).map_slot(s_inv, 2).comps
-    c = [[c[(i * n + j) * n:(i * n + j + 1) * n] for j in range(n)] for i in range(n)]
+    brackets = fa.brackets.map_slot(s, 0).map_slot(s, 1).map_slot(s_inv, 2)
     g = mat_mul(mat_transpose(s), mat_mul(fa.g, s))
     p = mat_mul(s_inv, mat_mul(fa.p, s))
-    return RebasedFrame(fa, s, s_inv, c, g, p)
+    return RebasedFrame(fa, s, s_inv, brackets, g, p)
 
 
 def _eigenbasis(fa: FrameAlgebra) -> list:
@@ -278,46 +289,34 @@ def adapted_frame(fa: FrameAlgebra) -> RebasedFrame:
 # validation
 
 
-def _mismatches(actual: list, expected: list, label: str,
-                keep=lambda i, j: True) -> list:
-    """A witness at each kept (i, j) where two matrices differ."""
-    return [Witness((i + 1, j + 1), expected[i][j], x, label)
-            for i, row in enumerate(actual) for j, x in enumerate(row)
-            if keep(i, j) and x != expected[i][j]]
-
-
 @memo
 def validate(fa: FrameAlgebra) -> CheckResult:
-    """Check every structural axiom; failures are witnessed, not raised.
-    The report is kept on the frame, so a command validates once."""
+    """Check every structural axiom of a user frame, in its basis; failures
+    are witnessed, not raised.  The report is kept on the frame, so a
+    command validates once."""
     n = fa.dim
     zero = Scalar.zero(fa.params)
-    c = coefficient_tensor(fa.c)
+    c = fa.brackets
     witnesses = [w for w in tensor_witnesses(fa, c + c.transpose((1, 0, 2)),
                                              "bracket-antisymmetry")
                  if w.index[0] <= w.index[1]]
 
-    # Jacobi, on the cleared ints of a constant c, else on Scalars
-    ints = c.ints
-    if ints:
-        nums, den = ints
-        cc = [[nums[(i * n + j) * n:(i * n + j + 1) * n] for j in range(n)] for i in range(n)]
-        start = 0
-    else:
-        cc, start = fa.c, zero
+    # Jacobi, on the int numerators of a constant c, else on Scalars
+    values, den = c._values()
+    cc = _rows(_rows(values, n), n)
     for i, j, m in itertools.combinations(range(n), 3):
         for r in range(n):
-            acc = start
+            acc = 0
             for s in range(n):
                 acc = acc + cc[i][j][s] * cc[s][m][r] + cc[j][m][s] * cc[s][i][r] \
                     + cc[m][i][s] * cc[s][j][r]
-            if acc != 0:
-                witnesses.append(Witness((i + 1, j + 1, m + 1, r + 1), zero,
-                                         Scalar.constant(fa.params, Fraction(acc, den * den))
-                                         if ints else acc, "jacobi"))
+            if acc:
+                actual = acc if den is None else Scalar.constant(fa.params, Fraction(acc, den * den))
+                witnesses.append(Witness((i + 1, j + 1, m + 1, r + 1), zero, actual, "jacobi"))
 
-    witnesses += _mismatches(fa.g, mat_transpose(fa.g), "metric-symmetry",
-                             lambda i, j: i < j)
+    g, p = coefficient_tensor(fa.g, "dd"), coefficient_tensor(fa.p, "dd")
+    witnesses += [w for w in tensor_witnesses(fa, g, "metric-symmetry", g.transpose((1, 0)))
+                  if w.index[0] < w.index[1]]
 
     det = fa.metric_det
     if det.is_zero:
@@ -335,10 +334,10 @@ def validate(fa: FrameAlgebra) -> CheckResult:
                 witnesses.append(Witness((k,), Scalar.one(()), d,
                                          "metric-positive-definite"))
 
-    witnesses += _mismatches(mat_mul(fa.p, fa.p), mat_identity(n, fa.params),
-                             "product-square-identity")
-    witnesses += _mismatches(mat_mul(mat_transpose(fa.p), mat_mul(fa.g, fa.p)), fa.g,
-                             "metric-product-compatibility")
+    witnesses += tensor_witnesses(fa, p.map_slot(fa.p, 1), "product-square-identity",
+                                  coefficient_tensor(mat_identity(n, fa.params), "dd"))
+    witnesses += tensor_witnesses(fa, g.map_slot(fa.p, 0).map_slot(fa.p, 1),
+                                  "metric-product-compatibility", g)
 
     trace = sum((fa.p[i][i] for i in range(n)), zero)
     if not trace.is_zero:
@@ -355,7 +354,7 @@ def associated_metric(fa: FrameAlgebra) -> list:
 def killing_check(fa: FrameAlgebra) -> CheckResult:
     """Whether the associated metric is a Killing metric on the algebra."""
     # lower_slot pairs c^s_ij with matrix[k][s]; the pairing wanted is (gP)[s][k]
-    low = coefficient_tensor(fa.c).lower_slot(2, mat_transpose(associated_metric(fa)))
+    low = fa.brackets.lower_slot(2, mat_transpose(associated_metric(fa)))
     return check_result("killing-metric", fa,
                         [(low + arranged(low, "x,z,y"), "killing-metric")])
 

@@ -15,8 +15,8 @@ from fractions import Fraction
 
 from .frames import FrameAlgebra, memo, tensor_witnesses
 from .scalars import Scalar
-from .tensors import (Tensor, arranged, coefficient_tensor, compose, cyclic_sum,
-                      mat_mul, tensor_contract)
+from .tensors import (Tensor, arranged, compose, cyclic_sum, mat_mul,
+                      tensor_contract)
 
 CLASS_PARALLEL = "W0"
 CLASS_SKEW = "W3-strict"
@@ -31,7 +31,7 @@ class Connection:
     def torsion_tensor(self) -> Tensor:
         """Lowered torsion of the connection (antisymmetric in the first pair)."""
         a = self.coeffs
-        t = a - arranged(a, "y,x,z") - coefficient_tensor(self.frame.c)
+        t = a - arranged(a, "y,x,z") - self.frame.brackets
         return t.lower_slot(2, self.frame.g)
 
     def metric_witnesses(self, label: str) -> list:
@@ -53,7 +53,7 @@ class ClassLabel:
 def levi_civita(fa: FrameAlgebra) -> Connection:
     """Koszul construction; exact, torsion-free and metric by construction."""
     # g([e_i, e_j], e_k), then the Koszul sum at (i, j, k)
-    pair = coefficient_tensor(fa.c).lower_slot(2, fa.g)
+    pair = fa.brackets.lower_slot(2, fa.g)
     kos = pair + arranged(pair, "z,x,y") + arranged(pair, "z,y,x")
     return Connection(fa, kos.raise_slot(2, fa.metric_inv).scale(Fraction(1, 2)))
 
@@ -99,7 +99,7 @@ def curvature(conn: Connection):
     # sum_s A^s_jk L(i,s,l) lands at (j,k,i,l) and moves to (i,j,k,l)
     first = compose(conn.coeffs, low.transpose((1, 0, 2))).transpose((1, 2, 0, 3))
     riemann = first - first.transpose((1, 0, 2, 3)) \
-        - compose(coefficient_tensor(fa.c), low)
+        - compose(fa.brackets, low)
     ricci = tensor_contract(riemann, 0, 3, fa.metric_inv)
     tau = tensor_contract(ricci, 0, 1, fa.metric_inv)[()]
     return riemann, ricci, tau

@@ -8,12 +8,13 @@ representation and equality is literal.
 
 Three fields are set once, when a Scalar is built: ``cden`` (the denominator
 is constant), ``is_zero`` (the numerator is empty) and ``value`` (the int or
-Fraction when the Scalar is constant, else None).  A constant denominator is
-always the unit ``{(0, ..., 0): 1}``.  Constant operands are added,
-multiplied and divided on ``value`` directly, and the result shares the
-operand's unit denominator dict; a zero operand skips the arithmetic.  Sums
-over equal denominators add numerators only, and a quotient is first tried
-as an exact polynomial division: gcd runs only on a true fraction.
+Fraction when the Scalar is constant, else None).  Like an int, a Scalar is
+false exactly when it is zero.  A constant denominator is always the unit
+``{(0, ..., 0): 1}``.  Constant operands are added, multiplied and divided on
+``value`` directly, and the result shares the operand's unit denominator
+dict; a zero operand skips the arithmetic.  Sums over equal denominators add
+numerators only, and a quotient is first tried as an exact polynomial
+division: gcd runs only on a true fraction.
 """
 
 from __future__ import annotations
@@ -295,6 +296,9 @@ class Scalar:
         return cls(params, _dict_scale(num, inv), _dict_scale(den, inv))
 
     # predicates -----------------------------------------------------------
+
+    def __bool__(self) -> bool:
+        return not self.is_zero
 
     @property
     def is_constant(self) -> bool:

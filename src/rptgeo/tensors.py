@@ -13,16 +13,18 @@ to the constructor is scanned for the int form once, on first use; one that
 an op built on Scalars is never scanned.
 
 Every op reads the int form when each of its operands (tensors and
-matrices) has it, and Scalars otherwise.  ``_int_mul`` is the one int
-multiply-accumulate: ``mat_mul`` clears constant Scalar matrices onto it,
-and the tensor products (``compose``, ``tensor_contract`` with a metric,
-``map_slot`` with a dense matrix) run on it directly.  ``transpose`` reads
-its output through a table of input offsets.  ``map_slot`` with a diagonal
-matrix, such as P = diag(I, -I) in a P-eigenbasis, scales each slice of the
-slot by its entry (on Scalars 1 copies and -1 negates); any other matrix is
-one product on rows of components.  ``compose`` builds the torsion inner
-products, and covariant derivatives and curvature from connection
-coefficients.
+matrices) has it, and Scalars otherwise.  Every product is one
+multiply-accumulate, ``_mul``: the same loop on ints, starting from 0, or on
+Scalars, starting from the zero of their context, where a zero entry makes
+no term.  The tensor products (``compose``, ``tensor_contract`` with a
+metric, ``map_slot`` with a dense matrix) call it on the form their operands
+share; ``mat_mul`` calls it on the ints of two constant matrices cleared to
+one denominator, else on their Scalars.  ``transpose`` reads its output
+through a table of input offsets.  ``map_slot`` with a diagonal matrix, such
+as P = diag(I, -I) in a P-eigenbasis, scales each slice of the slot by its
+entry (on Scalars 1 copies and -1 negates); any other matrix is one product
+on rows of components.  ``compose`` builds the torsion inner products, and
+covariant derivatives and curvature from connection coefficients.
 """
 
 from __future__ import annotations
@@ -152,10 +154,8 @@ class Tensor:
                           [x - y for x, y in zip(xs, ys)], den)
 
     def __neg__(self) -> "Tensor":
-        ints = self.ints
-        if ints:
-            return self._like([-x for x in ints[0]], ints[1])
-        return self._like([-a for a in self.comps])
+        values, den = self._values()
+        return self._like([-x for x in values], den)
 
     def scale(self, factor) -> "Tensor":
         """The tensor times an int, a Fraction or a Scalar of its context."""
@@ -178,8 +178,7 @@ class Tensor:
 
     @property
     def is_zero(self) -> bool:
-        ints = self.ints
-        return not any(ints[0]) if ints else all(c.is_zero for c in self.comps)
+        return not any(self._values()[0])
 
     def substitute(self, values) -> "Tensor":
         """Evaluate every component; result lives in an empty parameter context."""
@@ -239,7 +238,7 @@ class Tensor:
             if stride > 1 else self
         values, matrix, den = last._with_matrix(
             mat_transpose(matrix) if self.variance[slot] == "u" else matrix)
-        out = last._like(_product(_rows(values, n), matrix, den), den)
+        out = last._like(_product(_rows(values, n), matrix, den, self.params), den)
         return out.transpose(order) if stride > 1 else out
 
     def _with_matrix(self, matrix: list):
@@ -269,11 +268,13 @@ class Tensor:
         return Tensor._new(self.dim, var, self.params, *t._values())
 
 
-def coefficient_tensor(nested: list) -> Tensor:
-    """Tensor holding nested[i][j][k] at (i, j, k), for a dim x dim x dim array
-    such as the structure constants c^k_ij."""
-    comps = [x for row in nested for cell in row for x in cell]
-    return Tensor(len(nested), "ddu", comps[0].params, comps)
+def coefficient_tensor(nested: list, variance: str = "ddu") -> Tensor:
+    """Tensor holding nested[i][j].. at (i, j, ..), for an array nested one
+    level per slot, such as the brackets c^k_ij or a matrix as ``dd``."""
+    comps = nested
+    for _ in variance[1:]:
+        comps = [x for row in comps for x in row]
+    return Tensor(len(nested), variance, comps[0].params, comps)
 
 
 def _rows(values: list, width: int) -> list:
@@ -281,10 +282,10 @@ def _rows(values: list, width: int) -> list:
     return [values[k:k + width] for k in range(0, len(values), width)]
 
 
-def _product(a: list, b: list, den) -> list:
+def _product(a: list, b: list, den, params: tuple) -> list:
     """The flat entries of the matrix product a.b: on ints when den is not
-    None, else on Scalars through ``mat_mul``."""
-    rows = _int_mul(a, b) if den is not None else mat_mul(a, b)
+    None, else on Scalars of the context."""
+    rows = _mul(a, b, 0 if den is not None else Scalar.zero(params))
     return [x for row in rows for x in row]
 
 
@@ -305,7 +306,7 @@ def compose(a: Tensor, b: Tensor) -> Tensor:
         av, bv, den = a.comps, b.comps, None
     n = a.dim
     return Tensor._new(n, a.variance[:-1] + b.variance[1:], a.params,
-                       _product(_rows(av, n), _rows(bv, len(bv) // n), den), den)
+                       _product(_rows(av, n), _rows(bv, len(bv) // n), den, a.params), den)
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +336,7 @@ def tensor_contract(t: Tensor, slot_a: int, slot_b: int, metric=None) -> Tensor:
     else:
         values, metric, den = moved._with_matrix(metric)
         comps = _product([[m for row in metric for m in row]],
-                         _rows(values, n ** (r - 2)), den)
+                         _rows(values, n ** (r - 2)), den, t.params)
     return Tensor._new(n, "".join(t.variance[k] for k in keep), t.params, comps, den)
 
 
@@ -457,15 +458,16 @@ def _scalars(nums: list, den: int, params: tuple) -> list:
             if x else zero for x in nums]
 
 
-def _int_mul(a: list, b: list) -> list:
-    """The one int multiply-accumulate: row i of the product adds up the rows
-    of b scaled by the nonzero entries of row i of a, in ascending column
-    order; a zero entry of b makes no term."""
+def _mul(a: list, b: list, zero) -> list:
+    """The one multiply-accumulate, on ints with zero 0 or on Scalars with
+    zero the zero Scalar of their context: row i of the product adds up the
+    rows of b scaled by the nonzero entries of row i of a, in ascending
+    column order; a zero entry of b makes no term."""
     width = len(b[0]) if b else 0
     terms = [[(j, y) for j, y in enumerate(row) if y] for row in b]
     out = []
     for row in a:
-        acc = [0] * width
+        acc = [zero] * width
         for x, b_row in zip(row, terms):
             if x:
                 for j, y in b_row:
@@ -475,32 +477,17 @@ def _int_mul(a: list, b: list) -> list:
 
 
 def mat_mul(a: list, b: list) -> list:
-    """Matrix product of Scalar matrices.
-
-    When every entry of both is a constant of one context, they are cleared
-    to ints over one common denominator, multiplied by ``_int_mul`` and each
-    entry of the product is made once; otherwise row i of the product adds
-    up the rows of b scaled by the nonzero entries of row i of a, on
+    """Matrix product of Scalar matrices, by ``_mul``: on ints when every
+    entry of both is a constant of one context, cleared to one common
+    denominator, with each entry of the product made once; else on the
     Scalars.  The width of the product is that of b's first row."""
-    width = len(b[0]) if b else 0
-    zero = Scalar.zero(a[0][0].params) if a and a[0] else None
-    cleared_a = _cleared(a, zero.params) if zero is not None else None
-    cleared_b = _cleared(b, zero.params) if cleared_a is not None else None
-    if cleared_b is not None:
+    params = a[0][0].params if a and a[0] else ()
+    cleared_a = _cleared(a, params)
+    cleared_b = cleared_a and _cleared(b, params)
+    if cleared_b:
         (a_int, da), (b_int, db) = cleared_a, cleared_b
-        return [_scalars(row, da * db, zero.params) for row in _int_mul(a_int, b_int)]
-    terms = [[(j, y) for j, y in enumerate(row) if not y.is_zero] for row in b]
-    out = []
-    for row in a:
-        acc = [None] * width
-        for x, b_row in zip(row, terms):
-            if x.is_zero:
-                continue
-            for j, y in b_row:
-                term = x * y
-                acc[j] = term if acc[j] is None else acc[j] + term
-        out.append([zero if s is None else s for s in acc])
-    return out
+        return [_scalars(row, da * db, params) for row in _mul(a_int, b_int, 0)]
+    return _mul(a, b, Scalar.zero(params))
 
 
 def row_reduce(m: list):

@@ -3,6 +3,7 @@
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -10,13 +11,15 @@ from rptgeo import (FrameAlgebra, Scalar, SchemaError, associated_metric,
                     build_example, bundled_spec_path, killing_check, load_spec,
                     mat_det, mat_identity, mat_transpose, save_spec, spec_digest,
                     validate)
-from rptgeo.example import swap_product_matrix
-from rptgeo.frames import (Witness, check_result, frame_from_dict, frame_to_dict,
-                           tensor_witnesses)
+from rptgeo.example import family_structure_constants, swap_product_matrix
+from rptgeo.frames import (Witness, adapted_frame, check_result, frame_from_dict,
+                           frame_to_dict, tensor_witnesses)
 from rptgeo.tensors import Tensor, coefficient_tensor
 
 from helpers import (conjugate, jacobi_oracle, killing_oracle, random_frames,
                      random_unimodular, single_bracket_frame)
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def test_example_validates_symbolically():
@@ -89,6 +92,32 @@ def test_structural_axiom_witnesses():
     report = validate(FrameAlgebra(4, (), fa.c, fa.g, p_bad))
     labels = {w.label for w in report.witnesses}
     assert "product-square-identity" in labels
+
+
+def _matrix_axioms_frame() -> FrameAlgebra:
+    """A 2-dim frame in the context ("t",) that fails every matrix axiom and
+    bracket antisymmetry: c^k_21 = 0 next to c^1_12 = 1, c^2_12 = 1/2 (a spec
+    file cannot say this), g = [[2, 1/2], [0, 3]] and P = [[1, t], [0, 1]]."""
+    params = ("t",)
+
+    def k(v):
+        return Scalar.constant(params, v)
+
+    c = [[[k(0), k(0)], [k(1), k(Fraction(1, 2))]], [[k(0), k(0)], [k(0), k(0)]]]
+    g = [[k(2), k(Fraction(1, 2))], [k(0), k(3)]]
+    p = [[k(1), Scalar.parameter(params, "t")], [k(0), k(1)]]
+    return FrameAlgebra(2, params, c, g, p)
+
+
+def test_validate_matrix_axioms_match_frozen_fixture():
+    # freezes the witnesses of the checks that read g, P and the brackets
+    # as given: their order, indices, values and labels
+    report = validate(_matrix_axioms_frame())
+    assert {w.label for w in report.witnesses} == {
+        "bracket-antisymmetry", "metric-symmetry", "product-square-identity",
+        "metric-product-compatibility", "product-traceless"}
+    out = json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n"
+    assert out == (FIXTURES / "validate_matrix_axioms.json").read_text(encoding="utf-8")
 
 
 def test_indefinite_metric_flagged():
@@ -168,6 +197,31 @@ def test_check_result_decides_caps_and_notes():
     assert check_result("z", None, witnesses=flags[:1]).as_dict() == {
         "id": "z", "status": "fail", "witnesses": [flags[0].as_dict()],
         "reason": None, "details": {}}
+
+
+def test_the_nested_view_equals_the_constructor_input():
+    zero, one = Scalar.zero(()), Scalar.one(())
+    nested = [[[zero] * 4 for _ in range(4)] for _ in range(4)]
+    nested[0][1][2], nested[1][0][2] = one, -one
+    fa = FrameAlgebra(4, (), nested, mat_identity(4, ()), swap_product_matrix(4, ()))
+    assert fa.c == nested and fa.c is fa.c  # built once
+    assert fa.brackets.variance == "ddu" and fa.brackets[1, 0, 2] == -one
+    family = build_example()
+    lam = [Scalar.parameter(family.params, name) for name in family.params]
+    assert family.c == family_structure_constants(lam, family.params)
+
+
+@pytest.mark.parametrize("frame", ["family", "conj8"])
+def test_the_nested_view_of_an_adapted_frame_reads_its_brackets(frame):
+    fa = build_example() if frame == "family" else random_frames()[-1]
+    af = adapted_frame(fa)
+    n = af.dim
+    assert all(af.c[i][j][k] == af.brackets[i, j, k]
+               for i in range(n) for j in range(n) for k in range(n))
+    # a frame rebuilt from the nested view, as the perfbench corpus does
+    rebuilt = FrameAlgebra(af.dim, af.params,
+                           [[list(cell) for cell in row] for row in af.c], af.g, af.p)
+    assert rebuilt == af
 
 
 def test_killing_example_and_abelian():

@@ -21,6 +21,17 @@ def test_zero_is_unique():
     assert S("(l1 + l2)*(l1 - l2) - l1^2 + l2^2").is_zero
 
 
+@pytest.mark.parametrize("params", [(), ("t",), PARAMS])
+def test_a_scalar_is_false_exactly_when_it_is_zero(params):
+    third = Scalar.constant(params, Fraction(1, 3))
+    assert not Scalar.zero(params) and not third - third
+    assert Scalar.one(params) and third and Scalar.constant(params, -2)
+    if params:
+        x = Scalar.parameter(params, params[0])
+        assert x and x + 1 and Scalar.one(params) / (x + 1)
+        assert not x * (x + 1) - x * x - x
+
+
 def test_polynomial_identity_canonicalizes():
     assert S("(l1+l2)*(l1-l2)") == S("l1^2 - l2^2")
     assert S("l1*l2 - l2*l1").is_zero

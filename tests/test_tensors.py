@@ -135,13 +135,31 @@ def _matrix(rows, cols, seed):
              for j in range(cols)] for i in range(rows)]
 
 
+def _zero_heavy(rows, cols, seed):
+    """rows x cols entries, zero but for every fifth, which alternates between
+    a parametric and a constant entry."""
+    return [[C(0) if (i * cols + j + seed) % 5 else
+             A * C(j + 1) if (i + j) % 2 else C(Fraction(i - j - 1, 3))
+             for j in range(cols)] for i in range(rows)]
+
+
+def _constants(rows, cols, seed):
+    """rows x cols constants with zeros, ints and a Fraction."""
+    return [[C(Fraction((i * cols + j + seed) % 4 - 1, 1 + (i + j) % 2))
+             for j in range(cols)] for i in range(rows)]
+
+
 @pytest.mark.parametrize("n, k, m", [(1, 1, 1), (3, 3, 3), (2, 4, 3), (4, 2, 5),
                                      (0, 3, 2), (3, 2, 0), (1, 5, 1)])
 def test_mat_mul_matches_the_index_loop(n, k, m):
-    a, b = _matrix(n, k, 1), _matrix(k, m, 2)
-    product = mat_mul(a, b)
-    assert len(product) == n and all(len(row) == m for row in product)
-    assert product == mat_mul_oracle(a, b, PARAMS)
+    # mixed, zero-heavy, and a constant operand next to a parametric one
+    for a, b in ((_matrix(n, k, 1), _matrix(k, m, 2)),
+                 (_zero_heavy(n, k, 0), _zero_heavy(k, m, 3)),
+                 (_constants(n, k, 1), _matrix(k, m, 2)),
+                 (_zero_heavy(n, k, 2), _constants(k, m, 0))):
+        product = mat_mul(a, b)
+        assert len(product) == n and all(len(row) == m for row in product)
+        assert product == mat_mul_oracle(a, b, PARAMS)
 
 
 # constants: ints with zeros and negatives, and Fractions over distinct primes
