@@ -22,9 +22,8 @@ from .geometry import (CLASS_OUTSIDE, CLASS_PARALLEL, CLASS_SKEW, ClassLabel,
                        torsion_projections)
 from .parser import ParseError, parse_expression
 from .scalars import Scalar
-from .tensors import (Tensor, alternate, arranged, compose, cyclic_sum, mat_det,
-                      mat_identity, mat_inv, mat_mul, mat_transpose,
-                      row_reduce, tensor_contract)
+from .tensors import (Tensor, arranged, compose, cyclic_sum, mat_det, mat_identity,
+                      mat_inv, mat_mul, mat_transpose, row_reduce, tensor_contract)
 from .theorems import (all_passed, check_p_tensor, geometry_checks, rpt_checks,
                        run_all, theorem_checks, verify_curvature_relation,
                        verify_family_equivalence, verify_p_tensor_criterion,

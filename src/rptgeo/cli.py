@@ -7,14 +7,24 @@ gets a report of class ``invalid`` holding only the ``frame-structure``
 entry, and exit 1, from every command.  ``--lambda`` values are parameter-free
 expressions of the spec grammar, so ``2^3`` and ``(1)`` are values.
 
+``report``, ``check`` and ``example`` run one pipeline, ``_pipeline``: load
+the frame and validate it in the user's basis, stop at the ``invalid``
+report on failure, else build the adapted frame (``adapted_frame``,
+P = diag(I, -I)) and the report with its class, and decide the skew-torsion
+connection once.  Its pack, or the ``NotW3Error`` saying why there is none,
+goes to the command's own entries: scalars and text sections, a suite, or
+the golden comparisons.  ``validate`` keeps a short path: class
+``not-computed``, no adapted frame, and the Killing check.  ``main`` parses
+with one parser, built at import by ``build_parser``, the one place that
+declares the arguments.
+
 ``example`` is ``check`` on the bundled spec, loaded like any other, plus
-the golden comparisons.  Every command validates the frame in the user's
-basis and then runs every geometry stage and check suite on its adapted
-frame (``adapted_frame``, P = diag(I, -I)).  Checks decide whether tensors
-vanish and the scalars are invariants, so neither depends on the basis; the
-report sections and the witnesses are pulled back to the user's basis.  The
-golden tables are Tensors in that basis, evaluated at ``--lambda``, and each
-comparison is ``tensor_witnesses`` of a computed tensor against its table.
+the golden comparisons.  Every geometry stage and check suite runs on the
+adapted frame.  Checks decide whether tensors vanish and the scalars are
+invariants, so neither depends on the basis; the report sections and the
+witnesses are pulled back to the user's basis.  The golden tables are
+Tensors in that basis, evaluated at ``--lambda``, and each comparison is
+``tensor_witnesses`` of a computed tensor against its table.
 
 Every check, structural, golden or from a suite, returns one ``CheckResult``
 whose ``as_dict()`` is its report entry {id, status, witnesses, reason, details}
@@ -34,9 +44,8 @@ from .connections import NotW3Error, rpt_connection
 from .example import (PARAM_NAMES, bundled_spec_path, compare_connection,
                       compare_scalars, compare_tensor, family_parameters,
                       golden_tables)
-from .frames import (CheckResult, FrameAlgebra, SchemaError, _parse_entry,
-                     adapted_frame, killing_check, load_spec, spec_digest,
-                     validate)
+from .frames import (FrameAlgebra, SchemaError, _parse_entry, adapted_frame,
+                     killing_check, load_spec, spec_digest, validate)
 from .geometry import (classify, curvature, fundamental_F, levi_civita,
                        square_norm, square_norm_nabla_P, torsion_projections)
 from .parser import ParseError
@@ -166,37 +175,44 @@ def cmd_validate(args) -> int:
     return _emit(report, args)
 
 
-def _emit_invalid(fa: FrameAlgebra, structure: CheckResult, args) -> int:
-    """The report of a frame that failed structural validation."""
-    report = Report(spec_digest(fa), "invalid")
-    report.add_checks([structure])
+def _pipeline(args) -> int:
+    """report, check and example, up to the command's own entries."""
+    fa = _load_frame(args)
+    structure = validate(fa)
+    if not structure.passed:
+        report = Report(spec_digest(fa), "invalid")
+        report.add_checks([structure])
+        return _emit(report, args)
+    af = adapted_frame(fa)
+    report = Report(spec_digest(fa), classify(af).label)
+    try:
+        pack = rpt_connection(af)
+    except NotW3Error as exc:
+        pack = exc
+    args.entries(args, report, af, pack)
     return _emit(report, args)
 
 
-def _add_scalars(report: Report, fa: FrameAlgebra) -> dict:
+def _add_scalars(report: Report, af: FrameAlgebra, pack) -> dict:
     """tau and |nabla P|^2 of the Levi-Civita connection, then tau' of the
     skew-torsion connection when it exists: added to the report, returned
     as Scalars."""
-    scalars = {"tau": curvature(levi_civita(fa))[2],
-               "nabla_P_norm_sq": square_norm_nabla_P(fa)}
-    try:
-        scalars["tau_prime"] = curvature(rpt_connection(fa).rpt)[2]
-    except NotW3Error:
-        pass
+    scalars = {"tau": curvature(levi_civita(af))[2],
+               "nabla_P_norm_sq": square_norm_nabla_P(af)}
+    if not isinstance(pack, NotW3Error):
+        scalars["tau_prime"] = curvature(pack.rpt)[2]
     report.scalars.update((name, str(value)) for name, value in scalars.items())
     return scalars
 
 
-def _add_sections(report: Report, af: FrameAlgebra):
+def _add_sections(report: Report, af: FrameAlgebra, pack):
     """The sections only the text rendering prints."""
     report.sections.append(("structure tensor F (nonzero components)",
                             _tensor_lines(af, fundamental_F(af), "F")))
     report.sections.append(("Levi-Civita connection coefficients",
                             _tensor_lines(af, levi_civita(af).coeffs, "nabla")))
-    try:
-        pack = rpt_connection(af)
-    except NotW3Error as exc:
-        report.sections.append(("skew-torsion connection", ["skipped: %s" % exc]))
+    if isinstance(pack, NotW3Error):
+        report.sections.append(("skew-torsion connection", ["skipped: %s" % pack]))
         return
     report.sections.append(("skew torsion T (nonzero components)",
                             _tensor_lines(af, pack.T, "T")))
@@ -211,18 +227,11 @@ def _add_sections(report: Report, af: FrameAlgebra):
                             ["is a P-tensor: %s" % str(ptensor).lower()]))
 
 
-def cmd_report(args) -> int:
-    fa = _load_frame(args)
-    structure = validate(fa)
-    if not structure.passed:
-        return _emit_invalid(fa, structure, args)
-    af = adapted_frame(fa)
-    report = Report(spec_digest(fa), classify(af).label)
-    _add_scalars(report, af)
+def cmd_report(args, report: Report, af: FrameAlgebra, pack):
+    _add_scalars(report, af, pack)
     if args.format == "text":
-        _add_sections(report, af)
-    report.add_checks([structure])
-    return _emit(report, args)
+        _add_sections(report, af, pack)
+    report.add_checks([validate(af.user)])
 
 
 _SUITES = {
@@ -233,30 +242,18 @@ _SUITES = {
 }
 
 
-def cmd_check(args) -> int:
-    fa = _load_frame(args)
-    structure = validate(fa)
-    if not structure.passed:
-        return _emit_invalid(fa, structure, args)
-    af = adapted_frame(fa)
-    report = Report(spec_digest(fa), classify(af).label)
+def cmd_check(args, report: Report, af: FrameAlgebra, pack):
     report.add_checks(_SUITES[args.suite](af))
-    _add_scalars(report, af)
-    return _emit(report, args)
+    _add_scalars(report, af, pack)
 
 
-def cmd_example(args) -> int:
-    fa = _load_frame(args)
-    structure = validate(fa)
-    if not structure.passed:
-        return _emit_invalid(fa, structure, args)
-    af = adapted_frame(fa)
-    report = Report(spec_digest(fa), classify(af).label)
-    pack = rpt_connection(af)
+def cmd_example(args, report: Report, af: FrameAlgebra, pack):
+    if isinstance(pack, NotW3Error):
+        raise pack
     golden = golden_tables(args.golden)
     scalars = golden.pop("scalars")
-    if not fa.params:  # the tables hold the family symbolically
-        at = dict(zip(PARAM_NAMES, (v.value for v in family_parameters(fa))))
+    if not af.params:  # the tables hold the family symbolically
+        at = dict(zip(PARAM_NAMES, (v.value for v in family_parameters(af.user))))
         golden = {name: t.substitute(at) for name, t in golden.items()}
         scalars = {key: Scalar.constant((), s.substitute(at))
                    for key, s in scalars.items()}
@@ -266,10 +263,9 @@ def cmd_example(args) -> int:
         compare_tensor(af, "curvature", curvature(pack.rpt)[0], golden["curvature"]),
         compare_tensor(af, "torsion_derivative", pack.torsion_derivative(),
                        golden["torsion_derivative"]),
-        compare_scalars(_add_scalars(report, af), scalars),
+        compare_scalars(_add_scalars(report, af, pack), scalars),
     ])
     report.add_checks(run_all(af))
-    return _emit(report, args)
 
 
 # ---------------------------------------------------------------------------
@@ -301,21 +297,23 @@ def build_parser() -> argparse.ArgumentParser:
     _add_command(sub, "validate", "structural validation plus the Killing check",
                  cmd_validate)
     _add_command(sub, "report", "class, tensors, connections and scalar summary",
-                 cmd_report)
-    p = _add_command(sub, "check", "run a checker suite", cmd_check)
+                 _pipeline, entries=cmd_report)
+    p = _add_command(sub, "check", "run a checker suite", _pipeline, entries=cmd_check)
     p.add_argument("--suite", choices=sorted(_SUITES), default="all")
     p = _add_command(sub, "example", "check the bundled family against the "
-                                     "golden tables", cmd_example,
+                                     "golden tables", _pipeline, entries=cmd_example,
                      spec=str(bundled_spec_path()))
     p.add_argument("--golden", metavar="DIR",
                    help="override the bundled golden-table directory")
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

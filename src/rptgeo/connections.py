@@ -20,7 +20,7 @@ from fractions import Fraction
 from .frames import CheckResult, FrameAlgebra, check_result, memo
 from .geometry import (CLASS_OUTSIDE, Connection, classify, fundamental_F,
                        levi_civita, nabla_p_components)
-from .tensors import Tensor, alternate, arranged, compose, cyclic_sum
+from .tensors import Tensor, arranged, compose, cyclic_sum
 
 
 class NotW3Error(RuntimeError):
@@ -100,7 +100,8 @@ def torsion_inner_products(t: Tensor, fa: FrameAlgebra) -> Tensor:
 
 def sigma_T(t: Tensor, fa: FrameAlgebra) -> Tensor:
     """Quadratic torsion 4-form: cyclic sum of torsion inner products."""
-    if t != alternate(t, (0, 1, 2)):
+    # the transpositions (0 1) and (1 2) generate S3
+    if not all((t + t.transpose(p)).is_zero for p in ((1, 0, 2), (0, 2, 1))):
         raise ValueError("torsion must be totally skew-symmetric")
     return cyclic_sum(torsion_inner_products(t, fa), (0, 1, 2))
 

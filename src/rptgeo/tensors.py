@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import factorial, gcd as _int_gcd, lcm as _int_lcm
+from math import gcd as _int_gcd, lcm as _int_lcm
 from typing import Sequence
 
 from .scalars import Scalar
@@ -352,26 +352,6 @@ def cyclic_sum(t: Tensor, slots) -> Tensor:
     perm2 = list(range(t.rank))
     perm2[s1], perm2[s2], perm2[s3] = s3, s1, s2
     return t + t.transpose(perm) + t.transpose(perm2)
-
-
-def alternate(t: Tensor, slots) -> Tensor:
-    """Full antisymmetrization over the given slots, normalized by 1/k!."""
-    slots = list(slots)
-    if len(set(slots)) != len(slots):
-        raise ValueError("alternation slots must be distinct")
-    if len({t.variance[s] for s in slots}) != 1:
-        raise ValueError("alternation slots must have equal variance")
-    total = None
-    for sigma in itertools.permutations(range(len(slots))):
-        sign = _perm_sign(sigma)
-        perm = list(range(t.rank))
-        for pos, s in enumerate(slots):
-            perm[s] = slots[sigma[pos]]
-        term = t.transpose(perm)
-        if sign < 0:
-            term = -term
-        total = term if total is None else total + term
-    return total.scale(Fraction(1, factorial(len(slots))))
 
 
 def _perm_sign(sigma) -> int:

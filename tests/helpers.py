@@ -9,9 +9,11 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from math import factorial
 
 from rptgeo import (FrameAlgebra, Scalar, Tensor, build_example, mat_identity,
                     mat_inv, mat_mul, mat_transpose)
+from rptgeo.tensors import _perm_sign
 
 def build_tensor(dim: int, variance: str, params: tuple, fn) -> Tensor:
     """The tensor whose component at each index tuple is fn(index)."""
@@ -257,6 +259,26 @@ def elementwise_oracle(fn, *tensors) -> Tensor:
     t = tensors[0]
     return build_tensor(t.dim, t.variance, t.params,
                         lambda idx: fn(*(s[idx] for s in tensors)))
+
+
+def alternate(t: Tensor, slots) -> Tensor:
+    """Full antisymmetrization over the given slots, normalized by 1/k!."""
+    slots = list(slots)
+    if len(set(slots)) != len(slots):
+        raise ValueError("alternation slots must be distinct")
+    if len({t.variance[s] for s in slots}) != 1:
+        raise ValueError("alternation slots must have equal variance")
+    total = None
+    for sigma in itertools.permutations(range(len(slots))):
+        sign = _perm_sign(sigma)
+        perm = list(range(t.rank))
+        for pos, s in enumerate(slots):
+            perm[s] = slots[sigma[pos]]
+        term = t.transpose(perm)
+        if sign < 0:
+            term = -term
+        total = term if total is None else total + term
+    return total.scale(Fraction(1, factorial(len(slots))))
 
 
 def transpose_oracle(t: Tensor, perm) -> Tensor:

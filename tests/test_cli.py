@@ -32,11 +32,14 @@ def run_cli(argv, capsys):
 def _fixture_argv(name, tmp_path):
     """Command line whose stdout is frozen in tests/fixtures/<name>."""
     saved = {"check_single_bracket.json": single_bracket_frame,
-             "check_six_dim.json": six_dim_frame}
+             "check_six_dim.json": six_dim_frame,
+             "report_single_bracket.txt": single_bracket_frame,
+             "report_single_bracket.json": single_bracket_frame}
     if name in saved:
         path = tmp_path / "frame.json"
         save_spec(saved[name](), path)
-        return ["check", str(path), "--format", "json"]
+        json_format = ["--format", "json"] if name.endswith(".json") else []
+        return [name.split("_")[0], str(path)] + json_format
     return {
         "example_lambda_1234.json": ["example", "--lambda=1,2,3,4", "--format", "json"],
         "check_bundled.json": ["check", SPEC, "--format", "json"],
@@ -48,12 +51,14 @@ def _fixture_argv(name, tmp_path):
 
 
 # every command carries validate's notes in "reason"; the text fixtures
-# freeze the skip reasons and details lines
+# freeze the skip reasons and details lines; the single-bracket reports
+# freeze the non-W3 path: the skipped connection section and no tau'
 @pytest.mark.parametrize("name", ["example_lambda_1234.json", "check_bundled.json",
                                   "check_single_bracket.json", "check_six_dim.json",
                                   "check_family_w0.json",
                                   "check_family_w0.txt", "report_bundled.txt",
-                                  "report_bundled.json"])
+                                  "report_bundled.json", "report_single_bracket.txt",
+                                  "report_single_bracket.json"])
 def test_output_matches_frozen_fixture(name, tmp_path, capsys):
     code, out, _ = run_cli(_fixture_argv(name, tmp_path), capsys)
     assert code == 0
@@ -179,6 +184,15 @@ def test_bundled_spec_exits_zero_with_the_documented_keys(command, capsys):
     assert code == 0
     assert sorted(json.loads(out)) == ["checks", "class", "exit_status",
                                        "input_digest", "scalars", "schema"]
+
+
+def test_main_parses_with_the_parser_built_at_import(monkeypatch, capsys):
+    def no_parser():
+        raise AssertionError("main built a parser")
+
+    monkeypatch.setattr(cli, "build_parser", no_parser)
+    for argv in (["validate", SPEC], ["report", SPEC], ["check", SPEC], ["example"]):
+        assert run_cli(argv, capsys)[0] == 0, argv
 
 
 def test_usage_and_input_errors_exit_two(tmp_path, capsys):

@@ -4,14 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from rptgeo import (Connection, NotW3Error, Scalar, Tensor, alternate, arranged,
-                    build_example, classify, covariant_derivative, curvature,
-                    cyclic_sum, fundamental_F, levi_civita, natural_check,
-                    parse_expression, rpt_connection, rpt_torsion, sigma_T,
-                    torsion_inner_products)
+from rptgeo import (Connection, NotW3Error, Scalar, Tensor, arranged, build_example,
+                    classify, covariant_derivative, curvature, cyclic_sum,
+                    fundamental_F, levi_civita, natural_check, parse_expression,
+                    rpt_connection, rpt_torsion, sigma_T, torsion_inner_products)
 from rptgeo.connections import _shifted_connection, companion_shifts
 
-from helpers import (apply_p, basis_vec, bracket_vec, build_tensor,
+from helpers import (alternate, apply_p, basis_vec, bracket_vec, build_tensor,
                      covariant_derivative_oracle, inner, metric_witness_oracle,
                      random_frames, single_bracket_frame,
                      torsion_products_oracle, vec_add, vec_scale, vec_sub)

@@ -8,11 +8,11 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rptgeo import (Scalar, Tensor, alternate, arranged, compose, cyclic_sum,
+from rptgeo import (Scalar, Tensor, arranged, compose, cyclic_sum,
                     mat_det, mat_identity, mat_inv, mat_mul, parse_expression,
                     tensor_contract)
 
-from helpers import (arranged_oracle, build_tensor, compose_oracle, contract_oracle,
+from helpers import (alternate, arranged_oracle, build_tensor, compose_oracle, contract_oracle,
                      cyclic_sum_oracle, elementwise_oracle, map_slot_oracle,
                      mat_mul_oracle, slot_change_oracle, substitute_oracle,
                      transpose_oracle)

@@ -7,7 +7,7 @@ import pytest
 
 from perfbench import corpus
 from rptgeo import (ConnectionPack, FrameAlgebra, NotW3Error, Scalar, Tensor,
-                    adapted_frame, all_passed, alternate, build_example,
+                    adapted_frame, all_passed, build_example,
                     check_p_tensor, curvature, fundamental_F, geometry_checks,
                     levi_civita, natural_check, rpt_checks, rpt_connection,
                     theorem_checks, theorems, verify_curvature_relation,
@@ -16,7 +16,8 @@ from rptgeo import (ConnectionPack, FrameAlgebra, NotW3Error, Scalar, Tensor,
 from rptgeo.example import GOLDEN_VARIANCES
 from rptgeo.theorems import rpt_curvature_p_tensor
 
-from helpers import build_tensor, random_frames, single_bracket_frame, six_dim_frame
+from helpers import (alternate, build_tensor, random_frames, single_bracket_frame,
+                     six_dim_frame)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
