@@ -16,6 +16,7 @@ puts exponents on single parameters only, reparses to the same value.
 from __future__ import annotations
 
 import sys
+from fractions import Fraction
 from math import comb
 
 from .scalars import PrintLimitError, Scalar
@@ -162,10 +163,12 @@ class _Parser:
                                      tok[2])
                 # a t-term sum to the k has at most C(k+t-1, t-1) terms
                 self.bound_terms(left, comb(k + t - 1, t - 1), tok[2])
-            # |c|^k has over k*(bits - 1) bits, and 4 bits per digit exceed log2(10)
+            # |c|^k has over k*(bits - 1) bits, and 4 bits per digit exceed
+            # log2(10); c runs over the true coefficients n/d, not num's ints
             bound = 4 * (sys.get_int_max_str_digits() or float("inf"))
+            d, = value.den.values()  # a parsed value is a polynomial
             if any(k * (max(abs(c.numerator), c.denominator).bit_length() - 1) > bound
-                   for c in value.num.values()):
+                   for c in (Fraction(n, d) for n in value.num.values())):
                 raise ParseError("power past the int-string limit", tok[2])
             value = value ** k
         return value

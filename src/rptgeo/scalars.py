@@ -1,20 +1,34 @@
 """Exact rational-function arithmetic over a declared tuple of parameters.
 
 A polynomial is a dict mapping exponent tuples (aligned with the parameter
-tuple) to nonzero coefficients: an int when integral, else a Fraction, never
-a float.  A Scalar is a reduced quotient of two polynomials; the denominator
-is monic under graded-lex order, so every rational function has exactly one
-representation and equality is literal.
+tuple) to nonzero int coefficients.  A Scalar is a quotient num/den of two
+such polynomials in one canonical form:
+
+- num/den is reduced over Q: the two share no factor of positive degree;
+- den's leading coefficient under graded-lex order is positive;
+- the gcd of all the integer coefficients of num and den together is 1;
+- a polynomial or a constant has den ``{(0, ..., 0): d}`` with d > 0.
+
+So a rational coefficient never enters the kernel: a polynomial over Q is an
+int polynomial over one positive int denominator, as in FLINT's
+``fmpq_poly``.  Every rational function has exactly one canonical form, so
+equality is literal.  Division and gcd run over Z.  By Gauss's lemma the
+content (gcd of the coefficients) of a product is the product of the
+contents, so when a primitive d (content 1) divides f over Q the quotient
+has integer coefficients: ``_divexact`` divides by a primitive d on ints
+and raises exactly when d does not divide f.  ``__str__`` prints the monic
+form, num and den divided by den's leading coefficient.
 
 Three fields are set once, when a Scalar is built: ``cden`` (the denominator
 is constant), ``is_zero`` (the numerator is empty) and ``value`` (the int or
-Fraction when the Scalar is constant, else None).  Like an int, a Scalar is
-false exactly when it is zero.  A constant denominator is always the unit
-``{(0, ..., 0): 1}``.  Constant operands are added, multiplied and divided on
-``value`` directly, and the result shares the operand's unit denominator
-dict; a zero operand skips the arithmetic.  Sums over equal denominators add
-numerators only, and a quotient is first tried as an exact polynomial
-division: gcd runs only on a true fraction.
+Fraction num/den when the Scalar is constant, else None).  Like an int, a
+Scalar is false exactly when it is zero.  Every denominator 1 of a context
+is one shared unit dict per arity, and no routine mutates a dict it is
+given.  Constant operands are added, multiplied and divided on ``value``
+directly, and an integral result shares the unit; a zero operand skips the
+arithmetic.  Sums over equal denominators add numerators only, and a
+quotient is first tried as an exact polynomial division: gcd runs only on a
+true fraction.
 """
 
 from __future__ import annotations
@@ -22,26 +36,27 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 from math import gcd as _int_gcd, lcm as _int_lcm
+from operator import add, sub
 from typing import Mapping, Union
 
 Rat = Union[int, Fraction]
 
 # ---------------------------------------------------------------------------
-# raw polynomial dictionaries
+# raw polynomial dictionaries (int coefficients)
+
+_UNITS: dict = {}
+
+
+def _unit(nvars: int) -> dict:
+    """The shared denominator 1 of every context with nvars parameters."""
+    unit = _UNITS.get(nvars)
+    if unit is None:
+        unit = _UNITS[nvars] = {(0,) * nvars: 1}
+    return unit
 
 
 def _grlex(expo: tuple) -> tuple:
     return (sum(expo), expo)
-
-
-def _rat(q: Rat) -> Rat:
-    """q as an int when it is integral."""
-    return q if type(q) is int or q.denominator != 1 else q.numerator
-
-
-def _quotient(a: Rat, b: Rat) -> Rat:
-    """a / b exactly, as an int when it is integral."""
-    return _rat(Fraction(a, b))
 
 
 def _dict_add(a: dict, b: dict) -> dict:
@@ -49,8 +64,8 @@ def _dict_add(a: dict, b: dict) -> dict:
     for e, c in b.items():
         s = out.get(e, 0) + c
         if s:
-            out[e] = _rat(s)
-        elif e in out:
+            out[e] = s
+        else:
             del out[e]
     return out
 
@@ -64,34 +79,34 @@ def _dict_sub(a: dict, b: dict) -> dict:
 
 
 def _dict_mul(a: dict, b: dict) -> dict:
-    if len(a) == 1 and len(b) == 1:
+    if len(b) == 1:
+        a, b = b, a
+    if len(a) == 1:
+        # a monomial shifts b's exponents one to one, so no terms collide
         (ea, ca), = a.items()
-        (eb, cb), = b.items()
-        v = ca * cb
-        if not v:
-            return {}
-        return {tuple(x + y for x, y in zip(ea, eb)): _rat(v)}
+        if not any(ea):
+            return _dict_scale(b, ca)
+        return {tuple(map(add, ea, eb)): ca * cb for eb, cb in b.items()}
     out: dict = {}
+    get = out.get
     for ea, ca in a.items():
         for eb, cb in b.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            s = out.get(e, 0) + ca * cb
-            if s:
-                out[e] = s
-            elif e in out:
-                del out[e]
-    for e, c in out.items():
-        if type(c) is not int and c.denominator == 1:
-            out[e] = c.numerator
-    return out
+            e = tuple(map(add, ea, eb))
+            out[e] = get(e, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
 
 
-def _dict_scale(a: dict, c: Rat) -> dict:
-    if not c:
-        return {}
-    if c == 1:
-        return a
-    return {e: _rat(v * c) for e, v in a.items()}
+def _dict_scale(a: dict, c: int) -> dict:
+    return a if c == 1 else {e: v * c for e, v in a.items()}
+
+
+def _dict_exquo(a: dict, c: int) -> dict:
+    """a / c for an int c that divides every coefficient."""
+    return a if c == 1 else {e: v // c for e, v in a.items()}
+
+
+def _content(a: dict) -> int:
+    return _int_gcd(*a.values())
 
 
 def _leading(a: dict) -> tuple:
@@ -102,7 +117,7 @@ def _is_const(a: dict) -> bool:
     return not a or (len(a) == 1 and not any(next(iter(a))))
 
 
-def _const_value(a: dict) -> Rat:
+def _const_value(a: dict) -> int:
     return next(iter(a.values()), 0)
 
 
@@ -126,9 +141,10 @@ def _shift(a: dict, v: int, k: int) -> dict:
 
 
 def _divexact(f: dict, d: dict) -> dict:
-    # peels leading terms under graded-lex; raises ArithmeticError as soon as
-    # a leading term is not a multiple of lead(d), which happens exactly
-    # when d does not divide f
+    # d is primitive.  Peels leading terms under graded-lex; raises
+    # ArithmeticError as soon as a leading term is not an integer multiple
+    # of lead(d), which by Gauss's lemma happens exactly when d does not
+    # divide f
     if not f:
         return {}
     lead_d = _leading(d)
@@ -137,12 +153,18 @@ def _divexact(f: dict, d: dict) -> dict:
     rem = dict(f)
     while rem:
         lead_r = _leading(rem)
-        qe = tuple(r - s for r, s in zip(lead_r, lead_d))
-        if any(x < 0 for x in qe):
+        qe = tuple(map(sub, lead_r, lead_d))
+        qc, r = divmod(rem[lead_r], cd)
+        if r or min(qe, default=0) < 0:
             raise ArithmeticError("inexact polynomial division")
-        qc = _quotient(rem[lead_r], cd)
         quo[qe] = qc
-        rem = _dict_sub(rem, _dict_mul({qe: qc}, d))
+        for e, c in d.items():
+            e = tuple(map(add, e, qe))
+            s = rem.get(e, 0) - qc * c
+            if s:
+                rem[e] = s
+            else:
+                del rem[e]
     return quo
 
 
@@ -171,21 +193,17 @@ def _content_wrt(a: dict, v: int) -> dict:
 
 def _primitive_wrt(a: dict, v: int) -> dict:
     cont = _content_wrt(a, v)
-    if _is_const(cont):
-        return _canonical_assoc(a)
-    return _divexact(a, cont)
+    if not _is_const(cont):
+        a = _divexact(a, cont)
+    return _canonical_assoc(a)
 
 
 def _canonical_assoc(a: dict) -> dict:
     # integer-primitive with positive leading coefficient
     if not a:
         return {}
-    den_lcm = _int_lcm(*(c.denominator for c in a.values()))
-    num_gcd = _int_gcd(*(c.numerator * (den_lcm // c.denominator) for c in a.values()))
-    scale = _quotient(den_lcm, num_gcd)
-    if a[_leading(a)] < 0:
-        scale = -scale
-    return _dict_scale(a, scale)
+    g = _content(a)
+    return _dict_exquo(a, -g if a[_leading(a)] < 0 else g)
 
 
 def _poly_gcd(f: dict, g: dict) -> dict:
@@ -194,7 +212,7 @@ def _poly_gcd(f: dict, g: dict) -> dict:
     if not g:
         return _canonical_assoc(f)
     if _is_const(f) or _is_const(g):
-        return {(0,) * len(_leading(f or g)): 1}
+        return _unit(len(_leading(f)))
     nvars = len(_leading(f))
     v = next(i for i in range(nvars) if _deg_in(f, i) > 0 or _deg_in(g, i) > 0)
     if _deg_in(f, v) == 0:
@@ -230,9 +248,13 @@ class Scalar:
         self.params = params
         self.num = num
         self.den = den
-        self.cden = _is_const(den)
+        self.cden = cden = _is_const(den)
         self.is_zero = not num
-        self.value = _const_value(num) if self.cden and _is_const(num) else None
+        if cden and _is_const(num):
+            n, d = _const_value(num), _const_value(den)
+            self.value = n if d == 1 else Fraction(n, d)
+        else:
+            self.value = None
 
     # construction ---------------------------------------------------------
 
@@ -240,17 +262,24 @@ class Scalar:
     def constant(cls, params: tuple, value: Rat) -> "Scalar":
         if type(value) is not int:
             value = Fraction(value)
-        return cls._of_value(params, value, {(0,) * len(params): 1})
+        return cls._of_value(params, value, _unit(len(params)))
 
     @classmethod
     def _of_value(cls, params: tuple, value: Rat, unit: dict) -> "Scalar":
-        """The constant value, reusing the unit denominator of an operand."""
-        value = _rat(value)
+        """The constant value, over the context's unit denominator dict."""
         s = object.__new__(cls)
         s.params = params
-        s.den = unit
         s.cden = True
+        if type(value) is not int:
+            if value.denominator != 1:
+                s.value = value
+                s.num = dict.fromkeys(unit, value.numerator)
+                s.den = dict.fromkeys(unit, value.denominator)
+                s.is_zero = False
+                return s
+            value = value.numerator
         s.value = value
+        s.den = unit
         if value:
             s.num = dict.fromkeys(unit, value)
             s.is_zero = False
@@ -271,29 +300,45 @@ class Scalar:
     def parameter(cls, params: tuple, name: str) -> "Scalar":
         idx = params.index(name)
         expo = tuple(1 if i == idx else 0 for i in range(len(params)))
-        return cls(params, {expo: 1}, {(0,) * len(params): 1})
+        return cls(params, {expo: 1}, _unit(len(params)))
+
+    @classmethod
+    def _poly(cls, params: tuple, num: dict, d: int) -> "Scalar":
+        """The polynomial num / d for a nonzero int d."""
+        g = _int_gcd(d, *num.values())
+        if d < 0:
+            g = -g
+        num, d = _dict_exquo(num, g), d // g
+        unit = _unit(len(params))
+        return cls(params, num, unit if d == 1 else dict.fromkeys(unit, d))
 
     @classmethod
     def _make(cls, params: tuple, num: dict, den: dict) -> "Scalar":
-        unit = {(0,) * len(params): 1}
         if not num:
-            return cls(params, {}, unit)
+            return cls(params, {}, _unit(len(params)))
         if _is_const(den):
             c = _const_value(den)
             if not c:
                 raise ZeroDivisionError("zero denominator")
-            return cls(params, _dict_scale(num, _quotient(1, c)), unit)
+            return cls._poly(params, num, c)
+        # den = c * pd with pd primitive of positive leading coefficient
+        c = _content(den)
+        if den[_leading(den)] < 0:
+            c = -c
+        pd = _dict_exquo(den, c)
         try:
-            return cls(params, _divexact(num, den), unit)
+            return cls._poly(params, _divexact(num, pd), c)
         except ArithmeticError:
             pass
-        g = _poly_gcd(num, den)
+        g = _poly_gcd(num, pd)
         if not _is_const(g):
-            num, den = _divexact(num, g), _divexact(den, g)
-            if _is_const(den):
-                return cls._make(params, num, den)
-        inv = _quotient(1, den[_leading(den)])
-        return cls(params, _dict_scale(num, inv), _dict_scale(den, inv))
+            num, pd = _divexact(num, g), _divexact(pd, g)
+            if _is_const(pd):
+                return cls._poly(params, num, c * _const_value(pd))
+        k = _int_gcd(c, _content(num))
+        if c < 0:
+            k = -k
+        return cls(params, _dict_exquo(num, k), _dict_scale(pd, c // k))
 
     # predicates -----------------------------------------------------------
 
@@ -329,22 +374,38 @@ class Scalar:
         if self.is_zero:
             return o
         if self.value is not None and o.value is not None:
-            return Scalar._of_value(self.params, self.value + o.value, self.den)
+            unit = self.den if type(self.value) is int else _unit(len(self.params))
+            return Scalar._of_value(self.params, self.value + o.value, unit)
+        sd, od = self.den, o.den
         if self.cden and o.cden:
-            return Scalar(self.params, _dict_add(self.num, o.num), self.den)
-        if self.den == o.den:
-            return Scalar._make(self.params, _dict_add(self.num, o.num), self.den)
-        num = _dict_add(_dict_mul(self.num, o.den), _dict_mul(o.num, self.den))
-        return Scalar._make(self.params, num, _dict_mul(self.den, o.den))
+            d, d2 = _const_value(sd), _const_value(od)
+            if d == d2:
+                num = _dict_add(self.num, o.num)
+            else:
+                m = _int_lcm(d, d2)
+                num = _dict_add(_dict_scale(self.num, m // d), _dict_scale(o.num, m // d2))
+                d = m
+            if d == 1:
+                return Scalar(self.params, num, sd)
+            return Scalar._poly(self.params, num, d)
+        if sd == od:
+            return Scalar._make(self.params, _dict_add(self.num, o.num), sd)
+        num = _dict_add(_dict_mul(self.num, od), _dict_mul(o.num, sd))
+        return Scalar._make(self.params, num, _dict_mul(sd, od))
 
     __radd__ = __add__
 
     def __neg__(self):
         if self.is_zero:
             return self
-        if self.value is not None:
-            return Scalar._of_value(self.params, -self.value, self.den)
-        return Scalar(self.params, _dict_neg(self.num), self.den)
+        s = Scalar.__new__(Scalar)
+        s.params = self.params
+        s.num = _dict_neg(self.num)
+        s.den = self.den
+        s.cden = self.cden
+        s.is_zero = False
+        s.value = None if self.value is None else -self.value
+        return s
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -353,7 +414,8 @@ class Scalar:
         if o.is_zero:
             return self
         if self.value is not None and o.value is not None:
-            return Scalar._of_value(self.params, self.value - o.value, self.den)
+            unit = self.den if type(self.value) is int else _unit(len(self.params))
+            return Scalar._of_value(self.params, self.value - o.value, unit)
         return self + (-o)
 
     def __rsub__(self, other):
@@ -371,11 +433,15 @@ class Scalar:
         if o.is_zero:
             return o
         if self.value is not None and o.value is not None:
-            return Scalar._of_value(self.params, self.value * o.value, self.den)
+            unit = self.den if type(self.value) is int else _unit(len(self.params))
+            return Scalar._of_value(self.params, self.value * o.value, unit)
+        num = _dict_mul(self.num, o.num)
         if self.cden and o.cden:
-            return Scalar(self.params, _dict_mul(self.num, o.num), self.den)
-        return Scalar._make(self.params, _dict_mul(self.num, o.num),
-                            _dict_mul(self.den, o.den))
+            d = _const_value(self.den) * _const_value(o.den)
+            if d == 1:
+                return Scalar(self.params, num, self.den)
+            return Scalar._poly(self.params, num, d)
+        return Scalar._make(self.params, num, _dict_mul(self.den, o.den))
 
     __rmul__ = __mul__
 
@@ -388,8 +454,8 @@ class Scalar:
         if self.is_zero:
             return self
         if self.value is not None and o.value is not None:
-            return Scalar._of_value(self.params, Fraction(self.value, o.value),
-                                    self.den)
+            unit = self.den if type(self.value) is int else _unit(len(self.params))
+            return Scalar._of_value(self.params, Fraction(self.value, o.value), unit)
         return Scalar._make(self.params, _dict_mul(self.num, o.den),
                             _dict_mul(self.den, o.num))
 
@@ -448,12 +514,13 @@ class Scalar:
 
     # printing ---------------------------------------------------------------
 
-    def _poly_str(self, terms: dict) -> str:
+    def _poly_str(self, terms: dict, lead: int) -> str:
+        # terms divided by lead, the leading coefficient of the denominator
         if not terms:
             return "0"
         parts = []
         for e in sorted(terms, key=_grlex, reverse=True):
-            c = terms[e]
+            c = terms[e] if lead == 1 else Fraction(terms[e], lead)
             mono = "*".join(
                 name if k == 1 else "%s^%d" % (name, k)
                 for name, k in zip(self.params, e) if k)
@@ -471,14 +538,18 @@ class Scalar:
         return out
 
     def __str__(self):
+        den = self.den
         try:
+            if self.value is not None:
+                return str(self.value)
             if self.cden:
-                return self._poly_str(self.num)
-            return "(%s)/(%s)" % (self._poly_str(self.num), self._poly_str(self.den))
+                return self._poly_str(self.num, _const_value(den))
+            lead = den[_leading(den)]
+            return "(%s)/(%s)" % (self._poly_str(self.num, lead),
+                                  self._poly_str(den, lead))
         except ValueError:  # int.__str__ refuses an integer past the limit
             raise PrintLimitError("a value has an integer past the int-string limit "
                                   "of %d digits" % sys.get_int_max_str_digits()) from None
 
     def __repr__(self):
         return "Scalar(%s)" % self
-

@@ -500,6 +500,21 @@ def sheared_family_frame() -> FrameAlgebra:
     return conjugate(fa_sym, shear)
 
 
+def scaled_family_frame() -> FrameAlgebra:
+    """The family at (1/2, 1, 3/2, 5/2) in the basis (1 + a*b)*S, S unimodular:
+    brackets and metric stay polynomial in (a, b), the metric inverse is a
+    true rational function, and F has rational coefficients."""
+    from rptgeo.example import family_structure_constants, swap_product_matrix
+    params = ("a", "b")
+    lam = [Scalar.constant(params, Fraction(k, 2)) for k in (1, 2, 3, 5)]
+    fa = FrameAlgebra(4, params, family_structure_constants(lam, params),
+                      mat_identity(4, params), swap_product_matrix(4, params))
+    a, b = (Scalar.parameter(params, name) for name in params)
+    factor = 1 + a * b
+    s = random_unimodular(random.Random(4), 4, params)
+    return conjugate(fa, [[factor * x for x in row] for row in s])
+
+
 def random_frames(count: int = 20, seed: int = 1404):
     """Deterministic battery of valid frames: conjugated family instances,
     direct sums, one parametric-metric conjugate and one parallel (W0) frame."""

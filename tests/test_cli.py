@@ -17,7 +17,7 @@ from rptgeo import (FrameAlgebra, Scalar, build_example, cli, frames, geometry,
                     save_spec, theorems)
 from rptgeo.example import bundled_spec_path
 
-from helpers import single_bracket_frame, six_dim_frame
+from helpers import scaled_family_frame, single_bracket_frame, six_dim_frame
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SPEC = str(bundled_spec_path())
@@ -34,7 +34,8 @@ def _fixture_argv(name, tmp_path):
     saved = {"check_single_bracket.json": single_bracket_frame,
              "check_six_dim.json": six_dim_frame,
              "report_single_bracket.txt": single_bracket_frame,
-             "report_single_bracket.json": single_bracket_frame}
+             "report_single_bracket.json": single_bracket_frame,
+             "report_scaled_family.txt": scaled_family_frame}
     if name in saved:
         path = tmp_path / "frame.json"
         save_spec(saved[name](), path)
@@ -52,13 +53,16 @@ def _fixture_argv(name, tmp_path):
 
 # every command carries validate's notes in "reason"; the text fixtures
 # freeze the skip reasons and details lines; the single-bracket reports
-# freeze the non-W3 path: the skipped connection section and no tau'
+# freeze the non-W3 path: the skipped connection section and no tau'; the
+# scaled-family report freezes the printing of polynomials with rational
+# content over rational-function frames
 @pytest.mark.parametrize("name", ["example_lambda_1234.json", "check_bundled.json",
                                   "check_single_bracket.json", "check_six_dim.json",
                                   "check_family_w0.json",
                                   "check_family_w0.txt", "report_bundled.txt",
                                   "report_bundled.json", "report_single_bracket.txt",
-                                  "report_single_bracket.json"])
+                                  "report_single_bracket.json",
+                                  "report_scaled_family.txt"])
 def test_output_matches_frozen_fixture(name, tmp_path, capsys):
     code, out, _ = run_cli(_fixture_argv(name, tmp_path), capsys)
     assert code == 0

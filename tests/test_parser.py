@@ -144,11 +144,22 @@ def test_products_and_powers_of_sums_are_bounded_by_their_terms(text, params, me
     assert err.value.position == position
 
 
-@pytest.mark.parametrize("text", ["2^20000", "(2^1000)^1000", "2^14000*2^14000",
-                                  "(3*l1)^20000", "(l1^%s)^%s" % ("9" * 4000, "9" * 4000)])
+_PAST_THE_LIMIT = {
+    "2^20000": "power past the int-string limit at position 3",
+    "(2^1000)^1000": "power past the int-string limit at position 10",
+    "2^14000*2^14000": "value past the int-string limit at position 1",
+    "(3*l1)^20000": "power past the int-string limit at position 8",
+    "(l1^%s)^%s" % ("9" * 4000, "9" * 4000): "value past the int-string limit at position 1",
+    # the power guard bounds the coefficient 1/1024, not only its numerator
+    "(l1/1024)^20000": "power past the int-string limit at position 11",
+}
+
+
+@pytest.mark.parametrize("text", list(_PAST_THE_LIMIT))
 def test_values_that_print_past_the_int_string_limit_are_parse_errors(text):
-    with pytest.raises(ParseError, match="past the int-string limit"):
+    with pytest.raises(ParseError) as err:
         parse_expression(text, PARAMS)
+    assert str(err.value) == _PAST_THE_LIMIT[text]
 
 
 def test_single_term_powers_stay_exact():

@@ -1,12 +1,14 @@
 """Canonical forms and field arithmetic of the exact scalar core."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from rptgeo import Scalar, parse_expression, scalars as kernel
-from rptgeo.scalars import _is_const
+from rptgeo.scalars import (_canonical_assoc, _dict_add, _dict_mul, _dict_scale, _divexact,
+                            _is_const, _leading, _poly_gcd)
 
 PARAMS = ("l1", "l2", "l3", "l4")
 
@@ -54,10 +56,15 @@ def test_rational_function_cancellation():
 
 
 def test_noncancelling_denominator_is_monic():
-    q = S("l2") / (S("2*l1 + 2"))
-    # denominator normalized to leading coefficient one
-    assert str(q) == "(1/2*l2)/(l1 + 1)"
-    assert (q * (S("l1") + 1)) == S("1/2*l2")
+    # the denominator prints with leading coefficient one
+    for num, den, printed in [("l2", "2*l1 + 2", "(1/2*l2)/(l1 + 1)"),
+                              ("l2", "3*l1 + 6", "(1/3*l2)/(l1 + 2)"),
+                              ("2/3*l1", "4*l1*l2 + 2", "(1/6*l1)/(l1*l2 + 1/2)"),
+                              ("l1^2 - 1/4", "6*l1 + 3", "1/6*l1 - 1/12"),
+                              ("5", "-2*l1 - 2*l2", "(-5/2)/(l1 + l2)")]:
+        q = S(num) / S(den)
+        assert str(q) == printed
+        assert q * S(den) == S(num)
 
 
 def test_nested_rational_arithmetic_cancels():
@@ -183,23 +190,26 @@ _fractions = st.fractions(max_denominator=50).filter(lambda q: abs(q) < 100)
 
 
 def _assert_rational(c):
-    # an integral coefficient is an int; no float ever reaches the kernel
+    # an integral value is an int; no float ever reaches the kernel
     assert type(c) is int or (type(c) is Fraction and c.denominator != 1), repr(c)
 
 
 def _assert_kernel_invariants(s):
-    for c in list(s.num.values()) + list(s.den.values()):
-        _assert_rational(c)
-    if s.value is not None:
-        _assert_rational(s.value)
+    # the canonical form: int coefficients only, den's leading coefficient
+    # positive, content 1 over num and den together, a constant den is d > 0
+    coeffs = list(s.num.values()) + list(s.den.values())
+    assert all(type(c) is int and c for c in coeffs), (s.num, s.den)
+    assert s.den[_leading(s.den)] > 0
+    assert gcd(*coeffs) == 1
     zero = (0,) * len(s.params)
     assert s.is_zero == (not s.num)
     assert s.cden == _is_const(s.den)
     if s.cden:
-        assert s.den == {zero: Fraction(1)}
+        assert list(s.den) == [zero]
     assert (s.value is not None) == (s.cden and _is_const(s.num))
     if s.value is not None:
-        assert s.num == ({zero: s.value} if s.value else {})
+        _assert_rational(s.value)
+        assert s.value == Fraction(s.num.get(zero, 0), s.den[zero])
 
 
 @settings(max_examples=80, deadline=None)
@@ -277,7 +287,7 @@ _denominators = st.sampled_from(["1 + l1*l2", "(1 + l1*l2)^2",
 def test_sum_over_equal_denominators_matches_evaluation(a, b, q, c, points):
     # a*q + 1 and b*q + c are prime to q, so x and y keep q's denominator
     x, y = (a * q + 1) / q, (b * q + c) / q
-    assert x.den == y.den and not x.cden
+    assert _canonical_assoc(x.den) == _canonical_assoc(y.den) and not x.cden
     total = x + y
     _assert_kernel_invariants(total)
     assert total == (a + b) + (1 + c) / q
@@ -287,3 +297,64 @@ def test_sum_over_equal_denominators_matches_evaluation(a, b, q, c, points):
         if qv:
             expected = (a.substitute(pt) + b.substitute(pt)) + (1 + c) / qv
             assert total.substitute(pt) == expected
+
+
+# ---------------------------------------------------------------------------
+# the integer kernel: exact division and gcd over Z
+
+_int_polys = st.dictionaries(st.tuples(*[st.integers(0, 2)] * 3),
+                             st.integers(-6, 6).filter(bool), min_size=1, max_size=4)
+_nonconstant_polys = _int_polys.filter(lambda a: not _is_const(a))
+
+
+def _is_primitive(a):
+    return gcd(*a.values()) == 1 and a[_leading(a)] > 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(_int_polys, _nonconstant_polys, st.integers(-5, 5).filter(bool))
+def test_divexact_recovers_the_cofactor_of_a_primitive_divisor(f, d, c):
+    d = _canonical_assoc(d)
+    assert _divexact(_dict_mul(f, d), d) == f
+    assert _divexact(_dict_scale(_dict_mul(f, d), c), d) == _dict_scale(f, c)
+    # f*d + c leaves the remainder c of degree 0 < deg d
+    with pytest.raises(ArithmeticError):
+        _divexact(_dict_add(_dict_mul(f, d), {(0, 0, 0): c}), d)
+
+
+def test_divexact_raises_on_a_non_integral_quotient_term():
+    # x / (2x + 1) would start with the term 1/2: by Gauss's lemma the
+    # primitive 2x + 1 does not divide x
+    with pytest.raises(ArithmeticError):
+        _divexact({(1, 0): 1}, {(1, 0): 2, (0, 0): 1})
+
+
+@settings(max_examples=60, deadline=None)
+@given(_int_polys, _int_polys, _int_polys)
+def test_poly_gcd_is_primitive_and_divides_both(a, b, c):
+    f, g = _dict_mul(a, c), _dict_mul(b, c)
+    h = _poly_gcd(f, g)
+    assert _is_primitive(h)
+    _divexact(f, h)
+    _divexact(g, h)
+    # the common factor c divides the gcd
+    _divexact(h, _canonical_assoc(c))
+
+
+@settings(max_examples=40, deadline=None)
+@given(rational_scalars, rational_scalars)
+def test_equal_scalars_from_different_routes_hash_equal(a, b):
+    routes = [a, a + b - b, -(-a)]
+    if not b.is_zero:
+        routes += [(a * b) / b, (a / b) * b]
+    if a.cden:
+        routes.append(parse_expression(str(a), PARAMS))
+    for r in routes:
+        assert r == a and hash(r) == hash(a)
+
+
+def test_cancelled_quotient_equals_its_parse():
+    q = S("l1^2 - 1/4") / S("6*l1 + 3")
+    direct = S("1/6*l1 - 1/12")
+    assert q == direct and hash(q) == hash(direct)
+    assert q.num == {(1, 0, 0, 0): 2, (0, 0, 0, 0): -1} and q.den == {(0, 0, 0, 0): 12}
