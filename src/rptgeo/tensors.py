@@ -25,6 +25,12 @@ as P = diag(I, -I) in a P-eigenbasis, scales each slice of the slot by its
 entry (on Scalars 1 copies and -1 negates); any other matrix is one product
 on rows of components.  ``compose`` builds the torsion inner products, and
 covariant derivatives and curvature from connection coefficients.
+
+The small exact matrices have one elimination, ``row_reduce``, behind
+``leading_minors``, ``mat_det`` and ``mat_inv``.  Like ``mat_mul`` it runs on
+the cleared ints of a constant matrix, fraction-free (Bareiss): every entry
+it makes is a minor, so every division is exact.  Else it is Gauss-Jordan
+on the Scalars.
 """
 
 from __future__ import annotations
@@ -477,7 +483,25 @@ def row_reduce(m: list):
     pivot column of each nonzero row, the value each pivot had before its
     row was normalised, and the number of row swaps.  A square matrix has
     determinant (-1)**swaps times the product of the values when every
-    column is a pivot column, and zero otherwise."""
+    column is a pivot column, and zero otherwise.
+
+    Both paths take as pivot the first nonzero entry at or below the next
+    pivot row, so they make the same swaps.  When every entry is a constant
+    of one context the elimination is fraction-free (Bareiss) on the ints of
+    m = A / d: with p the new pivot and q the one before it (1 at first),
+    every other row becomes (p * row - a * pivot row) // q, a its entry in
+    the pivot column (a row with a = 0 is only scaled by p / q, which waits
+    until a later step needs the row).  After k pivots an entry of a pivot
+    row is a k-minor of the row-swapped A (Cramer) and an entry of any other
+    row a (k+1)-minor (Sylvester), so every division is exact.  Pivot k is
+    the leading minor p_k of the pivot columns, its value
+    p_k / (p_(k-1) * d), and the rref is A / p_last.  Otherwise the loop
+    runs on the Scalars and normalises each pivot row: fraction-free steps
+    there would divide polynomials."""
+    params = m[0][0].params if m and m[0] else ()
+    cleared = _cleared(m, params)
+    if cleared:
+        return _bareiss(*cleared, params)
     work = [list(row) for row in m]
     rows, cols = len(work), len(work[0])
     one = Scalar.one(work[0][0].params)
@@ -505,12 +529,64 @@ def row_reduce(m: list):
     return work, pivots, values, swaps
 
 
+def _bareiss(work: list, d: int, params: tuple):
+    """``row_reduce`` of the constant matrix work / d on its int rows, which
+    it overwrites.  Row k is its Bareiss row times minors[level[k]] /
+    minors[-1]: a step that would only scale it by p / q leaves it, and the
+    next step that needs it scales it up to date, exactly."""
+    rows, cols = len(work), len(work[0]) if work else 0
+    pivots, minors, swaps, level = [], [1], 0, [0] * rows
+    for col in range(cols):
+        r = len(pivots)
+        pivot = next((k for k in range(r, rows) if work[k][col]), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            work[r], work[pivot] = work[pivot], work[r]
+            level[r], level[pivot] = level[pivot], level[r]
+            swaps += 1
+        q = minors[-1]
+        for k in range(rows):
+            if level[k] < r and (k == r or work[k][col]):
+                work[k] = [x * q // minors[level[k]] for x in work[k]]
+        top, p = work[r], work[r][col]
+        for k in range(rows):
+            a = work[k][col]
+            if k != r and a:
+                work[k] = [(p * x - a * y) // q for x, y in zip(work[k], top)]
+                level[k] = r + 1
+        level[r] = r + 1
+        pivots.append(col)
+        minors.append(p)
+        if len(pivots) == rows:
+            break
+    last, rank = minors[-1], len(pivots)
+    work = [row if lev == rank else [x * last // minors[lev] for x in row]
+            for row, lev in zip(work, level)]
+    if last < 0:
+        work, last = [[-x for x in row] for row in work], -last
+    values = [Scalar.constant(params, Fraction(p, q * d) if p % (q * d) else p // (q * d))
+              for q, p in zip(minors, minors[1:])]
+    flat = _scalars([x for row in work for x in row], last, params)
+    rref = [flat[k * cols:(k + 1) * cols] for k in range(rows)]
+    return rref, pivots, values, swaps
+
+
+def _square(m: list) -> int:
+    """The size of m; ValueError unless m is a non-empty square matrix."""
+    n = len(m)
+    if not n or any(len(row) != n for row in m):
+        raise ValueError("expected a non-empty square matrix, got row lengths %s"
+                         % [len(row) for row in m])
+    return n
+
+
 def leading_minors(m: list) -> list:
     """Leading principal minors of a square matrix, the last its determinant:
     the running products of the pivot values of one elimination.  Rows are
     swapped only where a leading minor vanishes; then all but det are None."""
+    n, params = _square(m), m[0][0].params
     _, pivots, values, swaps = row_reduce(m)
-    n, params = len(m), m[0][0].params
     if len(pivots) < n:
         return [None] * (n - 1) + [Scalar.zero(params)]
     minors = list(itertools.accumulate(
@@ -523,7 +599,7 @@ def mat_det(m: list) -> Scalar:
 
 
 def mat_inv(m: list) -> list:
-    n = len(m)
+    n = _square(m)
     augmented = [list(row) + idrow
                  for row, idrow in zip(m, mat_identity(n, m[0][0].params))]
     rref, pivots, _, _ = row_reduce(augmented)

@@ -11,8 +11,9 @@ import random
 from fractions import Fraction
 from math import factorial
 
-from rptgeo import (FrameAlgebra, Scalar, Tensor, build_example, mat_identity,
-                    mat_inv, mat_mul, mat_transpose)
+from rptgeo import (Connection, FrameAlgebra, Scalar, Tensor, build_example,
+                    levi_civita, mat_identity, mat_inv, mat_mul, mat_transpose)
+from rptgeo.geometry import nabla_p_components
 from rptgeo.tensors import _perm_sign
 
 def build_tensor(dim: int, variance: str, params: tuple, fn) -> Tensor:
@@ -239,6 +240,32 @@ def mat_mul_oracle(a: list, b: list, params: tuple) -> list:
     width = len(b[0]) if b else 0
     return [[sum((a[i][s] * b[s][j] for s in range(len(b))), Scalar.zero(params))
              for j in range(width)] for i in range(len(a))]
+
+
+def row_reduce_oracle(m: list):
+    """Textbook Gauss-Jordan on plain Fractions, with the pivot rule of
+    ``row_reduce`` (the first nonzero entry at or below the next pivot row):
+    (rref, pivots, values, swaps) as Fractions."""
+    work = [[Fraction(x) for x in row] for row in m]
+    rows, cols = len(work), len(work[0]) if work else 0
+    pivots, values, swaps = [], [], 0
+    for col in range(cols):
+        r = len(pivots)
+        found = [k for k in range(r, rows) if work[k][col] != 0]
+        if not found:
+            continue
+        if found[0] != r:
+            work[r], work[found[0]] = work[found[0]], work[r]
+            swaps += 1
+        value = work[r][col]
+        work[r] = [x / value for x in work[r]]
+        for k in range(rows):
+            if k != r:
+                factor = work[k][col]
+                work[k] = [x - factor * y for x, y in zip(work[k], work[r])]
+        pivots.append(col)
+        values.append(value)
+    return work, pivots, values, swaps
 
 
 def compose_oracle(a: Tensor, b: Tensor) -> Tensor:
@@ -562,3 +589,33 @@ def single_bracket_frame() -> FrameAlgebra:
     c[0][1][2] = one
     c[1][0][2] = -one
     return FrameAlgebra(4, (), c, mat_identity(4, ()), swap_product_matrix(4, ()))
+
+
+# ---------------------------------------------------------------------------
+# the paper's existence system
+
+
+def existence_system(fa: FrameAlgebra):
+    """The linear system for the torsion T of a natural connection with
+    totally skew torsion on fa, as (rows, triples): rows are the nonzero rows
+    of [A | b], and the unknowns are the coefficients of T on the basis
+    3-forms e_u = e^ijk, one per triple (i, j, k) with i < j < k.
+
+    Column u is nabla P under the connection with coefficients e_u / 2
+    raised, and b is minus nabla P under Levi-Civita.  nabla P is linear in
+    the coefficients, so A x = b says that Levi-Civita + T / 2 raised keeps P
+    parallel; being a 3-form, T keeps it metric with torsion T."""
+    n, params = fa.dim, fa.params
+    triples = list(itertools.combinations(range(n), 3))
+    columns = []
+    for triple in triples:
+        comps = [Scalar.zero(params)] * n ** 3
+        for sigma in itertools.permutations(range(3)):
+            i, j, k = (triple[s] for s in sigma)
+            comps[(i * n + j) * n + k] = Scalar.constant(params,
+                                                         Fraction(_perm_sign(sigma), 2))
+        shift = Tensor(n, "ddd", params, comps).raise_slot(2, fa.metric_inv)
+        columns.append(nabla_p_components(fa, Connection(fa, shift)).comps)
+    columns.append((-nabla_p_components(fa, levi_civita(fa))).comps)
+    rows = [list(row) for row in zip(*columns) if any(row)]
+    return rows, triples

@@ -1,18 +1,22 @@
 """The skew-torsion natural connection and its companion connections."""
 
+import itertools
 from fractions import Fraction
+from math import comb
 
 import pytest
 
-from rptgeo import (Connection, NotW3Error, Scalar, Tensor, arranged, build_example,
-                    classify, covariant_derivative, curvature, cyclic_sum,
+from rptgeo import (CLASS_OUTSIDE, Connection, NotW3Error, Scalar, Tensor, adapted_frame,
+                    arranged, build_example, classify, covariant_derivative, curvature, cyclic_sum,
                     fundamental_F, levi_civita, natural_check, parse_expression,
-                    rpt_connection, rpt_torsion, sigma_T, torsion_inner_products)
+                    row_reduce, rpt_connection, rpt_torsion, sigma_T,
+                    torsion_inner_products)
 from rptgeo.connections import _shifted_connection, companion_shifts
+from rptgeo.tensors import _perm_sign
 
 from helpers import (alternate, apply_p, basis_vec, bracket_vec, build_tensor,
-                     covariant_derivative_oracle, inner, metric_witness_oracle,
-                     random_frames, single_bracket_frame,
+                     covariant_derivative_oracle, existence_system, inner,
+                     metric_witness_oracle, random_frames, single_bracket_frame, six_dim_frame,
                      torsion_products_oracle, vec_add, vec_scale, vec_sub)
 
 SYM = build_example()
@@ -287,3 +291,30 @@ def test_metric_witnesses_of_a_non_metric_connection_match_oracle():
         assert all(w.expected.is_zero and w.label == "metric" for w in witnesses)
         assert [(w.index, w.actual) for w in witnesses] == \
             [(idx, -value) for idx, value in metric_witness_oracle(bumped)]
+
+
+# ---------------------------------------------------------------------------
+# existence and uniqueness, by solving for the torsion 3-form
+
+
+@pytest.mark.parametrize("build", [lambda: build_example((1, 2, 3, 4)), six_dim_frame,
+                                   single_bracket_frame],
+                         ids=["family", "six-dim", "single-bracket"])
+def test_the_existence_system_is_consistent_exactly_off_the_outside_class(build):
+    fa = adapted_frame(build())
+    rows, triples = existence_system(fa)
+    rref, pivots, _, _ = row_reduce(rows)
+    n, unknowns = fa.dim, len(triples)
+    consistent = unknowns not in pivots
+    assert consistent == (classify(fa).label != CLASS_OUTSIDE)
+    # the kernel is the 3-forms on one eigenspace of P
+    assert len([c for c in pivots if c < unknowns]) == comb(n, 3) - 2 * comb(n // 2, 3)
+    if consistent and n == 4:
+        # rank 4 of 4: the unique solution is the paper's torsion
+        x = dict(zip(pivots, (row[-1] for row in rref)))
+        comps = [Scalar.zero(fa.params)] * n ** 3
+        for u, triple in enumerate(triples):
+            for sigma in itertools.permutations(range(3)):
+                i, j, k = (triple[s] for s in sigma)
+                comps[(i * n + j) * n + k] = x[u] * _perm_sign(sigma)
+        assert Tensor(n, "ddd", fa.params, comps) == rpt_torsion(fundamental_F(fa), fa)

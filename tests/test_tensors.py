@@ -1,21 +1,24 @@
 """Tensor algebra: contraction, cyclic sums, alternation, matrices."""
 
+import functools
 import itertools
 import operator
+import random
 from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from rptgeo import (Scalar, Tensor, arranged, compose, cyclic_sum,
                     mat_det, mat_identity, mat_inv, mat_mul, parse_expression,
-                    tensor_contract)
+                    row_reduce, tensor_contract)
+from rptgeo.tensors import leading_minors
 
 from helpers import (alternate, arranged_oracle, build_tensor, compose_oracle, contract_oracle,
                      cyclic_sum_oracle, elementwise_oracle, map_slot_oracle,
-                     mat_mul_oracle, slot_change_oracle, substitute_oracle,
-                     transpose_oracle)
+                     mat_mul_oracle, row_reduce_oracle, slot_change_oracle,
+                     substitute_oracle, transpose_oracle)
 
 PARAMS = ("l1", "l2", "l3", "l4")
 DIM = 4
@@ -352,6 +355,18 @@ def test_singular_matrix_rejected():
         mat_inv(m)
 
 
+@pytest.mark.parametrize("helper", [mat_inv, mat_det, leading_minors])
+@pytest.mark.parametrize("rows", [[[1, 2, 3], [4, 5, 6]], [[1, 2], [3, 4], [5, 6]],
+                                  [[1, 2], [3]], []])
+def test_matrix_helpers_reject_a_matrix_that_is_not_square(helper, rows):
+    with pytest.raises(ValueError, match="square"):
+        helper([[C(x) for x in row] for row in rows])
+
+
+def test_row_reduce_of_an_empty_matrix_is_empty():
+    assert row_reduce([]) == ([], [], [], 0)
+
+
 def test_raise_lower_roundtrip():
     a = Scalar.parameter(PARAMS, "l2")
     one, zero = Scalar.one(PARAMS), Scalar.zero(PARAMS)
@@ -515,3 +530,98 @@ def test_int_form_equals_a_scalar_built_tensor_of_the_same_values(variance, data
     other = a + Tensor.zeros(N3, variance, PARAMS).map_slot(
         _constant_square(data, diagonal=True), 0)
     assert other == a
+
+
+# ---------------------------------------------------------------------------
+# elimination: row_reduce and the helpers built on it against a Fraction oracle
+
+entries = st.one_of(st.integers(-3, 3), fractions_)
+
+
+@st.composite
+def constant_matrices(draw):
+    """Square, wide and tall matrices; some singular (a row that combines
+    others), some with zero leading entries in the first row, so that the
+    elimination must swap."""
+    rows = draw(st.integers(1, 5))
+    cols = draw(st.one_of(st.just(rows), st.integers(1, 6)))
+    m = [draw(st.lists(entries, min_size=cols, max_size=cols)) for _ in range(rows)]
+    if rows > 1 and draw(st.booleans()):
+        i, j, k = draw(st.permutations(range(rows)))[:2] + [draw(st.integers(0, rows - 1))]
+        a, b = draw(entries), draw(entries)
+        m[i] = [a * x + b * y for x, y in zip(m[j], m[k])]
+    if draw(st.booleans()):
+        lead = draw(st.integers(1, cols))
+        m[0] = [0] * lead + m[0][lead:]
+    return m
+
+
+def _as_scalars(m, params):
+    return [[Scalar.constant(params, x) for x in row] for row in m]
+
+
+def _oracle_det(m):
+    _, pivots, values, swaps = row_reduce_oracle(m)
+    if len(pivots) < len(m):
+        return 0
+    return (-1) ** swaps * functools.reduce(operator.mul, values, 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=constant_matrices(), params=st.sampled_from([(), ("a", "b")]))
+@example(m=[[1, 2], [3, 4]], params=())  # the last pivot, det = -2, is negative
+@example(m=[[0, 1], [0, 2], [3, 1]], params=())  # tall, with a zero leading column
+@example(m=[[Fraction(1, 2), Fraction(2, 3)], [Fraction(-3, 4), 5]], params=("a", "b"))
+def test_elimination_on_constants_matches_the_fraction_oracle(m, params):
+    s = _as_scalars(m, params)
+    rref, pivots, values, swaps = row_reduce(s)
+    o_rref, o_pivots, o_values, o_swaps = row_reduce_oracle(m)
+    assert (pivots, swaps) == (o_pivots, o_swaps)
+    assert rref == _as_scalars(o_rref, params)
+    assert values == [Scalar.constant(params, v) for v in o_values]
+    assert all(x.params == params for x in itertools.chain(values, *rref))
+    n = len(m)
+    if any(len(row) != n for row in m):
+        return
+    assert mat_det(s) == Scalar.constant(params, _oracle_det(m))
+    minors = leading_minors(s)
+    if swaps or len(pivots) < n:
+        assert minors[:-1] == [None] * (n - 1)
+    else:
+        assert minors == [Scalar.constant(params, _oracle_det([row[:k] for row in m[:k]]))
+                          for k in range(1, n + 1)]
+    if len(pivots) < n:
+        with pytest.raises(ValueError, match="singular"):
+            mat_inv(s)
+    else:
+        identity = [[int(i == j) for j in range(n)] for i in range(n)]
+        o_inv = [row[n:] for row in row_reduce_oracle([a + b for a, b in zip(m, identity)])[0]]
+        assert mat_inv(s) == _as_scalars(o_inv, params)
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_symbolic_elimination_commutes_with_substitution(data):
+    params = ("a", "b")
+    a, b = (Scalar.parameter(params, name) for name in params)
+    rows, cols = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 4))
+    coeffs = st.integers(-2, 2)
+    m = [[data.draw(coeffs) + data.draw(coeffs) * a + data.draw(coeffs) * b
+          for _ in range(cols)] for _ in range(rows)]
+    rref, pivots, values, swaps = row_reduce(m)
+    # a point where no pivot value vanishes (nor has a vanishing denominator)
+    rng = random.Random(data.draw(st.integers(0, 2 ** 16)))
+    for _ in range(20):
+        point = {name: Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for name in params}
+        try:
+            if all(v.substitute(point) for v in values):
+                break
+        except ZeroDivisionError:
+            pass
+    else:
+        assume(False)
+    at = row_reduce([[Scalar.constant((), x.substitute(point)) for x in row] for row in m])
+    assert (at[1], at[3]) == (pivots, swaps)
+    assert [v.value for v in at[2]] == [v.substitute(point) for v in values]
+    assert [[x.value for x in row] for row in at[0]] == \
+        [[x.substitute(point) for x in row] for row in rref]
