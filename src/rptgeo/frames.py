@@ -12,14 +12,13 @@ import hashlib
 import itertools
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import wraps
 
 from .parser import ParseError, parse_expression
 from .scalars import Scalar
-from .tensors import (Tensor, _rows, arranged, coefficient_tensor, leading_minors,
-                      mat_det, mat_identity, mat_inv, mat_mul, mat_transpose,
-                      row_reduce)
+from .tensors import (Tensor, _mul, _rows, _scalars, _times, arranged, coefficient_tensor,
+                      leading_minors, mat_det, mat_identity, mat_inv, mat_mul,
+                      mat_transpose, row_reduce)
 
 
 class SchemaError(ValueError):
@@ -301,17 +300,24 @@ def validate(fa: FrameAlgebra) -> CheckResult:
                                              "bracket-antisymmetry")
                  if w.index[0] <= w.index[1]]
 
-    # Jacobi, on the int numerators of a constant c, else on Scalars
+    # Jacobi on the numerators of c, ints or polynomials, as one product:
+    # the residual at (i, j, m, r), i < j < m, is sum over (s, k) of row
+    # (i, j, m) at s * n + k, which holds c^s_ij at k = m, c^s_jm at k = i
+    # and c^s_mi at k = j, times c^r_sk; it is over the squared denominator
     values, den = c._values()
     cc = _rows(_rows(values, n), n)
-    for i, j, m in itertools.combinations(range(n), 3):
-        for r in range(n):
-            acc = 0
-            for s in range(n):
-                acc = acc + cc[i][j][s] * cc[s][m][r] + cc[j][m][s] * cc[s][i][r] \
-                    + cc[m][i][s] * cc[s][j][r]
+    poly = type(den) is dict
+    triples = list(itertools.combinations(range(n), 3))
+    rows = []
+    for i, j, m in triples:
+        row = [{} if poly else 0] * (n * n)
+        row[m::n], row[i::n], row[j::n] = cc[i][j], cc[j][m], cc[m][i]
+        rows.append(row)
+    den2 = _times(den, den)
+    for (i, j, m), residuals in zip(triples, _mul(rows, _rows(values, n), poly)):
+        for r, acc in enumerate(residuals):
             if acc:
-                actual = acc if den is None else Scalar.constant(fa.params, Fraction(acc, den * den))
+                actual, = _scalars([acc], den2, fa.params)
                 witnesses.append(Witness((i + 1, j + 1, m + 1, r + 1), zero, actual, "jacobi"))
 
     g, p = coefficient_tensor(fa.g, "dd"), coefficient_tensor(fa.p, "dd")

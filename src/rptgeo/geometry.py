@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .frames import FrameAlgebra, memo, tensor_witnesses
 from .scalars import Scalar
-from .tensors import (Tensor, arranged, compose, cyclic_sum, mat_mul,
+from .tensors import (Tensor, arranged, compose, contract_all, cyclic_sum,
                       tensor_contract)
 
 CLASS_PARALLEL = "W0"
@@ -78,7 +78,7 @@ def square_norm(t: Tensor, fa: FrameAlgebra) -> Scalar:
     up = t
     for slot in range(t.rank):
         up = up.raise_slot(slot, fa.metric_inv)
-    return mat_mul([t.comps], [[x] for x in up.comps])[0][0]
+    return contract_all(t, up)
 
 
 @memo

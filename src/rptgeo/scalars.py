@@ -75,7 +75,14 @@ def _dict_neg(a: dict) -> dict:
 
 
 def _dict_sub(a: dict, b: dict) -> dict:
-    return _dict_add(a, _dict_neg(b))
+    out = dict(a)
+    for e, c in b.items():
+        s = out.get(e, 0) - c
+        if s:
+            out[e] = s
+        else:
+            del out[e]
+    return out
 
 
 def _dict_mul(a: dict, b: dict) -> dict:
@@ -119,6 +126,18 @@ def _is_const(a: dict) -> bool:
 
 def _const_value(a: dict) -> int:
     return next(iter(a.values()), 0)
+
+
+def _dict_eval(a: dict, vec: list) -> Fraction:
+    """The polynomial a at the point vec, one Fraction per parameter."""
+    total = Fraction(0)
+    for e, c in a.items():
+        m = c
+        for val, k in zip(vec, e):
+            if k:
+                m *= val ** k
+        total += m
+    return total
 
 
 # --- multivariate gcd (primitive PRS), used only to cancel true fractions ---
@@ -488,6 +507,9 @@ class Scalar:
                 and self.den == other.den)
 
     def __hash__(self):
+        # a constant equals its int or Fraction value, so it hashes as one
+        if self.value is not None:
+            return hash(self.value)
         return hash((self.params, frozenset(self.num.items()),
                      frozenset(self.den.items())))
 
@@ -496,21 +518,10 @@ class Scalar:
     def substitute(self, values: Mapping[str, Rat]) -> Fraction:
         """Evaluate at rational values given for every parameter."""
         vec = [Fraction(values[name]) for name in self.params]
-
-        def ev(terms: dict) -> Fraction:
-            total = Fraction(0)
-            for e, c in terms.items():
-                m = c
-                for val, k in zip(vec, e):
-                    if k:
-                        m *= val ** k
-                total += m
-            return total
-
-        den = ev(self.den)
+        den = _dict_eval(self.den, vec)
         if den == 0:
             raise ZeroDivisionError("denominator vanishes at the given values")
-        return ev(self.num) / den
+        return _dict_eval(self.num, vec) / den
 
     # printing ---------------------------------------------------------------
 

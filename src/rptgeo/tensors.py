@@ -3,50 +3,66 @@
 Slots are 0-based in this API; variance is a string over ``u`` (vector
 slot) and ``d`` (covector slot).  Components live in a flat row-major list.
 
-Storage is chosen only from the entries.  A tensor whose entries are all
-constants of its context holds int numerators ``nums`` over one positive
-int ``den``, kept canonical: gcd(den, *nums) = 1, so ``==`` compares the
-two lists.  Any other tensor holds exact Scalars.  ``comps`` always reads
-Scalars: on the int form it is a view built once, where Scalars are read
-(witnesses, printing, report scalars, golden comparisons).  A tensor given
-to the constructor is scanned for the int form once, on first use; one that
-an op built on Scalars is never scanned.
+A tensor holds numerators ``nums`` over one shared denominator ``den``, in
+one of two forms chosen only from the entries, each kept canonical so that
+``==`` compares the two lists:
 
-Every op reads the int form when each of its operands (tensors and
-matrices) has it, and Scalars otherwise.  Every product is one
-multiply-accumulate, ``_mul``: the same loop on ints, starting from 0, or on
-Scalars, starting from the zero of their context, where a zero entry makes
-no term.  The tensor products (``compose``, ``tensor_contract`` with a
-metric, ``map_slot`` with a dense matrix) call it on the form their operands
-share; ``mat_mul`` calls it on the ints of two constant matrices cleared to
-one denominator, else on their Scalars.  ``transpose`` reads its output
-through a table of input offsets.  ``map_slot`` with a diagonal matrix, such
-as P = diag(I, -I) in a P-eigenbasis, scales each slice of the slot by its
-entry (on Scalars 1 copies and -1 negates); any other matrix is one product
-on rows of components.  ``compose`` builds the torsion inner products, and
-covariant derivatives and curvature from connection coefficients.
+- the int form, when every entry is a constant of the context: int
+  numerators over an int den > 0, with gcd(den, *nums) = 1;
+- the parametric form, otherwise: int polynomials (the exponent -> int
+  dicts of ``scalars``) over a polynomial den.  den and the numerators
+  share no factor of positive degree, the integer content of den and all
+  numerators together is 1, and den's leading coefficient is positive.
+
+An op that makes a polynomial denominator cancels its common factor with
+the numerators tensor-wide: by trial division (``_divexact``) first, and by
+``_poly_gcd`` only when a division fails, stopping once the running gcd is
+constant; a result whose entries are all constants drops to the int form.
+
+Scalars are built only at the boundary.  The constructor takes Scalars and
+clears them to the form of their entries.  ``comps`` reads Scalars: a view
+built once, entry by entry through ``Scalar._make``, where Scalars are read
+(witnesses, printing, report scalars, golden comparisons).  The small
+matrices an op takes (a metric, P, a change of basis) are lists of
+Scalars, cleared the same way by ``_cleared`` to ints or polynomials over
+one denominator.
+
+Every op runs on the form its operands share; an int-form operand next to
+a parametric one is lifted to constant polynomials.  Every product is one
+multiply-accumulate, ``_mul``, on ints or on polynomial dicts, where a zero
+entry makes no term.  The tensor products (``compose``, ``tensor_contract``,
+``contract_all``, ``map_slot`` with a dense matrix) and ``mat_mul`` call it.
+``transpose`` reads its output through a table of input offsets.
+``map_slot`` with a diagonal matrix, such as P = diag(I, -I) in a
+P-eigenbasis, scales each slice of the slot by its entry (1 copies and -1
+negates); any other matrix is one product on rows of components.
+``compose`` builds the torsion inner products, and covariant derivatives
+and curvature from connection coefficients.
 
 The small exact matrices have one elimination, ``row_reduce``, behind
-``leading_minors``, ``mat_det`` and ``mat_inv``.  Like ``mat_mul`` it runs on
-the cleared ints of a constant matrix, fraction-free (Bareiss): every entry
-it makes is a minor, so every division is exact.  Else it is Gauss-Jordan
-on the Scalars.
+``leading_minors``, ``mat_det`` and ``mat_inv``.  On a constant matrix it
+runs on the cleared ints, fraction-free (Bareiss): every entry it makes is
+a minor, so every division is exact.  Else it is Gauss-Jordan on the
+Scalars.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from fractions import Fraction
 from math import gcd as _int_gcd, lcm as _int_lcm
 from typing import Sequence
 
-from .scalars import Scalar
+from .scalars import (Scalar, _const_value, _content, _dict_add, _dict_eval, _dict_exquo,
+                      _dict_mul, _dict_neg, _dict_scale, _dict_sub, _divexact, _is_const,
+                      _poly_gcd, _unit)
 
 Matrix = "list[list[Scalar]]"
 
 
 class Tensor:
-    __slots__ = ("dim", "variance", "params", "_comps", "_ints")
+    __slots__ = ("dim", "variance", "params", "_comps", "_nums", "_den")
 
     def __init__(self, dim: int, variance: str, params: tuple, comps: list):
         if len(comps) != dim ** len(variance):
@@ -57,51 +73,46 @@ class Tensor:
         self.variance = variance
         self.params = params
         self._comps = comps
-        self._ints = None  # not scanned yet
+        (self._nums,), self._den = _cleared([comps], params)
 
     # construction ----------------------------------------------------------
 
     @classmethod
-    def _new(cls, dim: int, variance: str, params: tuple, values: list, den=None):
-        """A tensor an op made: on Scalars when den is None, marked so it is
-        never scanned; else on the int numerators values over den > 0."""
+    def _of(cls, dim: int, variance: str, params: tuple, nums: list, den):
+        """A tensor an op made from nums over den, already canonical."""
         t = object.__new__(cls)
         t.dim, t.variance, t.params = dim, variance, params
-        if den is None:
-            t._comps, t._ints = values, False
-        else:
-            if den > 1:
-                g = _int_gcd(den, *values)
-                if g > 1:
-                    values, den = [x // g for x in values], den // g
-            t._comps, t._ints = None, (values, den)
+        t._comps, t._nums, t._den = None, nums, den
         return t
 
     @classmethod
+    def _new(cls, dim: int, variance: str, params: tuple, nums: list, den):
+        """A tensor an op made from nums over den, an int > 0 or a
+        polynomial with positive leading coefficient, made canonical."""
+        return cls._of(dim, variance, params, *_canonical(nums, den))
+
+    @classmethod
     def zeros(cls, dim: int, variance: str, params: tuple) -> "Tensor":
-        return cls._new(dim, variance, params, [0] * dim ** len(variance), 1)
+        return cls._of(dim, variance, params, [0] * dim ** len(variance), 1)
 
     # storage -----------------------------------------------------------------
 
     @property
     def comps(self) -> list:
-        """The components as Scalars; on the int form a view built once."""
+        """The components as Scalars, a view built once."""
         if self._comps is None:
-            self._comps = _scalars(*self._ints, self.params)
+            self._comps = _scalars(self._nums, self._den, self.params)
         return self._comps
 
     @property
     def ints(self):
-        """(nums, den) on the int form, else None; a tensor given Scalars is
-        scanned on the first read."""
-        if self._ints is None:
-            cleared = _cleared([self._comps], self.params)
-            self._ints = (cleared[0][0], cleared[1]) if cleared else False
-        return self._ints or None
+        """(nums, den) on the int form, else None."""
+        return (self._nums, self._den) if type(self._den) is int else None
 
     def _values(self):
-        """(nums, den) on the int form, else (Scalars, None)."""
-        return self.ints or (self.comps, None)
+        """(nums, den) in the tensor's form: ints over an int, or
+        polynomial dicts over a polynomial dict."""
+        return self._nums, self._den
 
     # indexing ----------------------------------------------------------------
 
@@ -133,7 +144,7 @@ class Tensor:
 
     # algebra -----------------------------------------------------------------
 
-    def _like(self, values: list, den=None) -> "Tensor":
+    def _like(self, values: list, den) -> "Tensor":
         return Tensor._new(self.dim, self.variance, self.params, values, den)
 
     def _check_compatible(self, other: "Tensor"):
@@ -147,52 +158,78 @@ class Tensor:
         return self._combine(other, -1)
 
     def _combine(self, other: "Tensor", sign: int) -> "Tensor":
-        """self + sign * other."""
+        """self + sign * other, over the lcm of the two denominators."""
         self._check_compatible(other)
-        a = self.ints
-        b = a and other.ints
-        if b and a[1] != b[1]:
-            den = _int_lcm(a[1], b[1])
-            fa, fb = den // a[1], sign * (den // b[1])
-            return self._like([x * fa + y * fb for x, y in zip(a[0], b[0])], den)
-        (xs, den), ys = (a, b[0]) if b else ((self.comps, None), other.comps)
-        return self._like([x + y for x, y in zip(xs, ys)] if sign > 0 else
-                          [x - y for x, y in zip(xs, ys)], den)
+        (xs, da), (ys, db) = _joint([self._values(), other._values()], self.params)
+        if type(da) is int:
+            if da != db:
+                den = _int_lcm(da, db)
+                fa, fb = den // da, sign * (den // db)
+                return self._like([x * fa + y * fb for x, y in zip(xs, ys)], den)
+            return self._like([x + y for x, y in zip(xs, ys)] if sign > 0 else
+                              [x - y for x, y in zip(xs, ys)], da)
+        if da == db:
+            if sign > 0:
+                return self._like([_dict_add(x, y) if x and y else x or y
+                                   for x, y in zip(xs, ys)], da)
+            return self._like([_dict_sub(x, y) if y else x for x, y in zip(xs, ys)], da)
+        den = _lcm(da, db)
+        fa, fb = _exquo(den, da), _exquo(den, db)
+        if sign < 0:
+            fb = _dict_neg(fb)
+        out = []
+        for x, y in zip(xs, ys):
+            x, y = x and _dict_mul(x, fa), y and _dict_mul(y, fb)
+            out.append(_dict_add(x, y) if x and y else x or y)
+        return self._like(out, den)
 
     def __neg__(self) -> "Tensor":
         values, den = self._values()
-        return self._like([-x for x in values], den)
+        neg = _dict_neg if type(den) is dict else operator.neg
+        return Tensor._of(self.dim, self.variance, self.params, list(map(neg, values)), den)
 
     def scale(self, factor) -> "Tensor":
         """The tensor times an int, a Fraction or a Scalar of its context."""
         if isinstance(factor, (int, Fraction)):
             factor = Scalar.constant(self.params, factor)
-        q = factor.value if factor.params == self.params else None
-        ints = self.ints if q is not None else None
-        if ints:
-            return self._like([x * q.numerator for x in ints[0]], ints[1] * q.denominator)
-        return self._like([factor * a for a in self.comps])
+        elif factor.params is not self.params and factor.params != self.params:
+            raise ValueError("scalars come from different parameter contexts")
+        if factor.is_zero:
+            return Tensor.zeros(self.dim, self.variance, self.params)
+        q, (values, den) = factor.value, self._values()
+        if q is None:
+            values, den = _as_poly(values, den, self.params)
+            return self._like([_dict_mul(x, factor.num) if x else x for x in values],
+                              _dict_mul(den, factor.den))
+        num, qden = q.numerator, q.denominator
+        if type(den) is int:
+            return self._like([x * num for x in values], den * qden)
+        # a constant factor makes no common factor of positive degree
+        return Tensor._of(self.dim, self.variance, self.params, *_primitive(
+            [_dict_scale(x, num) for x in values], _dict_scale(den, qden)))
 
     def __eq__(self, other):
         if not isinstance(other, Tensor):
             return NotImplemented
         if (self.dim, self.variance, self.params) != (other.dim, other.variance, other.params):
             return False
-        a = self.ints
-        b = a and other.ints
-        return a == b if b else self.comps == other.comps
+        return self._den == other._den and self._nums == other._nums
 
     @property
     def is_zero(self) -> bool:
-        return not any(self._values()[0])
+        return not any(self._nums)
 
     def substitute(self, values) -> "Tensor":
         """Evaluate every component; result lives in an empty parameter context."""
-        ints = self.ints
-        if ints:
-            return Tensor._new(self.dim, self.variance, (), *ints)
-        comps = [Scalar.constant((), c.substitute(values)) for c in self.comps]
-        return Tensor(self.dim, self.variance, (), comps)
+        nums, den = self._values()
+        if type(den) is int:
+            return Tensor._of(self.dim, self.variance, (), nums, den)
+        vec = [Fraction(values[name]) for name in self.params]
+        at = _dict_eval(den, vec)
+        if not at:
+            raise ZeroDivisionError("denominator vanishes at the given values")
+        return Tensor(self.dim, self.variance, (),
+                      [Scalar.constant((), _dict_eval(x, vec) / at) for x in nums])
 
     # slot operations -----------------------------------------------------------
 
@@ -213,56 +250,50 @@ class Tensor:
             steps = range(0, n * stride, stride)
             table = [off + step for off in table for step in steps]
         values, den = self._values()
-        return Tensor._new(n, variance, self.params, [values[off] for off in table], den)
+        return Tensor._of(n, variance, self.params, [values[off] for off in table], den)
 
     def map_slot(self, matrix: list, slot: int) -> "Tensor":
         """Compose a (1,1) map into one slot (covariant: M^a_i feeds slot).
 
-        A diagonal matrix scales each slice of the slot by its entry; on
-        Scalars 1 copies the slice and -1 negates it, with no
-        multiplication.  Any other matrix is one product: the slot moves to
-        last place, each row of components is multiplied by M, or by M^T on
-        a vector slot, and the slot moves back."""
+        A diagonal matrix scales each slice of the slot by its entry; on a
+        diagonal of 1 and -1 the result needs no cancellation, and a
+        polynomial slice is shared or negated.  Any other matrix is one
+        product: the slot moves to last place, each row of components is
+        multiplied by M, or by M^T on a vector slot, and the slot moves
+        back."""
         n = self.dim
         stride = n ** (self.rank - 1 - slot)
         if all(x.is_zero for i, row in enumerate(matrix) for j, x in enumerate(row)
                if i != j):
-            values, matrix, den = self._with_matrix(matrix)
-            if den is not None:
-                diag = [row[i] for i, row in enumerate(matrix) for _ in range(stride)]
-                return self._like([x * d for x, d in zip(values, itertools.cycle(diag))], den)
-            out = []
-            for base in range(0, len(values), stride * n):
-                for i, row in enumerate(matrix):
-                    d, part = row[i], values[base + i * stride:base + (i + 1) * stride]
-                    out += part if d.value == 1 else [-x for x in part] \
-                        if d.value == -1 else [d * x for x in part]
-            return self._like(out)
+            values, rows, den = self._with_matrix(matrix)
+            diag = itertools.cycle([row[i] for i, row in enumerate(rows) for _ in range(stride)])
+            out = [x * d for x, d in zip(values, diag)] if type(den) is int else \
+                [_dict_mul(x, d) if x and d else {} for x, d in zip(values, diag)]
+            if all(row[i].value in (1, -1) for i, row in enumerate(matrix)):
+                return Tensor._of(n, self.variance, self.params, out, den)
+            return self._like(out, den)
         # the slot moves to last place: slot j of the move is slot order[j]
         order = [k for k in range(self.rank) if k != slot] + [slot]
         last = self.transpose([order.index(k) for k in range(self.rank)]) \
             if stride > 1 else self
-        values, matrix, den = last._with_matrix(
+        values, rows, den = last._with_matrix(
             mat_transpose(matrix) if self.variance[slot] == "u" else matrix)
-        out = last._like(_product(_rows(values, n), matrix, den, self.params), den)
+        out = last._like(_product(_rows(values, n), rows, den), den)
         return out.transpose(order) if stride > 1 else out
 
     def _with_matrix(self, matrix: list):
-        """(values, matrix, den): the int numerators and the cleared matrix,
-        with den the product of their denominators, when both are int; else
-        the Scalars, the matrix and None."""
-        ints = self.ints
-        cleared = _cleared(matrix, self.params) if ints else None
-        if cleared is None:
-            return self.comps, matrix, None
-        return ints[0], cleared[0], ints[1] * cleared[1]
+        """(values, rows, den): the numerators and the cleared matrix in one
+        form, with den the product of their denominators."""
+        (values, den), (rows, d) = _joint(
+            [self._values(), _cleared(matrix, self.params)], self.params)
+        return values, rows, _times(den, d)
 
     def lower_slot(self, slot: int, metric: list) -> "Tensor":
         if self.variance[slot] != "u":
             raise ValueError("slot is already covariant")
         t = self.map_slot(metric, slot)
         var = self.variance[:slot] + "d" + self.variance[slot + 1:]
-        return Tensor._new(self.dim, var, self.params, *t._values())
+        return Tensor._of(self.dim, var, self.params, *t._values())
 
     def raise_slot(self, slot: int, metric_inv: list) -> "Tensor":
         if self.variance[slot] != "d":
@@ -271,7 +302,7 @@ class Tensor:
         # is symmetric (validate enforces a symmetric metric), so that is g^ia
         t = self.map_slot(metric_inv, slot)
         var = self.variance[:slot] + "u" + self.variance[slot + 1:]
-        return Tensor._new(self.dim, var, self.params, *t._values())
+        return Tensor._of(self.dim, var, self.params, *t._values())
 
 
 def coefficient_tensor(nested: list, variance: str = "ddu") -> Tensor:
@@ -288,11 +319,10 @@ def _rows(values: list, width: int) -> list:
     return [values[k:k + width] for k in range(0, len(values), width)]
 
 
-def _product(a: list, b: list, den, params: tuple) -> list:
-    """The flat entries of the matrix product a.b: on ints when den is not
-    None, else on Scalars of the context."""
-    rows = _mul(a, b, 0 if den is not None else Scalar.zero(params))
-    return [x for row in rows for x in row]
+def _product(a: list, b: list, den) -> list:
+    """The flat entries of the matrix product a.b: on ints when den is an
+    int, else on polynomial dicts."""
+    return [x for row in _mul(a, b, type(den) is dict) for x in row]
 
 
 def compose(a: Tensor, b: Tensor) -> Tensor:
@@ -303,16 +333,10 @@ def compose(a: Tensor, b: Tensor) -> Tensor:
     if a.variance[-1:] != "u" or b.variance[:1] != "d":
         raise ValueError("compose needs a vector slot last in a and a covector "
                          "slot first in b")
-    ai = a.ints
-    bi = ai and b.ints
-    if bi:
-        (av, ad), (bv, bd) = ai, bi
-        den = ad * bd
-    else:
-        av, bv, den = a.comps, b.comps, None
-    n = a.dim
+    (av, ad), (bv, bd) = _joint([a._values(), b._values()], a.params)
+    n, den = a.dim, _times(ad, bd)
     return Tensor._new(n, a.variance[:-1] + b.variance[1:], a.params,
-                       _product(_rows(av, n), _rows(bv, len(bv) // n), den, a.params), den)
+                       _product(_rows(av, n), _rows(bv, len(bv) // n), den), den)
 
 
 # ---------------------------------------------------------------------------
@@ -331,19 +355,26 @@ def tensor_contract(t: Tensor, slot_a: int, slot_b: int, metric=None) -> Tensor:
         raise ValueError("metric only applies when slot variances match")
     a, b = sorted((slot_a, slot_b))
     keep = [k for k in range(r) if k not in (a, b)]
-    # slots a, b move to the front: row p * n + q holds t at a = p, b = q
+    # slots a, b move to the front: row p * n + q holds t at a = p, b = q,
+    # paired by the metric, or by the identity on a vector and a covector slot
     order = [a, b] + keep
     n = t.dim
     moved = t.transpose([order.index(k) for k in range(r)])
-    if metric is None:
-        values, den = moved._values()
-        start = 0 if den is not None else Scalar.zero(t.params)
-        comps = [sum(col, start) for col in zip(*_rows(values, n ** (r - 2))[::n + 1])]
-    else:
-        values, metric, den = moved._with_matrix(metric)
-        comps = _product([[m for row in metric for m in row]],
-                         _rows(values, n ** (r - 2)), den, t.params)
+    values, rows, den = moved._with_matrix(
+        mat_identity(n, t.params) if metric is None else metric)
+    comps = _product([[m for row in rows for m in row]], _rows(values, n ** (r - 2)), den)
     return Tensor._new(n, "".join(t.variance[k] for k in keep), t.params, comps, den)
+
+
+def contract_all(a: Tensor, b: Tensor) -> Scalar:
+    """The full contraction, the sum over every index of a(idx) b(idx), of
+    two tensors of one dimension, rank and context, such as a covariant
+    tensor and its raised twin: one product on the form they share."""
+    if (a.dim, a.rank, a.params) != (b.dim, b.rank, b.params):
+        raise ValueError("tensors have different shape or context")
+    (av, ad), (bv, bd) = _joint([a._values(), b._values()], a.params)
+    den = _times(ad, bd)
+    return _scalars(_product([av], [[y] for y in bv], den), den, a.params)[0]
 
 
 def cyclic_sum(t: Tensor, slots) -> Tensor:
@@ -407,6 +438,208 @@ def arranged(t: Tensor, pattern: str, product=None) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
+# the two storage forms: clearing, lifting, cancelling
+
+
+def _cleared(m: list, params: tuple):
+    """(rows, d) with m = rows / d, for a matrix m of Scalars of the context:
+    ints over the positive lcm of the entry denominators when every entry
+    is a constant, else polynomial dicts over the least common multiple of
+    the entry denominators, with positive leading coefficient.  On one row
+    of canonical Scalars that is the row's canonical form: each factor of d
+    divides some entry's denominator to its full power, and that entry's
+    numerator does not have it."""
+    den, constant = 1, True
+    for row in m:
+        for x in row:
+            if x.params is not params and x.params != params:
+                raise ValueError("scalars come from different parameter contexts")
+            v = x.value
+            if v is None:
+                constant = False
+            elif type(v) is not int:
+                den = _int_lcm(den, v.denominator)
+    if constant:
+        return [[x.value.numerator * (den // x.value.denominator) for x in row]
+                for row in m], den
+    den = None
+    for row in m:
+        for x in row:
+            if x:
+                d = x.den
+                if den is None:
+                    den = d
+                elif d is not den and d != den:
+                    den = _lcm(den, d)
+    return [[{} if not x else x.num if x.den is den or x.den == den else
+             _dict_mul(x.num, _exquo(den, x.den)) for x in row] for row in m], den
+
+
+def _scalars(nums: list, den, params: tuple) -> list:
+    """The Scalars nums[k] / den of the context, sharing one zero: on the
+    int form also one unit denominator, else each through ``_make``."""
+    zero = Scalar.zero(params)
+    if type(den) is dict:
+        return [Scalar._make(params, x, den) if x else zero for x in nums]
+    unit = zero.den
+    return [Scalar._of_value(params, Fraction(x, den) if den > 1 else x, unit)
+            if x else zero for x in nums]
+
+
+def _lift(values: list, params: tuple) -> list:
+    """Ints as constant polynomials of the context; nested lists row by row."""
+    z = (0,) * len(params)
+    return [_lift(x, params) if type(x) is list else {z: x} if x else {} for x in values]
+
+
+def _as_poly(values: list, den, params: tuple):
+    """(values, den) on polynomial dicts, the int form lifted."""
+    if type(den) is dict:
+        return values, den
+    return _lift(values, params), _lift([den], params)[0]
+
+
+def _joint(forms: list, params: tuple) -> list:
+    """(values, den) pairs in one form: as they are when every den is an
+    int, else each on polynomial dicts."""
+    if all(type(den) is int for _, den in forms):
+        return forms
+    return [_as_poly(values, den, params) for values, den in forms]
+
+
+def _times(a, b):
+    """The product of two denominators of one form."""
+    return a * b if type(a) is int else _dict_mul(a, b)
+
+
+def _split(a: dict):
+    """(content, primitive part) of a polynomial."""
+    c = _content(a)
+    return c, _dict_exquo(a, c)
+
+
+def _exquo(a: dict, b: dict) -> dict:
+    """a / b for a polynomial b that divides a."""
+    (ca, pa), (cb, pb) = _split(a), _split(b)
+    if pa == pb:
+        return dict.fromkeys(_unit(len(next(iter(a)))), ca // cb)
+    return _dict_exquo(_divexact(a, pb), cb)
+
+
+def _lcm(a: dict, b: dict) -> dict:
+    """The least common multiple of two polynomials with positive leading
+    coefficients, through the gcd of their primitive parts."""
+    if a == b:
+        return a
+    (ca, pa), (cb, pb) = _split(a), _split(b)
+    g = pa if pa == pb else _poly_gcd(pa, pb)
+    return _dict_scale(_dict_mul(pa, _divexact(pb, g)), _int_lcm(ca, cb))
+
+
+def _canonical(nums: list, den):
+    """nums / den in canonical form, for den an int > 0 or a polynomial
+    with positive leading coefficient.  The common factor of den and every
+    numerator is found by trial division by den's primitive part pd; when a
+    numerator is not a multiple of pd the running gcd starts there, and each
+    later numerator not a multiple of it takes a gcd, until it is constant."""
+    if type(den) is int:
+        if den > 1:
+            g = _int_gcd(den, *nums)
+            if g > 1:
+                nums, den = [x // g for x in nums], den // g
+        return nums, den
+    if _is_const(den):
+        return _primitive(nums, den)
+    c = _content(den)
+    pd = _dict_exquo(den, c)
+    quotients = []
+    for k, x in enumerate(nums):
+        try:
+            quotients.append(_divexact(x, pd))
+        except ArithmeticError:
+            break
+    else:
+        return _primitive(quotients, dict.fromkeys(_unit(len(next(iter(den)))), c))
+    g = _poly_gcd(pd, nums[k])
+    for x in nums[k + 1:]:
+        if _is_const(g):
+            return _primitive(nums, den)
+        try:
+            _divexact(x, g)
+        except ArithmeticError:
+            g = _poly_gcd(g, x)
+    if _is_const(g):
+        return _primitive(nums, den)
+    return _primitive([_divexact(x, g) for x in nums], _divexact(den, g))
+
+
+def _primitive(nums: list, den: dict):
+    """nums / den with no common factor of positive degree, divided by the
+    integer content of den and all numerators together; on the int form
+    when every entry is a constant."""
+    k = _content(den)
+    for x in nums:
+        if k == 1:
+            break
+        if x:
+            k = _int_gcd(k, *x.values())
+    if k > 1:
+        nums, den = [x and _dict_exquo(x, k) for x in nums], _dict_exquo(den, k)
+    if _is_const(den) and all(map(_is_const, nums)):
+        return list(map(_const_value, nums)), _const_value(den)
+    return nums, den
+
+
+def _mul(a: list, b: list, poly: bool) -> list:
+    """The one multiply-accumulate, on ints or, when poly, on polynomial
+    dicts: row i of the product adds up the rows of b scaled by the nonzero
+    entries of row i of a, in ascending column order; a zero entry of b
+    makes no term.  On dicts each entry accumulates in place, and a
+    constant factor only scales the other's coefficients."""
+    width = len(b[0]) if b else 0
+    out = []
+    if not poly:
+        terms = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+        for row in a:
+            acc = [0] * width
+            for x, b_row in zip(row, terms):
+                if x:
+                    for j, y in b_row:
+                        acc[j] += x * y
+            out.append(acc)
+        return out
+    terms = [[(j, _const_value(y) if _is_const(y) else None, list(y.items()))
+              for j, y in enumerate(row) if y] for row in b]
+    add = operator.add
+    for row in a:
+        acc = [{} for _ in range(width)]
+        for x, b_row in zip(row, terms):
+            if not x:
+                continue
+            if _is_const(x):
+                c = _const_value(x)
+                for j, _, y in b_row:
+                    d = acc[j]
+                    for e, v in y:
+                        d[e] = d.get(e, 0) + c * v
+                continue
+            xs = list(x.items())
+            for j, c, y in b_row:
+                d = acc[j]
+                if c is not None:
+                    for e, v in xs:
+                        d[e] = d.get(e, 0) + v * c
+                    continue
+                for eb, vb in y:
+                    for ea, va in xs:
+                        e = tuple(map(add, ea, eb))
+                        d[e] = d.get(e, 0) + va * vb
+        out.append([{e: v for e, v in d.items() if v} if 0 in d.values() else d
+                    for d in acc])
+    return out
+
+
+# ---------------------------------------------------------------------------
 # small exact matrices (lists of rows of Scalars)
 
 
@@ -419,61 +652,14 @@ def mat_transpose(m: list) -> list:
     return [list(row) for row in zip(*m)]
 
 
-def _cleared(m: list, params: tuple):
-    """(rows of ints, d) with m = rows / d and d the positive lcm of the entry
-    denominators, or None when an entry is not a constant of the context.
-    For a flat list of reduced entries gcd(d, *ints) = 1."""
-    den = 1
-    for row in m:
-        for x in row:
-            v = x.value
-            if v is None or x.params is not params and x.params != params:
-                return None
-            if type(v) is not int:
-                den = _int_lcm(den, v.denominator)
-    return [[x.value.numerator * (den // x.value.denominator) for x in row]
-            for row in m], den
-
-
-def _scalars(nums: list, den: int, params: tuple) -> list:
-    """The Scalars nums[k] / den of the context, sharing one zero and one
-    unit denominator."""
-    zero = Scalar.zero(params)
-    unit = zero.den
-    return [Scalar._of_value(params, Fraction(x, den) if den > 1 else x, unit)
-            if x else zero for x in nums]
-
-
-def _mul(a: list, b: list, zero) -> list:
-    """The one multiply-accumulate, on ints with zero 0 or on Scalars with
-    zero the zero Scalar of their context: row i of the product adds up the
-    rows of b scaled by the nonzero entries of row i of a, in ascending
-    column order; a zero entry of b makes no term."""
-    width = len(b[0]) if b else 0
-    terms = [[(j, y) for j, y in enumerate(row) if y] for row in b]
-    out = []
-    for row in a:
-        acc = [zero] * width
-        for x, b_row in zip(row, terms):
-            if x:
-                for j, y in b_row:
-                    acc[j] += x * y
-        out.append(acc)
-    return out
-
-
 def mat_mul(a: list, b: list) -> list:
-    """Matrix product of Scalar matrices, by ``_mul``: on ints when every
-    entry of both is a constant of one context, cleared to one common
-    denominator, with each entry of the product made once; else on the
-    Scalars.  The width of the product is that of b's first row."""
-    params = a[0][0].params if a and a[0] else ()
-    cleared_a = _cleared(a, params)
-    cleared_b = cleared_a and _cleared(b, params)
-    if cleared_b:
-        (a_int, da), (b_int, db) = cleared_a, cleared_b
-        return [_scalars(row, da * db, params) for row in _mul(a_int, b_int, 0)]
-    return _mul(a, b, Scalar.zero(params))
+    """Matrix product of Scalar matrices of one context, by ``_mul`` on
+    both cleared to one form, each entry of the product made once.  The
+    width of the product is that of b's first row."""
+    params = next((row[0].params for row in itertools.chain(a, b) if row), ())
+    (ra, da), (rb, db) = _joint([_cleared(a, params), _cleared(b, params)], params)
+    den = _times(da, db)
+    return [_scalars(row, den, params) for row in _mul(ra, rb, type(den) is dict)]
 
 
 def row_reduce(m: list):
@@ -499,9 +685,8 @@ def row_reduce(m: list):
     runs on the Scalars and normalises each pivot row: fraction-free steps
     there would divide polynomials."""
     params = m[0][0].params if m and m[0] else ()
-    cleared = _cleared(m, params)
-    if cleared:
-        return _bareiss(*cleared, params)
+    if all(x.value is not None for row in m for x in row):
+        return _bareiss(*_cleared(m, params), params)
     work = [list(row) for row in m]
     rows, cols = len(work), len(work[0])
     one = Scalar.one(work[0][0].params)

@@ -78,18 +78,17 @@ def vec_scale(u, c):
 # oracles
 
 
+def jacobi_residual_oracle(fa, i, j, m):
+    """The vector [[e_i,e_j],e_m] + [[e_j,e_m],e_i] + [[e_m,e_i],e_j]."""
+    lhs = bracket_vec(fa, fa.c[i][j], basis_vec(fa, m))
+    lhs = vec_add(lhs, bracket_vec(fa, fa.c[j][m], basis_vec(fa, i)))
+    return vec_add(lhs, bracket_vec(fa, fa.c[m][i], basis_vec(fa, j)))
+
+
 def jacobi_oracle(fa):
     """Triple-loop Jacobi residuals; list of (i, j, m) with nonzero residual."""
-    bad = []
-    for i in range(fa.dim):
-        for j in range(fa.dim):
-            for m in range(fa.dim):
-                lhs = bracket_vec(fa, fa.c[i][j], basis_vec(fa, m))
-                lhs = vec_add(lhs, bracket_vec(fa, fa.c[j][m], basis_vec(fa, i)))
-                lhs = vec_add(lhs, bracket_vec(fa, fa.c[m][i], basis_vec(fa, j)))
-                if any(not x.is_zero for x in lhs):
-                    bad.append((i, j, m))
-    return bad
+    return [(i, j, m) for i, j, m in itertools.product(range(fa.dim), repeat=3)
+            if any(not x.is_zero for x in jacobi_residual_oracle(fa, i, j, m))]
 
 
 def killing_oracle(fa):

@@ -17,7 +17,8 @@ from rptgeo import (FrameAlgebra, Scalar, build_example, cli, frames, geometry,
                     save_spec, theorems)
 from rptgeo.example import bundled_spec_path
 
-from helpers import scaled_family_frame, single_bracket_frame, six_dim_frame
+from helpers import (scaled_family_frame, sheared_family_frame, single_bracket_frame,
+                     six_dim_frame)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SPEC = str(bundled_spec_path())
@@ -33,6 +34,7 @@ def _fixture_argv(name, tmp_path):
     """Command line whose stdout is frozen in tests/fixtures/<name>."""
     saved = {"check_single_bracket.json": single_bracket_frame,
              "check_six_dim.json": six_dim_frame,
+             "check_sheared_family.json": sheared_family_frame,
              "report_single_bracket.txt": single_bracket_frame,
              "report_single_bracket.json": single_bracket_frame,
              "report_scaled_family.txt": scaled_family_frame}
@@ -55,9 +57,11 @@ def _fixture_argv(name, tmp_path):
 # freeze the skip reasons and details lines; the single-bracket reports
 # freeze the non-W3 path: the skipped connection section and no tau'; the
 # scaled-family report freezes the printing of polynomials with rational
-# content over rational-function frames
+# content over rational-function frames; the sheared-family check freezes a
+# symbolic frame whose product structure depends on a parameter
 @pytest.mark.parametrize("name", ["example_lambda_1234.json", "check_bundled.json",
                                   "check_single_bracket.json", "check_six_dim.json",
+                                  "check_sheared_family.json",
                                   "check_family_w0.json",
                                   "check_family_w0.txt", "report_bundled.txt",
                                   "report_bundled.json", "report_single_bracket.txt",

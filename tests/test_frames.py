@@ -1,5 +1,6 @@
 """Frame validation, the Killing condition, and spec-file round trips."""
 
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -14,10 +15,10 @@ from rptgeo import (FrameAlgebra, Scalar, SchemaError, associated_metric,
 from rptgeo.example import family_structure_constants, swap_product_matrix
 from rptgeo.frames import (Witness, adapted_frame, check_result, frame_from_dict,
                            frame_to_dict, tensor_witnesses)
-from rptgeo.tensors import Tensor, coefficient_tensor
+from rptgeo.tensors import Tensor, _as_poly, coefficient_tensor
 
-from helpers import (conjugate, jacobi_oracle, killing_oracle, random_frames,
-                     random_unimodular, single_bracket_frame)
+from helpers import (conjugate, jacobi_oracle, jacobi_residual_oracle, killing_oracle,
+                     random_frames, random_unimodular, single_bracket_frame)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -73,16 +74,22 @@ def _jacobi_witnesses(fa: FrameAlgebra) -> list:
 
 
 def test_jacobi_on_cleared_ints_matches_the_scalar_loop(monkeypatch):
-    on_ints = _jacobi_witnesses(_broken_half_integral_family(()))
+    fa = _broken_half_integral_family(())
+    on_ints = _jacobi_witnesses(fa)
     assert on_ints and any("/" in actual for _, _, actual in on_ints)
+    assert on_ints == [((i + 1, j + 1, m + 1, r + 1), "0", str(x))
+                       for i, j, m in itertools.combinations(range(4), 3)
+                       for r, x in enumerate(jacobi_residual_oracle(fa, i, j, m)) if x]
     lifted = _broken_half_integral_family(("t",))
     # constant entries take the int loop in any context
     assert coefficient_tensor(lifted.c).ints is not None
     assert _jacobi_witnesses(lifted) == on_ints
-    # with the int form hidden, the lifted frame takes the Scalar loop
-    monkeypatch.setattr(Tensor, "ints", property(lambda self: None))
-    on_scalars = _jacobi_witnesses(_broken_half_integral_family(("t",)))
-    assert on_scalars == on_ints
+    # with every int form read as constant polynomials, the lifted frame
+    # takes the polynomial loop, as every op on the way does
+    monkeypatch.setattr(Tensor, "_values", lambda self: _as_poly(self._nums, self._den,
+                                                                 self.params))
+    on_polys = _jacobi_witnesses(_broken_half_integral_family(("t",)))
+    assert on_polys == on_ints
 
 
 def test_structural_axiom_witnesses():

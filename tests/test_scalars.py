@@ -358,3 +358,28 @@ def test_cancelled_quotient_equals_its_parse():
     direct = S("1/6*l1 - 1/12")
     assert q == direct and hash(q) == hash(direct)
     assert q.num == {(1, 0, 0, 0): 2, (0, 0, 0, 0): -1} and q.den == {(0, 0, 0, 0): 12}
+
+
+# ints, Fractions, and constant and non-constant Scalars of two contexts,
+# so that equal values meet across types and contexts
+_hashables = st.one_of(
+    st.integers(-3, 3), _fractions,
+    st.tuples(st.sampled_from([(), PARAMS]), _fractions).map(lambda pq: Scalar.constant(*pq)),
+    rational_scalars)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_hashables, _hashables)
+def test_equal_values_hash_equal_across_ints_fractions_and_scalars(a, b):
+    if a == b:
+        assert hash(a) == hash(b)
+    # a constant Scalar is found by its value in a set or a dict, and back
+    for s in (a, b):
+        if isinstance(s, Scalar) and s.is_constant:
+            assert s.value in {s} and s in {s.value: None}
+
+
+def test_a_constant_scalar_hashes_as_its_value():
+    assert 0 in {Scalar.zero(())}
+    assert {3: "x"}.get(Scalar.constant(("a",), 3)) == "x"
+    assert {Fraction(1, 2): "h"}.get(Scalar.constant(PARAMS, Fraction(1, 2))) == "h"

@@ -13,7 +13,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 from rptgeo import (Scalar, Tensor, arranged, compose, cyclic_sum,
                     mat_det, mat_identity, mat_inv, mat_mul, parse_expression,
                     row_reduce, tensor_contract)
-from rptgeo.tensors import leading_minors
+from rptgeo.scalars import _canonical_assoc, _is_const, _leading, _poly_gcd
+from rptgeo.tensors import contract_all, leading_minors
 
 from helpers import (alternate, arranged_oracle, build_tensor, compose_oracle, contract_oracle,
                      cyclic_sum_oracle, elementwise_oracle, map_slot_oracle,
@@ -400,10 +401,12 @@ def _constant_square(data, diagonal=False, symmetric=False):
 
 
 def _scalar_built(t):
-    """t's values in a tensor that an op built on Scalars."""
+    """t's values in a tensor that ops built through the parametric form:
+    its entries are constants again, so it drops back to the int form."""
     p = _mixed_tensor(t.dim, t.variance)
+    assert (t + p).ints is None
     out = (t + p) - p
-    assert out.ints is None
+    _assert_int_form(out)
     return out
 
 
@@ -513,7 +516,8 @@ def test_ops_mixing_the_int_form_with_scalar_tensors_match_the_oracle(kind, fact
              (b.map_slot(matrix, slot), map_slot_oracle(b, matrix, slot)),
              (tensor_contract(b, 0, 1), contract_oracle(b, 0, 1))]
     for got, expected in cases:
-        assert got.ints is None  # built on Scalars, never scanned
+        # the storage form follows the entries alone
+        assert (got.ints is not None) == all(x.is_constant for x in expected.comps)
         _assert_matches(got, expected)
 
 
@@ -625,3 +629,159 @@ def test_symbolic_elimination_commutes_with_substitution(data):
     assert [v.value for v in at[2]] == [v.substitute(point) for v in values]
     assert [[x.value for x in row] for row in at[0]] == \
         [[x.substitute(point) for x in row] for row in rref]
+
+
+# ---------------------------------------------------------------------------
+# the parametric form: int polynomials over one polynomial denominator
+
+PP = ("a", "b")
+PA, PB = (Scalar.parameter(PP, name) for name in PP)
+# denominators with a shared factor, a square, and ones prime to the rest
+PDENS = [1 + PA * PB, (1 + PA * PB) ** 2, PA - 2 * PB, 2 * PA + 1]
+N2 = 2
+
+_coeffs = st.integers(-3, 3)
+_polys = st.builds(lambda c0, c1, c2, c3: c0 + c1 * PA + c2 * PA * PB + c3 * PB * PB,
+                   _coeffs, _coeffs, _coeffs, _coeffs)
+# zeros, ints, Fractions, polynomials, polynomials with rational content and
+# true fractions over several denominators
+param_entries = st.one_of(
+    st.just(Scalar.zero(PP)),
+    st.one_of(st.integers(-4, 4), fractions_).map(lambda q: Scalar.constant(PP, q)),
+    _polys, _polys.map(lambda p: p * Fraction(1, 6)),
+    st.builds(lambda p, d: p / d, _polys, st.sampled_from(PDENS)))
+
+
+def C2(v):
+    return Scalar.constant(PP, v)
+
+
+def _constant_tensor_of(data, variance):
+    values = data.draw(st.lists(fractions_, min_size=N2 ** len(variance),
+                                max_size=N2 ** len(variance)))
+    return Tensor(N2, variance, PP, [C2(v) for v in values])
+
+
+def _param_tensor(data, variance):
+    values = data.draw(st.lists(param_entries, min_size=N2 ** len(variance),
+                                max_size=N2 ** len(variance)))
+    return Tensor(N2, variance, PP, values)
+
+
+def _param_square(data, diagonal=False, symmetric=False):
+    zero = Scalar.zero(PP)
+    m = [[data.draw(param_entries) if i == j or not diagonal else zero
+          for j in range(N2)] for i in range(N2)]
+    return [[m[min(i, j)][max(i, j)] for j in range(N2)] for i in range(N2)] \
+        if symmetric else m
+
+
+def _assert_canonical(t):
+    """t in the form its entries pick, canonical: the int form when every
+    entry is a constant, else polynomials over a denominator with positive
+    leading coefficient, sharing no factor with every numerator and with
+    integer content 1 over all of them."""
+    nums, den = t._values()
+    assert (t.ints is not None) == all(x.is_constant for x in t.comps)
+    if t.ints is not None:
+        assert den > 0 and gcd(den, *nums) == 1
+        return
+    assert den[_leading(den)] > 0
+    assert gcd(*den.values(), *(c for x in nums for c in x.values())) == 1
+    common = functools.reduce(_poly_gcd, [x for x in nums if x], _canonical_assoc(den))
+    assert _is_const(common)
+
+
+def _assert_oracle(got, expected):
+    _assert_canonical(got)
+    _assert_matches(got, expected)
+    assert got.is_zero == all(x.is_zero for x in expected.comps)
+
+
+@settings(max_examples=40, deadline=None)
+@given(variance=st.sampled_from(["d", "du", "ddu", "udd"]), data=st.data())
+def test_parametric_elementwise_ops_match_the_scalar_oracle(variance, data):
+    a, b = _param_tensor(data, variance), _param_tensor(data, variance)
+    c = _constant_tensor_of(data, variance)
+    factor = data.draw(param_entries)
+    cases = [(a + b, elementwise_oracle(operator.add, a, b)),
+             (a - b, elementwise_oracle(operator.sub, a, b)),
+             (-a, elementwise_oracle(operator.neg, a)),
+             (a + c, elementwise_oracle(operator.add, a, c)),
+             (c - a, elementwise_oracle(operator.sub, c, a)),
+             (a.scale(factor), elementwise_oracle(lambda x: x * factor, a)),
+             (c.scale(factor), elementwise_oracle(lambda x: x * factor, c)),
+             (a.scale(Fraction(-3, 4)), elementwise_oracle(lambda x: x * Fraction(-3, 4), a))]
+    for got, expected in cases:
+        _assert_oracle(got, expected)
+
+
+@settings(max_examples=40, deadline=None)
+@given(variance=st.sampled_from(["d", "du", "ddu", "udd", "dud"]), data=st.data())
+def test_parametric_slot_ops_match_the_scalar_oracle(variance, data):
+    a, c = _param_tensor(data, variance), _constant_tensor_of(data, variance)
+    perm = data.draw(st.permutations(range(len(variance))))
+    slot = data.draw(st.integers(0, len(variance) - 1))
+    dense, diagonal = _param_square(data), _param_square(data, diagonal=True)
+    constant = [[C2(x) for x in row] for row in [[1, 2], [Fraction(1, 3), -1]]]
+    cases = [(a.transpose(perm), transpose_oracle(a, perm))]
+    for t, m in ((a, dense), (a, diagonal), (c, dense), (c, diagonal), (a, constant)):
+        change = t.lower_slot if t.variance[slot] == "u" else t.raise_slot
+        cases += [(t.map_slot(m, slot), map_slot_oracle(t, m, slot)),
+                  (change(slot, m), slot_change_oracle(t, m, slot))]
+    for got, expected in cases:
+        _assert_oracle(got, expected)
+
+
+@settings(max_examples=30, deadline=None)
+@given(left=st.sampled_from(["u", "du", "ddu"]), right=st.sampled_from(["d", "dd", "dud"]),
+       data=st.data())
+def test_parametric_products_match_the_scalar_oracle(left, right, data):
+    a, b = _param_tensor(data, left), _param_tensor(data, right)
+    ca, cb = _constant_tensor_of(data, left), _constant_tensor_of(data, right)
+    t, ct = _param_tensor(data, "ddud"), _constant_tensor_of(data, "ddud")
+    metric = _param_square(data, symmetric=True)
+    m, k = _param_square(data), _param_square(data)
+    cases = [(compose(a, b), compose_oracle(a, b)),
+             (compose(ca, b), compose_oracle(ca, b)),
+             (compose(a, cb), compose_oracle(a, cb)),
+             (tensor_contract(t, 0, 3, metric), contract_oracle(t, 0, 3, metric)),
+             (tensor_contract(ct, 1, 0, metric), contract_oracle(ct, 1, 0, metric)),
+             (tensor_contract(t, 2, 1), contract_oracle(t, 2, 1))]
+    for got, expected in cases:
+        _assert_oracle(got, expected)
+    assert mat_mul(m, k) == mat_mul_oracle(m, k, PP)
+    assert contract_all(a, a) == sum((x * x for x in a.comps), Scalar.zero(PP))
+
+
+@settings(max_examples=30, deadline=None)
+@given(variance=st.sampled_from(["d", "dd", "ddu"]), data=st.data())
+def test_parametric_results_cancel_to_a_polynomial_an_int_form_or_zero(variance, data):
+    d = data.draw(st.sampled_from(PDENS))
+    polys = data.draw(st.lists(_polys, min_size=N2 ** len(variance),
+                               max_size=N2 ** len(variance)))
+    over = Tensor(N2, variance, PP, [p / d for p in polys])
+    c = _constant_tensor_of(data, variance)
+    cases = [(over.scale(d), Tensor(N2, variance, PP, polys)),  # to a polynomial
+             ((over + c) - over, c),                            # to the int form
+             (over - over, Tensor.zeros(N2, variance, PP)),     # to zero
+             (over.scale(d * d).scale(Scalar.one(PP) / d), Tensor(N2, variance, PP, polys))]
+    for got, expected in cases:
+        _assert_oracle(got, expected)
+    assert (over - over).ints == ([0] * N2 ** len(variance), 1)
+    assert ((over + c) - over).ints is not None
+    assert (over.ints is None) == any(not (p / d).is_constant for p in polys)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_parametric_substitute_and_equality_follow_the_entries(data):
+    a = _param_tensor(data, "ddu")
+    point = {"a": Fraction(data.draw(st.integers(-5, 5)), 7), "b": Fraction(3, 11)}
+    _assert_oracle(a.substitute(point), substitute_oracle(a, point))
+    # equal entries give equal tensors whichever route built them
+    twin = Tensor(N2, "ddu", PP, list(a.comps))
+    rebuilt = (a + a).scale(Fraction(1, 2))
+    assert twin == a == rebuilt and rebuilt._values() == a._values()
+    b = _param_tensor(data, "ddu")
+    assert (a + b == a) == b.is_zero
