@@ -9,16 +9,15 @@ File format and all reported indices are 1-based; the Python API is 0-based.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 from dataclasses import dataclass, field
 from functools import wraps
 
 from .parser import ParseError, parse_expression
 from .scalars import Scalar
-from .tensors import (Tensor, _mul, _rows, _scalars, _times, arranged, coefficient_tensor,
-                      leading_minors, mat_det, mat_identity, mat_inv, mat_mul,
-                      mat_transpose, row_reduce)
+from .tensors import (Tensor, _rows, arranged, coefficient_tensor, jacobi_residuals,
+                      leading_minors, mat_det, mat_identity, mat_inv, mat_mul, mat_transpose,
+                      row_reduce)
 
 
 class SchemaError(ValueError):
@@ -300,25 +299,8 @@ def validate(fa: FrameAlgebra) -> CheckResult:
                                              "bracket-antisymmetry")
                  if w.index[0] <= w.index[1]]
 
-    # Jacobi on the numerators of c, ints or polynomials, as one product:
-    # the residual at (i, j, m, r), i < j < m, is sum over (s, k) of row
-    # (i, j, m) at s * n + k, which holds c^s_ij at k = m, c^s_jm at k = i
-    # and c^s_mi at k = j, times c^r_sk; it is over the squared denominator
-    values, den = c._values()
-    cc = _rows(_rows(values, n), n)
-    poly = type(den) is dict
-    triples = list(itertools.combinations(range(n), 3))
-    rows = []
-    for i, j, m in triples:
-        row = [{} if poly else 0] * (n * n)
-        row[m::n], row[i::n], row[j::n] = cc[i][j], cc[j][m], cc[m][i]
-        rows.append(row)
-    den2 = _times(den, den)
-    for (i, j, m), residuals in zip(triples, _mul(rows, _rows(values, n), poly)):
-        for r, acc in enumerate(residuals):
-            if acc:
-                actual, = _scalars([acc], den2, fa.params)
-                witnesses.append(Witness((i + 1, j + 1, m + 1, r + 1), zero, actual, "jacobi"))
+    witnesses += [Witness((i + 1, j + 1, m + 1, r + 1), zero, actual, "jacobi")
+                  for (i, j, m, r), actual in jacobi_residuals(c)]
 
     g, p = coefficient_tensor(fa.g, "dd"), coefficient_tensor(fa.p, "dd")
     witnesses += [w for w in tensor_witnesses(fa, g, "metric-symmetry", g.transpose((1, 0)))

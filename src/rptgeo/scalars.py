@@ -19,6 +19,16 @@ has integer coefficients: ``_divexact`` divides by a primitive d on ints
 and raises exactly when d does not divide f.  ``__str__`` prints the monic
 form, num and den divided by den's leading coefficient.
 
+One routine brings a quotient to this form: ``_canonical``, on numerators
+over one shared denominator.  It serves a Scalar, one entry, and the
+entries of a tensor (``tensors``).  It first tries den's primitive part as
+an exact divisor of every numerator, so gcd runs only on a true fraction and
+stops once the running gcd is constant; ``_primitive`` then divides out the
+integer content of den and the numerators together, and gives ints over an
+int when every entry is constant.  ``Scalar._make`` normalises den's sign
+and is ``_canonical`` on one entry; a polynomial over 1 is already
+canonical and returns at once.
+
 Three fields are set once, when a Scalar is built: ``cden`` (the denominator
 is constant), ``is_zero`` (the numerator is empty) and ``value`` (the int or
 Fraction num/den when the Scalar is constant, else None).  Like an int, a
@@ -26,9 +36,9 @@ Scalar is false exactly when it is zero.  Every denominator 1 of a context
 is one shared unit dict per arity, and no routine mutates a dict it is
 given.  Constant operands are added, multiplied and divided on ``value``
 directly, and an integral result shares the unit; a zero operand skips the
-arithmetic.  Sums over equal denominators add numerators only, and a
-quotient is first tried as an exact polynomial division: gcd runs only on a
-true fraction.
+arithmetic.  Every other sum, product and quotient forms its num and den,
+a sum over equal denominators by adding numerators only, and calls
+``_make``.
 """
 
 from __future__ import annotations
@@ -250,6 +260,90 @@ def _poly_gcd(f: dict, g: dict) -> dict:
     return _canonical_assoc(_dict_mul(c, _primitive_wrt(pf, v)))
 
 
+# --- the one cancellation, for a Scalar and for a tensor's entries ---
+
+
+def _split(a: dict):
+    """(content, primitive part) of a polynomial."""
+    c = _content(a)
+    return c, _dict_exquo(a, c)
+
+
+def _exquo(a: dict, b: dict) -> dict:
+    """a / b for a polynomial b that divides a."""
+    (ca, pa), (cb, pb) = _split(a), _split(b)
+    if pa == pb:
+        return dict.fromkeys(_unit(len(next(iter(a)))), ca // cb)
+    return _dict_exquo(_divexact(a, pb), cb)
+
+
+def _lcm(a: dict, b: dict) -> dict:
+    """The least common multiple of two polynomials with positive leading
+    coefficients, through the gcd of their primitive parts."""
+    if a == b:
+        return a
+    (ca, pa), (cb, pb) = _split(a), _split(b)
+    g = pa if pa == pb else _poly_gcd(pa, pb)
+    return _dict_scale(_dict_mul(pa, _divexact(pb, g)), _int_lcm(ca, cb))
+
+
+def _canonical(nums: list, den):
+    """nums / den in canonical form, for den an int > 0 or a polynomial
+    with positive leading coefficient.  The common factor of den and every
+    numerator is found by trial division by den's primitive part pd; when a
+    numerator is not a multiple of pd the running gcd starts there, and each
+    later numerator not a multiple of it takes a gcd, until it is constant."""
+    if type(den) is int:
+        if den > 1:
+            g = _int_gcd(den, *nums)
+            if g > 1:
+                nums, den = [x // g for x in nums], den // g
+        return nums, den
+    if _is_const(den):
+        return _primitive(nums, den)
+    c = _content(den)
+    pd = _dict_exquo(den, c)
+    quotients = []
+    for k, x in enumerate(nums):
+        try:
+            quotients.append(_divexact(x, pd))
+        except ArithmeticError:
+            break
+    else:
+        return _primitive(quotients, dict.fromkeys(_unit(len(next(iter(den)))), c))
+    g = _poly_gcd(pd, nums[k])
+    for x in nums[k + 1:]:
+        if _is_const(g):
+            return _primitive(nums, den)
+        try:
+            _divexact(x, g)
+        except ArithmeticError:
+            g = _poly_gcd(g, x)
+    if _is_const(g):
+        return _primitive(nums, den)
+    return _primitive([_divexact(x, g) for x in nums], _divexact(den, g))
+
+
+def _primitive(nums: list, den: dict):
+    """nums / den with no common factor of positive degree, divided by the
+    integer content of den and all numerators together; on the int form
+    when every entry is a constant."""
+    k = _content(den)
+    for x in nums:
+        if k == 1:
+            break
+        if x:
+            k = _int_gcd(k, *x.values())
+    if k > 1:
+        nums, den = [x and _dict_exquo(x, k) for x in nums], _dict_exquo(den, k)
+    if _is_const(den):
+        # a numerator is constant when no key but the zero exponent is in it
+        (zero, d), = den.items()
+        if all(map({zero}.issuperset, nums)):
+            return [x.get(zero, 0) for x in nums], d
+    return nums, den
+
+
 # ---------------------------------------------------------------------------
 # Scalar
 
@@ -264,16 +358,14 @@ class Scalar:
     __slots__ = ("params", "num", "den", "cden", "value", "is_zero")
 
     def __init__(self, params: tuple, num: dict, den: dict):
+        """The non-constant Scalar num / den, already canonical; a constant
+        is built by ``_of_value``."""
         self.params = params
         self.num = num
         self.den = den
-        self.cden = cden = _is_const(den)
-        self.is_zero = not num
-        if cden and _is_const(num):
-            n, d = _const_value(num), _const_value(den)
-            self.value = n if d == 1 else Fraction(n, d)
-        else:
-            self.value = None
+        self.cden = _is_const(den)
+        self.is_zero = False
+        self.value = None
 
     # construction ---------------------------------------------------------
 
@@ -322,42 +414,23 @@ class Scalar:
         return cls(params, {expo: 1}, _unit(len(params)))
 
     @classmethod
-    def _poly(cls, params: tuple, num: dict, d: int) -> "Scalar":
-        """The polynomial num / d for a nonzero int d."""
-        g = _int_gcd(d, *num.values())
-        if d < 0:
-            g = -g
-        num, d = _dict_exquo(num, g), d // g
-        unit = _unit(len(params))
-        return cls(params, num, unit if d == 1 else dict.fromkeys(unit, d))
-
-    @classmethod
     def _make(cls, params: tuple, num: dict, den: dict) -> "Scalar":
-        if not num:
-            return cls(params, {}, _unit(len(params)))
-        if _is_const(den):
-            c = _const_value(den)
-            if not c:
-                raise ZeroDivisionError("zero denominator")
-            return cls._poly(params, num, c)
-        # den = c * pd with pd primitive of positive leading coefficient
-        c = _content(den)
-        if den[_leading(den)] < 0:
-            c = -c
-        pd = _dict_exquo(den, c)
-        try:
-            return cls._poly(params, _divexact(num, pd), c)
-        except ArithmeticError:
-            pass
-        g = _poly_gcd(num, pd)
-        if not _is_const(g):
-            num, pd = _divexact(num, g), _divexact(pd, g)
-            if _is_const(pd):
-                return cls._poly(params, num, c * _const_value(pd))
-        k = _int_gcd(c, _content(num))
-        if c < 0:
-            k = -k
-        return cls(params, _dict_exquo(num, k), _dict_scale(pd, c // k))
+        """num / den in canonical form: ``_canonical`` on one entry."""
+        unit = _unit(len(params))
+        if den == unit:
+            # every polynomial over 1 is already canonical
+            if _is_const(num):
+                return cls._of_value(params, _const_value(num), unit)
+            return cls(params, num, unit)
+        if not den:
+            raise ZeroDivisionError("zero denominator")
+        # the sign of den's leading coefficient, read directly off one term
+        if (den[_leading(den)] if len(den) > 1 else next(iter(den.values()))) < 0:
+            num, den = _dict_neg(num), _dict_neg(den)
+        (num,), den = _canonical([num], den)
+        if type(den) is int:
+            return cls._of_value(params, Fraction(num, den) if den > 1 else num, unit)
+        return cls(params, num, unit if den == unit else den)
 
     # predicates -----------------------------------------------------------
 
@@ -396,17 +469,6 @@ class Scalar:
             unit = self.den if type(self.value) is int else _unit(len(self.params))
             return Scalar._of_value(self.params, self.value + o.value, unit)
         sd, od = self.den, o.den
-        if self.cden and o.cden:
-            d, d2 = _const_value(sd), _const_value(od)
-            if d == d2:
-                num = _dict_add(self.num, o.num)
-            else:
-                m = _int_lcm(d, d2)
-                num = _dict_add(_dict_scale(self.num, m // d), _dict_scale(o.num, m // d2))
-                d = m
-            if d == 1:
-                return Scalar(self.params, num, sd)
-            return Scalar._poly(self.params, num, d)
         if sd == od:
             return Scalar._make(self.params, _dict_add(self.num, o.num), sd)
         num = _dict_add(_dict_mul(self.num, od), _dict_mul(o.num, sd))
@@ -454,13 +516,8 @@ class Scalar:
         if self.value is not None and o.value is not None:
             unit = self.den if type(self.value) is int else _unit(len(self.params))
             return Scalar._of_value(self.params, self.value * o.value, unit)
-        num = _dict_mul(self.num, o.num)
-        if self.cden and o.cden:
-            d = _const_value(self.den) * _const_value(o.den)
-            if d == 1:
-                return Scalar(self.params, num, self.den)
-            return Scalar._poly(self.params, num, d)
-        return Scalar._make(self.params, num, _dict_mul(self.den, o.den))
+        return Scalar._make(self.params, _dict_mul(self.num, o.num),
+                            _dict_mul(self.den, o.den))
 
     __rmul__ = __mul__
 

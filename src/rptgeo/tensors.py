@@ -14,10 +14,9 @@ one of two forms chosen only from the entries, each kept canonical so that
   share no factor of positive degree, the integer content of den and all
   numerators together is 1, and den's leading coefficient is positive.
 
-An op that makes a polynomial denominator cancels its common factor with
-the numerators tensor-wide: by trial division (``_divexact``) first, and by
-``_poly_gcd`` only when a division fails, stopping once the running gcd is
-constant; a result whose entries are all constants drops to the int form.
+An op that makes a polynomial denominator brings its result to that form
+through ``scalars._canonical``, the one cancellation, which a Scalar uses
+too; a result whose entries are all constants drops to the int form.
 
 Scalars are built only at the boundary.  The constructor takes Scalars and
 clears them to the form of their entries.  ``comps`` reads Scalars: a view
@@ -31,7 +30,8 @@ Every op runs on the form its operands share; an int-form operand next to
 a parametric one is lifted to constant polynomials.  Every product is one
 multiply-accumulate, ``_mul``, on ints or on polynomial dicts, where a zero
 entry makes no term.  The tensor products (``compose``, ``tensor_contract``,
-``contract_all``, ``map_slot`` with a dense matrix) and ``mat_mul`` call it.
+``contract_all``, ``map_slot`` with a dense matrix), ``mat_mul`` and the
+Jacobi residuals of ``validate`` (``jacobi_residuals``) call it.
 ``transpose`` reads its output through a table of input offsets.
 ``map_slot`` with a diagonal matrix, such as P = diag(I, -I) in a
 P-eigenbasis, scales each slice of the slot by its entry (1 copies and -1
@@ -51,12 +51,11 @@ from __future__ import annotations
 import itertools
 import operator
 from fractions import Fraction
-from math import gcd as _int_gcd, lcm as _int_lcm
+from math import lcm as _int_lcm
 from typing import Sequence
 
-from .scalars import (Scalar, _const_value, _content, _dict_add, _dict_eval, _dict_exquo,
-                      _dict_mul, _dict_neg, _dict_scale, _dict_sub, _divexact, _is_const,
-                      _poly_gcd, _unit)
+from .scalars import (Scalar, _canonical, _const_value, _dict_add, _dict_eval, _dict_mul,
+                      _dict_neg, _dict_scale, _dict_sub, _exquo, _is_const, _lcm, _primitive)
 
 Matrix = "list[list[Scalar]]"
 
@@ -344,7 +343,9 @@ def compose(a: Tensor, b: Tensor) -> Tensor:
 
 
 def tensor_contract(t: Tensor, slot_a: int, slot_b: int, metric=None) -> Tensor:
-    """Contract two slots; pairing equal variances requires a metric matrix."""
+    """Contract two slots: the sum over p, q of metric[p][q] t(.., p at
+    slot_a, .., q at slot_b, ..).  Pairing equal variances requires a metric
+    matrix; a vector and a covector slot pair by the identity."""
     r = t.rank
     if not (0 <= slot_a < r and 0 <= slot_b < r) or slot_a == slot_b:
         raise ValueError("contraction slots out of range or equal")
@@ -353,11 +354,11 @@ def tensor_contract(t: Tensor, slot_a: int, slot_b: int, metric=None) -> Tensor:
         raise ValueError("contracting slots of equal variance needs a metric")
     if va != vb and metric is not None:
         raise ValueError("metric only applies when slot variances match")
-    a, b = sorted((slot_a, slot_b))
-    keep = [k for k in range(r) if k not in (a, b)]
-    # slots a, b move to the front: row p * n + q holds t at a = p, b = q,
-    # paired by the metric, or by the identity on a vector and a covector slot
-    order = [a, b] + keep
+    keep = [k for k in range(r) if k not in (slot_a, slot_b)]
+    # the two slots move to the front: row p * n + q holds t at slot_a = p and
+    # slot_b = q, paired by metric[p][q], or by the identity on a vector and a
+    # covector slot
+    order = [slot_a, slot_b] + keep
     n = t.dim
     moved = t.transpose([order.index(k) for k in range(r)])
     values, rows, den = moved._with_matrix(
@@ -375,6 +376,31 @@ def contract_all(a: Tensor, b: Tensor) -> Scalar:
     (av, ad), (bv, bd) = _joint([a._values(), b._values()], a.params)
     den = _times(ad, bd)
     return _scalars(_product([av], [[y] for y in bv], den), den, a.params)[0]
+
+
+def jacobi_residuals(brackets: Tensor):
+    """Yield ((i, j, m, r), Scalar) for each nonzero component r of the
+    Jacobi sum [[e_i, e_j], e_m] + [[e_j, e_m], e_i] + [[e_m, e_i], e_j],
+    i < j < m, of the brackets c^k_ij held at (i, j, k), in that order.
+    One product on the numerators of c, ints or polynomials: the residual
+    at (i, j, m, r) is the sum over (s, k) of row (i, j, m) at s * n + k,
+    which holds c^s_ij at k = m, c^s_jm at k = i and c^s_mi at k = j, times
+    c^r_sk; it is over the squared denominator."""
+    n = brackets.dim
+    values, den = brackets._values()
+    cc = _rows(_rows(values, n), n)
+    poly = type(den) is dict
+    triples = list(itertools.combinations(range(n), 3))
+    rows = []
+    for i, j, m in triples:
+        row = [{} if poly else 0] * (n * n)
+        row[m::n], row[i::n], row[j::n] = cc[i][j], cc[j][m], cc[m][i]
+        rows.append(row)
+    den2 = _times(den, den)
+    for (i, j, m), residuals in zip(triples, _mul(rows, _rows(values, n), poly)):
+        for r, acc in enumerate(residuals):
+            if acc:
+                yield (i, j, m, r), _scalars([acc], den2, brackets.params)[0]
 
 
 def cyclic_sum(t: Tensor, slots) -> Tensor:
@@ -438,7 +464,7 @@ def arranged(t: Tensor, pattern: str, product=None) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# the two storage forms: clearing, lifting, cancelling
+# the two storage forms: clearing and lifting (cancelling is scalars._canonical)
 
 
 def _cleared(m: list, params: tuple):
@@ -510,84 +536,6 @@ def _joint(forms: list, params: tuple) -> list:
 def _times(a, b):
     """The product of two denominators of one form."""
     return a * b if type(a) is int else _dict_mul(a, b)
-
-
-def _split(a: dict):
-    """(content, primitive part) of a polynomial."""
-    c = _content(a)
-    return c, _dict_exquo(a, c)
-
-
-def _exquo(a: dict, b: dict) -> dict:
-    """a / b for a polynomial b that divides a."""
-    (ca, pa), (cb, pb) = _split(a), _split(b)
-    if pa == pb:
-        return dict.fromkeys(_unit(len(next(iter(a)))), ca // cb)
-    return _dict_exquo(_divexact(a, pb), cb)
-
-
-def _lcm(a: dict, b: dict) -> dict:
-    """The least common multiple of two polynomials with positive leading
-    coefficients, through the gcd of their primitive parts."""
-    if a == b:
-        return a
-    (ca, pa), (cb, pb) = _split(a), _split(b)
-    g = pa if pa == pb else _poly_gcd(pa, pb)
-    return _dict_scale(_dict_mul(pa, _divexact(pb, g)), _int_lcm(ca, cb))
-
-
-def _canonical(nums: list, den):
-    """nums / den in canonical form, for den an int > 0 or a polynomial
-    with positive leading coefficient.  The common factor of den and every
-    numerator is found by trial division by den's primitive part pd; when a
-    numerator is not a multiple of pd the running gcd starts there, and each
-    later numerator not a multiple of it takes a gcd, until it is constant."""
-    if type(den) is int:
-        if den > 1:
-            g = _int_gcd(den, *nums)
-            if g > 1:
-                nums, den = [x // g for x in nums], den // g
-        return nums, den
-    if _is_const(den):
-        return _primitive(nums, den)
-    c = _content(den)
-    pd = _dict_exquo(den, c)
-    quotients = []
-    for k, x in enumerate(nums):
-        try:
-            quotients.append(_divexact(x, pd))
-        except ArithmeticError:
-            break
-    else:
-        return _primitive(quotients, dict.fromkeys(_unit(len(next(iter(den)))), c))
-    g = _poly_gcd(pd, nums[k])
-    for x in nums[k + 1:]:
-        if _is_const(g):
-            return _primitive(nums, den)
-        try:
-            _divexact(x, g)
-        except ArithmeticError:
-            g = _poly_gcd(g, x)
-    if _is_const(g):
-        return _primitive(nums, den)
-    return _primitive([_divexact(x, g) for x in nums], _divexact(den, g))
-
-
-def _primitive(nums: list, den: dict):
-    """nums / den with no common factor of positive degree, divided by the
-    integer content of den and all numerators together; on the int form
-    when every entry is a constant."""
-    k = _content(den)
-    for x in nums:
-        if k == 1:
-            break
-        if x:
-            k = _int_gcd(k, *x.values())
-    if k > 1:
-        nums, den = [x and _dict_exquo(x, k) for x in nums], _dict_exquo(den, k)
-    if _is_const(den) and all(map(_is_const, nums)):
-        return list(map(_const_value, nums)), _const_value(den)
-    return nums, den
 
 
 def _mul(a: list, b: list, poly: bool) -> list:

@@ -8,7 +8,10 @@ because its imports are the public re-exports.  The package has one explicit
 cache, ``frames.memo``, so ``functools.lru_cache``, ``functools.cache`` and
 ``functools.cached_property`` are refused everywhere.  It has one pass/fail
 result path, ``frames.check_result``, so every other ``CheckResult(...)`` call
-builds a skip entry.
+builds a skip entry.  It has one cancellation, in ``scalars``, so no other
+module calls the gcd or the exact divisions.  The tensor storage form lives
+behind ``tensors``, so no other module imports its storage helpers or reads
+a tensor's numerators and denominator.
 """
 
 import ast
@@ -19,6 +22,9 @@ import pytest
 PACKAGE = Path(__file__).parent.parent / "src" / "rptgeo"
 SOURCES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 FUNCTOOLS_CACHES = {"lru_cache", "cache", "cached_property"}
+CANCELLATION_CALLS = {"_poly_gcd", "_divexact", "_content"}
+STORAGE_IMPORTS = {"_mul", "_scalars", "_times", "_cleared", "_joint", "_as_poly"}
+STORAGE_ATTRIBUTES = {"_values", "_nums", "_den"}
 
 
 def _imported_names(tree: ast.Module) -> dict:
@@ -141,3 +147,73 @@ def test_skip_entries_and_the_constructor_are_allowed():
               'def skip(i):\n    return CheckResult(i, "skip", reason="r")\n'
               'def other(i):\n    return CheckResult(i, status="skip")\n')
     assert not _forked_results(ast.parse(source), "check_result")
+
+
+def _cancellation_calls(tree: ast.Module) -> list:
+    """Calls of a routine in CANCELLATION_CALLS, by name or as an attribute,
+    with their lines."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if name in CANCELLATION_CALLS:
+                found.append("%s (line %d)" % (name, node.lineno))
+    return found
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(PACKAGE.glob("*.py"))
+                                  if p.name != "scalars.py"], ids=lambda p: p.name)
+def test_only_scalars_cancels(path):
+    found = _cancellation_calls(ast.parse(path.read_text(encoding="utf-8")))
+    assert not found, "%s cancels outside scalars: %s" % (path.name, ", ".join(found))
+
+
+@pytest.mark.parametrize("source", [
+    "g = _poly_gcd(f, d)\n",
+    "from .scalars import _divexact\nq = _divexact(f, d)\n",
+    "from . import scalars\nk = scalars._content(f)\n",
+])
+def test_cancellation_call_is_detected(source):
+    assert _cancellation_calls(ast.parse(source))
+
+
+def test_the_shared_cancellation_is_allowed():
+    source = "from .scalars import _canonical\n(x,), d = _canonical([x], d)\n"
+    assert not _cancellation_calls(ast.parse(source))
+
+
+def _storage_reads(tree: ast.Module) -> list:
+    """Imports of a name in STORAGE_IMPORTS and reads of an attribute in
+    STORAGE_ATTRIBUTES, with their lines."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            found += ["import %s (line %d)" % (alias.name, node.lineno)
+                      for alias in node.names if alias.name in STORAGE_IMPORTS]
+        elif isinstance(node, ast.Attribute) and node.attr in STORAGE_ATTRIBUTES:
+            found.append(".%s (line %d)" % (node.attr, node.lineno))
+    return found
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(PACKAGE.glob("*.py"))
+                                  if p.name != "tensors.py"], ids=lambda p: p.name)
+def test_only_tensors_reads_the_storage_form(path):
+    found = _storage_reads(ast.parse(path.read_text(encoding="utf-8")))
+    assert not found, "%s reads the tensor storage form: %s" % (path.name, ", ".join(found))
+
+
+@pytest.mark.parametrize("source", [
+    "from .tensors import Tensor, _mul\n",
+    "from rptgeo.tensors import _as_poly as lift\n",
+    "values, den = t._values()\n",
+    "n = t._nums\n",
+    "d = t._den\n",
+])
+def test_storage_read_is_detected(source):
+    assert _storage_reads(ast.parse(source))
+
+
+def test_the_tensor_api_is_allowed():
+    source = ("from .tensors import Tensor, _rows, jacobi_residuals\n"
+              "x = t.ints, t.comps, t.den\n")
+    assert not _storage_reads(ast.parse(source))

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from rptgeo import Scalar, parse_expression, scalars as kernel
-from rptgeo.scalars import (_canonical_assoc, _dict_add, _dict_mul, _dict_scale, _divexact,
-                            _is_const, _leading, _poly_gcd)
+from rptgeo.scalars import (_canonical_assoc, _dict_add, _dict_eval, _dict_mul, _dict_neg,
+                            _dict_scale, _divexact, _is_const, _leading, _poly_gcd)
 
 PARAMS = ("l1", "l2", "l3", "l4")
 
@@ -110,6 +110,26 @@ def test_fraction_that_cancels_to_a_polynomial_needs_no_gcd(monkeypatch):
     monkeypatch.setattr(kernel, "_poly_gcd", no_gcd)
     assert (q * S("l4")) * x == S("l3*l4")
     assert ((q * S("l1")) / q) == S("l1")
+
+
+def test_polynomials_over_one_add_and_multiply_without_cancelling(monkeypatch):
+    # every polynomial over 1 is canonical, so _make returns it early: neither
+    # the one cancellation nor a gcd runs
+    a, b, k = S("l1^2 + 2*l2 - 3"), S("3*l3*l4 + l1"), S("-2")
+
+    def refuse(*args):
+        raise AssertionError("cancellation of a polynomial over 1")
+
+    monkeypatch.setattr(kernel, "_canonical", refuse)
+    monkeypatch.setattr(kernel, "_poly_gcd", refuse)
+    results = [a + b, a - b, a * b, (a + b) * (a - b), a * k, a + k, k * b - a, a - a]
+    monkeypatch.undo()
+    expected = ["l1^2 + 2*l2 - 3 + 3*l3*l4 + l1", "l1^2 + 2*l2 - 3 - 3*l3*l4 - l1",
+                "(l1^2 + 2*l2 - 3)*(3*l3*l4 + l1)", "(l1^2 + 2*l2 - 3)^2 - (3*l3*l4 + l1)^2",
+                "-2*l1^2 - 4*l2 + 6", "l1^2 + 2*l2 - 5", "-6*l3*l4 - 2*l1 - l1^2 - 2*l2 + 3",
+                "0"]
+    assert results == [S(text) for text in expected]
+    assert all(s.den is kernel._unit(len(PARAMS)) for s in results)
 
 
 def test_substitution_pole_raises():
@@ -261,6 +281,41 @@ def test_kernel_invariants_hold_on_every_result(ab):
         _assert_kernel_invariants(s)
     if not b.is_zero:
         _assert_kernel_invariants(a / b)
+
+
+_param_polys = st.dictionaries(st.tuples(*[st.integers(0, 2)] * len(PARAMS)),
+                               st.integers(-6, 6).filter(bool), max_size=3)
+
+
+@st.composite
+def _raw_quotients(draw):
+    """(num, den) dicts that share a factor: den with a negative leading
+    coefficient, den a negative constant, or num empty."""
+    kind = draw(st.sampled_from(["negative leading", "negative constant", "empty num"]))
+    common = draw(_param_polys.filter(bool))
+    num = {} if kind == "empty num" else _dict_mul(draw(_param_polys), common)
+    if kind == "negative constant":
+        return num, {(0,) * len(PARAMS): -draw(st.integers(1, 12))}
+    den = _dict_mul(draw(_param_polys.filter(bool)), common)
+    return num, den if den[_leading(den)] < 0 else _dict_neg(den)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_raw_quotients(), st.lists(st.tuples(*[st.fractions(-5, 5, max_denominator=7)]
+                                            * len(PARAMS)), min_size=3, max_size=3))
+def test_make_is_canonical_on_signed_and_empty_quotients(quotient, points):
+    num, den = quotient
+    before = dict(num), dict(den)
+    s = Scalar._make(PARAMS, num, den)
+    assert (num, den) == before  # the inputs are not mutated
+    _assert_kernel_invariants(s)
+    if not num:
+        assert s.is_zero
+    # Schwartz-Zippel: a wrong quotient shows at random points off the poles
+    for vec in points:
+        at = _dict_eval(den, list(vec))
+        if at:
+            assert s.substitute(dict(zip(PARAMS, vec))) == _dict_eval(num, list(vec)) / at
 
 
 _nonconstant = scalars.filter(lambda q: not q.is_constant)

@@ -67,6 +67,17 @@ def test_contract_with_metric_matches_manual_sum():
     assert out[()] == manual
 
 
+def test_contract_pairs_the_metric_row_with_the_first_slot_given():
+    # metric[p][q] pairs p at slot_a with q at slot_b, in either slot order
+    t = Tensor(2, "ddud", (), [Scalar.constant((), int(k == 11)) for k in range(16)])
+    m = [[Scalar.constant((), v) for v in row] for row in ([0, 0], [1, 0])]
+    assert t[1, 0, 1, 1] == 1
+    assert tensor_contract(t, 1, 0, m) == contract_oracle(t, 1, 0, m)
+    assert tensor_contract(t, 1, 0, m).is_zero
+    assert tensor_contract(t, 0, 1, m) == contract_oracle(t, 0, 1, m)
+    assert [str(x) for x in tensor_contract(t, 0, 1, m).comps] == ["0", "0", "0", "1"]
+
+
 def test_indexing_takes_one_in_range_index_per_slot():
     t = tensor_from_ints("ddu", range(64))
     assert t[0, 1, 2] == C(6)
@@ -470,10 +481,11 @@ def test_int_form_slot_ops_match_the_scalar_oracle(variance, data):
 def test_int_form_compose_and_contractions_match_the_scalar_oracle(left, right, data):
     a, b = _constant_tensor(data, left), _constant_tensor(data, right)
     t = _constant_tensor(data, "ddud")
-    metric = _constant_square(data, symmetric=True)
+    metric, dense = _constant_square(data, symmetric=True), _constant_square(data)
     cases = [(compose(a, b), compose_oracle(a, b)),
              (tensor_contract(t, 0, 3, metric), contract_oracle(t, 0, 3, metric)),
              (tensor_contract(t, 1, 0, metric), contract_oracle(t, 1, 0, metric)),
+             (tensor_contract(t, 1, 0, dense), contract_oracle(t, 1, 0, dense)),
              (tensor_contract(t, 2, 1), contract_oracle(t, 2, 1)),
              (tensor_contract(t, 3, 2), contract_oracle(t, 3, 2))]
     for got, expected in cases:
@@ -747,6 +759,7 @@ def test_parametric_products_match_the_scalar_oracle(left, right, data):
              (compose(a, cb), compose_oracle(a, cb)),
              (tensor_contract(t, 0, 3, metric), contract_oracle(t, 0, 3, metric)),
              (tensor_contract(ct, 1, 0, metric), contract_oracle(ct, 1, 0, metric)),
+             (tensor_contract(t, 3, 0, m), contract_oracle(t, 3, 0, m)),
              (tensor_contract(t, 2, 1), contract_oracle(t, 2, 1))]
     for got, expected in cases:
         _assert_oracle(got, expected)
