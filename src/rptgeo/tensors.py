@@ -32,12 +32,23 @@ multiply-accumulate, ``_mul``, on ints or on polynomial dicts, where a zero
 entry makes no term.  The tensor products (``compose``, ``tensor_contract``,
 ``contract_all``, ``map_slot`` with a dense matrix), ``mat_mul`` and the
 Jacobi residuals of ``validate`` (``jacobi_residuals``) call it.
-``transpose`` reads its output through a table of input offsets.
-``map_slot`` with a diagonal matrix, such as P = diag(I, -I) in a
-P-eigenbasis, scales each slice of the slot by its entry (1 copies and -1
-negates); any other matrix is one product on rows of components.
-``compose`` builds the torsion inner products, and covariant derivatives
-and curvature from connection coefficients.
+``map_slot`` clears its matrix once and reads the path off the cleared
+rows: a diagonal matrix, such as P = diag(I, -I) in a P-eigenbasis, scales
+each slice of the slot by its entry (1 copies and -1 negates); any other
+matrix is one product on rows of components.  ``compose`` builds the
+torsion inner products, and covariant derivatives and curvature from
+connection coefficients.
+
+Data movement runs in C builtins.  ``transpose`` gathers its output, on
+either form, through one ``operator.itemgetter`` per (dim, perm), made on
+first use and kept in ``_GATHERS``; like ``scalars._UNITS`` that is a table
+of shapes, never of results, so ``frames.memo`` stays the one cache of
+results.  On the int form the entrywise ops of two lists, ``+`` and ``-``
+over one denominator and the diagonal ``map_slot``, are one
+``map(operator.add/sub/mul, ...)`` each.  An op that multiplies every entry
+by one int (the lcm branch of ``+``/``-``, ``scale`` by a constant, the
+int cancellation) stays a comprehension, which CPython 3.11 runs faster
+than ``map`` over ``itertools.repeat``.
 
 The small exact matrices have one elimination, ``row_reduce``, behind
 ``leading_minors``, ``mat_det`` and ``mat_inv``.  On a constant matrix it
@@ -54,8 +65,8 @@ from fractions import Fraction
 from math import lcm as _int_lcm
 from typing import Sequence
 
-from .scalars import (Scalar, _canonical, _const_value, _dict_add, _dict_eval, _dict_mul,
-                      _dict_neg, _dict_scale, _dict_sub, _exquo, _is_const, _lcm, _primitive)
+from .scalars import (Scalar, _canonical, _dict_add, _dict_eval, _dict_mul, _dict_neg,
+                      _dict_scale, _dict_sub, _exquo, _lcm, _primitive)
 
 Matrix = "list[list[Scalar]]"
 
@@ -165,8 +176,7 @@ class Tensor:
                 den = _int_lcm(da, db)
                 fa, fb = den // da, sign * (den // db)
                 return self._like([x * fa + y * fb for x, y in zip(xs, ys)], den)
-            return self._like([x + y for x, y in zip(xs, ys)] if sign > 0 else
-                              [x - y for x, y in zip(xs, ys)], da)
+            return self._like(list(map(operator.add if sign > 0 else operator.sub, xs, ys)), da)
         if da == db:
             if sign > 0:
                 return self._like([_dict_add(x, y) if x and y else x or y
@@ -235,56 +245,52 @@ class Tensor:
     def transpose(self, perm: Sequence[int]) -> "Tensor":
         """Tensor N with N(x_0,..) = T(x_{perm[0]},..)."""
         perm = tuple(perm)
-        r, n = self.rank, self.dim
-        if sorted(perm) != list(range(r)):
+        if len(perm) != self.rank:
             raise ValueError("perm must be a permutation of the slots")
-        inv = [0] * r
-        for pos, p in enumerate(perm):
-            inv[p] = pos
-        variance = "".join(self.variance[inv[k]] for k in range(r))
-        # output slot k walks input slot inv[k], whose stride is n**(r-1-inv[k])
-        table = [0]
-        for k in range(r):
-            stride = n ** (r - 1 - inv[k])
-            steps = range(0, n * stride, stride)
-            table = [off + step for off in table for step in steps]
+        n = self.dim
+        gather = _GATHERS.get((n, perm)) or _gather(n, perm)
+        # input slot k becomes output slot perm[k]
+        variance = "".join([v for _, v in sorted(zip(perm, self.variance))])
         values, den = self._values()
-        return Tensor._of(n, variance, self.params, [values[off] for off in table], den)
+        return Tensor._of(n, variance, self.params, list(gather(values)), den)
 
     def map_slot(self, matrix: list, slot: int) -> "Tensor":
         """Compose a (1,1) map into one slot (covariant: M^a_i feeds slot).
 
-        A diagonal matrix scales each slice of the slot by its entry; on a
+        The matrix is cleared once, and its rows decide the path.  A
+        diagonal matrix scales each slice of the slot by its entry; on a
         diagonal of 1 and -1 the result needs no cancellation, and a
         polynomial slice is shared or negated.  Any other matrix is one
         product: the slot moves to last place, each row of components is
         multiplied by M, or by M^T on a vector slot, and the slot moves
         back."""
-        n = self.dim
+        n, params = self.dim, self.params
         stride = n ** (self.rank - 1 - slot)
-        if all(x.is_zero for i, row in enumerate(matrix) for j, x in enumerate(row)
-               if i != j):
-            values, rows, den = self._with_matrix(matrix)
-            diag = itertools.cycle([row[i] for i, row in enumerate(rows) for _ in range(stride)])
-            out = [x * d for x, d in zip(values, diag)] if type(den) is int else \
-                [_dict_mul(x, d) if x and d else {} for x, d in zip(values, diag)]
-            if all(row[i].value in (1, -1) for i, row in enumerate(matrix)):
-                return Tensor._of(n, self.variance, self.params, out, den)
+        rows, d = _cleared(matrix, params)
+        diag = [row[i] for i, row in enumerate(rows)]
+        if sum(map(bool, itertools.chain.from_iterable(rows))) == sum(map(bool, diag)):
+            # a diagonal of 1 and -1 is constant, so it clears to ints over 1
+            signs = d == 1 and all(x == 1 or x == -1 for x in diag)
+            values, (diag,), den = self._with_matrix(([diag], d))
+            diag = itertools.cycle([x for x in diag for _ in range(stride)])
+            out = list(map(operator.mul, values, diag)) if type(den) is int else \
+                [_dict_mul(x, y) if x and y else {} for x, y in zip(values, diag)]
+            if signs:
+                return Tensor._of(n, self.variance, params, out, den)
             return self._like(out, den)
         # the slot moves to last place: slot j of the move is slot order[j]
         order = [k for k in range(self.rank) if k != slot] + [slot]
         last = self.transpose([order.index(k) for k in range(self.rank)]) \
             if stride > 1 else self
-        values, rows, den = last._with_matrix(
-            mat_transpose(matrix) if self.variance[slot] == "u" else matrix)
+        rows = mat_transpose(rows) if self.variance[slot] == "u" else rows
+        values, rows, den = last._with_matrix((rows, d))
         out = last._like(_product(_rows(values, n), rows, den), den)
         return out.transpose(order) if stride > 1 else out
 
-    def _with_matrix(self, matrix: list):
-        """(values, rows, den): the numerators and the cleared matrix in one
-        form, with den the product of their denominators."""
-        (values, den), (rows, d) = _joint(
-            [self._values(), _cleared(matrix, self.params)], self.params)
+    def _with_matrix(self, cleared):
+        """(values, rows, den): the numerators and a cleared matrix (rows, d)
+        in one form, with den the product of their denominators."""
+        (values, den), (rows, d) = _joint([self._values(), cleared], self.params)
         return values, rows, _times(den, d)
 
     def lower_slot(self, slot: int, metric: list) -> "Tensor":
@@ -361,8 +367,8 @@ def tensor_contract(t: Tensor, slot_a: int, slot_b: int, metric=None) -> Tensor:
     order = [slot_a, slot_b] + keep
     n = t.dim
     moved = t.transpose([order.index(k) for k in range(r)])
-    values, rows, den = moved._with_matrix(
-        mat_identity(n, t.params) if metric is None else metric)
+    values, rows, den = moved._with_matrix(_cleared(
+        mat_identity(n, t.params) if metric is None else metric, t.params))
     comps = _product([[m for row in rows for m in row]], _rows(values, n ** (r - 2)), den)
     return Tensor._new(n, "".join(t.variance[k] for k in keep), t.params, comps, den)
 
@@ -464,6 +470,39 @@ def arranged(t: Tensor, pattern: str, product=None) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
+# the gathers of ``transpose``: a table of shapes, like ``scalars._UNITS``
+
+# (dim, perm) -> the getter that reads a transpose's components off its
+# input's, and size -> the offsets 0..size-1, whose ints every getter of that
+# size shares.  It holds no tensor and no value; ``frames.memo`` is the one
+# cache of results.
+_GATHERS: dict = {}
+
+
+def _gather(dim: int, perm: tuple):
+    """The getter of the transpose by perm on dim ** len(perm) components,
+    made once per (dim, perm): output slot k walks input slot
+    perm.index(k)."""
+    r = len(perm)
+    if sorted(perm) != list(range(r)):
+        raise ValueError("perm must be a permutation of the slots")
+    size = dim ** r
+    offsets = _GATHERS.get(size)
+    if offsets is None:
+        offsets = _GATHERS[size] = list(range(size))
+    table = [0]
+    for k in range(r):
+        stride = dim ** (r - 1 - perm.index(k))
+        steps = range(0, dim * stride, stride)
+        table = [off + step for off in table for step in steps]
+    # an itemgetter of one offset returns the bare item, so a table of at
+    # most one offset slices instead
+    gather = _GATHERS[dim, perm] = operator.itemgetter(
+        *map(offsets.__getitem__, table)) if size > 1 else operator.itemgetter(slice(None))
+    return gather
+
+
+# ---------------------------------------------------------------------------
 # the two storage forms: clearing and lifting (cancelling is scalars._canonical)
 
 
@@ -556,7 +595,9 @@ def _mul(a: list, b: list, poly: bool) -> list:
                         acc[j] += x * y
             out.append(acc)
         return out
-    terms = [[(j, _const_value(y) if _is_const(y) else None, list(y.items()))
+    # a constant has one key, the zero exponent, read once off b
+    zero = next(((0,) * len(e) for row in b for y in row for e in y), None)
+    terms = [[(j, y.get(zero) if len(y) == 1 else None, list(y.items()))
               for j, y in enumerate(row) if y] for row in b]
     add = operator.add
     for row in a:
@@ -564,8 +605,8 @@ def _mul(a: list, b: list, poly: bool) -> list:
         for x, b_row in zip(row, terms):
             if not x:
                 continue
-            if _is_const(x):
-                c = _const_value(x)
+            c = x.get(zero) if len(x) == 1 else None
+            if c is not None:
                 for j, _, y in b_row:
                     d = acc[j]
                     for e, v in y:

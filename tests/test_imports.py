@@ -5,8 +5,10 @@ No linter ships with the project, so this parses each module with ``ast``:
 a name bound by a top-level ``import`` must be read somewhere else in that
 module, in code or in a quoted annotation.  ``__init__.py`` is left out
 because its imports are the public re-exports.  The package has one explicit
-cache, ``frames.memo``, so ``functools.lru_cache``, ``functools.cache`` and
-``functools.cached_property`` are refused everywhere.  It has one pass/fail
+cache of results, ``frames.memo``, so ``functools.lru_cache``,
+``functools.cache`` and ``functools.cached_property`` are refused everywhere,
+and the only module-level tables filled at run time are the two tables of
+shapes, ``scalars._UNITS`` and ``tensors._GATHERS``.  It has one pass/fail
 result path, ``frames.check_result``, so every other ``CheckResult(...)`` call
 builds a skip entry.  It has one cancellation, in ``scalars``, so no other
 module calls the gcd or the exact divisions.  The tensor storage form lives
@@ -22,6 +24,7 @@ import pytest
 PACKAGE = Path(__file__).parent.parent / "src" / "rptgeo"
 SOURCES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 FUNCTOOLS_CACHES = {"lru_cache", "cache", "cached_property"}
+SHAPE_TABLES = {("scalars.py", "_UNITS"), ("tensors.py", "_GATHERS")}
 CANCELLATION_CALLS = {"_poly_gcd", "_divexact", "_content"}
 STORAGE_IMPORTS = {"_mul", "_scalars", "_times", "_cleared", "_joint", "_as_poly"}
 STORAGE_ATTRIBUTES = {"_values", "_nums", "_den"}
@@ -100,6 +103,58 @@ def test_functools_cache_is_detected(source):
 
 def test_other_functools_names_are_allowed():
     assert not _functools_caches(ast.parse("from functools import partial, wraps\n"))
+
+
+def _module_tables(tree: ast.Module) -> list:
+    """Names bound at module level to an empty dict, ``{}`` or ``dict()``,
+    which only run time can fill, with their lines."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, ast.AnnAssign):
+            targets, value = [node.target], node.value
+        else:
+            continue
+        empty = (isinstance(value, ast.Dict) and not value.keys) or (
+            isinstance(value, ast.Call) and not value.args and not value.keywords
+            and "dict" in (getattr(value.func, "id", None), getattr(value.func, "attr", None)))
+        if empty:
+            found += [(name.id, node.lineno) for target in targets
+                      for name in ast.walk(target) if isinstance(name, ast.Name)]
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_only_the_shape_tables_fill_at_run_time(path):
+    found = ["%s (line %d)" % (name, line)
+             for name, line in _module_tables(ast.parse(path.read_text(encoding="utf-8")))
+             if (path.name, name) not in SHAPE_TABLES]
+    assert not found, "%s keeps a module-level table outside %s: %s" % (
+        path.name, sorted(name for _, name in SHAPE_TABLES), ", ".join(found))
+
+
+def test_the_shape_tables_are_found():
+    found = {(path.name, name) for path in sorted(PACKAGE.glob("*.py"))
+             for name, _ in _module_tables(ast.parse(path.read_text(encoding="utf-8")))}
+    assert found == SHAPE_TABLES
+
+
+@pytest.mark.parametrize("source", [
+    "_CACHE = {}\n",
+    "_CACHE: dict = {}\n",
+    "_CACHE = dict()\n",
+    "_A = _B = {}\n",
+    "import builtins\n_CACHE = builtins.dict()\n",
+])
+def test_module_table_is_detected(source):
+    assert _module_tables(ast.parse(source))
+
+
+def test_constant_and_local_dicts_are_allowed():
+    source = ('_VARS = {"x": 0}\n_PAIRS = dict(a=1)\n'
+              "def f():\n    seen = {}\n    return seen\n")
+    assert not _module_tables(ast.parse(source))
 
 
 def _forked_results(tree: ast.Module, constructor=None) -> list:

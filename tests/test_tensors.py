@@ -14,7 +14,7 @@ from rptgeo import (Scalar, Tensor, arranged, compose, cyclic_sum,
                     mat_det, mat_identity, mat_inv, mat_mul, parse_expression,
                     row_reduce, tensor_contract)
 from rptgeo.scalars import _canonical_assoc, _is_const, _leading, _poly_gcd
-from rptgeo.tensors import contract_all, leading_minors
+from rptgeo.tensors import _GATHERS, contract_all, leading_minors
 
 from helpers import (alternate, arranged_oracle, build_tensor, compose_oracle, contract_oracle,
                      cyclic_sum_oracle, elementwise_oracle, map_slot_oracle,
@@ -107,6 +107,63 @@ def test_transpose_matches_explicit_indices(variance):
 
 
 A = Scalar.parameter(PARAMS, "l1")
+
+
+def _both_forms(dim, variance, seed):
+    """One tensor of each storage form, int and parametric, of one shape."""
+    rng = random.Random(seed)
+    size = dim ** len(variance)
+    ints = Tensor(dim, variance, PARAMS, [C(Fraction(rng.randint(-5, 5), rng.randint(1, 3)))
+                                          for _ in range(size)])
+    polys = Tensor(dim, variance, PARAMS, [(A * rng.randint(-3, 3) + rng.randint(-3, 3))
+                                           / (A + 2) for _ in range(size)])
+    assert ints.ints is not None and polys.ints is None
+    return ints, polys
+
+
+@pytest.mark.parametrize("dim, variance", [(DIM, ""), (DIM, "u"), (DIM, "d"),
+                                           (1, "d"), (1, "udd"), (1, "")])
+def test_transpose_of_one_component_or_one_slot_matches_the_oracle(dim, variance):
+    for t in _both_forms(dim, variance, seed=len(variance)):
+        for perm in itertools.permutations(range(t.rank)):
+            got = t.transpose(perm)
+            _assert_matches(got, transpose_oracle(t, perm))
+            # a table of one offset still gathers into a fresh list
+            nums, _ = got._values()
+            assert type(nums) is list and nums is not t._values()[0]
+
+
+def test_one_gather_serves_both_forms_independently():
+    perm = (2, 0, 1)
+    ints, polys = _both_forms(3, "ddu", seed=7)
+    first = ints.transpose(perm)
+    second = polys.transpose(perm)
+    _assert_matches(first, transpose_oracle(ints, perm))
+    _assert_matches(second, transpose_oracle(polys, perm))
+    assert first.ints is not None and second.ints is None
+    # the int result is untouched by the parametric one made after it
+    _assert_matches(first, transpose_oracle(ints, perm))
+    assert first.transpose((1, 2, 0)) == ints
+
+
+def test_fifty_transposes_of_one_shape_add_one_gather():
+    dim, perm = 5, (2, 0, 1)
+    Tensor.zeros(dim, "ddd", PARAMS).transpose((0, 1, 2))  # the size's offsets exist
+    before = len(_GATHERS)
+    for k in range(50):
+        t = Tensor(dim, "ddu", PARAMS, [C(k - v) for v in range(dim ** 3)])
+        assert t.transpose(perm)[1, 2, 3] == t[3, 1, 2]
+    assert len(_GATHERS) == before + 1 and (dim, perm) in _GATHERS
+
+
+def test_transpose_refuses_what_is_not_a_permutation_of_its_slots():
+    t = tensor_from_ints("ddu", range(64))
+    tensor_from_ints("dd", range(16)).transpose((1, 0))  # a gather of another rank
+    for perm in ((1, 0), (0, 1, 1), (0, 1, 3), (0, 1, 2, 3)):
+        with pytest.raises(ValueError, match="permutation"):
+            t.transpose(perm)
+
+
 # diagonal entries for map_slot: 1 copies, -1 negates, and zero, a constant
 # or a parameter multiplies
 DIAGONALS = [(C(1), C(-1), C(0)), (C(2), C(Fraction(1, 3)), A)]
