@@ -21,7 +21,7 @@ from .frames import (CheckResult, FrameAlgebra, SchemaError, Witness,
                      _expect, _is_index, _parse_entry, check_result,
                      tensor_witnesses)
 from .scalars import Scalar
-from .tensors import Tensor, _perm_sign, mat_identity
+from .tensors import Tensor, _perm_sign, coefficient_tensor, mat_identity
 
 PARAM_NAMES = ("l1", "l2", "l3", "l4")
 EPSILON_CANDIDATES = (1, -1)
@@ -82,8 +82,9 @@ def family_parameters(fa: FrameAlgebra):
         return None
     if fa.g != mat_identity(4, fa.params) or fa.p != swap_product_matrix(4, fa.params):
         return None
-    lam = (fa.c[0][1][0], fa.c[0][1][1], fa.c[0][2][1], fa.c[1][2][1])
-    if fa.c != family_structure_constants(lam, fa.params):
+    c = fa.brackets
+    lam = (c[0, 1, 0], c[0, 1, 1], c[0, 2, 1], c[1, 2, 1])
+    if c != coefficient_tensor(family_structure_constants(lam, fa.params)):
         return None
     return lam
 

@@ -2,7 +2,11 @@
 
 The FrameAlgebra is the single source of geometric truth; everything else is
 derived from its brackets, metric matrix and product matrix.  ``brackets``,
-a ``ddu`` Tensor, is its one form of c; the nested ``c`` is a boundary view.
+a ``ddu`` Tensor, is its one form of c; the nested ``c`` is a boundary view,
+read only by ``frame_to_dict``.  A constant change of basis moves the
+brackets, g and P as tensors, and moves tensors back, through one slot map,
+``_moved``: building, checking and substituting a frame do no Scalar matrix
+arithmetic.
 File format and all reported indices are 1-based; the Python API is 0-based.
 """
 
@@ -178,54 +182,54 @@ class FrameAlgebra:
         return t
 
     def substitute(self, values) -> "FrameAlgebra":
-        """Evaluate every entry at the given parameter values (empty context)."""
-
-        def sub(s: Scalar) -> Scalar:
-            return Scalar.constant((), s.substitute(values))
-
-        c = [[[sub(s) for s in cell] for cell in row] for row in self.c]
-        g = [[sub(s) for s in row] for row in self.g]
-        p = [[sub(s) for s in row] for row in self.p]
-        return FrameAlgebra(self.dim, (), c, g, p)
+        """Evaluate every entry at the given parameter values (empty context):
+        the brackets, g and P each as one Tensor over one denominator, which
+        vanishes there exactly when some entry's denominator does."""
+        n = self.dim
+        c, g, p = (t.substitute(values).comps for t in (
+            self.brackets, coefficient_tensor(self.g, "dd"), coefficient_tensor(self.p, "dd")))
+        return FrameAlgebra(n, (), _rows(_rows(c, n), n), _rows(g, n), _rows(p, n))
 
 
 class RebasedFrame(FrameAlgebra):
-    """A user frame rewritten in another basis by ``change_basis``, from its
-    brackets Tensor there; it keeps the frame it came from, the matrix s
-    whose columns are the new basis vectors in the old basis, and s_inv."""
+    """A user frame in the basis given by the columns of the invertible
+    matrix s: it keeps the frame it came from, s and s_inv.  The brackets
+    (``ddu``), g (``dd``) and P (``ud``, P^i_j at (i, j)) move by ``_moved``
+    with (s, s_inv), and ``to_user`` moves a tensor back with (s_inv, s)."""
 
-    def __init__(self, source: FrameAlgebra, s: list, s_inv: list,
-                 brackets: Tensor, g, p):
-        self.dim, self.params = source.dim, source.params
-        self.brackets, self.g, self.p = brackets, g, p
-        self.source = source
-        self.s = s
-        self.s_inv = s_inv
+    def __init__(self, source: FrameAlgebra, s: list):
+        n, s_inv = source.dim, mat_inv(s)
+        self.dim, self.params = n, source.params
+        self.source, self.s, self.s_inv = source, s, s_inv
+        self.brackets = _moved(source.brackets, s, s_inv)
+        self.g = _rows(_moved(coefficient_tensor(source.g, "dd"), s, s_inv).comps, n)
+        self.p = _rows(_moved(coefficient_tensor(source.p, "ud"), s, s_inv).comps, n)
 
     @property
     def user(self) -> FrameAlgebra:
         return self.source
 
     def to_user(self, t: Tensor) -> Tensor:
-        # covariant components pull back through s^-1, contravariant ones
-        # through s
-        for slot, v in enumerate(t.variance):
-            t = t.map_slot(self.s_inv if v == "d" else self.s, slot)
-        return t
+        return _moved(t, self.s_inv, self.s)
+
+
+def _moved(t: Tensor, down: list, up: list) -> Tensor:
+    """t with every covector slot mapped by down and every vector slot by
+    up: a change of basis, its columns in the old basis, is (s, s^-1), and
+    its pull-back (s^-1, s)."""
+    for slot, v in enumerate(t.variance):
+        t = t.map_slot(down if v == "d" else up, slot)
+    return t
 
 
 def change_basis(fa: FrameAlgebra, s: list) -> RebasedFrame:
     """fa in the basis given by the columns of the invertible matrix s.
 
-    Frames are left-invariant and s is constant, so the structure constants
-    transform as a tensor, c' = c(s., s.) read through s^-1, and so do the
-    connection coefficients built on the result: every tensor on it pulls
-    back exactly through ``to_user``."""
-    s_inv = mat_inv(s)
-    brackets = fa.brackets.map_slot(s, 0).map_slot(s, 1).map_slot(s_inv, 2)
-    g = mat_mul(mat_transpose(s), mat_mul(fa.g, s))
-    p = mat_mul(s_inv, mat_mul(fa.p, s))
-    return RebasedFrame(fa, s, s_inv, brackets, g, p)
+    Frames are left-invariant and s is constant, so the brackets, g and P
+    transform as tensors, c' = c(s., s.) read through s^-1, g' = s^T g s and
+    P' = s^-1 P s, and so do the connection coefficients built on the
+    result: every tensor on it pulls back exactly through ``to_user``."""
+    return RebasedFrame(fa, s)
 
 
 def _eigenbasis(fa: FrameAlgebra) -> list:
@@ -237,19 +241,17 @@ def _eigenbasis(fa: FrameAlgebra) -> list:
     the adapted frame, so they are the null-space basis of I-P and I+P read
     from the reduced echelon form, with a unit entry at each free column."""
     n = fa.dim
-    ident = mat_identity(n, fa.params)
+    ident = coefficient_tensor(mat_identity(n, fa.params), "dd")
+    p = coefficient_tensor(fa.p, "dd")
     one, zero = Scalar.one(fa.params), Scalar.zero(fa.params)
     constant = all(x.is_constant for row in fa.p for x in row)
     columns = []
     for sign in (1, -1):
+        proj = _rows((ident + p.scale(sign if constant else -sign)).comps, n)
+        rref, pivots, _, _ = row_reduce(proj)
         if constant:
-            proj = [[ident[i][j] + fa.p[i][j] * sign for j in range(n)]
-                    for i in range(n)]
-            pivots = row_reduce(proj)[1]
             found = [[proj[i][col] for i in range(n)] for col in pivots]
         else:
-            rref, pivots, _, _ = row_reduce(
-                [[ident[i][j] - fa.p[i][j] * sign for j in range(n)] for i in range(n)])
             found = []
             for free in (col for col in range(n) if col not in pivots):
                 v = [zero] * n
@@ -340,9 +342,11 @@ def associated_metric(fa: FrameAlgebra) -> list:
 
 
 def killing_check(fa: FrameAlgebra) -> CheckResult:
-    """Whether the associated metric is a Killing metric on the algebra."""
-    # lower_slot pairs c^s_ij with matrix[k][s]; the pairing wanted is (gP)[s][k]
-    low = fa.brackets.lower_slot(2, mat_transpose(associated_metric(fa)))
+    """Whether the associated metric is a Killing metric on the algebra.
+    Runs on a validated frame, whose g is symmetric."""
+    # lower_slot pairs c^s_ij with g[k][s] = g[s][k], and map_slot then feeds
+    # P^t_k into the slot: the pairing is (gP)[s][k]
+    low = fa.brackets.lower_slot(2, fa.g).map_slot(fa.p, 2)
     return check_result("killing-metric", fa,
                         [(low + arranged(low, "x,z,y"), "killing-metric")])
 

@@ -477,26 +477,14 @@ class Scalar:
     __radd__ = __add__
 
     def __neg__(self):
-        if self.is_zero:
-            return self
-        s = Scalar.__new__(Scalar)
-        s.params = self.params
-        s.num = _dict_neg(self.num)
-        s.den = self.den
-        s.cden = self.cden
-        s.is_zero = False
-        s.value = None if self.value is None else -self.value
-        return s
+        if self.value is not None:
+            return Scalar._of_value(self.params, -self.value, _unit(len(self.params)))
+        return Scalar(self.params, _dict_neg(self.num), self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        if o.is_zero:
-            return self
-        if self.value is not None and o.value is not None:
-            unit = self.den if type(self.value) is int else _unit(len(self.params))
-            return Scalar._of_value(self.params, self.value - o.value, unit)
         return self + (-o)
 
     def __rsub__(self, other):
@@ -584,8 +572,6 @@ class Scalar:
 
     def _poly_str(self, terms: dict, lead: int) -> str:
         # terms divided by lead, the leading coefficient of the denominator
-        if not terms:
-            return "0"
         parts = []
         for e in sorted(terms, key=_grlex, reverse=True):
             c = terms[e] if lead == 1 else Fraction(terms[e], lead)

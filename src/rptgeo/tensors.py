@@ -62,7 +62,7 @@ from __future__ import annotations
 import itertools
 import operator
 from fractions import Fraction
-from math import lcm as _int_lcm
+from math import gcd as _int_gcd, lcm as _int_lcm
 from typing import Sequence
 
 from .scalars import (Scalar, _canonical, _dict_add, _dict_eval, _dict_mul, _dict_neg,
@@ -199,20 +199,25 @@ class Tensor:
 
     def scale(self, factor) -> "Tensor":
         """The tensor times an int, a Fraction or a Scalar of its context."""
-        if isinstance(factor, (int, Fraction)):
-            factor = Scalar.constant(self.params, factor)
-        elif factor.params is not self.params and factor.params != self.params:
-            raise ValueError("scalars come from different parameter contexts")
-        if factor.is_zero:
+        values, den = self._values()
+        if not isinstance(factor, (int, Fraction)):
+            if factor.params is not self.params and factor.params != self.params:
+                raise ValueError("scalars come from different parameter contexts")
+            if factor.value is None:
+                values, den = _as_poly(values, den, self.params)
+                return self._like([_dict_mul(x, factor.num) if x else x for x in values],
+                                  _dict_mul(den, factor.den))
+            factor = factor.value
+        num, qden = factor.numerator, factor.denominator
+        if not num:
             return Tensor.zeros(self.dim, self.variance, self.params)
-        q, (values, den) = factor.value, self._values()
-        if q is None:
-            values, den = _as_poly(values, den, self.params)
-            return self._like([_dict_mul(x, factor.num) if x else x for x in values],
-                              _dict_mul(den, factor.den))
-        num, qden = q.numerator, q.denominator
         if type(den) is int:
-            return self._like([x * num for x in values], den * qden)
+            # num / qden and nums / den are in lowest terms, so with gcd(num,
+            # den) and gcd(qden, *nums) divided out first, so is the product
+            g, h = _int_gcd(num, den), _int_gcd(qden, *values)
+            num, den = num // g, den // g * (qden // h)
+            return Tensor._of(self.dim, self.variance, self.params,
+                              [x // h * num for x in values], den)
         # a constant factor makes no common factor of positive degree
         return Tensor._of(self.dim, self.variance, self.params, *_primitive(
             [_dict_scale(x, num) for x in values], _dict_scale(den, qden)))

@@ -378,6 +378,16 @@ def test_value_past_the_int_string_limit_exits_two(command, source, tmp_path, ca
     assert "int-string limit" in err
 
 
+@pytest.mark.parametrize("command", ["check", "validate"])
+def test_json_path_gets_the_json_report_of_stdout(command, tmp_path, capsys):
+    path = tmp_path / "report.json"
+    code, text, _ = run_cli([command, SPEC, "--json", str(path)], capsys)
+    json_code, out, _ = run_cli([command, SPEC, "--format", "json"], capsys)
+    assert (code, json_code) == (0, 0)
+    assert not text.startswith("{")
+    assert path.read_text(encoding="utf-8") == out and out.endswith("}\n")
+
+
 def test_unwritable_json_path_exits_two(tmp_path, capsys):
     code, _, err = run_cli(["validate", SPEC, "--json", str(tmp_path)], capsys)
     assert code == 2

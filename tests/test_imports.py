@@ -13,7 +13,9 @@ result path, ``frames.check_result``, so every other ``CheckResult(...)`` call
 builds a skip entry.  It has one cancellation, in ``scalars``, so no other
 module calls the gcd or the exact divisions.  The tensor storage form lives
 behind ``tensors``, so no other module imports its storage helpers or reads
-a tensor's numerators and denominator.
+a tensor's numerators and denominator.  A frame's brackets are the Tensor
+``brackets``; the nested view ``FrameAlgebra.c`` is read only where the spec
+is written, ``frames.frame_to_dict``.
 """
 
 import ast
@@ -272,3 +274,46 @@ def test_the_tensor_api_is_allowed():
     source = ("from .tensors import Tensor, _rows, jacobi_residuals\n"
               "x = t.ints, t.comps, t.den\n")
     assert not _storage_reads(ast.parse(source))
+
+
+def _nested_view_reads(tree: ast.Module, reader=None) -> list:
+    """Reads of an attribute ``c`` outside the function named reader, with
+    their lines."""
+    found = []
+
+    def visit(node, inside):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Attribute) and child.attr == "c"
+                    and isinstance(child.ctx, ast.Load) and not inside):
+                found.append("line %d" % child.lineno)
+            visit(child, inside or (isinstance(child, ast.FunctionDef)
+                                    and child.name == reader))
+
+    visit(tree, False)
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_only_the_spec_writer_reads_the_nested_brackets(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = _nested_view_reads(tree, "frame_to_dict" if path.name == "frames.py" else None)
+    assert not found, "%s reads the nested view fa.c outside frames.frame_to_dict: %s" % (
+        path.name, ", ".join(found))
+
+
+@pytest.mark.parametrize("source", [
+    "lam = fa.c[0][1][0]\n",
+    "def substitute(self):\n    return [row for row in self.c]\n",
+    "def frame_to_dict(fa):\n    pass\ndef other(fa):\n    return fa.c\n",
+    "same = a.c == b.c\n",
+])
+def test_nested_view_read_is_detected(source):
+    assert _nested_view_reads(ast.parse(source), "frame_to_dict")
+
+
+def test_the_spec_writer_and_the_view_itself_are_allowed():
+    source = ("class FrameAlgebra:\n    @property\n    def c(self):\n"
+              "        return self.brackets\n"
+              "def frame_to_dict(fa):\n    return [fa.c[i] for i in range(2)]\n"
+              "c = fa.brackets\n")
+    assert not _nested_view_reads(ast.parse(source), "frame_to_dict")

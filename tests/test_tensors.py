@@ -501,12 +501,18 @@ factors = st.one_of(st.integers(-4, 4), fractions_)
 @given(variance=variances, factor=factors, data=st.data())
 def test_int_form_elementwise_ops_match_the_scalar_oracle(variance, factor, data):
     a, b = _constant_tensor(data, variance), _constant_tensor(data, variance)
+    # scaling shares factors with both sides: 12 with six's numerators and
+    # 9 with sixth's denominator
+    zero, six, sixth = Tensor.zeros(N3, variance, PARAMS), a.scale(6), a.scale(Fraction(1, 6))
     cases = [(a + b, elementwise_oracle(operator.add, a, b)),
              (a - b, elementwise_oracle(operator.sub, a, b)),
              (a - a, elementwise_oracle(operator.sub, a, a)),
              (-a, elementwise_oracle(operator.neg, a)),
              (a.scale(factor), elementwise_oracle(lambda x: x * factor, a)),
-             (a.scale(C(factor)), elementwise_oracle(lambda x: x * factor, a))]
+             (a.scale(C(factor)), elementwise_oracle(lambda x: x * factor, a)),
+             (zero.scale(factor), zero),
+             (six.scale(Fraction(5, 12)), elementwise_oracle(lambda x: x * Fraction(5, 12), six)),
+             (sixth.scale(9), elementwise_oracle(lambda x: x * 9, sixth))]
     for got, expected in cases:
         _assert_int_form(got)
         _assert_matches(got, expected)
@@ -698,6 +704,31 @@ def test_symbolic_elimination_commutes_with_substitution(data):
     assert [v.value for v in at[2]] == [v.substitute(point) for v in values]
     assert [[x.value for x in row] for row in at[0]] == \
         [[x.substitute(point) for x in row] for row in rref]
+
+
+@pytest.mark.parametrize("rows", [
+    [["0", "a"], ["1", "0"]],
+    [["0", "a", "1"], ["0", "1", "b"], ["a", "b", "1"]],
+], ids=["2x2", "3x3"])
+def test_parametric_elimination_swaps_rows_like_the_fraction_oracle(rows):
+    # the first pivot lies below the top row, so the Scalar loop swaps
+    params = ("a", "b")
+    m = [[parse_expression(x, params) for x in row] for row in rows]
+    n, point = len(m), {"a": Fraction(3, 2), "b": Fraction(-5, 7)}
+    rref, pivots, values, swaps = row_reduce(m)
+    o_rref, o_pivots, o_values, o_swaps = row_reduce_oracle(
+        [[x.substitute(point) for x in row] for row in m])
+    assert (pivots, swaps) == (o_pivots, o_swaps) and swaps
+    assert [v.substitute(point) for v in values] == o_values
+    assert [[x.substitute(point) for x in row] for row in rref] == o_rref
+    minors = leading_minors(m)
+    assert minors[:-1] == [None] * (n - 1)
+    assert minors[-1] == mat_det(m) and minors[-1].substitute(point) == _oracle_det(
+        [[x.substitute(point) for x in row] for row in m])
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    o_inv = [row[n:] for row in row_reduce_oracle(
+        [[x.substitute(point) for x in row] + e for row, e in zip(m, identity)])[0]]
+    assert [[x.substitute(point) for x in row] for row in mat_inv(m)] == o_inv
 
 
 # ---------------------------------------------------------------------------

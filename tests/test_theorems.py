@@ -8,8 +8,8 @@ import pytest
 from perfbench import corpus
 from rptgeo import (ConnectionPack, FrameAlgebra, NotW3Error, Scalar, Tensor,
                     adapted_frame, all_passed, build_example,
-                    check_p_tensor, curvature, fundamental_F, geometry_checks,
-                    levi_civita, natural_check, rpt_checks, rpt_connection,
+                    check_p_tensor, curvature, family_parameters, fundamental_F,
+                    geometry_checks, levi_civita, natural_check, rpt_checks, rpt_connection,
                     theorem_checks, theorems, verify_curvature_relation,
                     verify_p_tensor_criterion, verify_parallel_torsion,
                     verify_torsion_type)
@@ -187,3 +187,32 @@ def test_paper_torsion_passes_every_theorem_check_in_dimension_six():
     pack = rpt_connection(af)
     assert natural_check("natural-connection", af, pack.rpt).passed
     assert all(r.passed for r in _theorem_results(pack).values())
+
+
+def test_zero_torsion_on_a_strict_family_frame_fails_every_theorem_check():
+    # T = 0 is not the paper's torsion on a W3-strict frame, so each check
+    # decides a statement false and flags it
+    af = adapted_frame(build_example((1, 2, 3, 5)))
+    pack = ConnectionPack(af, Tensor.zeros(4, "ddd", ()))
+    results = _theorem_results(pack)
+    results["family-parameter-equivalence"] = theorems.verify_family_equivalence(
+        pack, family_parameters(af.user))
+    assert all(r.status == "fail" for r in results.values())
+
+    def flags(check_id):
+        return {w.label: (str(w.expected), str(w.actual))
+                for w in results[check_id].witnesses if not w.index}
+
+    # tau' = tau although the frame is not of the parallel class
+    assert flags("curvature-comparison")["scalar-equality-iff-parallel-class"] == \
+        ("-195/2", "-195/2")
+    assert flags("torsion-type") == {"projection-2-nonzero": ("1", "0"),
+                                     "projection-3-nonzero": ("1", "0")}
+    assert flags("p-tensor-criterion") == {"equivalence": ("0", "1")}
+    assert {w.label for w in results["p-tensor-criterion"].witnesses} == {"equivalence"}
+    assert results["p-tensor-criterion"].details == {"p_tensor": "false", "relation": "true"}
+    family = results["family-parameter-equivalence"]
+    assert [w.label for w in family.witnesses] == ["three-way-equivalence"]
+    assert flags("family-parameter-equivalence") == {"three-way-equivalence": ("0", "1")}
+    assert family.details == {"p_tensor": "false", "parallel": "true",
+                              "parameter_condition": "false"}
