@@ -13,17 +13,16 @@ from .connections import (ConnectionPack, NotW3Error, covariant_derivative,
 from .example import (EPSILON_CANDIDATES, build_example, bundled_spec_path,
                       family_parameters, golden_tables)
 from .frames import (CheckResult, FrameAlgebra, RebasedFrame, SchemaError,
-                     Witness, adapted_frame, associated_metric, change_basis,
-                     killing_check, load_spec, save_spec, spec_digest,
-                     validate)
+                     Witness, adapted_frame, change_basis, killing_check,
+                     load_spec, save_spec, spec_digest, validate)
 from .geometry import (CLASS_OUTSIDE, CLASS_PARALLEL, CLASS_SKEW, ClassLabel,
                        Connection, classify, curvature, fundamental_F,
                        levi_civita, square_norm, square_norm_nabla_P,
                        torsion_projections)
 from .parser import ParseError, parse_expression
 from .scalars import Scalar
-from .tensors import (Tensor, arranged, compose, cyclic_sum, mat_det, mat_identity,
-                      mat_inv, mat_mul, mat_transpose, row_reduce, tensor_contract)
+from .tensors import (Tensor, arranged, compose, cyclic_sum, mat_det, mat_identity, mat_inv,
+                      mat_mul, mat_transpose, null_space, row_reduce, tensor_contract)
 from .theorems import (all_passed, check_p_tensor, geometry_checks, rpt_checks,
                        run_all, theorem_checks, verify_curvature_relation,
                        verify_family_equivalence, verify_p_tensor_criterion,

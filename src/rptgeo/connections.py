@@ -3,11 +3,12 @@
 ``ConnectionPack(frame, T)`` is the connection Levi-Civita + T/2 raised,
 for any torsion 3-form T.  ``rpt_connection`` is the pack of the natural
 connection, with T read off the structure tensor, on the skew-cyclic class.
-It is unique in dimension 4.  From dimension 6 on, adding a 3-form that
-lives on one eigenspace of P (in Lambda^3 V+ + Lambda^3 V-) to its torsion
-gives another natural connection with skew torsion; ``rpt_connection``
-builds the one whose torsion has no such part.  Of the theorem checks only
-the scalar norm relation and the torsion type tell the two apart
+``tests/test_connections.py`` solves for the T whose connection keeps P
+parallel, on frames of dimension 4, 6 and 8: a solution exists exactly off
+the outside class; the kernel is the 3-forms on one eigenspace of P,
+Lambda^3 V+ + Lambda^3 V-, so 0 in dimension 4; and the one solution with
+no part there is ``rpt_connection``'s T.  Of the theorem checks only the
+scalar norm relation and the torsion type tell it from the other solutions
 (``tests/test_theorems.py``, on a 6-dim frame).  The canonical connection
 and the P-connection depend on F alone, through ``companion_shifts``.
 """

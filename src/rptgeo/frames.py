@@ -20,8 +20,8 @@ from functools import wraps
 from .parser import ParseError, parse_expression
 from .scalars import Scalar
 from .tensors import (Tensor, _rows, arranged, coefficient_tensor, jacobi_residuals,
-                      leading_minors, mat_det, mat_identity, mat_inv, mat_mul, mat_transpose,
-                      row_reduce)
+                      leading_minors, mat_det, mat_identity, mat_inv, mat_transpose,
+                      null_space, row_reduce)
 
 
 class SchemaError(ValueError):
@@ -233,32 +233,21 @@ def change_basis(fa: FrameAlgebra, s: list) -> RebasedFrame:
 
 
 def _eigenbasis(fa: FrameAlgebra) -> list:
-    """Matrix whose columns are eigenvectors of P for +1, then for -1.
-
-    For a constant P they are the pivot columns of I+P and I-P, twice the
-    projectors, so an integral P gives an integral basis.  For a parametric
-    P those columns carry P's parameters into the metric and brackets of
-    the adapted frame, so they are the null-space basis of I-P and I+P read
-    from the reduced echelon form, with a unit entry at each free column."""
+    """Matrix whose columns are eigenvectors of P for +1, then for -1: the
+    pivot columns of I+P and I-P for a constant P, integral when P is; else
+    ``null_space`` of I-P and I+P, which keeps P's parameters out of the
+    adapted frame."""
     n = fa.dim
     ident = coefficient_tensor(mat_identity(n, fa.params), "dd")
     p = coefficient_tensor(fa.p, "dd")
-    one, zero = Scalar.one(fa.params), Scalar.zero(fa.params)
     constant = all(x.is_constant for row in fa.p for x in row)
     columns = []
     for sign in (1, -1):
         proj = _rows((ident + p.scale(sign if constant else -sign)).comps, n)
-        rref, pivots, _, _ = row_reduce(proj)
         if constant:
-            found = [[proj[i][col] for i in range(n)] for col in pivots]
+            found = [[proj[i][col] for i in range(n)] for col in row_reduce(proj)[1]]
         else:
-            found = []
-            for free in (col for col in range(n) if col not in pivots):
-                v = [zero] * n
-                v[free] = one
-                for row, col in enumerate(pivots):
-                    v[col] = -rref[row][free]
-                found.append(v)
+            found = null_space(proj)
         if len(found) != n // 2:
             raise ValueError("product structure has an eigenspace of dimension "
                              "%d, expected %d" % (len(found), n // 2))
@@ -334,11 +323,6 @@ def validate(fa: FrameAlgebra) -> CheckResult:
         witnesses.append(Witness((), zero, trace, "product-traceless"))
 
     return check_result("frame-structure", fa, (), witnesses, notes=notes)
-
-
-def associated_metric(fa: FrameAlgebra) -> list:
-    """The indefinite companion metric pairing x with Py."""
-    return mat_mul(fa.g, fa.p)
 
 
 def killing_check(fa: FrameAlgebra) -> CheckResult:

@@ -51,10 +51,10 @@ int cancellation) stays a comprehension, which CPython 3.11 runs faster
 than ``map`` over ``itertools.repeat``.
 
 The small exact matrices have one elimination, ``row_reduce``, behind
-``leading_minors``, ``mat_det`` and ``mat_inv``.  On a constant matrix it
-runs on the cleared ints, fraction-free (Bareiss): every entry it makes is
-a minor, so every division is exact.  Else it is Gauss-Jordan on the
-Scalars.
+``leading_minors``, ``mat_det``, ``mat_inv`` and ``null_space``, the one
+reader of a kernel.  On a constant matrix it runs on the cleared ints,
+fraction-free (Bareiss): every entry it makes is a minor, so every division
+is exact.  Else it is Gauss-Jordan on the Scalars.
 """
 
 from __future__ import annotations
@@ -749,6 +749,21 @@ def _bareiss(work: list, d: int, params: tuple):
     flat = _scalars([x for row in work for x in row], last, params)
     rref = [flat[k * cols:(k + 1) * cols] for k in range(rows)]
     return rref, pivots, values, swaps
+
+
+def null_space(m: list) -> list:
+    """A basis of {v : m v = 0}, read from ``row_reduce(m)``: one vector per
+    free column, with 1 there, 0 at the other free columns and
+    -rref[row][free] at the pivot column of each row; empty at full rank."""
+    if not m or not m[0] or any(len(row) != len(m[0]) for row in m):
+        raise ValueError("expected a matrix with rows and columns, got row lengths %s"
+                         % [len(row) for row in m])
+    rref, pivots, _, _ = row_reduce(m)
+    one, zero = Scalar.one(m[0][0].params), Scalar.zero(m[0][0].params)
+    row_of = dict(zip(pivots, rref))
+    return [[-row_of[col][free] if col in row_of else one if col == free else zero
+             for col in range(len(m[0]))]
+            for free in range(len(m[0])) if free not in row_of]
 
 
 def _square(m: list) -> int:

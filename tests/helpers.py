@@ -594,27 +594,35 @@ def single_bracket_frame() -> FrameAlgebra:
 # the paper's existence system
 
 
+def three_form(n: int, params: tuple, coeffs: dict) -> Tensor:
+    """The 3-form with coefficient coeffs[(i, j, k)], a Scalar, on e^ijk
+    for i < j < k, and 0 on the triples coeffs leaves out."""
+    comps = [Scalar.zero(params)] * n ** 3
+    for triple, value in coeffs.items():
+        for sigma in itertools.permutations(range(3)):
+            i, j, k = (triple[s] for s in sigma)
+            comps[(i * n + j) * n + k] = value * _perm_sign(sigma)
+    return Tensor(n, "ddd", params, comps)
+
+
 def existence_system(fa: FrameAlgebra):
     """The linear system for the torsion T of a natural connection with
     totally skew torsion on fa, as (rows, triples): rows are the nonzero rows
-    of [A | b], and the unknowns are the coefficients of T on the basis
+    of [A | -b], and the unknowns are the coefficients of T on the basis
     3-forms e_u = e^ijk, one per triple (i, j, k) with i < j < k.
 
     Column u is nabla P under the connection with coefficients e_u / 2
-    raised, and b is minus nabla P under Levi-Civita.  nabla P is linear in
-    the coefficients, so A x = b says that Levi-Civita + T / 2 raised keeps P
-    parallel; being a 3-form, T keeps it metric with torsion T."""
+    raised, and -b is nabla P under Levi-Civita.  nabla P is linear in the
+    coefficients, so A x = b says that Levi-Civita + T / 2 raised keeps P
+    parallel; being a 3-form, T keeps it metric with torsion T.  The
+    solutions are the null vectors (x, 1) of [A | -b]."""
     n, params = fa.dim, fa.params
     triples = list(itertools.combinations(range(n), 3))
+    half = Scalar.constant(params, Fraction(1, 2))
     columns = []
     for triple in triples:
-        comps = [Scalar.zero(params)] * n ** 3
-        for sigma in itertools.permutations(range(3)):
-            i, j, k = (triple[s] for s in sigma)
-            comps[(i * n + j) * n + k] = Scalar.constant(params,
-                                                         Fraction(_perm_sign(sigma), 2))
-        shift = Tensor(n, "ddd", params, comps).raise_slot(2, fa.metric_inv)
+        shift = three_form(n, params, {triple: half}).raise_slot(2, fa.metric_inv)
         columns.append(nabla_p_components(fa, Connection(fa, shift)).comps)
-    columns.append((-nabla_p_components(fa, levi_civita(fa))).comps)
+    columns.append(nabla_p_components(fa, levi_civita(fa)).comps)
     rows = [list(row) for row in zip(*columns) if any(row)]
     return rows, triples

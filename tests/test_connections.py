@@ -1,23 +1,25 @@
 """The skew-torsion natural connection and its companion connections."""
 
-import itertools
+import functools
+import random
 from fractions import Fraction
 from math import comb
 
 import pytest
 
-from rptgeo import (CLASS_OUTSIDE, Connection, NotW3Error, Scalar, Tensor, adapted_frame,
-                    arranged, build_example, classify, covariant_derivative, curvature, cyclic_sum,
-                    fundamental_F, levi_civita, natural_check, parse_expression,
-                    row_reduce, rpt_connection, rpt_torsion, sigma_T,
+from rptgeo import (CLASS_OUTSIDE, CLASS_PARALLEL, Connection, NotW3Error, Scalar, Tensor,
+                    adapted_frame, arranged, build_example, classify, covariant_derivative,
+                    curvature, cyclic_sum, fundamental_F, levi_civita, natural_check,
+                    null_space, parse_expression, rpt_connection, rpt_torsion, sigma_T,
                     torsion_inner_products)
 from rptgeo.connections import _shifted_connection, companion_shifts
-from rptgeo.tensors import _perm_sign
 
-from helpers import (alternate, apply_p, basis_vec, bracket_vec, build_tensor,
-                     covariant_derivative_oracle, existence_system, inner,
-                     metric_witness_oracle, random_frames, single_bracket_frame, six_dim_frame,
-                     torsion_products_oracle, vec_add, vec_scale, vec_sub)
+from helpers import (abelian_plane, alternate, apply_p, basis_vec, bracket_vec, build_tensor,
+                     conjugate, covariant_derivative_oracle, direct_sum, existence_system,
+                     inner, metric_witness_oracle, random_frames, random_unimodular,
+                     sheared_family_frame, single_bracket_frame, six_dim_frame,
+                     symbolic_metric_frame, three_form, torsion_products_oracle, vec_add,
+                     vec_scale)
 
 SYM = build_example()
 PACK = rpt_connection(SYM)
@@ -297,24 +299,51 @@ def test_metric_witnesses_of_a_non_metric_connection_match_oracle():
 # existence and uniqueness, by solving for the torsion 3-form
 
 
-@pytest.mark.parametrize("build", [lambda: build_example((1, 2, 3, 4)), six_dim_frame,
-                                   single_bracket_frame],
-                         ids=["family", "six-dim", "single-bracket"])
+def _single_bracket_conjugate(seed):
+    return conjugate(single_bracket_frame(), random_unimodular(random.Random(seed), 4, ()))
+
+
+# W3 frames in dims 4, 6 and 8 (W0 among them), symbolic ones, and frames
+# outside the class in dims 4 and 6
+EXISTENCE_FRAMES = [
+    ("family", lambda: build_example((1, 2, 3, 4))),
+    ("single-bracket", single_bracket_frame),
+    ("six-dim", six_dim_frame),
+    ("symbolic-metric", symbolic_metric_frame),
+    ("sheared-family", sheared_family_frame),
+    ("single-bracket+plane", lambda: direct_sum(single_bracket_frame(), abelian_plane())),
+] + [("single-bracket-conj%d" % k, functools.partial(_single_bracket_conjugate, k))
+     for k in range(3)] + [("random-%d" % k, functools.partial(RANDOM.__getitem__, k))
+                           for k in range(len(RANDOM))]
+
+
+@pytest.mark.parametrize("build", [build for _, build in EXISTENCE_FRAMES],
+                         ids=[name for name, _ in EXISTENCE_FRAMES])
 def test_the_existence_system_is_consistent_exactly_off_the_outside_class(build):
-    fa = adapted_frame(build())
+    user = build()
+    fa = adapted_frame(user)
     rows, triples = existence_system(fa)
-    rref, pivots, _, _ = row_reduce(rows)
-    n, unknowns = fa.dim, len(triples)
-    consistent = unknowns not in pivots
-    assert consistent == (classify(fa).label != CLASS_OUTSIDE)
-    # the kernel is the 3-forms on one eigenspace of P
-    assert len([c for c in pivots if c < unknowns]) == comb(n, 3) - 2 * comb(n // 2, 3)
-    if consistent and n == 4:
-        # rank 4 of 4: the unique solution is the paper's torsion
-        x = dict(zip(pivots, (row[-1] for row in rref)))
-        comps = [Scalar.zero(fa.params)] * n ** 3
-        for u, triple in enumerate(triples):
-            for sigma in itertools.permutations(range(3)):
-                i, j, k = (triple[s] for s in sigma)
-                comps[(i * n + j) * n + k] = x[u] * _perm_sign(sigma)
-        assert Tensor(n, "ddd", fa.params, comps) == rpt_torsion(fundamental_F(fa), fa)
+    basis = null_space(rows)
+    # the solutions are the null vectors with last entry 1, read at the free
+    # last column: one when the system is consistent, none otherwise
+    solutions = [v[:-1] for v in basis if not v[-1].is_zero]
+    kernel = [v[:-1] for v in basis if v[-1].is_zero]
+    label = classify(fa).label
+    assert len(solutions) == (label != CLASS_OUTSIDE)
+    # the kernel is Lambda^3 V+ + Lambda^3 V-: one unit vector per triple
+    # inside one eigenspace of P
+    n, half = fa.dim, fa.dim // 2
+    inside = [u for u, t in enumerate(triples) if t[-1] < half or t[0] >= half]
+    assert len(inside) == 2 * comb(half, 3)
+    assert kernel == [[Scalar.constant(fa.params, int(u == w)) for u in range(len(triples))]
+                      for w in inside]
+    # the solution is 0 on the free unknowns, those triples: it is the paper's
+    # torsion, the one natural connection with no Lambda^3 V+ + Lambda^3 V- part
+    for x in solutions:
+        t = three_form(n, fa.params, dict(zip(triples, x)))
+        assert t == rpt_torsion(fundamental_F(fa), fa)
+        assert t.is_zero == (label == CLASS_PARALLEL)
+    if n <= 6:
+        on_user = null_space(existence_system(user)[0])
+        assert [v[-1].is_zero for v in on_user].count(False) == len(solutions)
+        assert len(on_user) == len(solutions) + len(kernel)

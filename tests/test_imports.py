@@ -15,7 +15,9 @@ module calls the gcd or the exact divisions.  The tensor storage form lives
 behind ``tensors``, so no other module imports its storage helpers or reads
 a tensor's numerators and denominator.  A frame's brackets are the Tensor
 ``brackets``; the nested view ``FrameAlgebra.c`` is read only where the spec
-is written, ``frames.frame_to_dict``.
+is written, ``frames.frame_to_dict``.  Frame data move as tensors, so the
+Scalar matrix product ``mat_mul`` is named only where it is defined,
+``tensors``, and exported, ``__init__``.
 """
 
 import ast
@@ -317,3 +319,41 @@ def test_the_spec_writer_and_the_view_itself_are_allowed():
               "def frame_to_dict(fa):\n    return [fa.c[i] for i in range(2)]\n"
               "c = fa.brackets\n")
     assert not _nested_view_reads(ast.parse(source), "frame_to_dict")
+
+
+def _matrix_products(tree: ast.Module) -> list:
+    """Names, attributes and imports of ``mat_mul``, with their lines."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            found += ["import (line %d)" % node.lineno
+                      for alias in node.names if alias.name == "mat_mul"]
+        elif (isinstance(node, ast.Name) and node.id == "mat_mul") or (
+                isinstance(node, ast.Attribute) and node.attr == "mat_mul"):
+            found.append("line %d" % node.lineno)
+    return found
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(PACKAGE.glob("*.py"))
+                                  if p.name not in ("tensors.py", "__init__.py")],
+                         ids=lambda p: p.name)
+def test_no_scalar_matrix_product_outside_the_kernel(path):
+    found = _matrix_products(ast.parse(path.read_text(encoding="utf-8")))
+    assert not found, "%s names mat_mul outside tensors.py: %s" % (path.name, ", ".join(found))
+
+
+@pytest.mark.parametrize("source", [
+    "from .tensors import mat_mul\n",
+    "from .tensors import mat_mul as product\n",
+    "from . import tensors\ngp = tensors.mat_mul(g, p)\n",
+    "gp = mat_mul(g, p)\n",
+    "product = mat_mul\n",
+])
+def test_matrix_product_is_detected(source):
+    assert _matrix_products(ast.parse(source))
+
+
+def test_the_other_matrix_helpers_are_allowed():
+    source = ("from .tensors import mat_identity, mat_inv, mat_transpose\n"
+              "from . import tensors\nm = tensors.mat_det(mat_inv(a))\n")
+    assert not _matrix_products(ast.parse(source))

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from rptgeo import (Scalar, Tensor, arranged, compose, cyclic_sum,
-                    mat_det, mat_identity, mat_inv, mat_mul, parse_expression,
+                    mat_det, mat_identity, mat_inv, mat_mul, null_space, parse_expression,
                     row_reduce, tensor_contract)
 from rptgeo.scalars import _canonical_assoc, _is_const, _leading, _poly_gcd
 from rptgeo.tensors import _GATHERS, contract_all, leading_minors
@@ -729,6 +729,53 @@ def test_parametric_elimination_swaps_rows_like_the_fraction_oracle(rows):
     o_inv = [row[n:] for row in row_reduce_oracle(
         [[x.substitute(point) for x in row] + e for row, e in zip(m, identity)])[0]]
     assert [[x.substitute(point) for x in row] for row in mat_inv(m)] == o_inv
+
+
+def _unit_triangular(data, n, params, lower):
+    """An n x n unit triangular matrix with entries c + d*a + e*b off the
+    diagonal: its determinant is 1, for every value of a and b."""
+    a, b = (Scalar.parameter(params, name) for name in params)
+    coeffs = st.integers(-2, 2)
+    return [[Scalar.one(params) if i == j else
+             data.draw(coeffs) + data.draw(coeffs) * a + data.draw(coeffs) * b
+             if (i > j) == lower else Scalar.zero(params) for j in range(n)] for i in range(n)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=constant_matrices(), parametric=st.booleans(), data=st.data())
+@example(m=[[0, 0, 0], [0, 0, 0]], parametric=False, data=None)  # zero: every column free
+@example(m=[[2, 1], [1, 1]], parametric=False, data=None)  # full rank: no vector
+@example(m=[[2, 1], [1, 1]], parametric=True, data=None)
+@example(m=[[1, 2, 3], [2, 4, 6]], parametric=True, data=None)
+def test_null_space_matches_the_fraction_oracle(m, parametric, data):
+    # a parametric matrix is L m R with L, R unit triangular over (a, b), or
+    # (1 + a) m in the explicit examples: the rank is m's, read from the
+    # oracle, and the Scalar loop runs
+    params = ("a", "b")
+    rows, cols = len(m), len(m[0])
+    s = _as_scalars(m, params)
+    if parametric:
+        if data is None:
+            s = [[x * (1 + Scalar.parameter(params, "a")) for x in row] for row in s]
+        else:
+            s = mat_mul(mat_mul(_unit_triangular(data, rows, params, True), s),
+                        _unit_triangular(data, cols, params, False))
+    o_pivots = row_reduce_oracle(m)[1]
+    basis = null_space(s)
+    assert len(basis) == cols - len(o_pivots)
+    # the free columns: the oracle's, or for L m R those of its own elimination
+    pivots = row_reduce(s)[1] if parametric else o_pivots
+    free = [col for col in range(cols) if col not in pivots]
+    for v, col in zip(basis, free):
+        assert all(x.is_zero for row in mat_mul(s, [[x] for x in v]) for x in row)
+        assert [v[f] for f in free] == [Scalar.constant(params, int(f == col)) for f in free]
+
+
+@pytest.mark.parametrize("rows", [[], [[]], [[1, 2], [3]]],
+                         ids=["no-rows", "no-columns", "ragged"])
+def test_null_space_refuses_an_empty_or_ragged_matrix(rows):
+    with pytest.raises(ValueError, match="rows and columns"):
+        null_space([[C(x) for x in row] for row in rows])
 
 
 # ---------------------------------------------------------------------------
