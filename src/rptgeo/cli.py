@@ -143,7 +143,8 @@ def _emit(report: Report, args) -> int:
 def _load_frame(args) -> FrameAlgebra:
     fa = load_spec(args.spec)
     if args.lam is not None:
-        values = [_parse_entry(part, (), "--lambda[%d]" % k).value
+        parsed = {}
+        values = [_parse_entry(part, (), "--lambda[%d]" % k, parsed).value
                   for k, part in enumerate(args.lam.split(","))]
         if len(values) != len(fa.params):
             raise UsageError("--lambda needs %d values for parameters %s"

@@ -129,7 +129,8 @@ def _sort_signed(idx):
 
 def _read_table(path: Path):
     """A golden JSON file and its entries parsed by key over the family's
-    parameters; SchemaError naming the file and field when it is malformed."""
+    parameters, each distinct text once; SchemaError naming the file and
+    field when it is malformed."""
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
@@ -139,7 +140,8 @@ def _read_table(path: Path):
             "expected %s" % json.dumps(PARAM_NAMES))
     _expect(isinstance(data.get("entries"), dict), "%s: entries" % path,
             "missing field" if "entries" not in data else "expected a dict")
-    entries = {key: _parse_entry(text, PARAM_NAMES, "%s: entries[%s]" % (path, key))
+    parsed = {}
+    entries = {key: _parse_entry(text, PARAM_NAMES, "%s: entries[%s]" % (path, key), parsed)
                for key, text in data["entries"].items()}
     return data, entries
 

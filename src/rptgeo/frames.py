@@ -349,27 +349,38 @@ def _is_index(text: str, top: int) -> bool:
     return text in [str(k) for k in range(1, top + 1)]
 
 
-def _parse_entry(text, params: tuple, path: str) -> Scalar:
+def _parse_entry(text, params: tuple, path: str, parsed: dict) -> Scalar:
+    """The Scalar an entry text of one input denotes, the one place input is
+    parsed.  parsed maps each text already read in this input to its
+    Scalar, so a repeated text is parsed once and its entries share the
+    (immutable) Scalar; a text that fails, fails at its first occurrence,
+    with that path."""
     _expect(isinstance(text, str), path, "expected an expression string")
-    try:
-        return parse_expression(text, params)
-    except ParseError as exc:
-        raise SchemaError("%s: %s" % (path, exc)) from exc
+    value = parsed.get(text)
+    if value is None:
+        try:
+            value = parsed[text] = parse_expression(text, params)
+        except ParseError as exc:
+            raise SchemaError("%s: %s" % (path, exc)) from exc
+    return value
 
 
-def _load_matrix(data, dim: int, params: tuple, path: str) -> list:
+def _load_matrix(data, dim: int, params: tuple, path: str, parsed: dict) -> list:
     _expect(isinstance(data, list) and len(data) == dim, path,
             "expected %d rows" % dim)
     out = []
     for i, row in enumerate(data):
         _expect(isinstance(row, list) and len(row) == dim, "%s[%d]" % (path, i),
                 "expected %d entries, found %s" % (dim, len(row) if isinstance(row, list) else "non-list"))
-        out.append([_parse_entry(cell, params, "%s[%d][%d]" % (path, i, j))
+        out.append([_parse_entry(cell, params, "%s[%d][%d]" % (path, i, j), parsed)
                     for j, cell in enumerate(row)])
     return out
 
 
 def frame_from_dict(data: dict) -> FrameAlgebra:
+    """The frame a spec dict describes; SchemaError naming the first field
+    that breaks the contract.  Each distinct entry text is parsed once per
+    spec (``_parse_entry``)."""
     _expect(isinstance(data, dict), "$", "expected a JSON object")
     dim = data.get("dimension")
     _expect(isinstance(dim, int) and dim > 0 and dim % 2 == 0, "dimension",
@@ -384,7 +395,7 @@ def frame_from_dict(data: dict) -> FrameAlgebra:
     params = tuple(raw_params)
     _expect(len(set(params)) == len(params), "parameters", "duplicate names")
 
-    zero = Scalar.zero(params)
+    zero, parsed = Scalar.zero(params), {}
     c = [[[zero for _ in range(dim)] for _ in range(dim)] for _ in range(dim)]
     brackets = data.get("brackets", [])
     _expect(isinstance(brackets, list), "brackets", "expected a list")
@@ -405,14 +416,14 @@ def frame_from_dict(data: dict) -> FrameAlgebra:
             _expect(_is_index(key, dim), "%s.result[%s]" % (path, key),
                     "expected a component index in 1..%d" % dim)
             k = int(key) - 1
-            value = _parse_entry(text, params, "%s.result[%s]" % (path, key))
+            value = _parse_entry(text, params, "%s.result[%s]" % (path, key), parsed)
             c[left - 1][right - 1][k] = value
             c[right - 1][left - 1][k] = -value
 
     _expect("metric" in data, "metric", "missing field")
     _expect("product" in data, "product", "missing field")
-    g = _load_matrix(data["metric"], dim, params, "metric")
-    p = _load_matrix(data["product"], dim, params, "product")
+    g = _load_matrix(data["metric"], dim, params, "metric", parsed)
+    p = _load_matrix(data["product"], dim, params, "product", parsed)
     return FrameAlgebra(dim, params, c, g, p)
 
 

@@ -138,16 +138,25 @@ def _const_value(a: dict) -> int:
     return next(iter(a.values()), 0)
 
 
-def _dict_eval(a: dict, vec: list) -> Fraction:
-    """The polynomial a at the point vec, one Fraction per parameter."""
-    total = Fraction(0)
-    for e, c in a.items():
-        m = c
-        for val, k in zip(vec, e):
-            if k:
-                m *= val ** k
-        total += m
-    return total
+def _evaluated(polys: list, vec: list) -> list:
+    """Each polynomial at the point vec, one Fraction per parameter, as a
+    plain int over one shared denominator: vec is cleared to a / q (q the
+    lcm of its denominators), and with D the largest total degree among
+    polys each result is q^D times the value, sum of c a^e q^(D - |e|)."""
+    q = _int_lcm(*[v.denominator for v in vec])
+    a = [v.numerator * (q // v.denominator) for v in vec]
+    top = max([sum(e) for p in polys for e in p], default=0)
+    scale = [q ** k for k in range(top, -1, -1)]  # scale[|e|] = q^(D - |e|)
+    out = []
+    for p in polys:
+        total = 0
+        for e, c in p.items():
+            for x, k in zip(a, e):
+                if k:
+                    c *= x ** k
+            total += c * scale[sum(e)]
+        out.append(total)
+    return out
 
 
 # --- multivariate gcd (primitive PRS), used only to cancel true fractions ---
@@ -561,12 +570,13 @@ class Scalar:
     # evaluation ------------------------------------------------------------
 
     def substitute(self, values: Mapping[str, Rat]) -> Fraction:
-        """Evaluate at rational values given for every parameter."""
-        vec = [Fraction(values[name]) for name in self.params]
-        den = _dict_eval(self.den, vec)
-        if den == 0:
+        """Evaluate at rational values given for every parameter: num and
+        den on ints through ``_evaluated``, one Fraction at the end."""
+        num, den = _evaluated([self.num, self.den],
+                              [Fraction(values[name]) for name in self.params])
+        if not den:
             raise ZeroDivisionError("denominator vanishes at the given values")
-        return _dict_eval(self.num, vec) / den
+        return Fraction(num, den)
 
     # printing ---------------------------------------------------------------
 

@@ -24,7 +24,9 @@ built once, entry by entry through ``Scalar._make``, where Scalars are read
 (witnesses, printing, report scalars, golden comparisons).  The small
 matrices an op takes (a metric, P, a change of basis) are lists of
 Scalars, cleared the same way by ``_cleared`` to ints or polynomials over
-one denominator.
+one denominator.  ``substitute`` builds no Scalar: it evaluates the
+numerators and den at the point on ints, ``scalars._evaluated``, and
+cancels the int result once.
 
 Every op runs on the form its operands share; an int-form operand next to
 a parametric one is lifted to constant polynomials.  Every product is one
@@ -65,8 +67,8 @@ from fractions import Fraction
 from math import gcd as _int_gcd, lcm as _int_lcm
 from typing import Sequence
 
-from .scalars import (Scalar, _canonical, _dict_add, _dict_eval, _dict_mul, _dict_neg,
-                      _dict_scale, _dict_sub, _exquo, _lcm, _primitive)
+from .scalars import (Scalar, _canonical, _dict_add, _dict_mul, _dict_neg, _dict_scale,
+                      _dict_sub, _evaluated, _exquo, _lcm, _primitive)
 
 Matrix = "list[list[Scalar]]"
 
@@ -234,16 +236,18 @@ class Tensor:
         return not any(self._nums)
 
     def substitute(self, values) -> "Tensor":
-        """Evaluate every component; result lives in an empty parameter context."""
+        """Evaluate every component; result lives in an empty parameter context.
+        The numerators and den are evaluated on ints (``scalars._evaluated``)
+        and cancelled once; ZeroDivisionError where den vanishes."""
         nums, den = self._values()
         if type(den) is int:
             return Tensor._of(self.dim, self.variance, (), nums, den)
-        vec = [Fraction(values[name]) for name in self.params]
-        at = _dict_eval(den, vec)
-        if not at:
+        *nums, den = _evaluated(nums + [den], [Fraction(values[name]) for name in self.params])
+        if not den:
             raise ZeroDivisionError("denominator vanishes at the given values")
-        return Tensor(self.dim, self.variance, (),
-                      [Scalar.constant((), _dict_eval(x, vec) / at) for x in nums])
+        if den < 0:
+            nums, den = [-x for x in nums], -den
+        return Tensor._new(self.dim, self.variance, (), nums, den)
 
     # slot operations -----------------------------------------------------------
 

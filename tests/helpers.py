@@ -371,10 +371,33 @@ def arranged_oracle(t: Tensor, pattern: str, p: list) -> Tensor:
     return build_tensor(t.dim, t.variance, t.params, entry)
 
 
+def dict_eval(a: dict, vec: list) -> Fraction:
+    """The polynomial dict a at the point vec, one Fraction per parameter,
+    summed monomial by monomial in Fractions."""
+    total = Fraction(0)
+    for e, c in a.items():
+        m = c
+        for val, k in zip(vec, e):
+            if k:
+                m *= val ** k
+        total += m
+    return total
+
+
 def substitute_oracle(t: Tensor, values) -> Tensor:
-    """Index loop: each component evaluated, in the empty context."""
-    return build_tensor(t.dim, t.variance, (),
-                        lambda idx: Scalar.constant((), t[idx].substitute(values)))
+    """Index loop: each component's num and den evaluated in Fractions by
+    ``dict_eval``, in the empty context; ZeroDivisionError, with the
+    kernel's message, where a component's den vanishes."""
+    vec = [Fraction(values[name]) for name in t.params]
+
+    def entry(idx):
+        s = t[idx]
+        den = dict_eval(s.den, vec)
+        if not den:
+            raise ZeroDivisionError("denominator vanishes at the given values")
+        return Scalar.constant((), dict_eval(s.num, vec) / den)
+
+    return build_tensor(t.dim, t.variance, (), entry)
 
 
 _PERMS3 =[((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),

@@ -9,8 +9,8 @@ from pathlib import Path
 import pytest
 
 from rptgeo import (FrameAlgebra, Scalar, SchemaError, build_example, bundled_spec_path,
-                    killing_check, load_spec, mat_det, mat_identity, mat_mul, mat_transpose,
-                    save_spec, spec_digest, validate)
+                    example, frames, golden_tables, killing_check, load_spec, mat_det,
+                    mat_identity, mat_mul, mat_transpose, save_spec, spec_digest, validate)
 from rptgeo.example import family_structure_constants, swap_product_matrix
 from rptgeo.frames import (Witness, adapted_frame, check_result, frame_from_dict,
                            frame_to_dict, tensor_witnesses)
@@ -328,3 +328,98 @@ def test_substitute_produces_constant_frame():
     fa = build_example().substitute({"l1": 1, "l2": 2, "l3": 1, "l4": 2})
     assert fa.params == ()
     assert fa == build_example((1, 2, 1, 2))
+
+
+# ---------------------------------------------------------------------------
+# one parse per distinct entry text
+
+
+def _spec_texts(data: dict) -> list:
+    """Every entry text of a spec dict, in the order the loader reads them."""
+    return ([text for entry in data["brackets"] for text in entry["result"].values()]
+            + [text for key in ("metric", "product") for row in data[key] for text in row])
+
+
+def _count_parses(monkeypatch) -> list:
+    """The texts frames.parse_expression is called on from now on."""
+    calls, real = [], frames.parse_expression
+
+    def counted(text, params):
+        calls.append(text)
+        return real(text, params)
+
+    monkeypatch.setattr(frames, "parse_expression", counted)
+    return calls
+
+
+def _unshared(monkeypatch):
+    """Make every _parse_entry call, in specs and golden tables, parse its
+    text afresh, as if each entry were its own load."""
+    real = frames._parse_entry
+    for module in (frames, example):
+        monkeypatch.setattr(module, "_parse_entry",
+                            lambda text, params, path, parsed: real(text, params, path, {}))
+
+
+_SPECS = [json.loads(bundled_spec_path().read_text())] + [
+    frame_to_dict(fa) for fa in random_frames(6)[2:]]
+
+
+@pytest.mark.parametrize("data", _SPECS, ids=lambda d: "dim%d-%dparams" % (
+    d["dimension"], len(d["parameters"])))
+def test_a_spec_parses_each_distinct_text_once_and_loads_as_unshared(data, monkeypatch):
+    texts = _spec_texts(data)
+    assert len(set(texts)) < len(texts)  # the spec repeats texts
+    calls = _count_parses(monkeypatch)
+    shared = frame_from_dict(data)
+    assert sorted(calls) == sorted(set(texts))
+    with monkeypatch.context() as m:
+        _unshared(m)
+        unshared = frame_from_dict(data)
+    assert len(calls) == len(set(texts)) + len(texts)
+    assert shared == unshared and spec_digest(shared) == spec_digest(unshared)
+    # equal texts share one Scalar within the load
+    by_text = {}
+    for text, value in zip([text for key in ("metric", "product") for row in data[key]
+                            for text in row],
+                           [x for matrix in (shared.g, shared.p) for row in matrix for x in row]):
+        assert by_text.setdefault(text, value) is value
+
+
+def test_a_repeated_malformed_text_fails_at_its_first_occurrence():
+    data = json.loads(bundled_spec_path().read_text())
+    data["metric"][1][2] = data["product"][0][1] = data["metric"][3][0] = "1 +"
+    with pytest.raises(SchemaError) as shared:
+        frame_from_dict(data)
+    assert str(shared.value).startswith("metric[1][2]: ")
+    data["product"][0][1] = data["metric"][3][0] = "0"
+    with pytest.raises(SchemaError) as alone:
+        frame_from_dict(data)
+    assert str(shared.value) == str(alone.value)
+
+
+@pytest.mark.parametrize("where, entry", [("metric", []), ("product", ["1"]),
+                                          ("brackets", {"1": 2}), ("brackets", ["l1"])])
+def test_a_non_string_entry_is_a_schema_error(where, entry):
+    data = json.loads(bundled_spec_path().read_text())
+    if where == "brackets":
+        data["brackets"][0]["result"]["2"] = entry
+        path = r"brackets\[0\]\.result\[2\]"
+    else:
+        data[where][2][3] = entry
+        path = r"%s\[2\]\[3\]" % where
+    with pytest.raises(SchemaError, match=path + ": expected an expression string$"):
+        frame_from_dict(data)
+
+
+def test_golden_tables_parse_each_distinct_text_once_per_file(monkeypatch):
+    tables = [json.loads(path.read_text())["entries"]
+              for path in (bundled_spec_path().parent / "golden").glob("*.json")]
+    distinct = sum(len(set(entries.values())) for entries in tables)
+    assert distinct < sum(map(len, tables))  # the tables repeat texts
+    calls = _count_parses(monkeypatch)
+    shared = golden_tables()
+    assert len(calls) == distinct
+    with monkeypatch.context() as m:
+        _unshared(m)
+        assert golden_tables() == shared

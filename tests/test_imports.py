@@ -17,7 +17,9 @@ a tensor's numerators and denominator.  A frame's brackets are the Tensor
 ``brackets``; the nested view ``FrameAlgebra.c`` is read only where the spec
 is written, ``frames.frame_to_dict``.  Frame data move as tensors, so the
 Scalar matrix product ``mat_mul`` is named only where it is defined,
-``tensors``, and exported, ``__init__``.
+``tensors``, and exported, ``__init__``.  Input is parsed in one place,
+``frames._parse_entry``, which parses each distinct text once per file, so
+no other code in the package reads ``parse_expression``.
 """
 
 import ast
@@ -357,3 +359,52 @@ def test_the_other_matrix_helpers_are_allowed():
     source = ("from .tensors import mat_identity, mat_inv, mat_transpose\n"
               "from . import tensors\nm = tensors.mat_det(mat_inv(a))\n")
     assert not _matrix_products(ast.parse(source))
+
+
+def _parse_reads(tree: ast.Module, reader=None) -> list:
+    """Reads of ``parse_expression``, by name or as an attribute, outside the
+    function named reader, and imports that rename it, with their lines."""
+    found = []
+
+    def visit(node, inside):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ImportFrom):
+                found.extend("import as %s (line %d)" % (alias.asname, child.lineno)
+                             for alias in child.names
+                             if alias.name == "parse_expression" and alias.asname)
+            elif not inside and ((isinstance(child, ast.Name) and child.id == "parse_expression")
+                                 or (isinstance(child, ast.Attribute)
+                                     and child.attr == "parse_expression")):
+                found.append("line %d" % child.lineno)
+            visit(child, inside or (isinstance(child, ast.FunctionDef)
+                                    and child.name == reader))
+
+    visit(tree, False)
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_only_the_entry_reader_parses(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = _parse_reads(tree, "_parse_entry" if path.name == "frames.py" else None)
+    assert not found, "%s parses outside frames._parse_entry: %s" % (path.name, ", ".join(found))
+
+
+@pytest.mark.parametrize("source", [
+    "v = parse_expression(text, params)\n",
+    "from . import parser\nv = parser.parse_expression(text, ())\n",
+    "def _parse_entry():\n    pass\ndef other(text):\n    return parse_expression(text, ())\n",
+    "from .parser import parse_expression as parse\n",
+    "parse = parse_expression\n",
+    "def _read_table(d):\n    return {k: parse_expression(v, ()) for k, v in d.items()}\n",
+])
+def test_parse_outside_the_entry_reader_is_detected(source):
+    assert _parse_reads(ast.parse(source), "_parse_entry")
+
+
+def test_the_entry_reader_and_the_export_are_allowed():
+    source = ("from .parser import ParseError, parse_expression\n"
+              "def _parse_entry(text, params, path, parsed):\n"
+              "    return parse_expression(text, params)\n"
+              "v = _parse_entry(text, (), 'x', {})\n")
+    assert not _parse_reads(ast.parse(source), "_parse_entry")

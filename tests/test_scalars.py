@@ -7,8 +7,10 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from rptgeo import Scalar, parse_expression, scalars as kernel
-from rptgeo.scalars import (_canonical_assoc, _dict_add, _dict_eval, _dict_mul, _dict_neg,
-                            _dict_scale, _divexact, _is_const, _leading, _poly_gcd)
+from rptgeo.scalars import (_canonical_assoc, _dict_add, _dict_mul, _dict_neg, _dict_scale,
+                            _divexact, _is_const, _leading, _poly_gcd)
+
+from helpers import dict_eval
 
 PARAMS = ("l1", "l2", "l3", "l4")
 
@@ -313,9 +315,9 @@ def test_make_is_canonical_on_signed_and_empty_quotients(quotient, points):
         assert s.is_zero
     # Schwartz-Zippel: a wrong quotient shows at random points off the poles
     for vec in points:
-        at = _dict_eval(den, list(vec))
+        at = dict_eval(den, list(vec))
         if at:
-            assert s.substitute(dict(zip(PARAMS, vec))) == _dict_eval(num, list(vec)) / at
+            assert s.substitute(dict(zip(PARAMS, vec))) == dict_eval(num, list(vec)) / at
 
 
 _nonconstant = scalars.filter(lambda q: not q.is_constant)

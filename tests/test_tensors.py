@@ -19,7 +19,7 @@ from rptgeo.tensors import _GATHERS, contract_all, leading_minors
 from helpers import (alternate, arranged_oracle, build_tensor, compose_oracle, contract_oracle,
                      cyclic_sum_oracle, elementwise_oracle, map_slot_oracle,
                      mat_mul_oracle, row_reduce_oracle, slot_change_oracle,
-                     substitute_oracle, transpose_oracle)
+                     dict_eval, substitute_oracle, transpose_oracle)
 
 PARAMS = ("l1", "l2", "l3", "l4")
 DIM = 4
@@ -919,6 +919,55 @@ def test_parametric_results_cancel_to_a_polynomial_an_int_form_or_zero(variance,
     assert (over - over).ints == ([0] * N2 ** len(variance), 1)
     assert ((over + c) - over).ints is not None
     assert (over.ints is None) == any(not (p / d).is_constant for p in polys)
+
+
+POLE = "^denominator vanishes at the given values$"
+# a pole of a - 2b, of 2a + 1 and of 1 + ab, a point where a - 2b < 0, and
+# random points whose two coordinates have mixed denominators
+_points = st.one_of(
+    st.sampled_from([{"a": 2, "b": 1}, {"a": Fraction(-1, 2), "b": 5},
+                     {"a": 1, "b": -1}, {"a": 0, "b": 1}]),
+    st.fixed_dictionaries({name: st.fractions(-3, 3, max_denominator=6) for name in PP}))
+
+
+def _assert_scalar_substitute(x, point):
+    """Scalar.substitute against dict_eval on its num and den."""
+    vec = [Fraction(point[name]) for name in x.params]
+    den = dict_eval(x.den, vec)
+    if not den:
+        with pytest.raises(ZeroDivisionError, match=POLE):
+            x.substitute(point)
+    else:
+        got = x.substitute(point)
+        assert type(got) is Fraction and got == dict_eval(x.num, vec) / den
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), point=_points)
+def test_substitute_on_ints_matches_the_fraction_oracle(data, point):
+    t = _param_tensor(data, data.draw(st.sampled_from(["d", "dd", "ddu"])))
+    try:
+        expected = substitute_oracle(t, point)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError, match=POLE):
+            t.substitute(point)
+    else:
+        _assert_oracle(t.substitute(point), expected)
+    for x in t.comps:
+        _assert_scalar_substitute(x, point)
+
+
+def test_substitute_through_a_negative_or_vanishing_denominator():
+    t = Tensor(N2, "d", PP, [(PA + 1) / (PA - 2 * PB), PB / (2 * PA + 1)])
+    at = {"a": 0, "b": 1}
+    assert dict_eval(t._values()[1], [0, 1]) < 0
+    _assert_oracle(t.substitute(at), Tensor(N2, "d", (), [Scalar.constant((), Fraction(-1, 2)),
+                                                          Scalar.constant((), 1)]))
+    for pole in ({"a": 2, "b": 1}, {"a": Fraction(-1, 2), "b": 7}):
+        with pytest.raises(ZeroDivisionError, match=POLE):
+            t.substitute(pole)
+    for x, point in itertools.product(t.comps, [at, {"a": 2, "b": 1}]):
+        _assert_scalar_substitute(x, point)
 
 
 @settings(max_examples=30, deadline=None)
