@@ -1,12 +1,10 @@
 """Frame algebras: a Lie algebra with left-invariant metric and product structure.
 
 The FrameAlgebra is the single source of geometric truth; everything else is
-derived from its brackets, metric matrix and product matrix.  ``brackets``,
-a ``ddu`` Tensor, is its one form of c; the nested ``c`` is a boundary view,
-read only by ``frame_to_dict``.  A constant change of basis moves the
-brackets, g and P as tensors, and moves tensors back, through one slot map,
-``_moved``: building, checking and substituting a frame do no Scalar matrix
-arithmetic.
+derived from its brackets, metric and product structure: three tensors,
+cleared once when the frame is built, with nested views at the boundary.  A
+constant change of basis moves them, and tensors back, through one slot map,
+``_moved``; no Scalar matrix arithmetic builds, checks or substitutes a frame.
 File format and all reported indices are 1-based; the Python API is 0-based.
 """
 
@@ -121,11 +119,11 @@ def memo(fn):
 class FrameAlgebra:
     """Brackets c^k_ij, metric g and product structure P.
 
-    c is given nested, c[i][j][k] = c^k_ij, and kept in one form, the
-    Tensor ``brackets`` with c^k_ij at (i, j, k).  Frames, and the
-    connections and connection packs built on them, are never mutated after
-    construction.  Derived geometry relies on that: it is cached on its
-    owner for the owner's lifetime through ``memo``."""
+    Given nested, c[i][j][k] = c^k_ij and g, P as rows, they are kept as the
+    tensors ``brackets`` (``ddu``), ``metric`` (``dd``) and ``product``
+    (``ud``, P^i_j at (i, j)), read as rows through views built once.  A
+    frame is never mutated after construction, nor are the connections and
+    packs built on it, so derived geometry is cached through ``memo``."""
 
     def __init__(self, dim: int, params: tuple, c, g, p):
         if not isinstance(dim, int) or dim <= 0 or dim % 2:
@@ -136,18 +134,33 @@ class FrameAlgebra:
         for name, m in (("metric", g), ("product", p)):
             if len(m) != dim or any(len(row) != dim for row in m):
                 raise ValueError("%s must be a dim x dim matrix" % name)
-        self.dim = dim
-        self.params = tuple(params)
-        self.brackets = coefficient_tensor(c)
-        self.g = g
-        self.p = p
+        self._hold(dim, tuple(params), coefficient_tensor(c), coefficient_tensor(g, "dd"),
+                   coefficient_tensor(p, "ud"))
+
+    def _hold(self, dim: int, params: tuple, *tensors: Tensor) -> "FrameAlgebra":
+        """The one initializer; ValueError names a tensor not over params."""
+        for name, t in zip(("structure constants", "metric", "product"), tensors):
+            if t.params != params:
+                raise ValueError("%s: entries not over the parameters %s" % (name, params))
+        self.dim, self.params = dim, params
+        self.brackets, self.metric, self.product = tensors
+        return self
 
     @property
     @memo
     def c(self) -> list:
-        """c[i][j][k] = c^k_ij: a read-only view of ``brackets`` at the
-        boundary, built once, for code that reads frames as nested lists."""
+        """c[i][j][k] = c^k_ij; in the package, read only by ``frame_to_dict``."""
         return _rows(_rows(self.brackets.comps, self.dim), self.dim)
+
+    @property
+    @memo
+    def g(self) -> list:
+        return _rows(self.metric.comps, self.dim)
+
+    @property
+    @memo
+    def p(self) -> list:
+        return _rows(self.product.comps, self.dim)
 
     @property
     @memo
@@ -168,9 +181,9 @@ class FrameAlgebra:
     def __eq__(self, other):
         if not isinstance(other, FrameAlgebra):
             return NotImplemented
-        return (self.dim == other.dim and self.params == other.params
-                and self.brackets == other.brackets and self.g == other.g
-                and self.p == other.p)
+        # a tensor's == compares its dim and parameters too
+        return (self.brackets, self.metric, self.product) == (
+            other.brackets, other.metric, other.product)
 
     @property
     def user(self) -> "FrameAlgebra":
@@ -182,28 +195,23 @@ class FrameAlgebra:
         return t
 
     def substitute(self, values) -> "FrameAlgebra":
-        """Evaluate every entry at the given parameter values (empty context):
-        the brackets, g and P each as one Tensor over one denominator, which
-        vanishes there exactly when some entry's denominator does."""
-        n = self.dim
-        c, g, p = (t.substitute(values).comps for t in (
-            self.brackets, coefficient_tensor(self.g, "dd"), coefficient_tensor(self.p, "dd")))
-        return FrameAlgebra(n, (), _rows(_rows(c, n), n), _rows(g, n), _rows(p, n))
+        """Evaluate the three tensors at the given parameter values (empty
+        context); ZeroDivisionError where some entry's denominator vanishes."""
+        return object.__new__(FrameAlgebra)._hold(self.dim, (), *(
+            t.substitute(values) for t in (self.brackets, self.metric, self.product)))
 
 
 class RebasedFrame(FrameAlgebra):
     """A user frame in the basis given by the columns of the invertible
-    matrix s: it keeps the frame it came from, s and s_inv.  The brackets
-    (``ddu``), g (``dd``) and P (``ud``, P^i_j at (i, j)) move by ``_moved``
-    with (s, s_inv), and ``to_user`` moves a tensor back with (s_inv, s)."""
+    matrix s, which keeps source, s and s_inv.  Frames are left-invariant and
+    s is constant, so its tensors are the source's moved by ``_moved`` with
+    (s, s_inv): c' = c(s., s.) read through s^-1, g' = s^T g s and
+    P' = s^-1 P s.  ``to_user`` moves a tensor back with (s_inv, s)."""
 
     def __init__(self, source: FrameAlgebra, s: list):
-        n, s_inv = source.dim, mat_inv(s)
-        self.dim, self.params = n, source.params
-        self.source, self.s, self.s_inv = source, s, s_inv
-        self.brackets = _moved(source.brackets, s, s_inv)
-        self.g = _rows(_moved(coefficient_tensor(source.g, "dd"), s, s_inv).comps, n)
-        self.p = _rows(_moved(coefficient_tensor(source.p, "ud"), s, s_inv).comps, n)
+        self.source, self.s, self.s_inv = source, s, mat_inv(s)
+        self._hold(source.dim, source.params, *(_moved(t, s, self.s_inv) for t in (
+            source.brackets, source.metric, source.product)))
 
     @property
     def user(self) -> FrameAlgebra:
@@ -223,12 +231,7 @@ def _moved(t: Tensor, down: list, up: list) -> Tensor:
 
 
 def change_basis(fa: FrameAlgebra, s: list) -> RebasedFrame:
-    """fa in the basis given by the columns of the invertible matrix s.
-
-    Frames are left-invariant and s is constant, so the brackets, g and P
-    transform as tensors, c' = c(s., s.) read through s^-1, g' = s^T g s and
-    P' = s^-1 P s, and so do the connection coefficients built on the
-    result: every tensor on it pulls back exactly through ``to_user``."""
+    """fa in the basis given by the columns of the invertible matrix s."""
     return RebasedFrame(fa, s)
 
 
@@ -238,12 +241,11 @@ def _eigenbasis(fa: FrameAlgebra) -> list:
     ``null_space`` of I-P and I+P, which keeps P's parameters out of the
     adapted frame."""
     n = fa.dim
-    ident = coefficient_tensor(mat_identity(n, fa.params), "dd")
-    p = coefficient_tensor(fa.p, "dd")
-    constant = all(x.is_constant for row in fa.p for x in row)
+    ident = coefficient_tensor(mat_identity(n, fa.params), "ud")
+    constant = fa.product.ints is not None
     columns = []
     for sign in (1, -1):
-        proj = _rows((ident + p.scale(sign if constant else -sign)).comps, n)
+        proj = _rows((ident + fa.product.scale(sign if constant else -sign)).comps, n)
         if constant:
             found = [[proj[i][col] for i in range(n)] for col in row_reduce(proj)[1]]
         else:
@@ -264,12 +266,10 @@ def adapted_frame(fa: FrameAlgebra) -> RebasedFrame:
     g-orthogonal); the metric comes out block-diagonal.  For a parametric P
     the basis comes from exact elimination over rational functions, like
     ``metric_inv``, so it holds at the generic point of the parameters."""
-    n = fa.dim
     af = change_basis(fa, _eigenbasis(fa))
-    one, zero = Scalar.one(fa.params), Scalar.zero(fa.params)
-    signs = [[(one if i < n // 2 else -one) if i == j else zero for j in range(n)]
-             for i in range(n)]
-    if af.p != signs:
+    ident = mat_identity(fa.dim, fa.params)
+    signs = [[-x if x and 2 * i >= fa.dim else x for x in row] for i, row in enumerate(ident)]
+    if af.product != coefficient_tensor(signs, "ud"):
         raise ValueError("the product structure is not diagonal in its eigenbasis")
     return af
 
@@ -293,7 +293,7 @@ def validate(fa: FrameAlgebra) -> CheckResult:
     witnesses += [Witness((i + 1, j + 1, m + 1, r + 1), zero, actual, "jacobi")
                   for (i, j, m, r), actual in jacobi_residuals(c)]
 
-    g, p = coefficient_tensor(fa.g, "dd"), coefficient_tensor(fa.p, "dd")
+    g, p = fa.metric, fa.product
     witnesses += [w for w in tensor_witnesses(fa, g, "metric-symmetry", g.transpose((1, 0)))
                   if w.index[0] < w.index[1]]
 
@@ -314,7 +314,7 @@ def validate(fa: FrameAlgebra) -> CheckResult:
                                          "metric-positive-definite"))
 
     witnesses += tensor_witnesses(fa, p.map_slot(fa.p, 1), "product-square-identity",
-                                  coefficient_tensor(mat_identity(n, fa.params), "dd"))
+                                  coefficient_tensor(mat_identity(n, fa.params), "ud"))
     witnesses += tensor_witnesses(fa, g.map_slot(fa.p, 0).map_slot(fa.p, 1),
                                   "metric-product-compatibility", g)
 

@@ -17,7 +17,8 @@ from rptgeo.frames import (Witness, adapted_frame, check_result, frame_from_dict
 from rptgeo.tensors import Tensor, _as_poly, coefficient_tensor
 
 from helpers import (conjugate, jacobi_oracle, jacobi_residual_oracle, killing_oracle,
-                     random_frames, random_unimodular, single_bracket_frame)
+                     random_frames, random_unimodular, sheared_family_frame,
+                     single_bracket_frame, symbolic_metric_frame)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -170,6 +171,14 @@ def test_malformed_shapes_raise():
         FrameAlgebra(3, fa.params, fa.c, fa.g, fa.p)
     with pytest.raises(ValueError):
         FrameAlgebra(4, fa.params, fa.c, fa.g[:3], fa.p)
+    # each tensor must be over the frame's parameters
+    constant = build_example((1, 2, 3, 5))
+    with pytest.raises(ValueError, match="structure constants"):
+        FrameAlgebra(4, ("a",), constant.c, constant.g, constant.p)
+    with pytest.raises(ValueError, match="metric"):
+        FrameAlgebra(4, fa.params, fa.c, constant.g, fa.p)
+    with pytest.raises(ValueError, match="product"):
+        FrameAlgebra(4, fa.params, fa.c, fa.g, constant.p)
 
 
 def test_associated_metric_symmetric_on_random_frames():
@@ -199,25 +208,44 @@ def test_check_result_decides_caps_and_notes():
         "reason": None, "details": {}}
 
 
+def _assert_views_read_the_tensors(fa):
+    """fa.c, fa.g and fa.p are built once and read brackets, metric and
+    product entry for entry, P^i_j at p[i][j]."""
+    assert fa.c is fa.c and fa.g is fa.g and fa.p is fa.p
+    assert (fa.brackets.variance, fa.metric.variance, fa.product.variance) == ("ddu", "dd", "ud")
+    cells = itertools.product(range(fa.dim), repeat=3)
+    assert all(fa.c[i][j][k] == fa.brackets[i, j, k] for i, j, k in cells)
+    cells = itertools.product(range(fa.dim), repeat=2)
+    assert all(fa.g[i][j] == fa.metric[i, j] and fa.p[i][j] == fa.product[i, j]
+               for i, j in cells)
+
+
 def test_the_nested_view_equals_the_constructor_input():
     zero, one = Scalar.zero(()), Scalar.one(())
     nested = [[[zero] * 4 for _ in range(4)] for _ in range(4)]
     nested[0][1][2], nested[1][0][2] = one, -one
-    fa = FrameAlgebra(4, (), nested, mat_identity(4, ()), swap_product_matrix(4, ()))
-    assert fa.c == nested and fa.c is fa.c  # built once
-    assert fa.brackets.variance == "ddu" and fa.brackets[1, 0, 2] == -one
+    g = [[Scalar.constant((), i + 1) if i == j else zero for j in range(4)] for i in range(4)]
+    p = swap_product_matrix(4, ())
+    p[0][1] = Scalar.constant((), Fraction(3, 2))  # not symmetric: P^1_2 only
+    fa = FrameAlgebra(4, (), nested, g, p)
+    assert fa.c == nested and fa.g == g and fa.p == p
+    assert fa.brackets[1, 0, 2] == -one and fa.metric[3, 3] == 4
+    assert fa.product[0, 1] == Fraction(3, 2) and fa.product[1, 0].is_zero
+    _assert_views_read_the_tensors(fa)
     family = build_example()
     lam = [Scalar.parameter(family.params, name) for name in family.params]
     assert family.c == family_structure_constants(lam, family.params)
+    assert family.g == mat_identity(4, family.params)
+    assert family.p == swap_product_matrix(4, family.params)
+    _assert_views_read_the_tensors(family)
 
 
-@pytest.mark.parametrize("frame", ["family", "conj8"])
+@pytest.mark.parametrize("frame", ["family", "conj8", "sheared"])
 def test_the_nested_view_of_an_adapted_frame_reads_its_brackets(frame):
-    fa = build_example() if frame == "family" else random_frames()[-1]
+    fa = {"family": build_example, "conj8": lambda: random_frames()[-1],
+          "sheared": sheared_family_frame}[frame]()
     af = adapted_frame(fa)
-    n = af.dim
-    assert all(af.c[i][j][k] == af.brackets[i, j, k]
-               for i in range(n) for j in range(n) for k in range(n))
+    _assert_views_read_the_tensors(af)
     # a frame rebuilt from the nested view, as the perfbench corpus does
     rebuilt = FrameAlgebra(af.dim, af.params,
                            [[list(cell) for cell in row] for row in af.c], af.g, af.p)
@@ -328,6 +356,40 @@ def test_substitute_produces_constant_frame():
     fa = build_example().substitute({"l1": 1, "l2": 2, "l3": 1, "l4": 2})
     assert fa.params == ()
     assert fa == build_example((1, 2, 1, 2))
+    _assert_views_read_the_tensors(fa)
+
+
+def _substituted_entrywise(fa: FrameAlgebra, values) -> FrameAlgebra:
+    """fa at the values, built entry by entry through Scalar.substitute."""
+    def at(x):
+        return Scalar.constant((), x.substitute(values))
+
+    return FrameAlgebra(fa.dim, (), [[[at(x) for x in cell] for cell in row] for row in fa.c],
+                        [[at(x) for x in row] for row in fa.g],
+                        [[at(x) for x in row] for row in fa.p])
+
+
+@pytest.mark.parametrize("build", [symbolic_metric_frame, sheared_family_frame])
+def test_substitute_equals_the_entrywise_evaluation(build):
+    # symbolic_metric_frame: parametric g, P over a + 1; sheared: parametric P
+    fa = build()
+    assert fa.product.ints is None
+    values = dict(zip(fa.params, (Fraction(1, 2), 1, Fraction(-3, 2), Fraction(5, 2),
+                                  Fraction(2, 3))))
+    sub = fa.substitute(values)
+    assert type(sub) is FrameAlgebra and sub.params == ()
+    assert sub == _substituted_entrywise(fa, values)
+    _assert_views_read_the_tensors(sub)
+
+
+def test_substitute_at_a_pole_of_the_product_raises():
+    fa = symbolic_metric_frame()
+    values = dict(zip(fa.params, (1, 2, 3, 5, -1)))  # a = -1: P has entries over a + 1
+    message = "denominator vanishes at the given values"
+    with pytest.raises(ZeroDivisionError, match=message):
+        [x.substitute(values) for row in fa.p for x in row]
+    with pytest.raises(ZeroDivisionError, match=message):
+        fa.substitute(values)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,10 @@ is written, ``frames.frame_to_dict``.  Frame data move as tensors, so the
 Scalar matrix product ``mat_mul`` is named only where it is defined,
 ``tensors``, and exported, ``__init__``.  Input is parsed in one place,
 ``frames._parse_entry``, which parses each distinct text once per file, so
-no other code in the package reads ``parse_expression``.
+no other code in the package reads ``parse_expression``.  A frame's
+matrices are the Tensors ``metric`` and ``product``, cleared once, when the
+frame is built, so no ``coefficient_tensor(...)`` call takes a frame's
+nested views ``.g`` or ``.p``.
 """
 
 import ast
@@ -408,3 +411,44 @@ def test_the_entry_reader_and_the_export_are_allowed():
               "    return parse_expression(text, params)\n"
               "v = _parse_entry(text, (), 'x', {})\n")
     assert not _parse_reads(ast.parse(source), "_parse_entry")
+
+
+def _frame_matrix_clears(tree: ast.Module) -> list:
+    """``coefficient_tensor(...)`` calls, by name or as an attribute, that
+    read an attribute ``g`` or ``p`` in their arguments, with their lines."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and (
+                (isinstance(node.func, ast.Name) and node.func.id == "coefficient_tensor")
+                or (isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "coefficient_tensor")):
+            args = node.args + [k.value for k in node.keywords]
+            if any(isinstance(sub, ast.Attribute) and sub.attr in ("g", "p")
+                   for arg in args for sub in ast.walk(arg)):
+                found.append("line %d" % node.lineno)
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_a_frame_matrix_is_cleared_once(path):
+    found = _frame_matrix_clears(ast.parse(path.read_text(encoding="utf-8")))
+    assert not found, "%s clears a frame's g or p again, not its metric or product: %s" % (
+        path.name, ", ".join(found))
+
+
+@pytest.mark.parametrize("source", [
+    "g = coefficient_tensor(fa.g, 'dd')\n",
+    "p = coefficient_tensor(self.p, 'ud')\n",
+    "from . import tensors\ng = tensors.coefficient_tensor(source.g, 'dd')\n",
+    "p = coefficient_tensor([row[:] for row in fa.p], 'dd')\n",
+    "g = coefficient_tensor(nested=fa.g, variance='dd')\n",
+])
+def test_a_second_clear_of_a_frame_matrix_is_detected(source):
+    assert _frame_matrix_clears(ast.parse(source))
+
+
+def test_the_frame_tensors_and_other_clears_are_allowed():
+    source = ("brackets = coefficient_tensor(c)\nmetric = coefficient_tensor(g, 'dd')\n"
+              "ident = coefficient_tensor(mat_identity(n, fa.params), 'ud')\n"
+              "g, p = fa.metric, fa.product\nlow = fa.brackets.lower_slot(2, fa.g)\n")
+    assert not _frame_matrix_clears(ast.parse(source))
