@@ -57,7 +57,7 @@ class ConnectionPack:
 def rpt_torsion(f: Tensor, fa: FrameAlgebra) -> Tensor:
     """Torsion 3-form of the skew-torsion natural connection, from the
     structure tensor.  Defined on any frame; naturality needs the class gate."""
-    g = arranged(f, "x,y,Pz", fa.p)
+    g = arranged(f, "x,y,Pz", fa.product)
     return cyclic_sum(g, (0, 1, 2)).scale(Fraction(1, 2))
 
 
@@ -69,8 +69,8 @@ def companion_shifts(fa: FrameAlgebra) -> tuple:
     """(Q_C, Q_P): the lowered differences from Levi-Civita of the canonical
     connection and of the P-connection, both read off the structure tensor."""
     f = fundamental_F(fa)
-    f_py = arranged(f, "x,Py,z", fa.p)
-    q_c = (arranged(f, "y,Px,z", fa.p) - arranged(f, "Py,x,z", fa.p)
+    f_py = arranged(f, "x,Py,z", fa.product)
+    q_c = (arranged(f, "y,Px,z", fa.product) - arranged(f, "Py,x,z", fa.product)
            + f_py.scale(2)).scale(Fraction(-1, 4))
     return q_c, f_py.scale(Fraction(-1, 2))
 

@@ -2,10 +2,12 @@
 
 The FrameAlgebra is the single source of geometric truth; everything else is
 derived from its brackets, metric and product structure: three tensors,
-cleared once when the frame is built, with nested views at the boundary.  A
-constant change of basis moves them, and tensors back, through one slot map,
-``_moved``; no Scalar matrix arithmetic builds, checks or substitutes a frame.
-File format and all reported indices are 1-based; the Python API is 0-based.
+cleared once when the frame is built, with nested views at the boundary.
+Every matrix reaches the kernel as a tensor: these, ``metric_inv``, and s
+and s^-1 of a constant change of basis, which moves them, and tensors
+back, through ``_moved``, one ``arranged`` pattern per kind of slot.  No
+Scalar matrix arithmetic builds, checks or substitutes a frame.  File
+format and all reported indices are 1-based; the Python API is 0-based.
 """
 
 from __future__ import annotations
@@ -174,9 +176,10 @@ class FrameAlgebra:
 
     @property
     @memo
-    def metric_inv(self) -> list:
-        """g^-1 from one elimination of [g | I]; ValueError when g is singular."""
-        return mat_inv(self.g)
+    def metric_inv(self) -> Tensor:
+        """g^-1, a ``uu`` tensor, from one elimination; ValueError when g is singular."""
+        inv = mat_inv(self.g)
+        return coefficient_tensor(inv, "uu")
 
     def __eq__(self, other):
         if not isinstance(other, FrameAlgebra):
@@ -203,14 +206,15 @@ class FrameAlgebra:
 
 class RebasedFrame(FrameAlgebra):
     """A user frame in the basis given by the columns of the invertible
-    matrix s, which keeps source, s and s_inv.  Frames are left-invariant and
-    s is constant, so its tensors are the source's moved by ``_moved`` with
-    (s, s_inv): c' = c(s., s.) read through s^-1, g' = s^T g s and
-    P' = s^-1 P s.  ``to_user`` moves a tensor back with (s_inv, s)."""
+    matrix s; it keeps source, and s and s_inv as ``ud`` tensors.  Frames are
+    left-invariant and s is constant, so its tensors are the source's moved
+    by ``_moved`` with (s, s_inv): c' = c(s., s.) read through s^-1,
+    g' = s^T g s and P' = s^-1 P s.  ``to_user`` moves one back by (s_inv, s)."""
 
     def __init__(self, source: FrameAlgebra, s: list):
-        self.source, self.s, self.s_inv = source, s, mat_inv(s)
-        self._hold(source.dim, source.params, *(_moved(t, s, self.s_inv) for t in (
+        self.source = source
+        self.s, self.s_inv = (coefficient_tensor(m, "ud") for m in (s, mat_inv(s)))
+        self._hold(source.dim, source.params, *(_moved(t, self.s, self.s_inv) for t in (
             source.brackets, source.metric, source.product)))
 
     @property
@@ -221,12 +225,14 @@ class RebasedFrame(FrameAlgebra):
         return _moved(t, self.s_inv, self.s)
 
 
-def _moved(t: Tensor, down: list, up: list) -> Tensor:
-    """t with every covector slot mapped by down and every vector slot by
-    up: a change of basis, its columns in the old basis, is (s, s^-1), and
-    its pull-back (s^-1, s)."""
-    for slot, v in enumerate(t.variance):
-        t = t.map_slot(down if v == "d" else up, slot)
+def _moved(t: Tensor, down: Tensor, up: Tensor) -> Tensor:
+    """t with its covector slots mapped by down and its vector slots by up,
+    one ``arranged`` pattern each: a change of basis, its columns in the old
+    basis, is (s, s^-1), and its pull-back (s^-1, s)."""
+    for matrix, kind in ((down, "d"), (up, "u")):
+        if kind in t.variance:
+            t = arranged(t, ",".join(("P" if v == kind else "") + "xyzw"[k]
+                                     for k, v in enumerate(t.variance)), matrix)
     return t
 
 
@@ -330,7 +336,7 @@ def killing_check(fa: FrameAlgebra) -> CheckResult:
     Runs on a validated frame, whose g is symmetric."""
     # lower_slot pairs c^s_ij with g[k][s] = g[s][k], and map_slot then feeds
     # P^t_k into the slot: the pairing is (gP)[s][k]
-    low = fa.brackets.lower_slot(2, fa.g).map_slot(fa.p, 2)
+    low = fa.brackets.lower_slot(2, fa.metric).map_slot(fa.p, 2)
     return check_result("killing-metric", fa,
                         [(low + arranged(low, "x,z,y"), "killing-metric")])
 

@@ -32,13 +32,13 @@ class Connection:
         """Lowered torsion of the connection (antisymmetric in the first pair)."""
         a = self.coeffs
         t = a - arranged(a, "y,x,z") - self.frame.brackets
-        return t.lower_slot(2, self.frame.g)
+        return t.lower_slot(2, self.frame.metric)
 
     def metric_witnesses(self, label: str) -> list:
         """Nonzero g(nabla_i e_j, e_k) + g(e_j, nabla_i e_k) for j <= k in the
         user's basis, as witnesses with expected zero and the negated sum;
         none when metric."""
-        low = self.coeffs.lower_slot(2, self.frame.g)
+        low = self.coeffs.lower_slot(2, self.frame.metric)
         defect = -(low + arranged(low, "x,z,y"))
         return [w for w in tensor_witnesses(self.frame, defect, label)
                 if w.index[1] <= w.index[2]]
@@ -53,7 +53,7 @@ class ClassLabel:
 def levi_civita(fa: FrameAlgebra) -> Connection:
     """Koszul construction; exact, torsion-free and metric by construction."""
     # g([e_i, e_j], e_k), then the Koszul sum at (i, j, k)
-    pair = fa.brackets.lower_slot(2, fa.g)
+    pair = fa.brackets.lower_slot(2, fa.metric)
     kos = pair + arranged(pair, "z,x,y") + arranged(pair, "z,y,x")
     return Connection(fa, kos.raise_slot(2, fa.metric_inv).scale(Fraction(1, 2)))
 
@@ -62,14 +62,14 @@ def nabla_p_components(fa: FrameAlgebra, conn: Connection) -> Tensor:
     """Covariant derivative of the product structure: (nabla_i P) e_j has
     component s at index (i, j, s)."""
     a = conn.coeffs
-    return a.map_slot(fa.p, 1) - a.map_slot(fa.p, 2)
+    return arranged(a, "x,Py,z", fa.product) - arranged(a, "x,y,Pz", fa.product)
 
 
 @memo
 def fundamental_F(fa: FrameAlgebra) -> Tensor:
     """Structure tensor F: the lowered Levi-Civita covariant derivative of
     the product structure.  The ``geometry`` suite checks its identities."""
-    return nabla_p_components(fa, levi_civita(fa)).lower_slot(2, fa.g)
+    return nabla_p_components(fa, levi_civita(fa)).lower_slot(2, fa.metric)
 
 
 def square_norm(t: Tensor, fa: FrameAlgebra) -> Scalar:
@@ -95,7 +95,7 @@ def curvature(conn: Connection):
     With L(i,s,l) = g(nabla_i e_s, e_l) and constant frame components,
     R(i,j,k,l) = sum_s A^s_jk L(i,s,l) - A^s_ik L(j,s,l) - c^s_ij L(s,k,l)."""
     fa = conn.frame
-    low = conn.coeffs.lower_slot(2, fa.g)
+    low = conn.coeffs.lower_slot(2, fa.metric)
     # sum_s A^s_jk L(i,s,l) lands at (j,k,i,l) and moves to (i,j,k,l)
     first = compose(conn.coeffs, low.transpose((1, 0, 2))).transpose((1, 2, 0, 3))
     riemann = first - first.transpose((1, 0, 2, 3)) \
@@ -124,7 +124,7 @@ def torsion_projections(t: Tensor, fa: FrameAlgebra):
         raise ValueError("tensor is not antisymmetric in its first two slots")
     # each pattern once; p1 and p2 differ only in the sign of s, p3 and p4
     # in the sign of u
-    a = {pattern: arranged(t, pattern, fa.p) for pattern in (
+    a = {pattern: arranged(t, pattern, fa.product) for pattern in (
         "y,z,x", "z,x,y", "Pz,x,Py", "Py,z,Px", "z,Px,Py", "Px,Py,z", "Py,Pz,x",
         "Pz,Px,y", "y,Pz,Px", "Px,y,Pz", "x,Py,Pz")}
     s = (a["Py,z,Px"] + a["z,Px,Py"] + a["Py,Pz,x"] + a["Pz,Px,y"] - a["y,z,x"]

@@ -22,11 +22,12 @@ Scalars are built only at the boundary.  The constructor takes Scalars and
 clears them to the form of their entries.  ``comps`` reads Scalars: a view
 built once, entry by entry through ``Scalar._make``, where Scalars are read
 (witnesses, printing, report scalars, golden comparisons).  The small
-matrices an op takes (a metric, P, a change of basis) are lists of
-Scalars, cleared the same way by ``_cleared`` to ints or polynomials over
-one denominator.  ``substitute`` builds no Scalar: it evaluates the
-numerators and den at the point on ints, ``scalars._evaluated``, and
-cancels the int result once.
+matrix an op takes (a metric, its inverse, P, a change of basis) is read
+by ``_matrix``: a rank-2 Tensor, as a frame holds them, as it is held;
+nested rows of Scalars, at the boundary, cleared by ``_cleared`` to ints
+or polynomials over one denominator.  ``substitute`` builds no Scalar: it
+evaluates the numerators and den at the point on ints,
+``scalars._evaluated``, and cancels the int result once.
 
 Every op runs on the form its operands share; an int-form operand next to
 a parametric one is lifted to constant polynomials.  Every product is one
@@ -34,23 +35,25 @@ multiply-accumulate, ``_mul``, on ints or on polynomial dicts, where a zero
 entry makes no term.  The tensor products (``compose``, ``tensor_contract``,
 ``contract_all``, ``map_slot`` with a dense matrix), ``mat_mul`` and the
 Jacobi residuals of ``validate`` (``jacobi_residuals``) call it.
-``map_slot`` clears its matrix once and reads the path off the cleared
-rows: a diagonal matrix, such as P = diag(I, -I) in a P-eigenbasis, scales
-each slice of the slot by its entry (1 copies and -1 negates); any other
-matrix is one product on rows of components.  ``compose`` builds the
-torsion inner products, and covariant derivatives and curvature from
+A slot map reads its path off the matrix's rows: a diagonal of 1 and -1
+over 1, such as P = diag(I, -I) in a P-eigenbasis, is the signed gather
+(below), any other diagonal scales each slice of the slot by its entry, and
+any other matrix is one product on rows of components.  ``compose`` builds
+the torsion inner products, and covariant derivatives and curvature from
 connection coefficients.
 
 Data movement runs in C builtins.  ``transpose`` gathers its output, on
-either form, through one ``operator.itemgetter`` per (dim, perm), made on
-first use and kept in ``_GATHERS``; like ``scalars._UNITS`` that is a table
-of shapes, never of results, so ``frames.memo`` stays the one cache of
-results.  On the int form the entrywise ops of two lists, ``+`` and ``-``
-over one denominator and the diagonal ``map_slot``, are one
-``map(operator.add/sub/mul, ...)`` each.  An op that multiplies every entry
-by one int (the lcm branch of ``+``/``-``, ``scale`` by a constant, the
-int cancellation) stays a comprehension, which CPython 3.11 runs faster
-than ``map`` over ``itertools.repeat``.
+either form, through one ``operator.itemgetter`` per (dim, perm); the
+signed gather, all of ``arranged`` by such a P, through one per (dim,
+perm, slots, signs) over the components followed by their negations.
+Both are kept in ``_GATHERS``, a table of shapes like ``scalars._UNITS``,
+never of results, so ``frames.memo`` stays the one cache of results.  On
+the int form the entrywise ops of two lists, ``+`` and ``-`` over one
+denominator and the diagonal slot map, are one ``map(operator.add/sub/mul,
+...)`` each.  An op that multiplies every entry by one int (the lcm branch
+of ``+``/``-``, ``scale`` by a constant, the int cancellation) stays a
+comprehension, which CPython 3.11 runs faster than ``map`` over
+``itertools.repeat``.
 
 The small exact matrices have one elimination, ``row_reduce``, behind
 ``leading_minors``, ``mat_det``, ``mat_inv`` and ``null_space``, the one
@@ -69,9 +72,6 @@ from typing import Sequence
 
 from .scalars import (Scalar, _canonical, _dict_add, _dict_mul, _dict_neg, _dict_scale,
                       _dict_sub, _evaluated, _exquo, _lcm, _primitive)
-
-Matrix = "list[list[Scalar]]"
-
 
 class Tensor:
     __slots__ = ("dim", "variance", "params", "_comps", "_nums", "_den")
@@ -256,36 +256,44 @@ class Tensor:
         perm = tuple(perm)
         if len(perm) != self.rank:
             raise ValueError("perm must be a permutation of the slots")
+        return self._gathered(perm)
+
+    def _gathered(self, perm: tuple, slots: tuple = (), signs: tuple = ()) -> "Tensor":
+        """The transpose by perm, each slot in slots mapped by diag(signs): one
+        getter over the components and, given signs, their negations."""
         n = self.dim
-        gather = _GATHERS.get((n, perm)) or _gather(n, perm)
+        key = (n, perm, slots, signs) if slots else (n, perm)
+        gather = _GATHERS.get(key) or _gather(n, perm, slots, signs)
         # input slot k becomes output slot perm[k]
         variance = "".join([v for _, v in sorted(zip(perm, self.variance))])
         values, den = self._values()
+        if slots:
+            values = values + list(map(_dict_neg if type(den) is dict else operator.neg, values))
         return Tensor._of(n, variance, self.params, list(gather(values)), den)
 
-    def map_slot(self, matrix: list, slot: int) -> "Tensor":
+    def map_slot(self, matrix, slot: int) -> "Tensor":
         """Compose a (1,1) map into one slot (covariant: M^a_i feeds slot).
+        The matrix is a rank-2 Tensor or nested rows (``_matrix``)."""
+        return self._mapped(_matrix(matrix, self.params), slot)
 
-        The matrix is cleared once, and its rows decide the path.  A
-        diagonal matrix scales each slice of the slot by its entry; on a
-        diagonal of 1 and -1 the result needs no cancellation, and a
-        polynomial slice is shared or negated.  Any other matrix is one
+    def _mapped(self, cleared, slot: int) -> "Tensor":
+        """``map_slot`` by a matrix (rows, d), whose rows decide the path.  A
+        diagonal of 1 and -1 is the signed gather; any other diagonal scales
+        each slice of the slot by its entry.  Any other matrix is one
         product: the slot moves to last place, each row of components is
         multiplied by M, or by M^T on a vector slot, and the slot moves
         back."""
-        n, params = self.dim, self.params
+        n, (rows, d) = self.dim, cleared
+        signs = _signs(rows, d)
+        if signs:
+            return self._gathered(tuple(range(self.rank)), (slot,), signs)
         stride = n ** (self.rank - 1 - slot)
-        rows, d = _cleared(matrix, params)
         diag = [row[i] for i, row in enumerate(rows)]
         if sum(map(bool, itertools.chain.from_iterable(rows))) == sum(map(bool, diag)):
-            # a diagonal of 1 and -1 is constant, so it clears to ints over 1
-            signs = d == 1 and all(x == 1 or x == -1 for x in diag)
             values, (diag,), den = self._with_matrix(([diag], d))
             diag = itertools.cycle([x for x in diag for _ in range(stride)])
             out = list(map(operator.mul, values, diag)) if type(den) is int else \
                 [_dict_mul(x, y) if x and y else {} for x, y in zip(values, diag)]
-            if signs:
-                return Tensor._of(n, self.variance, params, out, den)
             return self._like(out, den)
         # the slot moves to last place: slot j of the move is slot order[j]
         order = [k for k in range(self.rank) if k != slot] + [slot]
@@ -302,19 +310,19 @@ class Tensor:
         (values, den), (rows, d) = _joint([self._values(), cleared], self.params)
         return values, rows, _times(den, d)
 
-    def lower_slot(self, slot: int, metric: list) -> "Tensor":
+    def lower_slot(self, slot: int, metric) -> "Tensor":
         if self.variance[slot] != "u":
             raise ValueError("slot is already covariant")
-        t = self.map_slot(metric, slot)
+        t = self._mapped(_matrix(metric, self.params), slot)
         var = self.variance[:slot] + "d" + self.variance[slot + 1:]
         return Tensor._of(self.dim, var, self.params, *t._values())
 
-    def raise_slot(self, slot: int, metric_inv: list) -> "Tensor":
+    def raise_slot(self, slot: int, metric_inv) -> "Tensor":
         if self.variance[slot] != "d":
             raise ValueError("slot is already contravariant")
         # map_slot reads matrix[a][i] on a covariant slot; the inverse metric
         # is symmetric (validate enforces a symmetric metric), so that is g^ia
-        t = self.map_slot(metric_inv, slot)
+        t = self._mapped(_matrix(metric_inv, self.params), slot)
         var = self.variance[:slot] + "u" + self.variance[slot + 1:]
         return Tensor._of(self.dim, var, self.params, *t._values())
 
@@ -376,8 +384,9 @@ def tensor_contract(t: Tensor, slot_a: int, slot_b: int, metric=None) -> Tensor:
     order = [slot_a, slot_b] + keep
     n = t.dim
     moved = t.transpose([order.index(k) for k in range(r)])
-    values, rows, den = moved._with_matrix(_cleared(
-        mat_identity(n, t.params) if metric is None else metric, t.params))
+    pairing = ([[int(i == j) for j in range(n)] for i in range(n)], 1) if metric is None \
+        else _matrix(metric, t.params)
+    values, rows, den = moved._with_matrix(pairing)
     comps = _product([[m for row in rows for m in row]], _rows(values, n ** (r - 2)), den)
     return Tensor._new(n, "".join(t.variance[k] for k in keep), t.params, comps, den)
 
@@ -456,63 +465,94 @@ def arranged(t: Tensor, pattern: str, product=None) -> Tensor:
     """Rearrange arguments by a pattern such as ``"Pz,x,Py"``.
 
     The result S satisfies S(x,y,z,..) = T(pattern), where a ``P`` prefix
-    composes the product-structure matrix into that argument.
+    composes the product matrix (a rank-2 Tensor or nested rows) into that
+    argument; a diagonal of 1 and -1 makes the whole one signed gather.
     """
     slots = [p.strip() for p in pattern.split(",")]
-    if len(slots) != t.rank:
+    rank = len(slots)
+    if rank != t.rank:
         raise ValueError("pattern arity does not match tensor rank")
-    out = t
-    perm = []
+    perm, flagged = [], []
     for pos, spec in enumerate(slots):
-        flag = spec.startswith("P")
-        name = spec[1:] if flag else spec
-        if name not in _VARS or _VARS[name] >= t.rank:
+        flag = spec[:1] == "P"
+        k = _VARS.get(spec[1:] if flag else spec, rank)
+        if k >= rank:
             raise ValueError("bad argument '%s' in pattern" % spec)
-        perm.append(_VARS[name])
+        perm.append(k)
         if flag:
             if product is None:
                 raise ValueError("pattern uses P but no product matrix given")
-            out = out.map_slot(product, pos)
-    if sorted(perm) != list(range(t.rank)):
+            flagged.append(pos)
+    if len(set(perm)) != rank:
         raise ValueError("pattern must use each argument exactly once")
-    return out.transpose(perm)
+    perm, flagged = tuple(perm), tuple(flagged)
+    if flagged:
+        cleared = _matrix(product, t.params)
+        signs = _signs(*cleared)
+        if signs:
+            return t._gathered(perm, flagged, signs)
+        for pos in flagged:
+            t = t._mapped(cleared, pos)
+    return t._gathered(perm)
 
 
 # ---------------------------------------------------------------------------
 # the gathers of ``transpose``: a table of shapes, like ``scalars._UNITS``
 
-# (dim, perm) -> the getter that reads a transpose's components off its
-# input's, and size -> the offsets 0..size-1, whose ints every getter of that
-# size shares.  It holds no tensor and no value; ``frames.memo`` is the one
-# cache of results.
+# (dim, perm) -> the getter of a transpose; (dim, perm, slots, signs) -> the
+# signed gather's, over the components followed by their negations; size ->
+# the offsets 0..size-1, whose ints the getters of that size share.  No
+# tensor and no value: ``frames.memo`` is the one cache of results.
 _GATHERS: dict = {}
 
 
-def _gather(dim: int, perm: tuple):
-    """The getter of the transpose by perm on dim ** len(perm) components,
-    made once per (dim, perm): output slot k walks input slot
-    perm.index(k)."""
+def _gather(dim: int, perm: tuple, slots: tuple = (), signs: tuple = ()):
+    """The getter of a transpose by perm on dim ** len(perm) components:
+    output slot k walks input slot perm.index(k), read from the negated half
+    where the signs of its indices at slots multiply to -1."""
     r = len(perm)
     if sorted(perm) != list(range(r)):
         raise ValueError("perm must be a permutation of the slots")
     size = dim ** r
-    offsets = _GATHERS.get(size)
-    if offsets is None:
-        offsets = _GATHERS[size] = list(range(size))
     table = [0]
     for k in range(r):
         stride = dim ** (r - 1 - perm.index(k))
         steps = range(0, dim * stride, stride)
         table = [off + step for off in table for step in steps]
-    # an itemgetter of one offset returns the bare item, so a table of at
-    # most one offset slices instead
-    gather = _GATHERS[dim, perm] = operator.itemgetter(
-        *map(offsets.__getitem__, table)) if size > 1 else operator.itemgetter(slice(None))
+    if slots:
+        half = [0]
+        for k in range(r):
+            steps = [size if k in slots and x < 0 else 0 for x in signs]
+            half = [h ^ step for h in half for step in steps]
+        table = [off + half[off] for off in table]
+        size *= 2
+    offsets = _GATHERS.get(size) or _GATHERS.setdefault(size, list(range(size)))
+    # an itemgetter of one offset returns the bare item, so one offset slices
+    gather = _GATHERS[(dim, perm, slots, signs) if slots else (dim, perm)] = \
+        operator.itemgetter(*map(offsets.__getitem__, table)) if len(table) > 1 else \
+        operator.itemgetter(slice(table[0], table[0] + 1) if table else slice(0))
     return gather
 
 
 # ---------------------------------------------------------------------------
 # the two storage forms: clearing and lifting (cancelling is scalars._canonical)
+
+
+def _matrix(m, params: tuple):
+    """(rows, d) with m = rows / d: a rank-2 Tensor of the context as it is
+    held, nested rows of Scalars through ``_cleared``."""
+    if type(m) is not Tensor:
+        return _cleared(m, params)
+    if m.rank != 2 or (m.params is not params and m.params != params):
+        raise ValueError("matrix is not a rank-2 tensor of the parameter context")
+    return _rows(m._nums, m.dim), m._den
+
+
+def _signs(rows: list, d):
+    """The diagonal of (rows, d) when that is a diagonal of 1 and -1 over 1."""
+    diag = d == 1 and tuple([row[i] for i, row in enumerate(rows)])
+    if diag and set(diag) <= {1, -1} and sum(map(bool, itertools.chain(*rows))) == len(diag):
+        return diag
 
 
 def _cleared(m: list, params: tuple):

@@ -53,7 +53,7 @@ def p_tensor_defects(r: Tensor, fa: FrameAlgebra) -> list:
     return [(r + arranged(r, "y,x,z,w"), "antisymmetry-first-pair"),
             (r + arranged(r, "x,y,w,z"), "antisymmetry-last-pair"),
             (cyclic_sum(r, (0, 1, 2)), "first-bianchi"),
-            (arranged(r, "x,y,Pz,Pw", fa.p) - r, "product-invariance")]
+            (arranged(r, "x,y,Pz,Pw", fa.product) - r, "product-invariance")]
 
 
 def structure_defects(f: Tensor, fa: FrameAlgebra) -> list:
@@ -61,8 +61,8 @@ def structure_defects(f: Tensor, fa: FrameAlgebra) -> list:
     identities of the structure tensor: symmetry in its last pair, product
     antisymmetry, and the mixed product identity."""
     return [(f - arranged(f, "x,z,y"), "symmetric-last-pair"),
-            (f + arranged(f, "x,Py,Pz", fa.p), "product-antisymmetry"),
-            (arranged(f, "x,y,Pz", fa.p) + arranged(f, "x,Py,z", fa.p),
+            (f + arranged(f, "x,Py,Pz", fa.product), "product-antisymmetry"),
+            (arranged(f, "x,y,Pz", fa.product) + arranged(f, "x,Py,z", fa.product),
              "mixed-product-identity")]
 
 
@@ -120,8 +120,8 @@ def verify_torsion_type(pack: ConnectionPack) -> CheckResult:
                            details={"class": classify(fa).label})
     p1, p2, p3, p4 = torsion_projections(pack.T, fa)
     f = fundamental_F(fa)
-    p2_closed = arranged(f, "z,x,Py", fa.p)
-    p3_closed = (arranged(f, "x,y,Pz", fa.p) + arranged(f, "y,z,Px", fa.p)
+    p2_closed = arranged(f, "z,x,Py", fa.product)
+    p3_closed = (arranged(f, "x,y,Pz", fa.product) + arranged(f, "y,z,Px", fa.product)
                  - p2_closed).scale(_HALF)
     nonzero = [_flag(fa, "projection-%d-nonzero" % k, expected=1, actual=0)
                for k, p in ((2, p2), (3, p3)) if p.is_zero]
@@ -168,7 +168,7 @@ def verify_parallel_torsion(pack: ConnectionPack, defect: Tensor) -> CheckResult
         rp, sigma = curvature(pack.rpt)[0], pack.torsion_form_square()
         defects += [(rp - arranged(rp, "z,w,x,y"), "pair-symmetry"),
                     (cyclic_sum(rp, (0, 1, 2)) - sigma, "cyclic-identity"),
-                    (arranged(rp, "Px,Py,Pz,Pw", fa.p) - rp, "product-invariance")]
+                    (arranged(rp, "Px,Py,Pz,Pw", fa.product) - rp, "product-invariance")]
         p_tensor = rpt_curvature_p_tensor(pack)
         details["p_tensor"] = str(p_tensor).lower()
         if p_tensor:
@@ -240,7 +240,7 @@ _RPT_CHECK_IDS = ("torsion-3form", "torsion-transformation-identities",
 
 def _rpt_suite(pack: ConnectionPack) -> list:
     fa, t = pack.frame, pack.T
-    f, q = fundamental_F(fa), t.scale(_HALF)
+    f, q, p = fundamental_F(fa), t.scale(_HALF), fa.product
     q_c, q_p = companion_shifts(fa)
     swaps = (("Px,Py,z", "z,y,Px", "swap-first-pair"),
              ("Px,y,Pz", "y,x,Pz", "swap-outer-pair"),
@@ -250,11 +250,11 @@ def _rpt_suite(pack: ConnectionPack) -> list:
                                            for order, slots in (("y,x,z", "12"), ("x,z,y", "23"),
                                                                 ("z,y,x", "13"))]),
         check_result("torsion-transformation-identities", fa,
-                     [(t - (arranged(t, moved, fa.p) - arranged(f, shift, fa.p).scale(2)), label)
+                     [(t - (arranged(t, moved, p) - arranged(f, shift, p).scale(2)), label)
                       for moved, shift, label in swaps]),
         check_result("transformation-cyclic-invariance", fa,
-                     [(arranged(q, "x,y,Pz", fa.p)
-                       - arranged(arranged(q, "y,z,x"), "x,y,Pz", fa.p), "cyclic-invariance")]),
+                     [(arranged(q, "x,y,Pz", p)
+                       - arranged(arranged(q, "y,z,x"), "x,y,Pz", p), "cyclic-invariance")]),
         natural_check("naturality-rpt", fa, pack.rpt),
         natural_check("naturality-canonical", fa, _shifted_connection(fa, q_c)),
         natural_check("naturality-p-connection", fa, _shifted_connection(fa, q_p))]

@@ -17,6 +17,9 @@ from rptgeo import (FrameAlgebra, Scalar, build_example, cli, frames, geometry,
                     save_spec, theorems)
 from rptgeo.example import bundled_spec_path
 
+from perfbench import verify
+from perfbench.tracer import Tracer
+
 from helpers import (scaled_family_frame, sheared_family_frame, single_bracket_frame,
                      six_dim_frame)
 
@@ -192,6 +195,22 @@ def test_bundled_spec_exits_zero_with_the_documented_keys(command, capsys):
     assert code == 0
     assert sorted(json.loads(out)) == ["checks", "class", "exit_status",
                                        "input_digest", "scalars", "schema"]
+
+
+@pytest.mark.parametrize("argv", [["validate", SPEC], ["report", SPEC], ["check", SPEC],
+                                  ["example"], ["example", "--lambda=1,2,3,4"]],
+                         ids=["validate", "report", "check", "example", "example-lambda"])
+def test_a_traced_command_reports_what_an_untraced_one_does(argv, capsys):
+    # the benchmark's tracer wraps Tensor.map_slot, among others, and reads
+    # its matrix argument as nested rows; every command runs unchanged under it
+    argv = argv + ["--format", "json"]
+    code, out, _ = run_cli(argv, capsys)
+    tracer = Tracer()
+    with tracer.installed():
+        tracer.begin_command(0)
+        traced_code, traced, _ = run_cli(argv, capsys)
+    assert verify.summarize(code, out) == verify.summarize(traced_code, traced)
+    assert {"cli.main", "tensors.map_slot"} <= {s.name for s in tracer.spans}
 
 
 def test_main_parses_with_the_parser_built_at_import(monkeypatch, capsys):

@@ -225,13 +225,16 @@ def test_projection_completeness_on_general_antisymmetric_input():
 def test_projections_evaluate_each_pattern_once(monkeypatch):
     import rptgeo.geometry as geometry
     patterns = []
+    # built before the spy, which then sees only the projections: building
+    # the pack runs geometry's own patterns (the Koszul sum and nabla P)
+    t = rpt_connection(SYM).T
 
     def spy(t, pattern, product=None):
         patterns.append(pattern)
         return arranged(t, pattern, product)
 
     monkeypatch.setattr(geometry, "arranged", spy)
-    torsion_projections(rpt_connection(SYM).T, SYM)
+    torsion_projections(t, SYM)
     assert len(patterns) == len(set(patterns)) == 12  # 11 and the skew guard
 
 

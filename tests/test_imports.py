@@ -22,7 +22,12 @@ Scalar matrix product ``mat_mul`` is named only where it is defined,
 no other code in the package reads ``parse_expression``.  A frame's
 matrices are the Tensors ``metric`` and ``product``, cleared once, when the
 frame is built, so no ``coefficient_tensor(...)`` call takes a frame's
-nested views ``.g`` or ``.p``.
+nested views ``.g`` or ``.p``.  They and ``metric_inv`` are what reaches the
+tensor kernel, so no call of ``lower_slot``, ``raise_slot``, ``arranged`` or
+``tensor_contract`` takes an attribute ``g`` or ``p``.  ``map_slot`` is the
+one exception: ``validate`` and ``killing_check`` pass it the nested
+``fa.p``, as the benchmark's tracer, which reads that argument as rows,
+requires.
 """
 
 import ast
@@ -452,3 +457,48 @@ def test_the_frame_tensors_and_other_clears_are_allowed():
               "ident = coefficient_tensor(mat_identity(n, fa.params), 'ud')\n"
               "g, p = fa.metric, fa.product\nlow = fa.brackets.lower_slot(2, fa.g)\n")
     assert not _frame_matrix_clears(ast.parse(source))
+
+
+KERNEL_MATRIX_CALLS = {"lower_slot", "raise_slot", "arranged", "tensor_contract"}
+
+
+def _nested_matrix_args(tree: ast.Module) -> list:
+    """Calls of a routine in KERNEL_MATRIX_CALLS, by name or as an attribute,
+    that read an attribute ``g`` or ``p`` in their arguments, with their
+    lines."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and (getattr(node.func, "id", None) or getattr(
+                node.func, "attr", None)) in KERNEL_MATRIX_CALLS:
+            args = node.args + [k.value for k in node.keywords]
+            if any(isinstance(sub, ast.Attribute) and sub.attr in ("g", "p")
+                   for arg in args for sub in ast.walk(arg)):
+                found.append("line %d" % node.lineno)
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_frame_matrices_reach_the_kernel_as_tensors(path):
+    found = _nested_matrix_args(ast.parse(path.read_text(encoding="utf-8")))
+    assert not found, "%s passes a frame's nested g or p to the tensor kernel: %s" % (
+        path.name, ", ".join(found))
+
+
+@pytest.mark.parametrize("source", [
+    "low = fa.brackets.lower_slot(2, fa.g)\n",
+    "up = t.raise_slot(0, self.frame.g)\n",
+    "s = arranged(f, 'x,y,Pz', fa.p)\n",
+    "from . import tensors\ns = tensors.arranged(f, 'Px,y', product=fa.p)\n",
+    "r = tensor_contract(t, 0, 1, metric=[row[:] for row in fa.g])\n",
+])
+def test_a_nested_frame_matrix_in_the_kernel_is_detected(source):
+    assert _nested_matrix_args(ast.parse(source))
+
+
+def test_the_frame_tensors_and_the_validate_slot_map_are_allowed():
+    source = ("low = fa.brackets.lower_slot(2, fa.metric)\n"
+              "up = low.raise_slot(2, fa.metric_inv)\n"
+              "s = arranged(f, 'x,y,Pz', fa.product)\n"
+              "r = tensor_contract(t, 0, 3, fa.metric_inv)\n"
+              "m = fa.metric.map_slot(fa.p, 0)\n")
+    assert not _nested_matrix_args(ast.parse(source))

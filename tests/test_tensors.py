@@ -14,7 +14,7 @@ from rptgeo import (Scalar, Tensor, arranged, compose, cyclic_sum,
                     mat_det, mat_identity, mat_inv, mat_mul, null_space, parse_expression,
                     row_reduce, tensor_contract)
 from rptgeo.scalars import _canonical_assoc, _is_const, _leading, _poly_gcd
-from rptgeo.tensors import _GATHERS, contract_all, leading_minors
+from rptgeo.tensors import _GATHERS, coefficient_tensor, contract_all, leading_minors
 
 from helpers import (alternate, arranged_oracle, build_tensor, compose_oracle, contract_oracle,
                      cyclic_sum_oracle, elementwise_oracle, map_slot_oracle,
@@ -346,6 +346,132 @@ def test_arranged_matches_manual_loops(apply_p):
         x, y, z = idx
         (pz, sz), (py, sy) = apply_p(z), apply_p(y)
         assert got[x, y, z] == t[pz, x, py] * C(sz * sy)
+
+
+# matrices for arranged: diagonals of 1 and -1, which arranged reads as one
+# signed gather (diag(I, -I) as on an adapted frame, alternating, all +1,
+# all -1), and two it maps slot by slot: a diagonal with other entries and
+# a dense P with a parameter
+SIGN_DIAGONALS = {"adapted": (1, 1, -1, -1), "alternating": (1, -1, 1, -1),
+                  "plus": (1, 1, 1, 1), "minus": (-1, -1, -1, -1)}
+PRODUCT_MATRICES = {
+    "scales": _diagonal((C(2), C(-1), C(Fraction(1, 3)), C(1))),
+    "dense": [[C(0), C(1), A, C(0)], [C(1), C(0), C(0), C(2)],
+              [C(0), C(-1), C(1), C(0)], [C(3), C(0), C(0), -A]]}
+MATRICES = dict({name: _diagonal([C(x) for x in signs])
+                 for name, signs in SIGN_DIAGONALS.items()}, **PRODUCT_MATRICES)
+# mixed variances, so a dense P meets both a vector and a covector slot
+ARRANGED_VARIANCES = {1: "u", 2: "du", 3: "dud", 4: "uddu"}
+
+
+def _patterns(rank):
+    """(perm, P slots, pattern) for every pattern of the rank: each order of
+    the arguments, each set of them under P.  The argument at position k
+    names output slot perm[k]."""
+    names = "xyzw"
+    for perm in itertools.permutations(range(rank)):
+        for flags in itertools.product(("", "P"), repeat=rank):
+            yield (perm, tuple(k for k, f in enumerate(flags) if f),
+                   ",".join(f + names[v] for f, v in zip(flags, perm)))
+
+
+def _signed_keys():
+    return {key for key in _GATHERS if type(key) is tuple and len(key) == 4}
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+@pytest.mark.parametrize("name", list(MATRICES))
+def test_arranged_matches_the_slot_map_and_transpose_oracles(rank, name):
+    rows = MATRICES[name]
+    product = coefficient_tensor(rows, "ud")
+    signs = SIGN_DIAGONALS.get(name)
+    ints, _ = _both_forms(DIM, ARRANGED_VARIANCES[rank], seed=rank)
+    # polynomial entries keep the oracle's Scalars cheap: one den, no gcd
+    polys = Tensor(DIM, ints.variance, PARAMS, [A * (k % 7 - 3) + C(k % 5 - 2)
+                                                for k in range(DIM ** rank)])
+    for t in (ints, polys):
+        mapped = {(): t}
+
+        def oracle(slots):
+            """t with the slots mapped by P, one oracle slot map at a time."""
+            if slots not in mapped:
+                mapped[slots] = map_slot_oracle(oracle(slots[:-1]), rows, slots[-1])
+            return mapped[slots]
+
+        for perm, slots, pattern in _patterns(rank):
+            # the product path maps slot by slot and then transposes, so at
+            # rank 4 two orders of the arguments, with every set of P slots,
+            # cover it
+            if signs is None and rank == 4 and perm not in ((0, 1, 2, 3), (3, 0, 2, 1)):
+                continue
+            before = _signed_keys()
+            # == compares shape, context and the canonical numerators
+            assert arranged(t, pattern, product) == transpose_oracle(oracle(slots), perm)
+            if signs is None:
+                assert _signed_keys() == before, "%s took the signed gather" % pattern
+            elif slots:
+                assert (DIM, perm, slots, signs) in _GATHERS
+
+
+def _symmetric(seed):
+    """A symmetric 4 x 4 matrix of constants and a parameter."""
+    rng = random.Random(seed)
+    m = [[None] * DIM for _ in range(DIM)]
+    for i in range(DIM):
+        for j in range(i, DIM):
+            m[i][j] = m[j][i] = A * rng.randint(-1, 1) + C(Fraction(rng.randint(-3, 3), 2))
+    return m
+
+
+@pytest.mark.parametrize("name", list(MATRICES) + ["symmetric", "identity"])
+def test_a_tensor_matrix_acts_as_its_nested_rows(name):
+    rows = {"symmetric": _symmetric(3), "identity": mat_identity(DIM, PARAMS)}.get(name) \
+        or MATRICES[name]
+    for variance in ("dd", "uu"):
+        m = coefficient_tensor(rows, variance)
+        for t in _both_forms(DIM, "udu", seed=11):
+            for slot, v in enumerate(t.variance):
+                assert t.map_slot(m, slot) == t.map_slot(rows, slot)
+                if v == "u":
+                    assert t.lower_slot(slot, m) == t.lower_slot(slot, rows)
+                else:
+                    assert t.raise_slot(slot, m) == t.raise_slot(slot, rows)
+            assert tensor_contract(t, 0, 2, m) == tensor_contract(t, 0, 2, rows) == \
+                contract_oracle(t, 0, 2, rows)
+            assert arranged(t, "Pz,x,Py", m) == arranged(t, "Pz,x,Py", rows)
+
+
+@pytest.mark.parametrize("variance", ["du", "ud", "udu"])
+def test_the_identity_pairing_matches_the_oracle(variance):
+    for t in _both_forms(DIM, variance, seed=len(variance)):
+        for a, b in itertools.permutations(range(t.rank), 2):
+            if t.variance[a] != t.variance[b]:
+                assert tensor_contract(t, a, b) == contract_oracle(t, a, b)
+
+
+def test_a_tensor_matrix_over_other_parameters_is_refused():
+    t = _mixed_tensor(DIM, "udd")
+    for m in (coefficient_tensor(mat_identity(DIM, ()), "ud"),
+              coefficient_tensor(mat_identity(DIM, ("l1",)), "ud"),
+              Tensor.zeros(DIM, "udd", PARAMS)):
+        for call in (lambda: t.map_slot(m, 1), lambda: t.lower_slot(0, m),
+                     lambda: t.raise_slot(1, m), lambda: tensor_contract(t, 1, 2, m),
+                     lambda: arranged(t, "x,Py,z", m)):
+            with pytest.raises(ValueError, match="rank-2 tensor of the parameter context"):
+                call()
+
+
+def test_fifty_arranged_calls_of_one_shape_add_one_gather():
+    dim, signs = 5, (1, -1, -1, 1, -1)
+    p = coefficient_tensor([[Scalar.constant(PARAMS, s if i == j else 0) for j in range(dim)]
+                            for i, s in enumerate(signs)], "ud")
+    arranged(Tensor.zeros(dim, "ddd", PARAMS), "Px,y,z", p)  # the size's offsets exist
+    before = len(_GATHERS)
+    for k in range(50):
+        t = Tensor(dim, "ddu", PARAMS, [C(k - v) for v in range(dim ** 3)])
+        # S(x, y, z) = T(Pz, x, Py), P e_i = signs[i] e_i
+        assert arranged(t, "Pz,x,Py", p)[1, 2, 3] == t[3, 1, 2] * C(signs[3] * signs[2])
+    assert len(_GATHERS) == before + 1 and (dim, (2, 0, 1), (0, 2), signs) in _GATHERS
 
 
 def test_cyclic_sum_of_zero():
