@@ -178,8 +178,7 @@ class FrameAlgebra:
     @memo
     def metric_inv(self) -> Tensor:
         """g^-1, a ``uu`` tensor, from one elimination; ValueError when g is singular."""
-        inv = mat_inv(self.g)
-        return coefficient_tensor(inv, "uu")
+        return coefficient_tensor(mat_inv(self.g), "uu")
 
     def __eq__(self, other):
         if not isinstance(other, FrameAlgebra):

@@ -34,11 +34,11 @@ is constant), ``is_zero`` (the numerator is empty) and ``value`` (the int or
 Fraction num/den when the Scalar is constant, else None).  Like an int, a
 Scalar is false exactly when it is zero.  Every denominator 1 of a context
 is one shared unit dict per arity, and no routine mutates a dict it is
-given.  Constant operands are added, multiplied and divided on ``value``
-directly, and an integral result shares the unit; a zero operand skips the
-arithmetic.  Every other sum, product and quotient forms its num and den,
-a sum over equal denominators by adding numerators only, and calls
-``_make``.
+given.  Every sum, product and quotient takes one path: a zero operand
+skips the arithmetic, any other forms num and den (a sum over equal
+denominators adds numerators only) and calls ``_make``, so an integral
+result shares the unit.  Only negation reads ``value``: a canonical value
+negated is still canonical, so it never cancels.
 """
 
 from __future__ import annotations
@@ -474,9 +474,6 @@ class Scalar:
             return self
         if self.is_zero:
             return o
-        if self.value is not None and o.value is not None:
-            unit = self.den if type(self.value) is int else _unit(len(self.params))
-            return Scalar._of_value(self.params, self.value + o.value, unit)
         sd, od = self.den, o.den
         if sd == od:
             return Scalar._make(self.params, _dict_add(self.num, o.num), sd)
@@ -510,9 +507,6 @@ class Scalar:
             return self
         if o.is_zero:
             return o
-        if self.value is not None and o.value is not None:
-            unit = self.den if type(self.value) is int else _unit(len(self.params))
-            return Scalar._of_value(self.params, self.value * o.value, unit)
         return Scalar._make(self.params, _dict_mul(self.num, o.num),
                             _dict_mul(self.den, o.den))
 
@@ -526,9 +520,6 @@ class Scalar:
             raise ZeroDivisionError("division by zero scalar")
         if self.is_zero:
             return self
-        if self.value is not None and o.value is not None:
-            unit = self.den if type(self.value) is int else _unit(len(self.params))
-            return Scalar._of_value(self.params, Fraction(self.value, o.value), unit)
         return Scalar._make(self.params, _dict_mul(self.num, o.den),
                             _dict_mul(self.den, o.num))
 

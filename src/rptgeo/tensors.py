@@ -59,7 +59,9 @@ The small exact matrices have one elimination, ``row_reduce``, behind
 ``leading_minors``, ``mat_det``, ``mat_inv`` and ``null_space``, the one
 reader of a kernel.  On a constant matrix it runs on the cleared ints,
 fraction-free (Bareiss): every entry it makes is a minor, so every division
-is exact.  Else it is Gauss-Jordan on the Scalars.
+is exact.  Else it is Gauss-Jordan on the Scalars.  It also reports the
+minors on its pivot columns: on a constant matrix, int pivots over a power
+of the denominator, so ``leading_minors`` makes no Scalar arithmetic.
 """
 
 from __future__ import annotations
@@ -703,11 +705,11 @@ def mat_mul(a: list, b: list) -> list:
 def row_reduce(m: list):
     """Gauss-Jordan elimination of a (possibly rectangular) matrix.
 
-    Returns (rref, pivots, values, swaps): the reduced row echelon form, the
-    pivot column of each nonzero row, the value each pivot had before its
-    row was normalised, and the number of row swaps.  A square matrix has
-    determinant (-1)**swaps times the product of the values when every
-    column is a pivot column, and zero otherwise.
+    Returns (rref, pivots, minors, swaps): the reduced row echelon form, the
+    pivot column of each nonzero row, the minors (minors[k - 1] the det of
+    the row-swapped matrix on its first k rows and pivot columns) and the
+    number of row swaps.  A square matrix has determinant (-1)**swaps times
+    the last minor when every column is a pivot column, else zero.
 
     Both paths take as pivot the first nonzero entry at or below the next
     pivot row, so they make the same swaps.  When every entry is a constant
@@ -718,17 +720,17 @@ def row_reduce(m: list):
     until a later step needs the row).  After k pivots an entry of a pivot
     row is a k-minor of the row-swapped A (Cramer) and an entry of any other
     row a (k+1)-minor (Sylvester), so every division is exact.  Pivot k is
-    the leading minor p_k of the pivot columns, its value
-    p_k / (p_(k-1) * d), and the rref is A / p_last.  Otherwise the loop
-    runs on the Scalars and normalises each pivot row: fraction-free steps
-    there would divide polynomials."""
+    the leading minor p_k of the pivot columns, minor k is p_k / d**k, and
+    the rref is A / p_last.  Otherwise the loop runs on the Scalars,
+    normalises each pivot row and multiplies the pivot values into the
+    minors: fraction-free steps there would divide polynomials."""
     params = m[0][0].params if m and m[0] else ()
     if all(x.value is not None for row in m for x in row):
         return _bareiss(*_cleared(m, params), params)
     work = [list(row) for row in m]
     rows, cols = len(work), len(work[0])
     one = Scalar.one(work[0][0].params)
-    pivots, values, swaps = [], [], 0
+    pivots, minors, swaps = [], [], 0
     for col in range(cols):
         r = len(pivots)
         pivot = next((k for k in range(r, rows) if not work[k][col].is_zero), None)
@@ -746,10 +748,10 @@ def row_reduce(m: list):
             factor = work[k][col]
             work[k] = [x - factor * y for x, y in zip(work[k], work[r])]
         pivots.append(col)
-        values.append(value)
+        minors.append(minors[-1] * value if minors else value)
         if len(pivots) == rows:
             break
-    return work, pivots, values, swaps
+    return work, pivots, minors, swaps
 
 
 def _bareiss(work: list, d: int, params: tuple):
@@ -788,11 +790,10 @@ def _bareiss(work: list, d: int, params: tuple):
             for row, lev in zip(work, level)]
     if last < 0:
         work, last = [[-x for x in row] for row in work], -last
-    values = [Scalar.constant(params, Fraction(p, q * d) if p % (q * d) else p // (q * d))
-              for q, p in zip(minors, minors[1:])]
     flat = _scalars([x for row in work for x in row], last, params)
     rref = [flat[k * cols:(k + 1) * cols] for k in range(rows)]
-    return rref, pivots, values, swaps
+    return rref, pivots, [Scalar.constant(params, Fraction(p, d ** k))
+                          for k, p in enumerate(minors[1:], 1)], swaps
 
 
 def null_space(m: list) -> list:
@@ -821,15 +822,15 @@ def _square(m: list) -> int:
 
 def leading_minors(m: list) -> list:
     """Leading principal minors of a square matrix, the last its determinant:
-    the running products of the pivot values of one elimination.  Rows are
-    swapped only where a leading minor vanishes; then all but det are None."""
+    the minors of one elimination.  Rows are swapped only where a leading
+    minor vanishes; then all but det (signed by the swaps) are None."""
     n, params = _square(m), m[0][0].params
-    _, pivots, values, swaps = row_reduce(m)
+    _, pivots, minors, swaps = row_reduce(m)
     if len(pivots) < n:
         return [None] * (n - 1) + [Scalar.zero(params)]
-    minors = list(itertools.accumulate(
-        values, lambda a, b: a * b, initial=Scalar.constant(params, (-1) ** swaps)))[1:]
-    return [None] * (n - 1) + minors[-1:] if swaps else minors
+    if swaps:
+        return [None] * (n - 1) + [-minors[-1] if swaps % 2 else minors[-1]]
+    return minors
 
 
 def mat_det(m: list) -> Scalar:

@@ -156,19 +156,19 @@ def _matrix(rows):
 def test_row_reduce_on_a_singular_matrix():
     # column 1 is twice column 0, and row 2 is row 0 plus row 1
     m = _matrix([[0, 0, 1], [1, 2, 3], [1, 2, 4]])
-    rref, pivots, values, swaps = row_reduce(m)
+    rref, pivots, minors, swaps = row_reduce(m)
     assert pivots == [0, 2]  # rank 2
     assert swaps == 1  # row 1 moves up to the first pivot
-    assert [str(v) for v in values] == ["1", "1"]
+    assert [str(v) for v in minors] == ["1", "1"]
     assert rref == _matrix([[1, 2, 0], [0, 0, 1], [0, 0, 0]])
     assert mat_det(m).is_zero
 
 
 def test_row_reduce_on_a_rectangular_matrix():
     m = _matrix([[0, 2, 4, 2], [3, 0, 3, 6]])
-    rref, pivots, values, swaps = row_reduce(m)
+    rref, pivots, minors, swaps = row_reduce(m)
     assert (pivots, swaps) == ([0, 1], 1)
-    assert [str(v) for v in values] == ["3", "2"]
+    assert [str(v) for v in minors] == ["3", "6"]
     assert rref == _matrix([[1, 0, 1, 2], [0, 1, 2, 1]])
     # the determinant is the signed pivot product when every column pivots
     assert mat_det(_matrix([[0, 2], [3, 1]])) == Scalar.constant((), -6)

@@ -22,12 +22,15 @@ Scalar matrix product ``mat_mul`` is named only where it is defined,
 no other code in the package reads ``parse_expression``.  A frame's
 matrices are the Tensors ``metric`` and ``product``, cleared once, when the
 frame is built, so no ``coefficient_tensor(...)`` call takes a frame's
-nested views ``.g`` or ``.p``.  They and ``metric_inv`` are what reaches the
+nested views ``.g`` or ``.p`` outside the argument of a ``mat_inv(...)``,
+whose inverse is a new matrix.  They and ``metric_inv`` are what reaches the
 tensor kernel, so no call of ``lower_slot``, ``raise_slot``, ``arranged`` or
 ``tensor_contract`` takes an attribute ``g`` or ``p``.  ``map_slot`` is the
 one exception: ``validate`` and ``killing_check`` pass it the nested
 ``fa.p``, as the benchmark's tracer, which reads that argument as rows,
-requires.
+requires.  Scalar arithmetic has one path: ``Scalar.__add__``, ``__mul__``
+and ``__truediv__`` read no attribute ``value``, so a constant operand
+takes no branch of its own and every quotient cancels in ``_make``.
 """
 
 import ast
@@ -418,18 +421,30 @@ def test_the_entry_reader_and_the_export_are_allowed():
     assert not _parse_reads(ast.parse(source), "_parse_entry")
 
 
+def _called(node) -> str:
+    """The name of the routine a call node calls, by name or as an attribute."""
+    return getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+
+
+def _reads_frame_matrix(node, skip=frozenset()) -> bool:
+    """Whether node reads an attribute ``g`` or ``p``, outside the arguments
+    of a call of a routine in skip."""
+    if isinstance(node, ast.Call) and _called(node) in skip:
+        return False
+    if isinstance(node, ast.Attribute) and node.attr in ("g", "p"):
+        return True
+    return any(_reads_frame_matrix(child, skip) for child in ast.iter_child_nodes(node))
+
+
 def _frame_matrix_clears(tree: ast.Module) -> list:
     """``coefficient_tensor(...)`` calls, by name or as an attribute, that
-    read an attribute ``g`` or ``p`` in their arguments, with their lines."""
+    read an attribute ``g`` or ``p`` in their arguments, outside a
+    ``mat_inv(...)`` call there, with their lines."""
     found = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.Call) and (
-                (isinstance(node.func, ast.Name) and node.func.id == "coefficient_tensor")
-                or (isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "coefficient_tensor")):
+        if isinstance(node, ast.Call) and _called(node) == "coefficient_tensor":
             args = node.args + [k.value for k in node.keywords]
-            if any(isinstance(sub, ast.Attribute) and sub.attr in ("g", "p")
-                   for arg in args for sub in ast.walk(arg)):
+            if any(_reads_frame_matrix(arg, {"mat_inv"}) for arg in args):
                 found.append("line %d" % node.lineno)
     return found
 
@@ -447,6 +462,7 @@ def test_a_frame_matrix_is_cleared_once(path):
     "from . import tensors\ng = tensors.coefficient_tensor(source.g, 'dd')\n",
     "p = coefficient_tensor([row[:] for row in fa.p], 'dd')\n",
     "g = coefficient_tensor(nested=fa.g, variance='dd')\n",
+    "g = coefficient_tensor(mat_transpose(fa.g), 'dd')\n",
 ])
 def test_a_second_clear_of_a_frame_matrix_is_detected(source):
     assert _frame_matrix_clears(ast.parse(source))
@@ -455,7 +471,8 @@ def test_a_second_clear_of_a_frame_matrix_is_detected(source):
 def test_the_frame_tensors_and_other_clears_are_allowed():
     source = ("brackets = coefficient_tensor(c)\nmetric = coefficient_tensor(g, 'dd')\n"
               "ident = coefficient_tensor(mat_identity(n, fa.params), 'ud')\n"
-              "g, p = fa.metric, fa.product\nlow = fa.brackets.lower_slot(2, fa.g)\n")
+              "g, p = fa.metric, fa.product\nlow = fa.brackets.lower_slot(2, fa.g)\n"
+              'inv = coefficient_tensor(mat_inv(self.g), "uu")\n')
     assert not _frame_matrix_clears(ast.parse(source))
 
 
@@ -468,11 +485,9 @@ def _nested_matrix_args(tree: ast.Module) -> list:
     lines."""
     found = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.Call) and (getattr(node.func, "id", None) or getattr(
-                node.func, "attr", None)) in KERNEL_MATRIX_CALLS:
+        if isinstance(node, ast.Call) and _called(node) in KERNEL_MATRIX_CALLS:
             args = node.args + [k.value for k in node.keywords]
-            if any(isinstance(sub, ast.Attribute) and sub.attr in ("g", "p")
-                   for arg in args for sub in ast.walk(arg)):
+            if any(_reads_frame_matrix(arg) for arg in args):
                 found.append("line %d" % node.lineno)
     return found
 
@@ -502,3 +517,42 @@ def test_the_frame_tensors_and_the_validate_slot_map_are_allowed():
               "r = tensor_contract(t, 0, 3, fa.metric_inv)\n"
               "m = fa.metric.map_slot(fa.p, 0)\n")
     assert not _nested_matrix_args(ast.parse(source))
+
+
+ARITHMETIC = {"__add__", "__mul__", "__truediv__"}
+
+
+def _constant_branches(tree: ast.Module) -> tuple:
+    """Reads of an attribute ``value`` in the methods ARITHMETIC of class
+    ``Scalar``, with their lines; and the ARITHMETIC methods it defines."""
+    found, methods = [], set()
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and node.name == "Scalar":
+            for fn in node.body:
+                if isinstance(fn, ast.FunctionDef) and fn.name in ARITHMETIC:
+                    methods.add(fn.name)
+                    found.extend("%s line %d" % (fn.name, sub.lineno) for sub in ast.walk(fn)
+                                 if isinstance(sub, ast.Attribute) and sub.attr == "value")
+    return found, methods
+
+
+def test_scalar_arithmetic_takes_one_path():
+    found, methods = _constant_branches(
+        ast.parse((PACKAGE / "scalars.py").read_text(encoding="utf-8")))
+    assert methods == ARITHMETIC
+    assert not found, "Scalar arithmetic branches on a constant value: %s" % ", ".join(found)
+
+
+def test_a_constant_branch_is_detected():
+    source = ("class Scalar:\n    def __mul__(self, o):\n"
+              "        if self.value is not None and o.value is not None:\n"
+              "            return Scalar._of_value(self.params, self.value * o.value)\n")
+    assert _constant_branches(ast.parse(source))[0]
+
+
+def test_negation_equality_hashing_and_printing_read_the_value():
+    source = ("class Scalar:\n    def __neg__(self):\n        return -self.value\n"
+              "    def __eq__(self, other):\n        return self.value == other\n"
+              "    def __hash__(self):\n        return hash(self.value)\n"
+              "    def __str__(self):\n        return str(self.value)\n")
+    assert _constant_branches(ast.parse(source)) == ([], set())

@@ -246,6 +246,8 @@ def test_constant_arithmetic_matches_fractions(params, x, y):
         assert s == Scalar.constant(params, expected)
         assert s.value == expected
         _assert_kernel_invariants(s)
+        if Fraction(expected).denominator == 1:
+            assert s.den is kernel._unit(len(params))
 
 
 @settings(max_examples=60, deadline=None)

@@ -18,7 +18,7 @@ from rptgeo.tensors import _GATHERS, coefficient_tensor, contract_all, leading_m
 
 from helpers import (alternate, arranged_oracle, build_tensor, compose_oracle, contract_oracle,
                      cyclic_sum_oracle, elementwise_oracle, map_slot_oracle,
-                     mat_mul_oracle, row_reduce_oracle, slot_change_oracle,
+                     mat_mul_oracle, random_frames, row_reduce_oracle, slot_change_oracle,
                      dict_eval, substitute_oracle, transpose_oracle)
 
 PARAMS = ("l1", "l2", "l3", "l4")
@@ -779,12 +779,13 @@ def _oracle_det(m):
 @example(m=[[Fraction(1, 2), Fraction(2, 3)], [Fraction(-3, 4), 5]], params=("a", "b"))
 def test_elimination_on_constants_matches_the_fraction_oracle(m, params):
     s = _as_scalars(m, params)
-    rref, pivots, values, swaps = row_reduce(s)
+    rref, pivots, minors, swaps = row_reduce(s)
     o_rref, o_pivots, o_values, o_swaps = row_reduce_oracle(m)
     assert (pivots, swaps) == (o_pivots, o_swaps)
     assert rref == _as_scalars(o_rref, params)
-    assert values == [Scalar.constant(params, v) for v in o_values]
-    assert all(x.params == params for x in itertools.chain(values, *rref))
+    assert minors == [Scalar.constant(params, v)
+                      for v in itertools.accumulate(o_values, operator.mul)]
+    assert all(x.params == params for x in itertools.chain(minors, *rref))
     n = len(m)
     if any(len(row) != n for row in m):
         return
@@ -813,13 +814,14 @@ def test_symbolic_elimination_commutes_with_substitution(data):
     coeffs = st.integers(-2, 2)
     m = [[data.draw(coeffs) + data.draw(coeffs) * a + data.draw(coeffs) * b
           for _ in range(cols)] for _ in range(rows)]
-    rref, pivots, values, swaps = row_reduce(m)
-    # a point where no pivot value vanishes (nor has a vanishing denominator)
+    rref, pivots, minors, swaps = row_reduce(m)
+    # a point where no minor vanishes (nor has a vanishing denominator), so
+    # no pivot does
     rng = random.Random(data.draw(st.integers(0, 2 ** 16)))
     for _ in range(20):
         point = {name: Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for name in params}
         try:
-            if all(v.substitute(point) for v in values):
+            if all(v.substitute(point) for v in minors):
                 break
         except ZeroDivisionError:
             pass
@@ -827,7 +829,7 @@ def test_symbolic_elimination_commutes_with_substitution(data):
         assume(False)
     at = row_reduce([[Scalar.constant((), x.substitute(point)) for x in row] for row in m])
     assert (at[1], at[3]) == (pivots, swaps)
-    assert [v.value for v in at[2]] == [v.substitute(point) for v in values]
+    assert [v.value for v in at[2]] == [v.substitute(point) for v in minors]
     assert [[x.value for x in row] for row in at[0]] == \
         [[x.substitute(point) for x in row] for row in rref]
 
@@ -841,11 +843,12 @@ def test_parametric_elimination_swaps_rows_like_the_fraction_oracle(rows):
     params = ("a", "b")
     m = [[parse_expression(x, params) for x in row] for row in rows]
     n, point = len(m), {"a": Fraction(3, 2), "b": Fraction(-5, 7)}
-    rref, pivots, values, swaps = row_reduce(m)
+    rref, pivots, minors, swaps = row_reduce(m)
     o_rref, o_pivots, o_values, o_swaps = row_reduce_oracle(
         [[x.substitute(point) for x in row] for row in m])
     assert (pivots, swaps) == (o_pivots, o_swaps) and swaps
-    assert [v.substitute(point) for v in values] == o_values
+    assert [v.substitute(point) for v in minors] == list(
+        itertools.accumulate(o_values, operator.mul))
     assert [[x.substitute(point) for x in row] for row in rref] == o_rref
     minors = leading_minors(m)
     assert minors[:-1] == [None] * (n - 1)
@@ -855,6 +858,38 @@ def test_parametric_elimination_swaps_rows_like_the_fraction_oracle(rows):
     o_inv = [row[n:] for row in row_reduce_oracle(
         [[x.substitute(point) for x in row] + e for row, e in zip(m, identity)])[0]]
     assert [[x.substitute(point) for x in row] for row in mat_inv(m)] == o_inv
+
+
+def _refuse(*args):
+    raise AssertionError("Scalar arithmetic on a constant matrix")
+
+
+def test_constant_minors_make_no_scalar_arithmetic(monkeypatch):
+    # the minors of a constant matrix come from the elimination's ints: with
+    # Scalar sums, products and quotients refused they still match the
+    # oracle, on the constant metrics of the battery (no swap) and on
+    # matrices whose elimination swaps rows once and twice (det only, signed)
+    frames = [fa for fa in random_frames() if all(x.is_constant for row in fa.g for x in row)]
+    metrics = [fa.g for fa in frames]
+    swapped = [_as_scalars(m, params) for params in ((), ("a", "b")) for m in (
+        [[0, 2, 1], [1, 1, 0], [3, 0, Fraction(1, 2)]],
+        [[0, 0, 1], [Fraction(2, 3), 1, 0], [1, 0, 0]])]
+    for name in ("__add__", "__mul__", "__truediv__"):
+        monkeypatch.setattr(Scalar, name, _refuse)
+    assert len(frames) == 19
+    for fa, g in zip(frames, metrics):
+        m = [[x.value for x in row] for row in g]
+        expected = [Scalar.constant((), _oracle_det([row[:k] for row in m[:k]]))
+                    for k in range(1, len(m) + 1)]
+        assert leading_minors(g) == fa.metric_minors == expected
+        assert mat_det(g) == expected[-1]
+    for s in swapped:
+        params = s[0][0].params
+        m = [[x.value for x in row] for row in s]
+        assert row_reduce_oracle(m)[3]
+        det = Scalar.constant(params, _oracle_det(m))
+        assert leading_minors(s) == [None] * (len(m) - 1) + [det]
+        assert mat_det(s) == det
 
 
 def _unit_triangular(data, n, params, lower):
