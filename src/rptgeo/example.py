@@ -18,7 +18,7 @@ from importlib import resources
 from pathlib import Path
 
 from .frames import (CheckResult, FrameAlgebra, SchemaError, Witness,
-                     _expect, _is_index, _parse_entry, check_result,
+                     _expect, _is_index, _parse_entry, bracket_tensor, check_result,
                      tensor_witnesses)
 from .scalars import Scalar
 from .tensors import Tensor, _perm_sign, coefficient_tensor, mat_identity
@@ -38,24 +38,18 @@ def swap_product_matrix(dim: int, params: tuple) -> list:
             for i in range(dim)]
 
 
-def family_structure_constants(lam, params: tuple) -> list:
-    """Structure constants of the family for the given four Scalars."""
+def family_brackets(lam, params: tuple) -> Tensor:
+    """The family's brackets for the given four Scalars."""
     l1, l2, l3, l4 = lam
-    zero = Scalar.zero(params)
-    c = [[[zero for _ in range(4)] for _ in range(4)] for _ in range(4)]
+    return bracket_tensor(4, params, {(0, 1): {0: l1, 1: l2}, (0, 2): {1: l3, 3: -l1},
+                                      (0, 3): {0: -l3, 3: -l2}, (1, 2): {1: l4, 2: l1},
+                                      (1, 3): {0: -l4, 2: l2}, (2, 3): {2: l3, 3: l4}})
 
-    def put(i, j, comps):
-        for k, v in comps.items():
-            c[i - 1][j - 1][k - 1] = v
-            c[j - 1][i - 1][k - 1] = -v
 
-    put(1, 2, {1: l1, 2: l2})
-    put(1, 3, {2: l3, 4: -l1})
-    put(1, 4, {1: -l3, 4: -l2})
-    put(2, 3, {2: l4, 3: l1})
-    put(2, 4, {1: -l4, 3: l2})
-    put(3, 4, {3: l3, 4: l4})
-    return c
+def _family(lam, params: tuple) -> tuple:
+    """The family's brackets, metric and product for the given four Scalars."""
+    return (family_brackets(lam, params), coefficient_tensor(mat_identity(4, params), "dd"),
+            coefficient_tensor(swap_product_matrix(4, params), "ud"))
 
 
 def build_example(lambdas=None) -> FrameAlgebra:
@@ -70,23 +64,14 @@ def build_example(lambdas=None) -> FrameAlgebra:
             raise ValueError("the family takes exactly four parameters")
         params = ()
         lam = [Scalar.constant((), Fraction(v)) for v in lambdas]
-    c = family_structure_constants(lam, params)
-    g = mat_identity(4, params)
-    p = swap_product_matrix(4, params)
-    return FrameAlgebra(4, params, c, g, p)
+    return FrameAlgebra(4, params, *_family(lam, params))
 
 
 def family_parameters(fa: FrameAlgebra):
     """The four family Scalars if fa is an instance of the family, else None."""
-    if fa.dim != 4:
-        return None
-    if fa.g != mat_identity(4, fa.params) or fa.p != swap_product_matrix(4, fa.params):
-        return None
     c = fa.brackets
-    lam = (c[0, 1, 0], c[0, 1, 1], c[0, 2, 1], c[1, 2, 1])
-    if c != coefficient_tensor(family_structure_constants(lam, fa.params)):
-        return None
-    return lam
+    lam = (c[0, 1, 0], c[0, 1, 1], c[0, 2, 1], c[1, 2, 1]) if fa.dim == 4 else None
+    return lam if lam and (c, fa.metric, fa.product) == _family(lam, fa.params) else None
 
 
 def bundled_spec_path() -> Path:

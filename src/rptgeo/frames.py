@@ -1,13 +1,13 @@
 """Frame algebras: a Lie algebra with left-invariant metric and product structure.
 
 The FrameAlgebra is the single source of geometric truth; everything else is
-derived from its brackets, metric and product structure: three tensors,
-cleared once when the frame is built, with nested views at the boundary.
-Every matrix reaches the kernel as a tensor: these, ``metric_inv``, and s
-and s^-1 of a constant change of basis, which moves them, and tensors
-back, through ``_moved``, one ``arranged`` pattern per kind of slot.  No
-Scalar matrix arithmetic builds, checks or substitutes a frame.  File
-format and all reported indices are 1-based; the Python API is 0-based.
+derived from its brackets, metric and product structure: three tensors, each
+given as a Tensor or cleared once from nested rows, the brackets built by
+``bracket_tensor``.  Every matrix reaches the kernel as a tensor: these,
+``metric_inv``, and s and s^-1 of a constant change of basis, which moves
+them, and tensors back, through ``_moved``, one ``arranged`` pattern per kind
+of slot.  No Scalar matrix arithmetic builds, checks or substitutes a frame.
+File format and all reported indices are 1-based; the Python API is 0-based.
 """
 
 from __future__ import annotations
@@ -118,40 +118,54 @@ def memo(fn):
     return cached
 
 
-class FrameAlgebra:
-    """Brackets c^k_ij, metric g and product structure P.
+def bracket_tensor(dim: int, params: tuple, upper: dict) -> Tensor:
+    """The ``ddu`` tensor of [e_i, e_j] = sum of upper[(i, j)][k] e_k for
+    0-based i < j, zero elsewhere: the one writer of the mirror c^k_ji =
+    -c^k_ij.  ValueError on an index out of range or a key with i >= j."""
+    comps = [Scalar.zero(params)] * dim ** 3
+    for (i, j), result in upper.items():
+        if not 0 <= i < j < dim or any(not 0 <= k < dim for k in result):
+            raise ValueError("bracket %s -> %s: out of range or i >= j" % ((i, j), sorted(result)))
+        for k, value in result.items():
+            comps[(i * dim + j) * dim + k], comps[(j * dim + i) * dim + k] = value, -value
+    return Tensor(dim, "ddu", params, comps)
 
-    Given nested, c[i][j][k] = c^k_ij and g, P as rows, they are kept as the
-    tensors ``brackets`` (``ddu``), ``metric`` (``dd``) and ``product``
-    (``ud``, P^i_j at (i, j)), read as rows through views built once.  A
-    frame is never mutated after construction, nor are the connections and
-    packs built on it, so derived geometry is cached through ``memo``."""
+
+def _nested(x, dim: int, depth: int) -> bool:
+    """Whether x is nested lists, depth levels of dim entries each."""
+    return len(x) == dim and (depth == 1 or all(_nested(row, dim, depth - 1) for row in x))
+
+
+class FrameAlgebra:
+    """Brackets c^k_ij, metric g and product structure P: the tensors
+    ``brackets`` (``ddu``), ``metric`` (``dd``) and ``product`` (``ud``, P^i_j
+    at (i, j)), each given as a Tensor or as nested rows, c[i][j][k] = c^k_ij.
+    The views ``c``, ``g`` and ``p`` read them as rows, built once.  A frame
+    is never mutated after construction, nor are the connections and packs
+    built on it, so derived geometry is cached through ``memo``."""
 
     def __init__(self, dim: int, params: tuple, c, g, p):
         if not isinstance(dim, int) or dim <= 0 or dim % 2:
             raise ValueError("dimension must be a positive even integer")
-        if len(c) != dim or any(len(row) != dim for row in c) or \
-                any(len(cell) != dim for row in c for cell in row):
-            raise ValueError("structure constants must be dim x dim x dim")
-        for name, m in (("metric", g), ("product", p)):
-            if len(m) != dim or any(len(row) != dim for row in m):
-                raise ValueError("%s must be a dim x dim matrix" % name)
-        self._hold(dim, tuple(params), coefficient_tensor(c), coefficient_tensor(g, "dd"),
-                   coefficient_tensor(p, "ud"))
+        self.dim, self.params = dim, tuple(params)
+        self.brackets, self.metric, self.product = (self._entered(*entry) for entry in (
+            ("structure constants", c, "ddu"), ("metric", g, "dd"), ("product", p, "ud")))
 
-    def _hold(self, dim: int, params: tuple, *tensors: Tensor) -> "FrameAlgebra":
-        """The one initializer; ValueError names a tensor not over params."""
-        for name, t in zip(("structure constants", "metric", "product"), tensors):
-            if t.params != params:
-                raise ValueError("%s: entries not over the parameters %s" % (name, params))
-        self.dim, self.params = dim, params
-        self.brackets, self.metric, self.product = tensors
-        return self
+    def _entered(self, name: str, x, variance: str) -> Tensor:
+        """x as this frame's tensor of the variance, nested rows cleared by
+        ``coefficient_tensor``; ValueError naming the argument if it is not."""
+        if not isinstance(x, Tensor) and _nested(x, self.dim, len(variance)):
+            x = coefficient_tensor(x, variance)
+        if not isinstance(x, Tensor) or (x.dim, x.variance, x.params) != (
+                self.dim, variance, self.params):
+            raise ValueError("%s: expected a %s tensor, or nested rows, of dimension %d "
+                             "over the parameters %s" % (name, variance, self.dim, self.params))
+        return x
 
     @property
     @memo
     def c(self) -> list:
-        """c[i][j][k] = c^k_ij; in the package, read only by ``frame_to_dict``."""
+        """c[i][j][k] = c^k_ij; the package reads ``brackets`` instead."""
         return _rows(_rows(self.brackets.comps, self.dim), self.dim)
 
     @property
@@ -199,7 +213,7 @@ class FrameAlgebra:
     def substitute(self, values) -> "FrameAlgebra":
         """Evaluate the three tensors at the given parameter values (empty
         context); ZeroDivisionError where some entry's denominator vanishes."""
-        return object.__new__(FrameAlgebra)._hold(self.dim, (), *(
+        return FrameAlgebra(self.dim, (), *(
             t.substitute(values) for t in (self.brackets, self.metric, self.product)))
 
 
@@ -213,7 +227,7 @@ class RebasedFrame(FrameAlgebra):
     def __init__(self, source: FrameAlgebra, s: list):
         self.source = source
         self.s, self.s_inv = (coefficient_tensor(m, "ud") for m in (s, mat_inv(s)))
-        self._hold(source.dim, source.params, *(_moved(t, self.s, self.s_inv) for t in (
+        super().__init__(source.dim, source.params, *(_moved(t, self.s, self.s_inv) for t in (
             source.brackets, source.metric, source.product)))
 
     @property
@@ -400,11 +414,8 @@ def frame_from_dict(data: dict) -> FrameAlgebra:
     params = tuple(raw_params)
     _expect(len(set(params)) == len(params), "parameters", "duplicate names")
 
-    zero, parsed = Scalar.zero(params), {}
-    c = [[[zero for _ in range(dim)] for _ in range(dim)] for _ in range(dim)]
-    brackets = data.get("brackets", [])
+    brackets, upper, parsed = data.get("brackets", []), {}, {}
     _expect(isinstance(brackets, list), "brackets", "expected a list")
-    seen = set()
     for b, entry in enumerate(brackets):
         path = "brackets[%d]" % b
         _expect(isinstance(entry, dict), path, "expected an object")
@@ -413,33 +424,29 @@ def frame_from_dict(data: dict) -> FrameAlgebra:
             _expect(type(index) is int and 1 <= index <= dim, "%s.%s" % (path, side),
                     "expected an index in 1..%d" % dim)
         _expect(left < right, path, "brackets are listed only for left < right")
-        _expect((left, right) not in seen, path, "duplicate bracket")
-        seen.add((left, right))
+        _expect((left - 1, right - 1) not in upper, path, "duplicate bracket")
         result = entry.get("result", {})
         _expect(isinstance(result, dict), path + ".result", "expected an object")
+        upper[left - 1, right - 1] = cell = {}
         for key, text in result.items():
-            _expect(_is_index(key, dim), "%s.result[%s]" % (path, key),
-                    "expected a component index in 1..%d" % dim)
-            k = int(key) - 1
-            value = _parse_entry(text, params, "%s.result[%s]" % (path, key), parsed)
-            c[left - 1][right - 1][k] = value
-            c[right - 1][left - 1][k] = -value
+            field = "%s.result[%s]" % (path, key)
+            _expect(_is_index(key, dim), field, "expected a component index in 1..%d" % dim)
+            cell[int(key) - 1] = _parse_entry(text, params, field, parsed)
 
     _expect("metric" in data, "metric", "missing field")
     _expect("product" in data, "product", "missing field")
     g = _load_matrix(data["metric"], dim, params, "metric", parsed)
     p = _load_matrix(data["product"], dim, params, "product", parsed)
-    return FrameAlgebra(dim, params, c, g, p)
+    return FrameAlgebra(dim, params, bracket_tensor(dim, params, upper), g, p)
 
 
 def frame_to_dict(fa: FrameAlgebra) -> dict:
     brackets = []
-    for i in range(fa.dim):
-        for j in range(i + 1, fa.dim):
-            result = {str(k + 1): str(s) for k, s in enumerate(fa.c[i][j])
-                      if not s.is_zero}
-            if result:
-                brackets.append({"left": i + 1, "right": j + 1, "result": result})
+    for m, cell in enumerate(_rows(fa.brackets.comps, fa.dim)):  # cell[k] = c^k_ij
+        i, j = divmod(m, fa.dim)
+        result = {str(k + 1): str(s) for k, s in enumerate(cell) if i < j and not s.is_zero}
+        if result:
+            brackets.append({"left": i + 1, "right": j + 1, "result": result})
     return {
         "dimension": fa.dim,
         "parameters": list(fa.params),

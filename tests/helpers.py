@@ -13,6 +13,8 @@ from math import factorial
 
 from rptgeo import (Connection, FrameAlgebra, Scalar, Tensor, build_example,
                     levi_civita, mat_identity, mat_inv, mat_mul, mat_transpose)
+from rptgeo.example import family_brackets, swap_product_matrix
+from rptgeo.frames import bracket_tensor
 from rptgeo.geometry import nabla_p_components
 from rptgeo.tensors import _perm_sign
 
@@ -516,52 +518,60 @@ def random_lambdas(rng: random.Random):
                  for _ in range(4))
 
 
+def family_frame(lam, params: tuple) -> FrameAlgebra:
+    """The family at four Scalars of the context params."""
+    return FrameAlgebra(4, params, family_brackets(lam, params), mat_identity(4, params),
+                        swap_product_matrix(4, params))
+
+
 def symbolic_metric_frame() -> FrameAlgebra:
     """Family instance conjugated by a parametric matrix: the metric inverse
     has genuine polynomial denominators, exercising the rational core."""
-    from rptgeo.example import family_structure_constants, swap_product_matrix
     params5 = ("l1", "l2", "l3", "l4", "a")
-    lam = [Scalar.parameter(params5, n) for n in ("l1", "l2", "l3", "l4")]
-    fa_sym = FrameAlgebra(4, params5,
-                          family_structure_constants(lam, params5),
-                          mat_identity(4, params5),
-                          swap_product_matrix(4, params5))
     shear = mat_identity(4, params5)
     a = Scalar.parameter(params5, "a")
     shear[0][0] = Scalar.one(params5) + a
     shear[0][1] = a
-    return conjugate(fa_sym, shear)
+    return conjugate(family_frame([Scalar.parameter(params5, n) for n in params5[:4]],
+                                  params5), shear)
 
 
 def sheared_family_frame() -> FrameAlgebra:
     """The symbolic family conjugated by the unimodular shear e2 -> e2 + a e1:
     brackets, metric and product are polynomial in (l1..l4, a), so a spec
     file can hold it, and P depends on the parameter a."""
-    from rptgeo.example import family_structure_constants, swap_product_matrix
     params5 = ("l1", "l2", "l3", "l4", "a")
-    lam = [Scalar.parameter(params5, n) for n in ("l1", "l2", "l3", "l4")]
-    fa_sym = FrameAlgebra(4, params5,
-                          family_structure_constants(lam, params5),
-                          mat_identity(4, params5),
-                          swap_product_matrix(4, params5))
     shear = mat_identity(4, params5)
     shear[0][1] = Scalar.parameter(params5, "a")
-    return conjugate(fa_sym, shear)
+    return conjugate(family_frame([Scalar.parameter(params5, n) for n in params5[:4]],
+                                  params5), shear)
 
 
 def scaled_family_frame() -> FrameAlgebra:
     """The family at (1/2, 1, 3/2, 5/2) in the basis (1 + a*b)*S, S unimodular:
     brackets and metric stay polynomial in (a, b), the metric inverse is a
     true rational function, and F has rational coefficients."""
-    from rptgeo.example import family_structure_constants, swap_product_matrix
     params = ("a", "b")
-    lam = [Scalar.constant(params, Fraction(k, 2)) for k in (1, 2, 3, 5)]
-    fa = FrameAlgebra(4, params, family_structure_constants(lam, params),
-                      mat_identity(4, params), swap_product_matrix(4, params))
+    fa = family_frame([Scalar.constant(params, Fraction(k, 2)) for k in (1, 2, 3, 5)], params)
     a, b = (Scalar.parameter(params, name) for name in params)
     factor = 1 + a * b
     s = random_unimodular(random.Random(4), 4, params)
     return conjugate(fa, [[factor * x for x in row] for row in s])
+
+
+def extended_family_frame(l1, l2, l3, l4, s, params: tuple) -> FrameAlgebra:
+    """The 5-parameter W3 frame through the family (g = I, P = the block
+    swap) at Scalars of the context params: the family at s = 0, on the
+    W3 and Jacobi variety for every s."""
+    m = l2 + l4 * s
+    return FrameAlgebra(4, params, bracket_tensor(4, params, {
+        (0, 1): {0: l1, 1: m, 2: l1 * s, 3: s * m},
+        (0, 2): {1: l3 - l1 * s, 3: l3 * s - l1},
+        (0, 3): {0: -l3, 1: -(s * m), 2: -(l3 * s), 3: -m},
+        (1, 2): {0: l1 * s, 1: l4, 2: l1, 3: l4 * s},
+        (1, 3): {0: s * m - l4, 2: l2},
+        (2, 3): {0: l3 * s, 1: l4 * s, 2: l3, 3: l4}}),
+        mat_identity(4, params), swap_product_matrix(4, params))
 
 
 def random_frames(count: int = 20, seed: int = 1404):
@@ -589,10 +599,7 @@ def random_frames(count: int = 20, seed: int = 1404):
 
 def abelian_plane(params: tuple = ()) -> FrameAlgebra:
     """Abelian 2-dim frame with identity metric and swap product (class W0)."""
-    from rptgeo.example import swap_product_matrix
-    zero = Scalar.zero(params)
-    c = [[[zero] * 2 for _ in range(2)] for _ in range(2)]
-    return FrameAlgebra(2, params, c, mat_identity(2, params),
+    return FrameAlgebra(2, params, bracket_tensor(2, params, {}), mat_identity(2, params),
                         swap_product_matrix(2, params))
 
 
@@ -605,12 +612,8 @@ def six_dim_frame() -> FrameAlgebra:
 def single_bracket_frame() -> FrameAlgebra:
     """Valid frame outside the skew-cyclic class: one bracket, identity
     metric, block-swap product."""
-    from rptgeo.example import swap_product_matrix
-    zero, one = Scalar.zero(()), Scalar.one(())
-    c = [[[zero for _ in range(4)] for _ in range(4)] for _ in range(4)]
-    c[0][1][2] = one
-    c[1][0][2] = -one
-    return FrameAlgebra(4, (), c, mat_identity(4, ()), swap_product_matrix(4, ()))
+    return FrameAlgebra(4, (), bracket_tensor(4, (), {(0, 1): {2: Scalar.one(())}}),
+                        mat_identity(4, ()), swap_product_matrix(4, ()))
 
 
 # ---------------------------------------------------------------------------

@@ -11,13 +11,13 @@ import pytest
 from rptgeo import (FrameAlgebra, Scalar, SchemaError, build_example, bundled_spec_path,
                     example, frames, golden_tables, killing_check, load_spec, mat_det,
                     mat_identity, mat_mul, mat_transpose, save_spec, spec_digest, validate)
-from rptgeo.example import family_structure_constants, swap_product_matrix
-from rptgeo.frames import (Witness, adapted_frame, check_result, frame_from_dict,
-                           frame_to_dict, tensor_witnesses)
+from rptgeo.example import swap_product_matrix
+from rptgeo.frames import (Witness, adapted_frame, bracket_tensor, check_result,
+                           frame_from_dict, frame_to_dict, tensor_witnesses)
 from rptgeo.tensors import Tensor, _as_poly, coefficient_tensor
 
-from helpers import (conjugate, jacobi_oracle, jacobi_residual_oracle, killing_oracle,
-                     random_frames, random_unimodular, sheared_family_frame,
+from helpers import (abelian_plane, conjugate, jacobi_oracle, jacobi_residual_oracle,
+                     killing_oracle, random_frames, random_unimodular, sheared_family_frame,
                      single_bracket_frame, symbolic_metric_frame)
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -179,6 +179,24 @@ def test_malformed_shapes_raise():
         FrameAlgebra(4, fa.params, fa.c, constant.g, fa.p)
     with pytest.raises(ValueError, match="product"):
         FrameAlgebra(4, fa.params, fa.c, fa.g, constant.p)
+    # a Tensor argument must have the frame's variance, dimension and parameters
+    plane = abelian_plane(fa.params)
+    for tensors, name in [((fa.metric, fa.metric, fa.product), "structure constants"),
+                          ((fa.brackets, fa.product, fa.product), "metric"),
+                          ((fa.brackets, fa.metric, fa.metric), "product"),
+                          ((plane.brackets, fa.metric, fa.product), "structure constants"),
+                          ((fa.brackets, plane.metric, fa.product), "metric"),
+                          ((fa.brackets, fa.metric, plane.product), "product"),
+                          ((constant.brackets, fa.metric, fa.product), "structure constants"),
+                          ((fa.brackets, constant.metric, fa.product), "metric"),
+                          ((fa.brackets, fa.metric, constant.product), "product")]:
+        with pytest.raises(ValueError, match="^%s: " % name):
+            FrameAlgebra(4, fa.params, *tensors)
+    one = Scalar.one(())
+    for upper in ({(1, 1): {0: one}}, {(2, 1): {0: one}}, {(0, 4): {0: one}},
+                  {(-1, 2): {0: one}}, {(0, 1): {4: one}}, {(0, 1): {-1: one}}):
+        with pytest.raises(ValueError, match="out of range or i >= j"):
+            bracket_tensor(4, (), upper)
 
 
 def test_associated_metric_symmetric_on_random_frames():
@@ -233,8 +251,15 @@ def test_the_nested_view_equals_the_constructor_input():
     assert fa.product[0, 1] == Fraction(3, 2) and fa.product[1, 0].is_zero
     _assert_views_read_the_tensors(fa)
     family = build_example()
-    lam = [Scalar.parameter(family.params, name) for name in family.params]
-    assert family.c == family_structure_constants(lam, family.params)
+    l1, l2, l3, l4 = (Scalar.parameter(family.params, name) for name in family.params)
+    zero = Scalar.zero(family.params)
+    table = {(0, 1): [l1, l2, zero, zero], (0, 2): [zero, l3, zero, -l1],
+             (0, 3): [-l3, zero, zero, -l2], (1, 2): [zero, l4, l1, zero],
+             (1, 3): [-l4, zero, l2, zero], (2, 3): [zero, zero, l3, l4]}
+    nested = [[[zero] * 4 for _ in range(4)] for _ in range(4)]
+    for (i, j), cell in table.items():
+        nested[i][j], nested[j][i] = cell, [-x for x in cell]
+    assert family.c == nested
     assert family.g == mat_identity(4, family.params)
     assert family.p == swap_product_matrix(4, family.params)
     _assert_views_read_the_tensors(family)
@@ -306,6 +331,15 @@ def test_round_trip(tmp_path):
     assert spec_digest(again) == spec_digest(fa)
     save_spec(again, tmp_path / "twice.json")
     assert (tmp_path / "twice.json").read_text() == path.read_text()
+    # a frame enters as its three tensors, and its spec reads back to the same
+    # digest; a spec states no rational function, as symbolic_metric_frame has
+    built = random_frames() + [sheared_family_frame()]
+    for fa in built:
+        assert FrameAlgebra(fa.dim, fa.params, fa.brackets, fa.metric, fa.product) == fa
+    with pytest.raises(SchemaError, match="division by a non-constant expression"):
+        frame_from_dict(frame_to_dict(built[0]))
+    for fa in built[1:]:
+        assert spec_digest(frame_from_dict(frame_to_dict(fa))) == spec_digest(fa)
 
 
 def test_empty_brackets_is_abelian():

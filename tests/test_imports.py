@@ -13,11 +13,14 @@ result path, ``frames.check_result``, so every other ``CheckResult(...)`` call
 builds a skip entry.  It has one cancellation, in ``scalars``, so no other
 module calls the gcd or the exact divisions.  The tensor storage form lives
 behind ``tensors``, so no other module imports its storage helpers or reads
-a tensor's numerators and denominator.  A frame's brackets are the Tensor
-``brackets``; the nested view ``FrameAlgebra.c`` is read only where the spec
-is written, ``frames.frame_to_dict``.  Frame data move as tensors, so the
-Scalar matrix product ``mat_mul`` is named only where it is defined,
-``tensors``, and exported, ``__init__``.  Input is parsed in one place,
+a tensor's numerators and denominator.  A frame's data are the Tensors
+``brackets``, ``metric`` and ``product``: no module reads the nested view
+``FrameAlgebra.c``, and the views ``.g`` and ``.p`` are read only by the
+functions of ``frames`` that need rows: the eliminations of
+``metric_minors`` and ``metric_inv``, ``validate`` and ``killing_check``
+(their ``map_slot`` calls), and the spec writer ``frame_to_dict``.  Frame
+data move as tensors, so the Scalar matrix product ``mat_mul`` is named only
+where it is defined, ``tensors``, and exported, ``__init__``.  Input is parsed in one place,
 ``frames._parse_entry``, which parses each distinct text once per file, so
 no other code in the package reads ``parse_expression``.  A frame's
 matrices are the Tensors ``metric`` and ``product``, cleared once, when the
@@ -291,18 +294,28 @@ def test_the_tensor_api_is_allowed():
     assert not _storage_reads(ast.parse(source))
 
 
-def _nested_view_reads(tree: ast.Module, reader=None) -> list:
-    """Reads of an attribute ``c`` outside the function named reader, with
-    their lines."""
+# the functions that may read the nested rows fa.g and fa.p: the eliminations
+# of metric_minors and metric_inv, the map_slot calls of validate and
+# killing_check, which the benchmark's tracer reads as rows, and the spec writer
+VIEW_READERS = ("metric_minors", "metric_inv", "validate", "killing_check", "frame_to_dict")
+
+
+def _view_readers(name: str) -> tuple:
+    return VIEW_READERS if name == "frames.py" else ()
+
+
+def _nested_view_reads(tree: ast.Module, readers=()) -> list:
+    """Reads of an attribute ``c``, and of ``g`` or ``p`` outside the
+    functions named in readers, with their lines."""
     found = []
 
     def visit(node, inside):
         for child in ast.iter_child_nodes(node):
-            if (isinstance(child, ast.Attribute) and child.attr == "c"
-                    and isinstance(child.ctx, ast.Load) and not inside):
-                found.append("line %d" % child.lineno)
+            if (isinstance(child, ast.Attribute) and child.attr in ("c", "g", "p")
+                    and isinstance(child.ctx, ast.Load) and (child.attr == "c" or not inside)):
+                found.append("%s at line %d" % (child.attr, child.lineno))
             visit(child, inside or (isinstance(child, ast.FunctionDef)
-                                    and child.name == reader))
+                                    and child.name in readers))
 
     visit(tree, False)
     return found
@@ -310,9 +323,11 @@ def _nested_view_reads(tree: ast.Module, reader=None) -> list:
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_only_the_spec_writer_reads_the_nested_brackets(path):
+    """No module reads the nested brackets fa.c, and only the row readers of
+    frames.py read fa.g or fa.p."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
-    found = _nested_view_reads(tree, "frame_to_dict" if path.name == "frames.py" else None)
-    assert not found, "%s reads the nested view fa.c outside frames.frame_to_dict: %s" % (
+    found = _nested_view_reads(tree, _view_readers(path.name))
+    assert not found, "%s reads a nested view fa.c, fa.g or fa.p: %s" % (
         path.name, ", ".join(found))
 
 
@@ -323,15 +338,30 @@ def test_only_the_spec_writer_reads_the_nested_brackets(path):
     "same = a.c == b.c\n",
 ])
 def test_nested_view_read_is_detected(source):
-    assert _nested_view_reads(ast.parse(source), "frame_to_dict")
+    assert _nested_view_reads(ast.parse(source), _view_readers("frames.py"))
+
+
+@pytest.mark.parametrize("name, source", [
+    ("frames.py", "def frame_to_dict(fa):\n    return fa.c[0]\n"),
+    ("frames.py", "def adapted_frame(fa):\n    return mat_identity(len(fa.g), ())\n"),
+    ("frames.py", "def _eigenbasis(fa):\n    return fa.p[0][0]\n"),
+    ("example.py", "if fa.p != swap_product_matrix(4, fa.params):\n    pass\n"),
+    ("example.py", "def validate(fa):\n    return fa.g\n"),
+    ("theorems.py", "def killing_check(fa):\n    return fa.p\n"),
+])
+def test_a_nested_view_read_outside_the_row_readers_is_detected(name, source):
+    assert _nested_view_reads(ast.parse(source), _view_readers(name))
 
 
 def test_the_spec_writer_and_the_view_itself_are_allowed():
     source = ("class FrameAlgebra:\n    @property\n    def c(self):\n"
               "        return self.brackets\n"
-              "def frame_to_dict(fa):\n    return [fa.c[i] for i in range(2)]\n"
+              "    @property\n    def metric_inv(self):\n        return mat_inv(self.g)\n"
+              "def validate(fa):\n    return p.map_slot(fa.p, 1), fa.g[:1]\n"
+              "def killing_check(fa):\n    return low.map_slot(fa.p, 2)\n"
+              "def frame_to_dict(fa):\n    return [fa.g, fa.p]\n"
               "c = fa.brackets\n")
-    assert not _nested_view_reads(ast.parse(source), "frame_to_dict")
+    assert not _nested_view_reads(ast.parse(source), _view_readers("frames.py"))
 
 
 def _matrix_products(tree: ast.Module) -> list:

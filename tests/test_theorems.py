@@ -1,23 +1,24 @@
 """Theorem suites run on the frame they are given."""
 
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from perfbench import corpus
-from rptgeo import (ConnectionPack, FrameAlgebra, NotW3Error, Scalar, Tensor,
-                    adapted_frame, all_passed, build_example,
-                    check_p_tensor, curvature, family_parameters, fundamental_F,
-                    geometry_checks, levi_civita, natural_check, rpt_checks, rpt_connection,
-                    theorem_checks, theorems, verify_curvature_relation,
+from rptgeo import (CLASS_SKEW, ConnectionPack, FrameAlgebra, NotW3Error, Scalar, Tensor,
+                    adapted_frame, all_passed, build_example, check_p_tensor, classify,
+                    curvature, family_parameters, fundamental_F, geometry_checks,
+                    killing_check, levi_civita, natural_check, rpt_checks, rpt_connection,
+                    run_all, theorem_checks, theorems, validate, verify_curvature_relation,
                     verify_p_tensor_criterion, verify_parallel_torsion,
                     verify_torsion_type)
-from rptgeo.example import GOLDEN_VARIANCES
+from rptgeo.example import GOLDEN_VARIANCES, family_brackets
 from rptgeo.theorems import rpt_curvature_p_tensor
 
-from helpers import (alternate, build_tensor, random_frames, single_bracket_frame,
-                     six_dim_frame)
+from helpers import (alternate, build_tensor, extended_family_frame, random_frames,
+                     single_bracket_frame, six_dim_frame)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -216,3 +217,36 @@ def test_zero_torsion_on_a_strict_family_frame_fails_every_theorem_check():
     assert flags("family-parameter-equivalence") == {"three-way-equivalence": ("0", "1")}
     assert family.details == {"p_tensor": "false", "parallel": "true",
                               "parameter_condition": "false"}
+
+
+# The paper's family is the slice s = 0 of a 5-parameter W3 frame (g = I,
+# P = the block swap) on which torsion parallel and curvature a P-tensor
+# both hold exactly on the two components l3 = eps l1, l2 + s l4 = eps l4.
+
+def _parallel_and_p_tensor(fa):
+    pack = rpt_connection(adapted_frame(fa))
+    return pack.torsion_derivative().is_zero, rpt_curvature_p_tensor(pack)
+
+
+def test_the_five_parameter_w3_frame_extends_the_family():
+    params = ("l1", "l2", "l3", "l4", "s")
+    fa = extended_family_frame(*(Scalar.parameter(params, n) for n in params), params)
+    report = validate(fa)
+    assert report.passed and report.reason == "positivity unverified (parametric)"
+    af = adapted_frame(fa)
+    assert classify(af).label == CLASS_SKEW
+    results = run_all(af)
+    assert len(results) == 17 and all(r.status == "pass" for r in results)
+    assert not killing_check(fa).passed
+    # the family at s = 0
+    lam = [Scalar.parameter(params[:4], n) for n in params[:4]]
+    at_zero = extended_family_frame(*lam, Scalar.zero(params[:4]), params[:4])
+    assert at_zero.brackets == family_brackets(lam, params[:4])
+    # on each component, with (l1, l2, l3, l4) = (a, eps b - s b, eps a, b)
+    names = ("a", "b", "s")
+    a, b, s = (Scalar.parameter(names, n) for n in names)
+    for eps in (1, -1):
+        component = extended_family_frame(a, b * eps - s * b, a * eps, b, s, names)
+        assert _parallel_and_p_tensor(component) == (True, True)
+    point = [Scalar.constant((), v) for v in (1, 2, 3, 4, Fraction(1, 2))]
+    assert _parallel_and_p_tensor(extended_family_frame(*point, ())) == (False, False)
