@@ -4,7 +4,8 @@ The family is parametrized by four reals; with the block-swap product
 structure and the identity metric it is the canonical instance of the
 skew-cyclic class.  Golden component tables ship as data files over the
 parameters l1..l4 and load as Tensors on the family, each orbit expanded by
-the table's stated symmetry (never hand-entered).  A golden comparison is
+the table's stated symmetry (never hand-entered): the groups of slots
+within which the table is skew, ``SYMMETRIES``.  A golden comparison is
 the one tensor witness collector, ``tensor_witnesses``, with the table as
 its expected tensor in the user's basis.
 """
@@ -21,14 +22,19 @@ from .frames import (CheckResult, FrameAlgebra, SchemaError, Witness,
                      _expect, _is_index, _parse_entry, bracket_tensor, check_result,
                      tensor_witnesses)
 from .scalars import Scalar
-from .tensors import Tensor, _perm_sign, coefficient_tensor, mat_identity
+from .tensors import Tensor, mat_identity
 
 PARAM_NAMES = ("l1", "l2", "l3", "l4")
 EPSILON_CANDIDATES = (1, -1)
-SYMMETRIES = ("none", "skew", "skew-last-three", "pair-skew")
+# the groups of slots within which a table is skew, cut at the table's rank
+SYMMETRIES = {"none": (), "skew": ((0, 1, 2, 3),), "skew-last-three": ((1, 2, 3),),
+              "pair-skew": ((0, 1), (2, 3))}
 GOLDEN_SCALARS = ("nabla_P_norm_sq", "tau", "tau_prime")
 GOLDEN_VARIANCES = {"torsion": "ddd", "connection": "ddu", "curvature": "dddd",
                     "torsion_derivative": "dddd"}
+# the family's metric and product on the int form, constant in every context
+_IDENTITY = ([int(i == j) for i in range(4) for j in range(4)], 1)
+_SWAP = ([int(abs(i - j) == 2) for i in range(4) for j in range(4)], 1)
 
 def swap_product_matrix(dim: int, params: tuple) -> list:
     """Block antidiagonal product structure exchanging the two halves."""
@@ -46,12 +52,6 @@ def family_brackets(lam, params: tuple) -> Tensor:
                                       (1, 3): {0: -l4, 2: l2}, (2, 3): {2: l3, 3: l4}})
 
 
-def _family(lam, params: tuple) -> tuple:
-    """The family's brackets, metric and product for the given four Scalars."""
-    return (family_brackets(lam, params), coefficient_tensor(mat_identity(4, params), "dd"),
-            coefficient_tensor(swap_product_matrix(4, params), "ud"))
-
-
 def build_example(lambdas=None) -> FrameAlgebra:
     """Frame algebra of the family at a sequence of four rationals; symbolic
     parameters when none are given."""
@@ -64,14 +64,17 @@ def build_example(lambdas=None) -> FrameAlgebra:
             raise ValueError("the family takes exactly four parameters")
         params = ()
         lam = [Scalar.constant((), Fraction(v)) for v in lambdas]
-    return FrameAlgebra(4, params, *_family(lam, params))
+    return FrameAlgebra(4, params, family_brackets(lam, params), mat_identity(4, params),
+                        swap_product_matrix(4, params))
 
 
 def family_parameters(fa: FrameAlgebra):
-    """The four family Scalars if fa is an instance of the family, else None."""
+    """The four family Scalars if fa is the family (g and P read first), else None."""
+    if fa.dim != 4 or fa.metric.ints != _IDENTITY or fa.product.ints != _SWAP:
+        return None
     c = fa.brackets
-    lam = (c[0, 1, 0], c[0, 1, 1], c[0, 2, 1], c[1, 2, 1]) if fa.dim == 4 else None
-    return lam if lam and (c, fa.metric, fa.product) == _family(lam, fa.params) else None
+    lam = (c[0, 1, 0], c[0, 1, 1], c[0, 2, 1], c[1, 2, 1])
+    return lam if c == family_brackets(lam, fa.params) else None
 
 
 def bundled_spec_path() -> Path:
@@ -82,34 +85,19 @@ def bundled_spec_path() -> Path:
 # golden component tables
 
 
-def _canonical(symmetry: str, idx: tuple):
-    """The representative of idx under the symmetry and the sign relating
-    them; None for a component the symmetry makes zero."""
-    if symmetry == "none":
-        return idx, 1
-    if symmetry == "skew":
-        return _sort_signed(idx)
-    if symmetry == "skew-last-three":
-        key, sign = _sort_signed(idx[1:])
-        if key is None:
-            return None, 1
-        return (idx[0],) + key, sign
-    i, j, k, l = idx  # pair-skew
-    if i == j or k == l:
-        return None, 1
-    sign = 1
-    if i > j:
-        i, j, sign = j, i, -sign
-    if k > l:
-        k, l, sign = l, k, -sign
-    return (i, j, k, l), sign
-
-
-def _sort_signed(idx):
-    if len(set(idx)) != len(idx):
-        return None, 1
-    order = sorted(range(len(idx)), key=lambda p: idx[p])
-    return tuple(sorted(idx)), _perm_sign(order)
+def _canonical(groups: tuple, idx: tuple):
+    """The representative of idx, each group of slots sorted, and the sign of
+    the sorts, the parity of their inversions; None when a group repeats an index."""
+    key, sign = list(idx), 1
+    for group in groups:
+        values = [idx[s] for s in group]
+        for a, b in itertools.combinations(values, 2):
+            if a == b:
+                return None, 1
+            sign = -sign if a > b else sign
+        for s, v in zip(group, sorted(values)):
+            key[s] = v
+    return tuple(key), sign
 
 
 def _read_table(path: Path):
@@ -144,6 +132,7 @@ def _load_table(path: Path, variance: str) -> Tensor:
             "expected one of %s" % ", ".join(SYMMETRIES))
     _expect(symmetry != "pair-skew" or rank == 4, "%s: symmetry" % path,
             "pair-skew needs a rank-4 table")
+    groups = tuple(tuple(s for s in group if s < rank) for group in SYMMETRIES[symmetry])
     entries, first = {}, {}
     for key, value in raw.items():
         field = "%s: entries[%s]" % (path, key)
@@ -151,7 +140,7 @@ def _load_table(path: Path, variance: str) -> Tensor:
         _expect(len(parts) == rank and
                 all(_is_index(part, 4) for part in parts),
                 field, "expected %d comma-separated indices in 1..4" % rank)
-        idx, sign = _canonical(symmetry, tuple(int(part) for part in parts))
+        idx, sign = _canonical(groups, tuple(int(part) for part in parts))
         _expect(idx is not None or value.is_zero, field,
                 "the %s symmetry makes this component zero" % symmetry)
         if idx is None:
@@ -162,7 +151,7 @@ def _load_table(path: Path, variance: str) -> Tensor:
         first.setdefault(idx, key)
     zero, comps = Scalar.zero(PARAM_NAMES), []
     for idx in itertools.product(range(1, 5), repeat=rank):
-        key, sign = _canonical(symmetry, idx)
+        key, sign = _canonical(groups, idx)
         value = entries.get(key, zero)
         comps.append(value if sign > 0 else -value)
     return Tensor(4, variance, PARAM_NAMES, comps)
@@ -197,10 +186,8 @@ def compare_tensor(fa: FrameAlgebra, name: str, computed: Tensor,
                         witnesses=tensor_witnesses(fa, computed, name, expected))
 
 
-def compare_connection(fa: FrameAlgebra, name: str, coeffs: Tensor,
-                       expected: Tensor) -> CheckResult:
-    """compare_tensor on the coefficient tensor, A^k_ij at index (i, j, k)."""
-    return compare_tensor(fa, name, coeffs, expected)
+# perfbench/tracer.py binds this name as one of the golden comparisons
+compare_connection = compare_tensor
 
 
 def compare_scalars(computed: dict, golden: dict) -> CheckResult:

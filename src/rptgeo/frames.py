@@ -466,8 +466,12 @@ def load_spec(path) -> FrameAlgebra:
 
 
 def save_spec(fa: FrameAlgebra, path) -> None:
+    """Write fa's spec once ``frame_from_dict`` reads it back, else raise its
+    SchemaError, naming the field (a rational-function entry), and write nothing."""
+    data = frame_to_dict(fa)
+    frame_from_dict(data)
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(frame_to_dict(fa), handle, indent=2, sort_keys=True)
+        json.dump(data, handle, indent=2, sort_keys=True)
         handle.write("\n")
 
 

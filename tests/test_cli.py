@@ -210,7 +210,10 @@ def test_a_traced_command_reports_what_an_untraced_one_does(argv, capsys):
         tracer.begin_command(0)
         traced_code, traced, _ = run_cli(argv, capsys)
     assert verify.summarize(code, out) == verify.summarize(traced_code, traced)
-    assert {"cli.main", "tensors.map_slot"} <= {s.name for s in tracer.spans}
+    spans = {s.name for s in tracer.spans}
+    assert {"cli.main", "tensors.map_slot"} <= spans
+    if argv[0] == "example":
+        assert {"example.compare", "example.golden_tables"} <= spans
 
 
 def test_main_parses_with_the_parser_built_at_import(monkeypatch, capsys):
@@ -235,7 +238,9 @@ def test_usage_and_input_errors_exit_two(tmp_path, capsys):
                  ["example", "--lambda="],
                  ["report", str(tmp_path / "missing.json")],
                  ["check", str(bad_schema)],
-                 ["example", "--symbolic"]):
+                 ["example", "--symbolic"],
+                 # example takes no spec: it loads only the bundled one
+                 ["example", SPEC]):
         code, out, err = run_cli(argv, capsys)
         assert code == 2, argv
         assert out == "" and err, argv

@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 
 import pytest
 
-from rptgeo import (adapted_frame, bundled_spec_path, curvature, golden_tables,
-                    load_spec, rpt_connection)
+from rptgeo import (FrameAlgebra, Scalar, adapted_frame, build_example, bundled_spec_path,
+                    curvature, family_parameters, golden_tables, load_spec, rpt_connection)
 from rptgeo.example import PARAM_NAMES, compare_tensor
+from rptgeo.parser import parse_expression
+
+from helpers import family_frame, scaled_family_frame, single_bracket_frame, six_dim_frame
 
 COMPUTED = {
     "torsion": lambda pack: pack.T,
@@ -38,3 +42,50 @@ def test_scalar_table_stays_a_dict_of_symbolic_scalars():
     scalars = golden_tables()["scalars"]
     assert sorted(scalars) == ["nabla_P_norm_sq", "tau", "tau_prime"]
     assert all(s.params == PARAM_NAMES for s in scalars.values())
+
+
+# the slot transpositions that generate each stated symmetry, written out
+# here rather than read from example.SYMMETRIES
+GENERATORS = {"none": (), "skew": ((0, 1), (1, 2)), "skew-last-three": ((1, 2), (2, 3)),
+              "pair-skew": ((0, 1), (2, 3))}
+
+
+@pytest.mark.parametrize("name", ["torsion", "connection", "curvature", "torsion_derivative"])
+def test_golden_tables_carry_their_stated_symmetry(name):
+    data = json.loads((bundled_spec_path().parent / "golden" / ("%s.json" % name))
+                      .read_text(encoding="utf-8"))
+    table = golden_tables()[name]
+    for a, b in GENERATORS[data["symmetry"]]:
+        perm = list(range(table.rank))
+        perm[a], perm[b] = b, a
+        assert (table + table.transpose(perm)).is_zero
+    for key, text in data["entries"].items():
+        idx = tuple(int(part) - 1 for part in key.split(","))
+        assert table[idx] == parse_expression(text, PARAM_NAMES)
+
+
+def _constant_family(params: tuple) -> FrameAlgebra:
+    return family_frame([Scalar.constant(params, Fraction(v)) for v in (1, 2, 3, 5)], params)
+
+
+@pytest.mark.parametrize("build", [build_example, lambda: build_example((1, 2, 3, 5)),
+                                   lambda: _constant_family(("a", "b"))],
+                         ids=["symbolic", "at-1235", "lifted"])
+def test_family_parameters_reads_lambda_off_the_family(build):
+    fa = build()
+    lam = family_parameters(fa)
+    assert lam is not None and fa == family_frame(lam, fa.params)
+    assert lam == tuple(fa.brackets[idx] for idx in ((0, 1, 0), (0, 1, 1), (0, 2, 1),
+                                                     (1, 2, 1)))
+
+
+def _negated_product() -> FrameAlgebra:
+    fa = build_example((1, 2, 3, 5))
+    return FrameAlgebra(4, (), fa.brackets, fa.metric, -fa.product)
+
+
+@pytest.mark.parametrize("build", [six_dim_frame, _negated_product, scaled_family_frame,
+                                   single_bracket_frame],
+                         ids=["six-dim", "negated-P", "scaled", "single-bracket"])
+def test_family_parameters_is_none_off_the_family(build):
+    assert family_parameters(build()) is None

@@ -332,14 +332,20 @@ def test_round_trip(tmp_path):
     save_spec(again, tmp_path / "twice.json")
     assert (tmp_path / "twice.json").read_text() == path.read_text()
     # a frame enters as its three tensors, and its spec reads back to the same
-    # digest; a spec states no rational function, as symbolic_metric_frame has
+    # frame; a spec states no rational function, as symbolic_metric_frame has,
+    # so save_spec refuses that frame with the loader's error and writes nothing
     built = random_frames() + [sheared_family_frame()]
     for fa in built:
         assert FrameAlgebra(fa.dim, fa.params, fa.brackets, fa.metric, fa.product) == fa
-    with pytest.raises(SchemaError, match="division by a non-constant expression"):
-        frame_from_dict(frame_to_dict(built[0]))
-    for fa in built[1:]:
-        assert spec_digest(frame_from_dict(frame_to_dict(fa))) == spec_digest(fa)
+    refused = tmp_path / "rational.json"
+    with pytest.raises(SchemaError, match=r"^brackets\[\d+\]\.result\[\d\]: division by a "
+                                          "non-constant expression"):
+        save_spec(built[0], refused)
+    assert not refused.exists()
+    for k, fa in enumerate(built[1:]):
+        save_spec(fa, tmp_path / ("built%d.json" % k))
+        again = load_spec(tmp_path / ("built%d.json" % k))
+        assert again == fa and spec_digest(again) == spec_digest(fa)
 
 
 def test_empty_brackets_is_abelian():
