@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from functools import wraps
 
 from .parser import ParseError, parse_expression
-from .scalars import Scalar
+from .scalars import MAX_PARAMETERS, Scalar
 from .tensors import (Tensor, _rows, arranged, coefficient_tensor, jacobi_residuals,
                       leading_minors, mat_det, mat_identity, mat_inv, mat_transpose,
                       null_space, row_reduce)
@@ -413,6 +413,8 @@ def frame_from_dict(data: dict) -> FrameAlgebra:
                 "parameters[%d]" % k, "invalid parameter name")
     params = tuple(raw_params)
     _expect(len(set(params)) == len(params), "parameters", "duplicate names")
+    _expect(len(params) <= MAX_PARAMETERS, "parameters",
+            "more than %d names" % MAX_PARAMETERS)
 
     brackets, upper, parsed = data.get("brackets", []), {}, {}
     _expect(isinstance(brackets, list), "brackets", "expected a list")

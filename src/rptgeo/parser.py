@@ -3,8 +3,9 @@
 Grammar: integer literals, parameter names, ``+ - * / ^`` and parentheses.
 Literals are ASCII decimal digits within the interpreter's int-string limit,
 and parentheses nest at most ``MAX_DEPTH`` deep.
-``^`` takes a nonnegative integer exponent, and a power of a sum has degree
-at most ``MAX_POWER_DEGREE``.  A product of sums, or a power of a sum, may
+``^`` takes a nonnegative integer exponent; a power raises no parameter
+past ``scalars.MAX_DEGREE`` and a power of a sum has degree at most
+``MAX_POWER_DEGREE``.  A product of sums, or a power of a sum, may
 have at most ``MAX_TERMS`` terms before cancellation: len(a)*len(b) for a
 product, C(k+t-1, t-1) for a t-term sum to the k, checked before the
 product or power expands.  ``/`` is only legal with a nonzero constant
@@ -19,7 +20,7 @@ import sys
 from fractions import Fraction
 from math import comb
 
-from .scalars import PrintLimitError, Scalar
+from .scalars import DegreeLimitError, PrintLimitError, Scalar, _exponents
 
 
 class ParseError(ValueError):
@@ -158,7 +159,8 @@ class _Parser:
             self.advance()
             k, t = tok[1], len(value.num)
             if t > 1:
-                if k * max(map(sum, value.num)) > MAX_POWER_DEGREE:
+                degree = max(map(sum, _exponents(value.num, len(self.params))))
+                if k * degree > MAX_POWER_DEGREE:
                     raise ParseError("power of a sum above degree %d" % MAX_POWER_DEGREE,
                                      tok[2])
                 # a t-term sum to the k has at most C(k+t-1, t-1) terms
@@ -170,7 +172,10 @@ class _Parser:
             if any(k * (max(abs(c.numerator), c.denominator).bit_length() - 1) > bound
                    for c in (Fraction(n, d) for n in value.num.values())):
                 raise ParseError("power past the int-string limit", tok[2])
-            value = value ** k
+            try:
+                value = value ** k
+            except DegreeLimitError as exc:
+                raise ParseError(str(exc), tok[2]) from None
         return value
 
     def atom(self) -> Scalar:

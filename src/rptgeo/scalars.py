@@ -1,13 +1,18 @@
 """Exact rational-function arithmetic over a declared tuple of parameters.
 
-A polynomial is a dict mapping exponent tuples (aligned with the parameter
-tuple) to nonzero int coefficients.  A Scalar is a quotient num/den of two
-such polynomials in one canonical form:
+A polynomial is a dict mapping packed exponents to nonzero int
+coefficients.  A packed exponent is one nonnegative int: parameter i's
+exponent sits in bits [64 i, 64 i + 64), so 0 is the zero monomial in every
+arity, a monomial product is an int sum, and comparing ints orders
+monomials lexicographically with the last parameter most significant, a
+monomial order: the leading term of a polynomial is ``max(a)``, found in C
+(Monagan and Pearce's packed exponent vectors).  A Scalar is a quotient
+num/den of two such polynomials in one canonical form:
 
 - num/den is reduced over Q: the two share no factor of positive degree;
-- den's leading coefficient under graded-lex order is positive;
+- den's leading coefficient, at ``max(den)``, is positive;
 - the gcd of all the integer coefficients of num and den together is 1;
-- a polynomial or a constant has den ``{(0, ..., 0): d}`` with d > 0.
+- a polynomial or a constant has den ``{0: d}`` with d > 0.
 
 So a rational coefficient never enters the kernel: a polynomial over Q is an
 int polynomial over one positive int denominator, as in FLINT's
@@ -16,8 +21,22 @@ equality is literal.  Division and gcd run over Z.  By Gauss's lemma the
 content (gcd of the coefficients) of a product is the product of the
 contents, so when a primitive d (content 1) divides f over Q the quotient
 has integer coefficients: ``_divexact`` divides by a primitive d on ints
-and raises exactly when d does not divide f.  ``__str__`` prints the monic
-form, num and den divided by den's leading coefficient.
+and raises exactly when d does not divide f.  The exponents are decoded
+only to evaluate and to print: ``__str__`` orders terms by graded-lex and
+prints the monic form, num and den divided by den's graded-lex leading
+coefficient, which is one printed form whatever the kernel's order.
+
+A field holds 64 bits, and its top bit is a guard: a monomial quotient
+whose field borrows sets it, which is how ``_divexact`` tells that one
+monomial does not divide another.  So every exponent must stay below 2^63.
+Exponents enter through ``Scalar.parameter`` (an exponent of 1, for at most
+``MAX_PARAMETERS`` parameters, the fields the guards cover) and powers:
+``**`` and the parser's ``^`` refuse a power that raises a parameter past
+``MAX_DEGREE`` = 2^16.  Past that, exponents only add, once per factor of a
+product, so a result reaches 2^63 only after some 2^47 capped factors; a
+spec entry's degree is bounded by its text, and the kernel multiplies a
+small number of entries (a determinant of the frame's dimension, a
+pseudo-remainder sequence bounded by the degrees), far below that.
 
 One routine brings a quotient to this form: ``_canonical``, on numerators
 over one shared denominator.  It serves a Scalar, one entry, and the
@@ -32,8 +51,8 @@ canonical and returns at once.
 Three fields are set once, when a Scalar is built: ``cden`` (the denominator
 is constant), ``is_zero`` (the numerator is empty) and ``value`` (the int or
 Fraction num/den when the Scalar is constant, else None).  Like an int, a
-Scalar is false exactly when it is zero.  Every denominator 1 of a context
-is one shared unit dict per arity, and no routine mutates a dict it is
+Scalar is false exactly when it is zero.  Every denominator 1 is one shared
+unit dict, ``_UNIT``, in every context, and no routine mutates a dict it is
 given.  Every sum, product and quotient takes one path: a zero operand
 skips the arithmetic, any other forms num and den (a sum over equal
 denominators adds numerators only) and calls ``_make``, so an integral
@@ -43,30 +62,48 @@ negated is still canonical, so it never cancels.
 
 from __future__ import annotations
 
+import itertools
+import struct
 import sys
 from fractions import Fraction
+from functools import reduce
 from math import gcd as _int_gcd, lcm as _int_lcm
-from operator import add, sub
+from operator import or_
 from typing import Mapping, Union
 
 Rat = Union[int, Fraction]
 
 # ---------------------------------------------------------------------------
-# raw polynomial dictionaries (int coefficients)
+# raw polynomial dictionaries (int coefficients, packed exponents)
 
-_UNITS: dict = {}
-
-
-def _unit(nvars: int) -> dict:
-    """The shared denominator 1 of every context with nvars parameters."""
-    unit = _UNITS.get(nvars)
-    if unit is None:
-        unit = _UNITS[nvars] = {(0,) * nvars: 1}
-    return unit
+_BITS = 64  # bits of one parameter's exponent, a struct "Q" when decoded
+_FIELD = (1 << _BITS) - 1
+MAX_DEGREE = 1 << 16  # the largest exponent of one parameter a power may give
+MAX_PARAMETERS = 64  # the parameters a packed exponent has fields for
+# the top bit of every field: a monomial quotient that borrows sets one
+_GUARDS = sum(1 << (_BITS * i + _BITS - 1) for i in range(MAX_PARAMETERS))
+_UNIT = {0: 1}  # the shared denominator 1 of every context
 
 
-def _grlex(expo: tuple) -> tuple:
-    return (sum(expo), expo)
+def _exponents(keys, nvars: int) -> list:
+    """The exponents of nvars parameters, one tuple of ints per packed
+    exponent in keys."""
+    unpack, size = struct.Struct("<%dQ" % nvars).unpack, 8 * nvars
+    return [unpack(e.to_bytes(size, "little")) for e in keys]
+
+
+def _max_exponent(polys: list, nvars: int) -> int:
+    """The largest exponent of one parameter in any term of the polynomials."""
+    return max([k for p in polys for x in _exponents(p, nvars) for k in x], default=0)
+
+
+def _grlex(a: dict, nvars: int) -> list:
+    """(total degree, exponents, coefficient) of each term of a, in
+    graded-lex order from the leading term down (total degree, then the
+    first parameter's exponent, and so on): the order of printing."""
+    terms = [(sum(x), x, c) for x, c in zip(_exponents(a, nvars), a.values())]
+    terms.sort(reverse=True)
+    return terms
 
 
 def _dict_add(a: dict, b: dict) -> dict:
@@ -101,14 +138,14 @@ def _dict_mul(a: dict, b: dict) -> dict:
     if len(a) == 1:
         # a monomial shifts b's exponents one to one, so no terms collide
         (ea, ca), = a.items()
-        if not any(ea):
+        if not ea:
             return _dict_scale(b, ca)
-        return {tuple(map(add, ea, eb)): ca * cb for eb, cb in b.items()}
+        return {ea + eb: ca * cb for eb, cb in b.items()}
     out: dict = {}
     get = out.get
     for ea, ca in a.items():
         for eb, cb in b.items():
-            e = tuple(map(add, ea, eb))
+            e = ea + eb
             out[e] = get(e, 0) + ca * cb
     return {e: c for e, c in out.items() if c}
 
@@ -126,12 +163,8 @@ def _content(a: dict) -> int:
     return _int_gcd(*a.values())
 
 
-def _leading(a: dict) -> tuple:
-    return max(a, key=_grlex)
-
-
 def _is_const(a: dict) -> bool:
-    return not a or (len(a) == 1 and not any(next(iter(a))))
+    return not a or (len(a) == 1 and 0 in a)
 
 
 def _const_value(a: dict) -> int:
@@ -145,12 +178,13 @@ def _evaluated(polys: list, vec: list) -> list:
     polys each result is q^D times the value, sum of c a^e q^(D - |e|)."""
     q = _int_lcm(*[v.denominator for v in vec])
     a = [v.numerator * (q // v.denominator) for v in vec]
-    top = max([sum(e) for p in polys for e in p], default=0)
+    polys = [list(zip(_exponents(p, len(vec)), p.values())) for p in polys]
+    top = max([sum(e) for p in polys for e, _ in p], default=0)
     scale = [q ** k for k in range(top, -1, -1)]  # scale[|e|] = q^(D - |e|)
     out = []
     for p in polys:
         total = 0
-        for e, c in p.items():
+        for e, c in p:
             for x, k in zip(a, e):
                 if k:
                     c *= x ** k
@@ -163,41 +197,42 @@ def _evaluated(polys: list, vec: list) -> list:
 
 
 def _deg_in(a: dict, v: int) -> int:
-    return max((e[v] for e in a), default=-1)
+    s = _BITS * v
+    return max([(e >> s) & _FIELD for e in a], default=-1)
 
 
 def _coeff_wrt(a: dict, v: int, k: int) -> dict:
-    out = {}
-    for e, c in a.items():
-        if e[v] == k:
-            out[e[:v] + (0,) + e[v + 1:]] = c
-    return out
+    s = _BITS * v
+    ek = k << s
+    return {e - ek: c for e, c in a.items() if (e >> s) & _FIELD == k}
 
 
 def _shift(a: dict, v: int, k: int) -> dict:
-    return {e[:v] + (e[v] + k,) + e[v + 1:]: c for e, c in a.items()}
+    ek = k << (_BITS * v)
+    return {e + ek: c for e, c in a.items()}
 
 
 def _divexact(f: dict, d: dict) -> dict:
-    # d is primitive.  Peels leading terms under graded-lex; raises
-    # ArithmeticError as soon as a leading term is not an integer multiple
-    # of lead(d), which by Gauss's lemma happens exactly when d does not
-    # divide f
+    # d is primitive.  Peels leading terms, the largest packed exponent;
+    # raises ArithmeticError as soon as a leading term is not an integer
+    # multiple of lead(d), which by Gauss's lemma happens exactly when d
+    # does not divide f.  The exponents differ by a monomial exactly when
+    # no field borrows, which sets that field's guard bit or the sign
     if not f:
         return {}
-    lead_d = _leading(d)
+    lead_d = max(d)
     cd = d[lead_d]
     quo: dict = {}
     rem = dict(f)
     while rem:
-        lead_r = _leading(rem)
-        qe = tuple(map(sub, lead_r, lead_d))
+        lead_r = max(rem)
+        qe = lead_r - lead_d
         qc, r = divmod(rem[lead_r], cd)
-        if r or min(qe, default=0) < 0:
+        if r or qe < 0 or qe & _GUARDS:
             raise ArithmeticError("inexact polynomial division")
         quo[qe] = qc
         for e, c in d.items():
-            e = tuple(map(add, e, qe))
+            e += qe
             s = rem.get(e, 0) - qc * c
             if s:
                 rem[e] = s
@@ -241,7 +276,7 @@ def _canonical_assoc(a: dict) -> dict:
     if not a:
         return {}
     g = _content(a)
-    return _dict_exquo(a, -g if a[_leading(a)] < 0 else g)
+    return _dict_exquo(a, -g if a[max(a)] < 0 else g)
 
 
 def _poly_gcd(f: dict, g: dict) -> dict:
@@ -250,9 +285,10 @@ def _poly_gcd(f: dict, g: dict) -> dict:
     if not g:
         return _canonical_assoc(f)
     if _is_const(f) or _is_const(g):
-        return _unit(len(_leading(f)))
-    nvars = len(_leading(f))
-    v = next(i for i in range(nvars) if _deg_in(f, i) > 0 or _deg_in(g, i) > 0)
+        return _UNIT
+    # the first parameter either depends on: the lowest field of any exponent
+    bits = reduce(or_, itertools.chain(f, g))
+    v = ((bits & -bits).bit_length() - 1) // _BITS
     if _deg_in(f, v) == 0:
         return _poly_gcd(f, _content_wrt(g, v))
     if _deg_in(g, v) == 0:
@@ -282,7 +318,7 @@ def _exquo(a: dict, b: dict) -> dict:
     """a / b for a polynomial b that divides a."""
     (ca, pa), (cb, pb) = _split(a), _split(b)
     if pa == pb:
-        return dict.fromkeys(_unit(len(next(iter(a)))), ca // cb)
+        return {0: ca // cb}
     return _dict_exquo(_divexact(a, pb), cb)
 
 
@@ -319,7 +355,7 @@ def _canonical(nums: list, den):
         except ArithmeticError:
             break
     else:
-        return _primitive(quotients, dict.fromkeys(_unit(len(next(iter(den)))), c))
+        return _primitive(quotients, {0: c})
     g = _poly_gcd(pd, nums[k])
     for x in nums[k + 1:]:
         if _is_const(g):
@@ -347,9 +383,8 @@ def _primitive(nums: list, den: dict):
         nums, den = [x and _dict_exquo(x, k) for x in nums], _dict_exquo(den, k)
     if _is_const(den):
         # a numerator is constant when no key but the zero exponent is in it
-        (zero, d), = den.items()
-        if all(map({zero}.issuperset, nums)):
-            return [x.get(zero, 0) for x in nums], d
+        if all(map({0}.issuperset, nums)):
+            return [x.get(0, 0) for x in nums], den[0]
     return nums, den
 
 
@@ -359,6 +394,10 @@ def _primitive(nums: list, den: dict):
 
 class PrintLimitError(ValueError):
     """A Scalar cannot print: it holds an integer past the int-string limit."""
+
+
+class DegreeLimitError(ValueError):
+    """A power would raise one parameter past ``MAX_DEGREE``."""
 
 
 class Scalar:
@@ -382,26 +421,26 @@ class Scalar:
     def constant(cls, params: tuple, value: Rat) -> "Scalar":
         if type(value) is not int:
             value = Fraction(value)
-        return cls._of_value(params, value, _unit(len(params)))
+        return cls._of_value(params, value)
 
     @classmethod
-    def _of_value(cls, params: tuple, value: Rat, unit: dict) -> "Scalar":
-        """The constant value, over the context's unit denominator dict."""
+    def _of_value(cls, params: tuple, value: Rat) -> "Scalar":
+        """The constant value, over the shared unit when it is an int."""
         s = object.__new__(cls)
         s.params = params
         s.cden = True
         if type(value) is not int:
             if value.denominator != 1:
                 s.value = value
-                s.num = dict.fromkeys(unit, value.numerator)
-                s.den = dict.fromkeys(unit, value.denominator)
+                s.num = {0: value.numerator}
+                s.den = {0: value.denominator}
                 s.is_zero = False
                 return s
             value = value.numerator
         s.value = value
-        s.den = unit
+        s.den = _UNIT
         if value:
-            s.num = dict.fromkeys(unit, value)
+            s.num = {0: value}
             s.is_zero = False
         else:
             s.num = {}
@@ -419,27 +458,26 @@ class Scalar:
     @classmethod
     def parameter(cls, params: tuple, name: str) -> "Scalar":
         idx = params.index(name)
-        expo = tuple(1 if i == idx else 0 for i in range(len(params)))
-        return cls(params, {expo: 1}, _unit(len(params)))
+        if idx >= MAX_PARAMETERS:
+            raise ValueError("a context has at most %d parameters" % MAX_PARAMETERS)
+        return cls(params, {1 << (_BITS * idx): 1}, _UNIT)
 
     @classmethod
     def _make(cls, params: tuple, num: dict, den: dict) -> "Scalar":
         """num / den in canonical form: ``_canonical`` on one entry."""
-        unit = _unit(len(params))
-        if den == unit:
+        if den == _UNIT:
             # every polynomial over 1 is already canonical
             if _is_const(num):
-                return cls._of_value(params, _const_value(num), unit)
-            return cls(params, num, unit)
+                return cls._of_value(params, _const_value(num))
+            return cls(params, num, _UNIT)
         if not den:
             raise ZeroDivisionError("zero denominator")
-        # the sign of den's leading coefficient, read directly off one term
-        if (den[_leading(den)] if len(den) > 1 else next(iter(den.values()))) < 0:
+        if den[max(den)] < 0:
             num, den = _dict_neg(num), _dict_neg(den)
         (num,), den = _canonical([num], den)
         if type(den) is int:
-            return cls._of_value(params, Fraction(num, den) if den > 1 else num, unit)
-        return cls(params, num, unit if den == unit else den)
+            return cls._of_value(params, Fraction(num, den) if den > 1 else num)
+        return cls(params, num, _UNIT if den == _UNIT else den)
 
     # predicates -----------------------------------------------------------
 
@@ -484,7 +522,7 @@ class Scalar:
 
     def __neg__(self):
         if self.value is not None:
-            return Scalar._of_value(self.params, -self.value, _unit(len(self.params)))
+            return Scalar._of_value(self.params, -self.value)
         return Scalar(self.params, _dict_neg(self.num), self.den)
 
     def __sub__(self, other):
@@ -532,6 +570,8 @@ class Scalar:
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a nonnegative integer")
+        if k > 1 and k * _max_exponent([self.num, self.den], len(self.params)) > MAX_DEGREE:
+            raise DegreeLimitError("a power past degree %d in one parameter" % MAX_DEGREE)
         out = Scalar.one(self.params)
         base = self
         while k:
@@ -571,11 +611,12 @@ class Scalar:
 
     # printing ---------------------------------------------------------------
 
-    def _poly_str(self, terms: dict, lead: int) -> str:
-        # terms divided by lead, the leading coefficient of the denominator
+    def _poly_str(self, terms: list, lead: int) -> str:
+        # terms, from _grlex, divided by lead, the leading coefficient of the
+        # denominator
         parts = []
-        for e in sorted(terms, key=_grlex, reverse=True):
-            c = terms[e] if lead == 1 else Fraction(terms[e], lead)
+        for _, e, c in terms:
+            c = c if lead == 1 else Fraction(c, lead)
             mono = "*".join(
                 name if k == 1 else "%s^%d" % (name, k)
                 for name, k in zip(self.params, e) if k)
@@ -593,15 +634,16 @@ class Scalar:
         return out
 
     def __str__(self):
-        den = self.den
         try:
             if self.value is not None:
                 return str(self.value)
+            n = len(self.params)
+            num = _grlex(self.num, n)
             if self.cden:
-                return self._poly_str(self.num, _const_value(den))
-            lead = den[_leading(den)]
-            return "(%s)/(%s)" % (self._poly_str(self.num, lead),
-                                  self._poly_str(den, lead))
+                return self._poly_str(num, _const_value(self.den))
+            den = _grlex(self.den, n)
+            lead = den[0][2]
+            return "(%s)/(%s)" % (self._poly_str(num, lead), self._poly_str(den, lead))
         except ValueError:  # int.__str__ refuses an integer past the limit
             raise PrintLimitError("a value has an integer past the int-string limit "
                                   "of %d digits" % sys.get_int_max_str_digits()) from None

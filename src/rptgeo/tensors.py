@@ -9,10 +9,11 @@ one of two forms chosen only from the entries, each kept canonical so that
 
 - the int form, when every entry is a constant of the context: int
   numerators over an int den > 0, with gcd(den, *nums) = 1;
-- the parametric form, otherwise: int polynomials (the exponent -> int
-  dicts of ``scalars``) over a polynomial den.  den and the numerators
+- the parametric form, otherwise: int polynomials (the packed exponent ->
+  int dicts of ``scalars``) over a polynomial den.  den and the numerators
   share no factor of positive degree, the integer content of den and all
-  numerators together is 1, and den's leading coefficient is positive.
+  numerators together is 1, and den's leading coefficient, at the largest
+  packed exponent, is positive.
 
 An op that makes a polynomial denominator brings its result to that form
 through ``scalars._canonical``, the one cancellation, which a Scalar uses
@@ -32,7 +33,8 @@ evaluates the numerators and den at the point on ints,
 Every op runs on the form its operands share; an int-form operand next to
 a parametric one is lifted to constant polynomials.  Every product is one
 multiply-accumulate, ``_mul``, on ints or on polynomial dicts, where a zero
-entry makes no term.  The tensor products (``compose``, ``tensor_contract``,
+entry makes no term and a monomial product is one int sum of packed
+exponents.  The tensor products (``compose``, ``tensor_contract``,
 ``contract_all``, ``map_slot`` with a dense matrix), ``mat_mul`` and the
 Jacobi residuals of ``validate`` (``jacobi_residuals``) call it.
 A slot map reads its path off the matrix's rows: a diagonal of 1 and -1
@@ -46,11 +48,10 @@ Data movement runs in C builtins.  ``transpose`` gathers its output, on
 either form, through one ``operator.itemgetter`` per (dim, perm); the
 signed gather, all of ``arranged`` by such a P, through one per (dim,
 perm, slots, signs) over the components followed by their negations.
-Both are kept in ``_GATHERS``, a table of shapes like ``scalars._UNITS``,
-never of results, so ``frames.memo`` stays the one cache of results.  On
-the int form the entrywise ops of two lists, ``+`` and ``-`` over one
-denominator and the diagonal slot map, are one ``map(operator.add/sub/mul,
-...)`` each.  An op that multiplies every entry by one int (the lcm branch
+Both are kept in ``_GATHERS``, a table of shapes, never of results, so
+``frames.memo`` stays the one cache of results.  On the int form the
+entrywise ops of two lists, ``+`` and ``-`` over one denominator and the
+diagonal slot map, are one ``map(operator.add/sub/mul, ...)`` each.  An op that multiplies every entry by one int (the lcm branch
 of ``+``/``-``, ``scale`` by a constant, the int cancellation) stays a
 comprehension, which CPython 3.11 runs faster than ``map`` over
 ``itertools.repeat``.
@@ -174,7 +175,7 @@ class Tensor:
     def _combine(self, other: "Tensor", sign: int) -> "Tensor":
         """self + sign * other, over the lcm of the two denominators."""
         self._check_compatible(other)
-        (xs, da), (ys, db) = _joint([self._values(), other._values()], self.params)
+        (xs, da), (ys, db) = _joint([self._values(), other._values()])
         if type(da) is int:
             if da != db:
                 den = _int_lcm(da, db)
@@ -208,7 +209,7 @@ class Tensor:
             if factor.params is not self.params and factor.params != self.params:
                 raise ValueError("scalars come from different parameter contexts")
             if factor.value is None:
-                values, den = _as_poly(values, den, self.params)
+                values, den = _as_poly(values, den)
                 return self._like([_dict_mul(x, factor.num) if x else x for x in values],
                                   _dict_mul(den, factor.den))
             factor = factor.value
@@ -309,7 +310,7 @@ class Tensor:
     def _with_matrix(self, cleared):
         """(values, rows, den): the numerators and a cleared matrix (rows, d)
         in one form, with den the product of their denominators."""
-        (values, den), (rows, d) = _joint([self._values(), cleared], self.params)
+        (values, den), (rows, d) = _joint([self._values(), cleared])
         return values, rows, _times(den, d)
 
     def lower_slot(self, slot: int, metric) -> "Tensor":
@@ -357,7 +358,7 @@ def compose(a: Tensor, b: Tensor) -> Tensor:
     if a.variance[-1:] != "u" or b.variance[:1] != "d":
         raise ValueError("compose needs a vector slot last in a and a covector "
                          "slot first in b")
-    (av, ad), (bv, bd) = _joint([a._values(), b._values()], a.params)
+    (av, ad), (bv, bd) = _joint([a._values(), b._values()])
     n, den = a.dim, _times(ad, bd)
     return Tensor._new(n, a.variance[:-1] + b.variance[1:], a.params,
                        _product(_rows(av, n), _rows(bv, len(bv) // n), den), den)
@@ -399,7 +400,7 @@ def contract_all(a: Tensor, b: Tensor) -> Scalar:
     tensor and its raised twin: one product on the form they share."""
     if (a.dim, a.rank, a.params) != (b.dim, b.rank, b.params):
         raise ValueError("tensors have different shape or context")
-    (av, ad), (bv, bd) = _joint([a._values(), b._values()], a.params)
+    (av, ad), (bv, bd) = _joint([a._values(), b._values()])
     den = _times(ad, bd)
     return _scalars(_product([av], [[y] for y in bv], den), den, a.params)[0]
 
@@ -499,7 +500,7 @@ def arranged(t: Tensor, pattern: str, product=None) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# the gathers of ``transpose``: a table of shapes, like ``scalars._UNITS``
+# the gathers of ``transpose``: a table of shapes
 
 # (dim, perm) -> the getter of a transpose; (dim, perm, slots, signs) -> the
 # signed gather's, over the components followed by their negations; size ->
@@ -597,30 +598,28 @@ def _scalars(nums: list, den, params: tuple) -> list:
     zero = Scalar.zero(params)
     if type(den) is dict:
         return [Scalar._make(params, x, den) if x else zero for x in nums]
-    unit = zero.den
-    return [Scalar._of_value(params, Fraction(x, den) if den > 1 else x, unit)
+    return [Scalar._of_value(params, Fraction(x, den) if den > 1 else x)
             if x else zero for x in nums]
 
 
-def _lift(values: list, params: tuple) -> list:
-    """Ints as constant polynomials of the context; nested lists row by row."""
-    z = (0,) * len(params)
-    return [_lift(x, params) if type(x) is list else {z: x} if x else {} for x in values]
+def _lift(values: list) -> list:
+    """Ints as constant polynomials; nested lists row by row."""
+    return [_lift(x) if type(x) is list else {0: x} if x else {} for x in values]
 
 
-def _as_poly(values: list, den, params: tuple):
+def _as_poly(values: list, den):
     """(values, den) on polynomial dicts, the int form lifted."""
     if type(den) is dict:
         return values, den
-    return _lift(values, params), _lift([den], params)[0]
+    return _lift(values), {0: den}
 
 
-def _joint(forms: list, params: tuple) -> list:
+def _joint(forms: list) -> list:
     """(values, den) pairs in one form: as they are when every den is an
     int, else each on polynomial dicts."""
     if all(type(den) is int for _, den in forms):
         return forms
-    return [_as_poly(values, den, params) for values, den in forms]
+    return [_as_poly(values, den) for values, den in forms]
 
 
 def _times(a, b):
@@ -646,17 +645,15 @@ def _mul(a: list, b: list, poly: bool) -> list:
                         acc[j] += x * y
             out.append(acc)
         return out
-    # a constant has one key, the zero exponent, read once off b
-    zero = next(((0,) * len(e) for row in b for y in row for e in y), None)
-    terms = [[(j, y.get(zero) if len(y) == 1 else None, list(y.items()))
+    # a constant has one key, the zero exponent
+    terms = [[(j, y.get(0) if len(y) == 1 else None, list(y.items()))
               for j, y in enumerate(row) if y] for row in b]
-    add = operator.add
     for row in a:
         acc = [{} for _ in range(width)]
         for x, b_row in zip(row, terms):
             if not x:
                 continue
-            c = x.get(zero) if len(x) == 1 else None
+            c = x.get(0) if len(x) == 1 else None
             if c is not None:
                 for j, _, y in b_row:
                     d = acc[j]
@@ -672,7 +669,7 @@ def _mul(a: list, b: list, poly: bool) -> list:
                     continue
                 for eb, vb in y:
                     for ea, va in xs:
-                        e = tuple(map(add, ea, eb))
+                        e = ea + eb
                         d[e] = d.get(e, 0) + va * vb
         out.append([{e: v for e, v in d.items() if v} if 0 in d.values() else d
                     for d in acc])
@@ -697,7 +694,7 @@ def mat_mul(a: list, b: list) -> list:
     both cleared to one form, each entry of the product made once.  The
     width of the product is that of b's first row."""
     params = next((row[0].params for row in itertools.chain(a, b) if row), ())
-    (ra, da), (rb, db) = _joint([_cleared(a, params), _cleared(b, params)], params)
+    (ra, da), (rb, db) = _joint([_cleared(a, params), _cleared(b, params)])
     den = _times(da, db)
     return [_scalars(row, den, params) for row in _mul(ra, rb, type(den) is dict)]
 

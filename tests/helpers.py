@@ -7,6 +7,7 @@ they stay independent of the geometry code paths they are used to check.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from fractions import Fraction
 from math import factorial
@@ -373,11 +374,67 @@ def arranged_oracle(t: Tensor, pattern: str, p: list) -> Tensor:
     return build_tensor(t.dim, t.variance, t.params, entry)
 
 
+# ---------------------------------------------------------------------------
+# polynomial dicts: packed exponents (parameter i's exponent in bits
+# [64 i, 64 i + 64) of one int), and the kernel on exponent tuples as a
+# reference
+
+
+def pack(expo) -> int:
+    """The packed exponent of an exponent tuple."""
+    return sum(k << (64 * i) for i, k in enumerate(expo))
+
+
+def packed(poly: dict) -> dict:
+    """A polynomial keyed by exponent tuples, keyed by packed exponents."""
+    return {pack(e): c for e, c in poly.items()}
+
+
+def unpacked(poly: dict, nvars: int) -> dict:
+    """A polynomial keyed by packed exponents, keyed by exponent tuples."""
+    return {tuple((e >> (64 * i)) & (2 ** 64 - 1) for i in range(nvars)): c
+            for e, c in poly.items()}
+
+
+def _grlex(expo: tuple) -> tuple:
+    return (sum(expo), expo)
+
+
+def tuple_mul(a: dict, b: dict) -> dict:
+    """Reference product of two polynomials keyed by exponent tuples."""
+    out: dict = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(map(operator.add, ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def tuple_divexact(f: dict, d: dict) -> dict:
+    """Reference f / d on exponent tuples for a primitive d: peels leading
+    terms under graded-lex order, ArithmeticError when d does not divide f."""
+    lead_d = max(d, key=_grlex)
+    quo, rem = {}, dict(f)
+    while rem:
+        lead = max(rem, key=_grlex)
+        qe = tuple(map(operator.sub, lead, lead_d))
+        qc, r = divmod(rem[lead], d[lead_d])
+        if r or min(qe, default=0) < 0:
+            raise ArithmeticError("inexact polynomial division")
+        quo[qe] = qc
+        for e, c in d.items():
+            e = tuple(map(operator.add, e, qe))
+            rem[e] = rem.get(e, 0) - qc * c
+            if not rem[e]:
+                del rem[e]
+    return quo
+
+
 def dict_eval(a: dict, vec: list) -> Fraction:
-    """The polynomial dict a at the point vec, one Fraction per parameter,
-    summed monomial by monomial in Fractions."""
+    """The polynomial dict a (packed exponents) at the point vec, one
+    Fraction per parameter, summed monomial by monomial in Fractions."""
     total = Fraction(0)
-    for e, c in a.items():
+    for e, c in unpacked(a, len(vec)).items():
         m = c
         for val, k in zip(vec, e):
             if k:

@@ -228,6 +228,10 @@ def test_main_parses_with_the_parser_built_at_import(monkeypatch, capsys):
 def test_usage_and_input_errors_exit_two(tmp_path, capsys):
     bad_schema = tmp_path / "bad.json"
     bad_schema.write_text('{"dimension": 3}', encoding="utf-8")
+    too_many = tmp_path / "params.json"
+    too_many.write_text(json.dumps(dict(json.loads(Path(SPEC).read_text(encoding="utf-8")),
+                                        parameters=["l%d" % k for k in range(1, 66)])),
+                        encoding="utf-8")
     for argv in (["check", SPEC, "--lambda=1,x,3,4"],
                  ["check", SPEC, "--lambda=1,2"],
                  # the spec grammar: ASCII digits only, no digit separators
@@ -238,6 +242,8 @@ def test_usage_and_input_errors_exit_two(tmp_path, capsys):
                  ["example", "--lambda="],
                  ["report", str(tmp_path / "missing.json")],
                  ["check", str(bad_schema)],
+                 # a packed exponent has fields for 64 parameters
+                 ["validate", str(too_many)],
                  ["example", "--symbolic"],
                  # example takes no spec: it loads only the bundled one
                  ["example", SPEC]):
@@ -285,14 +291,16 @@ def _bundled_with_metric_entry(text):
 
 @pytest.mark.parametrize("text", ["\u00b2", "\u0661", "1" * 5000,
                                   "(" * 3000 + "1" + ")" * 3000, "2^20000",
-                                  "(l1+l2+l3)^60"],
+                                  "(l1+l2+l3)^60", "l1^65537", "(l2^3*l4)^5000000000"],
                          ids=["superscript-two", "arabic-indic-one", "5000-digits",
-                              "3000-parentheses", "20000-bit-power", "power-of-a-sum"])
+                              "3000-parentheses", "20000-bit-power", "power-of-a-sum",
+                              "past-the-exponent-cap", "far-past-the-exponent-cap"])
 def test_malformed_expression_exits_two_naming_the_field(text, tmp_path, capsys):
     # non-ASCII digits, a literal or a power past the int-string limit,
-    # nesting past the parser's depth bound and a power of a sum past its
-    # degree bound are parse errors, never a ValueError, a RecursionError or
-    # a long expansion
+    # nesting past the parser's depth bound, a power of a sum past its
+    # degree bound and a power that raises a parameter past the exponent cap
+    # are parse errors, never a ValueError, a RecursionError, a long
+    # expansion or an exponent that spills into the next parameter's field
     path = tmp_path / "frame.json"
     path.write_text(json.dumps(_bundled_with_metric_entry(text)), encoding="utf-8")
     code, out, err = run_cli(["validate", str(path)], capsys)

@@ -86,8 +86,7 @@ def test_jacobi_on_cleared_ints_matches_the_scalar_loop(monkeypatch):
     assert _jacobi_witnesses(lifted) == on_ints
     # with every int form read as constant polynomials, the lifted frame
     # takes the polynomial loop, as every op on the way does
-    monkeypatch.setattr(Tensor, "_values", lambda self: _as_poly(self._nums, self._den,
-                                                                 self.params))
+    monkeypatch.setattr(Tensor, "_values", lambda self: _as_poly(self._nums, self._den))
     on_polys = _jacobi_witnesses(_broken_half_integral_family(("t",)))
     assert on_polys == on_ints
 

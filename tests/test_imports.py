@@ -7,8 +7,8 @@ module, in code or in a quoted annotation.  ``__init__.py`` is left out
 because its imports are the public re-exports.  The package has one explicit
 cache of results, ``frames.memo``, so ``functools.lru_cache``,
 ``functools.cache`` and ``functools.cached_property`` are refused everywhere,
-and the only module-level tables filled at run time are the two tables of
-shapes, ``scalars._UNITS`` and ``tensors._GATHERS``.  It has one pass/fail
+and the only module-level table filled at run time is the table of shapes
+``tensors._GATHERS``.  It has one pass/fail
 result path, ``frames.check_result``, so every other ``CheckResult(...)`` call
 builds a skip entry.  It has one cancellation, in ``scalars``, so no other
 module calls the gcd or the exact divisions.  The tensor storage form lives
@@ -44,7 +44,7 @@ import pytest
 PACKAGE = Path(__file__).parent.parent / "src" / "rptgeo"
 SOURCES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 FUNCTOOLS_CACHES = {"lru_cache", "cache", "cached_property"}
-SHAPE_TABLES = {("scalars.py", "_UNITS"), ("tensors.py", "_GATHERS")}
+SHAPE_TABLES = {("tensors.py", "_GATHERS")}
 CANCELLATION_CALLS = {"_poly_gcd", "_divexact", "_content"}
 STORAGE_IMPORTS = {"_mul", "_scalars", "_times", "_cleared", "_joint", "_as_poly"}
 STORAGE_ATTRIBUTES = {"_values", "_nums", "_den"}

@@ -149,7 +149,6 @@ _PAST_THE_LIMIT = {
     "(2^1000)^1000": "power past the int-string limit at position 10",
     "2^14000*2^14000": "value past the int-string limit at position 1",
     "(3*l1)^20000": "power past the int-string limit at position 8",
-    "(l1^%s)^%s" % ("9" * 4000, "9" * 4000): "value past the int-string limit at position 1",
     # the power guard bounds the coefficient 1/1024, not only its numerator
     "(l1/1024)^20000": "power past the int-string limit at position 11",
 }
@@ -162,6 +161,21 @@ def test_values_that_print_past_the_int_string_limit_are_parse_errors(text):
     assert str(err.value) == _PAST_THE_LIMIT[text]
 
 
+@pytest.mark.parametrize("text, position", [
+    ("l1^65537", 4),
+    ("(l2^2)^32769", 8),
+    ("(l1*l2^3)^30000", 11),
+    ("(2*l4/(1 - 3))^70000", 16),
+    ("(l1^%s)^%s" % ("9" * 4000, "9" * 4000), 5),
+])
+def test_a_power_past_the_exponent_cap_is_a_parse_error(text, position):
+    # a power raises no parameter past MAX_DEGREE, so a packed exponent never
+    # spills into the next parameter's field
+    with pytest.raises(ParseError, match="power past degree 65536 in one parameter") as err:
+        parse_expression(text, PARAMS)
+    assert err.value.position == position - 1
+
+
 def test_single_term_powers_stay_exact():
     # canonical printing puts exponents on single parameters only
     value = parse_expression("-3*l1^200*l2 + 2^1000", PARAMS)
@@ -169,6 +183,9 @@ def test_single_term_powers_stay_exact():
         * Scalar.parameter(PARAMS, "l2") * -3 + 2 ** 1000
     assert parse_expression(str(value), PARAMS) == value
     assert parse_expression("(-1)^" + "9" * 4000, PARAMS) == Scalar.constant(PARAMS, -1)
+    # the exponent cap bounds a power, not a product of capped powers
+    l1 = Scalar.parameter(PARAMS, "l1")
+    assert parse_expression("l1^65536*l1^65536", PARAMS) == l1 ** 65536 * l1 ** 65536
 
 
 def test_print_then_reparse_canonical():

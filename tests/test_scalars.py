@@ -7,10 +7,10 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from rptgeo import Scalar, parse_expression, scalars as kernel
-from rptgeo.scalars import (_canonical_assoc, _dict_add, _dict_mul, _dict_neg, _dict_scale,
-                            _divexact, _is_const, _leading, _poly_gcd)
+from rptgeo.scalars import (MAX_DEGREE, _canonical_assoc, _dict_add, _dict_mul, _dict_neg,
+                            _dict_scale, _divexact, _is_const, _poly_gcd)
 
-from helpers import dict_eval
+from helpers import dict_eval, pack, packed, tuple_divexact, tuple_mul, unpacked
 
 PARAMS = ("l1", "l2", "l3", "l4")
 
@@ -63,7 +63,14 @@ def test_noncancelling_denominator_is_monic():
                               ("l2", "3*l1 + 6", "(1/3*l2)/(l1 + 2)"),
                               ("2/3*l1", "4*l1*l2 + 2", "(1/6*l1)/(l1*l2 + 1/2)"),
                               ("l1^2 - 1/4", "6*l1 + 3", "1/6*l1 - 1/12"),
-                              ("5", "-2*l1 - 2*l2", "(-5/2)/(l1 + l2)")]:
+                              ("5", "-2*l1 - 2*l2", "(-5/2)/(l1 + l2)"),
+                              # the kernel orders terms by packed exponent, the
+                              # last parameter most significant; printing orders
+                              # them by graded-lex and divides by that leading
+                              # coefficient of den, which may differ in sign
+                              ("l1 + l2^2", "l2 + l1^2", "(l2^2 + l1)/(l1^2 + l2)"),
+                              ("l1", "l2 - l1^2", "(-l1)/(l1^2 - l2)"),
+                              ("l3", "2*l4 - 3*l1^2*l2", "(-1/3*l3)/(l1^2*l2 - 2/3*l4)")]:
         q = S(num) / S(den)
         assert str(q) == printed
         assert q * S(den) == S(num)
@@ -83,6 +90,27 @@ def test_power_and_negative_exponent_rejected():
     assert a ** 3 == a * a * a
     with pytest.raises(ValueError):
         a ** -1
+
+
+def test_a_power_past_the_exponent_cap_is_refused():
+    a = Scalar.parameter(PARAMS, "l1")
+    assert (a ** MAX_DEGREE).num == packed({(MAX_DEGREE, 0, 0, 0): 1})
+    # the degree of num and den counts: (l1^2 / (l1 + 1))^k raises l1 to 2k
+    assert (a * a / (a + 1)) ** 3 == a ** 6 / (a + 1) ** 3
+    for base, k in [(a, MAX_DEGREE + 1), (a * a, MAX_DEGREE // 2 + 1), (1 / (a + 1), 70000),
+                    (a * a / (a + 1), MAX_DEGREE // 2 + 1), (a, 5000000000)]:
+        with pytest.raises(ValueError, match="power past degree 65536 in one parameter"):
+            base ** k
+    # a constant raises no parameter, and k = 1 raises nothing
+    assert Scalar.constant(PARAMS, -1) ** (10 * MAX_DEGREE + 1) == -1
+    assert (a ** MAX_DEGREE * a) ** 1 == a ** MAX_DEGREE * a
+
+
+def test_a_context_has_at_most_64_parameters():
+    params = tuple("p%d" % k for k in range(65))
+    assert Scalar.parameter(params, "p63").num == {1 << (64 * 63): 1}
+    with pytest.raises(ValueError, match="at most 64 parameters"):
+        Scalar.parameter(params, "p64")
 
 
 def test_mixed_context_rejected():
@@ -131,7 +159,7 @@ def test_polynomials_over_one_add_and_multiply_without_cancelling(monkeypatch):
                 "-2*l1^2 - 4*l2 + 6", "l1^2 + 2*l2 - 5", "-6*l3*l4 - 2*l1 - l1^2 - 2*l2 + 3",
                 "0"]
     assert results == [S(text) for text in expected]
-    assert all(s.den is kernel._unit(len(PARAMS)) for s in results)
+    assert all(s.den is kernel._UNIT for s in results)
 
 
 def test_substitution_pole_raises():
@@ -221,17 +249,16 @@ def _assert_kernel_invariants(s):
     # positive, content 1 over num and den together, a constant den is d > 0
     coeffs = list(s.num.values()) + list(s.den.values())
     assert all(type(c) is int and c for c in coeffs), (s.num, s.den)
-    assert s.den[_leading(s.den)] > 0
+    assert s.den[max(s.den)] > 0
     assert gcd(*coeffs) == 1
-    zero = (0,) * len(s.params)
     assert s.is_zero == (not s.num)
     assert s.cden == _is_const(s.den)
     if s.cden:
-        assert list(s.den) == [zero]
+        assert list(s.den) == [0]
     assert (s.value is not None) == (s.cden and _is_const(s.num))
     if s.value is not None:
         _assert_rational(s.value)
-        assert s.value == Fraction(s.num.get(zero, 0), s.den[zero])
+        assert s.value == Fraction(s.num.get(0, 0), s.den[0])
 
 
 @settings(max_examples=80, deadline=None)
@@ -247,7 +274,7 @@ def test_constant_arithmetic_matches_fractions(params, x, y):
         assert s.value == expected
         _assert_kernel_invariants(s)
         if Fraction(expected).denominator == 1:
-            assert s.den is kernel._unit(len(params))
+            assert s.den is kernel._UNIT
 
 
 @settings(max_examples=60, deadline=None)
@@ -288,7 +315,7 @@ def test_kernel_invariants_hold_on_every_result(ab):
 
 
 _param_polys = st.dictionaries(st.tuples(*[st.integers(0, 2)] * len(PARAMS)),
-                               st.integers(-6, 6).filter(bool), max_size=3)
+                               st.integers(-6, 6).filter(bool), max_size=3).map(packed)
 
 
 @st.composite
@@ -299,9 +326,9 @@ def _raw_quotients(draw):
     common = draw(_param_polys.filter(bool))
     num = {} if kind == "empty num" else _dict_mul(draw(_param_polys), common)
     if kind == "negative constant":
-        return num, {(0,) * len(PARAMS): -draw(st.integers(1, 12))}
+        return num, {pack((0,) * len(PARAMS)): -draw(st.integers(1, 12))}
     den = _dict_mul(draw(_param_polys.filter(bool)), common)
-    return num, den if den[_leading(den)] < 0 else _dict_neg(den)
+    return num, den if den[max(den)] < 0 else _dict_neg(den)
 
 
 @settings(max_examples=80, deadline=None)
@@ -361,13 +388,14 @@ def test_sum_over_equal_denominators_matches_evaluation(a, b, q, c, points):
 # ---------------------------------------------------------------------------
 # the integer kernel: exact division and gcd over Z
 
-_int_polys = st.dictionaries(st.tuples(*[st.integers(0, 2)] * 3),
-                             st.integers(-6, 6).filter(bool), min_size=1, max_size=4)
+_tuple_polys = st.dictionaries(st.tuples(*[st.integers(0, 2)] * 3),
+                               st.integers(-6, 6).filter(bool), min_size=1, max_size=4)
+_int_polys = _tuple_polys.map(packed)
 _nonconstant_polys = _int_polys.filter(lambda a: not _is_const(a))
 
 
 def _is_primitive(a):
-    return gcd(*a.values()) == 1 and a[_leading(a)] > 0
+    return gcd(*a.values()) == 1 and a[max(a)] > 0
 
 
 @settings(max_examples=60, deadline=None)
@@ -378,14 +406,20 @@ def test_divexact_recovers_the_cofactor_of_a_primitive_divisor(f, d, c):
     assert _divexact(_dict_scale(_dict_mul(f, d), c), d) == _dict_scale(f, c)
     # f*d + c leaves the remainder c of degree 0 < deg d
     with pytest.raises(ArithmeticError):
-        _divexact(_dict_add(_dict_mul(f, d), {(0, 0, 0): c}), d)
+        _divexact(_dict_add(_dict_mul(f, d), {pack((0, 0, 0)): c}), d)
 
 
 def test_divexact_raises_on_a_non_integral_quotient_term():
     # x / (2x + 1) would start with the term 1/2: by Gauss's lemma the
     # primitive 2x + 1 does not divide x
     with pytest.raises(ArithmeticError):
-        _divexact({(1, 0): 1}, {(1, 0): 2, (0, 0): 1})
+        _divexact(packed({(1, 0): 1}), packed({(1, 0): 2, (0, 0): 1}))
+    # x*y / (x^2 + 1) and y / (x + 1): the packed exponents differ by a
+    # positive int, but x's field borrows and sets its guard bit
+    for f, d in [({(1, 1): 1}, {(2, 0): 1, (0, 0): 1}), ({(0, 1): 1}, {(1, 0): 1, (0, 0): 1})]:
+        assert max(packed(f)) > max(packed(d))
+        with pytest.raises(ArithmeticError):
+            _divexact(packed(f), packed(d))
 
 
 @settings(max_examples=60, deadline=None)
@@ -398,6 +432,39 @@ def test_poly_gcd_is_primitive_and_divides_both(a, b, c):
     _divexact(g, h)
     # the common factor c divides the gcd
     _divexact(h, _canonical_assoc(c))
+
+
+# exponents at the cap, so a packed field that carried or borrowed would show
+_wide_polys = st.dictionaries(st.tuples(*[st.sampled_from([0, 1, 2, MAX_DEGREE])] * 3),
+                              st.integers(-6, 6).filter(bool), min_size=1, max_size=4)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(st.tuples(_tuple_polys, _tuple_polys), st.tuples(_wide_polys, _wide_polys)))
+def test_packed_product_and_quotient_decode_to_the_tuple_reference(ab):
+    a, c = ab
+    d = unpacked(_canonical_assoc(packed(c)), 3)  # primitive
+    f = tuple_mul(a, d)
+    assert unpacked(_dict_mul(packed(a), packed(d)), 3) == f
+    assert unpacked(_divexact(packed(f), packed(d)), 3) == tuple_divexact(f, d) == a
+    # 2f + 1, which no non-constant d divides, fails on both
+    g = tuple_mul(f, {(0, 0, 0): 2})
+    g[(0, 0, 0)] = g.get((0, 0, 0), 0) + 1
+    if d != {(0, 0, 0): 1}:
+        for divexact, pf, pd in [(tuple_divexact, g, d), (_divexact, packed(g), packed(d))]:
+            with pytest.raises(ArithmeticError):
+                divexact(pf, pd)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_tuple_polys, _tuple_polys, _tuple_polys)
+def test_packed_gcd_decodes_to_a_common_divisor_of_the_tuple_reference(a, b, c):
+    f, g = tuple_mul(a, c), tuple_mul(b, c)
+    h = unpacked(_poly_gcd(packed(f), packed(g)), 3)
+    # the reference divides f and g by h, and h by c's primitive part
+    for x in (f, g):
+        assert tuple_mul(tuple_divexact(x, h), h) == x
+    tuple_divexact(h, unpacked(_canonical_assoc(packed(c)), 3))
 
 
 @settings(max_examples=40, deadline=None)
@@ -416,7 +483,8 @@ def test_cancelled_quotient_equals_its_parse():
     q = S("l1^2 - 1/4") / S("6*l1 + 3")
     direct = S("1/6*l1 - 1/12")
     assert q == direct and hash(q) == hash(direct)
-    assert q.num == {(1, 0, 0, 0): 2, (0, 0, 0, 0): -1} and q.den == {(0, 0, 0, 0): 12}
+    assert q.num == packed({(1, 0, 0, 0): 2, (0, 0, 0, 0): -1})
+    assert q.den == packed({(0, 0, 0, 0): 12})
 
 
 # ints, Fractions, and constant and non-constant Scalars of two contexts,
