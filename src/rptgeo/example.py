@@ -100,6 +100,24 @@ def _canonical(groups: tuple, idx: tuple):
     return tuple(key), sign
 
 
+def _orbit(groups: tuple, key: tuple) -> list:
+    """The pairs (idx, sign) with ``_canonical(groups, idx) == (key, sign)``
+    for a representative key: each group's entries of key in every order,
+    signed by the parity of the order's inversions."""
+    orbit = [(key, 1)]
+    for group in groups:
+        values, step = [key[s] for s in group], []
+        for order in itertools.permutations(range(len(group))):
+            odd = sum(a > b for a, b in itertools.combinations(order, 2)) % 2
+            for idx, sign in orbit:
+                idx = list(idx)
+                for s, k in zip(group, order):
+                    idx[s] = values[k]
+                step.append((tuple(idx), -sign if odd else sign))
+        orbit = step
+    return orbit
+
+
 def _read_table(path: Path):
     """A golden JSON file and its entries parsed by key over the family's
     parameters, each distinct text once; SchemaError naming the file and
@@ -121,7 +139,7 @@ def _read_table(path: Path):
 
 def _load_table(path: Path, variance: str) -> Tensor:
     """A golden table as a Tensor on the family: each listed orbit expanded
-    by the table's stated symmetry, every other component zero."""
+    by the table's stated symmetry (``_orbit``), every other component zero."""
     data, raw = _read_table(path)
     rank = len(variance)
     _expect(isinstance(data.get("name"), str), "%s: name" % path, "expected a string")
@@ -149,11 +167,11 @@ def _load_table(path: Path, variance: str) -> Tensor:
         _expect(entries.setdefault(idx, value) == value, field,
                 "conflicts with entries[%s]" % first.get(idx))
         first.setdefault(idx, key)
-    zero, comps = Scalar.zero(PARAM_NAMES), []
-    for idx in itertools.product(range(1, 5), repeat=rank):
-        key, sign = _canonical(groups, idx)
-        value = entries.get(key, zero)
-        comps.append(value if sign > 0 else -value)
+    comps = [Scalar.zero(PARAM_NAMES)] * 4 ** rank
+    for key, value in entries.items():
+        signed = {1: value, -1: -value}
+        for idx, sign in _orbit(groups, key):
+            comps[sum((k - 1) * 4 ** (rank - 1 - s) for s, k in enumerate(idx))] = signed[sign]
     return Tensor(4, variance, PARAM_NAMES, comps)
 
 

@@ -7,6 +7,12 @@ given as a Tensor or cleared once from nested rows, the brackets built by
 ``metric_inv``, and s and s^-1 of a constant change of basis, which moves
 them, and tensors back, through ``_moved``, one ``arranged`` pattern per kind
 of slot.  No Scalar matrix arithmetic builds, checks or substitutes a frame.
+A constant frame is set up on ints: ``metric_minors`` and ``metric_inv``
+eliminate ``metric`` as it is held, the eigenbasis of a constant P and its
+inverse are found and built on ints, the identity and diag(I, -I) are int
+tensors (``_diagonal``), and ``tensor_witnesses`` compares tensors before it
+builds a Scalar, so ``validate`` builds only the view ``p`` that its
+``map_slot`` calls read as rows.
 File format and all reported indices are 1-based; the Python API is 0-based.
 """
 
@@ -20,8 +26,8 @@ from functools import wraps
 from .parser import ParseError, parse_expression
 from .scalars import MAX_PARAMETERS, Scalar
 from .tensors import (Tensor, _rows, arranged, coefficient_tensor, jacobi_residuals,
-                      leading_minors, mat_det, mat_identity, mat_inv, mat_transpose,
-                      null_space, row_reduce)
+                      leading_minors, mat_det, mat_inv, mat_transpose, null_space,
+                      pivot_columns)
 
 
 class SchemaError(ValueError):
@@ -73,12 +79,15 @@ def tensor_witnesses(fa: FrameAlgebra, t: Tensor, label: str,
                      expected: Tensor | None = None) -> list:
     """One witness per component, indexed in the user's basis, where a tensor
     on fa pulled back there differs from the expected tensor in that basis
-    (zero when omitted).  A zero tensor is never pulled back."""
+    (zero when omitted).  A zero tensor is never pulled back, and the two
+    are compared as Tensors first, so a match builds no Scalar."""
     if expected is None:
         if t.is_zero:
             return []
         expected = Tensor.zeros(t.dim, t.variance, t.params)
     actual = t if t.is_zero else fa.to_user(t)
+    if actual == expected:
+        return []
     return [Witness(tuple(k + 1 for k in idx), e, a, label)
             for idx, a, e in zip(actual.indices(), actual.comps, expected.comps)
             if a != e]
@@ -136,6 +145,25 @@ def _nested(x, dim: int, depth: int) -> bool:
     return len(x) == dim and (depth == 1 or all(_nested(row, dim, depth - 1) for row in x))
 
 
+def _entered(name: str, x, variance: str, dim: int, params: tuple) -> Tensor:
+    """x as a tensor of the variance, dimension and parameters, nested rows
+    cleared by ``coefficient_tensor``; ValueError naming the argument if it
+    is not."""
+    if not isinstance(x, Tensor) and _nested(x, dim, len(variance)):
+        x = coefficient_tensor(x, variance)
+    if not isinstance(x, Tensor) or (x.dim, x.variance, x.params) != (dim, variance, params):
+        raise ValueError("%s: expected a %s tensor, or nested rows, of dimension %d "
+                         "over the parameters %s" % (name, variance, dim, params))
+    return x
+
+
+def _diagonal(fa: FrameAlgebra, entries: list) -> Tensor:
+    """The ``ud`` tensor diag(entries) on fa, for int entries, built on ints."""
+    n = fa.dim
+    return Tensor.of_ints(n, "ud", fa.params,
+                          [entries[i] if i == j else 0 for i in range(n) for j in range(n)])
+
+
 class FrameAlgebra:
     """Brackets c^k_ij, metric g and product structure P: the tensors
     ``brackets`` (``ddu``), ``metric`` (``dd``) and ``product`` (``ud``, P^i_j
@@ -148,19 +176,9 @@ class FrameAlgebra:
         if not isinstance(dim, int) or dim <= 0 or dim % 2:
             raise ValueError("dimension must be a positive even integer")
         self.dim, self.params = dim, tuple(params)
-        self.brackets, self.metric, self.product = (self._entered(*entry) for entry in (
-            ("structure constants", c, "ddu"), ("metric", g, "dd"), ("product", p, "ud")))
-
-    def _entered(self, name: str, x, variance: str) -> Tensor:
-        """x as this frame's tensor of the variance, nested rows cleared by
-        ``coefficient_tensor``; ValueError naming the argument if it is not."""
-        if not isinstance(x, Tensor) and _nested(x, self.dim, len(variance)):
-            x = coefficient_tensor(x, variance)
-        if not isinstance(x, Tensor) or (x.dim, x.variance, x.params) != (
-                self.dim, variance, self.params):
-            raise ValueError("%s: expected a %s tensor, or nested rows, of dimension %d "
-                             "over the parameters %s" % (name, variance, self.dim, self.params))
-        return x
+        self.brackets, self.metric, self.product = (
+            _entered(name, x, variance, dim, self.params) for name, x, variance in (
+                ("structure constants", c, "ddu"), ("metric", g, "dd"), ("product", p, "ud")))
 
     @property
     @memo
@@ -182,7 +200,7 @@ class FrameAlgebra:
     @memo
     def metric_minors(self) -> list:
         """``leading_minors`` of g; the last is det g."""
-        return leading_minors(self.g)
+        return leading_minors(self.metric)
 
     @property
     def metric_det(self) -> Scalar:
@@ -192,7 +210,7 @@ class FrameAlgebra:
     @memo
     def metric_inv(self) -> Tensor:
         """g^-1, a ``uu`` tensor, from one elimination; ValueError when g is singular."""
-        return coefficient_tensor(mat_inv(self.g), "uu")
+        return mat_inv(self.metric)
 
     def __eq__(self, other):
         if not isinstance(other, FrameAlgebra):
@@ -219,14 +237,16 @@ class FrameAlgebra:
 
 class RebasedFrame(FrameAlgebra):
     """A user frame in the basis given by the columns of the invertible
-    matrix s; it keeps source, and s and s_inv as ``ud`` tensors.  Frames are
-    left-invariant and s is constant, so its tensors are the source's moved
-    by ``_moved`` with (s, s_inv): c' = c(s., s.) read through s^-1,
-    g' = s^T g s and P' = s^-1 P s.  ``to_user`` moves one back by (s_inv, s)."""
+    matrix s, a ``ud`` tensor or nested rows; it keeps source, and s and
+    s_inv as ``ud`` tensors.  Frames are left-invariant and s is constant, so
+    its tensors are the source's moved by ``_moved`` with (s, s_inv):
+    c' = c(s., s.) read through s^-1, g' = s^T g s and P' = s^-1 P s.
+    ``to_user`` moves one back by (s_inv, s)."""
 
-    def __init__(self, source: FrameAlgebra, s: list):
+    def __init__(self, source: FrameAlgebra, s):
         self.source = source
-        self.s, self.s_inv = (coefficient_tensor(m, "ud") for m in (s, mat_inv(s)))
+        self.s = _entered("change of basis", s, "ud", source.dim, source.params)
+        self.s_inv = mat_inv(self.s)
         super().__init__(source.dim, source.params, *(_moved(t, self.s, self.s_inv) for t in (
             source.brackets, source.metric, source.product)))
 
@@ -249,31 +269,35 @@ def _moved(t: Tensor, down: Tensor, up: Tensor) -> Tensor:
     return t
 
 
-def change_basis(fa: FrameAlgebra, s: list) -> RebasedFrame:
-    """fa in the basis given by the columns of the invertible matrix s."""
+def change_basis(fa: FrameAlgebra, s) -> RebasedFrame:
+    """fa in the basis given by the columns of the invertible matrix s, a
+    ``ud`` tensor or nested rows."""
     return RebasedFrame(fa, s)
 
 
-def _eigenbasis(fa: FrameAlgebra) -> list:
-    """Matrix whose columns are eigenvectors of P for +1, then for -1: the
-    pivot columns of I+P and I-P for a constant P, integral when P is; else
-    ``null_space`` of I-P and I+P, which keeps P's parameters out of the
-    adapted frame."""
-    n = fa.dim
-    ident = coefficient_tensor(mat_identity(n, fa.params), "ud")
-    constant = fa.product.ints is not None
+def _eigenbasis(fa: FrameAlgebra) -> Tensor:
+    """The ``ud`` matrix whose columns are eigenvectors of P for +1, then for
+    -1: for a constant P the pivot columns of I+P and I-P, found and built
+    on ints, integral when P is; else ``null_space`` of I-P and I+P, which
+    keeps P's parameters out of the adapted frame."""
+    n, ints = fa.dim, fa.product.ints
+    ident = _diagonal(fa, [1] * n)
     columns = []
     for sign in (1, -1):
-        proj = _rows((ident + fa.product.scale(sign if constant else -sign)).comps, n)
-        if constant:
-            found = [[proj[i][col] for i in range(n)] for col in row_reduce(proj)[1]]
+        proj = ident + fa.product.scale(sign if ints else -sign)
+        if ints:
+            # P = N / D has gcd(D, N) = 1, so I +- P = (D I +- N) / D keeps D
+            found = [proj.ints[0][col::n] for col in pivot_columns(proj)]
         else:
-            found = null_space(proj)
+            found = null_space(_rows(proj.comps, n))
         if len(found) != n // 2:
             raise ValueError("product structure has an eigenspace of dimension "
                              "%d, expected %d" % (len(found), n // 2))
         columns += found
-    return mat_transpose(columns)
+    rows = mat_transpose(columns)
+    if ints:
+        return Tensor.of_ints(n, "ud", fa.params, [x for row in rows for x in row], ints[1])
+    return coefficient_tensor(rows, "ud")
 
 
 @memo
@@ -286,9 +310,8 @@ def adapted_frame(fa: FrameAlgebra) -> RebasedFrame:
     the basis comes from exact elimination over rational functions, like
     ``metric_inv``, so it holds at the generic point of the parameters."""
     af = change_basis(fa, _eigenbasis(fa))
-    ident = mat_identity(fa.dim, fa.params)
-    signs = [[-x if x and 2 * i >= fa.dim else x for x in row] for i, row in enumerate(ident)]
-    if af.product != coefficient_tensor(signs, "ud"):
+    half = fa.dim // 2
+    if af.product != _diagonal(fa, [1] * half + [-1] * half):
         raise ValueError("the product structure is not diagonal in its eigenbasis")
     return af
 
@@ -333,7 +356,7 @@ def validate(fa: FrameAlgebra) -> CheckResult:
                                          "metric-positive-definite"))
 
     witnesses += tensor_witnesses(fa, p.map_slot(fa.p, 1), "product-square-identity",
-                                  coefficient_tensor(mat_identity(n, fa.params), "ud"))
+                                  _diagonal(fa, [1] * n))
     witnesses += tensor_witnesses(fa, g.map_slot(fa.p, 0).map_slot(fa.p, 1),
                                   "metric-product-compatibility", g)
 

@@ -56,13 +56,18 @@ of ``+``/``-``, ``scale`` by a constant, the int cancellation) stays a
 comprehension, which CPython 3.11 runs faster than ``map`` over
 ``itertools.repeat``.
 
-The small exact matrices have one elimination, ``row_reduce``, behind
-``leading_minors``, ``mat_det``, ``mat_inv`` and ``null_space``, the one
-reader of a kernel.  On a constant matrix it runs on the cleared ints,
-fraction-free (Bareiss): every entry it makes is a minor, so every division
-is exact.  Else it is Gauss-Jordan on the Scalars.  It also reports the
-minors on its pivot columns: on a constant matrix, int pivots over a power
-of the denominator, so ``leading_minors`` makes no Scalar arithmetic.
+The small exact matrices have one elimination, behind ``row_reduce``,
+``pivot_columns``, ``leading_minors``, ``mat_det``, ``mat_inv`` and
+``null_space``, the one reader of a kernel.  Each takes rows of Scalars
+and, but ``null_space``, a rank-2 Tensor, read as it is held.  On a
+constant matrix the elimination is one fraction-free (Bareiss) loop on
+ints, ``_bareiss``: every entry it makes is a minor, so every division is
+exact.  Rows of Scalars are cleared to ints for it, a Tensor's ints are
+read, and Scalars are built only for what is returned: the rref and the
+inverse of a Tensor are Tensors made on ints, the minors are int pivots
+over a power of the denominator, ``leading_minors`` builds no rref, and
+``mat_inv`` and ``pivot_columns`` build no minor.  Else the elimination is
+Gauss-Jordan on the Scalars, a parametric Tensor's through its view.
 """
 
 from __future__ import annotations
@@ -105,6 +110,14 @@ class Tensor:
         """A tensor an op made from nums over den, an int > 0 or a
         polynomial with positive leading coefficient, made canonical."""
         return cls._of(dim, variance, params, *_canonical(nums, den))
+
+    @classmethod
+    def of_ints(cls, dim: int, variance: str, params: tuple, nums: list,
+                den: int = 1) -> "Tensor":
+        """The tensor with components nums[k] / den, for int numerators in
+        row-major order over an int den > 0: the int form, built without a
+        Scalar."""
+        return cls._new(dim, variance, params, nums, den)
 
     @classmethod
     def zeros(cls, dim: int, variance: str, params: tuple) -> "Tensor":
@@ -677,7 +690,7 @@ def _mul(a: list, b: list, poly: bool) -> list:
 
 
 # ---------------------------------------------------------------------------
-# small exact matrices (lists of rows of Scalars)
+# small exact matrices: rows of Scalars, or a rank-2 Tensor as it is held
 
 
 def mat_identity(dim: int, params: tuple) -> list:
@@ -699,31 +712,76 @@ def mat_mul(a: list, b: list) -> list:
     return [_scalars(row, den, params) for row in _mul(ra, rb, type(den) is dict)]
 
 
-def row_reduce(m: list):
-    """Gauss-Jordan elimination of a (possibly rectangular) matrix.
+def row_reduce(m):
+    """Gauss-Jordan elimination of a (possibly rectangular) matrix of
+    Scalars, or of a rank-2 Tensor.
 
-    Returns (rref, pivots, minors, swaps): the reduced row echelon form, the
-    pivot column of each nonzero row, the minors (minors[k - 1] the det of
-    the row-swapped matrix on its first k rows and pivot columns) and the
-    number of row swaps.  A square matrix has determinant (-1)**swaps times
-    the last minor when every column is a pivot column, else zero.
+    Returns (rref, pivots, minors, swaps): the reduced row echelon form (a
+    Tensor of m's variance when m is a Tensor), the pivot column of each
+    nonzero row, the minors (minors[k - 1] the det of the row-swapped matrix
+    on its first k rows and pivot columns) and the number of row swaps.  A
+    square matrix has determinant (-1)**swaps times the last minor when
+    every column is a pivot column, else zero.
 
     Both paths take as pivot the first nonzero entry at or below the next
     pivot row, so they make the same swaps.  When every entry is a constant
     of one context the elimination is fraction-free (Bareiss) on the ints of
-    m = A / d: with p the new pivot and q the one before it (1 at first),
-    every other row becomes (p * row - a * pivot row) // q, a its entry in
-    the pivot column (a row with a = 0 is only scaled by p / q, which waits
-    until a later step needs the row).  After k pivots an entry of a pivot
-    row is a k-minor of the row-swapped A (Cramer) and an entry of any other
-    row a (k+1)-minor (Sylvester), so every division is exact.  Pivot k is
-    the leading minor p_k of the pivot columns, minor k is p_k / d**k, and
-    the rref is A / p_last.  Otherwise the loop runs on the Scalars,
-    normalises each pivot row and multiplies the pivot values into the
-    minors: fraction-free steps there would divide polynomials."""
+    m = A / d (``_bareiss``), and Scalars are built only for the result.
+    Otherwise the loop runs on the Scalars, normalises each pivot row and
+    multiplies the pivot values into the minors: fraction-free steps there
+    would divide polynomials."""
+    rref, den, pivots, minors, swaps, params = _reduce(m)
+    return (_shaped(rref, den, params, m.variance if type(m) is Tensor else None),
+            pivots, minors, swaps)
+
+
+def pivot_columns(m) -> list:
+    """The pivot columns of ``row_reduce(m)``, from its elimination alone:
+    no rref and no minor is built."""
+    rows, d, _ = _operand(m)
+    return (_gauss_jordan(rows) if d is None else _bareiss(rows))[2]
+
+
+def _operand(m):
+    """(rows, d, params) of a matrix m, a rank-2 Tensor or rows of Scalars of
+    one context: when every entry is a constant, int rows over an int d > 0
+    with m = rows / d (a Tensor as it is held, rows of Scalars through
+    ``_cleared``), which the caller may overwrite; else rows of Scalars and
+    d None."""
+    if type(m) is Tensor:
+        rows, d = _matrix(m, m.params)
+        return (rows, d, m.params) if type(d) is int else (_rows(m.comps, m.dim), None, m.params)
     params = m[0][0].params if m and m[0] else ()
     if all(x.value is not None for row in m for x in row):
-        return _bareiss(*_cleared(m, params), params)
+        return (*_cleared(m, params), params)
+    return m, None, params
+
+
+def _reduce(m):
+    """(rref, den, pivots, minors, swaps, params) of ``row_reduce(m)``, the
+    rref as ``_shaped`` reads it and the minors as Scalars: on a constant m
+    = A / d, pivot k over d**k."""
+    rows, d, params = _operand(m)
+    if d is None:
+        return (*_gauss_jordan(rows), params)
+    rref, den, pivots, minors, swaps = _bareiss(rows)
+    return rref, den, pivots, [Scalar.constant(params, Fraction(p, d ** k))
+                               for k, p in enumerate(minors, 1)], swaps, params
+
+
+def _shaped(rows: list, den, params: tuple, variance):
+    """The matrix rows / den as a Tensor of the variance, or as rows of
+    Scalars when variance is None; den is None when rows hold Scalars, else
+    an int over which rows hold ints."""
+    if variance is not None:
+        if den is None:
+            return coefficient_tensor(rows, variance)
+        return Tensor._new(len(rows), variance, params, [x for row in rows for x in row], den)
+    return rows if den is None else [_scalars(row, den, params) for row in rows]
+
+
+def _gauss_jordan(m: list):
+    """``row_reduce`` of rows of Scalars: (rref, None, pivots, minors, swaps)."""
     work = [list(row) for row in m]
     rows, cols = len(work), len(work[0])
     one = Scalar.one(work[0][0].params)
@@ -748,14 +806,22 @@ def row_reduce(m: list):
         minors.append(minors[-1] * value if minors else value)
         if len(pivots) == rows:
             break
-    return work, pivots, minors, swaps
+    return work, None, pivots, minors, swaps
 
 
-def _bareiss(work: list, d: int, params: tuple):
-    """``row_reduce`` of the constant matrix work / d on its int rows, which
-    it overwrites.  Row k is its Bareiss row times minors[level[k]] /
-    minors[-1]: a step that would only scale it by p / q leaves it, and the
-    next step that needs it scales it up to date, exactly."""
+def _bareiss(work: list):
+    """The elimination of int rows A, which it overwrites, fraction-free:
+    (rref, den, pivots, minors, swaps) with the rref as int rows over den >
+    0 and minors the int pivots.  With p the new pivot and q the one before
+    it (1 at first), every other row becomes (p * row - a * pivot row) // q,
+    a its entry in the pivot column.  After k pivots an entry of a pivot row
+    is a k-minor of the row-swapped A (Cramer) and an entry of any other row
+    a (k+1)-minor (Sylvester), so every division is exact: pivot k is the
+    leading minor of the pivot columns, and the rref is A / p_last.
+
+    Row k is its Bareiss row times minors[level[k]] / minors[-1]: a step
+    that would only scale it by p / q (a = 0) leaves it, and the next step
+    that needs it scales it up to date, exactly."""
     rows, cols = len(work), len(work[0]) if work else 0
     pivots, minors, swaps, level = [], [1], 0, [0] * rows
     for col in range(cols):
@@ -787,10 +853,7 @@ def _bareiss(work: list, d: int, params: tuple):
             for row, lev in zip(work, level)]
     if last < 0:
         work, last = [[-x for x in row] for row in work], -last
-    flat = _scalars([x for row in work for x in row], last, params)
-    rref = [flat[k * cols:(k + 1) * cols] for k in range(rows)]
-    return rref, pivots, [Scalar.constant(params, Fraction(p, d ** k))
-                          for k, p in enumerate(minors[1:], 1)], swaps
+    return work, last, pivots, minors[1:], swaps
 
 
 def null_space(m: list) -> list:
@@ -808,8 +871,11 @@ def null_space(m: list) -> list:
             for free in range(len(m[0])) if free not in row_of]
 
 
-def _square(m: list) -> int:
-    """The size of m; ValueError unless m is a non-empty square matrix."""
+def _square(m) -> int:
+    """The size of m, a Tensor's dimension; ValueError unless m is a
+    non-empty square matrix."""
+    if type(m) is Tensor:
+        return m.dim
     n = len(m)
     if not n or any(len(row) != n for row in m):
         raise ValueError("expected a non-empty square matrix, got row lengths %s"
@@ -817,12 +883,13 @@ def _square(m: list) -> int:
     return n
 
 
-def leading_minors(m: list) -> list:
-    """Leading principal minors of a square matrix, the last its determinant:
-    the minors of one elimination.  Rows are swapped only where a leading
-    minor vanishes; then all but det (signed by the swaps) are None."""
-    n, params = _square(m), m[0][0].params
-    _, pivots, minors, swaps = row_reduce(m)
+def leading_minors(m) -> list:
+    """Leading principal minors of a square matrix, rows of Scalars or a
+    rank-2 Tensor, the last its determinant: the minors of one elimination,
+    without its rref.  Rows are swapped only where a leading minor
+    vanishes; then all but det (signed by the swaps) are None."""
+    n = _square(m)
+    _, _, pivots, minors, swaps, params = _reduce(m)
     if len(pivots) < n:
         return [None] * (n - 1) + [Scalar.zero(params)]
     if swaps:
@@ -830,15 +897,27 @@ def leading_minors(m: list) -> list:
     return minors
 
 
-def mat_det(m: list) -> Scalar:
+def mat_det(m) -> Scalar:
     return leading_minors(m)[-1]
 
 
-def mat_inv(m: list) -> list:
+def mat_inv(m):
+    """The inverse of a square matrix: rows of Scalars for rows of Scalars;
+    for a rank-2 Tensor a Tensor, each slot's variance flipped and the two
+    swapped (a ``dd`` metric inverts to ``uu``, a ``ud`` map to ``ud``).
+    ValueError("matrix is singular") when it has none.  A constant m = A / d
+    eliminates [A | d I] on ints to [I | d A^-1] times the last pivot, whose
+    right half over that pivot is the inverse; no minor is built."""
     n = _square(m)
-    augmented = [list(row) + idrow
-                 for row, idrow in zip(m, mat_identity(n, m[0][0].params))]
-    rref, pivots, _, _ = row_reduce(augmented)
+    rows, d, params = _operand(m)
+    if d is None:
+        rref, den, pivots, _, _ = _gauss_jordan(
+            [list(row) + e for row, e in zip(rows, mat_identity(n, params))])
+    else:
+        rref, den, pivots, _, _ = _bareiss(
+            [row + [d if i == j else 0 for j in range(n)] for i, row in enumerate(rows)])
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
-    return [row[n:] for row in rref]
+    variance = "".join("d" if v == "u" else "u" for v in reversed(m.variance)) \
+        if type(m) is Tensor else None
+    return _shaped([row[n:] for row in rref], den, params, variance)

@@ -7,14 +7,18 @@ they stay independent of the geometry code paths they are used to check.
 from __future__ import annotations
 
 import itertools
+import json
 import operator
 import random
 from fractions import Fraction
 from math import factorial
+from pathlib import Path
 
 from rptgeo import (Connection, FrameAlgebra, Scalar, Tensor, build_example,
-                    levi_civita, mat_identity, mat_inv, mat_mul, mat_transpose)
-from rptgeo.example import family_brackets, swap_product_matrix
+                    levi_civita, mat_identity, mat_inv, mat_mul, mat_transpose, null_space,
+                    parse_expression)
+from rptgeo.example import (PARAM_NAMES, SYMMETRIES, _canonical, family_brackets,
+                            swap_product_matrix)
 from rptgeo.frames import bracket_tensor
 from rptgeo.geometry import nabla_p_components
 from rptgeo.tensors import _perm_sign
@@ -270,6 +274,26 @@ def row_reduce_oracle(m: list):
     return work, pivots, values, swaps
 
 
+def eigenbasis_oracle(fa) -> list:
+    """Rows of the eigenbasis that ``frames._eigenbasis`` gives: for a
+    constant P the columns of I+P and then of I-P at the pivot columns the
+    Fraction oracle finds; else the ``null_space`` basis of the Scalar rows
+    of I-P and then of I+P."""
+    n, params = fa.dim, fa.params
+    ident = mat_identity(n, params)
+    columns = []
+    for sign in (1, -1):
+        if all(x.is_constant for row in fa.p for x in row):
+            proj = [[int(i == j) + sign * x.value for j, x in enumerate(row)]
+                    for i, row in enumerate(fa.p)]
+            columns += [[Scalar.constant(params, proj[i][col]) for i in range(n)]
+                        for col in row_reduce_oracle(proj)[1]]
+        else:
+            columns += null_space([[e - sign * x for e, x in zip(erow, row)]
+                                   for erow, row in zip(ident, fa.p)])
+    return mat_transpose(columns)
+
+
 def compose_oracle(a: Tensor, b: Tensor) -> Tensor:
     """Index loop: the component at (idx_a, idx_b) is the sum over s of
     a(idx_a, s) b(s, idx_b)."""
@@ -378,6 +402,28 @@ def arranged_oracle(t: Tensor, pattern: str, p: list) -> Tensor:
 # polynomial dicts: packed exponents (parameter i's exponent in bits
 # [64 i, 64 i + 64) of one int), and the kernel on exponent tuples as a
 # reference
+
+
+def golden_table_oracle(path: Path, variance: str) -> Tensor:
+    """A golden table file expanded over all 4^rank indices: each index read
+    off the listed entry at its representative under the table's symmetry
+    (``example._canonical``), signed by the parity of the sort."""
+    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    rank = len(variance)
+    groups = tuple(tuple(s for s in group if s < rank)
+                   for group in SYMMETRIES[data.get("symmetry", "none")])
+    listed = {}
+    for key, text in data["entries"].items():
+        idx, sign = _canonical(groups, tuple(int(part) for part in key.split(",")))
+        if idx is not None:
+            value = parse_expression(text, PARAM_NAMES)
+            listed[idx] = value if sign > 0 else -value
+    zero, comps = Scalar.zero(PARAM_NAMES), []
+    for idx in itertools.product(range(1, 5), repeat=rank):
+        key, sign = _canonical(groups, idx)
+        value = listed.get(key, zero)
+        comps.append(value if sign > 0 else -value)
+    return Tensor(4, variance, PARAM_NAMES, comps)
 
 
 def pack(expo) -> int:

@@ -10,14 +10,16 @@ from fractions import Fraction
 import pytest
 
 from rptgeo import (Connection, ConnectionPack, Scalar, Tensor, adapted_frame,
-                    change_basis, check_p_tensor, curvature, killing_check,
+                    build_example, change_basis, check_p_tensor, curvature, killing_check,
                     levi_civita, mat_det, mat_identity, natural_check, rpt_connection,
-                    row_reduce, run_all)
-from rptgeo.frames import frame_from_dict, frame_to_dict
-from rptgeo.tensors import _perm_sign
+                    row_reduce, run_all, tensors, validate)
+from rptgeo.frames import _eigenbasis, frame_from_dict, frame_to_dict
+from rptgeo.tensors import _perm_sign, coefficient_tensor
 
-from helpers import (conjugate, random_frames, random_unimodular, sheared_family_frame,
-                     single_bracket_frame, six_dim_frame, symbolic_metric_frame)
+from helpers import (abelian_plane, conjugate, direct_sum, eigenbasis_oracle,
+                     extended_family_frame, family_frame, random_frames, random_unimodular,
+                     scaled_family_frame, sheared_family_frame, single_bracket_frame,
+                     six_dim_frame, symbolic_metric_frame)
 
 RANDOM = random_frames()
 
@@ -46,9 +48,49 @@ def _entries(results) -> list:
 
 @pytest.mark.parametrize("pos", range(len(RANDOM)))
 def test_change_basis_matches_the_conjugation_oracle(pos):
+    # s given as rows or as a ud tensor
     fa = RANDOM[pos]
     s = random_unimodular(random.Random(pos), fa.dim, fa.params)
-    assert change_basis(fa, s) == conjugate(fa, s)
+    by_rows, by_tensor = change_basis(fa, s), change_basis(fa, coefficient_tensor(s, "ud"))
+    assert by_rows == conjugate(fa, s) == by_tensor
+    assert (by_rows.s, by_rows.s_inv) == (by_tensor.s, by_tensor.s_inv)
+
+
+@pytest.mark.parametrize("s", [lambda fa: coefficient_tensor(fa.g, "dd"),
+                               lambda fa: fa.g[:2], lambda fa: mat_identity(4, ("a",))],
+                         ids=["dd-tensor", "two-rows", "other-parameters"])
+def test_change_basis_names_a_malformed_matrix(s):
+    fa = RANDOM[2]
+    with pytest.raises(ValueError, match="^change of basis: expected a ud tensor"):
+        change_basis(fa, s(fa))
+
+
+def _built():
+    """A frame from every frame constructor of tests/helpers.py."""
+    params5 = ("l1", "l2", "l3", "l4", "s")
+    lam = [Scalar.parameter(params5, name) for name in params5]
+    at = [Scalar.constant(params5, v) for v in (1, 2, 3, Fraction(1, 2))]
+    return RANDOM + [
+        family_frame(lam[:4], params5), extended_family_frame(*lam, params5),
+        extended_family_frame(*at, lam[4] * Fraction(1, 2), params5),
+        symbolic_metric_frame(), sheared_family_frame(), scaled_family_frame(),
+        abelian_plane(), abelian_plane(("a",)), six_dim_frame(), single_bracket_frame(),
+        direct_sum(build_example((1, 2, 3, 5)), abelian_plane()),
+        # a P over the denominator 6
+        conjugate(build_example((1, 2, 3, 5)), [[Scalar.constant((), x) for x in row] for row in
+                                                [[2, 0, 0, 1], [0, 1, 0, 0], [0, 0, 3, 0],
+                                                 [0, 1, 0, 1]]])]
+
+
+BUILT = _built()
+
+
+@pytest.mark.parametrize("pos", range(len(BUILT)))
+def test_the_eigenbasis_is_the_pivot_or_null_space_basis(pos):
+    fa = BUILT[pos]
+    s = _eigenbasis(fa)
+    assert (s.variance, s.params) == ("ud", fa.params)
+    assert s == coefficient_tensor(eigenbasis_oracle(fa), "ud")
 
 
 @pytest.mark.parametrize("pos", range(len(RANDOM)))
@@ -88,6 +130,29 @@ def test_constant_frames_move_without_scalar_matrix_arithmetic(monkeypatch):
         killing_check(fa)
         assert af.p[0][0] == 1
     assert calls == []
+
+
+def test_constant_set_up_builds_scalars_only_for_the_product_view(monkeypatch):
+    # frames whose tensors hold ints and no Scalar view: the eigenbasis, the
+    # change of basis and metric_inv build no Scalar, and validate builds one
+    # view, fa.p, which its map_slot calls read as rows
+    fresh = [fa.substitute({}) for fa in RANDOM + [six_dim_frame(), single_bracket_frame(),
+                                                   abelian_plane()] if not fa.params]
+    views, made = [], []
+    view, constant = tensors._scalars, Scalar._of_value
+    monkeypatch.setattr(tensors, "_scalars",
+                        lambda nums, den, params: views.append(nums) or view(nums, den, params))
+    monkeypatch.setattr(Scalar, "_of_value", classmethod(
+        lambda cls, params, value: made.append(value) or constant(params, value)))
+    assert len(fresh) == 22
+    for fa in fresh:
+        af = adapted_frame(fa)
+        assert fa.metric_inv.ints and af.product.ints
+        assert (views, made) == ([], [])
+        assert validate(fa).passed
+        assert [id(nums) for nums in views] == [id(fa.product.ints[0])]
+        views.clear()
+        made.clear()
 
 
 @pytest.mark.parametrize("make", [sheared_family_frame, symbolic_metric_frame])

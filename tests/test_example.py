@@ -2,17 +2,22 @@
 
 from __future__ import annotations
 
+import itertools
 import json
+import random
+import shutil
 from fractions import Fraction
 
 import pytest
 
 from rptgeo import (FrameAlgebra, Scalar, adapted_frame, build_example, bundled_spec_path,
                     curvature, family_parameters, golden_tables, load_spec, rpt_connection)
-from rptgeo.example import PARAM_NAMES, compare_tensor
+from rptgeo.example import (GOLDEN_VARIANCES, PARAM_NAMES, SYMMETRIES, _canonical,
+                             compare_tensor)
 from rptgeo.parser import parse_expression
 
-from helpers import family_frame, scaled_family_frame, single_bracket_frame, six_dim_frame
+from helpers import (family_frame, golden_table_oracle, scaled_family_frame,
+                     single_bracket_frame, six_dim_frame)
 
 COMPUTED = {
     "torsion": lambda pack: pack.T,
@@ -62,6 +67,44 @@ def test_golden_tables_carry_their_stated_symmetry(name):
     for key, text in data["entries"].items():
         idx = tuple(int(part) - 1 for part in key.split(","))
         assert table[idx] == parse_expression(text, PARAM_NAMES)
+
+
+def test_golden_tables_expand_as_the_all_index_oracle():
+    directory = bundled_spec_path().parent / "golden"
+    tables = golden_tables()
+    for name, variance in GOLDEN_VARIANCES.items():
+        assert tables[name] == golden_table_oracle(directory / ("%s.json" % name), variance)
+    data = json.loads((directory / "scalars.json").read_text(encoding="utf-8"))
+    assert tables["scalars"] == {key: parse_expression(text, PARAM_NAMES)
+                                 for key, text in data["entries"].items()}
+
+
+@pytest.mark.parametrize("name, symmetry", [("torsion", "none"), ("torsion", "skew"),
+                                            ("connection", "skew-last-three"),
+                                            ("curvature", "skew"),
+                                            ("curvature", "pair-skew"),
+                                            ("torsion_derivative", "skew-last-three")])
+def test_a_table_of_random_orbits_expands_as_the_all_index_oracle(name, symmetry, tmp_path):
+    # one entry per orbit, at a random index of it (most not sorted within
+    # their groups), with symbolic values
+    golden = tmp_path / "golden"
+    shutil.copytree(bundled_spec_path().parent / "golden", golden)
+    variance = GOLDEN_VARIANCES[name]
+    groups = tuple(tuple(s for s in group if s < len(variance)) for group in SYMMETRIES[symmetry])
+    rng, entries, seen = random.Random("%s/%s" % (name, symmetry)), {}, set()
+    for idx in rng.sample(list(itertools.product(range(1, 5), repeat=len(variance))), 40):
+        key, _ = _canonical(groups, idx)
+        if key is not None and key not in seen:
+            seen.add(key)
+            entries[",".join(map(str, idx))] = "%d*l%d + %d" % (
+                rng.randint(-3, 3), rng.randint(1, 4), rng.randint(-3, 3))
+    path = golden / ("%s.json" % name)
+    data = json.loads(path.read_text(encoding="utf-8"))
+    data.update(symmetry=symmetry, entries=entries)
+    path.write_text(json.dumps(data), encoding="utf-8")
+    table = golden_tables(golden)[name]
+    assert not table.is_zero
+    assert table == golden_table_oracle(path, variance)
 
 
 def _constant_family(params: tuple) -> FrameAlgebra:

@@ -14,12 +14,14 @@ from rptgeo import (Scalar, Tensor, arranged, compose, cyclic_sum,
                     mat_det, mat_identity, mat_inv, mat_mul, null_space, parse_expression,
                     row_reduce, tensor_contract)
 from rptgeo.scalars import _canonical_assoc, _is_const, _poly_gcd
-from rptgeo.tensors import _GATHERS, coefficient_tensor, contract_all, leading_minors
+from rptgeo.tensors import (_GATHERS, _rows, coefficient_tensor, contract_all, leading_minors,
+                            pivot_columns)
 
 from helpers import (alternate, arranged_oracle, build_tensor, compose_oracle, contract_oracle,
                      cyclic_sum_oracle, elementwise_oracle, map_slot_oracle,
-                     mat_mul_oracle, random_frames, row_reduce_oracle, slot_change_oracle,
-                     dict_eval, substitute_oracle, transpose_oracle)
+                     mat_mul_oracle, random_frames, row_reduce_oracle, scaled_family_frame,
+                     sheared_family_frame, slot_change_oracle, dict_eval, substitute_oracle,
+                     symbolic_metric_frame, transpose_oracle)
 
 PARAMS = ("l1", "l2", "l3", "l4")
 DIM = 4
@@ -890,6 +892,90 @@ def test_constant_minors_make_no_scalar_arithmetic(monkeypatch):
         det = Scalar.constant(params, _oracle_det(m))
         assert leading_minors(s) == [None] * (len(m) - 1) + [det]
         assert mat_det(s) == det
+
+
+@st.composite
+def square_matrices(draw):
+    """Square matrices of sizes 1 to 8: some singular (a row that combines
+    two others), some with a vanishing leading minor (the first row zero up
+    to a column), so that the elimination swaps."""
+    n = draw(st.integers(1, 8))
+    m = [draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(n)]
+    if n > 2 and draw(st.booleans()):
+        i, j, k = draw(st.permutations(range(n)))[:3]
+        a, b = draw(entries), draw(entries)
+        m[i] = [a * x + b * y for x, y in zip(m[j], m[k])]
+    if draw(st.booleans()):
+        lead = draw(st.integers(1, n))
+        m[0] = [0] * lead + m[0][lead:]
+    return m
+
+
+def _inverse_variance(variance):
+    return "".join("d" if v == "u" else "u" for v in reversed(variance))
+
+
+def _assert_tensor_elimination_matches_rows(t, rows):
+    """row_reduce, pivot_columns, leading_minors, mat_det and mat_inv of a
+    rank-2 Tensor equal those of its rows, the matrix results as Tensors of
+    the tensor's variance, the inverse's flipped; both refuse a singular
+    matrix alike."""
+    n = t.dim
+    rref, pivots, minors, swaps = row_reduce(t)
+    assert rref.variance == t.variance and rref.params == t.params
+    assert (_rows(rref.comps, n), pivots, minors, swaps) == row_reduce(rows)
+    assert pivot_columns(t) == pivot_columns(rows) == pivots
+    assert leading_minors(t) == leading_minors(rows)
+    assert mat_det(t) == mat_det(rows)
+    if len(pivots) < n:
+        for m in (t, rows):
+            with pytest.raises(ValueError, match="^matrix is singular$"):
+                mat_inv(m)
+        return None
+    inv = mat_inv(t)
+    assert inv.variance == _inverse_variance(t.variance) and inv.params == t.params
+    assert _rows(inv.comps, n) == mat_inv(rows)
+    return inv
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=square_matrices(), params=st.sampled_from([(), ("a", "b")]),
+       variance=st.sampled_from(["dd", "ud", "du", "uu"]))
+@example(m=[[0, 1], [1, 0]], params=(), variance="ud")  # the first leading minor is 0
+@example(m=[[1, 2], [2, 4]], params=(), variance="dd")  # singular
+@example(m=[[Fraction(1, 2), Fraction(2, 3)], [Fraction(-3, 4), 5]], params=("a", "b"),
+         variance="dd")
+def test_elimination_of_a_constant_tensor_matches_its_rows(m, params, variance):
+    s = _as_scalars(m, params)
+    t = coefficient_tensor(s, variance)
+    inv = _assert_tensor_elimination_matches_rows(t, s)
+    rref, pivots, _, swaps = row_reduce(t)
+    o_rref, o_pivots, _, o_swaps = row_reduce_oracle(m)
+    assert rref == coefficient_tensor(_as_scalars(o_rref, params), variance)
+    assert (pivots, swaps) == (o_pivots, o_swaps)
+    if inv is not None:
+        n = len(m)
+        identity = [[int(i == j) for j in range(n)] for i in range(n)]
+        o_inv = [row[n:] for row in row_reduce_oracle([a + b for a, b in zip(m, identity)])[0]]
+        assert inv == coefficient_tensor(_as_scalars(o_inv, params), _inverse_variance(variance))
+
+
+@pytest.mark.parametrize("build, matrix", [(symbolic_metric_frame, "metric"),
+                                           (scaled_family_frame, "metric"),
+                                           (sheared_family_frame, "product")],
+                         ids=["symbolic-metric", "scaled-metric", "sheared-product"])
+def test_elimination_of_a_parametric_tensor_matches_its_rows(build, matrix):
+    fa = build()
+    t = getattr(fa, matrix)
+    assert t.ints is None
+    inv = _assert_tensor_elimination_matches_rows(t, _rows(t.comps, fa.dim))
+    if matrix == "metric":
+        assert fa.metric_inv == inv and fa.metric_minors == leading_minors(fa.g)
+    # a singular parametric matrix: the second row is the first times (1 + a)
+    first = t.comps[:fa.dim]
+    factor = 1 + Scalar.parameter(fa.params, "a")
+    singular = [first, [x * factor for x in first]] + _rows(t.comps, fa.dim)[2:]
+    _assert_tensor_elimination_matches_rows(coefficient_tensor(singular, t.variance), singular)
 
 
 def _unit_triangular(data, n, params, lower):
