@@ -17,8 +17,8 @@ from .frames import (CheckResult, FrameAlgebra, RebasedFrame, SchemaError,
                      load_spec, save_spec, spec_digest, validate)
 from .geometry import (CLASS_OUTSIDE, CLASS_PARALLEL, CLASS_SKEW, ClassLabel,
                        Connection, classify, curvature, fundamental_F,
-                       levi_civita, square_norm, square_norm_nabla_P,
-                       torsion_projections)
+                       levi_civita, scalar_curvature, square_norm,
+                       square_norm_nabla_P, torsion_projections)
 from .parser import ParseError, parse_expression
 from .scalars import Scalar
 from .tensors import (Tensor, arranged, compose, cyclic_sum, mat_det, mat_identity, mat_inv,

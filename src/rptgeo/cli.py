@@ -13,10 +13,13 @@ report on failure, else build the adapted frame (``adapted_frame``,
 P = diag(I, -I)) and the report with its class, and decide the skew-torsion
 connection once.  Its pack, or the ``NotW3Error`` saying why there is none,
 goes to the command's own entries: scalars and text sections, a suite, or
-the golden comparisons.  ``validate`` keeps a short path: class
-``not-computed``, no adapted frame, and the Killing check.  ``main`` parses
-with one parser, built at import by ``build_parser``, the one place that
-declares the arguments.
+the golden comparisons.  ``report`` reads tau and tau' off the connection
+coefficients (``scalar_curvature``), so its JSON form builds no Riemann
+tensor; ``check`` and ``example`` read them off the Riemann tensor their
+checks build (``curvature``), so neither pays for both.  ``validate`` keeps
+a short path: class ``not-computed``, no adapted frame, and the Killing
+check.  ``main`` parses with one parser, built at import by
+``build_parser``, the one place that declares the arguments.
 
 ``example`` is ``check`` on the bundled spec, loaded like any other, plus
 the golden comparisons.  It takes no spec (``example SPEC`` is a usage
@@ -49,7 +52,8 @@ from .example import (PARAM_NAMES, bundled_spec_path, compare_scalars, compare_t
 from .frames import (FrameAlgebra, SchemaError, _parse_entry, adapted_frame,
                      killing_check, load_spec, spec_digest, validate)
 from .geometry import (classify, curvature, fundamental_F, levi_civita,
-                       square_norm, square_norm_nabla_P, torsion_projections)
+                       scalar_curvature, square_norm, square_norm_nabla_P,
+                       torsion_projections)
 from .parser import ParseError
 from .scalars import PrintLimitError, Scalar
 from .tensors import Tensor
@@ -196,14 +200,19 @@ def _pipeline(args) -> int:
     return _emit(report, args)
 
 
-def _add_scalars(report: Report, af: FrameAlgebra, pack) -> dict:
+def _riemann_tau(conn) -> Scalar:
+    """The scalar curvature read off ``curvature``, for the commands whose
+    checks build the Riemann tensor anyway."""
+    return curvature(conn)[2]
+
+
+def _add_scalars(report: Report, af: FrameAlgebra, pack, tau) -> dict:
     """tau and |nabla P|^2 of the Levi-Civita connection, then tau' of the
-    skew-torsion connection when it exists: added to the report, returned
-    as Scalars."""
-    scalars = {"tau": curvature(levi_civita(af))[2],
-               "nabla_P_norm_sq": square_norm_nabla_P(af)}
+    skew-torsion connection when it exists, each tau read by tau(connection):
+    added to the report, returned as Scalars."""
+    scalars = {"tau": tau(levi_civita(af)), "nabla_P_norm_sq": square_norm_nabla_P(af)}
     if not isinstance(pack, NotW3Error):
-        scalars["tau_prime"] = curvature(pack.rpt)[2]
+        scalars["tau_prime"] = tau(pack.rpt)
     report.scalars.update((name, str(value)) for name, value in scalars.items())
     return scalars
 
@@ -231,7 +240,7 @@ def _add_sections(report: Report, af: FrameAlgebra, pack):
 
 
 def cmd_report(args, report: Report, af: FrameAlgebra, pack):
-    _add_scalars(report, af, pack)
+    _add_scalars(report, af, pack, scalar_curvature)
     if args.format == "text":
         _add_sections(report, af, pack)
     report.add_checks([validate(af.user)])
@@ -247,7 +256,7 @@ _SUITES = {
 
 def cmd_check(args, report: Report, af: FrameAlgebra, pack):
     report.add_checks(_SUITES[args.suite](af))
-    _add_scalars(report, af, pack)
+    _add_scalars(report, af, pack, _riemann_tau)
 
 
 def cmd_example(args, report: Report, af: FrameAlgebra, pack):
@@ -264,7 +273,7 @@ def cmd_example(args, report: Report, af: FrameAlgebra, pack):
         compare_tensor(af, "curvature", curvature(pack.rpt)[0], golden["curvature"]),
         compare_tensor(af, "torsion_derivative", pack.torsion_derivative(),
                        golden["torsion_derivative"]),
-        compare_scalars(_add_scalars(report, af, pack), scalars),
+        compare_scalars(_add_scalars(report, af, pack, _riemann_tau), scalars),
     ])
     report.add_checks(run_all(af))
 

@@ -387,8 +387,11 @@ def _expect(cond: bool, path: str, message: str):
 
 
 def _is_index(text: str, top: int) -> bool:
-    """Whether text is the canonical ASCII decimal of an index in 1..top."""
-    return text in [str(k) for k in range(1, top + 1)]
+    """Whether text is the canonical ASCII decimal of an index in 1..top: no
+    sign, space or leading zero, and no longer than top, so ``int`` never
+    reads a long key."""
+    return (text.isascii() and text.isdigit() and text[0] != "0"
+            and len(text) <= len(str(top)) and int(text) <= top)
 
 
 def _parse_entry(text, params: tuple, path: str, parsed: dict) -> Scalar:

@@ -6,6 +6,12 @@ with A^k_ij at index (i, j, k), and computations on them go through the
 slot and matrix routines of ``tensors``.  Component functions of tensors are
 constant on the frame (left invariance), so all directional-derivative terms
 vanish and the Koszul formula reduces to bracket/metric pairings.
+
+A connection's scalar curvature has two memoized readers: ``curvature``,
+the trace of the Ricci tensor of its Riemann tensor, which ``check`` and
+``example`` read since their checks build both Riemann tensors anyway, and
+``scalar_curvature``, of order n^4 from the coefficients with no curvature
+tensor, which ``report`` reads.
 """
 
 from __future__ import annotations
@@ -93,7 +99,9 @@ def curvature(conn: Connection):
 
     R(x,y,z,w) = g(nabla_x nabla_y z - nabla_y nabla_x z - nabla_[x,y] z, w).
     With L(i,s,l) = g(nabla_i e_s, e_l) and constant frame components,
-    R(i,j,k,l) = sum_s A^s_jk L(i,s,l) - A^s_ik L(j,s,l) - c^s_ij L(s,k,l)."""
+    R(i,j,k,l) = sum_s A^s_jk L(i,s,l) - A^s_ik L(j,s,l) - c^s_ij L(s,k,l).
+    ``check`` and ``example`` read tau here, a memo hit after their checks,
+    so they never pay for ``scalar_curvature`` too."""
     fa = conn.frame
     low = conn.coeffs.lower_slot(2, fa.metric)
     # sum_s A^s_jk L(i,s,l) lands at (j,k,i,l) and moves to (i,j,k,l)
@@ -103,6 +111,23 @@ def curvature(conn: Connection):
     ricci = tensor_contract(riemann, 0, 3, fa.metric_inv)
     tau = tensor_contract(ricci, 0, 1, fa.metric_inv)[()]
     return riemann, ricci, tau
+
+
+@memo
+def scalar_curvature(conn: Connection) -> Scalar:
+    """Scalar curvature of conn from its coefficients, of order n^4, equal to
+    ``curvature(conn)[2]``; ``report`` reads tau and tau' here, so it builds
+    no Riemann tensor.
+
+    Contracting R^i_ijk: Ric(j,k) = sum_s A^s_jk t_s - sum_{s,p} (A - c)^p_js
+    A^s_pk with t_s = sum_p A^p_ps, which needs no metric, and
+    tau = v.t - <(A - c) raised in slot 0, A moved to (k,s,p)> with
+    v^s = sum g^jk A^s_jk (Milnor, Adv. Math. 21 (1976))."""
+    fa, a = conn.frame, conn.coeffs
+    t = tensor_contract(a, 0, 2)
+    v = tensor_contract(a, 0, 1, fa.metric_inv)
+    b = (a - fa.brackets).raise_slot(0, fa.metric_inv)
+    return contract_all(v, t) - contract_all(b, arranged(a, "z,x,y"))
 
 
 @memo

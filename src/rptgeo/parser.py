@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from math import comb
+from math import comb, log10
 
 from .scalars import DegreeLimitError, PrintLimitError, Scalar, _exponents
 
@@ -36,6 +36,7 @@ _DIGITS = set("0123456789")
 MAX_DEPTH = 100
 MAX_POWER_DEGREE = 16
 MAX_TERMS = 1000
+_LOG10_2 = log10(2)
 
 
 def _tokenize(text: str):
@@ -108,10 +109,8 @@ class _Parser:
         tok = self.peek()
         if tok[0] != "end":
             raise ParseError("unexpected trailing input", tok[2])
-        try:
-            str(value)
-        except PrintLimitError:
-            raise ParseError("value past the int-string limit", 0) from None
+        if _past_the_limit(value):
+            raise ParseError("value past the int-string limit", 0)
         return value
 
     def expr(self) -> Scalar:
@@ -195,6 +194,32 @@ class _Parser:
             self.expect(")")
             return value
         raise ParseError("expected a literal, parameter or '('", at)
+
+
+def _past_the_limit(value: Scalar) -> bool:
+    """Whether printing value, a polynomial over a constant den, needs an
+    integer past the int-string limit.  It prints the numerators and
+    denominators of the reduced coefficients, which num's ints and den
+    bound, and the sum of their bit lengths bounds the longest.  The
+    longest, of b bits, has more than (b - 1) log10 2 and at most
+    b log10 2 + 1 digits, which decides all but an integer within a digit of
+    the limit, and only then is value printed."""
+    limit, nums = sys.get_int_max_str_digits(), value.num.values()
+    if not (limit and nums):
+        return False
+    d = value.den[0]
+    if sum(map(int.bit_length, nums), d.bit_length()) * _LOG10_2 <= limit - 1:
+        return False
+    digits = _LOG10_2 * max(map(int.bit_length, (
+        x for c in (Fraction(n, d) for n in nums) for x in (c.numerator, c.denominator))))
+    if digits - _LOG10_2 > limit + 1:
+        return True
+    if digits > limit - 1:
+        try:
+            str(value)
+        except PrintLimitError:
+            return True
+    return False
 
 
 def parse_expression(text: str, params) -> Scalar:

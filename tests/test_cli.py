@@ -479,6 +479,68 @@ def test_passing_check_pulls_nothing_back_to_the_user_basis(monkeypatch, capsys,
     assert calls == []
 
 
+def _tau_reads(monkeypatch):
+    """Patch the bindings of curvature in cli and theorems, the modules that
+    call it, and of scalar_curvature in cli: each call appends (name,
+    connection, result)."""
+    reads = []
+
+    def counting(name, fn):
+        def read(conn):
+            result = fn(conn)
+            reads.append((name, conn, result))
+            return result
+        return read
+
+    for module in (cli, theorems):
+        monkeypatch.setattr(module, "curvature", counting("curvature", geometry.curvature))
+    monkeypatch.setattr(cli, "scalar_curvature",
+                        counting("scalar_curvature", geometry.scalar_curvature))
+    return reads
+
+
+def _tau_commands(tmp_path):
+    path = tmp_path / "single_bracket.json"
+    save_spec(single_bracket_frame(), path)
+    return {"W3": ([SPEC, "--lambda=1,2,3,4"], 2), "W0": ([SPEC, "--lambda=0,0,0,0"], 2),
+            "non-W3": ([str(path)], 1)}
+
+
+@pytest.mark.parametrize("frame", ["W3", "W0", "non-W3"])
+def test_json_report_reads_tau_from_the_coefficients(frame, monkeypatch, capsys,
+                                                     tmp_path):
+    # tau and tau' (when the frame has a skew-torsion connection) without a
+    # Riemann tensor; the text report builds only R', for its P-tensor line
+    argv, connections = _tau_commands(tmp_path)[frame]
+    reads = _tau_reads(monkeypatch)
+    code, out, _ = run_cli(["report"] + argv + ["--format", "json"], capsys)
+    assert code == 0 and "tau" in json.loads(out)["scalars"]
+    assert [name for name, _, _ in reads] == ["scalar_curvature"] * connections
+    del reads[:]
+    assert run_cli(["report"] + argv, capsys)[0] == 0
+    riemann = {id(conn) for name, conn, _ in reads if name == "curvature"}
+    assert len(riemann) == connections - 1
+
+
+@pytest.mark.parametrize("command, frame", [("check", "W3"), ("check", "W0"),
+                                            ("check", "non-W3"), ("example", "W3"),
+                                            ("example", None)])
+def test_check_and_example_read_tau_from_the_riemann_tensor_they_build(
+        command, frame, monkeypatch, capsys, tmp_path):
+    # one Riemann tensor per connection: every later read is a memo hit,
+    # the same result, and no tau comes from the coefficients as well
+    argv = _tau_commands(tmp_path)[frame][0] if frame else []
+    if command == "example":
+        argv = argv[1:]
+    reads = _tau_reads(monkeypatch)
+    assert run_cli([command] + argv, capsys)[0] == 0
+    assert reads and all(name == "curvature" for name, _, _ in reads)
+    results = {}
+    for _, conn, result in reads:
+        assert results.setdefault(id(conn), result) is result
+    assert len(results) == (1 if frame == "non-W3" else 2)
+
+
 def test_json_report_builds_no_text_sections(monkeypatch, capsys):
     # the projection norms are printed only in the text rendering
     calls = []
@@ -571,9 +633,11 @@ def test_malformed_golden_table_exits_two(name, field, tmp_path, capsys):
     assert err.startswith("error: %s: %s" % (table, field))
 
 
-@pytest.mark.parametrize("key", ["01,3,4", "١,3,4"])
+@pytest.mark.parametrize("key", ["01,3,4", "١,3,4", "+1,3,4", " 1,3,4", "1,3,5",
+                                 "1,3," + "4" * 5000], ids=lambda k: repr(k)[:12])
 def test_golden_index_must_be_a_canonical_decimal(key, tmp_path, capsys):
-    # the same value as the listed 1,3,4, so only the spelling is wrong
+    # the same value as the listed 1,3,4, so only the spelling is wrong; the
+    # 5,000-digit index is past the int-string limit
     golden = _copied_golden(tmp_path)
     table = golden / "torsion.json"
     data = json.loads(table.read_text(encoding="utf-8"))

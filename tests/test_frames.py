@@ -384,6 +384,28 @@ def test_schema_rejects_left_ge_right():
         frame_from_dict(data)
 
 
+# "\u0661" is ARABIC-INDIC DIGIT ONE, which str.isdigit and int accept
+_NOT_AN_INDEX = ["01", "+1", " 1", "1 ", "\u0661", "", "0", "5", "1" * 5000]
+
+
+@pytest.mark.parametrize("key", _NOT_AN_INDEX, ids=lambda k: repr(k)[:12])
+def test_a_bracket_key_must_be_a_canonical_index(key):
+    # 5 is top + 1; the 5,000-digit key is past the int-string limit, where
+    # int() would raise ValueError, so the length is read first
+    data = frame_to_dict(build_example())
+    data["brackets"][0]["result"][key] = "1"
+    with pytest.raises(SchemaError) as err:
+        frame_from_dict(data)
+    assert str(err.value) == "brackets[0].result[%s]: expected a component index in 1..4" % key
+
+
+def test_is_index_reads_exactly_the_decimals_of_one_to_top():
+    texts = _NOT_AN_INDEX + [str(k) for k in range(-2, 120)] + ["1.0", "1e1", "\u00b9"]
+    for top in (1, 4, 9, 10, 99, 100):
+        assert {t for t in texts if frames._is_index(t, top)} == \
+            {str(k) for k in range(1, top + 1)}
+
+
 def test_schema_rejects_bad_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

@@ -5,17 +5,18 @@ from fractions import Fraction
 
 import pytest
 
-from rptgeo import (CLASS_OUTSIDE, CLASS_PARALLEL, CLASS_SKEW, FrameAlgebra,
-                    Scalar, Tensor, adapted_frame, arranged, build_example, classify,
-                    curvature, cyclic_sum, fundamental_F, levi_civita, mat_identity,
-                    mat_inv, parse_expression, rpt_connection, square_norm_nabla_P,
-                    torsion_projections, validate)
+from rptgeo import (CLASS_OUTSIDE, CLASS_PARALLEL, CLASS_SKEW, Connection,
+                    ConnectionPack, FrameAlgebra, Scalar, Tensor, adapted_frame, arranged,
+                    build_example, classify, curvature, cyclic_sum, fundamental_F,
+                    levi_civita, mat_identity, mat_inv, parse_expression, rpt_connection,
+                    scalar_curvature, square_norm_nabla_P, torsion_projections, validate)
 from rptgeo.theorems import structure_defects
 
-from helpers import (basis_vec, build_tensor, curvature_oracle, inner,
-                     koszul_killing_oracle, nabla_p_killing_oracle,
-                     projection_oracle, random_frames, sheared_family_frame,
-                     single_bracket_frame, six_dim_frame)
+from helpers import (abelian_plane, basis_vec, build_tensor, curvature_oracle,
+                     extended_family_frame, family_frame, inner, koszul_killing_oracle,
+                     nabla_p_killing_oracle, projection_oracle, random_frames,
+                     scaled_family_frame, sheared_family_frame, single_bracket_frame,
+                     six_dim_frame, symbolic_metric_frame, three_form)
 
 SYM = build_example()
 LC = levi_civita(SYM)
@@ -160,6 +161,61 @@ def test_curvature_matches_the_oracle_on_random_frames():
             assert r == curvature_oracle(conn)
             assert r_adapted == curvature_oracle(adapted)
             assert af.to_user(r_adapted) == r
+
+
+def _extended_symbolic_frame():
+    params = ("l1", "l2", "l3", "l4", "s")
+    return extended_family_frame(*(Scalar.parameter(params, n) for n in params), params)
+
+
+_TAU_BUILDERS = {
+    "family": lambda: family_frame([Scalar.constant((), k) for k in (1, 2, 3, 4)], ()),
+    "family-symbolic": build_example,
+    "symbolic-metric": symbolic_metric_frame,
+    "sheared": sheared_family_frame,
+    "scaled": scaled_family_frame,
+    "extended": _extended_symbolic_frame,
+    "abelian-plane": abelian_plane,
+    "six-dim": six_dim_frame,
+    "single-bracket": single_bracket_frame,
+}
+
+
+def _tau_connections(fa):
+    """Levi-Civita and, off the outside class, the skew-torsion connection."""
+    if classify(fa).label == CLASS_OUTSIDE:
+        return [levi_civita(fa)]
+    return [levi_civita(fa), rpt_connection(fa).rpt]
+
+
+@pytest.mark.parametrize("name", list(_TAU_BUILDERS))
+def test_scalar_curvature_is_the_trace_of_the_riemann_ricci(name):
+    # each builder, in the user's basis and on its adapted frame; the
+    # single-bracket frame is outside W3, so it has Levi-Civita only
+    fa = _TAU_BUILDERS[name]()
+    for frame in (fa, adapted_frame(fa)):
+        conns = _tau_connections(frame)
+        assert len(conns) == (1 if name == "single-bracket" else 2)
+        for conn in conns:
+            assert scalar_curvature(conn) == curvature(conn)[2]
+
+
+def test_scalar_curvature_on_the_battery_and_other_connections():
+    # the battery: conjugates, block sums, dense 8-dim conjugates, a W0 frame
+    for fa in random_frames():
+        for frame in (fa, adapted_frame(fa)):
+            for conn in _tau_connections(frame):
+                assert scalar_curvature(conn) == curvature(conn)[2]
+    # connections other than the paper's: its torsion plus a 3-form on V+,
+    # another natural connection, and d_x y = [x, y], neither metric nor
+    # torsion-free
+    af = adapted_frame(six_dim_frame())
+    form = three_form(6, (), {(0, 1, 2): Scalar.one(())})
+    others = [ConnectionPack(af, rpt_connection(af).T + form).rpt,
+              Connection(af, af.brackets), Connection(SYM, SYM.brackets)]
+    for conn in others:
+        assert scalar_curvature(conn) == curvature(conn)[2]
+    assert scalar_curvature(others[0]) != scalar_curvature(rpt_connection(af).rpt)
 
 
 def test_classify_example_and_degenerations():

@@ -1,5 +1,6 @@
 """Grammar coverage and error reporting of the expression parser."""
 
+import sys
 import time
 from fractions import Fraction
 
@@ -159,6 +160,60 @@ def test_values_that_print_past_the_int_string_limit_are_parse_errors(text):
     with pytest.raises(ParseError) as err:
         parse_expression(text, PARAMS)
     assert str(err.value) == _PAST_THE_LIMIT[text]
+
+
+@pytest.fixture
+def prints(monkeypatch):
+    """The Scalars printed while the test runs."""
+    printed, original = [], Scalar.__str__
+
+    def counting_str(self):
+        printed.append(self)
+        return original(self)
+
+    monkeypatch.setattr(Scalar, "__str__", counting_str)
+    return printed
+
+
+@pytest.fixture
+def limit_640():
+    """The int-string limit at its least nonzero value, 640 digits."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    yield
+    sys.set_int_max_str_digits(saved)
+
+
+@pytest.mark.parametrize("text, past, near", [
+    ("1/2 + 3*l1^2", False, False),
+    ("9" * 640, False, True),  # 640 digits: at the limit, decided by printing
+    ("10^639", False, True),
+    ("10^639*10", True, True),  # 641 digits: one past the limit
+    ("10^640/10", False, True),
+    # a coefficient prints reduced: 10^640 over 10 prints 640 digits
+    ("(10^640*l1 + l2)/10", False, True),
+    ("1/" + "7" * 640, False, True),
+    ("2^1000 + l1", False, False),
+    ("10^320*10^320*10^320", True, False),  # far past: decided without printing
+])
+def test_the_int_string_limit_is_decided_from_bit_lengths(text, past, near, limit_640,
+                                                         prints):
+    if past:
+        with pytest.raises(ParseError, match="^value past the int-string limit at position 1$"):
+            parse_expression(text, PARAMS)
+    else:
+        assert str(parse_expression(text, PARAMS))
+    assert len(prints) == near + (not past)
+
+
+def test_no_limit_prints_nothing(prints):
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        value = parse_expression("2^14000*2^14000", PARAMS)
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert value == Scalar.constant(PARAMS, 2 ** 28000) and not prints
 
 
 @pytest.mark.parametrize("text, position", [
