@@ -206,13 +206,14 @@ def _riemann_tau(conn) -> Scalar:
     return curvature(conn)[2]
 
 
-def _add_scalars(report: Report, af: FrameAlgebra, pack, tau) -> dict:
-    """tau and |nabla P|^2 of the Levi-Civita connection, then tau' of the
-    skew-torsion connection when it exists, each tau read by tau(connection):
-    added to the report, returned as Scalars."""
+def _add_scalars(report: Report, af: FrameAlgebra, pack, tau, tau_prime) -> dict:
+    """tau and |nabla P|^2 of the Levi-Civita connection, read by
+    tau(connection), then tau' of the skew-torsion connection when it
+    exists, read by tau_prime(connection): added to the report, returned as
+    Scalars."""
     scalars = {"tau": tau(levi_civita(af)), "nabla_P_norm_sq": square_norm_nabla_P(af)}
     if not isinstance(pack, NotW3Error):
-        scalars["tau_prime"] = tau(pack.rpt)
+        scalars["tau_prime"] = tau_prime(pack.rpt)
     report.scalars.update((name, str(value)) for name, value in scalars.items())
     return scalars
 
@@ -240,7 +241,7 @@ def _add_sections(report: Report, af: FrameAlgebra, pack):
 
 
 def cmd_report(args, report: Report, af: FrameAlgebra, pack):
-    _add_scalars(report, af, pack, scalar_curvature)
+    _add_scalars(report, af, pack, scalar_curvature, scalar_curvature)
     if args.format == "text":
         _add_sections(report, af, pack)
     report.add_checks([validate(af.user)])
@@ -256,7 +257,13 @@ _SUITES = {
 
 def cmd_check(args, report: Report, af: FrameAlgebra, pack):
     report.add_checks(_SUITES[args.suite](af))
-    _add_scalars(report, af, pack, _riemann_tau)
+    # tau off the Riemann tensor of a connection the suite curved, else from
+    # its coefficients: geometry curves the Levi-Civita connection; where the
+    # skew-torsion one exists, rpt curves it and theorems curves both
+    w3 = not isinstance(pack, NotW3Error)
+    lc_curved = args.suite in ("all", "geometry") or (w3 and args.suite == "theorems")
+    _add_scalars(report, af, pack, _riemann_tau if lc_curved else scalar_curvature,
+                 scalar_curvature if args.suite == "geometry" else _riemann_tau)
 
 
 def cmd_example(args, report: Report, af: FrameAlgebra, pack):
@@ -273,7 +280,7 @@ def cmd_example(args, report: Report, af: FrameAlgebra, pack):
         compare_tensor(af, "curvature", curvature(pack.rpt)[0], golden["curvature"]),
         compare_tensor(af, "torsion_derivative", pack.torsion_derivative(),
                        golden["torsion_derivative"]),
-        compare_scalars(_add_scalars(report, af, pack, _riemann_tau), scalars),
+        compare_scalars(_add_scalars(report, af, pack, _riemann_tau, _riemann_tau), scalars),
     ])
     report.add_checks(run_all(af))
 

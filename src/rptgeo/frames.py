@@ -5,8 +5,8 @@ derived from its brackets, metric and product structure: three tensors, each
 given as a Tensor or cleared once from nested rows, the brackets built by
 ``bracket_tensor``.  Every matrix reaches the kernel as a tensor: these,
 ``metric_inv``, and s and s^-1 of a constant change of basis, which moves
-them, and tensors back, through ``_moved``, one ``arranged`` pattern per kind
-of slot.  No Scalar matrix arithmetic builds, checks or substitutes a frame.
+them, and tensors back, through ``_moved``, one slot-map pass over every
+slot.  No Scalar matrix arithmetic builds, checks or substitutes a frame.
 A constant frame is set up on ints: ``metric_minors`` and ``metric_inv``
 eliminate ``metric`` as it is held, the eigenbasis of a constant P and its
 inverse are found and built on ints, the identity and diag(I, -I) are int
@@ -260,13 +260,10 @@ class RebasedFrame(FrameAlgebra):
 
 def _moved(t: Tensor, down: Tensor, up: Tensor) -> Tensor:
     """t with its covector slots mapped by down and its vector slots by up,
-    one ``arranged`` pattern each: a change of basis, its columns in the old
-    basis, is (s, s^-1), and its pull-back (s^-1, s)."""
-    for matrix, kind in ((down, "d"), (up, "u")):
-        if kind in t.variance:
-            t = arranged(t, ",".join(("P" if v == kind else "") + "xyzw"[k]
-                                     for k, v in enumerate(t.variance)), matrix)
-    return t
+    every slot in one slot-map pass (``Tensor.map_slots``), cancelled once:
+    a change of basis, its columns in the old basis, is (s, s^-1), and its
+    pull-back (s^-1, s)."""
+    return t.map_slots([down if v == "d" else up for v in t.variance])
 
 
 def change_basis(fa: FrameAlgebra, s) -> RebasedFrame:

@@ -80,11 +80,9 @@ def fundamental_F(fa: FrameAlgebra) -> Tensor:
 
 def square_norm(t: Tensor, fa: FrameAlgebra) -> Scalar:
     """Full contraction of a covariant tensor with itself through the inverse
-    metric in every slot."""
-    up = t
-    for slot in range(t.rank):
-        up = up.raise_slot(slot, fa.metric_inv)
-    return contract_all(t, up)
+    metric in every slot: t against its components with every slot raised,
+    all in one slot-map pass (``Tensor.map_slots``)."""
+    return contract_all(t, t.map_slots([fa.metric_inv] * t.rank))
 
 
 @memo

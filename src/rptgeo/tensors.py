@@ -34,20 +34,24 @@ Every op runs on the form its operands share; an int-form operand next to
 a parametric one is lifted to constant polynomials.  Every product is one
 multiply-accumulate, ``_mul``, on ints or on polynomial dicts, where a zero
 entry makes no term and a monomial product is one int sum of packed
-exponents.  The tensor products (``compose``, ``tensor_contract``,
-``contract_all``, ``map_slot`` with a dense matrix), ``mat_mul`` and the
-Jacobi residuals of ``validate`` (``jacobi_residuals``) call it.
-A slot map reads its path off the matrix's rows: a diagonal of 1 and -1
-over 1, such as P = diag(I, -I) in a P-eigenbasis, is the signed gather
-(below), any other diagonal scales each slice of the slot by its entry, and
-any other matrix is one product on rows of components.  ``compose`` builds
-the torsion inner products, and covariant derivatives and curvature from
-connection coefficients.
+exponents.  The tensor products (``compose``, ``tensor_contract``, the
+slot-map pass, ``contract_all`` on polynomials), ``mat_mul`` and the
+Jacobi residuals of ``validate`` (``jacobi_residuals``) call it;
+``contract_all`` on ints is one ``sum`` over ``map(operator.mul, ...)``.
+``compose`` builds the torsion inner products, and covariant derivatives
+and curvature from connection coefficients.
 
-Data movement runs in C builtins.  ``transpose`` gathers its output, on
-either form, through one ``operator.itemgetter`` per (dim, perm); the
-signed gather, all of ``arranged`` by such a P, through one per (dim,
-perm, slots, signs) over the components followed by their negations.
+Every slot map is one pass, ``Tensor._passed``, given a matrix or None per
+slot: ``map_slot``, ``lower_slot`` and ``raise_slot`` map one slot,
+``map_slots`` several (``frames._moved``, ``geometry.square_norm``), and
+``arranged`` its P slots before its transpose.  Only a diagonal of 1 and -1
+over 1, such as P = diag(I, -I) in a P-eigenbasis, given to ``map_slot`` or
+``arranged``, takes the signed gather (below) instead.
+
+Data movement runs in C builtins.  ``transpose`` and the slot-map pass
+gather, on either form, through one ``operator.itemgetter`` per (dim,
+perm); the signed gather, all of ``arranged`` by such a P, through one per
+(dim, perm, slots, signs) over the components followed by their negations.
 Both are kept in ``_GATHERS``, a table of shapes, never of results, so
 ``frames.memo`` stays the one cache of results.  On the int form the
 entrywise ops of two lists, ``+`` and ``-`` over one denominator and the
@@ -292,33 +296,56 @@ class Tensor:
         The matrix is a rank-2 Tensor or nested rows (``_matrix``)."""
         return self._mapped(_matrix(matrix, self.params), slot)
 
+    def map_slots(self, matrices) -> "Tensor":
+        """Each slot k mapped by matrices[k] as ``map_slot`` maps one, or
+        left where it is None, in one pass (``_passed``): a change of basis
+        is s on the covector slots and s^-1 on the vector slots."""
+        return self._passed([m if m is None else _matrix(m, self.params) for m in matrices])
+
     def _mapped(self, cleared, slot: int) -> "Tensor":
-        """``map_slot`` by a matrix (rows, d), whose rows decide the path.  A
-        diagonal of 1 and -1 is the signed gather; any other diagonal scales
-        each slice of the slot by its entry.  Any other matrix is one
-        product: the slot moves to last place, each row of components is
-        multiplied by M, or by M^T on a vector slot, and the slot moves
-        back."""
-        n, (rows, d) = self.dim, cleared
-        signs = _signs(rows, d)
+        """``map_slot`` by a matrix (rows, d): a diagonal of 1 and -1 is the
+        signed gather, any other matrix the one slot-map pass on this slot."""
+        signs = _signs(*cleared)
         if signs:
             return self._gathered(tuple(range(self.rank)), (slot,), signs)
-        stride = n ** (self.rank - 1 - slot)
-        diag = [row[i] for i, row in enumerate(rows)]
-        if sum(map(bool, itertools.chain.from_iterable(rows))) == sum(map(bool, diag)):
-            values, (diag,), den = self._with_matrix(([diag], d))
-            diag = itertools.cycle([x for x in diag for _ in range(stride)])
-            out = list(map(operator.mul, values, diag)) if type(den) is int else \
-                [_dict_mul(x, y) if x and y else {} for x, y in zip(values, diag)]
-            return self._like(out, den)
-        # the slot moves to last place: slot j of the move is slot order[j]
-        order = [k for k in range(self.rank) if k != slot] + [slot]
-        last = self.transpose([order.index(k) for k in range(self.rank)]) \
-            if stride > 1 else self
-        rows = mat_transpose(rows) if self.variance[slot] == "u" else rows
-        values, rows, den = last._with_matrix((rows, d))
-        out = last._like(_product(_rows(values, n), rows, den), den)
-        return out.transpose(order) if stride > 1 else out
+        return self._passed([cleared if k == slot else None for k in range(self.rank)])
+
+    def _passed(self, cleared: list, perm: tuple = None) -> "Tensor":
+        """The one slot-map pass: slot k mapped by cleared[k], a matrix
+        (rows, d) or None, as ``map_slot`` maps it, then transposed by perm
+        when given.  A diagonal matrix scales each slice of its slot where
+        the slot stands.  Any other comes to the front by one gather, a
+        rotation of the slots, and left-multiplies the n rows of width
+        n ** (rank - 1) in one ``_mul``, by M on a vector slot and by M^T on
+        a covector slot.  One last gather restores the slot order, or moves
+        it by perm, and the product of the denominators cancels once."""
+        n, r = self.dim, self.rank
+        mapped = [k for k, m in enumerate(cleared) if m is not None]
+        (values, den), *mats = _joint([self._values()] + [cleared[k] for k in mapped])
+        poly = type(den) is dict
+        order = list(range(r))  # the slot at each position
+        for slot, (rows, d) in zip(mapped, mats):
+            den, p = _times(den, d), order.index(slot)
+            diag = [row[i] for i, row in enumerate(rows)]
+            if sum(map(bool, itertools.chain.from_iterable(rows))) == sum(map(bool, diag)):
+                diag = itertools.cycle([x for x in diag for _ in range(n ** (r - 1 - p))])
+                values = [_dict_mul(x, y) if x and y else {} for x, y in zip(values, diag)] \
+                    if poly else list(map(operator.mul, values, diag))
+                continue
+            if p:
+                order = order[p:] + order[:p]
+                values = _transposed(values, n, tuple((k - p) % r for k in range(r)))
+            if self.variance[slot] == "d":
+                rows = mat_transpose(rows)
+            values = [x for row in _mul(rows, _rows(values, n ** (r - 1)), poly) for x in row]
+        variance = self.variance
+        if perm is not None:
+            # input slot k becomes output slot perm[k]
+            variance = "".join([v for _, v in sorted(zip(perm, variance))])
+            order = [perm[k] for k in order]
+        if order != list(range(r)):
+            values = _transposed(values, n, tuple(order))
+        return Tensor._new(n, variance, self.params, values, den)
 
     def _with_matrix(self, cleared):
         """(values, rows, den): the numerators and a cleared matrix (rows, d)
@@ -415,6 +442,8 @@ def contract_all(a: Tensor, b: Tensor) -> Scalar:
         raise ValueError("tensors have different shape or context")
     (av, ad), (bv, bd) = _joint([a._values(), b._values()])
     den = _times(ad, bd)
+    if type(den) is int:
+        return _scalars([sum(map(operator.mul, av, bv))], den, a.params)[0]
     return _scalars(_product([av], [[y] for y in bv], den), den, a.params)[0]
 
 
@@ -457,23 +486,6 @@ def cyclic_sum(t: Tensor, slots) -> Tensor:
     return t + t.transpose(perm) + t.transpose(perm2)
 
 
-def _perm_sign(sigma) -> int:
-    sign = 1
-    seen = [False] * len(sigma)
-    for start in range(len(sigma)):
-        if seen[start]:
-            continue
-        length = 0
-        k = start
-        while not seen[k]:
-            seen[k] = True
-            k = sigma[k]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
 _VARS = {"x": 0, "y": 1, "z": 2, "w": 3}
 
 
@@ -507,8 +519,7 @@ def arranged(t: Tensor, pattern: str, product=None) -> Tensor:
         signs = _signs(*cleared)
         if signs:
             return t._gathered(perm, flagged, signs)
-        for pos in flagged:
-            t = t._mapped(cleared, pos)
+        return t._passed([cleared if k in flagged else None for k in range(rank)], perm)
     return t._gathered(perm)
 
 
@@ -548,6 +559,12 @@ def _gather(dim: int, perm: tuple, slots: tuple = (), signs: tuple = ()):
         operator.itemgetter(*map(offsets.__getitem__, table)) if len(table) > 1 else \
         operator.itemgetter(slice(table[0], table[0] + 1) if table else slice(0))
     return gather
+
+
+def _transposed(values: list, dim: int, perm: tuple) -> list:
+    """Components, on either form, transposed by perm: the (dim, perm)
+    getter of ``transpose``."""
+    return list((_GATHERS.get((dim, perm)) or _gather(dim, perm))(values))
 
 
 # ---------------------------------------------------------------------------
@@ -644,12 +661,15 @@ def _mul(a: list, b: list, poly: bool) -> list:
     """The one multiply-accumulate, on ints or, when poly, on polynomial
     dicts: row i of the product adds up the rows of b scaled by the nonzero
     entries of row i of a, in ascending column order; a zero entry of b
-    makes no term.  On dicts each entry accumulates in place, and a
-    constant factor only scales the other's coefficients."""
+    makes no term, and a row of b no entry of a reads makes no term list.
+    On dicts each entry accumulates in place, and a constant factor only
+    scales the other's coefficients."""
     width = len(b[0]) if b else 0
+    read = list(map(any, zip(*a)))
     out = []
     if not poly:
-        terms = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+        terms = [[(j, y) for j, y in enumerate(row) if y] if used else ()
+                 for row, used in zip(b, read)]
         for row in a:
             acc = [0] * width
             for x, b_row in zip(row, terms):
@@ -660,7 +680,8 @@ def _mul(a: list, b: list, poly: bool) -> list:
         return out
     # a constant has one key, the zero exponent
     terms = [[(j, y.get(0) if len(y) == 1 else None, list(y.items()))
-              for j, y in enumerate(row) if y] for row in b]
+              for j, y in enumerate(row) if y] if used else ()
+             for row, used in zip(b, read)]
     for row in a:
         acc = [{} for _ in range(width)]
         for x, b_row in zip(row, terms):

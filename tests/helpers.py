@@ -21,7 +21,25 @@ from rptgeo.example import (PARAM_NAMES, SYMMETRIES, _canonical, family_brackets
                             swap_product_matrix)
 from rptgeo.frames import bracket_tensor
 from rptgeo.geometry import nabla_p_components
-from rptgeo.tensors import _perm_sign
+
+
+def perm_sign(sigma) -> int:
+    """The sign of a permutation of 0..k-1, from the parity of its cycles."""
+    sign = 1
+    seen = [False] * len(sigma)
+    for start in range(len(sigma)):
+        if seen[start]:
+            continue
+        length = 0
+        k = start
+        while not seen[k]:
+            seen[k] = True
+            k = sigma[k]
+            length += 1
+        if length % 2 == 0:
+            sign = -sign
+    return sign
+
 
 def build_tensor(dim: int, variance: str, params: tuple, fn) -> Tensor:
     """The tensor whose component at each index tuple is fn(index)."""
@@ -241,6 +259,24 @@ def map_slot_oracle(t: Tensor, matrix: list, slot: int) -> Tensor:
     return Tensor(t.dim, t.variance, t.params, out)
 
 
+def change_of_basis_oracle(t: Tensor, s: list, s_inv: list) -> Tensor:
+    """Index loop: t in the basis of the columns of s.  The component at idx
+    is the sum over every index tuple a of t(a) times, slot by slot,
+    s[a_k][idx_k] on a covector slot and s_inv[idx_k][a_k] on a vector slot."""
+    def entry(idx):
+        acc = Scalar.zero(t.params)
+        for a in t.indices():
+            term = t[a]
+            if term.is_zero:
+                continue
+            for v, i, j in zip(t.variance, idx, a):
+                term = term * (s[j][i] if v == "d" else s_inv[i][j])
+            acc = acc + term
+        return acc
+
+    return build_tensor(t.dim, t.variance, t.params, entry)
+
+
 def mat_mul_oracle(a: list, b: list, params: tuple) -> list:
     """Index loop: entry (i, j) is the sum over s of a[i][s] b[s][j]."""
     width = len(b[0]) if b else 0
@@ -323,7 +359,7 @@ def alternate(t: Tensor, slots) -> Tensor:
         raise ValueError("alternation slots must have equal variance")
     total = None
     for sigma in itertools.permutations(range(len(slots))):
-        sign = _perm_sign(sigma)
+        sign = perm_sign(sigma)
         perm = list(range(t.rank))
         for pos, s in enumerate(slots):
             perm[s] = slots[sigma[pos]]
@@ -730,7 +766,7 @@ def three_form(n: int, params: tuple, coeffs: dict) -> Tensor:
     for triple, value in coeffs.items():
         for sigma in itertools.permutations(range(3)):
             i, j, k = (triple[s] for s in sigma)
-            comps[(i * n + j) * n + k] = value * _perm_sign(sigma)
+            comps[(i * n + j) * n + k] = value * perm_sign(sigma)
     return Tensor(n, "ddd", params, comps)
 
 

@@ -14,12 +14,12 @@ from rptgeo import (Connection, ConnectionPack, Scalar, Tensor, adapted_frame,
                     levi_civita, mat_det, mat_identity, natural_check, rpt_connection,
                     row_reduce, run_all, tensors, validate)
 from rptgeo.frames import _eigenbasis, frame_from_dict, frame_to_dict
-from rptgeo.tensors import _perm_sign, coefficient_tensor
+from rptgeo.tensors import coefficient_tensor
 
 from helpers import (abelian_plane, conjugate, direct_sum, eigenbasis_oracle,
-                     extended_family_frame, family_frame, random_frames, random_unimodular,
-                     scaled_family_frame, sheared_family_frame, single_bracket_frame,
-                     six_dim_frame, symbolic_metric_frame)
+                     extended_family_frame, family_frame, perm_sign, random_frames,
+                     random_unimodular, scaled_family_frame, sheared_family_frame,
+                     single_bracket_frame, six_dim_frame, symbolic_metric_frame)
 
 RANDOM = random_frames()
 
@@ -254,7 +254,7 @@ def test_a_three_form_on_one_eigenspace_keeps_the_connection_natural():
                if len({k < 3 for k in idx}) == 1)
     comps = [Scalar.zero(())] * 6 ** 3
     for perm in itertools.permutations(range(3)):
-        comps[(perm[0] * 6 + perm[1]) * 6 + perm[2]] = Scalar.constant((), _perm_sign(perm))
+        comps[(perm[0] * 6 + perm[1]) * 6 + perm[2]] = Scalar.constant((), perm_sign(perm))
     torsion = pack.T + Tensor(6, "ddd", (), comps)
     conn = ConnectionPack(af, torsion).rpt
     assert natural_check("natural-connection", af, conn).passed

@@ -27,8 +27,8 @@ matrices are the Tensors ``metric`` and ``product``, cleared once, when the
 frame is built, so no ``coefficient_tensor(...)`` call takes a frame's
 nested views ``.g`` or ``.p`` outside the argument of a ``mat_inv(...)``,
 whose inverse is a new matrix.  They and ``metric_inv`` are what reaches the
-tensor kernel, so no call of ``lower_slot``, ``raise_slot``, ``arranged`` or
-``tensor_contract`` takes an attribute ``g`` or ``p``.  ``map_slot`` is the
+tensor kernel, so no call of ``lower_slot``, ``raise_slot``, ``map_slots``,
+``arranged`` or ``tensor_contract`` takes an attribute ``g`` or ``p``.  ``map_slot`` is the
 one exception: ``validate`` and ``killing_check`` pass it the nested
 ``fa.p``, as the benchmark's tracer, which reads that argument as rows,
 requires.  Scalar arithmetic has one path: ``Scalar.__add__``, ``__mul__``
@@ -510,7 +510,7 @@ def test_the_frame_tensors_and_other_clears_are_allowed():
     assert not _frame_matrix_clears(ast.parse(source))
 
 
-KERNEL_MATRIX_CALLS = {"lower_slot", "raise_slot", "arranged", "tensor_contract"}
+KERNEL_MATRIX_CALLS = {"lower_slot", "raise_slot", "map_slots", "arranged", "tensor_contract"}
 
 
 def _nested_matrix_args(tree: ast.Module) -> list:
@@ -539,6 +539,7 @@ def test_frame_matrices_reach_the_kernel_as_tensors(path):
     "s = arranged(f, 'x,y,Pz', fa.p)\n",
     "from . import tensors\ns = tensors.arranged(f, 'Px,y', product=fa.p)\n",
     "r = tensor_contract(t, 0, 1, metric=[row[:] for row in fa.g])\n",
+    "u = t.map_slots([fa.g, None, fa.metric_inv])\n",
 ])
 def test_a_nested_frame_matrix_in_the_kernel_is_detected(source):
     assert _nested_matrix_args(ast.parse(source))

@@ -10,18 +10,20 @@ from math import gcd
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from rptgeo import (Scalar, Tensor, arranged, compose, cyclic_sum,
-                    mat_det, mat_identity, mat_inv, mat_mul, null_space, parse_expression,
-                    row_reduce, tensor_contract)
+from rptgeo import (Scalar, Tensor, adapted_frame, arranged, build_example, compose,
+                    cyclic_sum, fundamental_F, mat_det, mat_identity, mat_inv, mat_mul,
+                    null_space, parse_expression, row_reduce, square_norm, tensor_contract)
+from rptgeo.frames import _moved
 from rptgeo.scalars import _canonical_assoc, _is_const, _poly_gcd
-from rptgeo.tensors import (_GATHERS, _rows, coefficient_tensor, contract_all, leading_minors,
-                            pivot_columns)
+from rptgeo.tensors import (_GATHERS, _mul, _rows, coefficient_tensor, contract_all,
+                            leading_minors, pivot_columns)
 
-from helpers import (alternate, arranged_oracle, build_tensor, compose_oracle, contract_oracle,
-                     cyclic_sum_oracle, elementwise_oracle, map_slot_oracle,
-                     mat_mul_oracle, random_frames, row_reduce_oracle, scaled_family_frame,
-                     sheared_family_frame, slot_change_oracle, dict_eval, substitute_oracle,
-                     symbolic_metric_frame, transpose_oracle)
+from helpers import (alternate, arranged_oracle, build_tensor, change_of_basis_oracle,
+                     compose_oracle, contract_oracle, cyclic_sum_oracle, elementwise_oracle,
+                     map_slot_oracle, mat_mul_oracle, random_frames, row_reduce_oracle,
+                     scaled_family_frame, sheared_family_frame, six_dim_frame,
+                     slot_change_oracle, dict_eval, substitute_oracle, symbolic_metric_frame,
+                     transpose_oracle)
 
 PARAMS = ("l1", "l2", "l3", "l4")
 DIM = 4
@@ -401,9 +403,9 @@ def test_arranged_matches_the_slot_map_and_transpose_oracles(rank, name):
             return mapped[slots]
 
         for perm, slots, pattern in _patterns(rank):
-            # the product path maps slot by slot and then transposes, so at
-            # rank 4 two orders of the arguments, with every set of P slots,
-            # cover it
+            # the product path maps the P slots and transposes in one pass,
+            # so at rank 4 two orders of the arguments, with every set of P
+            # slots, cover it
             if signs is None and rank == 4 and perm not in ((0, 1, 2, 3), (3, 0, 2, 1)):
                 continue
             before = _signed_keys()
@@ -474,6 +476,105 @@ def test_fifty_arranged_calls_of_one_shape_add_one_gather():
         # S(x, y, z) = T(Pz, x, Py), P e_i = signs[i] e_i
         assert arranged(t, "Pz,x,Py", p)[1, 2, 3] == t[3, 1, 2] * C(signs[3] * signs[2])
     assert len(_GATHERS) == before + 1 and (dim, (2, 0, 1), (0, 2), signs) in _GATHERS
+
+
+# matrices for the slot-map pass, on ints and, where the kind has one, with
+# a parameter: a diagonal of 1 and -1, a scaled diagonal, the block swap and
+# a dense matrix
+PASS_MATRICES = {
+    "signs": [_diagonal([C(x) for x in (1, 1, -1, -1)])],
+    "scales": [_diagonal((C(2), C(-1), C(Fraction(1, 3)), C(1))), _diagonal((A, C(1), C(2), -A))],
+    "swap": [[[C(int(j == (i + 2) % DIM)) for j in range(DIM)] for i in range(DIM)]],
+    "dense": [[[C(0), C(1), C(2), C(0)], [C(1), C(0), C(0), C(Fraction(1, 2))],
+               [C(0), C(-1), C(1), C(0)], [C(3), C(0), C(0), C(-2)]],
+              PRODUCT_MATRICES["dense"]]}
+
+
+def _slot_matrices(kind, rank):
+    """Lists of one matrix per slot: every form of one kind on each slot,
+    or for "each" the kinds in turn on ints, and parametric ones with the
+    dense matrix second, so that a diagonal scales a slot that has moved."""
+    if kind != "each":
+        return [[m] * rank for m in PASS_MATRICES[kind]]
+    (signs,), scales, (swap,), dense = PASS_MATRICES.values()
+    return [[signs, scales[0], swap, dense[0]][:rank],
+            [scales[1], dense[1], scales[0], signs][:rank]]
+
+
+@pytest.mark.parametrize("variance", ["d", "u", "dd", "ud", "ddu", "dddd"])
+@pytest.mark.parametrize("kind", list(PASS_MATRICES) + ["each"])
+def test_the_slot_map_pass_matches_one_slot_map_at_a_time(variance, kind):
+    # each form of tensor against each form of matrix, every set of slots;
+    # the pass on every slot against the Scalar index loop as well
+    rank = len(variance)
+    for t in _both_forms(DIM, variance, seed=rank):
+        for matrices in _slot_matrices(kind, rank):
+            for count in range(rank + 1):
+                for slots in itertools.combinations(range(rank), count):
+                    expected = t
+                    for slot in slots:
+                        expected = expected.map_slot(matrices[slot], slot)
+                    got = t.map_slots([m if k in slots else None
+                                       for k, m in enumerate(matrices)])
+                    _assert_matches(got, expected)
+            oracle = t
+            for slot, m in enumerate(matrices):
+                oracle = map_slot_oracle(oracle, m, slot)
+            assert t.map_slots(matrices) == oracle
+
+
+def test_the_slot_map_pass_gathers_only_by_dim_and_perm():
+    dim = 5
+    m = [[C((i * dim + j) % 3 - 1) for j in range(dim)] for i in range(dim)]
+    t = Tensor(dim, "ddu", PARAMS, [C(k % 7 - 3) for k in range(dim ** 3)])
+    t.transpose((0, 1, 2))  # the size's offsets exist
+    before = set(_GATHERS)
+    # with every slot mapped, two rotations by one place bring slots 1 and 2
+    # to the front, and the restoring gather is that rotation again
+    t.map_slots([m, m, m])
+    assert (dim, (2, 0, 1)) in _GATHERS
+    t.map_slot(m, 1)
+    arranged(t, "Pz,x,Py", m)
+    assert all(type(key) is tuple and len(key) == 2 for key in set(_GATHERS) - before)
+
+
+def test_a_row_of_b_no_entry_of_a_reads_makes_no_terms():
+    class Unread(list):
+        def __iter__(self):
+            raise AssertionError("a row no entry of a reads was read")
+
+    assert _mul([[1, 0, 2]], [[1, 2], Unread([3, 3]), [2, 0]], False) == [[5, 2]]
+    assert _mul([[{0: 1}, {}, {0: 2}]], [[{0: 1}, {64: 2}], Unread([{0: 3}, {0: 3}]),
+                                         [{0: 2}, {}]], True) == [[{0: 5}, {64: 2}]]
+
+
+CHANGE_OF_BASIS_FRAMES = {
+    "family": lambda: build_example().substitute({"l1": 1, "l2": 2, "l3": 3, "l4": 5}),
+    "family, symbolic": build_example, "six-dim": six_dim_frame,
+    "symbolic metric": symbolic_metric_frame, "scaled family": scaled_family_frame}
+
+
+@pytest.mark.parametrize("name", list(CHANGE_OF_BASIS_FRAMES))
+def test_a_change_of_basis_matches_the_nested_loop(name):
+    fa = CHANGE_OF_BASIS_FRAMES[name]()
+    af = adapted_frame(fa)
+    s, s_inv = _rows(af.s.comps, fa.dim), _rows(af.s_inv.comps, fa.dim)
+    for t, moved in ((fa.brackets, af.brackets), (fa.metric, af.metric),
+                     (fa.product, af.product)):
+        assert _moved(t, af.s, af.s_inv) == change_of_basis_oracle(t, s, s_inv) == moved
+        assert af.to_user(moved) == t
+
+
+@pytest.mark.parametrize("name", list(CHANGE_OF_BASIS_FRAMES) + ["conj8"])
+def test_square_norm_matches_raising_one_slot_at_a_time(name):
+    fa = random_frames()[-1] if name == "conj8" else CHANGE_OF_BASIS_FRAMES[name]()
+    af = adapted_frame(fa)
+    for frame in (fa, af):
+        ginv = frame.metric_inv
+        for t in (fundamental_F(frame), frame.brackets.lower_slot(2, frame.metric)):
+            up = t.raise_slot(0, ginv).raise_slot(1, ginv).raise_slot(2, ginv)
+            assert square_norm(t, frame) == contract_all(t, up) == \
+                sum((x * y for x, y in zip(t.comps, up.comps)), Scalar.zero(t.params))
 
 
 def test_cyclic_sum_of_zero():
