@@ -13,13 +13,15 @@ report on failure, else build the adapted frame (``adapted_frame``,
 P = diag(I, -I)) and the report with its class, and decide the skew-torsion
 connection once.  Its pack, or the ``NotW3Error`` saying why there is none,
 goes to the command's own entries: scalars and text sections, a suite, or
-the golden comparisons.  ``report`` reads tau and tau' off the connection
-coefficients (``scalar_curvature``), so its JSON form builds no Riemann
-tensor; ``check`` and ``example`` read them off the Riemann tensor their
-checks build (``curvature``), so neither pays for both.  ``validate`` keeps
-a short path: class ``not-computed``, no adapted frame, and the Killing
-check.  ``main`` parses with one parser, built at import by
-``build_parser``, the one place that declares the arguments.
+the golden comparisons.  Every command reads tau and tau' through one
+reader, ``_tau``: off a Riemann tensor a check has built (``curved``), else
+off the connection coefficients (``scalar_curvature``).  ``report`` builds
+none before its scalars, so its JSON form builds no Riemann tensor;
+``check`` and ``example`` run their checks first, so no command builds one
+only for tau.  ``validate`` keeps a short path: class ``not-computed``, no
+adapted frame, and the Killing check.  ``main`` parses with one parser,
+built at import by ``build_parser``, the one place that declares the
+arguments.
 
 ``example`` is ``check`` on the bundled spec, loaded like any other, plus
 the golden comparisons.  It takes no spec (``example SPEC`` is a usage
@@ -51,7 +53,7 @@ from .example import (PARAM_NAMES, bundled_spec_path, compare_scalars, compare_t
                       family_parameters, golden_tables)
 from .frames import (FrameAlgebra, SchemaError, _parse_entry, adapted_frame,
                      killing_check, load_spec, spec_digest, validate)
-from .geometry import (classify, curvature, fundamental_F, levi_civita,
+from .geometry import (classify, curvature, curved, fundamental_F, levi_civita,
                        scalar_curvature, square_norm, square_norm_nabla_P,
                        torsion_projections)
 from .parser import ParseError
@@ -200,20 +202,19 @@ def _pipeline(args) -> int:
     return _emit(report, args)
 
 
-def _riemann_tau(conn) -> Scalar:
-    """The scalar curvature read off ``curvature``, for the commands whose
-    checks build the Riemann tensor anyway."""
-    return curvature(conn)[2]
+def _tau(conn) -> Scalar:
+    """The scalar curvature of conn: off its Riemann tensor when a check has
+    built it, else from the coefficients."""
+    return curvature(conn)[2] if curved(conn) else scalar_curvature(conn)
 
 
-def _add_scalars(report: Report, af: FrameAlgebra, pack, tau, tau_prime) -> dict:
-    """tau and |nabla P|^2 of the Levi-Civita connection, read by
-    tau(connection), then tau' of the skew-torsion connection when it
-    exists, read by tau_prime(connection): added to the report, returned as
+def _add_scalars(report: Report, af: FrameAlgebra, pack) -> dict:
+    """tau and |nabla P|^2 of the Levi-Civita connection, then tau' of the
+    skew-torsion connection when it exists: added to the report, returned as
     Scalars."""
-    scalars = {"tau": tau(levi_civita(af)), "nabla_P_norm_sq": square_norm_nabla_P(af)}
+    scalars = {"tau": _tau(levi_civita(af)), "nabla_P_norm_sq": square_norm_nabla_P(af)}
     if not isinstance(pack, NotW3Error):
-        scalars["tau_prime"] = tau_prime(pack.rpt)
+        scalars["tau_prime"] = _tau(pack.rpt)
     report.scalars.update((name, str(value)) for name, value in scalars.items())
     return scalars
 
@@ -241,7 +242,7 @@ def _add_sections(report: Report, af: FrameAlgebra, pack):
 
 
 def cmd_report(args, report: Report, af: FrameAlgebra, pack):
-    _add_scalars(report, af, pack, scalar_curvature, scalar_curvature)
+    _add_scalars(report, af, pack)
     if args.format == "text":
         _add_sections(report, af, pack)
     report.add_checks([validate(af.user)])
@@ -257,13 +258,7 @@ _SUITES = {
 
 def cmd_check(args, report: Report, af: FrameAlgebra, pack):
     report.add_checks(_SUITES[args.suite](af))
-    # tau off the Riemann tensor of a connection the suite curved, else from
-    # its coefficients: geometry curves the Levi-Civita connection; where the
-    # skew-torsion one exists, rpt curves it and theorems curves both
-    w3 = not isinstance(pack, NotW3Error)
-    lc_curved = args.suite in ("all", "geometry") or (w3 and args.suite == "theorems")
-    _add_scalars(report, af, pack, _riemann_tau if lc_curved else scalar_curvature,
-                 scalar_curvature if args.suite == "geometry" else _riemann_tau)
+    _add_scalars(report, af, pack)
 
 
 def cmd_example(args, report: Report, af: FrameAlgebra, pack):
@@ -274,15 +269,16 @@ def cmd_example(args, report: Report, af: FrameAlgebra, pack):
         golden = {name: t.substitute(at) for name, t in golden.items()}
         scalars = {key: Scalar.constant((), s.substitute(at))
                    for key, s in scalars.items()}
+    suite = run_all(af)  # first, so that tau is read off its Riemann tensors
     report.add_checks([
         compare_tensor(af, "torsion", pack.T, golden["torsion"]),
         compare_tensor(af, "connection", pack.rpt.coeffs, golden["connection"]),
         compare_tensor(af, "curvature", curvature(pack.rpt)[0], golden["curvature"]),
         compare_tensor(af, "torsion_derivative", pack.torsion_derivative(),
                        golden["torsion_derivative"]),
-        compare_scalars(_add_scalars(report, af, pack, _riemann_tau, _riemann_tau), scalars),
+        compare_scalars(_add_scalars(report, af, pack), scalars),
     ])
-    report.add_checks(run_all(af))
+    report.add_checks(suite)
 
 
 # ---------------------------------------------------------------------------

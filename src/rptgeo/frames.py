@@ -124,6 +124,7 @@ def memo(fn):
             store[key] = fn(owner)
         return store[key]
 
+    cached.memo_key = key  # the entry of owner.__dict__ that holds fn(owner)
     return cached
 
 

@@ -8,10 +8,11 @@ constant on the frame (left invariance), so all directional-derivative terms
 vanish and the Koszul formula reduces to bracket/metric pairings.
 
 A connection's scalar curvature has two memoized readers: ``curvature``,
-the trace of the Ricci tensor of its Riemann tensor, which ``check`` and
-``example`` read since their checks build both Riemann tensors anyway, and
+the trace of the Ricci tensor of its Riemann tensor, and
 ``scalar_curvature``, of order n^4 from the coefficients with no curvature
-tensor, which ``report`` reads.
+tensor.  ``curved`` says whether the first is already built, so a command
+reads tau there when a check has built the Riemann tensor and from the
+coefficients otherwise.
 """
 
 from __future__ import annotations
@@ -97,9 +98,7 @@ def curvature(conn: Connection):
 
     R(x,y,z,w) = g(nabla_x nabla_y z - nabla_y nabla_x z - nabla_[x,y] z, w).
     With L(i,s,l) = g(nabla_i e_s, e_l) and constant frame components,
-    R(i,j,k,l) = sum_s A^s_jk L(i,s,l) - A^s_ik L(j,s,l) - c^s_ij L(s,k,l).
-    ``check`` and ``example`` read tau here, a memo hit after their checks,
-    so they never pay for ``scalar_curvature`` too."""
+    R(i,j,k,l) = sum_s A^s_jk L(i,s,l) - A^s_ik L(j,s,l) - c^s_ij L(s,k,l)."""
     fa = conn.frame
     low = conn.coeffs.lower_slot(2, fa.metric)
     # sum_s A^s_jk L(i,s,l) lands at (j,k,i,l) and moves to (i,j,k,l)
@@ -111,11 +110,20 @@ def curvature(conn: Connection):
     return riemann, ricci, tau
 
 
+def curved(conn: Connection) -> bool:
+    """Whether ``curvature(conn)`` is already memoized, so that tau read
+    there costs nothing."""
+    return _CURVED in conn.__dict__
+
+
+_CURVED = curvature.memo_key
+
+
 @memo
 def scalar_curvature(conn: Connection) -> Scalar:
     """Scalar curvature of conn from its coefficients, of order n^4, equal to
-    ``curvature(conn)[2]``; ``report`` reads tau and tau' here, so it builds
-    no Riemann tensor.
+    ``curvature(conn)[2]``, for a connection whose Riemann tensor no check
+    builds.
 
     Contracting R^i_ijk: Ric(j,k) = sum_s A^s_jk t_s - sum_{s,p} (A - c)^p_js
     A^s_pk with t_s = sum_p A^p_ps, which needs no metric, and

@@ -299,12 +299,19 @@ class Tensor:
     def map_slots(self, matrices) -> "Tensor":
         """Each slot k mapped by matrices[k] as ``map_slot`` maps one, or
         left where it is None, in one pass (``_passed``): a change of basis
-        is s on the covector slots and s^-1 on the vector slots."""
+        is s on the covector slots and s^-1 on the vector slots.  ValueError
+        unless there is one entry per slot."""
+        if len(matrices) != self.rank:
+            raise ValueError("%d slot matrices for a rank-%d tensor"
+                             % (len(matrices), self.rank))
         return self._passed([m if m is None else _matrix(m, self.params) for m in matrices])
 
     def _mapped(self, cleared, slot: int) -> "Tensor":
         """``map_slot`` by a matrix (rows, d): a diagonal of 1 and -1 is the
-        signed gather, any other matrix the one slot-map pass on this slot."""
+        signed gather, any other matrix the one slot-map pass on this slot.
+        ValueError on a slot outside 0..rank-1."""
+        if not 0 <= slot < self.rank:
+            raise ValueError("slot %d of a rank-%d tensor" % (slot, self.rank))
         signs = _signs(*cleared)
         if signs:
             return self._gathered(tuple(range(self.rank)), (slot,), signs)
@@ -317,8 +324,10 @@ class Tensor:
         the slot stands.  Any other comes to the front by one gather, a
         rotation of the slots, and left-multiplies the n rows of width
         n ** (rank - 1) in one ``_mul``, by M on a vector slot and by M^T on
-        a covector slot.  One last gather restores the slot order, or moves
-        it by perm, and the product of the denominators cancels once."""
+        a covector slot; on the second slot of a rank-2 tensor the n rows
+        are multiplied on the right instead, with no gather.  One last
+        gather restores the slot order, or moves it by perm, and the
+        product of the denominators cancels once."""
         n, r = self.dim, self.rank
         mapped = [k for k, m in enumerate(cleared) if m is not None]
         (values, den), *mats = _joint([self._values()] + [cleared[k] for k in mapped])
@@ -331,6 +340,12 @@ class Tensor:
                 diag = itertools.cycle([x for x in diag for _ in range(n ** (r - 1 - p))])
                 values = [_dict_mul(x, y) if x and y else {} for x, y in zip(values, diag)] \
                     if poly else list(map(operator.mul, values, diag))
+                continue
+            if p == 1 == r - 1:
+                # the second slot of a matrix: its rows times M, or M^T on a
+                # vector slot, with no gather
+                rows = mat_transpose(rows) if self.variance[slot] == "u" else rows
+                values = [x for row in _mul(_rows(values, n), rows, poly) for x in row]
                 continue
             if p:
                 order = order[p:] + order[:p]

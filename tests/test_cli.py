@@ -541,36 +541,25 @@ def test_check_and_example_read_tau_from_the_riemann_tensor_they_build(
     assert len(results) == (1 if frame == "non-W3" else 2)
 
 
-# the connections whose Riemann tensor each suite builds, on a frame with a
-# skew-torsion connection and on one without: the Levi-Civita one ("lc") and
-# the skew-torsion one ("rpt")
-_SUITE_CURVES = {"all": ({"lc", "rpt"}, {"lc"}), "geometry": ({"lc"}, {"lc"}),
-                 "rpt": ({"rpt"}, set()), "theorems": ({"lc", "rpt"}, set())}
-
-
-@pytest.mark.parametrize("suite", sorted(_SUITE_CURVES))
+@pytest.mark.parametrize("suite", ["all", "geometry", "rpt", "theorems"])
 @pytest.mark.parametrize("frame", ["W3", "W0", "non-W3"])
-def test_check_reads_tau_off_the_riemann_tensors_its_suite_builds(suite, frame, monkeypatch,
-                                                                  capsys, tmp_path):
-    # tau of a connection the suite curved is a memo hit on its Riemann
-    # tensor, of any other it comes from the coefficients: no Riemann tensor
-    # is built only for tau, and the scalars are those of the JSON report
-    argv, _ = _tau_commands(tmp_path)[frame]
+def test_check_reads_tau_off_a_riemann_tensor_only_when_its_suite_built_one(
+        suite, frame, monkeypatch, capsys, tmp_path):
+    # the suite's reads come first, then one tau read per connection: off
+    # the Riemann tensor when the suite curved that connection, else from
+    # the coefficients, and the scalars are those of the JSON report
+    argv, connections = _tau_commands(tmp_path)[frame]
     expected = json.loads(run_cli(["report"] + argv + ["--format", "json"], capsys)[1])
     reads = _tau_reads(monkeypatch)
     code, out, _ = run_cli(["check"] + argv + ["--suite", suite, "--format", "json"],
                            capsys)
     assert code == 0
     assert json.loads(out)["scalars"] == expected["scalars"]
-
-    def kinds(name):
-        return {"lc" if conn is geometry.levi_civita(conn.frame) else "rpt"
-                for read, conn, _ in reads if read == name}
-
-    curved = _SUITE_CURVES[suite][frame == "non-W3"]
-    reported = {"lc"} if frame == "non-W3" else {"lc", "rpt"}
-    assert kinds("curvature") == curved
-    assert kinds("scalar_curvature") == reported - curved
+    checks, taus = reads[:-connections], reads[-connections:]
+    assert all(name == "curvature" for name, _, _ in checks)
+    curved = {id(conn) for _, conn, _ in checks}
+    assert [name for name, _, _ in taus] == [
+        "curvature" if id(conn) in curved else "scalar_curvature" for _, conn, _ in taus]
 
 
 def test_json_report_builds_no_text_sections(monkeypatch, capsys):

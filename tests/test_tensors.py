@@ -523,6 +523,26 @@ def test_the_slot_map_pass_matches_one_slot_map_at_a_time(variance, kind):
             assert t.map_slots(matrices) == oracle
 
 
+@pytest.mark.parametrize("count", [0, 2, 4])
+def test_the_slot_map_pass_needs_one_entry_per_slot(count):
+    t = Tensor(DIM, "ddu", PARAMS, [C(k % 5 - 2) for k in range(DIM ** 3)])
+    with pytest.raises(ValueError, match="rank-3"):
+        t.map_slots([PASS_MATRICES["dense"][0]] * count)
+
+
+@pytest.mark.parametrize("kind", ["signs", "dense"])
+def test_a_slot_map_refuses_a_slot_outside_the_rank(kind):
+    # on the signed gather and on the pass alike; lower_slot and raise_slot
+    # read slot -1 as the last variance letter, and still refuse it
+    m = PASS_MATRICES[kind][0]
+    dd, uu = (Tensor(DIM, v, PARAMS, [C(k % 5 - 2) for k in range(DIM ** 2)])
+              for v in ("dd", "uu"))
+    for call in (lambda: dd.map_slot(m, -1), lambda: uu.map_slot(m, 2),
+                 lambda: dd.raise_slot(-1, m), lambda: uu.lower_slot(-1, m)):
+        with pytest.raises(ValueError, match="rank-2"):
+            call()
+
+
 def test_the_slot_map_pass_gathers_only_by_dim_and_perm():
     dim = 5
     m = [[C((i * dim + j) % 3 - 1) for j in range(dim)] for i in range(dim)]
