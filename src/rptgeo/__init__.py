@@ -23,7 +23,7 @@ from .parser import ParseError, parse_expression
 from .scalars import Scalar
 from .tensors import (Tensor, arranged, compose, cyclic_sum, mat_det, mat_identity, mat_inv,
                       mat_mul, mat_transpose, null_space, row_reduce, tensor_contract)
-from .theorems import (all_passed, check_p_tensor, geometry_checks, rpt_checks,
+from .theorems import (check_p_tensor, geometry_checks, rpt_checks,
                        run_all, theorem_checks, verify_curvature_relation,
                        verify_family_equivalence, verify_p_tensor_criterion,
                        verify_parallel_torsion, verify_torsion_type)

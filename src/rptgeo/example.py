@@ -22,7 +22,7 @@ from .frames import (CheckResult, FrameAlgebra, SchemaError, Witness,
                      _expect, _is_index, _parse_entry, bracket_tensor, check_result,
                      tensor_witnesses)
 from .scalars import Scalar
-from .tensors import Tensor, mat_identity
+from .tensors import Tensor
 
 PARAM_NAMES = ("l1", "l2", "l3", "l4")
 EPSILON_CANDIDATES = (1, -1)
@@ -35,13 +35,6 @@ GOLDEN_VARIANCES = {"torsion": "ddd", "connection": "ddu", "curvature": "dddd",
 # the family's metric and product on the int form, constant in every context
 _IDENTITY = ([int(i == j) for i in range(4) for j in range(4)], 1)
 _SWAP = ([int(abs(i - j) == 2) for i in range(4) for j in range(4)], 1)
-
-def swap_product_matrix(dim: int, params: tuple) -> list:
-    """Block antidiagonal product structure exchanging the two halves."""
-    half = dim // 2
-    one, zero = Scalar.one(params), Scalar.zero(params)
-    return [[one if abs(i - j) == half else zero for j in range(dim)]
-            for i in range(dim)]
 
 
 def family_brackets(lam, params: tuple) -> Tensor:
@@ -64,8 +57,9 @@ def build_example(lambdas=None) -> FrameAlgebra:
             raise ValueError("the family takes exactly four parameters")
         params = ()
         lam = [Scalar.constant((), Fraction(v)) for v in lambdas]
-    return FrameAlgebra(4, params, family_brackets(lam, params), mat_identity(4, params),
-                        swap_product_matrix(4, params))
+    return FrameAlgebra(4, params, family_brackets(lam, params),
+                        Tensor.of_ints(4, "dd", params, *_IDENTITY),
+                        Tensor.of_ints(4, "ud", params, *_SWAP))
 
 
 def family_parameters(fa: FrameAlgebra):

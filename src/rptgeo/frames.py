@@ -9,7 +9,7 @@ them, and tensors back, through ``_moved``, one slot-map pass over every
 slot.  No Scalar matrix arithmetic builds, checks or substitutes a frame.
 A constant frame is set up on ints: ``metric_minors`` and ``metric_inv``
 eliminate ``metric`` as it is held, the eigenbasis of a constant P and its
-inverse are found and built on ints, the identity and diag(I, -I) are int
+inverse are found and built on ints, the identity and diag(I_p, -I_q) are int
 tensors (``_diagonal``), and ``tensor_witnesses`` compares tensors before it
 builds a Scalar, so ``validate`` builds only the view ``p`` that its
 ``map_slot`` calls read as rows.
@@ -21,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import wraps
 
 from .parser import ParseError, parse_expression
@@ -174,8 +175,8 @@ class FrameAlgebra:
     built on it, so derived geometry is cached through ``memo``."""
 
     def __init__(self, dim: int, params: tuple, c, g, p):
-        if not isinstance(dim, int) or dim <= 0 or dim % 2:
-            raise ValueError("dimension must be a positive even integer")
+        if not isinstance(dim, int) or dim <= 0:
+            raise ValueError("dimension must be a positive integer")
         self.dim, self.params = dim, tuple(params)
         self.brackets, self.metric, self.product = (
             _entered(name, x, variance, dim, self.params) for name, x, variance in (
@@ -277,21 +278,20 @@ def _eigenbasis(fa: FrameAlgebra) -> Tensor:
     """The ``ud`` matrix whose columns are eigenvectors of P for +1, then for
     -1: for a constant P the pivot columns of I+P and I-P, found and built
     on ints, integral when P is; else ``null_space`` of I-P and I+P, which
-    keeps P's parameters out of the adapted frame."""
+    keeps P's parameters out of the adapted frame.  ValueError unless the
+    two sets together make n columns, which holds exactly when P^2 = I."""
     n, ints = fa.dim, fa.product.ints
     ident = _diagonal(fa, [1] * n)
-    columns = []
+    found = []
     for sign in (1, -1):
         proj = ident + fa.product.scale(sign if ints else -sign)
-        if ints:
-            # P = N / D has gcd(D, N) = 1, so I +- P = (D I +- N) / D keeps D
-            found = [proj.ints[0][col::n] for col in pivot_columns(proj)]
-        else:
-            found = null_space(_rows(proj.comps, n))
-        if len(found) != n // 2:
-            raise ValueError("product structure has an eigenspace of dimension "
-                             "%d, expected %d" % (len(found), n // 2))
-        columns += found
+        # P = N / D has gcd(D, N) = 1, so I +- P = (D I +- N) / D keeps D
+        found.append([proj.ints[0][col::n] for col in pivot_columns(proj)] if ints
+                     else null_space(_rows(proj.comps, n)))
+    columns = found[0] + found[1]
+    if len(columns) != n:
+        raise ValueError("product structure is not an involution: %d + %d eigenvector "
+                         "columns for +1 and -1, not %d" % (len(found[0]), len(found[1]), n))
     rows = mat_transpose(columns)
     if ints:
         return Tensor.of_ints(n, "ud", fa.params, [x for row in rows for x in row], ints[1])
@@ -301,15 +301,23 @@ def _eigenbasis(fa: FrameAlgebra) -> Tensor:
 @memo
 def adapted_frame(fa: FrameAlgebra) -> RebasedFrame:
     """fa in a basis of eigenvectors of P, those for +1 first, so that
-    P = diag(I, -I) there.
+    P = diag(I_p, -I_q) there, p = (n + trace P) / 2 and q = n - p.
 
-    Needs a frame that passes ``validate`` (P^2 = I, trace P = 0, P
-    g-orthogonal); the metric comes out block-diagonal.  For a parametric P
-    the basis comes from exact elimination over rational functions, like
+    Needs P^2 = I and P g-orthogonal, which ``validate`` checks (with trace
+    P = 0); the metric comes out block-diagonal.  ValueError when
+    (n + trace P) / 2 is not a whole count.  For a parametric P the basis
+    comes from exact elimination over rational functions, like
     ``metric_inv``, so it holds at the generic point of the parameters."""
+    n, ints = fa.dim, fa.product.ints
+    # a constant P's trace is read off its ints, so no Scalar is built
+    trace = Fraction(sum(ints[0][::n + 1]), ints[1]) if ints else \
+        sum((fa.product[i, i] for i in range(n)), Scalar.zero(fa.params)).value
+    p = None if trace is None else Fraction(n + trace, 2)
+    if p is None or p.denominator != 1 or not 0 <= p <= n:
+        raise ValueError("(n + trace P) / 2 is %s, no count of +1 eigenvectors in "
+                         "dimension %d" % ("not a constant" if p is None else p, n))
     af = change_basis(fa, _eigenbasis(fa))
-    half = fa.dim // 2
-    if af.product != _diagonal(fa, [1] * half + [-1] * half):
+    if af.product != _diagonal(fa, [1] * int(p) + [-1] * (n - int(p))):
         raise ValueError("the product structure is not diagonal in its eigenbasis")
     return af
 

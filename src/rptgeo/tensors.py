@@ -41,12 +41,13 @@ Jacobi residuals of ``validate`` (``jacobi_residuals``) call it;
 ``compose`` builds the torsion inner products, and covariant derivatives
 and curvature from connection coefficients.
 
-Every slot map is one pass, ``Tensor._passed``, given a matrix or None per
-slot: ``map_slot``, ``lower_slot`` and ``raise_slot`` map one slot,
-``map_slots`` several (``frames._moved``, ``geometry.square_norm``), and
-``arranged`` its P slots before its transpose.  Only a diagonal of 1 and -1
-over 1, such as P = diag(I, -I) in a P-eigenbasis, given to ``map_slot`` or
-``arranged``, takes the signed gather (below) instead.
+Every slot map is one pass, ``Tensor._passed``, given a dim x dim matrix
+(``_matrix``) or None per slot: ``map_slot``, ``lower_slot`` and
+``raise_slot`` map one slot, ``map_slots`` several (``frames._moved``,
+``geometry.square_norm``), and ``arranged`` its P slots before its
+transpose, ``_gathered``, the one gather of every permutation.  Only a
+diagonal of 1 and -1 over 1, such as P = diag(I, -I) in a P-eigenbasis,
+given to ``map_slot`` or ``arranged``, takes the signed gather (below).
 
 Data movement runs in C builtins.  ``transpose`` and the slot-map pass
 gather, on either form, through one ``operator.itemgetter`` per (dim,
@@ -60,18 +61,19 @@ of ``+``/``-``, ``scale`` by a constant, the int cancellation) stays a
 comprehension, which CPython 3.11 runs faster than ``map`` over
 ``itertools.repeat``.
 
-The small exact matrices have one elimination, behind ``row_reduce``,
-``pivot_columns``, ``leading_minors``, ``mat_det``, ``mat_inv`` and
-``null_space``, the one reader of a kernel.  Each takes rows of Scalars
-and, but ``null_space``, a rank-2 Tensor, read as it is held.  On a
-constant matrix the elimination is one fraction-free (Bareiss) loop on
+The small exact matrices have one elimination, ``_eliminated``, behind
+``row_reduce``, ``pivot_columns``, ``leading_minors``, ``mat_det``,
+``mat_inv`` and ``null_space``, the one reader of a kernel.  Each takes
+rows of Scalars and, but ``null_space``, a rank-2 Tensor, read as it is
+held.  On a constant matrix it is one fraction-free (Bareiss) loop on
 ints, ``_bareiss``: every entry it makes is a minor, so every division is
 exact.  Rows of Scalars are cleared to ints for it, a Tensor's ints are
 read, and Scalars are built only for what is returned: the rref and the
-inverse of a Tensor are Tensors made on ints, the minors are int pivots
-over a power of the denominator, ``leading_minors`` builds no rref, and
-``mat_inv`` and ``pivot_columns`` build no minor.  Else the elimination is
-Gauss-Jordan on the Scalars, a parametric Tensor's through its view.
+inverse of a Tensor are Tensors made on ints.  Else it is Gauss-Jordan on
+the Scalars, a parametric Tensor's through its view.  Both loops return
+their pivot values; only ``_reduce`` (``row_reduce``, ``leading_minors``)
+makes minors of them, on ints int pivots over a power of the
+denominator, and ``leading_minors`` builds no rref.
 """
 
 from __future__ import annotations
@@ -294,7 +296,7 @@ class Tensor:
     def map_slot(self, matrix, slot: int) -> "Tensor":
         """Compose a (1,1) map into one slot (covariant: M^a_i feeds slot).
         The matrix is a rank-2 Tensor or nested rows (``_matrix``)."""
-        return self._mapped(_matrix(matrix, self.params), slot)
+        return self._mapped(_matrix(matrix, self.params, self.dim), slot)
 
     def map_slots(self, matrices) -> "Tensor":
         """Each slot k mapped by matrices[k] as ``map_slot`` maps one, or
@@ -304,7 +306,8 @@ class Tensor:
         if len(matrices) != self.rank:
             raise ValueError("%d slot matrices for a rank-%d tensor"
                              % (len(matrices), self.rank))
-        return self._passed([m if m is None else _matrix(m, self.params) for m in matrices])
+        return self._passed([m if m is None else _matrix(m, self.params, self.dim)
+                             for m in matrices])
 
     def _mapped(self, cleared, slot: int) -> "Tensor":
         """``map_slot`` by a matrix (rows, d): a diagonal of 1 and -1 is the
@@ -317,17 +320,16 @@ class Tensor:
             return self._gathered(tuple(range(self.rank)), (slot,), signs)
         return self._passed([cleared if k == slot else None for k in range(self.rank)])
 
-    def _passed(self, cleared: list, perm: tuple = None) -> "Tensor":
+    def _passed(self, cleared: list) -> "Tensor":
         """The one slot-map pass: slot k mapped by cleared[k], a matrix
-        (rows, d) or None, as ``map_slot`` maps it, then transposed by perm
-        when given.  A diagonal matrix scales each slice of its slot where
-        the slot stands.  Any other comes to the front by one gather, a
-        rotation of the slots, and left-multiplies the n rows of width
-        n ** (rank - 1) in one ``_mul``, by M on a vector slot and by M^T on
-        a covector slot; on the second slot of a rank-2 tensor the n rows
-        are multiplied on the right instead, with no gather.  One last
-        gather restores the slot order, or moves it by perm, and the
-        product of the denominators cancels once."""
+        (rows, d) or None, as ``map_slot`` maps it.  A diagonal matrix
+        scales each slice of its slot where the slot stands.  Any other
+        comes to the front by one gather, a rotation of the slots, and
+        left-multiplies the n rows of width n ** (rank - 1) in one ``_mul``,
+        by M on a vector slot and by M^T on a covector slot; on the second
+        slot of a rank-2 tensor the n rows are multiplied on the right
+        instead, with no gather.  One last gather restores the slot order,
+        and the product of the denominators cancels once."""
         n, r = self.dim, self.rank
         mapped = [k for k, m in enumerate(cleared) if m is not None]
         (values, den), *mats = _joint([self._values()] + [cleared[k] for k in mapped])
@@ -353,25 +355,14 @@ class Tensor:
             if self.variance[slot] == "d":
                 rows = mat_transpose(rows)
             values = [x for row in _mul(rows, _rows(values, n ** (r - 1)), poly) for x in row]
-        variance = self.variance
-        if perm is not None:
-            # input slot k becomes output slot perm[k]
-            variance = "".join([v for _, v in sorted(zip(perm, variance))])
-            order = [perm[k] for k in order]
         if order != list(range(r)):
             values = _transposed(values, n, tuple(order))
-        return Tensor._new(n, variance, self.params, values, den)
-
-    def _with_matrix(self, cleared):
-        """(values, rows, den): the numerators and a cleared matrix (rows, d)
-        in one form, with den the product of their denominators."""
-        (values, den), (rows, d) = _joint([self._values(), cleared])
-        return values, rows, _times(den, d)
+        return Tensor._new(n, self.variance, self.params, values, den)
 
     def lower_slot(self, slot: int, metric) -> "Tensor":
         if self.variance[slot] != "u":
             raise ValueError("slot is already covariant")
-        t = self._mapped(_matrix(metric, self.params), slot)
+        t = self._mapped(_matrix(metric, self.params, self.dim), slot)
         var = self.variance[:slot] + "d" + self.variance[slot + 1:]
         return Tensor._of(self.dim, var, self.params, *t._values())
 
@@ -380,7 +371,7 @@ class Tensor:
             raise ValueError("slot is already contravariant")
         # map_slot reads matrix[a][i] on a covariant slot; the inverse metric
         # is symmetric (validate enforces a symmetric metric), so that is g^ia
-        t = self._mapped(_matrix(metric_inv, self.params), slot)
+        t = self._mapped(_matrix(metric_inv, self.params, self.dim), slot)
         var = self.variance[:slot] + "u" + self.variance[slot + 1:]
         return Tensor._of(self.dim, var, self.params, *t._values())
 
@@ -443,8 +434,9 @@ def tensor_contract(t: Tensor, slot_a: int, slot_b: int, metric=None) -> Tensor:
     n = t.dim
     moved = t.transpose([order.index(k) for k in range(r)])
     pairing = ([[int(i == j) for j in range(n)] for i in range(n)], 1) if metric is None \
-        else _matrix(metric, t.params)
-    values, rows, den = moved._with_matrix(pairing)
+        else _matrix(metric, t.params, n)
+    (values, den), (rows, d) = _joint([moved._values(), pairing])
+    den = _times(den, d)
     comps = _product([[m for row in rows for m in row]], _rows(values, n ** (r - 2)), den)
     return Tensor._new(n, "".join(t.variance[k] for k in keep), t.params, comps, den)
 
@@ -490,8 +482,8 @@ def jacobi_residuals(brackets: Tensor):
 def cyclic_sum(t: Tensor, slots) -> Tensor:
     """Sum over the three cyclic rotations of the given slots."""
     s1, s2, s3 = slots
-    if len({s1, s2, s3}) != 3:
-        raise ValueError("cyclic sum needs three distinct slots")
+    if len({s1, s2, s3}) != 3 or not all(0 <= s < t.rank for s in slots):
+        raise ValueError("cyclic sum needs three distinct slots in 0..%d" % (t.rank - 1))
     if len({t.variance[s] for s in (s1, s2, s3)}) != 1:
         raise ValueError("cyclic sum slots must have equal variance")
     perm = list(range(t.rank))
@@ -530,11 +522,11 @@ def arranged(t: Tensor, pattern: str, product=None) -> Tensor:
         raise ValueError("pattern must use each argument exactly once")
     perm, flagged = tuple(perm), tuple(flagged)
     if flagged:
-        cleared = _matrix(product, t.params)
+        cleared = _matrix(product, t.params, t.dim)
         signs = _signs(*cleared)
         if signs:
             return t._gathered(perm, flagged, signs)
-        return t._passed([cleared if k in flagged else None for k in range(rank)], perm)
+        t = t._passed([cleared if k in flagged else None for k in range(rank)])
     return t._gathered(perm)
 
 
@@ -586,13 +578,18 @@ def _transposed(values: list, dim: int, perm: tuple) -> list:
 # the two storage forms: clearing and lifting (cancelling is scalars._canonical)
 
 
-def _matrix(m, params: tuple):
-    """(rows, d) with m = rows / d: a rank-2 Tensor of the context as it is
-    held, nested rows of Scalars through ``_cleared``."""
+def _matrix(m, params: tuple, dim: int):
+    """(rows, d) with m = rows / d, for a dim x dim matrix m: a rank-2
+    Tensor of the context as it is held, nested rows of Scalars through
+    ``_cleared``.  ValueError on a matrix of another size."""
     if type(m) is not Tensor:
+        if len(m) != dim or any(len(row) != dim for row in m):
+            raise ValueError("expected a %d x %d matrix, got row lengths %s"
+                             % (dim, dim, [len(row) for row in m]))
         return _cleared(m, params)
-    if m.rank != 2 or (m.params is not params and m.params != params):
-        raise ValueError("matrix is not a rank-2 tensor of the parameter context")
+    if m.rank != 2 or m.dim != dim or (m.params is not params and m.params != params):
+        raise ValueError("matrix is not a rank-2 tensor of the parameter context "
+                         "and dimension %d" % dim)
     return _rows(m._nums, m.dim), m._den
 
 
@@ -774,8 +771,7 @@ def row_reduce(m):
 def pivot_columns(m) -> list:
     """The pivot columns of ``row_reduce(m)``, from its elimination alone:
     no rref and no minor is built."""
-    rows, d, _ = _operand(m)
-    return (_gauss_jordan(rows) if d is None else _bareiss(rows))[2]
+    return _eliminated(*_operand(m)[:2])[2]
 
 
 def _operand(m):
@@ -785,7 +781,7 @@ def _operand(m):
     ``_cleared``), which the caller may overwrite; else rows of Scalars and
     d None."""
     if type(m) is Tensor:
-        rows, d = _matrix(m, m.params)
+        rows, d = _matrix(m, m.params, m.dim)
         return (rows, d, m.params) if type(d) is int else (_rows(m.comps, m.dim), None, m.params)
     params = m[0][0].params if m and m[0] else ()
     if all(x.value is not None for row in m for x in row):
@@ -798,11 +794,10 @@ def _reduce(m):
     rref as ``_shaped`` reads it and the minors as Scalars: on a constant m
     = A / d, pivot k over d**k."""
     rows, d, params = _operand(m)
-    if d is None:
-        return (*_gauss_jordan(rows), params)
-    rref, den, pivots, minors, swaps = _bareiss(rows)
-    return rref, den, pivots, [Scalar.constant(params, Fraction(p, d ** k))
-                               for k, p in enumerate(minors, 1)], swaps, params
+    rref, den, pivots, values, swaps = _eliminated(rows, d)
+    minors = list(itertools.accumulate(values, operator.mul)) if d is None else \
+        [Scalar.constant(params, Fraction(p, d ** k)) for k, p in enumerate(values, 1)]
+    return rref, den, pivots, minors, swaps, params
 
 
 def _shaped(rows: list, den, params: tuple, variance):
@@ -816,12 +811,19 @@ def _shaped(rows: list, den, params: tuple, variance):
     return rows if den is None else [_scalars(row, den, params) for row in rows]
 
 
+def _eliminated(rows: list, d):
+    """The elimination of (rows, d) from ``_operand``: Bareiss on int rows
+    over an int d, else Gauss-Jordan on Scalars; (rref, den, pivots,
+    values, swaps), values the pivot values (Bareiss's are the minors)."""
+    return _gauss_jordan(rows) if d is None else _bareiss(rows)
+
+
 def _gauss_jordan(m: list):
-    """``row_reduce`` of rows of Scalars: (rref, None, pivots, minors, swaps)."""
+    """The elimination of rows of Scalars: (rref, None, pivots, values, swaps)."""
     work = [list(row) for row in m]
     rows, cols = len(work), len(work[0])
     one = Scalar.one(work[0][0].params)
-    pivots, minors, swaps = [], [], 0
+    pivots, values, swaps = [], [], 0
     for col in range(cols):
         r = len(pivots)
         pivot = next((k for k in range(r, rows) if not work[k][col].is_zero), None)
@@ -839,10 +841,10 @@ def _gauss_jordan(m: list):
             factor = work[k][col]
             work[k] = [x - factor * y for x, y in zip(work[k], work[r])]
         pivots.append(col)
-        minors.append(minors[-1] * value if minors else value)
+        values.append(value)
         if len(pivots) == rows:
             break
-    return work, None, pivots, minors, swaps
+    return work, None, pivots, values, swaps
 
 
 def _bareiss(work: list):
@@ -893,15 +895,16 @@ def _bareiss(work: list):
 
 
 def null_space(m: list) -> list:
-    """A basis of {v : m v = 0}, read from ``row_reduce(m)``: one vector per
-    free column, with 1 there, 0 at the other free columns and
+    """A basis of {v : m v = 0}, read from the rref of m's elimination: one
+    vector per free column, with 1 there, 0 at the other free columns and
     -rref[row][free] at the pivot column of each row; empty at full rank."""
     if not m or not m[0] or any(len(row) != len(m[0]) for row in m):
         raise ValueError("expected a matrix with rows and columns, got row lengths %s"
                          % [len(row) for row in m])
-    rref, pivots, _, _ = row_reduce(m)
-    one, zero = Scalar.one(m[0][0].params), Scalar.zero(m[0][0].params)
-    row_of = dict(zip(pivots, rref))
+    rows, d, params = _operand(m)
+    rref, den, pivots, _, _ = _eliminated(rows, d)
+    one, zero = Scalar.one(params), Scalar.zero(params)
+    row_of = dict(zip(pivots, _shaped(rref, den, params, None)))
     return [[-row_of[col][free] if col in row_of else one if col == free else zero
              for col in range(len(m[0]))]
             for free in range(len(m[0])) if free not in row_of]
@@ -946,12 +949,9 @@ def mat_inv(m):
     right half over that pivot is the inverse; no minor is built."""
     n = _square(m)
     rows, d, params = _operand(m)
-    if d is None:
-        rref, den, pivots, _, _ = _gauss_jordan(
-            [list(row) + e for row, e in zip(rows, mat_identity(n, params))])
-    else:
-        rref, den, pivots, _, _ = _bareiss(
-            [row + [d if i == j else 0 for j in range(n)] for i, row in enumerate(rows)])
+    unit, zero = (Scalar.one(params), Scalar.zero(params)) if d is None else (d, 0)
+    rref, den, pivots, _, _ = _eliminated([list(row) + [unit if i == j else zero for j in range(n)]
+                                           for i, row in enumerate(rows)], d)
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
     variance = "".join("d" if v == "u" else "u" for v in reversed(m.variance)) \

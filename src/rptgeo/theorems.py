@@ -296,7 +296,3 @@ def theorem_checks(fa: FrameAlgebra) -> list:
 def run_all(fa: FrameAlgebra) -> list:
     """Every checker applicable to the frame, in deterministic order."""
     return geometry_checks(fa) + rpt_checks(fa) + theorem_checks(fa)
-
-
-def all_passed(results) -> bool:
-    return not any(r.status == "fail" for r in results)

@@ -17,8 +17,7 @@ from pathlib import Path
 from rptgeo import (Connection, FrameAlgebra, Scalar, Tensor, build_example,
                     levi_civita, mat_identity, mat_inv, mat_mul, mat_transpose, null_space,
                     parse_expression)
-from rptgeo.example import (PARAM_NAMES, SYMMETRIES, _canonical, family_brackets,
-                            swap_product_matrix)
+from rptgeo.example import PARAM_NAMES, SYMMETRIES, _canonical, family_brackets
 from rptgeo.frames import bracket_tensor
 from rptgeo.geometry import nabla_p_components
 
@@ -39,6 +38,19 @@ def perm_sign(sigma) -> int:
         if length % 2 == 0:
             sign = -sign
     return sign
+
+
+def all_passed(results) -> bool:
+    """Whether no check result failed."""
+    return not any(r.status == "fail" for r in results)
+
+
+def swap_product_matrix(dim: int, params: tuple) -> list:
+    """Block antidiagonal product structure exchanging the two halves."""
+    half = dim // 2
+    one, zero = Scalar.one(params), Scalar.zero(params)
+    return [[one if abs(i - j) == half else zero for j in range(dim)]
+            for i in range(dim)]
 
 
 def build_tensor(dim: int, variance: str, params: tuple, fn) -> Tensor:

@@ -9,11 +9,11 @@ from fractions import Fraction
 
 import pytest
 
-from rptgeo import (Connection, ConnectionPack, Scalar, Tensor, adapted_frame,
-                    build_example, change_basis, check_p_tensor, curvature, killing_check,
-                    levi_civita, mat_det, mat_identity, natural_check, rpt_connection,
-                    row_reduce, run_all, tensors, validate)
-from rptgeo.frames import _eigenbasis, frame_from_dict, frame_to_dict
+from rptgeo import (CLASS_SKEW, Connection, ConnectionPack, FrameAlgebra, Scalar, SchemaError,
+                    Tensor, adapted_frame, build_example, change_basis, check_p_tensor,
+                    classify, curvature, killing_check, levi_civita, mat_det, mat_identity,
+                    natural_check, rpt_connection, row_reduce, run_all, tensors, validate)
+from rptgeo.frames import _eigenbasis, bracket_tensor, frame_from_dict, frame_to_dict
 from rptgeo.tensors import coefficient_tensor
 
 from helpers import (abelian_plane, conjugate, direct_sum, eigenbasis_oracle,
@@ -65,8 +65,43 @@ def test_change_basis_names_a_malformed_matrix(s):
         change_basis(fa, s(fa))
 
 
+def _line(sign: int, params: tuple = ()) -> FrameAlgebra:
+    """The abelian line with the unit metric and P = (sign)."""
+    return FrameAlgebra(1, params, bracket_tensor(1, params, {}), [[Scalar.one(params)]],
+                        [[Scalar.constant(params, sign)]])
+
+
+def _su2(params: tuple = ()) -> FrameAlgebra:
+    """su(2), [e1, e2] = e3 and cyclically, with the identity metric and P = (++-)."""
+    one = Scalar.one(params)
+    return FrameAlgebra(3, params, bracket_tensor(3, params, {
+        (0, 1): {2: one}, (1, 2): {0: one}, (0, 2): {1: -one}}), mat_identity(3, params),
+        [[Scalar.constant(params, sign if i == j else 0) for j in range(3)]
+         for i, sign in enumerate((1, 1, -1))])
+
+
+def _unequal_splits() -> dict:
+    """Frames whose P has trace 1 or -1: su(2) (++-), su(2) + R (++-+) and
+    su(2) + R^2 (++-+-), each with its number p of +1 eigenvectors, also
+    conjugated by a constant matrix and, on su(2) + R, by one in a."""
+    a = ("a",)
+    shear = [[Scalar.one(a) if i == j else Scalar.parameter(a, "a") if (i, j) == (0, 3)
+              else Scalar.zero(a) for j in range(4)] for i in range(4)]
+    frames = {"su2": (_su2(), 2), "su2+R": (direct_sum(_su2(), _line(1)), 3),
+              "su2+R2": (direct_sum(direct_sum(_su2(), _line(1)), _line(-1)), 3)}
+    for name, (fa, p) in list(frames.items()):
+        s = random_unimodular(random.Random(fa.dim), fa.dim, ())
+        frames[name + "-conjugated"] = (conjugate(fa, s), p)
+    frames["su2+R-sheared"] = (conjugate(direct_sum(_su2(a), _line(1, a)), shear), 3)
+    return frames
+
+
+UNEQUAL = _unequal_splits()
+
+
 def _built():
-    """A frame from every frame constructor of tests/helpers.py."""
+    """A frame from every frame constructor of tests/helpers.py, and the
+    frames of unequal split."""
     params5 = ("l1", "l2", "l3", "l4", "s")
     lam = [Scalar.parameter(params5, name) for name in params5]
     at = [Scalar.constant(params5, v) for v in (1, 2, 3, Fraction(1, 2))]
@@ -79,7 +114,7 @@ def _built():
         # a P over the denominator 6
         conjugate(build_example((1, 2, 3, 5)), [[Scalar.constant((), x) for x in row] for row in
                                                 [[2, 0, 0, 1], [0, 1, 0, 0], [0, 0, 3, 0],
-                                                 [0, 1, 0, 1]]])]
+                                                 [0, 1, 0, 1]]])] + [fa for fa, _ in UNEQUAL.values()]
 
 
 BUILT = _built()
@@ -109,6 +144,46 @@ def test_adapted_frame_splits_the_product_structure(pos):
     for variance in ("ddu", "dud"):
         t = _random_tensor(rng, fa, variance)
         assert af.to_user(_forward(af, t)) == t
+
+
+@pytest.mark.parametrize("name", list(UNEQUAL))
+def test_an_unequal_split_is_read_from_the_trace_of_the_product(name):
+    # only the trace axiom of validate fails, and it alone fails run_all on
+    # the adapted frame, P = diag(I_p, -I_q) with p = (n + trace P) / 2
+    fa, p = UNEQUAL[name]
+    n = fa.dim
+    assert classify(fa).label == CLASS_SKEW
+    assert [w.label for w in validate(fa).witnesses] == ["product-traceless"]
+    af = adapted_frame(fa)
+    assert af.product == Tensor.of_ints(n, "ud", fa.params, [
+        (1 if i < p else -1) if i == j else 0 for i in range(n) for j in range(n)])
+    assert [r.id for r in run_all(af) if not r.passed] == ["frame-structure"]
+    # a spec keeps its even dimension
+    if n % 2:
+        with pytest.raises(SchemaError, match="^dimension: expected a positive even integer"):
+            frame_from_dict(frame_to_dict(fa))
+    else:
+        assert frame_from_dict(frame_to_dict(fa)) == fa
+
+
+@pytest.mark.parametrize("entries, message", [
+    ([[1, 0, 0], [0, 1, 0], [0, 0, 0]], r"\(n \+ trace P\) / 2 is 5/2, no count"),
+    ([["a", 0, 0], [0, 1, 0], [0, 0, -1]], r"\(n \+ trace P\) / 2 is not a constant"),
+    # I + P and I - P of rank 4 and 2
+    ([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
+     r"not an involution: 4 \+ 2 eigenvector columns for \+1 and -1, not 4"),
+    # a Jordan block: one eigenvector, for +1
+    ([[1, "a"], [0, 1]], r"not an involution: 1 \+ 0 eigenvector columns for \+1 and -1, not 2"),
+])
+def test_adapted_frame_refuses_a_product_that_is_no_involution(entries, message):
+    # the abelian frame with the identity metric and P = entries
+    n = len(entries)
+    params = ("a",) if "a" in str(entries) else ()
+    p = [[Scalar.parameter(params, x) if x == "a" else Scalar.constant(params, x) for x in row]
+         for row in entries]
+    fa = FrameAlgebra(n, params, bracket_tensor(n, params, {}), mat_identity(n, params), p)
+    with pytest.raises(ValueError, match=message):
+        adapted_frame(fa)
 
 
 def test_constant_frames_move_without_scalar_matrix_arithmetic(monkeypatch):

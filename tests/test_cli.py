@@ -20,8 +20,8 @@ from rptgeo.example import bundled_spec_path
 from perfbench import verify
 from perfbench.tracer import Tracer
 
-from helpers import (scaled_family_frame, sheared_family_frame, single_bracket_frame,
-                     six_dim_frame)
+from helpers import (random_frames, scaled_family_frame, sheared_family_frame,
+                     single_bracket_frame, six_dim_frame)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SPEC = str(bundled_spec_path())
@@ -197,12 +197,27 @@ def test_bundled_spec_exits_zero_with_the_documented_keys(command, capsys):
                                        "input_digest", "scalars", "schema"]
 
 
+# frames saved as specs for the traced commands: the constant family, the
+# family in two parametric bases, an 8-dim conjugate with a dense constant P,
+# a non-W3 frame and a 6-dim one
+TRACED_FRAMES = {"constant": lambda: build_example((1, 2, 3, 5)),
+                 "sheared": sheared_family_frame, "scaled": scaled_family_frame,
+                 "conj8": lambda: random_frames()[-1],
+                 "single-bracket": single_bracket_frame, "six-dim": six_dim_frame}
+
+
 @pytest.mark.parametrize("argv", [["validate", SPEC], ["report", SPEC], ["check", SPEC],
-                                  ["example"], ["example", "--lambda=1,2,3,4"]],
-                         ids=["validate", "report", "check", "example", "example-lambda"])
-def test_a_traced_command_reports_what_an_untraced_one_does(argv, capsys):
+                                  ["example"], ["example", "--lambda=1,2,3,4"]] + [
+    [command, name] for name in TRACED_FRAMES for command in ("validate", "report", "check")],
+                         ids=["validate", "report", "check", "example", "example-lambda"] + [
+    "%s-%s" % (command, name) for name in TRACED_FRAMES
+    for command in ("validate", "report", "check")])
+def test_a_traced_command_reports_what_an_untraced_one_does(argv, tmp_path, capsys):
     # the benchmark's tracer wraps Tensor.map_slot, among others, and reads
     # its matrix argument as nested rows; every command runs unchanged under it
+    if argv[1:] and argv[1] in TRACED_FRAMES:
+        save_spec(TRACED_FRAMES[argv[1]](), tmp_path / "frame.json")
+        argv = [argv[0], str(tmp_path / "frame.json")]
     argv = argv + ["--format", "json"]
     code, out, _ = run_cli(argv, capsys)
     tracer = Tracer()

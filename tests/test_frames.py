@@ -11,14 +11,13 @@ import pytest
 from rptgeo import (FrameAlgebra, Scalar, SchemaError, build_example, bundled_spec_path,
                     example, frames, golden_tables, killing_check, load_spec, mat_det,
                     mat_identity, mat_mul, mat_transpose, save_spec, spec_digest, validate)
-from rptgeo.example import swap_product_matrix
 from rptgeo.frames import (Witness, adapted_frame, bracket_tensor, check_result,
                            frame_from_dict, frame_to_dict, tensor_witnesses)
 from rptgeo.tensors import Tensor, _as_poly, coefficient_tensor
 
 from helpers import (abelian_plane, conjugate, jacobi_oracle, jacobi_residual_oracle,
                      killing_oracle, random_frames, random_unimodular, sheared_family_frame,
-                     single_bracket_frame, symbolic_metric_frame)
+                     single_bracket_frame, swap_product_matrix, symbolic_metric_frame)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

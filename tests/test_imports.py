@@ -33,7 +33,10 @@ one exception: ``validate`` and ``killing_check`` pass it the nested
 ``fa.p``, as the benchmark's tracer, which reads that argument as rows,
 requires.  Scalar arithmetic has one path: ``Scalar.__add__``, ``__mul__``
 and ``__truediv__`` read no attribute ``value``, so a constant operand
-takes no branch of its own and every quotient cancels in ``_make``.
+takes no branch of its own and every quotient cancels in ``_make``.  Each
+kernel choice is made in one place: only ``tensors._eliminated`` calls an
+elimination loop, ``_gauss_jordan`` or ``_bareiss``, and a ``_passed`` call
+takes one argument, the slot matrices, so the pass never permutes.
 """
 
 import ast
@@ -552,6 +555,60 @@ def test_the_frame_tensors_and_the_validate_slot_map_are_allowed():
               "r = tensor_contract(t, 0, 3, fa.metric_inv)\n"
               "m = fa.metric.map_slot(fa.p, 0)\n")
     assert not _nested_matrix_args(ast.parse(source))
+
+
+ELIMINATION_LOOPS = {"_gauss_jordan", "_bareiss"}
+
+
+def _kernel_choices(tree: ast.Module) -> list:
+    """Calls of a loop in ELIMINATION_LOOPS outside a function named
+    ``_eliminated``, and ``_passed`` calls with more than one argument or a
+    starred one, by name or as an attribute, with their lines."""
+    found = []
+
+    def visit(node, inside):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                name, args = _called(child), child.args + child.keywords
+                unpacked = any(isinstance(a, ast.Starred) for a in child.args) or any(
+                    k.arg is None for k in child.keywords)
+                if name in ELIMINATION_LOOPS and not inside:
+                    found.append("%s (line %d)" % (name, child.lineno))
+                elif name == "_passed" and (len(args) > 1 or unpacked):
+                    found.append("_passed with %d arguments (line %d)" % (len(args), child.lineno))
+            visit(child, inside or (isinstance(child, ast.FunctionDef)
+                                    and child.name == "_eliminated"))
+
+    visit(tree, False)
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_each_kernel_choice_is_made_in_one_place(path):
+    found = _kernel_choices(ast.parse(path.read_text(encoding="utf-8")))
+    assert not found, "%s chooses a kernel outside its one place: %s" % (path.name, ", ".join(found))
+
+
+@pytest.mark.parametrize("source", [
+    "def mat_inv(m):\n    return _bareiss(rows)\n",
+    "def pivot_columns(m):\n    return (_gauss_jordan(rows) if d is None else _bareiss(rows))[2]\n",
+    "from . import tensors\nr = tensors._gauss_jordan(rows)\n",
+    "def _eliminated(rows, d):\n    pass\ndef other(rows):\n    return _bareiss(rows)\n",
+    "t = t._passed(cleared, perm)\n",
+    "t = t._passed(cleared, perm=perm)\n",
+    "t = t._passed(*args)\n",
+    "t = t._passed(**kwargs)\n",
+])
+def test_a_second_kernel_choice_is_detected(source):
+    assert _kernel_choices(ast.parse(source))
+
+
+def test_the_one_dispatch_and_the_one_argument_pass_are_allowed():
+    source = ("def _eliminated(rows, d):\n"
+              "    return _gauss_jordan(rows) if d is None else _bareiss(rows)\n"
+              "def pivot_columns(m):\n    return _eliminated(*_operand(m)[:2])[2]\n"
+              "t = t._passed([cleared if k in flagged else None for k in range(rank)])\n")
+    assert not _kernel_choices(ast.parse(source))
 
 
 ARITHMETIC = {"__add__", "__mul__", "__truediv__"}

@@ -153,6 +153,7 @@ def test_one_gather_serves_both_forms_independently():
 def test_fifty_transposes_of_one_shape_add_one_gather():
     dim, perm = 5, (2, 0, 1)
     Tensor.zeros(dim, "ddd", PARAMS).transpose((0, 1, 2))  # the size's offsets exist
+    _GATHERS.pop((dim, perm), None)  # an earlier test may have made this gather
     before = len(_GATHERS)
     for k in range(50):
         t = Tensor(dim, "ddu", PARAMS, [C(k - v) for v in range(dim ** 3)])
@@ -465,11 +466,50 @@ def test_a_tensor_matrix_over_other_parameters_is_refused():
                 call()
 
 
+def _dense(n: int) -> list:
+    """An n x n matrix of constants, neither diagonal nor a signed permutation."""
+    return [[C(i + 2 * j + 1) for j in range(n)] for i in range(n)]
+
+
+# a slot matrix whose size is not the tensor's dimension: a Tensor, nested
+# rows (smaller, larger) and ragged rows
+WRONG_SIZE = {"tensor-2": coefficient_tensor(_dense(2), "ud"),
+              "tensor-5": coefficient_tensor(_dense(5), "ud"),
+              "rows-3": _dense(3), "rows-5": _dense(5),
+              "ragged": _dense(4)[:3] + [_dense(3)[0]]}
+SLOT_MATRIX_CALLS = {
+    "map_slot": lambda t, m: t.map_slot(m, 0),
+    "map_slots": lambda t, m: t.map_slots([None, m, None]),
+    "lower_slot": lambda t, m: t.lower_slot(2, m),
+    "raise_slot": lambda t, m: t.raise_slot(0, m),
+    "arranged": lambda t, m: arranged(t, "y,Px,z", m),
+    "tensor_contract": lambda t, m: tensor_contract(t, 0, 1, m),
+}
+
+
+@pytest.mark.parametrize("matrix", list(WRONG_SIZE))
+@pytest.mark.parametrize("call", list(SLOT_MATRIX_CALLS))
+def test_a_slot_matrix_of_another_size_is_refused(call, matrix):
+    # the family's brackets, a ddu tensor of dimension 4
+    t = build_example().brackets
+    pattern = "rank-2 tensor of the parameter context and dimension 4" \
+        if matrix.startswith("tensor") else r"expected a 4 x 4 matrix, got row lengths"
+    with pytest.raises(ValueError, match=pattern):
+        SLOT_MATRIX_CALLS[call](t, WRONG_SIZE[matrix])
+
+
+@pytest.mark.parametrize("slots", [(0, 1, 3), (-1, 0, 1), (0, 1, 5)])
+def test_cyclic_sum_refuses_a_slot_outside_the_rank(slots):
+    with pytest.raises(ValueError, match=r"three distinct slots in 0\.\.2"):
+        cyclic_sum(tensor_from_ints("ddd", list(range(64))), slots)
+
+
 def test_fifty_arranged_calls_of_one_shape_add_one_gather():
     dim, signs = 5, (1, -1, -1, 1, -1)
     p = coefficient_tensor([[Scalar.constant(PARAMS, s if i == j else 0) for j in range(dim)]
                             for i, s in enumerate(signs)], "ud")
     arranged(Tensor.zeros(dim, "ddd", PARAMS), "Px,y,z", p)  # the size's offsets exist
+    _GATHERS.pop((dim, (2, 0, 1), (0, 2), signs), None)  # an earlier test may have made it
     before = len(_GATHERS)
     for k in range(50):
         t = Tensor(dim, "ddu", PARAMS, [C(k - v) for v in range(dim ** 3)])

@@ -8,7 +8,7 @@ import pytest
 
 from perfbench import corpus
 from rptgeo import (CLASS_SKEW, ConnectionPack, FrameAlgebra, NotW3Error, Scalar, Tensor,
-                    adapted_frame, all_passed, build_example, check_p_tensor, classify,
+                    adapted_frame, build_example, check_p_tensor, classify,
                     curvature, family_parameters, fundamental_F, geometry_checks,
                     killing_check, levi_civita, natural_check, rpt_checks, rpt_connection,
                     run_all, theorem_checks, theorems, validate, verify_curvature_relation,
@@ -17,8 +17,8 @@ from rptgeo import (CLASS_SKEW, ConnectionPack, FrameAlgebra, NotW3Error, Scalar
 from rptgeo.example import GOLDEN_VARIANCES, family_brackets
 from rptgeo.theorems import rpt_curvature_p_tensor
 
-from helpers import (alternate, build_tensor, extended_family_frame, random_frames,
-                     single_bracket_frame, six_dim_frame)
+from helpers import (all_passed, alternate, build_tensor, extended_family_frame,
+                     random_frames, single_bracket_frame, six_dim_frame)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
