@@ -110,14 +110,24 @@ def sigma_T(t: Tensor, fa: FrameAlgebra) -> Tensor:
 def covariant_derivative(fa: FrameAlgebra, conn: Connection, t: Tensor) -> Tensor:
     """Covariant derivative of a fully covariant tensor; the derivative
     direction is slot 0 of the result.  Frame components are constant, so
-    only the connection terms contribute."""
+    only the connection terms contribute: A^s_ij composed into each slot of
+    t in turn.  The product ``compose(A, t)`` is made once; a slot whose
+    move to the front gives t or -t reuses it, transposed, so a totally
+    skew t takes one product, itself skew in its last two slots."""
     if not t.rank or any(v != "d" for v in t.variance):
         raise ValueError("expected a fully covariant tensor of positive rank")
-    # A^s_ij composed into each slot of t in turn: the slot moves to the
-    # front (slot j of the move is slot order[j]) and j back to its place
-    terms = []
-    for slot in range(t.rank):
+    # the slot moves to the front (slot j of the move is slot order[j]) and
+    # j back to its place
+    product = compose(conn.coeffs, t)
+    total, negated = product, -t
+    for slot in range(1, t.rank):
         order = [slot] + [k for k in range(t.rank) if k != slot]
         moved = t.transpose([order.index(k) for k in range(t.rank)])
-        terms.append(compose(conn.coeffs, moved).transpose([0] + [k + 1 for k in order]))
-    return -sum(terms[1:], terms[0])
+        back = [0] + [k + 1 for k in order]
+        if moved == t:
+            total = total + product.transpose(back)
+        elif moved == negated:
+            total = total - product.transpose(back)
+        else:
+            total = total + compose(conn.coeffs, moved).transpose(back)
+    return -total

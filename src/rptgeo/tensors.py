@@ -39,7 +39,15 @@ slot-map pass, ``contract_all`` on polynomials), ``mat_mul`` and the
 Jacobi residuals of ``validate`` (``jacobi_residuals``) call it;
 ``contract_all`` on ints is one ``sum`` over ``map(operator.mul, ...)``.
 ``compose`` builds the torsion inner products, and covariant derivatives
-and curvature from connection coefficients.
+and curvature from connection coefficients.  Where a changes sign when its
+first two slots swap, as c^k_ij and the raised torsion do, it multiplies
+only the rows (i, j, ..) with i < j; where b changes sign when its last
+two slots swap, as T and g(nabla_s e_k, e_l) of a metric connection do,
+only the columns (.., k, l) with k < l.  Both are decided by comparing
+held numerators: the first nonzero entry's mirror refuses most other
+operands at once.  The kept block cancels once, and one gather fills the
+product from it, its negations and one zero, so the torsion products and
+the bracket term of the curvature multiply a quarter of the full product.
 
 Every slot map is one pass, ``Tensor._passed``, given a dim x dim matrix
 (``_matrix``) or None per slot: ``map_slot``, ``lower_slot`` and
@@ -53,7 +61,10 @@ Data movement runs in C builtins.  ``transpose`` and the slot-map pass
 gather, on either form, through one ``operator.itemgetter`` per (dim,
 perm); the signed gather, all of ``arranged`` by such a P, through one per
 (dim, perm, slots, signs) over the components followed by their negations.
-Both are kept in ``_GATHERS``, a table of shapes, never of results, so
+A skew test reads its entries through getters per (dim, rank, slot), and
+a skew ``compose`` picks its kept rows and columns and fills its product
+through those per (dim, row rank, column rank, skew rows, skew columns).
+All are kept in ``_GATHERS``, a table of shapes, never of results, so
 ``frames.memo`` stays the one cache of results.  On the int form the
 entrywise ops of two lists, ``+`` and ``-`` over one denominator and the
 diagonal slot map, are one ``map(operator.add/sub/mul, ...)`` each.  An op that multiplies every entry by one int (the lcm branch
@@ -313,8 +324,7 @@ class Tensor:
         """``map_slot`` by a matrix (rows, d): a diagonal of 1 and -1 is the
         signed gather, any other matrix the one slot-map pass on this slot.
         ValueError on a slot outside 0..rank-1."""
-        if not 0 <= slot < self.rank:
-            raise ValueError("slot %d of a rank-%d tensor" % (slot, self.rank))
+        self._check_slot(slot)
         signs = _signs(*cleared)
         if signs:
             return self._gathered(tuple(range(self.rank)), (slot,), signs)
@@ -359,7 +369,12 @@ class Tensor:
             values = _transposed(values, n, tuple(order))
         return Tensor._new(n, self.variance, self.params, values, den)
 
+    def _check_slot(self, slot: int):
+        if not 0 <= slot < self.rank:
+            raise ValueError("slot %d of a rank-%d tensor" % (slot, self.rank))
+
     def lower_slot(self, slot: int, metric) -> "Tensor":
+        self._check_slot(slot)
         if self.variance[slot] != "u":
             raise ValueError("slot is already covariant")
         t = self._mapped(_matrix(metric, self.params, self.dim), slot)
@@ -367,6 +382,7 @@ class Tensor:
         return Tensor._of(self.dim, var, self.params, *t._values())
 
     def raise_slot(self, slot: int, metric_inv) -> "Tensor":
+        self._check_slot(slot)
         if self.variance[slot] != "d":
             raise ValueError("slot is already contravariant")
         # map_slot reads matrix[a][i] on a covariant slot; the inverse metric
@@ -398,7 +414,14 @@ def _product(a: list, b: list, den) -> list:
 
 def compose(a: Tensor, b: Tensor) -> Tensor:
     """Contract the last slot of a, a vector slot, with the first slot of b,
-    a covector slot: C(.., x, y, ..) = sum_s a(.., x, e^s) b(e_s, y, ..)."""
+    a covector slot: C(.., x, y, ..) = sum_s a(.., x, e^s) b(e_s, y, ..).
+
+    Where a changes sign when its first two slots swap, row (j, i, ..) of
+    the product is minus row (i, j, ..) and row (i, i, ..) is zero, so only
+    the rows with i < j are multiplied; likewise the columns (.., k, l)
+    with k < l where b changes sign when its last two slots swap.  The kept
+    block cancels once, and one gather (``_skew_fill``) fills the product
+    from it, its negations and one zero."""
     if a.dim != b.dim or a.params != b.params:
         raise ValueError("tensors have different dimension or context")
     if a.variance[-1:] != "u" or b.variance[:1] != "d":
@@ -406,8 +429,23 @@ def compose(a: Tensor, b: Tensor) -> Tensor:
                          "slot first in b")
     (av, ad), (bv, bd) = _joint([a._values(), b._values()])
     n, den = a.dim, _times(ad, bd)
-    return Tensor._new(n, a.variance[:-1] + b.variance[1:], a.params,
-                       _product(_rows(av, n), _rows(bv, len(bv) // n), den), den)
+    variance = a.variance[:-1] + b.variance[1:]
+    neg = _dict_neg if type(den) is dict else operator.neg
+    rows = a.rank > 2 and _skew(av, n, a.rank, 0, neg)
+    cols = b.rank > 2 and _skew(bv, n, b.rank, b.rank - 2, neg)
+    av, bv = _rows(av, n), _rows(bv, len(bv) // n)
+    if not (rows or cols):
+        return Tensor._new(n, variance, a.params, _product(av, bv, den), den)
+    key = (n, a.rank - 1, b.rank - 1, rows, cols)
+    kept_rows, kept_cols, fill = _GATHERS.get(key) or _skew_fill(*key)
+    if rows:
+        av = kept_rows(av)
+    if cols:
+        bv = list(map(kept_cols, bv))
+    nums, den = _canonical(_product(av, bv, den), den)
+    poly = type(den) is dict
+    nums = nums + list(map(_dict_neg if poly else operator.neg, nums)) + [{} if poly else 0]
+    return Tensor._of(n, variance, a.params, list(fill(nums)), den)
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +573,10 @@ def arranged(t: Tensor, pattern: str, product=None) -> Tensor:
 
 # (dim, perm) -> the getter of a transpose; (dim, perm, slots, signs) -> the
 # signed gather's, over the components followed by their negations; size ->
-# the offsets 0..size-1, whose ints the getters of that size share.  No
+# the offsets 0..size-1, whose ints the getters of that size share; (dim,
+# rank, p) -> the getters of the entries a skew test in slots p and p + 1
+# compares; (dim, row rank, column rank, skew rows, skew columns) -> the
+# kept-row and kept-column getters of a skew ``compose`` and its fill.  No
 # tensor and no value: ``frames.memo`` is the one cache of results.
 _GATHERS: dict = {}
 
@@ -560,12 +601,87 @@ def _gather(dim: int, perm: tuple, slots: tuple = (), signs: tuple = ()):
             half = [h ^ step for h in half for step in steps]
         table = [off + half[off] for off in table]
         size *= 2
-    offsets = _GATHERS.get(size) or _GATHERS.setdefault(size, list(range(size)))
-    # an itemgetter of one offset returns the bare item, so one offset slices
     gather = _GATHERS[(dim, perm, slots, signs) if slots else (dim, perm)] = \
-        operator.itemgetter(*map(offsets.__getitem__, table)) if len(table) > 1 else \
-        operator.itemgetter(slice(table[0], table[0] + 1) if table else slice(0))
+        _getter(table, size)
     return gather
+
+
+def _getter(table: list, size: int):
+    """One itemgetter of the offsets in table, below size, that returns a
+    sequence, its ints those of the size's shared offsets: an itemgetter of
+    one offset returns the bare item, so one offset slices."""
+    offsets = _GATHERS.get(size) or _GATHERS.setdefault(size, list(range(size)))
+    return operator.itemgetter(*map(offsets.__getitem__, table)) if len(table) > 1 else \
+        operator.itemgetter(slice(table[0], table[0] + 1) if table else slice(0))
+
+
+def _skew(values: list, dim: int, r: int, p: int, neg) -> bool:
+    """Whether components of r slots, on either form, change sign when
+    slots p and p + 1 swap: neg negates one entry.  The first nonzero
+    entry's mirror refuses most other tensors before the full test, which
+    negates only the entries with i < j there."""
+    off = next(itertools.compress(itertools.count(), values), None)
+    if off is None:
+        return True
+    stride = dim ** (r - 2 - p)  # of slot p + 1; slot p's is dim times it
+    i, j = off // stride // dim % dim, off // stride % dim
+    if values[off + (i - j) * (1 - dim) * stride] != neg(values[off]):
+        return False
+    upper, lower, diagonal = _GATHERS.get((dim, r, p)) or _mirrors(dim, r, p)
+    return not any(diagonal(values)) and \
+        tuple(lower(values)) == tuple(map(neg, upper(values)))
+
+
+def _mirrors(dim: int, r: int, p: int):
+    """The getters of the entries of r slots with i < j at slots p and p + 1,
+    of their mirrors in the same order, and of the entries with i = j."""
+    at, kept = _halves(dim, r, p)
+    lower = [0] * len(kept)
+    for off, (k, sign) in enumerate(at):
+        if sign < 0:
+            lower[k] = off
+    size = dim ** r
+    gathers = _GATHERS[dim, r, p] = (
+        _getter(kept, size), _getter(lower, size),
+        _getter([off for off, (_, sign) in enumerate(at) if not sign], size))
+    return gathers
+
+
+def _skew_fill(dim: int, ra: int, rb: int, rows: bool, cols: bool):
+    """(kept rows, kept columns, fill) of ``compose`` on dim ** ra rows and
+    dim ** rb columns, skew in the first two row slots where rows and in
+    the last two column slots where cols.  The getters pick the rows (i, j,
+    ..) and the columns (.., k, l) with i < j and k < l, each None on a
+    side that is not skew; the fill reads each entry of the product from
+    the K kept ones, their K negations after them, or the zero last."""
+    row_at, kept_rows = _halves(dim, ra, 0 if rows else None)
+    col_at, kept_cols = _halves(dim, rb, rb - 2 if cols else None)
+    width, size = len(kept_cols), len(kept_rows) * len(kept_cols)
+    table = [2 * size if not (x and y) else i * width + j + (size if x != y else 0)
+             for i, x in row_at for j, y in col_at]
+    # 2 * size + 1 entries at most of the dim ** (ra + rb) of the product
+    gathers = _GATHERS[dim, ra, rb, rows, cols] = (
+        _getter(kept_rows, dim ** ra) if rows else None,
+        _getter(kept_cols, dim ** rb) if cols else None, _getter(table, dim ** (ra + rb)))
+    return gathers
+
+
+def _halves(dim: int, r: int, p):
+    """(at, kept) for the offsets of r slots, skew in slots p and p + 1 or,
+    for p None, in none: kept the offsets with index i < j there, ascending,
+    and at[off] = (k, sign) with off sign times kept entry k, sign 0 where
+    i = j."""
+    if p is None:
+        return [(off, 1) for off in range(dim ** r)], list(range(dim ** r))
+    # a mirror with i > j comes after its kept entry, i < j
+    stride, kept, at = dim ** (r - 2 - p), {}, []
+    for off, idx in enumerate(itertools.product(range(dim), repeat=r)):
+        i, j = idx[p], idx[p + 1]
+        if i < j:
+            kept[off] = len(kept)
+        at.append((kept[off], 1) if i < j else (0, 0) if i == j else
+                  (kept[off + (i - j) * (1 - dim) * stride], -1))
+    return at, list(kept)
 
 
 def _transposed(values: list, dim: int, perm: tuple) -> list:

@@ -8,10 +8,10 @@ from math import comb
 import pytest
 
 from rptgeo import (CLASS_OUTSIDE, CLASS_PARALLEL, Connection, NotW3Error, Scalar, Tensor,
-                    adapted_frame, arranged, build_example, classify, covariant_derivative,
-                    curvature, cyclic_sum, fundamental_F, levi_civita, natural_check,
-                    null_space, parse_expression, rpt_connection, rpt_torsion, sigma_T,
-                    torsion_inner_products)
+                    adapted_frame, arranged, build_example, classify, compose,
+                    covariant_derivative, curvature, cyclic_sum, fundamental_F, levi_civita,
+                    natural_check, null_space, parse_expression, rpt_connection, rpt_torsion,
+                    sigma_T, torsion_inner_products)
 from rptgeo.connections import _shifted_connection, companion_shifts
 
 from helpers import (abelian_plane, alternate, apply_p, basis_vec, bracket_vec, build_tensor,
@@ -274,6 +274,70 @@ def test_covariant_derivative_matches_oracle_on_other_ranks(rank):
     t = Tensor(fa.dim, "d" * rank, fa.params,
                [Scalar.constant(fa.params, k % 7 - 3) for k in range(fa.dim ** rank)])
     assert covariant_derivative(fa, conn, t) == covariant_derivative_oracle(conn, t)
+
+
+def _counted_compose(monkeypatch):
+    """The (a, b) of each ``compose`` that ``connections`` calls."""
+    import rptgeo.connections as connections
+    calls, product = [], connections.compose
+
+    def counted(a, b):
+        calls.append((a, b))
+        return product(a, b)
+
+    monkeypatch.setattr(connections, "compose", counted)
+    return calls
+
+
+@pytest.mark.parametrize("fa", [build_example((1, 2, 3, 5)), SYM, RANDOM[-1]],
+                         ids=["family", "symbolic", "conj8"])
+@pytest.mark.parametrize("kind, products", [("totally-skew", 1), ("symmetric-pair", 2),
+                                            ("generic", 3)])
+def test_covariant_derivative_makes_one_product_per_distinct_move(fa, kind, products,
+                                                                  monkeypatch):
+    # a slot whose move to the front gives t or -t reuses compose(A, t):
+    # both moves of a 3-form do, and of a tensor symmetric in its first
+    # pair the move of slot 1
+    conn, n, rng = rpt_connection(fa).rpt, fa.dim, random.Random(fa.dim)
+    generic = Tensor(n, "ddd", fa.params, [Scalar.constant(fa.params, rng.randint(-3, 3))
+                                           for _ in range(n ** 3)])
+    t = {"totally-skew": alternate(generic, (0, 1, 2)),
+         "symmetric-pair": generic + generic.transpose((1, 0, 2)), "generic": generic}[kind]
+    calls = _counted_compose(monkeypatch)
+    got = covariant_derivative(fa, conn, t)
+    assert len(calls) == products and calls[0] == (conn.coeffs, t)
+    assert got == covariant_derivative_oracle(conn, t)
+
+
+def test_the_torsion_derivative_of_a_w3_pack_is_one_product(monkeypatch):
+    pack = rpt_connection(adapted_frame(build_example((1, 2, 3, 5))))
+    calls = _counted_compose(monkeypatch)
+    derivative = pack.torsion_derivative()
+    assert len(calls) == 1 and calls[0][1] is pack.T
+    assert derivative == covariant_derivative_oracle(pack.rpt, pack.T)
+
+
+@pytest.mark.parametrize("fa", [build_example((1, 2, 3, 5)), SYM, RANDOM[-1]],
+                         ids=["family", "symbolic", "conj8"])
+def test_the_products_on_a_skew_pair_multiply_only_its_kept_half(fa, monkeypatch):
+    # the torsion products and the bracket term of the curvature multiply a
+    # quarter of the full product; the one product of nabla T half of it
+    import rptgeo.tensors as tensors
+    pack = rpt_connection(fa)
+    n, q = fa.dim, fa.dim * (fa.dim - 1) // 2
+    low = pack.rpt.coeffs.lower_slot(2, fa.metric)
+    up, products = pack.T.raise_slot(2, fa.metric_inv), pack.torsion_products()
+    shapes, mul = [], tensors._mul
+
+    def recording(a, b, poly):
+        shapes.append((len(a), len(b[0])))
+        return mul(a, b, poly)
+
+    monkeypatch.setattr(tensors, "_mul", recording)
+    assert compose(up, pack.T.transpose((1, 2, 0))) == products
+    compose(fa.brackets, low)
+    compose(pack.rpt.coeffs, pack.T)
+    assert shapes == [(q, q), (q, q), (n * n, q)]
 
 
 def test_torsion_inner_products_match_oracle_on_random_frames():

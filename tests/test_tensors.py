@@ -12,7 +12,9 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from rptgeo import (Scalar, Tensor, adapted_frame, arranged, build_example, compose,
                     cyclic_sum, fundamental_F, mat_det, mat_identity, mat_inv, mat_mul,
-                    null_space, parse_expression, row_reduce, square_norm, tensor_contract)
+                    null_space, parse_expression, row_reduce, run_all, square_norm,
+                    tensor_contract)
+import rptgeo.tensors as tensors_module
 from rptgeo.frames import _moved
 from rptgeo.scalars import _canonical_assoc, _is_const, _poly_gcd
 from rptgeo.tensors import (_GATHERS, _mul, _rows, coefficient_tensor, contract_all,
@@ -313,6 +315,122 @@ def test_compose_needs_one_dimension():
         compose(_mixed_tensor(3, "u"), _mixed_tensor(2, "d"))
 
 
+# compose on operands skew in a pair: a in its first two slots, which index
+# the rows of the product, and b in its last two, which index the columns
+SKEW_LEFT = {2: "du", 3: "ddu", 4: "dddu"}
+SKEW_RIGHT = {2: "dd", 3: "duu"}
+
+
+def _pair_swap(rank, p):
+    """The permutation of rank slots that swaps slots p and p + 1."""
+    perm = list(range(rank))
+    perm[p], perm[p + 1] = p + 1, p
+    return tuple(perm)
+
+
+def _skew_operand(dim, variance, pair, poly, rng, zeros=0.3):
+    """Random entries, ints or int polynomials in A, a share of them zero;
+    for a pair p, t minus t with slots p and p + 1 swapped."""
+    def entry():
+        x = C(0 if rng.random() < zeros else rng.randint(-3, 3))
+        return A * rng.randint(-2, 2) + x if poly else x
+
+    t = Tensor(dim, variance, PARAMS, [entry() for _ in range(dim ** len(variance))])
+    return t if pair is None else t - t.transpose(_pair_swap(t.rank, pair))
+
+
+def _is_skew(t, pair):
+    """Whether t changes sign when slots pair and pair + 1 swap, entry by entry."""
+    swapped = transpose_oracle(t, _pair_swap(t.rank, pair))
+    return all((x + y).is_zero for x, y in zip(t.comps, swapped.comps))
+
+
+def _kept(dim, slots, skew):
+    """How many of the dim ** slots rows (or columns) compose multiplies,
+    with or without a skew pair among those slots."""
+    return dim * (dim - 1) // 2 * dim ** (slots - 2) if skew else dim ** slots
+
+
+def _composed_shapes(a, b):
+    """compose(a, b) and the (rows, width) of each product ``_mul`` ran."""
+    shapes, mul = [], tensors_module._mul
+
+    def recording(x, y, poly):
+        shapes.append((len(x), len(y[0]) if y else 0))
+        return mul(x, y, poly)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tensors_module, "_mul", recording)
+        out = compose(a, b)
+    return out, shapes
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.sampled_from([2, 4, 5]), ra=st.integers(2, 4), rb=st.integers(2, 3),
+       rows=st.booleans(), cols=st.booleans(), poly=st.booleans(), cancel=st.booleans(),
+       zeros=st.sampled_from([0.0, 0.3, 0.8, 1.0]), seed=st.integers(0, 2 ** 16))
+def test_compose_of_skew_operands_matches_the_oracle(dim, ra, rb, rows, cols, poly, cancel,
+                                                     zeros, seed):
+    # rows and columns skew, one of them or neither; with cancel the
+    # product's numerators share a factor with its denominator, which the
+    # kept block cancels once
+    assume(dim < 5 or ra + rb < 7 or not poly)
+    rng = random.Random(seed)
+    a = _skew_operand(dim, SKEW_LEFT[ra], 0 if rows and ra > 2 else None, poly, rng, zeros)
+    b = _skew_operand(dim, SKEW_RIGHT[rb], rb - 2 if cols and rb > 2 else None, poly, rng,
+                      zeros)
+    if cancel:
+        factor = A + 2 if poly else C(3)
+        a, b = a.scale(1 / factor), b.scale(factor)
+    out, shapes = _composed_shapes(a, b)
+    expected = compose_oracle(a, b)
+    assert out == expected and out.comps == expected.comps
+    _assert_canonical(out)
+    skew_rows = ra > 2 and _is_skew(a, 0)
+    skew_cols = rb > 2 and _is_skew(b, rb - 2)
+    assert shapes == [(_kept(dim, ra - 1, skew_rows), _kept(dim, rb - 1, skew_cols))]
+
+
+def _first_nonzero(t):
+    return next(k for k, x in enumerate(t.comps) if not x.is_zero)
+
+
+def _mirror(t, off, pair):
+    idx = list(list(itertools.product(range(t.dim), repeat=t.rank))[off])
+    idx[pair], idx[pair + 1] = idx[pair + 1], idx[pair]
+    return t._offset(tuple(idx))
+
+
+def _off_by_one(t, off):
+    comps = list(t.comps)
+    comps[off] = comps[off] + C(1)
+    return Tensor(t.dim, t.variance, t.params, comps)
+
+
+@pytest.mark.parametrize("dim", [2, 4, 5])
+@pytest.mark.parametrize("poly", [False, True], ids=["ints", "polys"])
+@pytest.mark.parametrize("side", ["rows", "columns"])
+@pytest.mark.parametrize("entry", ["first-mirror", "last-mirror", "diagonal"])
+def test_an_almost_skew_operand_takes_the_full_product(dim, poly, side, entry):
+    # one entry off: the mirror of the first nonzero entry, which refuses at
+    # once, the last mirror, which only the full test sees, or a diagonal one
+    rng = random.Random(dim)
+    pair = 0 if side == "rows" else 1
+    t = _skew_operand(dim, "ddu" if side == "rows" else "duu", pair, poly, rng)
+    mirror = _mirror(t, _first_nonzero(t), pair)
+    last = max(k for k, idx in enumerate(itertools.product(range(dim), repeat=3))
+               if idx[pair] > idx[pair + 1] and k != mirror)
+    off = {"first-mirror": mirror, "last-mirror": last,
+           "diagonal": t._offset((1, 1, 0) if side == "rows" else (0, 1, 1))}[entry]
+    bent = _off_by_one(t, off)
+    assert _is_skew(t, pair) and not _is_skew(bent, pair)
+    a, b = (bent, _skew_operand(dim, "dd", None, poly, rng)) if side == "rows" else \
+        (_skew_operand(dim, "du", None, poly, rng), bent)
+    out, shapes = _composed_shapes(a, b)
+    assert out == compose_oracle(a, b)
+    assert shapes == [(dim ** (a.rank - 1), dim ** (b.rank - 1))]
+
+
 def test_signs_on_the_diagonal_make_no_multiplication(monkeypatch):
     p = _diagonal((C(1), C(-1), C(-1)))
     t = _mixed_tensor(3, "ddu")
@@ -573,14 +691,57 @@ def test_the_slot_map_pass_needs_one_entry_per_slot(count):
 @pytest.mark.parametrize("kind", ["signs", "dense"])
 def test_a_slot_map_refuses_a_slot_outside_the_rank(kind):
     # on the signed gather and on the pass alike; lower_slot and raise_slot
-    # read slot -1 as the last variance letter, and still refuse it
+    # check the range before they read the slot's variance
     m = PASS_MATRICES[kind][0]
     dd, uu = (Tensor(DIM, v, PARAMS, [C(k % 5 - 2) for k in range(DIM ** 2)])
               for v in ("dd", "uu"))
-    for call in (lambda: dd.map_slot(m, -1), lambda: uu.map_slot(m, 2),
-                 lambda: dd.raise_slot(-1, m), lambda: uu.lower_slot(-1, m)):
+    calls = [lambda: dd.map_slot(m, -1), lambda: uu.map_slot(m, 2)]
+    for slot in (-1, 2, 6):
+        calls += [functools.partial(dd.raise_slot, slot, m),
+                  functools.partial(uu.lower_slot, slot, m)]
+    for call in calls:
         with pytest.raises(ValueError, match="rank-2"):
             call()
+    fa = build_example((1, 2, 3, 5))
+    for slot in (-1, 3, 7):
+        for call in (fa.brackets.lower_slot, fa.brackets.raise_slot):
+            with pytest.raises(ValueError, match="slot %d of a rank-3 tensor" % slot):
+                call(slot, fa.metric)
+
+
+def _gather_kind(key, value):
+    """The documented kind of a ``_GATHERS`` entry, or None."""
+    getter = type(operator.itemgetter(0))
+    if type(key) is int:
+        return "offsets" if value == list(range(key)) else None
+    if type(key) is not tuple or type(key[0]) is not int:
+        return None
+    if len(key) == 2 and sorted(key[1]) == list(range(len(key[1]))):
+        return "transpose" if type(value) is getter else None
+    if len(key) == 4 and type(value) is getter and len(key[2]) <= len(key[1]) and \
+            set(key[3]) <= {1, -1} and len(key[3]) == key[0]:
+        return "signed"
+    if len(key) == 3 and all(type(x) is int for x in key) and key[2] <= key[1] - 2:
+        return "mirrors" if type(value) is tuple and len(value) == 3 and \
+            all(type(x) is getter for x in value) else None
+    if len(key) == 5 and all(type(x) is int for x in key[1:3]) and \
+            all(type(x) is bool for x in key[3:]) and any(key[3:]):
+        # a getter of kept rows and of kept columns on each skew side
+        return "skew-fill" if type(value) is tuple and len(value) == 3 and \
+            [type(x) is getter for x in value] == [*key[3:], True] else None
+    return None
+
+
+def test_every_gather_table_entry_is_a_documented_kind():
+    # a check of a W3 frame in a basis with a dense P and in its adapted
+    # basis, and a parametric one, fill every kind of entry
+    frames = [random_frames()[-1], adapted_frame(build_example((1, 2, 3, 5))),
+              adapted_frame(build_example())]
+    for fa in frames:
+        run_all(fa)
+    kinds = {key: _gather_kind(key, value) for key, value in _GATHERS.items()}
+    assert None not in kinds.values(), [key for key, kind in kinds.items() if kind is None]
+    assert set(kinds.values()) == {"offsets", "transpose", "signed", "mirrors", "skew-fill"}
 
 
 def test_the_slot_map_pass_gathers_only_by_dim_and_perm():
