@@ -1,8 +1,9 @@
 """Natural connections with totally skew-symmetric torsion.
 
-``ConnectionPack(frame, T)`` is the connection Levi-Civita + T/2 raised,
-for any torsion 3-form T.  ``rpt_connection`` is the pack of the natural
-connection, with T read off the structure tensor, on the skew-cyclic class.
+``ConnectionPack(frame, T)`` holds L + T/2, L of Levi-Civita, for any 3-form T:
+nabla' = nabla + T/2 is a sum; nabla T and nabla P read its raised
+coefficients.  ``rpt_connection`` is the pack of the natural connection, with T
+read off the structure tensor, on the skew-cyclic class.
 ``tests/test_connections.py`` solves for the T whose connection keeps P
 parallel, on frames of dimension 4, 6 and 8: a solution exists exactly off
 the outside class; the kernel is the 3-forms on one eigenspace of P,
@@ -62,7 +63,7 @@ def rpt_torsion(f: Tensor, fa: FrameAlgebra) -> Tensor:
 
 
 def _shifted_connection(fa: FrameAlgebra, q: Tensor) -> Connection:
-    return Connection(fa, levi_civita(fa).coeffs + q.raise_slot(2, fa.metric_inv))
+    return Connection(fa, levi_civita(fa).lowered + q)
 
 
 def companion_shifts(fa: FrameAlgebra) -> tuple:

@@ -1,11 +1,12 @@
 """Levi-Civita geometry of a frame algebra.
 
-Connection coefficients A^k_ij mean: the derivative of e_j along e_i has
-component A^k_ij on e_k.  A connection stores them as one ``ddu`` Tensor
-with A^k_ij at index (i, j, k), and computations on them go through the
-slot and matrix routines of ``tensors``.  Component functions of tensors are
-constant on the frame (left invariance), so all directional-derivative terms
-vanish and the Koszul formula reduces to bracket/metric pairings.
+A connection holds L = g(nabla_{e_i} e_j, e_k) at (i, j, k), a ``ddd``
+Tensor, as the paper does, so nabla' = nabla + T/2 is the sum L + T/2, and
+raises it once, when built, to A^k_ij, the component on e_k of nabla_{e_i}
+e_j, a ``ddu`` Tensor.  The torsion, the metric defect and the curvature
+read L; the products and nabla P read A, as L(x, Py, z) - L(x, y, Pz) is
+nabla P lowered only for a g-symmetric P.  Frame components are constant
+(left invariance), so Koszul reduces to bracket/metric pairings.
 
 A connection's scalar curvature has two memoized readers: ``curvature``,
 the trace of the Ricci tensor of its Riemann tensor, and
@@ -17,7 +18,7 @@ coefficients otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .frames import FrameAlgebra, memo, tensor_witnesses
@@ -32,21 +33,25 @@ CLASS_OUTSIDE = "outside-implemented-classes"
 
 @dataclass
 class Connection:
+    """``lowered`` is L at (i, j, k); ``coeffs`` is raised from it here, the
+    one raise or lower of a connection (ValueError on a singular metric)."""
     frame: FrameAlgebra
-    coeffs: Tensor  # ddu coefficient Tensor, A^k_ij at (i, j, k)
+    lowered: Tensor
+    coeffs: Tensor = field(init=False)
+
+    def __post_init__(self):
+        self.coeffs = self.lowered.raise_slot(2, self.frame.metric_inv)
 
     def torsion_tensor(self) -> Tensor:
-        """Lowered torsion of the connection (antisymmetric in the first pair)."""
-        a = self.coeffs
-        t = a - arranged(a, "y,x,z") - self.frame.brackets
-        return t.lower_slot(2, self.frame.metric)
+        """Lowered torsion L(x,y,z) - L(y,x,z) - g([x,y], z), skew in x, y."""
+        low, fa = self.lowered, self.frame
+        return low - arranged(low, "y,x,z") - fa.brackets.lower_slot(2, fa.metric)
 
     def metric_witnesses(self, label: str) -> list:
         """Nonzero g(nabla_i e_j, e_k) + g(e_j, nabla_i e_k) for j <= k in the
         user's basis, as witnesses with expected zero and the negated sum;
         none when metric."""
-        low = self.coeffs.lower_slot(2, self.frame.metric)
-        defect = -(low + arranged(low, "x,z,y"))
+        defect = -(self.lowered + arranged(self.lowered, "x,z,y"))
         return [w for w in tensor_witnesses(self.frame, defect, label)
                 if w.index[1] <= w.index[2]]
 
@@ -62,7 +67,7 @@ def levi_civita(fa: FrameAlgebra) -> Connection:
     # g([e_i, e_j], e_k), then the Koszul sum at (i, j, k)
     pair = fa.brackets.lower_slot(2, fa.metric)
     kos = pair + arranged(pair, "z,x,y") + arranged(pair, "z,y,x")
-    return Connection(fa, kos.raise_slot(2, fa.metric_inv).scale(Fraction(1, 2)))
+    return Connection(fa, kos.scale(Fraction(1, 2)))
 
 
 def nabla_p_components(fa: FrameAlgebra, conn: Connection) -> Tensor:
@@ -99,8 +104,7 @@ def curvature(conn: Connection):
     R(x,y,z,w) = g(nabla_x nabla_y z - nabla_y nabla_x z - nabla_[x,y] z, w).
     With L(i,s,l) = g(nabla_i e_s, e_l) and constant frame components,
     R(i,j,k,l) = sum_s A^s_jk L(i,s,l) - A^s_ik L(j,s,l) - c^s_ij L(s,k,l)."""
-    fa = conn.frame
-    low = conn.coeffs.lower_slot(2, fa.metric)
+    fa, low = conn.frame, conn.lowered
     # sum_s A^s_jk L(i,s,l) lands at (j,k,i,l) and moves to (i,j,k,l)
     first = compose(conn.coeffs, low.transpose((1, 0, 2))).transpose((1, 2, 0, 3))
     riemann = first - first.transpose((1, 0, 2, 3)) \

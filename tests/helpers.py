@@ -788,18 +788,19 @@ def existence_system(fa: FrameAlgebra):
     of [A | -b], and the unknowns are the coefficients of T on the basis
     3-forms e_u = e^ijk, one per triple (i, j, k) with i < j < k.
 
-    Column u is nabla P under the connection with coefficients e_u / 2
-    raised, and -b is nabla P under Levi-Civita.  nabla P is linear in the
-    coefficients, so A x = b says that Levi-Civita + T / 2 raised keeps P
-    parallel; being a 3-form, T keeps it metric with torsion T.  The
-    solutions are the null vectors (x, 1) of [A | -b]."""
+    Column u is nabla P under Connection(fa, e_u / 2), the connection with
+    g(nabla_x y, z) = e_u(x, y, z) / 2, and -b is nabla P under Levi-Civita.
+    nabla P is linear in the connection, so A x = b says that
+    nabla' = nabla + T / 2, a sum of lowered forms, keeps P parallel; being a
+    3-form, T keeps it metric with torsion T.  The solutions are the null
+    vectors (x, 1) of [A | -b]."""
     n, params = fa.dim, fa.params
     triples = list(itertools.combinations(range(n), 3))
     half = Scalar.constant(params, Fraction(1, 2))
     columns = []
     for triple in triples:
-        shift = three_form(n, params, {triple: half}).raise_slot(2, fa.metric_inv)
-        columns.append(nabla_p_components(fa, Connection(fa, shift)).comps)
+        conn = Connection(fa, three_form(n, params, {triple: half}))
+        columns.append(nabla_p_components(fa, conn).comps)
     columns.append(nabla_p_components(fa, levi_civita(fa)).comps)
     rows = [list(row) for row in zip(*columns) if any(row)]
     return rows, triples

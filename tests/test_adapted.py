@@ -278,10 +278,10 @@ def test_failing_tensor_checks_report_user_basis_witnesses():
     bump = [0] * fa.dim ** 3
     bump[(0 * fa.dim + 1) * fa.dim + 2] = 1
     bump = Tensor(fa.dim, "ddu", (), [Scalar.constant((), v) for v in bump])
-    coeffs = levi_civita(fa).coeffs + bump
-    user = Connection(fa, coeffs).metric_witnesses("metric")
+    low = (levi_civita(fa).coeffs + bump).lower_slot(2, fa.metric)
+    user = Connection(fa, low).metric_witnesses("metric")
     assert user
-    adapted = Connection(af, _forward(af, coeffs)).metric_witnesses("metric")
+    adapted = Connection(af, _forward(af, low)).metric_witnesses("metric")
     assert [w.as_dict() for w in adapted] == [w.as_dict() for w in user]
 
 

@@ -7,8 +7,8 @@ from math import comb
 
 import pytest
 
-from rptgeo import (CLASS_OUTSIDE, CLASS_PARALLEL, Connection, NotW3Error, Scalar, Tensor,
-                    adapted_frame, arranged, build_example, classify, compose,
+from rptgeo import (CLASS_OUTSIDE, CLASS_PARALLEL, Connection, ConnectionPack, NotW3Error,
+                    Scalar, Tensor, adapted_frame, arranged, build_example, classify, compose,
                     covariant_derivative, curvature, cyclic_sum, fundamental_F, levi_civita,
                     natural_check, null_space, parse_expression, rpt_connection, rpt_torsion,
                     sigma_T, torsion_inner_products)
@@ -346,12 +346,32 @@ def test_torsion_inner_products_match_oracle_on_random_frames():
         assert torsion_inner_products(t, fa) == torsion_products_oracle(t, fa)
 
 
+def test_a_connection_holds_both_forms_and_a_shift_is_a_sum():
+    # Levi-Civita, the rpt connection, the canonical connection and the
+    # P-connection, in the user's basis and on the adapted frame
+    for user in RANDOM:
+        for fa in (user, adapted_frame(user)):
+            lc, pack = levi_civita(fa), rpt_connection(fa)
+            shifts = companion_shifts(fa)
+            companions = [_shifted_connection(fa, q) for q in shifts]
+            for conn in [lc, pack.rpt] + companions:
+                assert (conn.lowered.variance, conn.coeffs.variance) == ("ddd", "ddu")
+                assert conn.coeffs.lower_slot(2, fa.metric) == conn.lowered
+            assert ConnectionPack(fa, pack.T).rpt.lowered == \
+                lc.lowered + pack.T.scale(Fraction(1, 2))
+            assert [conn.lowered for conn in companions] == [lc.lowered + q for q in shifts]
+    # a connection is built from its lowered form, never from coefficients
+    with pytest.raises(ValueError):
+        Connection(SYM, levi_civita(SYM).coeffs)
+
+
 def test_metric_witnesses_of_a_non_metric_connection_match_oracle():
     # Levi-Civita with A^3_12 raised by one: nonzero sums on both sides of j = k
     for fa in RANDOM:
         lc = levi_civita(fa).coeffs
         bumped = Connection(fa, build_tensor(
-            fa.dim, "ddu", fa.params, lambda idx: lc[idx] + (1 if idx == (0, 1, 2) else 0)))
+            fa.dim, "ddu", fa.params, lambda idx: lc[idx] + (1 if idx == (0, 1, 2) else 0)
+        ).lower_slot(2, fa.metric))
         witnesses = bumped.metric_witnesses("metric")
         assert witnesses
         assert all(w.expected.is_zero and w.label == "metric" for w in witnesses)
@@ -411,3 +431,35 @@ def test_the_existence_system_is_consistent_exactly_off_the_outside_class(build)
         on_user = null_space(existence_system(user)[0])
         assert [v[-1].is_zero for v in on_user].count(False) == len(solutions)
         assert len(on_user) == len(solutions) + len(kernel)
+
+
+def _infeasibility_certificate(rows, params):
+    """y with A^T y = 0 and b^T y = 1 for the system rows = [A | -b], or None
+    when A x = b is consistent: the null vector (y, 1) of
+    [[A^T | 0], [-b^T | 1]], built from the rows transposed."""
+    m = [list(column) + [Scalar.zero(params)] for column in zip(*rows)]
+    m[-1][-1] = Scalar.one(params)
+    found = [v for v in null_space(m) if not v[-1].is_zero]
+    assert len(found) <= 1
+    return [x / found[0][-1] for x in found[0][:-1]] if found else None
+
+
+@pytest.mark.parametrize("build", [build for _, build in EXISTENCE_FRAMES],
+                         ids=[name for name, _ in EXISTENCE_FRAMES])
+def test_the_existence_system_has_an_infeasibility_certificate_exactly_outside(build):
+    fa = adapted_frame(build())
+    rows, triples = existence_system(fa)
+    y = _infeasibility_certificate(rows, fa.params)
+    assert (y is not None) == (classify(fa).label == CLASS_OUTSIDE)
+    if y is None:
+        return
+    # Farkas over a field: A^T y = 0 and b^T y = 1, rechecked by Scalar sums
+    zero, one = Scalar.zero(fa.params), Scalar.one(fa.params)
+    for u in range(len(triples)):
+        assert sum((row[u] * yr for row, yr in zip(rows, y)), zero) == zero
+    assert sum((-row[-1] * yr for row, yr in zip(rows, y)), zero) == one
+    if build is single_bracket_frame:
+        # the certificate is one equation 0 = b_r with b_r != 0
+        support = [r for r, yr in enumerate(y) if not yr.is_zero]
+        assert len(support) == 1
+        assert all(x.is_zero for x in rows[support[0]][:-1])

@@ -212,7 +212,8 @@ def test_scalar_curvature_on_the_battery_and_other_connections():
     af = adapted_frame(six_dim_frame())
     form = three_form(6, (), {(0, 1, 2): Scalar.one(())})
     others = [ConnectionPack(af, rpt_connection(af).T + form).rpt,
-              Connection(af, af.brackets), Connection(SYM, SYM.brackets)]
+              Connection(af, af.brackets.lower_slot(2, af.metric)),
+              Connection(SYM, SYM.brackets.lower_slot(2, SYM.metric))]
     for conn in others:
         assert scalar_curvature(conn) == curvature(conn)[2]
     assert scalar_curvature(others[0]) != scalar_curvature(rpt_connection(af).rpt)

@@ -36,7 +36,11 @@ and ``__truediv__`` read no attribute ``value``, so a constant operand
 takes no branch of its own and every quotient cancels in ``_make``.  Each
 kernel choice is made in one place: only ``tensors._eliminated`` calls an
 elimination loop, ``_gauss_jordan`` or ``_bareiss``, and a ``_passed`` call
-takes one argument, the slot matrices, so the pass never permutes.
+takes one argument, the slot matrices, so the pass never permutes.  A
+connection holds both of its forms, g(nabla_x y, z) and the coefficients
+raised from it once, so outside the class ``Connection`` no ``lower_slot``
+or ``raise_slot`` call takes an attribute ``coeffs`` or ``lowered`` as its
+receiver.
 """
 
 import ast
@@ -609,6 +613,59 @@ def test_the_one_dispatch_and_the_one_argument_pass_are_allowed():
               "def pivot_columns(m):\n    return _eliminated(*_operand(m)[:2])[2]\n"
               "t = t._passed([cleared if k in flagged else None for k in range(rank)])\n")
     assert not _kernel_choices(ast.parse(source))
+
+
+CONNECTION_FORMS = {"coeffs", "lowered"}
+
+
+def _connection_slot_maps(tree: ast.Module) -> list:
+    """``lower_slot`` and ``raise_slot`` calls whose receiver is an attribute
+    in CONNECTION_FORMS, outside a class named ``Connection``, with their
+    lines."""
+    found = []
+
+    def visit(node, inside):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Call) and not inside
+                    and isinstance(child.func, ast.Attribute)
+                    and child.func.attr in ("lower_slot", "raise_slot")
+                    and isinstance(child.func.value, ast.Attribute)
+                    and child.func.value.attr in CONNECTION_FORMS):
+                found.append("%s.%s (line %d)" % (
+                    child.func.value.attr, child.func.attr, child.lineno))
+            visit(child, inside or (isinstance(child, ast.ClassDef)
+                                    and child.name == "Connection"))
+
+    visit(tree, False)
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_only_the_connection_lowers_or_raises_its_forms(path):
+    found = _connection_slot_maps(ast.parse(path.read_text(encoding="utf-8")))
+    assert not found, "%s lowers or raises a connection outside Connection: %s" % (
+        path.name, ", ".join(found))
+
+
+@pytest.mark.parametrize("source", [
+    "low = conn.coeffs.lower_slot(2, fa.metric)\n",
+    "a = levi_civita(fa).lowered.raise_slot(2, fa.metric_inv)\n",
+    "def curvature(conn):\n    return conn.coeffs.lower_slot(2, conn.frame.metric)\n",
+    "class ConnectionPack:\n    def f(self):\n        return self.rpt.lowered.raise_slot(2, g)\n",
+    "class Connection:\n    pass\nlow = self.coeffs.lower_slot(slot=2, metric=g)\n",
+])
+def test_a_connection_slot_map_outside_the_class_is_detected(source):
+    assert _connection_slot_maps(ast.parse(source))
+
+
+def test_the_class_and_other_slot_maps_are_allowed():
+    source = ("class Connection:\n    def __post_init__(self):\n"
+              "        self.coeffs = self.lowered.raise_slot(2, self.frame.metric_inv)\n"
+              "pair = fa.brackets.lower_slot(2, fa.metric)\n"
+              "b = (a - fa.brackets).raise_slot(0, fa.metric_inv)\n"
+              "up = t.raise_slot(2, fa.metric_inv)\n"
+              "low = conn.lowered + q\n")
+    assert not _connection_slot_maps(ast.parse(source))
 
 
 ARITHMETIC = {"__add__", "__mul__", "__truediv__"}
